@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.framework.ops import (
+    ConvPlan,
     clear_plan_cache,
     conv2d_backward_input,
     conv2d_backward_input_reference,
@@ -36,6 +37,12 @@ SHAPE = (2, 16, 192, 288)
 FILTERS = 64
 KERNEL = 3
 PAD = 1
+
+# One serving window stack through a Tiramisu dense layer late in its block:
+# many channels in, growth-rate channels out — where the no-tape forward
+# goes column-free.
+NOTAPE_SHAPE = (9, 48, 32, 48)
+NOTAPE_FILTERS = 8
 
 #: profile -> (timing repeats, warmup runs)
 PROFILES = {"smoke": (2, 1), "quick": (3, 1), "full": (7, 2)}
@@ -96,6 +103,24 @@ def _speedups(profile: str = "quick", shape=SHAPE):
     return out
 
 
+def _notape_stats(profile: str = "quick"):
+    """Paired (no-tape, im2col) forward times on the 48->8 3x3 tile."""
+    from runner import paired_stats
+
+    repeats, warmup = PROFILES[profile]
+    rng = np.random.default_rng(0)
+    x, w, _ = _problem(rng, NOTAPE_SHAPE, NOTAPE_FILTERS)
+    notape = ConvPlan(x.shape, w.shape, 1, PAD, 1)
+    im2col = ConvPlan(x.shape, w.shape, 1, PAD, 1)
+    if not notape.column_free:
+        raise RuntimeError("the no-tape tile no longer selects column-free")
+    # Each sample is ~2-5 ms, so take more of them than the big tiles do.
+    nstats, istats = paired_stats(lambda: notape.forward_notape(x, w),
+                                  lambda: im2col.forward(x, w),
+                                  repeats=5 * repeats, warmup=warmup)
+    return {"planned": nstats, "reference": istats}
+
+
 def _ratio(stats: dict) -> float:
     return stats["reference"]["min_s"] / stats["planned"]["min_s"]
 
@@ -123,6 +148,12 @@ def collect(profile: str = "quick"):
             value=planned["median_s"] * 1e3, unit="ms",
             higher_is_better=False, gate=False,
             ci68=[planned["ci68_s"][0] * 1e3, planned["ci68_s"][1] * 1e3]))
+    metrics.append(Metric(
+        name="kernels.conv_fwd_notape_ratio",
+        value=_ratio(_notape_stats(profile)), unit="x",
+        higher_is_better=True, tolerance=0.4,
+        note=f"im2col forward / no-tape forward, {NOTAPE_SHAPE} -> "
+             f"{NOTAPE_FILTERS} filters 3x3"))
     return metrics
 
 

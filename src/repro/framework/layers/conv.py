@@ -29,7 +29,7 @@ from ..ops.conv import (
 )
 from ..ops.plan import ConvPlan
 from ..parameter import Parameter
-from ..tensor import Tensor
+from ..tensor import Tensor, is_grad_enabled
 
 __all__ = ["Conv2D", "AtrousConv2D", "ConvTranspose2D"]
 
@@ -129,6 +129,17 @@ class Conv2D(Module):
     def _eager(self, x: Tensor) -> Tensor:
         w = self.weight
         plan = self._plan_for(x.data)
+        if is_grad_enabled() and (x.requires_grad or w.requires_grad):
+            out = self._taped(plan, x, w)
+        else:
+            # No backward will ask for the columns, so the plan is free to
+            # pick whichever forward moves fewer bytes.
+            out = Tensor(plan.forward_notape(x.data, w.data))
+        if self.bias is not None:
+            out = out + self.bias.reshape(1, -1, 1, 1)
+        return out
+
+    def _taped(self, plan: ConvPlan, x: Tensor, w: Parameter) -> Tensor:
         token = plan.im2col(x.data)
         y = plan.forward_from_cols(plan.columns_for(token, x.data), w.data)
         x_data = x.data
@@ -143,10 +154,7 @@ class Conv2D(Module):
             if x.requires_grad:
                 x.accumulate_grad(plan.backward_input(g, w.data))
 
-        out = Tensor.from_op(y, (x, w), backward, f"conv2d[{self.kernel}x{self.kernel}]")
-        if self.bias is not None:
-            out = out + self.bias.reshape(1, -1, 1, 1)
-        return out
+        return Tensor.from_op(y, (x, w), backward, f"conv2d[{self.kernel}x{self.kernel}]")
 
     def _trace(self, x: ShapeProbe) -> ShapeProbe:
         tr = x.tracer

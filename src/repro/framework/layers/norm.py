@@ -45,10 +45,10 @@ class BatchNorm2D(Module):
     def _eager_train(self, x: Tensor) -> Tensor:
         gamma, beta = self.gamma, self.beta
         y, cache = batchnorm_forward(x.data, gamma.data, beta.data, self.eps)
-        # Update running stats (float32, regardless of activation dtype).
-        xa = x.data.astype(np.float32, copy=False)
-        batch_mean = xa.mean(axis=(0, 2, 3))
-        batch_var = xa.var(axis=(0, 2, 3))
+        # Update running stats (float32, regardless of activation dtype)
+        # from the batch statistics the op already reduced.
+        *_, mean, var = cache
+        batch_mean, batch_var = mean.reshape(-1), var.reshape(-1)
         m = self.momentum
         self.running_mean *= 1 - m
         self.running_mean += m * batch_mean

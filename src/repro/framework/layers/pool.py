@@ -11,8 +11,9 @@ from ..ops.pool import (
     avgpool2d_forward,
     maxpool2d_backward,
     maxpool2d_forward,
+    maxpool2d_forward_notape,
 )
-from ..tensor import Tensor
+from ..tensor import Tensor, is_grad_enabled
 
 __all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
 
@@ -52,6 +53,9 @@ class MaxPool2D(_Pool2D):
         if isinstance(x, ShapeProbe):
             return self._trace(x)
         k, s, p = self.kernel, self.stride, self.padding
+        if not (is_grad_enabled() and x.requires_grad):
+            # Nothing will route a gradient: skip the argmax bookkeeping.
+            return Tensor(maxpool2d_forward_notape(x.data, k, s, p))
         y, arg = maxpool2d_forward(x.data, k, s, p)
         x_shape = x.data.shape
 

@@ -34,6 +34,7 @@ from .pool import (
     avgpool2d_forward,
     maxpool2d_backward,
     maxpool2d_forward,
+    maxpool2d_forward_notape,
 )
 from .shape import (
     bilinear_upsample_backward,
@@ -75,6 +76,7 @@ __all__ = [
     "batchnorm_backward",
     "batchnorm_infer",
     "maxpool2d_forward",
+    "maxpool2d_forward_notape",
     "maxpool2d_backward",
     "avgpool2d_forward",
     "avgpool2d_backward",

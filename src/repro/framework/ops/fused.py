@@ -32,9 +32,13 @@ def conv2d_bias_relu_forward(
     dilation: int = 1,
     relu: bool = True,
 ) -> np.ndarray:
-    """Planned conv with the bias/ReLU epilogue fused into the GEMM buffer."""
+    """Planned conv with the bias/ReLU epilogue fused into the GEMM buffer.
+
+    Inference-only, so it takes the plan's no-tape forward: column-free
+    when that moves fewer bytes, im2col otherwise.
+    """
     plan = get_conv_plan(x.shape, w.shape, stride, padding, dilation, x.dtype)
-    return plan.forward(x, w, bias=bias, relu=relu)
+    return plan.forward_notape(x, w, bias=bias, relu=relu)
 
 
 def scale_shift_relu(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,

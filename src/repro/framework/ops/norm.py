@@ -21,6 +21,8 @@ def batchnorm_forward(
 
     Returns ``(out, cache)``; statistics are computed in float32 even for
     half inputs (matching cuDNN's CUDNN_BATCHNORM_SPATIAL with FP32 params).
+    The cache ends with the batch ``(mean, var)`` (keepdims, accumulation
+    dtype) so the layer's running-stat update need not reduce ``x`` again.
     """
     acc = np.float64 if x.dtype == np.float64 else np.float32
     xa = x.astype(acc, copy=False)
@@ -32,7 +34,7 @@ def batchnorm_forward(
     g = gamma.reshape(1, -1, 1, 1).astype(acc, copy=False)
     b = beta.reshape(1, -1, 1, 1).astype(acc, copy=False)
     out = (g * xhat + b).astype(x.dtype, copy=False)
-    cache = (xhat, inv_std, g, x.dtype)
+    cache = (xhat, inv_std, g, x.dtype, mean, var)
     return out, cache
 
 
@@ -40,7 +42,7 @@ def batchnorm_backward(
     grad_out: np.ndarray, cache: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward pass; returns (dx, dgamma, dbeta)."""
-    xhat, inv_std, g, in_dtype = cache
+    xhat, inv_std, g, in_dtype, *_ = cache
     acc = xhat.dtype
     go = grad_out.astype(acc, copy=False)
     axes = (0, 2, 3)

@@ -26,6 +26,13 @@ All three conv derivatives then lower to a single batched GEMM:
 * input gradient:   ``(CKK, F) @ (N, F, P)              -> (N, CKK, P)``
   followed by K*K cheap strided scatter-adds (col2im).
 
+The column matrix exists for the weight gradient.  A forward that records
+no tape has no reader for it, so :meth:`ConvPlan.forward_notape` may run a
+second, *column-free* formulation (shift-GEMM) that puts the K*K expansion
+on the output side; the plan picks it from its own geometry exactly when
+that moves fewer bytes (:attr:`ConvPlan.column_free`).  Everything taped
+keeps the im2col arithmetic above bit for bit.
+
 Plans are cached in a bounded LRU keyed on the problem signature
 (:func:`get_conv_plan`); layers additionally hold their *own* plans so the
 column workspace survives from a layer's forward to its weight gradient
@@ -100,6 +107,7 @@ class _PlanBase:
         self.pad_fills = 0
         self.col_fills = 0
         self.gemms = 0
+        self.colfree_forwards = 0
         #: Monotonic token identifying the current contents of the column
         #: workspace; bumped on every :meth:`im2col` fill.
         self.version = 0
@@ -107,16 +115,22 @@ class _PlanBase:
         self._cols: np.ndarray | None = None
         self._dcols: np.ndarray | None = None
         self._tap: np.ndarray | None = None
+        self._tap_gemm: np.ndarray | None = None
+        self._acc_out: np.ndarray | None = None
 
     # -- copying ----------------------------------------------------------
+
+    #: Lazily allocated scratch buffers: padded input, im2col columns,
+    #: dgrad columns, depthwise tap product, and the column-free forward's
+    #: per-tap GEMM output and shifted-sum accumulator.
+    _WORKSPACES = ("_xp", "_cols", "_dcols", "_tap", "_tap_gemm", "_acc_out")
 
     def __deepcopy__(self, memo):
         """Plans are pure caches: a copy starts cold (no workspaces)."""
         clone = self.__class__.__new__(self.__class__)
-        clone.__dict__.update(
-            {k: v for k, v in self.__dict__.items()
-             if k not in ("_xp", "_cols", "_dcols", "_tap")})
-        clone._xp = clone._cols = clone._dcols = clone._tap = None
+        clone.__dict__.update(self.__dict__)
+        for name in self._WORKSPACES:
+            setattr(clone, name, None)
         clone.version = 0
         return clone
 
@@ -205,6 +219,12 @@ class ConvPlan(_PlanBase):
         self.w_shape = (f, cw, kh, kw)
         self.out_channels = f
         self.cols_shape = (n, c * kh * kw, self.oh * self.ow)
+        #: Which forward a no-tape call runs (:meth:`forward_notape`).  The
+        #: column-free forward writes K*K*F*hp*wp intermediates where im2col
+        #: writes K*K*C*oh*ow, so it is chosen exactly when it moves fewer
+        #: bytes; its flat-offset tap shifts need unit stride.
+        self.column_free = (self.stride == 1
+                            and f * self.hp * self.wp < c * self.oh * self.ow)
 
     @property
     def key(self) -> tuple:
@@ -245,6 +265,68 @@ class ConvPlan(_PlanBase):
         token = self.im2col(x)
         return self.forward_from_cols(self.columns_for(token, x), w,
                                       bias=bias, relu=relu)
+
+    def forward_notape(self, x: np.ndarray, w: np.ndarray,
+                       bias: np.ndarray | None = None,
+                       relu: bool = False) -> np.ndarray:
+        """Forward for callers that record no tape (nothing reads columns).
+
+        The column matrix exists for wgrad; without a backward it is pure
+        memory traffic.  When the plan is :attr:`column_free` the K*K
+        expansion moves to the (narrower) output side instead — shift-GEMM:
+
+        * one GEMM ``(KH*KW*F, C) @ (N, C, hp*wp)`` applies every tap's
+          (F, C) pointwise filter to the whole flat padded image;
+        * output pixel ``j = i*wp + q`` is the sum over taps of row-block
+          ``(u, v)`` read at ``j + u*d*wp + v*d``, so the K*K blocks are
+          summed at their flat offsets over the span ``(oh-1)*wp + ow``;
+        * flat positions with ``q >= ow`` wrapped into the next row and are
+          stripped by the final ``(oh, wp) -> (oh, ow)`` slice.
+
+        A 1x1 kernel has one tap and no wrap-around: the GEMM result *is*
+        the output.  Summation order differs from the im2col GEMM (taps are
+        added in the accumulation dtype after the channel contraction), so
+        results agree with :meth:`forward` to rounding, not bit for bit —
+        which is why taped callers never come here.  Plans that are not
+        column-free fall through to :meth:`forward` unchanged.
+        """
+        if not self.column_free:
+            return self.forward(x, w, bias=bias, relu=relu)
+        n, c, _, _ = self.x_shape
+        f = self.out_channels
+        taps = self.kh * self.kw
+        wp, area = self.wp, self.hp * self.wp
+        xflat = self.padded_input(x).reshape(n, c, area)
+        wtaps = (w.astype(self.acc, copy=False)
+                 .transpose(2, 3, 0, 1).reshape(taps * f, c))
+        if taps == 1:
+            acc = full = np.matmul(wtaps, xflat)           # (N, F, oh*ow)
+        else:
+            if self._tap_gemm is None:
+                self._tap_gemm = np.empty((n, taps * f, area), dtype=self.acc)
+                self._acc_out = np.empty((n, f, self.oh * wp), dtype=self.acc)
+            np.matmul(wtaps, xflat, out=self._tap_gemm)
+            y = self._tap_gemm.reshape(n, taps, f, area)
+            span = (self.oh - 1) * wp + self.ow
+            d = self.dilation
+            offs = [u * d * wp + v * d
+                    for u in range(self.kh) for v in range(self.kw)]
+            full = self._acc_out
+            acc = full[:, :, :span]
+            np.add(y[:, 0, :, :span], y[:, 1, :, offs[1]:offs[1] + span],
+                   out=acc)
+            for t in range(2, taps):
+                np.add(acc, y[:, t, :, offs[t]:offs[t] + span], out=acc)
+        if bias is not None:
+            acc += bias.astype(self.acc, copy=False).reshape(1, f, 1)
+        if relu:
+            np.maximum(acc, 0, out=acc)
+        self.gemms += 1
+        self.colfree_forwards += 1
+        out = full.reshape(n, f, self.oh, wp)[:, :, :, :self.ow]
+        # The accumulator is a reused workspace: hand back a fresh array
+        # (the strip already forces the copy unless this is the 1x1 case).
+        return out.astype(self.dtype, copy=taps > 1)
 
     def backward_weight_from_cols(self, grad_out: np.ndarray,
                                   cols: np.ndarray) -> np.ndarray:

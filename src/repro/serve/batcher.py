@@ -54,8 +54,11 @@ class MicroBatcher:
             return False
         if depth >= self.policy.max_batch_size:
             return True
-        oldest = self.queue.oldest_enqueue_s()
-        return oldest is not None and now - oldest >= self.policy.max_wait_s
+        # Compare against the very expression the event loop advances the
+        # clock to: ``(t + wait) - t`` can round below ``wait``, so testing
+        # the age instead would never fire at the deadline itself.
+        deadline = self.next_deadline()
+        return deadline is not None and now >= deadline
 
     def next_deadline(self) -> float | None:
         """Absolute time the age trigger fires (None when queue is empty)."""

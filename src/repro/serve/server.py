@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ReproError
 from ..resilience import FaultInjector, FaultPlan, RetriesExhausted, RetryPolicy
 from ..telemetry import SimulatedClock, get_active
 from .batcher import BatchPolicy, MicroBatcher
@@ -177,7 +178,13 @@ class InferenceServer:
                     candidates.append(deadline)
             candidates = [t for t in candidates if t > now]
             if not candidates:
-                break               # defensive: nothing can ever progress
+                # Nothing can ever progress: say who is stuck rather than
+                # return a response list with holes in it.
+                stranded = sorted(r.request_id for r in requests
+                                  if r.request_id not in responses)
+                raise ReproError(
+                    f"serve loop stalled at t={now!r} with no future event; "
+                    f"stranded request ids: {stranded}")
             self.clock.advance_to(min(candidates))
         return [responses[r.request_id] for r in
                 sorted(requests, key=lambda r: r.request_id)]

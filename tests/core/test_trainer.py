@@ -142,7 +142,10 @@ class TestMixedPrecision:
         imgs, labs = next(dataset.batches(dataset.splits.train, 2))
         before = {n: p.master_value().copy()
                   for n, p in tr.model.named_parameters()}
-        result = tr.train_step(imgs, labs)
+        # The overflow is the point of the test: assert NumPy's report of
+        # it instead of leaking it into the run's warning summary.
+        with pytest.warns(RuntimeWarning, match="overflow encountered in cast"):
+            result = tr.train_step(imgs, labs)
         if result.skipped:
             after = {n: p.master_value() for n, p in tr.model.named_parameters()}
             for k in before:
@@ -166,4 +169,9 @@ class TestMixedPrecision:
                         count += 1
             return count
 
-        assert overflows("inverse") >= overflows("inverse_sqrt")
+        # Overflowed FP16 gradients reach the cast back to half and, as
+        # inf - inf, the wgrad/dgrad GEMMs: both reports are expected here.
+        with pytest.warns(RuntimeWarning, match="overflow encountered in cast"), \
+                pytest.warns(RuntimeWarning,
+                             match="invalid value encountered in (matmul|reduce)"):
+            assert overflows("inverse") >= overflows("inverse_sqrt")

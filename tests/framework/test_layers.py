@@ -151,6 +151,25 @@ class TestBatchNorm2D:
         bn(x)
         assert not np.allclose(bn.running_mean, before)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_running_stats_reuse_op_statistics_bit_for_bit(self, dtype):
+        # The layer used to reduce x a second time for the running stats;
+        # taking them from the op's cache must not move a single bit.
+        bn = BatchNorm2D(3)
+        mean = np.zeros(3, dtype=np.float32)
+        var = np.ones(3, dtype=np.float32)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            x = rng.normal(loc=1.5, scale=2.0, size=(4, 3, 6, 5)).astype(dtype)
+            bn(Tensor(x))
+            xa = x.astype(np.float32, copy=False)
+            mean *= 1 - bn.momentum
+            mean += bn.momentum * xa.mean(axis=(0, 2, 3))
+            var *= 1 - bn.momentum
+            var += bn.momentum * xa.var(axis=(0, 2, 3))
+            np.testing.assert_array_equal(bn.running_mean, mean)
+            np.testing.assert_array_equal(bn.running_var, var)
+
     def test_eval_mode_uses_running_stats(self):
         bn = BatchNorm2D(1)
         bn.running_mean[:] = 2.0

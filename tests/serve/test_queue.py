@@ -144,6 +144,18 @@ class TestMicroBatcher:
         assert batcher.ready(0.002)
         assert len(batcher.take(0.002)) == 1
 
+    def test_age_trigger_fires_at_its_own_deadline(self):
+        # (2.5 + 0.002) - 2.5 rounds to 0.00199999...: an age test on the
+        # difference would never fire at the instant the loop advances to.
+        t, wait = 2.5, 0.002
+        assert (t + wait) - t < wait
+        queue, _ = make_queue(max_depth=8)
+        batcher = MicroBatcher(BatchPolicy(max_batch_size=8,
+                                           max_wait_s=wait), queue)
+        queue.offer(request(0), t)
+        assert not batcher.ready(t)
+        assert batcher.ready(batcher.next_deadline())
+
     def test_take_caps_at_max_batch_size(self):
         queue, _ = make_queue(max_depth=8)
         batcher = MicroBatcher(BatchPolicy(max_batch_size=3,

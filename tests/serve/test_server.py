@@ -59,6 +59,21 @@ class TestHappyPath:
             np.testing.assert_array_equal(resp.class_map, expected)
         assert server.cache.stats.lookups > 0
 
+    def test_lone_request_is_served_when_deadline_rounds_short(self):
+        # Regression: with (t + 0.002) - t < 0.002 the age trigger never
+        # fired, the loop gave up and the result list raised KeyError.
+        t = 2.5
+        assert (t + CONFIG.max_wait_s) - t < CONFIG.max_wait_s
+        _, _, responses = run(requests=burst(1, t=t))
+        assert [r.status for r in responses] == ["served"]
+
+    def test_stalled_loop_names_the_stranded_requests(self, monkeypatch):
+        from repro.errors import ReproError
+        from repro.serve.batcher import MicroBatcher
+        monkeypatch.setattr(MicroBatcher, "ready", lambda self, now: False)
+        with pytest.raises(ReproError, match=r"stranded request ids: \[0, 1\]"):
+            run(requests=burst(2))
+
     def test_micro_batching_coalesces_bursts(self):
         _, _, responses = run(requests=burst(8))
         assert {r.batch_size for r in responses} == {4}
