@@ -3,14 +3,13 @@
 A stdlib-``ast`` analyzer purpose-built for this codebase's hazard
 classes: collectives inside rank-conditional branches (deadlock),
 broad ``except`` clauses that swallow :class:`repro.errors.ReproError`,
-unseeded module-global RNG (rank divergence), the deprecated checkpoint
-free functions, mutable default arguments, and raw ``float16`` outside
-the loss-scaled precision layer.
+unseeded module-global RNG (rank divergence), mutable default arguments,
+and raw ``float16`` outside the loss-scaled precision layer.
 
 The moving parts:
 
 * :class:`~.rules.Rule` — pluggable rule base class; the pack lives in
-  :mod:`repro.analysis.rules` (``RPR001``–``RPR007``).
+  :mod:`repro.analysis.rules` (``RPR001``–``RPR008``).
 * :class:`~.walker.Analyzer` — project walker with per-file caching keyed
   on content hash + rule-set signature, inline
   ``# repro-lint: disable=RPRxxx`` suppressions (plus ``disable-file=``),

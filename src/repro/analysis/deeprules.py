@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 #: Module whose functions count as checkpoint entry points when a call
-#: resolves into it (in addition to the name-based CHECKPOINT_NAMES).
+#: resolves into it.
 _CHECKPOINT_MODULE = "repro.core.checkpoint"
 
 #: Modules where raw-fp16 flow into accumulations is sanctioned (the
@@ -173,15 +173,11 @@ class _Program:
             if summ.collectives:
                 name, line = summ.collectives[0][0], summ.collectives[0][1]
                 self.reach_coll[q] = ("direct", name, line)
-            if summ.checkpoints:
-                name, line = summ.checkpoints[0][0], summ.checkpoints[0][1]
-                self.reach_ckpt[q] = ("direct", name, line)
-            else:
-                for k in range(len(summ.calls)):
-                    if self._is_checkpoint_call(q, k):
-                        self.reach_ckpt[q] = (
-                            "direct", summ.calls[k].ref, summ.calls[k].line)
-                        break
+            for k in range(len(summ.calls)):
+                if self._is_checkpoint_call(q, k):
+                    self.reach_ckpt[q] = (
+                        "direct", summ.calls[k].ref, summ.calls[k].line)
+                    break
         for table in (self.reach_coll, self.reach_ckpt):
             for _ in range(_MAX_ROUNDS):
                 changed = False
@@ -415,7 +411,7 @@ def run_deep_rules(summaries: dict, symtab: SymbolTable,
                             f" inside {_short(callee)}"))
                         break
 
-        # -- RPR104 on direct collectives/checkpoints under broad handlers ---
+        # -- RPR104 on direct collectives under broad handlers ---------------
         for name, line, col, end_line, _rank, broad in summ.collectives:
             if broad is not None:
                 findings.append(_make_finding(
@@ -423,13 +419,6 @@ def run_deep_rules(summaries: dict, symtab: SymbolTable,
                     f"broad handler (line {broad}) swallows errors around "
                     f"collective '{name}'; a rank that fails here leaves "
                     f"its peers blocked in the collective"))
-        for name, line, col, end_line, _rank, broad in summ.checkpoints:
-            if broad is not None:
-                findings.append(_make_finding(
-                    r104, rel_path, lines, line, col, end_line,
-                    f"broad handler (line {broad}) swallows errors around "
-                    f"checkpoint call '{name}'; failed saves/restores go "
-                    f"unnoticed"))
 
         # -- RPR102 / RPR103 on local sinks ----------------------------------
         for sink, sink_labels in zip(summ.sinks, resolved["sinks"]):

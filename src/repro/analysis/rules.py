@@ -17,8 +17,6 @@ RPR002 broad-except                 warning  bare  swallows ReproError /
                                                    FaultInjected
 RPR003 unseeded-rng                 warning  no    rank-divergent data or
                                                    init streams
-RPR004 deprecated-checkpoint-api    warning  no    bypasses CheckpointManager
-                                                   rotation/autoresume
 RPR005 mutable-default-arg          warning  yes   state shared across calls
 RPR006 float16-outside-precision    warning  no    bypasses loss-scaled FP16
                                                    path
@@ -27,8 +25,6 @@ RPR007 stale-suppression            info     yes   disable comment matching
 RPR008 raw-time-call                warning  no    bypasses the telemetry
                                                    clock (breaks virtual
                                                    time)
-RPR009 deprecated-allreduce-api     warning  yes   bypasses the comm strategy
-                                                   registry facade
 ====== ============================ ======== ===== =========================
 """
 from __future__ import annotations
@@ -44,12 +40,10 @@ __all__ = [
     "CollectiveInRankBranch",
     "BroadExcept",
     "UnseededRng",
-    "DeprecatedCheckpointApi",
     "MutableDefaultArg",
     "Float16OutsidePrecision",
     "StaleSuppression",
     "RawTimeCall",
-    "DeprecatedAllreduceApi",
     "DEFAULT_RULES",
     "default_rules",
     "rule_catalog",
@@ -353,42 +347,6 @@ class UnseededRng(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RPR004 — deprecated checkpoint free functions
-# ---------------------------------------------------------------------------
-
-_DEPRECATED_CKPT = {"save_checkpoint": "CheckpointManager.save",
-                    "load_checkpoint": "CheckpointManager.load"}
-
-
-class DeprecatedCheckpointApi(Rule):
-    id = "RPR004"
-    name = "deprecated-checkpoint-api"
-    severity = "warning"
-    description = ("save_checkpoint/load_checkpoint free functions are "
-                   "deprecated: they bypass CheckpointManager's step naming, "
-                   "latest-resolution, and rotation that resilience "
-                   "autoresume depends on.")
-
-    #: The module that defines (and may self-reference) the wrappers.
-    exempt_suffixes = ("core/checkpoint.py",)
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        if ctx.rel_path.endswith(self.exempt_suffixes):
-            return []
-        findings = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)
-            if name in _DEPRECATED_CKPT:
-                findings.append(self.node_finding(
-                    ctx, node,
-                    f"'{name}' is deprecated; use "
-                    f"{_DEPRECATED_CKPT[name]}"))
-        return findings
-
-
-# ---------------------------------------------------------------------------
 # RPR005 — mutable default arguments
 # ---------------------------------------------------------------------------
 
@@ -606,157 +564,6 @@ class RawTimeCall(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RPR009 — deprecated free-function allreduce entrypoints
-# ---------------------------------------------------------------------------
-
-#: Deprecated free function -> facade strategy name.
-_DEPRECATED_ALLREDUCE = {
-    "naive_allreduce": "naive",
-    "ring_allreduce": "ring",
-    "tree_allreduce": "tree",
-    "hierarchical_allreduce": "hierarchical",
-}
-
-#: Modules whose attribute access reaches the deprecated wrappers (all of
-#: them also expose the ``allreduce`` facade, so rewriting just the
-#: attribute is safe).
-_COMM_MODULES = frozenset({"repro.comm", "repro.comm.reducer",
-                           "repro.comm.api"})
-
-
-def _dotted_prefix(node: ast.AST) -> str | None:
-    """``a.b.c`` for an attribute chain ending in a plain name."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-class DeprecatedAllreduceApi(Rule):
-    id = "RPR009"
-    name = "deprecated-allreduce-api"
-    severity = "warning"
-    description = ("The free-function allreduce entrypoints "
-                   "(naive/ring/tree/hierarchical_allreduce) are deprecated: "
-                   "they bypass the CommStrategy registry, so the adaptive "
-                   "engine's cost models and autotuning never see the call. "
-                   "Use repro.comm.allreduce(world, buffers, "
-                   "strategy=...).")
-    autofix = True
-    version = 2             # v2: attribute-style call sites are fixable too
-
-    #: The wrappers' home and the facade that re-exports the private impls.
-    exempt_suffixes = ("comm/reducer.py", "comm/api.py")
-
-    def _comm_aliases(self, ctx: FileContext) -> dict[str, str]:
-        """Local names bound to a comm module in this file.
-
-        Covers ``import repro.comm.reducer as red``, ``from repro.comm
-        import reducer``, and relative forms (``from . import reducer``
-        inside the comm package).
-        """
-        from .callgraph import _resolve_relative, module_name
-
-        aliases: dict[str, str] = {}
-        base_mod = module_name(ctx.rel_path)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    if a.name in _COMM_MODULES and a.asname:
-                        aliases[a.asname] = a.name
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    base = _resolve_relative(base_mod, ctx.rel_path,
-                                             node.level, base)
-                for a in node.names:
-                    target = f"{base}.{a.name}" if base else a.name
-                    if target in _COMM_MODULES:
-                        aliases[a.asname or a.name] = target
-        return aliases
-
-    def _attr_edit(self, ctx: FileContext, func: ast.Attribute,
-                   aliases: dict[str, str]) -> Edit | None:
-        """Rewrite only the attribute of ``reducer.ring_allreduce(...)``."""
-        prefix = _dotted_prefix(func.value)
-        if prefix is None:
-            return None
-        if prefix not in _COMM_MODULES:
-            # Expand a leading alias: ``red.`` or ``rc.reducer.``.
-            head, _, rest = prefix.partition(".")
-            target = aliases.get(head)
-            if target is None:
-                return None
-            if (f"{target}.{rest}" if rest else target) not in _COMM_MODULES:
-                return None
-        end_line, end_col = func.end_lineno, func.end_col_offset
-        line = ctx.lines[end_line - 1] if end_line <= len(ctx.lines) else ""
-        start = end_col - len(func.attr)
-        if start < 0 or line[start:end_col] != func.attr:
-            return None         # formatting we don't understand: report only
-        return Edit(end_line, start, end_line, end_col, "allreduce")
-
-    def _call_edits(self, ctx: FileContext, node: ast.Call, strategy: str,
-                    aliases: dict[str, str]) -> tuple[Edit, ...]:
-        """Rewrite a deprecated call to the facade.
-
-        ``ring_allreduce(w, bufs)`` -> ``allreduce(w, bufs,
-        strategy="ring")`` for plain names; for attribute calls whose base
-        is a known comm module (``reducer.ring_allreduce(...)``) only the
-        attribute is rewritten, keeping the receiver.  Only safe when every
-        strategy knob is already a keyword (a positional third argument
-        would land in the facade's keyword-only section and break).
-        """
-        func = node.func
-        if len(node.args) > 2:
-            return ()
-        segment = ctx.segment(node)
-        if segment is None or not segment.endswith(")"):
-            return ()
-        if isinstance(func, ast.Name):
-            name_edit = Edit(func.lineno, func.col_offset,
-                             func.end_lineno, func.end_col_offset,
-                             "allreduce")
-        elif isinstance(func, ast.Attribute):
-            name_edit = self._attr_edit(ctx, func, aliases)
-            if name_edit is None:
-                return ()
-        else:
-            return ()
-        inner = segment[:-1]
-        insert = (f' strategy="{strategy}"' if inner.rstrip().endswith(",")
-                  else f', strategy="{strategy}"')
-        close = Edit(node.end_lineno, node.end_col_offset - 1,
-                     node.end_lineno, node.end_col_offset - 1, insert)
-        return (name_edit, close)
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        if ctx.rel_path.endswith(self.exempt_suffixes):
-            return []
-        findings = []
-        aliases: dict[str, str] | None = None
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)
-            if name not in _DEPRECATED_ALLREDUCE:
-                continue
-            if aliases is None:
-                aliases = self._comm_aliases(ctx)
-            strategy = _DEPRECATED_ALLREDUCE[name]
-            findings.append(self.node_finding(
-                ctx, node,
-                f"'{name}' is deprecated; use repro.comm.allreduce(world, "
-                f"buffers, strategy=\"{strategy}\", ...)",
-                edits=self._call_edits(ctx, node, strategy, aliases)))
-        return findings
-
-
-# ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
@@ -764,12 +571,10 @@ DEFAULT_RULES: tuple[type[Rule], ...] = (
     CollectiveInRankBranch,
     BroadExcept,
     UnseededRng,
-    DeprecatedCheckpointApi,
     MutableDefaultArg,
     Float16OutsidePrecision,
     StaleSuppression,
     RawTimeCall,
-    DeprecatedAllreduceApi,
 )
 
 

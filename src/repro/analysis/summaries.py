@@ -38,14 +38,9 @@ __all__ = [
     "SinkSite",
     "FunctionSummary",
     "summarize_function",
-    "CHECKPOINT_NAMES",
     "ACCUMULATION_NAMES",
     "DRAW_NAMES",
 ]
-
-#: Direct checkpoint entry points (module-level resolution into
-#: ``repro.core.checkpoint`` is additionally applied by the global phase).
-CHECKPOINT_NAMES = frozenset({"save_checkpoint", "load_checkpoint"})
 
 #: Reduction-style calls where silent fp16 accumulation loses precision.
 ACCUMULATION_NAMES = frozenset({
@@ -135,8 +130,6 @@ class FunctionSummary:
     calls: list = field(default_factory=list)         # list[CallSite]
     #: (name, line, col, end_line) of direct collective calls.
     collectives: list = field(default_factory=list)
-    #: (name, line, col, end_line) of direct checkpoint calls.
-    checkpoints: list = field(default_factory=list)
     sinks: list = field(default_factory=list)         # list[SinkSite]
     return_labels: list = field(default_factory=list)
     #: param name -> concrete labels of its default expression.
@@ -148,7 +141,6 @@ class FunctionSummary:
             "params": self.params,
             "calls": [c.as_dict() for c in self.calls],
             "collectives": self.collectives,
-            "checkpoints": self.checkpoints,
             "sinks": [s.as_dict() for s in self.sinks],
             "return_labels": self.return_labels,
             "default_labels": self.default_labels,
@@ -161,7 +153,6 @@ class FunctionSummary:
             params=list(data.get("params", [])),
             calls=[CallSite.from_dict(c) for c in data.get("calls", [])],
             collectives=[tuple(c) for c in data.get("collectives", [])],
-            checkpoints=[tuple(c) for c in data.get("checkpoints", [])],
             sinks=[SinkSite.from_dict(s) for s in data.get("sinks", [])],
             return_labels=list(data.get("return_labels", [])),
             default_labels={k: list(v) for k, v in
@@ -201,7 +192,6 @@ class _ContextPass:
         self.calls: list[CallSite] = []
         self.by_pos: dict[tuple[int, int], int] = {}
         self.collectives: list = []
-        self.checkpoints: list = []
         self.sink_pos: dict[tuple[int, int], tuple[str, str]] = {}
 
     def run(self, fn) -> None:
@@ -246,11 +236,6 @@ class _ContextPass:
                 (name, call.lineno, call.col_offset, end_line,
                  rank_guard, broad_handler))
             return
-        if name in CHECKPOINT_NAMES:
-            self.checkpoints.append(
-                (name, call.lineno, call.col_offset, end_line,
-                 rank_guard, broad_handler))
-            # fall through: checkpoint wrappers are also ordinary calls
         self.by_pos[pos] = len(self.calls)
         self.calls.append(CallSite(
             ref=ref, line=call.lineno, col=call.col_offset,
@@ -419,7 +404,6 @@ def summarize_function(info: FunctionInfo) -> FunctionSummary:
         qname=info.qname, module=info.module, params=params,
         calls=ctx.calls,
         collectives=[tuple(c) for c in ctx.collectives],
-        checkpoints=[tuple(c) for c in ctx.checkpoints],
         sinks=policy.sinks,
         return_labels=sorted(policy.returns),
         default_labels={k: sorted(v) for k, v in defaults.items()},

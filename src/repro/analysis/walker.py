@@ -5,7 +5,7 @@ The :class:`Analyzer` turns paths into per-file finding lists:
 * ``*.py`` files are discovered recursively (hidden directories and
   ``__pycache__`` are skipped);
 * inline ``# repro-lint: disable=RPR001[,RPR002]`` comments suppress
-  findings on their line, ``# repro-lint: disable-file=RPR004`` suppresses
+  findings on their line, ``# repro-lint: disable-file=RPR003`` suppresses
   a rule for the whole file, and a disable that silences nothing becomes
   its own ``RPR007`` finding (with an autofix that deletes the comment);
 * per-file results are cached keyed on the content hash and the rule-set

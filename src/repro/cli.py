@@ -152,6 +152,43 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _training_drill_fixture(args):
+    """The tiny seeded training job the trace, faults, comm-drill and
+    health drills share.
+
+    Returns ``(dataset, freqs, factory, provider, eval_batches)``: a
+    4-channel synthetic dataset on the ``--grid``, its class frequencies, a
+    deterministic tiny-Tiramisu ``factory()``, the resilience runner's
+    ``provider(step, rank, world_size)`` (one sample per rank per step) and
+    the fixed eight-sample evaluation set.
+    """
+    import numpy as np
+
+    from .climate import ClimateDataset, Grid, class_frequencies
+    from .core.networks import Tiramisu, TiramisuConfig
+
+    grid = Grid(args.grid, args.grid * 3 // 2)
+    dataset = ClimateDataset.synthesize(grid, num_samples=args.samples,
+                                        seed=args.seed, channels=4)
+    freqs = class_frequencies(dataset.labels)
+
+    def factory():
+        return Tiramisu(
+            TiramisuConfig(in_channels=4, base_filters=8, growth=8,
+                           down_layers=(2,), bottleneck_layers=2,
+                           kernel=3, dropout=0.0),
+            rng=np.random.default_rng(args.seed))
+
+    def provider(step, rank, world_size):
+        idx = (step * world_size + rank) % len(dataset)
+        return dataset.images[idx:idx + 1], dataset.labels[idx:idx + 1]
+
+    eval_idx = list(dataset.splits.validation) + list(dataset.splits.train)
+    eval_batches = [(dataset.images[i:i + 1], dataset.labels[i:i + 1])
+                    for i in eval_idx[:8]]
+    return dataset, freqs, factory, provider, eval_batches
+
+
 def _cmd_trace(args) -> int:
     """Run a small instrumented training job; write trace + metrics files.
 
@@ -166,10 +203,8 @@ def _cmd_trace(args) -> int:
 
     import json
 
-    from .climate import ClimateDataset, Grid, class_frequencies
     from .comm.timeline import build_timeline
     from .core import DistributedTrainer, TrainConfig
-    from .core.networks import Tiramisu, TiramisuConfig
     from .io.pipeline import PrefetchPipeline
     from .perf.stats import sustained_throughput
     from .telemetry import (CrossRankTrace, Telemetry, activate,
@@ -182,21 +217,10 @@ def _cmd_trace(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tel = Telemetry()
-    grid = Grid(args.grid, args.grid * 3 // 2)
     step_durations = []
     last_result = None
     with activate(tel):
-        dataset = ClimateDataset.synthesize(grid, num_samples=args.samples,
-                                            seed=args.seed, channels=4)
-        freqs = class_frequencies(dataset.labels)
-
-        def factory():
-            return Tiramisu(
-                TiramisuConfig(in_channels=4, base_filters=8, growth=8,
-                               down_layers=(2,), bottleneck_layers=2,
-                               kernel=3, dropout=0.0),
-                rng=np.random.default_rng(args.seed))
-
+        dataset, freqs, factory, _, _ = _training_drill_fixture(args)
         trainer = DistributedTrainer(
             factory, args.ranks, TrainConfig(lr=args.lr, optimizer="larc"),
             freqs)
@@ -317,11 +341,7 @@ def _cmd_faults(args) -> int:
     """
     from pathlib import Path
 
-    import numpy as np
-
-    from .climate import ClimateDataset, Grid, class_frequencies
     from .core import TrainConfig
-    from .core.networks import Tiramisu, TiramisuConfig
     from .perf import format_table
     from .resilience import (FaultPlan, mean_eval_loss,
                              run_resilient_training)
@@ -331,25 +351,7 @@ def _cmd_faults(args) -> int:
     if args.steps < 1 or args.ranks < 1 or args.samples < 1:
         raise SystemExit("faults: --steps, --ranks, and --samples must be >= 1")
     plan = FaultPlan.parse(args.plan, seed=args.seed)
-    grid = Grid(args.grid, args.grid * 3 // 2)
-    dataset = ClimateDataset.synthesize(grid, num_samples=args.samples,
-                                        seed=args.seed, channels=4)
-    freqs = class_frequencies(dataset.labels)
-
-    def factory():
-        return Tiramisu(
-            TiramisuConfig(in_channels=4, base_filters=8, growth=8,
-                           down_layers=(2,), bottleneck_layers=2,
-                           kernel=3, dropout=0.0),
-            rng=np.random.default_rng(args.seed))
-
-    def provider(step, rank, world_size):
-        idx = (step * world_size + rank) % len(dataset)
-        return dataset.images[idx:idx + 1], dataset.labels[idx:idx + 1]
-
-    eval_idx = list(dataset.splits.validation) + list(dataset.splits.train)
-    eval_batches = [(dataset.images[i:i + 1], dataset.labels[i:i + 1])
-                    for i in eval_idx[:8]]
+    _, freqs, factory, provider, eval_batches = _training_drill_fixture(args)
     config = TrainConfig(lr=args.lr, optimizer="larc")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -410,37 +412,15 @@ def _cmd_comm_drill(args) -> int:
     """
     import json
 
-    import numpy as np
-
-    from .climate import ClimateDataset, Grid, class_frequencies
     from .comm import EngineConfig
     from .core import TrainConfig
-    from .core.networks import Tiramisu, TiramisuConfig
     from .perf import format_table
     from .resilience import mean_eval_loss, run_resilient_training
 
     if args.steps < 1 or args.ranks < 2 or args.samples < 1:
         raise SystemExit(
             "comm-drill: needs --steps >= 1, --ranks >= 2, --samples >= 1")
-    grid = Grid(args.grid, args.grid * 3 // 2)
-    dataset = ClimateDataset.synthesize(grid, num_samples=args.samples,
-                                        seed=args.seed, channels=4)
-    freqs = class_frequencies(dataset.labels)
-
-    def factory():
-        return Tiramisu(
-            TiramisuConfig(in_channels=4, base_filters=8, growth=8,
-                           down_layers=(2,), bottleneck_layers=2,
-                           kernel=3, dropout=0.0),
-            rng=np.random.default_rng(args.seed))
-
-    def provider(step, rank, world_size):
-        idx = (step * world_size + rank) % len(dataset)
-        return dataset.images[idx:idx + 1], dataset.labels[idx:idx + 1]
-
-    eval_idx = list(dataset.splits.validation) + list(dataset.splits.train)
-    eval_batches = [(dataset.images[i:i + 1], dataset.labels[i:i + 1])
-                    for i in eval_idx[:8]]
+    _, freqs, factory, provider, eval_batches = _training_drill_fixture(args)
     config = TrainConfig(lr=args.lr, optimizer="larc")
     bucket_bytes = args.bucket_kb * 1024
 
@@ -535,11 +515,7 @@ def _cmd_health(args) -> int:
     import json
     from pathlib import Path
 
-    import numpy as np
-
-    from .climate import ClimateDataset, Grid, class_frequencies
     from .core import TrainConfig
-    from .core.networks import Tiramisu, TiramisuConfig
     from .resilience import FaultPlan, run_resilient_training
     from .telemetry import (CrossRankTrace, SimulatedClock, Telemetry,
                             activate, write_chrome_trace)
@@ -547,21 +523,7 @@ def _cmd_health(args) -> int:
     if args.steps < 1 or args.ranks < 1 or args.samples < 1:
         raise SystemExit("health: --steps, --ranks, and --samples must be >= 1")
     plan = FaultPlan.parse(args.plan, seed=args.seed)
-    grid = Grid(args.grid, args.grid * 3 // 2)
-    dataset = ClimateDataset.synthesize(grid, num_samples=args.samples,
-                                        seed=args.seed, channels=4)
-    freqs = class_frequencies(dataset.labels)
-
-    def factory():
-        return Tiramisu(
-            TiramisuConfig(in_channels=4, base_filters=8, growth=8,
-                           down_layers=(2,), bottleneck_layers=2,
-                           kernel=3, dropout=0.0),
-            rng=np.random.default_rng(args.seed))
-
-    def provider(step, rank, world_size):
-        idx = (step * world_size + rank) % len(dataset)
-        return dataset.images[idx:idx + 1], dataset.labels[idx:idx + 1]
+    _, freqs, factory, provider, _ = _training_drill_fixture(args)
 
     clock = SimulatedClock()
     tel = Telemetry(clock=clock)

@@ -40,12 +40,6 @@ from .horovod import (
     allreduce_gradients,
     fuse_order,
 )
-from .reducer import (
-    hierarchical_allreduce,
-    naive_allreduce,
-    ring_allreduce,
-    tree_allreduce,
-)
 from .timeline import (
     TimelineEvent,
     build_timeline,
@@ -80,10 +74,6 @@ __all__ = [
     "chrome_trace_records",
     "to_chrome_trace",
     "TrafficStats",
-    "naive_allreduce",
-    "ring_allreduce",
-    "tree_allreduce",
-    "hierarchical_allreduce",
     "ReadinessSchedule",
     "NegotiationResult",
     "centralized_negotiation",

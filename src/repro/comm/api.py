@@ -1,21 +1,15 @@
 """The unified all-reduce entrypoint: one facade over a strategy registry.
 
-Historically callers hand-picked among four free functions
-(``naive_allreduce`` .. ``hierarchical_allreduce``), each with its own
-signature quirks.  This module collapses that surface to
-
     ``allreduce(world, buffers, *, strategy="ring", average=False, ...)``
 
-dispatching through a :class:`CommStrategy` registry.  A strategy bundles
+dispatches through a :class:`CommStrategy` registry.  A strategy bundles
 the wire implementation with its alpha-beta cost model, so higher layers
 (:mod:`repro.comm.engine`, :mod:`repro.perf.scaling`) can *predict* a
 strategy's cost from the same object they *execute* — the property the
 adaptive gradient-exchange engine's autotuner is built on.
 
 Third parties extend the surface with :func:`register_strategy`; the four
-paper algorithms are pre-registered.  The legacy free functions survive in
-:mod:`.reducer` as thin deprecated wrappers over this facade (flagged by
-lint rule RPR009).
+paper algorithms (implemented in :mod:`.reducer`) are pre-registered.
 """
 from __future__ import annotations
 
@@ -26,12 +20,12 @@ import numpy as np
 
 from .costmodel import Link, ring_allreduce_time, tree_allreduce_time
 from .reducer import (
+    _allreduce_hierarchical,
+    _allreduce_naive,
+    _allreduce_ring,
+    _allreduce_tree,
     _check_buffers,
-    _hierarchical_allreduce,
-    _naive_allreduce,
     _reduce_span,
-    _ring_allreduce,
-    _tree_allreduce,
 )
 from .simmpi import World
 
@@ -157,14 +151,8 @@ def _hierarchical_time(n: int, volume: float, *, nvlink: Link,
         parallel_devices=mpi_ranks_per_node)
 
 
-def _run_hierarchical(world, buffers, average, tag, gpus_per_node: int = 6,
-                      mpi_ranks_per_node: int = 4):
-    return _hierarchical_allreduce(world, buffers, gpus_per_node,
-                                   mpi_ranks_per_node, average, tag)
-
-
-register_strategy(CommStrategy("naive", _naive_allreduce, 10, _naive_time))
-register_strategy(CommStrategy("ring", _ring_allreduce, 20, _ring_time))
-register_strategy(CommStrategy("tree", _tree_allreduce, 30, _tree_time))
-register_strategy(CommStrategy("hierarchical", _run_hierarchical, 40,
+register_strategy(CommStrategy("naive", _allreduce_naive, 10, _naive_time))
+register_strategy(CommStrategy("ring", _allreduce_ring, 20, _ring_time))
+register_strategy(CommStrategy("tree", _allreduce_tree, 30, _tree_time))
+register_strategy(CommStrategy("hierarchical", _allreduce_hierarchical, 40,
                                _hierarchical_time))

@@ -1,56 +1,31 @@
 """All-reduce algorithms over the functional MPI substrate.
 
 Implements the three reduction strategies the paper discusses
-(Section V-A3):
+(Section V-A3), plus the gather-to-root baseline:
 
-* ``ring_allreduce`` — NCCL's systolic ring (reduce-scatter + all-gather),
+* ring — NCCL's systolic ring (reduce-scatter + all-gather),
   bandwidth-optimal: each rank moves ``2 (n-1)/n * V`` bytes;
-* ``tree_allreduce`` — binomial-tree reduce + broadcast, the classic
-  MPI_Allreduce pattern, latency-optimal at ``2 log2 n`` rounds;
-* ``hierarchical_allreduce`` — the paper's hybrid: NCCL ring *within* each
-  node, then 4 of the 6 local ranks each run an inter-node all-reduce on a
-  quarter of the payload (one per virtual InfiniBand device), then an
-  intra-node broadcast.
+* tree — binomial-tree reduce + broadcast, the classic MPI_Allreduce
+  pattern, latency-optimal at ``2 log2 n`` rounds;
+* hierarchical — the paper's hybrid: NCCL ring *within* each node, then 4
+  of the 6 local ranks each run an inter-node all-reduce on a quarter of
+  the payload (one per virtual InfiniBand device), then an intra-node
+  broadcast.
 
 Every algorithm is numerically exact (sum of the per-rank buffers, same
 result on every rank) and exchanges real messages through :class:`World`,
 so tests can verify both the math and the traffic pattern.
 
-.. deprecated::
-    The four free functions below are retained as thin wrappers for old
-    callers; new code goes through the unified facade
-    :func:`repro.comm.allreduce` and the :class:`repro.comm.CommStrategy`
-    registry (see :mod:`repro.comm.api`).  Lint rule RPR009 flags direct
-    calls to the wrappers.
+The implementations are private: :mod:`repro.comm.api` registers each as a
+:class:`repro.comm.CommStrategy` and :func:`repro.comm.allreduce` is the
+only entrypoint.
 """
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 from ..telemetry import get_active
 from .simmpi import World
-
-__all__ = [
-    "allreduce",
-    "naive_allreduce",
-    "ring_allreduce",
-    "tree_allreduce",
-    "hierarchical_allreduce",
-]
-
-
-def __getattr__(name: str):
-    # Lazy re-export of the facade so RPR009's attribute autofix
-    # (``reducer.ring_allreduce(...)`` -> ``reducer.allreduce(...)``)
-    # keeps working callers working.  Deferred because :mod:`.api`
-    # imports this module's private implementations at module level —
-    # a top-level ``from .api import allreduce`` would be circular.
-    if name == "allreduce":
-        from .api import allreduce
-        return allreduce
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _reduce_span(algorithm: str, world: World, buffers: list[np.ndarray]):
@@ -78,25 +53,9 @@ def _check_buffers(world: World, buffers: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _deprecated_wrapper(name: str, strategy: str):
-    warnings.warn(
-        f"{name} is deprecated; use repro.comm.allreduce(world, buffers, "
-        f"strategy={strategy!r}, ...)", DeprecationWarning, stacklevel=3)
-
-
-def naive_allreduce(world: World, buffers: list[np.ndarray], average: bool = False,
-                    tag: int = 10) -> list[np.ndarray]:
-    """Deprecated: use :func:`repro.comm.allreduce` with ``strategy="naive"``.
-
-    Gather-to-root + broadcast; the O(n*V) baseline.
-    """
-    _deprecated_wrapper("naive_allreduce", "naive")
-    from .api import allreduce
-    return allreduce(world, buffers, strategy="naive", average=average, tag=tag)
-
-
-def _naive_allreduce(world: World, buffers: list[np.ndarray], average: bool,
+def _allreduce_naive(world: World, buffers: list[np.ndarray], average: bool,
                      tag: int) -> list[np.ndarray]:
+    """Gather-to-root + broadcast; the O(n*V) baseline."""
     gathered = world.gather(buffers, root=0, tag=tag)
     total = gathered[0].copy()
     for b in gathered[1:]:
@@ -107,19 +66,9 @@ def _naive_allreduce(world: World, buffers: list[np.ndarray], average: bool,
     return [np.array(r, copy=True) for r in results]
 
 
-def ring_allreduce(world: World, buffers: list[np.ndarray], average: bool = False,
-                   tag: int = 20) -> list[np.ndarray]:
-    """Deprecated: use :func:`repro.comm.allreduce` with ``strategy="ring"``.
-
-    Reduce-scatter + all-gather ring (the NCCL algorithm).
-    """
-    _deprecated_wrapper("ring_allreduce", "ring")
-    from .api import allreduce
-    return allreduce(world, buffers, strategy="ring", average=average, tag=tag)
-
-
-def _ring_allreduce(world: World, buffers: list[np.ndarray], average: bool,
+def _allreduce_ring(world: World, buffers: list[np.ndarray], average: bool,
                     tag: int) -> list[np.ndarray]:
+    """Reduce-scatter + all-gather ring (the NCCL algorithm)."""
     n = world.size
     if n == 1:
         out = buffers[0].copy()
@@ -159,19 +108,9 @@ def _ring_allreduce(world: World, buffers: list[np.ndarray], average: bool,
     return results
 
 
-def tree_allreduce(world: World, buffers: list[np.ndarray], average: bool = False,
-                   tag: int = 30) -> list[np.ndarray]:
-    """Deprecated: use :func:`repro.comm.allreduce` with ``strategy="tree"``.
-
-    Binomial-tree reduce to rank 0, then binomial broadcast.
-    """
-    _deprecated_wrapper("tree_allreduce", "tree")
-    from .api import allreduce
-    return allreduce(world, buffers, strategy="tree", average=average, tag=tag)
-
-
-def _tree_allreduce(world: World, buffers: list[np.ndarray], average: bool,
+def _allreduce_tree(world: World, buffers: list[np.ndarray], average: bool,
                     tag: int) -> list[np.ndarray]:
+    """Binomial-tree reduce to rank 0, then binomial broadcast."""
     n = world.size
     acc = [b.copy() for b in buffers]
     # Reduce: at round k, ranks with bit k set send to (rank - 2^k).
@@ -201,18 +140,15 @@ def _tree_allreduce(world: World, buffers: list[np.ndarray], average: bool,
     return acc
 
 
-def hierarchical_allreduce(
+def _allreduce_hierarchical(
     world: World,
     buffers: list[np.ndarray],
+    average: bool,
+    tag: int,
     gpus_per_node: int = 6,
     mpi_ranks_per_node: int = 4,
-    average: bool = False,
-    tag: int = 40,
 ) -> list[np.ndarray]:
-    """Deprecated: use :func:`repro.comm.allreduce` with
-    ``strategy="hierarchical"``.
-
-    The paper's hybrid NCCL + MPI all-reduce (Section V-A3):
+    """The paper's hybrid NCCL + MPI all-reduce (Section V-A3):
 
     1. NCCL ring reduce-scatter + gather *within* each node so all local
        ranks hold the node-local sum (modelled as an in-node ring over the
@@ -225,21 +161,6 @@ def hierarchical_allreduce(
 
     World size must be a multiple of ``gpus_per_node``.
     """
-    _deprecated_wrapper("hierarchical_allreduce", "hierarchical")
-    from .api import allreduce
-    return allreduce(world, buffers, strategy="hierarchical", average=average,
-                     tag=tag, gpus_per_node=gpus_per_node,
-                     mpi_ranks_per_node=mpi_ranks_per_node)
-
-
-def _hierarchical_allreduce(
-    world: World,
-    buffers: list[np.ndarray],
-    gpus_per_node: int,
-    mpi_ranks_per_node: int,
-    average: bool,
-    tag: int,
-) -> list[np.ndarray]:
     n = world.size
     if n % gpus_per_node:
         raise ValueError(f"world size {n} not divisible by gpus_per_node {gpus_per_node}")

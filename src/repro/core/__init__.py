@@ -1,6 +1,6 @@
 """The paper's contribution layer: networks, training algorithms, metrics."""
 from . import losses, metrics, networks, optim
-from .checkpoint import CheckpointManager, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointManager
 from .convergence import ConvergenceCurve, loss_trajectory_summary, wall_clock_curve
 from .distributed import DistributedStepResult, DistributedTrainer
 from .inference import predict_tiled, sliding_window_logits, tile_positions
@@ -39,8 +39,6 @@ from .trainer import StepResult, TrainConfig, Trainer, build_optimizer
 __all__ = [
     "Tiramisu",
     "CheckpointManager",
-    "save_checkpoint",
-    "load_checkpoint",
     "SpatialPartition",
     "distributed_conv2d",
     "halo_rows_for",

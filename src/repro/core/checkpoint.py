@@ -8,14 +8,11 @@ lag delay line, and the dynamic loss scale — into a single ``.npz`` file.
 
 :class:`CheckpointManager` is the API: it owns a checkpoint directory,
 names files by step, finds the latest restart point, and rotates old
-files — the autoresume primitive :mod:`repro.resilience` builds on.  The
-original free functions (:func:`save_checkpoint` / :func:`load_checkpoint`)
-remain as thin deprecated wrappers over a single-file manager.
+files — the autoresume primitive :mod:`repro.resilience` builds on.
 """
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +21,7 @@ from ..errors import CheckpointConfigMismatch, CheckpointError, CheckpointFormat
 from .optim import GradientLag
 from .trainer import Trainer
 
-__all__ = ["CheckpointManager", "save_checkpoint", "load_checkpoint"]
+__all__ = ["CheckpointManager"]
 
 _FORMAT_VERSION = 1
 
@@ -58,16 +55,13 @@ def _optimizer_state(optimizer) -> tuple[dict[str, np.ndarray], dict]:
 def _write_checkpoint(trainer: Trainer, path: Path,
                       extra_meta: dict | None = None,
                       extra_arrays: dict[str, np.ndarray] | None = None) -> Path:
-    """Serialize a trainer to ``path`` (``.npz`` appended if missing).
+    """Serialize a trainer to ``path``.
 
     ``extra_arrays`` lets subsystems persist array state alongside the
     trainer (e.g. the comm engine's error-feedback residuals); they are
     namespaced under ``extra.`` and retrieved with
     :meth:`CheckpointManager.load_extra_arrays`.
     """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
     arrays: dict[str, np.ndarray] = {}
     for name, value in trainer.model.state_dict().items():
         arrays[f"model.{name}"] = value
@@ -259,28 +253,3 @@ class CheckpointManager:
         for path in removed:
             path.unlink()
         return removed
-
-
-# -- deprecated free-function API ------------------------------------------
-
-def save_checkpoint(trainer: Trainer, path: str | Path) -> Path:
-    """Deprecated: use :meth:`CheckpointManager.save`.
-
-    Serializes a trainer to one explicit ``path`` (``.npz`` appended if
-    missing), exactly as before the manager API landed.
-    """
-    warnings.warn("save_checkpoint is deprecated; use CheckpointManager.save",
-                  DeprecationWarning, stacklevel=2)
-    return _write_checkpoint(trainer, Path(path))
-
-
-def load_checkpoint(trainer: Trainer, path: str | Path) -> dict:
-    """Deprecated: use :meth:`CheckpointManager.load`.
-
-    Restores a trainer in place from one explicit ``path``; returns the
-    checkpoint metadata.  The trainer must be constructed with the same
-    architecture and configuration as the one that was saved.
-    """
-    warnings.warn("load_checkpoint is deprecated; use CheckpointManager.load",
-                  DeprecationWarning, stacklevel=2)
-    return _read_checkpoint(trainer, Path(path))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..comm.compression import TopKCompressor, sparse_allreduce
 from ..comm.engine import EngineConfig, GradientExchangeEngine
 from ..comm.horovod import ExchangeReport, HorovodConfig, allreduce_gradients
 from ..comm.simmpi import World
@@ -57,7 +56,6 @@ class DistributedTrainer:
         config: TrainConfig,
         class_frequencies: np.ndarray | None = None,
         horovod: HorovodConfig | None = None,
-        compression_ratio: float | None = None,
         fault_injector=None,
         engine: GradientExchangeEngine | EngineConfig | None = None,
     ):
@@ -70,7 +68,7 @@ class DistributedTrainer:
             fusion_threshold_bytes=4 * 1024 * 1024,
         )
         # Adaptive gradient exchange: an engine (or its config) supersedes
-        # both the fixed Horovod data plane and the legacy compressed path.
+        # the fixed Horovod data plane.
         if isinstance(engine, EngineConfig):
             engine = GradientExchangeEngine(world_size, engine)
         self.engine = engine
@@ -78,13 +76,6 @@ class DistributedTrainer:
             Trainer(model_factory(), config, class_frequencies)
             for _ in range(world_size)
         ]
-        # Optional top-k gradient compression (Section VIII-B), one
-        # error-feedback compressor per rank (residuals are rank-local).
-        if compression_ratio is not None:
-            self._compressors = [TopKCompressor(compression_ratio)
-                                 for _ in range(world_size)]
-        else:
-            self._compressors = None
         self._verify_identical_init()
         self._step = 0
 
@@ -169,8 +160,6 @@ class DistributedTrainer:
             if self.engine is not None:
                 self.world.stats.reset()
                 averaged, report = self.engine.exchange(self.world, all_grads)
-            elif self._compressors is not None:
-                averaged, report = self._compressed_exchange(all_grads)
             else:
                 averaged, report = allreduce_gradients(
                     self.world, all_grads, self.horovod, seed=self._step
@@ -201,30 +190,6 @@ class DistributedTrainer:
             exchange=report, skipped=False,
         )
 
-    def _compressed_exchange(self, all_grads: list[dict[str, np.ndarray]]):
-        """Top-k sparsified exchange with per-rank error feedback.
-
-        Every rank compresses each tensor (accumulating the dropped residual
-        locally), the sparse payloads are all-reduced, and the identical
-        dense average lands on every rank — so the replica-consistency
-        invariant survives compression.
-        """
-        names = list(all_grads[0].keys())
-        self.world.stats.reset()
-        averaged: list[dict[str, np.ndarray]] = [dict() for _ in all_grads]
-        for name in names:
-            sparse = [comp.compress(name, grads[name])
-                      for comp, grads in zip(self._compressors, all_grads)]
-            dense = sparse_allreduce(self.world, sparse, average=True)
-            for r, d in enumerate(dense):
-                averaged[r][name] = d.astype(all_grads[r][name].dtype)
-        report = ExchangeReport(
-            negotiation=None, fusion=None,
-            data_messages=self.world.stats.total_messages,
-            data_bytes=self.world.stats.total_bytes,
-        )
-        return averaged, report
-
     # -- communication state (error-feedback residuals) ------------------------
 
     def comm_state(self) -> dict[str, np.ndarray]:
@@ -235,29 +200,12 @@ class DistributedTrainer:
         re-drops it.  This state rides checkpoints next to the model (see
         :meth:`CheckpointManager.save`'s ``extra_arrays``).
         """
-        if self.engine is not None:
-            return self.engine.comm_state()
-        if self._compressors is not None:
-            return {f"rank{r}.{k}": v
-                    for r, comp in enumerate(self._compressors)
-                    for k, v in comp.state().items()}
-        return {}
+        return {} if self.engine is None else self.engine.comm_state()
 
     def load_comm_state(self, state: dict[str, np.ndarray]) -> None:
         """Restore residuals saved by :meth:`comm_state`."""
         if self.engine is not None:
             self.engine.load_comm_state(state)
-            return
-        if self._compressors is None:
-            return
-        per_rank: list[dict[str, np.ndarray]] = [dict() for _ in self._compressors]
-        for key, value in state.items():
-            rank_part, _, tensor = key.partition(".")
-            r = int(rank_part.removeprefix("rank"))
-            if r < len(per_rank):
-                per_rank[r][tensor] = value
-        for comp, residuals in zip(self._compressors, per_rank):
-            comp.load_state(residuals)
 
     # -- elastic degradation ---------------------------------------------------
 
@@ -287,8 +235,6 @@ class DistributedTrainer:
         tel = get_active()
         injector = self.world.fault_injector
         self.trainers = [self.trainers[r] for r in survivors]
-        if self._compressors is not None:
-            self._compressors = [self._compressors[r] for r in survivors]
         if self.engine is not None:
             # Drops only the failed ranks' residuals; survivors keep theirs.
             self.engine.shrink(survivors)

@@ -1,5 +1,4 @@
 """Raw NumPy kernels (forward + backward) used by the layer library."""
-from .backends import CONV_BACKENDS, ConvAutotuner, conv2d_fft, conv2d_im2col
 from .conv import (
     conv2d_backward_input,
     conv2d_backward_input_reference,
@@ -59,10 +58,6 @@ __all__ = [
     "get_depthwise_plan",
     "plan_cache_stats",
     "clear_plan_cache",
-    "CONV_BACKENDS",
-    "ConvAutotuner",
-    "conv2d_im2col",
-    "conv2d_fft",
     "depthwise_conv2d_forward",
     "depthwise_conv2d_backward_input",
     "depthwise_conv2d_backward_weight",

@@ -101,7 +101,6 @@ def run_resilient_training(
     resume: bool = True,
     on_step=None,
     engine=None,
-    compression_ratio: float | None = None,
 ) -> ResilienceReport:
     """Train ``steps`` global steps under ``plan``; returns the report.
 
@@ -113,11 +112,10 @@ def run_resilient_training(
     baseline the CLI compares against.
 
     ``engine`` (a :class:`repro.comm.GradientExchangeEngine` or its config)
-    routes gradient exchange through the adaptive engine;
-    ``compression_ratio`` enables the legacy per-tensor top-k path.  Either
-    way the compressors' error-feedback residuals ride checkpoints as extra
-    arrays and are restored on resume — losing them would silently re-drop
-    gradient mass the compressor had promised to carry forward.
+    routes gradient exchange through the adaptive engine.  Its compressors'
+    error-feedback residuals ride checkpoints as extra arrays and are
+    restored on resume — losing them would silently re-drop gradient mass
+    the compressor had promised to carry forward.
 
     ``on_step(step, result, trainer, original_ids)`` is called after each
     completed step (before telemetry sampling) — the hook the health drill
@@ -134,8 +132,7 @@ def run_resilient_training(
     injector = FaultInjector(plan) if plan is not None and len(plan) else None
     trainer = DistributedTrainer(model_factory, world_size, config,
                                  class_frequencies, fault_injector=injector,
-                                 engine=engine,
-                                 compression_ratio=compression_ratio)
+                                 engine=engine)
     report = ResilienceReport(start_world_size=world_size, trainer=trainer)
     manager = None
     if checkpoint_dir is not None:

@@ -701,9 +701,9 @@ class FleetServer:
         self._completions: list[tuple[float, int, int]] = []
         self._deadlines: list[tuple[float, int]] = []
         arrivals = replay.arrival_s
-        kills = list(self._kills)
+        kills = self._kills
         clock = self.clock
-        i = 0
+        i = k = 0
         next_tick = (np.floor(clock.now() / cfg.window_s) + 1) * cfg.window_s
         while True:
             now = clock.now()
@@ -716,8 +716,9 @@ class FleetServer:
                     self._complete(rep, now)
                 progressed = True
             # 2. Inject due replica kills.
-            while kills and kills[0][0] <= now:
-                _, rid = kills.pop(0)
+            while k < len(kills) and kills[k][0] <= now:
+                _, rid = kills[k]
+                k += 1
                 rep = self.replicas.get(rid)
                 if rep is not None and rep.alive:
                     cell = self.cells[rep.cell]
@@ -755,12 +756,10 @@ class FleetServer:
                 candidates.append(self._completions[0][0])
             if self._deadlines:
                 candidates.append(self._deadlines[0][0])
+            # next_tick > now here (a due tick sets ``progressed``), so the
+            # minimum always exists.
             candidates.append(next_tick)
-            target = min(c for c in candidates if c > now) \
-                if any(c > now for c in candidates) else None
-            if target is None:
-                break               # defensive: nothing can progress
-            clock.advance_to(target)
+            clock.advance_to(min(c for c in candidates if c > now))
         return self._result
 
 

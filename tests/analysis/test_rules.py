@@ -9,8 +9,6 @@ import textwrap
 from repro.analysis import FileContext
 from repro.analysis.findings import apply_edits
 from repro.analysis.rules import (BroadExcept, CollectiveInRankBranch,
-                                  DeprecatedAllreduceApi,
-                                  DeprecatedCheckpointApi,
                                   Float16OutsidePrecision, MutableDefaultArg,
                                   RawTimeCall, UnseededRng)
 
@@ -176,30 +174,6 @@ class TestUnseededRng:
         assert findings == []
 
 
-class TestDeprecatedCheckpointApi:
-    def test_free_function_call_flagged(self):
-        findings = check(DeprecatedCheckpointApi(), """\
-            from repro.core import save_checkpoint
-            save_checkpoint(trainer, "ckpt.npz")
-            """)
-        assert len(findings) == 1
-        assert "CheckpointManager.save" in findings[0].message
-
-    def test_manager_api_clean(self):
-        findings = check(DeprecatedCheckpointApi(), """\
-            from repro.core import CheckpointManager
-            CheckpointManager("ckpts").save(trainer)
-            """)
-        assert findings == []
-
-    def test_defining_module_exempt(self):
-        findings = check(DeprecatedCheckpointApi(), """\
-            def save_checkpoint(trainer, path):
-                return save_checkpoint(trainer, path)
-            """, rel_path="src/repro/core/checkpoint.py")
-        assert findings == []
-
-
 class TestMutableDefaultArg:
     def test_list_default_flagged_with_autofix(self):
         findings = check(MutableDefaultArg(), """\
@@ -325,92 +299,5 @@ class TestRawTimeCall:
         findings = check(RawTimeCall(), """\
             def use(time):
                 return time.perf_counter()   # some other object named time
-            """)
-        assert findings == []
-
-
-class TestDeprecatedAllreduceApi:
-    def test_free_function_call_flagged_and_autofixed(self):
-        source = textwrap.dedent("""\
-            from repro.comm import World, ring_allreduce
-
-            def exchange(w, bufs):
-                return ring_allreduce(w, bufs, average=True)
-            """)
-        findings = DeprecatedAllreduceApi().check(
-            FileContext("src/repro/scratch.py", source))
-        assert len(findings) == 1
-        f = findings[0]
-        assert f.rule_id == "RPR009" and "strategy" in f.message
-        fixed, applied = apply_edits(source, list(f.edits))
-        assert applied == 2
-        assert 'allreduce(w, bufs, average=True, strategy="ring")' in fixed
-        assert "ring_allreduce(w, bufs" not in fixed
-
-    def test_trailing_comma_call_autofixed(self):
-        source = textwrap.dedent("""\
-            out = naive_allreduce(
-                w,
-                bufs,
-            )
-            """)
-        findings = check(DeprecatedAllreduceApi(), source)
-        fixed, _ = apply_edits(source, list(findings[0].edits))
-        assert 'strategy="naive"' in fixed
-        assert ",," not in fixed
-
-    def test_attribute_call_autofixed_through_module_alias(self):
-        source = textwrap.dedent("""\
-            import repro.comm.reducer as red
-
-            def exchange(w, bufs):
-                return red.tree_allreduce(w, bufs)
-            """)
-        findings = check(DeprecatedAllreduceApi(), source)
-        assert len(findings) == 1
-        fixed, applied = apply_edits(source, list(findings[0].edits))
-        assert applied == 2
-        assert 'red.allreduce(w, bufs, strategy="tree")' in fixed
-
-    def test_attribute_call_on_unknown_module_flagged_without_edit(self):
-        # ``red`` is not an import of a repro.comm module here, so the
-        # attribute target cannot be proven to expose the facade.
-        findings = check(DeprecatedAllreduceApi(), """\
-            import redlib as red
-
-            def exchange(w, bufs):
-                return red.tree_allreduce(w, bufs)
-            """)
-        assert len(findings) == 1
-        assert findings[0].edits == ()
-
-    def test_positional_knobs_flagged_without_edit(self):
-        # A positional gpus_per_node would land in the facade's
-        # keyword-only section; the rule must not auto-break the call.
-        findings = check(DeprecatedAllreduceApi(), """\
-            out = hierarchical_allreduce(w, bufs, 6, 4)
-            """)
-        assert len(findings) == 1
-        assert findings[0].edits == ()
-
-    def test_keyword_knobs_autofixed(self):
-        source = "out = hierarchical_allreduce(w, bufs, gpus_per_node=6)\n"
-        findings = check(DeprecatedAllreduceApi(), source)
-        fixed, _ = apply_edits(source, list(findings[0].edits))
-        assert fixed == ('out = allreduce(w, bufs, gpus_per_node=6, '
-                         'strategy="hierarchical")\n')
-
-    def test_facade_and_wrapper_modules_exempt(self):
-        source = "out = ring_allreduce(w, bufs)\n"
-        for path in ("src/repro/comm/reducer.py", "src/repro/comm/api.py"):
-            assert check(DeprecatedAllreduceApi(), source,
-                         rel_path=path) == []
-
-    def test_facade_call_clean(self):
-        findings = check(DeprecatedAllreduceApi(), """\
-            from repro.comm import allreduce
-
-            def exchange(w, bufs):
-                return allreduce(w, bufs, strategy="ring")
             """)
         assert findings == []

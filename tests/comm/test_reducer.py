@@ -149,28 +149,6 @@ class TestRegistry:
             s.modeled_time(4, 1e6, nvlink=None, interconnect=None)
 
 
-class TestDeprecatedWrappers:
-    """The four legacy free functions still work but warn (RPR009)."""
-
-    def test_wrappers_warn_and_match_facade(self):
-        from repro.comm import reducer
-        n = 6
-        bufs = make_buffers(n, 13)
-        expect = np.sum(bufs, axis=0)
-        legacy = [
-            (reducer.naive_allreduce, {}),
-            (reducer.ring_allreduce, {}),
-            (reducer.tree_allreduce, {}),
-            (reducer.hierarchical_allreduce,
-             dict(gpus_per_node=3, mpi_ranks_per_node=2)),
-        ]
-        for fn, kw in legacy:
-            with pytest.warns(DeprecationWarning, match="repro.comm.allreduce"):
-                results = fn(World(n), bufs, **kw)
-            for r in results:
-                np.testing.assert_allclose(r, expect, rtol=1e-4, atol=1e-4)
-
-
 class TestTrafficShape:
     def test_ring_message_count(self):
         # Reduce-scatter + all-gather: 2 (n-1) rounds of n messages.
@@ -223,21 +201,3 @@ class TestHypothesis:
         expect = np.sum(bufs, axis=0)
         for r in results:
             np.testing.assert_allclose(r, expect, rtol=1e-4, atol=1e-4)
-
-
-class TestFacadeReexport:
-    def test_reducer_lazily_reexports_allreduce(self):
-        # The RPR009 autofix rewrites ``reducer.ring_allreduce(...)`` to
-        # ``reducer.allreduce(..., strategy="ring")``; the facade must be
-        # reachable through the reducer module for those fixes to run.
-        from repro.comm import reducer
-        from repro.comm.api import allreduce as facade
-
-        assert reducer.allreduce is facade
-        assert "allreduce" in reducer.__all__
-
-    def test_unknown_attribute_still_raises(self):
-        from repro.comm import reducer
-
-        with pytest.raises(AttributeError):
-            reducer.not_a_thing

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from repro.climate import ClimateDataset, Grid, class_frequencies
-from repro.core import (CheckpointManager, TrainConfig, Trainer,
-                        load_checkpoint, save_checkpoint)
+from repro.core import CheckpointManager, TrainConfig, Trainer
 from repro.core.networks import Tiramisu, TiramisuConfig
 from repro.errors import CheckpointError
 
@@ -246,28 +245,3 @@ class TestCheckpointManager:
         mgr = CheckpointManager(tmp_path)
         mgr.save(make_trainer(), step=1)
         assert mgr.load_extra_arrays() == {}
-
-
-class TestDeprecatedWrappers:
-    """The legacy free functions: still correct, warn, and stay the only
-    sanctioned call sites (hence the intentional repro-lint suppressions)."""
-
-    def test_free_functions_warn_but_work(self, dataset, tmp_path):
-        a = make_trainer()
-        steps(a, dataset, 1)
-        with pytest.warns(DeprecationWarning, match="CheckpointManager.save"):
-            path = save_checkpoint(a, tmp_path / "legacy")  # repro-lint: disable=RPR004
-        b = make_trainer(seed=9)
-        with pytest.warns(DeprecationWarning, match="CheckpointManager.load"):
-            meta = load_checkpoint(b, path)  # repro-lint: disable=RPR004
-        assert meta["history_len"] == 1
-        for (n1, p1), (_, p2) in zip(a.model.named_parameters(),
-                                     b.model.named_parameters()):
-            np.testing.assert_array_equal(p1.master_value(), p2.master_value())
-
-    def test_suffix_added(self, dataset, tmp_path):
-        a = make_trainer()
-        with pytest.warns(DeprecationWarning):
-            path = save_checkpoint(a, tmp_path / "noext")  # repro-lint: disable=RPR004
-        assert path.suffix == ".npz"
-        assert path.exists()

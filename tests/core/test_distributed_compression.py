@@ -1,4 +1,4 @@
-"""Distributed training with top-k gradient compression (Section VIII-B)."""
+"""The exchange engine as the trainer's data plane (Section VIII-B)."""
 import numpy as np
 import pytest
 
@@ -22,65 +22,6 @@ def factory(seed=42):
                                        kernel=3, dropout=0.0),
                         rng=np.random.default_rng(seed))
     return make
-
-
-class TestCompressedTraining:
-    def test_replicas_stay_identical(self, dataset):
-        freqs = class_frequencies(dataset.labels)
-        dt = DistributedTrainer(factory(), 3,
-                                TrainConfig(lr=0.02, optimizer="sgd"),
-                                freqs, compression_ratio=0.1)
-        dt.train_epoch(dataset, 1, np.random.default_rng(0), steps=3)
-        assert dt.max_replica_divergence() == 0.0
-
-    def test_loss_decreases_with_compression(self, dataset):
-        freqs = class_frequencies(dataset.labels)
-        dt = DistributedTrainer(factory(7), 2,
-                                TrainConfig(lr=0.02, optimizer="larc"),
-                                freqs, compression_ratio=0.2)
-        losses = []
-        for _ in range(4):
-            results = dt.train_epoch(dataset, 1, np.random.default_rng(1))
-            losses.extend(r.mean_loss for r in results)
-        assert np.mean(losses[-3:]) < np.mean(losses[:3])
-
-    def test_bandwidth_reduced_vs_dense(self, dataset):
-        freqs = class_frequencies(dataset.labels)
-        dense = DistributedTrainer(factory(), 3,
-                                   TrainConfig(lr=0.02, optimizer="sgd"), freqs)
-        sparse = DistributedTrainer(factory(), 3,
-                                    TrainConfig(lr=0.02, optimizer="sgd"),
-                                    freqs, compression_ratio=0.01)
-        rd = dense.train_epoch(dataset, 1, np.random.default_rng(2), steps=1)[0]
-        rs = sparse.train_epoch(dataset, 1, np.random.default_rng(2), steps=1)[0]
-        assert rs.exchange.data_bytes < rd.exchange.data_bytes / 3
-        assert rs.exchange.negotiation is None  # bypasses the control plane
-
-    def test_residuals_accumulate_per_rank(self, dataset):
-        freqs = class_frequencies(dataset.labels)
-        dt = DistributedTrainer(factory(), 2,
-                                TrainConfig(lr=0.02, optimizer="sgd"),
-                                freqs, compression_ratio=0.05)
-        dt.train_epoch(dataset, 1, np.random.default_rng(3), steps=1)
-        name = dt.trainers[0].model.parameters()[0].name
-        for comp in dt._compressors:
-            assert comp.residual_norm(name) > 0
-
-    def test_legacy_comm_state_roundtrip(self, dataset):
-        freqs = class_frequencies(dataset.labels)
-        dt = DistributedTrainer(factory(), 2,
-                                TrainConfig(lr=0.02, optimizer="sgd"),
-                                freqs, compression_ratio=0.05)
-        dt.train_epoch(dataset, 1, np.random.default_rng(4), steps=1)
-        state = dt.comm_state()
-        assert state and all(k.startswith("rank") for k in state)
-        fresh = DistributedTrainer(factory(), 2,
-                                   TrainConfig(lr=0.02, optimizer="sgd"),
-                                   freqs, compression_ratio=0.05)
-        fresh.load_comm_state(state)
-        restored = fresh.comm_state()
-        for key, value in state.items():
-            np.testing.assert_array_equal(restored[key], value)
 
 
 class TestEngineTraining:
@@ -145,6 +86,18 @@ class TestEngineTraining:
             results = dt.train_epoch(dataset, 1, np.random.default_rng(1))
             losses.extend(r.mean_loss for r in results)
         assert np.mean(losses[-3:]) < np.mean(losses[:3])
+
+    def test_residuals_accumulate_per_rank(self, dataset):
+        freqs = class_frequencies(dataset.labels)
+        cfg = EngineConfig(compression="topk", compression_ratio=0.05)
+        dt = DistributedTrainer(factory(), 2,
+                                TrainConfig(lr=0.02, optimizer="sgd"),
+                                freqs, engine=cfg)
+        dt.train_epoch(dataset, 1, np.random.default_rng(3), steps=1)
+        name = dt.trainers[0].model.parameters()[0].name
+        state = dt.comm_state()
+        for rank in range(2):
+            assert np.linalg.norm(state[f"rank{rank}.{name}"]) > 0
 
     def test_comm_state_rides_checkpoints(self, dataset, tmp_path):
         freqs = class_frequencies(dataset.labels)

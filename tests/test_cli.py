@@ -259,8 +259,8 @@ class TestLintCli:
     def test_rules_catalog(self, capsys):
         assert main(["lint", "--rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-                        "RPR006", "RPR007"):
+        for rule_id in ("RPR001", "RPR002", "RPR003", "RPR005", "RPR006",
+                        "RPR007", "RPR008"):
             assert rule_id in out
 
     def test_prune_baseline_drops_fixed_debt(self, capsys, tmp_path,
