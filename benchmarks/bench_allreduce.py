@@ -26,9 +26,9 @@ GRAD_BYTES = 43e6 * 2  # DeepLabv3+ FP16 gradient volume
 
 def _gradient_spec():
     """The climate model's real gradient set: (name, shape) per tensor."""
-    from repro.core.networks import tiramisu_modified
+    from repro.core.flops import paper_network
 
-    model = tiramisu_modified(in_channels=16)
+    model = paper_network("tiramisu")
     return [(p.name, p.shape) for p in model.parameters()]
 
 

@@ -7,7 +7,7 @@ exactly that from the traced activation inventory on the 16 GB V100.
 """
 import pytest
 
-from repro.core.networks import deeplab_modified, tiramisu_modified
+from repro.core.flops import paper_network
 from repro.hpc import V100
 from repro.perf import format_table, max_batch, training_memory
 
@@ -17,9 +17,8 @@ FULL = (16, 768, 1152)
 def test_batch_limits_match_paper(benchmark, emit):
     def run():
         rows = []
-        for name, build in (("deeplabv3+", deeplab_modified),
-                            ("tiramisu", tiramisu_modified)):
-            model = build()
+        for name in ("deeplabv3+", "tiramisu"):
+            model = paper_network(name)
             for prec in ("fp32", "fp16"):
                 mb = max_batch(model, FULL, prec, V100, limit=4)
                 budget = training_memory(model, FULL, max(mb, 1), prec)

@@ -20,22 +20,21 @@ Tiramisu            4 ch (Piz Daint)       3.703
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..framework.graph import GraphAnalysis
+from ..framework.init import shape_only
 from ..framework.module import Module
 from ..framework.ops.conv import conv2d_flops
-from .networks import (
-    Tiramisu,
-    TiramisuConfig,
-    deeplab_modified,
-    tiramisu_modified,
-)
+from . import networks
 
 __all__ = [
     "PAPER_OP_COUNTS_TF",
     "NetworkFlops",
     "count_training_flops",
     "paper_conv_example_flops",
+    "paper_network",
+    "paper_graph",
     "network_flop_table",
 ]
 
@@ -44,6 +43,14 @@ PAPER_OP_COUNTS_TF = {
     "deeplabv3+": 14.41,
     "tiramisu": 4.188,
     "tiramisu_4ch": 3.703,
+}
+
+#: The paper's benchmarked configurations: name -> (constructor, input
+#: channels).  The one place a network name becomes a network.
+_PAPER_NETWORKS = {
+    "deeplabv3+": (networks.deeplab_modified, 16),
+    "tiramisu": (networks.tiramisu_modified, 16),
+    "tiramisu_4ch": (networks.tiramisu_modified, 4),
 }
 
 
@@ -78,22 +85,50 @@ def paper_conv_example_flops() -> int:
                         out_h=768, out_w=1152, kernel_h=3, kernel_w=3)
 
 
+def paper_network(network: str) -> Module:
+    """A shape-only instance of one of the paper's configurations.
+
+    Built under :func:`repro.framework.init.shape_only`: good for
+    ``analyze`` and ``num_parameters`` (all a cost model needs), allocates
+    no weights, and refuses to be trained or saved.
+    """
+    if network not in _PAPER_NETWORKS:
+        raise ValueError(f"unknown network {network!r}")
+    build, channels = _PAPER_NETWORKS[network]
+    with shape_only():
+        return build(in_channels=channels)
+
+
+def paper_graph(network: str, batch: int, precision: str,
+                include_backward: bool = True,
+                height: int = 768, width: int = 1152) -> tuple[GraphAnalysis, int]:
+    """Traced kernel inventory and parameter count of a paper-size network.
+
+    The single, memoised source of paper-size graphs for the cost models in
+    :mod:`repro.perf`: the first call per configuration builds a shape-only
+    network and traces it (milliseconds, no weight is drawn); later calls
+    return the same immutable analysis.
+    """
+    # Positional, so every spelling of one configuration shares a cache entry.
+    return _paper_graph(network, batch, precision, include_backward, height, width)
+
+
+@lru_cache(maxsize=64)
+def _paper_graph(network, batch, precision, include_backward, height, width):
+    model = paper_network(network)
+    channels = _PAPER_NETWORKS[network][1]
+    analysis = model.analyze((channels, height, width), batch=batch,
+                             precision=precision,
+                             include_backward=include_backward)
+    return analysis, model.num_parameters()
+
+
 def network_flop_table(height: int = 768, width: int = 1152) -> list[NetworkFlops]:
     """Reproduce Figure 2's operation-count column for all three configs."""
     rows = []
-    dl = deeplab_modified(in_channels=16)
-    a = count_training_flops(dl, (16, height, width))
-    rows.append(NetworkFlops("deeplabv3+", a.flops_per_sample() / 1e12,
-                             PAPER_OP_COUNTS_TF["deeplabv3+"],
-                             dl.num_parameters(), a.kernel_count))
-    tm = tiramisu_modified(in_channels=16)
-    a = count_training_flops(tm, (16, height, width))
-    rows.append(NetworkFlops("tiramisu", a.flops_per_sample() / 1e12,
-                             PAPER_OP_COUNTS_TF["tiramisu"],
-                             tm.num_parameters(), a.kernel_count))
-    t4 = Tiramisu(TiramisuConfig(in_channels=4))
-    a = count_training_flops(t4, (4, height, width))
-    rows.append(NetworkFlops("tiramisu_4ch", a.flops_per_sample() / 1e12,
-                             PAPER_OP_COUNTS_TF["tiramisu_4ch"],
-                             t4.num_parameters(), a.kernel_count))
+    for name in _PAPER_NETWORKS:
+        a, parameters = paper_graph(name, 1, "fp32", height=height, width=width)
+        rows.append(NetworkFlops(name, a.flops_per_sample() / 1e12,
+                                 PAPER_OP_COUNTS_TF[name], parameters,
+                                 a.kernel_count))
     return rows

@@ -45,7 +45,7 @@ CATEGORIES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelRecord:
     """One (class of) GPU kernel launch in a training step.
 
@@ -141,24 +141,31 @@ class GraphTracer:
                              total_activation_bytes=sum(self.activation_bytes))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphAnalysis:
-    """Aggregated result of a trace: totals and per-category sums."""
+    """Aggregated result of a trace: totals and per-category sums.
 
-    records: list[KernelRecord]
+    Immutable (a tuple of frozen records), so one traced graph can be
+    memoised and handed to every cost model.
+    """
+
+    records: tuple[KernelRecord, ...]
     batch: int
     precision: Precision
     total_activation_bytes: int = 0
-    _by_category: dict[str, tuple[int, int, int]] = field(default_factory=dict, repr=False)
+    _by_category: dict[str, tuple[int, int, int]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "records", tuple(self.records))
         agg: dict[str, list[int]] = {}
         for r in self.records:
             slot = agg.setdefault(r.category, [0, 0, 0])
             slot[0] += r.flops
             slot[1] += r.bytes
             slot[2] += r.count
-        self._by_category = {k: tuple(v) for k, v in agg.items()}
+        object.__setattr__(self, "_by_category",
+                           {k: tuple(v) for k, v in agg.items()})
 
     # -- totals --------------------------------------------------------------
 

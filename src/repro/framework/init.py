@@ -1,9 +1,47 @@
-"""Weight initializers (He / Glorot variants used by the segmentation nets)."""
+"""Weight initializers (He / Glorot variants used by the segmentation nets).
+
+Inside :func:`shape_only` every initializer returns a read-only stride-0
+placeholder of the requested shape and dtype and leaves the RNG untouched:
+the Section-VI cost models only *traverse* a paper-size network, so they
+build it there and never draw its ~40 M weights.  Outside the scope each
+initializer returns exactly what it always did.
+"""
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
-__all__ = ["he_normal", "he_uniform", "glorot_uniform", "zeros", "ones"]
+__all__ = ["he_normal", "he_uniform", "glorot_uniform", "zeros", "ones",
+           "shape_only", "in_shape_only_scope"]
+
+# Context-local, so a thread started inside the scope (a prefetch worker,
+# say) still initializes real weights, and nested scopes unwind correctly.
+_SHAPE_ONLY: ContextVar[bool] = ContextVar("repro_shape_only_init", default=False)
+
+
+@contextmanager
+def shape_only():
+    """Build modules whose parameters have shapes but no storage.
+
+    Such a module can be traced (``Module.analyze``) and counted
+    (``num_parameters``); updating or saving it raises
+    :class:`~repro.errors.ReproError`.
+    """
+    token = _SHAPE_ONLY.set(True)
+    try:
+        yield
+    finally:
+        _SHAPE_ONLY.reset(token)
+
+
+def in_shape_only_scope() -> bool:
+    return _SHAPE_ONLY.get()
+
+
+def _placeholder(shape: tuple[int, ...], dtype, fill: float = 0.0) -> np.ndarray:
+    return np.broadcast_to(np.asarray(fill, dtype=dtype), shape)
 
 
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -21,25 +59,35 @@ def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
 def he_normal(rng: np.random.Generator, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
     """He/Kaiming normal: std = sqrt(2/fan_in); the ReLU-network default."""
     fan_in, _ = _fan_in_out(shape)
+    if _SHAPE_ONLY.get():
+        return _placeholder(shape, dtype)
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape).astype(dtype)
 
 
 def he_uniform(rng: np.random.Generator, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
     fan_in, _ = _fan_in_out(shape)
+    if _SHAPE_ONLY.get():
+        return _placeholder(shape, dtype)
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
     fan_in, fan_out = _fan_in_out(shape)
+    if _SHAPE_ONLY.get():
+        return _placeholder(shape, dtype)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
 def zeros(shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+    if _SHAPE_ONLY.get():
+        return _placeholder(shape, dtype)
     return np.zeros(shape, dtype=dtype)
 
 
 def ones(shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+    if _SHAPE_ONLY.get():
+        return _placeholder(shape, dtype, 1.0)
     return np.ones(shape, dtype=dtype)

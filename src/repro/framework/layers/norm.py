@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import init as initializers
 from ..graph import ShapeProbe
 from ..module import Module
 from ..ops.norm import batchnorm_backward, batchnorm_forward, batchnorm_infer
@@ -25,8 +26,8 @@ class BatchNorm2D(Module):
         self.channels = int(channels)
         self.eps = float(eps)
         self.momentum = float(momentum)
-        self.gamma = Parameter(np.ones(channels, dtype=np.float32), name=f"{name}.gamma")
-        self.beta = Parameter(np.zeros(channels, dtype=np.float32), name=f"{name}.beta")
+        self.gamma = Parameter(initializers.ones((channels,)), name=f"{name}.gamma")
+        self.beta = Parameter(initializers.zeros((channels,)), name=f"{name}.beta")
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
 

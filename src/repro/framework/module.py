@@ -99,6 +99,7 @@ class Module:
         """Flat name->array mapping of parameter values (master precision)."""
         state = {}
         for name, p in self.named_parameters():
+            p.require_weights()
             state[name] = p.master_value().copy()
         for m, prefix in self._named_buffers():
             state.update({f"{prefix}{k}": v.copy() for k, v in m.items()})
@@ -170,7 +171,11 @@ class Module:
         """Symbolically trace a training step, returning kernel records.
 
         ``input_shape`` is (C, H, W).  No arithmetic is performed, so this
-        works at the paper's full 1152x768 resolution.
+        works at the paper's full 1152x768 resolution.  The trace reads
+        parameter *shapes* only, so a module that exists just to be analyzed
+        should be constructed under :func:`repro.framework.init.shape_only`
+        (what :func:`repro.core.flops.paper_network` does); otherwise
+        construction draws every weight the trace then ignores.
         """
         tracer = GraphTracer(batch, precision, include_backward)
         probe = tracer.probe(*input_shape)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ReproError
+from .init import in_shape_only_scope
 from .tensor import Tensor
 
 __all__ = ["Parameter"]
@@ -25,14 +27,28 @@ class Parameter(Tensor):
         Dotted path assigned by the owning module tree; used by LARC (which
         needs per-layer norms) and by Horovod-style gradient negotiation
         (which needs stable tensor names across ranks).
+
+    A parameter created inside :func:`repro.framework.init.shape_only` is a
+    placeholder for graph analysis: it has a shape and a dtype but no
+    weights, and :meth:`require_weights` rejects any attempt to train or
+    save it.
     """
 
-    __slots__ = ("name", "master")
+    __slots__ = ("name", "master", "shape_only")
 
     def __init__(self, data, name: str = "param"):
         super().__init__(np.asarray(data), requires_grad=True)
         self.name = name
         self.master: np.ndarray | None = None
+        self.shape_only = in_shape_only_scope()
+
+    def require_weights(self) -> None:
+        """Raise unless this parameter holds real, updatable weights."""
+        if self.shape_only:
+            raise ReproError(
+                f"parameter {self.name!r} is shape-only (built under "
+                "init.shape_only() for graph analysis): it has no weights to "
+                "update or save")
 
     def enable_master_copy(self) -> None:
         """Keep an FP32 master copy for mixed-precision training."""
@@ -41,6 +57,7 @@ class Parameter(Tensor):
 
     def apply_update(self, delta: np.ndarray) -> None:
         """Apply an additive update, routed through the master copy if any."""
+        self.require_weights()
         if self.master is not None:
             self.master = self.master + np.asarray(delta, dtype=np.float32)
             self.data = self.master.astype(self.data.dtype)

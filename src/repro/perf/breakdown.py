@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.flops import count_training_flops
-from ..core.networks import deeplab_modified, tiramisu_modified
+from ..core.flops import paper_graph
 from ..framework.graph import GraphAnalysis, KernelRecord
 from ..hpc.specs import V100, SUMMIT, GpuSpec
 from .kernels import CategoryTime, KernelTimeModel
@@ -73,7 +72,7 @@ class BreakdownTable:
         return max(self.rows, key=lambda r: r.time_s).category
 
 
-def _allreduce_record(model, precision: str) -> KernelRecord:
+def _allreduce_record(parameters: int, precision: str) -> KernelRecord:
     """The NCCL intra-node all-reduce kernel row.
 
     Volume = gradient bytes; the systolic ring moves 2 (g-1)/g * V per GPU
@@ -81,7 +80,7 @@ def _allreduce_record(model, precision: str) -> KernelRecord:
     paper's 1-3% of memory peak).
     """
     itemsize = 2 if precision == "fp16" else 4
-    grad_bytes = model.num_parameters() * itemsize
+    grad_bytes = parameters * itemsize
     g = SUMMIT.node.gpus
     moved = int(2 * (g - 1) / g * grad_bytes)
     return KernelRecord("nccl_allreduce", "allreduce", 0, moved, count=30)
@@ -92,16 +91,10 @@ def kernel_breakdown(network: str, precision: str,
                      height: int = 768, width: int = 1152) -> BreakdownTable:
     """Regenerate one of the Figure 8/9 tables."""
     batch = 2 if precision == "fp16" else 1
-    if network == "deeplabv3+":
-        model = deeplab_modified(in_channels=16)
-    elif network == "tiramisu":
-        model = tiramisu_modified(in_channels=16)
-    else:
-        raise ValueError(f"unknown network {network!r}")
-    analysis = count_training_flops(model, (16, height, width), batch=batch,
-                                    precision=precision)
+    analysis, parameters = paper_graph(network, batch, precision,
+                                       height=height, width=width)
     # Append the all-reduce kernels (present in the paper's 24-GPU profile).
-    records = analysis.records + [_allreduce_record(model, precision)]
+    records = (*analysis.records, _allreduce_record(parameters, precision))
     analysis = GraphAnalysis(records, analysis.batch, analysis.precision)
     timer = KernelTimeModel(gpu, precision)
     rows = timer.breakdown(analysis)

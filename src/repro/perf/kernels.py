@@ -140,10 +140,3 @@ class KernelTimeModel:
         """Total modeled GPU time for one training step (kernels serialized,
         as the paper's FP32 profiles show the GPU completely busy)."""
         return sum(ct.time_s for ct in self.breakdown(analysis))
-
-    def samples_per_second(self, analysis: GraphAnalysis) -> float:
-        return analysis.batch / self.step_time(analysis)
-
-    def sustained_flops(self, analysis: GraphAnalysis) -> float:
-        """Training FLOP/s: counted work / modeled time."""
-        return analysis.total_flops / self.step_time(analysis)

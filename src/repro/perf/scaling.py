@@ -23,7 +23,6 @@ Parallel efficiency is t(1)/t(n); images/s is n * batch / t(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import log, sqrt
 
 from ..climate.stats import PAPER_DATASET
@@ -33,6 +32,7 @@ from ..comm.costmodel import (
     hierarchical_control_time,
     tree_allreduce_time,
 )
+from ..core.flops import paper_graph
 from ..hpc.specs import PIZ_DAINT, SUMMIT, SystemSpec
 from .singlegpu import single_gpu_performance
 
@@ -96,7 +96,8 @@ class ScalingModel:
         self.tf_per_sample = point.tf_per_sample
         # Gradient volume: parameters at the working precision.
         itemsize = 2 if self.precision == "fp16" else 4
-        self._grad_bytes = _num_parameters(self.network) * itemsize
+        _, parameters = paper_graph(self.network, point.batch, self.precision)
+        self._grad_bytes = parameters * itemsize
         # The pipeline reads the full 16-channel file even when the network
         # consumes a channel subset (channel selection happens after decode),
         # so input demand is always the full sample size.
@@ -218,19 +219,6 @@ class ScalingModel:
             efficiency=t_ref / (gpus * t),
             input_limited=False,
         )
-
-
-@lru_cache(maxsize=8)
-def _num_parameters(network: str) -> int:
-    from ..core.networks import Tiramisu, TiramisuConfig, deeplab_modified, tiramisu_modified
-
-    if network == "deeplabv3+":
-        return deeplab_modified(in_channels=16).num_parameters()
-    if network == "tiramisu":
-        return tiramisu_modified(in_channels=16).num_parameters()
-    if network == "tiramisu_4ch":
-        return Tiramisu(TiramisuConfig(in_channels=4)).num_parameters()
-    raise ValueError(f"unknown network {network!r}")
 
 
 def _default_counts(system: SystemSpec, max_gpus: int | None) -> list[int]:

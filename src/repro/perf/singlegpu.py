@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.flops import count_training_flops
-from ..core.networks import Tiramisu, TiramisuConfig, deeplab_modified, tiramisu_modified
+from ..core.flops import paper_graph
 from ..hpc.specs import P100, V100, GpuSpec
 from .kernels import KernelTimeModel
 
@@ -42,16 +41,6 @@ class SingleGpuPoint:
     paper: tuple[float, float, float, float] | None = None
 
 
-def _build(network: str, channels: int):
-    if network == "deeplabv3+":
-        return deeplab_modified(in_channels=channels)
-    if network == "tiramisu":
-        return tiramisu_modified(in_channels=channels)
-    if network == "tiramisu_4ch":
-        return Tiramisu(TiramisuConfig(in_channels=4))
-    raise ValueError(f"unknown network {network!r}")
-
-
 def single_gpu_performance(
     network: str,
     gpu: GpuSpec,
@@ -63,13 +52,12 @@ def single_gpu_performance(
     """Model one Figure 2 configuration."""
     if batch is None:
         batch = 2 if precision == "fp16" else 1
-    channels = 4 if network == "tiramisu_4ch" else 16
-    model = _build(network, channels)
-    analysis = count_training_flops(model, (channels, height, width),
-                                    batch=batch, precision=precision)
-    timer = KernelTimeModel(gpu, precision)
-    rate = timer.samples_per_second(analysis)
-    sustained = timer.sustained_flops(analysis)
+    analysis, _ = paper_graph(network, batch, precision,
+                              height=height, width=width)
+    step_time = KernelTimeModel(gpu, precision).step_time(analysis)
+    rate = analysis.batch / step_time
+    # Training FLOP/s: counted work / modeled time.
+    sustained = analysis.total_flops / step_time
     return SingleGpuPoint(
         network=network,
         gpu=gpu.name,

@@ -15,7 +15,7 @@ from ..comm.coordinator import (
     centralized_negotiation,
     hierarchical_negotiation,
 )
-from ..core.flops import network_flop_table, paper_conv_example_flops
+from ..core.flops import network_flop_table, paper_conv_example_flops, paper_network
 from ..core.losses import class_weights, tc_penalty_ratio
 from ..hpc.specs import SUMMIT, V100
 from ..io.readers import scaled_read_bandwidth
@@ -60,8 +60,7 @@ def reproduction_summary() -> list[SummaryRow]:
             f"{paper[1]}", f"{p.samples_per_second:.2f}"))
 
     # Memory-capacity batch limits (Section VII-A).
-    from ..core.networks import deeplab_modified
-    dl = deeplab_modified()
+    dl = paper_network("deeplabv3+")
     rows.append(SummaryRow("Sec VII-A", "DeepLab V100 max batch fp32/fp16",
                            "1 / 2",
                            f"{max_batch(dl, (16, 768, 1152), 'fp32', V100, 3)}"

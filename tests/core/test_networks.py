@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from repro.framework import Tensor
+from repro.framework.init import shape_only
+from repro.core.flops import paper_graph
 from repro.core.networks import (
     ASPP,
     DeepLabConfig,
@@ -85,12 +87,12 @@ class TestTiramisuForward:
 
     def test_paper_flops_tiramisu(self):
         # Figure 2: 4.188 TF/sample for the 16-channel modified Tiramisu.
-        a = tiramisu_modified().analyze((16, 768, 1152), batch=1)
+        a, _ = paper_graph("tiramisu", 1, "fp32")
         assert a.flops_per_sample() / 1e12 == pytest.approx(4.188, rel=0.15)
 
     def test_paper_flops_tiramisu_4ch(self):
         # Figure 2: 3.703 TF/sample with 4 input channels (Piz Daint).
-        a = Tiramisu(TiramisuConfig(in_channels=4)).analyze((4, 768, 1152), batch=1)
+        a, _ = paper_graph("tiramisu_4ch", 1, "fp32")
         assert a.flops_per_sample() / 1e12 == pytest.approx(3.703, rel=0.15)
 
 
@@ -156,13 +158,14 @@ class TestDeepLab:
 
     def test_stock_cheaper_than_fullres(self):
         # The paper paid for the full-res decoder; stock cuts decoder FLOPs.
-        full = deeplab_modified(in_channels=16).analyze((16, 96, 144))
-        stock = deeplab_stock(in_channels=16).analyze((16, 96, 144))
+        full, _ = paper_graph("deeplabv3+", 1, "fp32", height=96, width=144)
+        with shape_only():
+            stock = deeplab_stock(in_channels=16).analyze((16, 96, 144))
         assert stock.total_flops < full.total_flops
 
     def test_paper_flops_deeplab(self):
         # Figure 2: 14.41 TF/sample.
-        a = deeplab_modified().analyze((16, 768, 1152), batch=1)
+        a, _ = paper_graph("deeplabv3+", 1, "fp32")
         assert a.flops_per_sample() / 1e12 == pytest.approx(14.41, rel=0.15)
 
     def test_gradients_flow_everywhere(self):
@@ -188,6 +191,6 @@ class TestArchitectureComparison:
     def test_deeplab_heavier_than_tiramisu(self):
         # Paper: "the atrous convolutions result in a more computationally
         # expensive network than Tiramisu" (14.41 vs 4.188 TF/sample).
-        dl = deeplab_modified().analyze((16, 96, 192))
-        tm = tiramisu_modified().analyze((16, 96, 192))
+        dl, _ = paper_graph("deeplabv3+", 1, "fp32", height=96, width=192)
+        tm, _ = paper_graph("tiramisu", 1, "fp32", height=96, width=192)
         assert dl.total_flops > 2 * tm.total_flops

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.networks import Tiramisu, TiramisuConfig, deeplab_modified, tiramisu_modified
+from repro.core.flops import paper_network
+from repro.core.networks import Tiramisu, TiramisuConfig
 from repro.hpc import P100, V100
 from repro.perf import MemoryBudget, max_batch, training_memory
 
@@ -11,12 +12,12 @@ FULL = (16, 768, 1152)
 
 @pytest.fixture(scope="module")
 def deeplab():
-    return deeplab_modified()
+    return paper_network("deeplabv3+")
 
 
 @pytest.fixture(scope="module")
 def tiramisu():
-    return tiramisu_modified()
+    return paper_network("tiramisu")
 
 
 class TestPaperBatchLimits:

@@ -1,9 +1,10 @@
 """Behaviour ledger: SHA-256 of virtual-clock drill reports on pinned seeds.
 
 Each drill runs on ``SimulatedClock`` with a pinned service model, so its
-``--json`` report is a pure function of the arguments.  A refactor that
-moves a hash changed behaviour; an intentional behaviour change updates the
-hash in the same PR and says why (ROADMAP item 4a).
+``--json`` report is a pure function of the arguments; ``report`` is the
+reproduction table itself (every cost model, no clock at all).  A refactor
+that moves a hash changed behaviour; an intentional behaviour change updates
+the hash in the same PR and says why (ROADMAP item 4a).
 """
 
 import hashlib
@@ -27,6 +28,9 @@ LEDGER = {
          "--service-ms", "1", "--channels", "2", "--seed", "2",
          "--plan", "rank_fail@1:rank=1", "--json"],
         "33325e8f15a1e4a8e4a0f64c0cdb9af7f1803d7b04a8f337205faba040ee32a0"),
+    "report": (
+        ["report"],
+        "f832bfe14e790e336576908ea94d33937b7f82f4dd81de53391bf75330e77faa"),
 }
 
 
