@@ -15,12 +15,15 @@ The window forward path is factored so the serving layer
 
 * :func:`forward_windows` — run a list of (C, h, w) tiles through the
   model, stacking them into batches of ``batch_size`` and consulting an
-  optional content-keyed tile cache (:class:`repro.serve.TileCache` duck
-  type: ``key``/``get``/``put``);
+  optional tile cache (:class:`repro.serve.TileCache` duck type:
+  ``get``/``put``) under per-window keys the caller derived once per
+  snapshot (``key`` + ``window_keys``);
 * :func:`blend_windows` — tent-blend per-window logits back into one
   (K, H, W) logit map.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,24 +53,27 @@ def tent_window(window: int) -> np.ndarray:
 
 
 def forward_windows(model: Module, tiles: list[np.ndarray],
-                    batch_size: int = 1, cache=None) -> list[np.ndarray]:
+                    batch_size: int = 1, cache=None,
+                    keys: list | None = None) -> list[np.ndarray]:
     """Per-tile (K, h, w) float32 logits for a list of (C, h, w) tiles.
 
     Tiles are forwarded in stacked batches of ``batch_size`` (one model
     call per chunk instead of one per window — the hot-path saving the
     serving benchmarks measure).  ``cache``, when given, must expose
-    ``key(tile)``, ``get(key)``, and ``put(key, value)``; tiles whose
-    content key hits skip the forward entirely, and every computed logit
-    block is stored back.  The model is run in eval mode under
-    :func:`~repro.framework.no_grad` and restored to whatever mode it was
-    in before the call (frozen models stay in eval regardless).
+    ``get(key)`` and ``put(key, value)``, and ``keys`` must hold one cache
+    key per tile (see :meth:`repro.serve.TileCache.window_keys`); tiles
+    whose key hits skip the forward entirely, and every computed logit
+    block is stored back.  When every tile hits, the model is not touched.
+    Otherwise it runs in eval mode under :func:`~repro.framework.no_grad`
+    and is restored to whatever mode it was in before the call, even when
+    a forward raises (frozen models stay in eval regardless).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     outs: list[np.ndarray | None] = [None] * len(tiles)
-    keys: list[str] | None = None
     if cache is not None:
-        keys = [cache.key(t) for t in tiles]
+        if keys is None or len(keys) != len(tiles):
+            raise ValueError("a cache needs exactly one key per tile")
         misses = []
         for i, k in enumerate(keys):
             hit = cache.get(k)
@@ -77,19 +83,46 @@ def forward_windows(model: Module, tiles: list[np.ndarray],
                 misses.append(i)
     else:
         misses = list(range(len(tiles)))
+    if not misses:
+        return outs  # type: ignore[return-value]
     was_training = model.training
     model.train(False)
-    with no_grad():
-        for at in range(0, len(misses), batch_size):
-            chunk = misses[at:at + batch_size]
-            stack = np.stack([tiles[i] for i in chunk]).astype(np.float32)
-            logits = model(Tensor(stack)).data.astype(np.float32)
-            for j, i in enumerate(chunk):
-                outs[i] = logits[j]
-                if cache is not None:
-                    cache.put(keys[i], logits[j])
-    model.train(was_training)
+    try:
+        with no_grad():
+            for at in range(0, len(misses), batch_size):
+                chunk = misses[at:at + batch_size]
+                stack = np.stack([tiles[i] for i in chunk]).astype(np.float32)
+                logits = model(Tensor(stack)).data.astype(np.float32)
+                for j, i in enumerate(chunk):
+                    outs[i] = logits[j]
+                    if cache is not None:
+                        cache.put(keys[i], logits[j])
+    finally:
+        model.train(was_training)
     return outs  # type: ignore[return-value]
+
+
+@lru_cache(maxsize=8)
+def _blend_weights(image_hw: tuple[int, int], window_hw: tuple[int, int],
+                   ys: tuple[int, ...], xs: tuple[int, ...]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """A tiling's 2-D tent weights and its per-pixel normalizer.
+
+    They depend on the geometry alone, so every snapshot of one geometry
+    shares them; both are read-only because every caller gets the same
+    arrays.
+    """
+    h, w = image_hw
+    wh, ww = window_hw
+    weight_2d = tent_window(wh)[:, None] * tent_window(ww)[None, :]
+    weight_acc = np.zeros((h, w))
+    for y0 in ys:
+        for x0 in xs:
+            weight_acc[y0: y0 + wh, x0: x0 + ww] += weight_2d
+    norm = np.maximum(weight_acc, 1e-12)
+    weight_2d.flags.writeable = False
+    norm.flags.writeable = False
+    return weight_2d, norm
 
 
 def blend_windows(outs: list[np.ndarray], ys: list[int], xs: list[int],
@@ -102,9 +135,8 @@ def blend_windows(outs: list[np.ndarray], ys: list[int], xs: list[int],
     """
     h, w = image_hw
     wh, ww = window_hw
-    weight_2d = tent_window(wh)[:, None] * tent_window(ww)[None, :]
+    weight_2d, norm = _blend_weights((h, w), (wh, ww), tuple(ys), tuple(xs))
     acc = None
-    weight_acc = np.zeros((h, w))
     i = 0
     for y0 in ys:
         for x0 in xs:
@@ -114,10 +146,9 @@ def blend_windows(outs: list[np.ndarray], ys: list[int], xs: list[int],
                 k = out.shape[0] if num_classes is None else num_classes
                 acc = np.zeros((k, h, w))
             acc[:, y0: y0 + wh, x0: x0 + ww] += out * weight_2d
-            weight_acc[y0: y0 + wh, x0: x0 + ww] += weight_2d
     if acc is None:
         raise RuntimeError("no tiles generated")
-    return (acc / np.maximum(weight_acc, 1e-12)).astype(np.float32)
+    return (acc / norm).astype(np.float32)
 
 
 def sliding_window_logits(
@@ -133,8 +164,9 @@ def sliding_window_logits(
 
     ``image`` is (C, H, W); returns (K, H, W).  ``batch_size`` stacks that
     many windows per model call (identical logits up to float
-    reassociation); ``cache`` is an optional content-keyed tile cache — see
-    :func:`forward_windows`.
+    reassociation); ``cache`` is an optional tile cache, keyed once per
+    ``image`` exactly as the serving replicas key it, so offline and served
+    calls share entries — see :func:`forward_windows`.
     """
     c, h, w = image.shape
     wh, ww = window_hw
@@ -142,7 +174,10 @@ def sliding_window_logits(
     ys = tile_positions(h, wh, sh)
     xs = tile_positions(w, ww, sw)
     tiles = [image[:, y0: y0 + wh, x0: x0 + ww] for y0 in ys for x0 in xs]
-    outs = forward_windows(model, tiles, batch_size=batch_size, cache=cache)
+    keys = (cache.window_keys(cache.key(image), ys, xs, (wh, ww))
+            if cache is not None else None)
+    outs = forward_windows(model, tiles, batch_size=batch_size, cache=cache,
+                           keys=keys)
     return blend_windows(outs, ys, xs, (h, w), (wh, ww),
                          num_classes=num_classes)
 

@@ -17,9 +17,10 @@ the training stack's machinery directly:
   the shrink (``serve.replica_failures``, ``serve.pool_size``).
 
 Replicas run the *real* cross-request window stacking: every batch's
-windows are gathered into one list, deduplicated through the shared
-:class:`~repro.serve.cache.TileCache`, and forwarded in chunks of
-``forward_batch`` (see :func:`repro.core.inference.forward_windows`).
+windows are gathered into one list, looked up in the shared
+:class:`~repro.serve.cache.TileCache` under keys derived from one digest
+per snapshot, and the misses forwarded in chunks of ``forward_batch``
+(see :func:`repro.core.inference.forward_windows`).
 """
 from __future__ import annotations
 
@@ -70,6 +71,7 @@ class Replica:
         wh, ww = window_hw
         t0 = self.clock.now()
         all_tiles: list[np.ndarray] = []
+        keys: list | None = [] if cache is not None else None
         layout = []
         for req in requests:
             _, h, w = req.image.shape
@@ -79,9 +81,14 @@ class Replica:
             start = len(all_tiles)
             all_tiles.extend(req.image[:, y0: y0 + wh, x0: x0 + ww]
                              for y0 in ys for x0 in xs)
+            if keys is not None:
+                # One hash per snapshot, shared with sliding_window_logits.
+                keys.extend(cache.window_keys(cache.key(req.image), ys, xs,
+                                              (wh, ww)))
             layout.append((start, len(all_tiles) - start, ys, xs, (h, w)))
         outs = forward_windows(self.model, all_tiles,
-                               batch_size=forward_batch, cache=cache)
+                               batch_size=forward_batch, cache=cache,
+                               keys=keys)
         maps = []
         for start, count, ys, xs, hw in layout:
             logits = blend_windows(outs[start: start + count], ys, xs,

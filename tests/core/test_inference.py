@@ -39,6 +39,68 @@ class MeanModel(Module):
         return Tensor(np.stack([data[:, 0], -data[:, 0]], axis=1))
 
 
+class CountingModel(MeanModel):
+    """MeanModel counting forwarded windows and ``train()`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+        self.train_calls = 0
+
+    def forward(self, x):
+        self.calls += x.data.shape[0]
+        return super().forward(x)
+
+    def train(self, mode=True):
+        self.train_calls += 1
+        return super().train(mode)
+
+
+class CountingCache:
+    """Dict-backed stand-in for the :class:`repro.serve.TileCache` duck
+    type: ``key``/``window_keys`` to key a snapshot, ``get``/``put``."""
+
+    def __init__(self):
+        self.store = {}
+        self.puts = 0
+        self.snapshots_keyed = 0
+
+    def key(self, array):
+        self.snapshots_keyed += 1
+        return array.tobytes()
+
+    @staticmethod
+    def window_keys(snapshot_key, ys, xs, window_hw):
+        return [(snapshot_key, y0, x0, *window_hw) for y0 in ys for x0 in xs]
+
+    def get(self, key):
+        return self.store.get(key)
+
+    def put(self, key, value):
+        self.puts += 1
+        self.store[key] = value
+
+
+def reference_blend(outs, ys, xs, image_hw, window_hw):
+    """Per-call blend, weights and normalizer rebuilt for every snapshot:
+    the reference the per-geometry weights must match bit for bit."""
+    h, w = image_hw
+    wh, ww = window_hw
+    weight_2d = tent_window(wh)[:, None] * tent_window(ww)[None, :]
+    acc = None
+    weight_acc = np.zeros((h, w))
+    i = 0
+    for y0 in ys:
+        for x0 in xs:
+            out = outs[i].astype(np.float64)
+            i += 1
+            if acc is None:
+                acc = np.zeros((out.shape[0], h, w))
+            acc[:, y0: y0 + wh, x0: x0 + ww] += out * weight_2d
+            weight_acc[y0: y0 + wh, x0: x0 + ww] += weight_2d
+    return (acc / np.maximum(weight_acc, 1e-12)).astype(np.float32)
+
+
 class TestTilePositions:
     def test_covers_extent(self):
         pos = tile_positions(10, 4, 3)
@@ -165,41 +227,77 @@ class TestBatchedForward:
                             batch_size=0)
 
     def test_cache_short_circuits_repeat_windows(self):
-        class CountingCache:
-            def __init__(self):
-                self.store = {}
-                self.puts = 0
-
-            def key(self, tile):
-                return tile.tobytes()
-
-            def get(self, key):
-                return self.store.get(key)
-
-            def put(self, key, value):
-                self.puts += 1
-                self.store[key] = value
-
-        class CountingModel(MeanModel):
-            calls = 0
-
-            def forward(self, x):
-                CountingModel.calls += x.data.shape[0]
-                return super().forward(x)
-
         cache = CountingCache()
+        model = CountingModel()
         image = np.random.default_rng(11).normal(
             size=(1, 16, 16)).astype(np.float32)
-        first = sliding_window_logits(CountingModel(), image, (8, 8), (4, 4),
+        first = sliding_window_logits(model, image, (8, 8), (4, 4),
                                       batch_size=4, cache=cache)
-        calls_after_first = CountingModel.calls
-        assert calls_after_first == 9       # all 9 windows miss cold
+        assert model.calls == 9             # all 9 windows miss cold
+        assert cache.snapshots_keyed == 1   # one hash for the snapshot
         # The repeat image is served entirely from the cache: zero forwards.
-        second = sliding_window_logits(CountingModel(), image, (8, 8), (4, 4),
+        second = sliding_window_logits(model, image, (8, 8), (4, 4),
                                        batch_size=4, cache=cache)
-        assert CountingModel.calls == calls_after_first
+        assert model.calls == 9
         np.testing.assert_array_equal(first, second)
         assert cache.puts == 9
+
+    def test_warm_repeat_never_touches_the_model(self):
+        cache = CountingCache()
+        model = CountingModel()
+        image = np.random.default_rng(12).normal(
+            size=(1, 16, 16)).astype(np.float32)
+        sliding_window_logits(model, image, (8, 8), (4, 4), cache=cache)
+        for training in (True, False):
+            model.train(training)
+            model.train_calls = 0
+            sliding_window_logits(model, image, (8, 8), (4, 4), cache=cache)
+            assert model.calls == 9
+            assert model.train_calls == 0
+            assert model.training is training
+
+    def test_cache_requires_one_key_per_tile(self):
+        tiles = [np.zeros((1, 4, 4), np.float32)] * 2
+        with pytest.raises(ValueError):
+            forward_windows(MeanModel(), tiles, cache=CountingCache())
+        with pytest.raises(ValueError):
+            forward_windows(MeanModel(), tiles, cache=CountingCache(),
+                            keys=["only one"])
+
+    def test_model_mode_restored_when_forward_raises(self):
+        class Exploding(MeanModel):
+            def forward(self, x):
+                raise RuntimeError("forward failed")
+
+        model = Exploding()
+        model.train(True)
+        with pytest.raises(RuntimeError, match="forward failed"):
+            forward_windows(model, [np.zeros((1, 4, 4), np.float32)])
+        assert model.training
+
+
+class TestBlendWeightsPerGeometry:
+    """Weights computed once per geometry blend bit for bit like the
+    per-call formula."""
+
+    @pytest.mark.parametrize("image_hw, window_hw, stride_hw", [
+        ((16, 20), (8, 8), (4, 4)),         # half overlap
+        ((16, 16), (4, 4), (4, 4)),         # stride == window
+        ((12, 12), (12, 12), (12, 12)),     # window == extent
+        ((10, 13), (4, 5), (4, 5)),         # ragged flush-right last tile
+    ])
+    def test_bit_identical_to_per_call_formula(self, image_hw, window_hw,
+                                               stride_hw):
+        ys = tile_positions(image_hw[0], window_hw[0], stride_hw[0])
+        xs = tile_positions(image_hw[1], window_hw[1], stride_hw[1])
+        rng = np.random.default_rng(13)
+        for _ in range(2):      # the second call reuses the weights
+            outs = [rng.normal(size=(3, *window_hw)).astype(np.float32)
+                    for _ in range(len(ys) * len(xs))]
+            got = blend_windows(outs, ys, xs, image_hw, window_hw)
+            want = reference_blend(outs, ys, xs, image_hw, window_hw)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestTilingEdgeCases:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.inference import tile_positions
 from repro.serve import TileCache
 
 
@@ -37,6 +38,71 @@ class TestKeying:
         view = big[:, 2:10, 4:12]
         assert not view.flags["C_CONTIGUOUS"]
         assert cache.key(view) == cache.key(np.ascontiguousarray(view))
+        fortran = np.asfortranarray(big)
+        assert not fortran.flags["C_CONTIGUOUS"]
+        assert cache.key(fortran) == cache.key(big)
+
+    def test_digest_pinned(self):
+        # Recorded when keys were built from a tobytes() copy: hashing the
+        # buffer in place must not move a single digest.
+        assert (TileCache(1, model_key="m").key(tile(0))
+                == "3289b4adebae15a6f35616730e2d6ea9f0a1861e")
+
+
+SNAPSHOT_HW = (16, 20)
+WINDOW_HW = (8, 8)
+YS = tile_positions(SNAPSHOT_HW[0], WINDOW_HW[0], 4)
+XS = tile_positions(SNAPSHOT_HW[1], WINDOW_HW[1], 4)
+
+
+def window_keys(cache, snapshot):
+    return cache.window_keys(cache.key(snapshot), YS, XS, WINDOW_HW)
+
+
+class TestWindowKeys:
+    """Window keys derive from one digest of the whole snapshot."""
+
+    def test_one_distinct_key_per_window(self):
+        keys = window_keys(TileCache(1), tile(0, (3, *SNAPSHOT_HW)))
+        assert len(keys) == len(YS) * len(XS) == len(set(keys))
+
+    def test_copy_of_snapshot_gives_same_window_keys(self):
+        cache = TileCache(1)
+        snap = tile(0, (3, *SNAPSHOT_HW))
+        assert window_keys(cache, snap) == window_keys(cache, snap.copy())
+
+    def test_one_element_change_moves_every_window_key(self):
+        cache = TileCache(1)
+        snap = tile(0, (3, *SNAPSHOT_HW))
+        before = window_keys(cache, snap)
+        for index in ((0, 0, 0), (1, 7, 9), (2, 15, 19)):
+            changed = snap.copy()
+            changed[index] += 1.0
+            after = window_keys(cache, changed)
+            assert all(a != b for a, b in zip(before, after)), index
+
+    def test_position_and_size_change_the_key(self):
+        cache = TileCache(1)
+        digest = cache.key(tile(0, (3, *SNAPSHOT_HW)))
+        (base,) = cache.window_keys(digest, [0], [0], (8, 8))
+        for ys, xs, hw in (([4], [0], (8, 8)), ([0], [4], (8, 8)),
+                           ([0], [0], (4, 8)), ([0], [0], (8, 4))):
+            (moved,) = cache.window_keys(digest, ys, xs, hw)
+            assert moved != base, (ys, xs, hw)
+
+    def test_model_key_changes_every_window_key(self):
+        snap = tile(0, (3, *SNAPSHOT_HW))
+        v0 = window_keys(TileCache(1, model_key="v0"), snap)
+        v1 = window_keys(TileCache(1, model_key="v1"), snap)
+        assert set(v0).isdisjoint(v1)
+
+    def test_noncontiguous_snapshot_keys_like_contiguous_copy(self):
+        cache = TileCache(1)
+        big = tile(0, (3, 24, 24))
+        view = big[:, 3:3 + SNAPSHOT_HW[0], 2:2 + SNAPSHOT_HW[1]]
+        assert not view.flags["C_CONTIGUOUS"]
+        assert (window_keys(cache, view)
+                == window_keys(cache, np.ascontiguousarray(view)))
 
 
 class TestLRU:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.inference import predict_tiled
+from repro.core.inference import predict_tiled, sliding_window_logits
 from repro.framework import Tensor
 from repro.framework.module import Module
 from repro.resilience import FaultPlan
@@ -58,6 +58,14 @@ class TestHappyPath:
             expected = predict_tiled(model, req.image, (8, 8), (4, 4))
             np.testing.assert_array_equal(resp.class_map, expected)
         assert server.cache.stats.lookups > 0
+
+    def test_offline_call_reuses_served_cache_entries(self):
+        server, requests, _ = run()
+        misses = server.cache.stats.misses
+        for req in requests[:3]:
+            sliding_window_logits(MeanModel(), req.image, (8, 8), (4, 4),
+                                  cache=server.cache)
+        assert server.cache.stats.misses == misses
 
     def test_lone_request_is_served_when_deadline_rounds_short(self):
         # Regression: with (t + 0.002) - t < 0.002 the age trigger never
