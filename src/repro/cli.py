@@ -459,11 +459,14 @@ def _cmd_comm_drill(args) -> int:
             "decisions": {str(k): v
                           for k, v in sorted(dense_report.decisions.items())},
             "overlap_fraction": dense_report.overlap_fraction,
+            "replica_divergence": dense.trainer.max_replica_divergence(),
         },
         "compressed": {
             "eval_loss": comp_loss,
             "wire_bytes": comp_report.wire_bytes,
             "measured_compression": comp_report.compression_ratio,
+            "replica_divergence":
+                compressed.trainer.max_replica_divergence(),
         },
         "relative_difference": rel,
         "tolerance": args.tolerance,

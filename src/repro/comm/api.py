@@ -43,7 +43,10 @@ class CommStrategy:
     """One named all-reduce: wire implementation + analytic cost model.
 
     ``run_fn(world, buffers, average, tag, **params)`` must return one
-    result buffer per rank (the exact sum, or mean when ``average``).
+    result buffer per rank (the exact sum, or mean when ``average``).  It
+    may reduce in place: :meth:`run` hands it the caller's buffers
+    (converted only when not already FP32/FP64 in C order), and the
+    built-in strategies overwrite them with the result and return them.
     ``model_fn(world_size, volume, nvlink, interconnect, **params)``
     predicts the collective's wall time on an alpha-beta fabric; it is
     consulted by the engine's selection pass and may be ``None`` for
@@ -115,12 +118,14 @@ def allreduce(world: World, buffers: list[np.ndarray], *,
 
     The single public entrypoint for dense collectives: every per-rank
     buffer is summed (or averaged) and the identical result is returned
-    for every rank.  ``strategy`` is a registry name or a
+    for every rank.  The inputs are never mutated: the strategy reduces in
+    copies of them.  ``strategy`` is a registry name or a
     :class:`CommStrategy` instance; strategy-specific knobs (e.g.
     ``gpus_per_node`` for ``"hierarchical"``) pass through ``**params``.
     """
     s = strategy if isinstance(strategy, CommStrategy) else get_strategy(strategy)
-    return s.run(world, buffers, average=average, tag=tag, **params)
+    return s.run(world, [np.array(b, order="C") for b in buffers],
+                 average=average, tag=tag, **params)
 
 
 # -- built-in strategies -----------------------------------------------------

@@ -16,7 +16,10 @@ implements that loop over the existing substrate:
   than the worst fixed algorithm at that size;
 * **bucketing** — gradients are packed in backward order into flat buckets
   (generalizing :func:`~repro.comm.horovod.fuse_order`), cutting the number
-  of collectives by the mean bucket occupancy;
+  of collectives by the mean bucket occupancy.  The buckets are persistent
+  per-(rank, bucket) buffers the engine owns: the strategy reduces in place
+  in them and the averaged gradients come back as views, so a steady-state
+  dense exchange allocates nothing;
 * **compression** — optional top-k or int8 compression with per-tensor
   error-feedback residuals (see :mod:`repro.comm.compression`); residual
   state is exportable so it survives checkpoint/restore and elastic shrink;
@@ -40,7 +43,9 @@ from .compression import (
     sparse_allreduce,
 )
 from .costmodel import Link
-from .horovod import ExchangeReport, FusionPlan, fuse_order
+from .horovod import (ExchangeReport, FusionPlan, fuse_order, pack_bucket,
+                      unpack_bucket)
+from .reducer import _reduce_dtype
 from .simmpi import World
 
 __all__ = ["EngineConfig", "EngineReport", "GradientExchangeEngine"]
@@ -120,6 +125,9 @@ class GradientExchangeEngine:
                 for _ in range(self.world_size)
             ]
         self.last_report: EngineReport | None = None
+        # Dense pack buffers: layout key and one flat buffer per (rank, bucket).
+        self._pack_key: tuple | None = None
+        self._pack: list[list[np.ndarray]] = []
 
     # -- selection / autotune ------------------------------------------------
 
@@ -229,6 +237,28 @@ class GradientExchangeEngine:
         if self._compressors is not None:
             self._compressors = [self._compressors[r] for r in survivors]
         self.world_size = len(survivors)
+        self._pack_key, self._pack = None, []
+
+    def _pack_buffers(self, per_rank_grads: list[dict[str, np.ndarray]],
+                      plan: FusionPlan) -> list[list[np.ndarray]]:
+        """One flat buffer per (rank, bucket), rebuilt only when the fusion
+        plan, a gradient dtype or the world size changes.
+
+        Each buffer has the dtype the strategy reduces in, so packing is the
+        only copy a dense exchange makes.
+        """
+        key = (tuple(map(tuple, plan.groups)), tuple(plan.group_bytes),
+               tuple(tuple(g.dtype for g in grads.values())
+                     for grads in per_rank_grads))
+        if key != self._pack_key:
+            self._pack = [
+                [np.empty(sum(grads[k].size for k in group),
+                          dtype=_reduce_dtype(np.result_type(
+                              *[grads[k].dtype for k in group])))
+                 for group in plan.groups]
+                for grads in per_rank_grads]
+            self._pack_key = key
+        return self._pack
 
     # -- the exchange itself -------------------------------------------------
 
@@ -241,7 +271,10 @@ class GradientExchangeEngine:
 
         Same contract as :func:`repro.comm.horovod.allreduce_gradients`:
         one ``{name: gradient}`` dict per rank in, the averaged dicts
-        (identical across ranks) plus a report out.
+        (identical across ranks) plus a report out.  The inputs are only
+        read.  On the dense path the averaged tensors are views of the
+        engine's pack buffers: they stay valid until this engine's next
+        ``exchange``, which overwrites them.
         """
         n = world.size
         if len(per_rank_grads) != n:
@@ -268,6 +301,8 @@ class GradientExchangeEngine:
 
         before_msgs = world.stats.total_messages
         before_bytes = world.stats.total_bytes
+        packs = (None if self._compressors is not None
+                 else self._pack_buffers(per_rank_grads, plan))
         averaged: list[dict[str, np.ndarray]] = [dict() for _ in range(n)]
         decisions: dict[int, str] = {}
         wire_bytes = 0
@@ -293,8 +328,8 @@ class GradientExchangeEngine:
                         algo = self.select(n, group_bytes)
                         strategy = get_strategy(algo)
                         flat = [
-                            np.concatenate(
-                                [per_rank_grads[r][k].ravel() for k in group])
+                            pack_bucket([per_rank_grads[r][k] for k in group],
+                                        out=packs[r][bucket_index])
                             for r in range(n)
                         ]
                         results = strategy.run(
@@ -310,16 +345,11 @@ class GradientExchangeEngine:
                             n, float(group_bytes), nvlink=cfg.nvlink,
                             interconnect=cfg.interconnect,
                             **self._strategy_params(algo)))
-                # Unpack the fused bucket back into named tensors.
+                # Whatever the strategy returned (the pack buffers for the
+                # built-ins) is split back into named tensors.
                 for r in range(n):
-                    offset = 0
-                    for k in group:
-                        num = per_rank_grads[r][k].size
-                        averaged[r][k] = (
-                            results[r][offset:offset + num]
-                            .reshape(per_rank_grads[r][k].shape)
-                            .astype(per_rank_grads[r][k].dtype))
-                        offset += num
+                    averaged[r].update(unpack_bucket(
+                        results[r], group, per_rank_grads[r]))
 
         overlap_fraction = 0.0
         if cfg.overlap and bucket_times:

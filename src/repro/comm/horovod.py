@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..telemetry import get_active
-from .api import allreduce, get_strategy
+from .api import get_strategy
 from .coordinator import (
     NegotiationResult,
     ReadinessSchedule,
@@ -30,7 +30,8 @@ from .coordinator import (
 )
 from .simmpi import World
 
-__all__ = ["FusionPlan", "HorovodConfig", "ExchangeReport", "allreduce_gradients", "fuse_order"]
+__all__ = ["FusionPlan", "HorovodConfig", "ExchangeReport", "allreduce_gradients",
+           "fuse_order", "pack_bucket", "unpack_bucket"]
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,32 @@ def fuse_order(order: list[str], sizes: dict[str, int], threshold_bytes: int) ->
         groups.append(cur)
         group_bytes.append(cur_bytes)
     return FusionPlan(groups, group_bytes)
+
+
+def pack_bucket(tensors: list[np.ndarray],
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Concatenate ``tensors`` flat into one fusion buffer (``out`` if given,
+    converting to its dtype as ``astype`` would)."""
+    return np.concatenate([t.reshape(-1) for t in tensors], out=out,
+                          casting="unsafe")
+
+
+def unpack_bucket(flat: np.ndarray, group: list[str],
+                  like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Split a reduced fusion buffer back into ``group``'s named tensors.
+
+    Each tensor takes the shape and dtype of its entry in ``like``; it is a
+    view of ``flat`` when the dtypes already agree, a converted copy
+    otherwise.
+    """
+    out = {}
+    offset = 0
+    for k in group:
+        ref = like[k]
+        out[k] = (flat[offset:offset + ref.size].reshape(ref.shape)
+                  .astype(ref.dtype, copy=False))
+        offset += ref.size
+    return out
 
 
 @dataclass
@@ -148,34 +175,25 @@ def allreduce_gradients(
         for nbytes in plan.group_bytes:
             m.histogram("comm.fusion_buffer_bytes").observe(nbytes)
 
-    # Data plane: one collective per fusion buffer, through the facade.
+    # Data plane: one collective per fusion buffer.  The packed buffers are
+    # fresh, so the strategy reduces in them directly.
     extra = {}
     if cfg.algorithm == "hierarchical":
         extra = dict(gpus_per_node=cfg.gpus_per_node,
                      mpi_ranks_per_node=cfg.mpi_ranks_per_node)
+    strategy = get_strategy(cfg.algorithm)
     world.stats.reset()
     averaged: list[dict[str, np.ndarray]] = [dict() for _ in range(n)]
     for buffer_index, group in enumerate(plan.groups):
-        flat_parts = []
-        for r in range(n):
-            flat_parts.append(
-                np.concatenate([per_rank_grads[r][k].ravel() for k in group])
-            )
+        flat_parts = [pack_bucket([per_rank_grads[r][k] for k in group])
+                      for r in range(n)]
         with tracer.span("fused_allreduce", category="comm",
                          buffer=buffer_index, tensors=len(group),
                          bytes=plan.group_bytes[buffer_index]):
-            results = allreduce(world, flat_parts, strategy=cfg.algorithm,
-                                average=True, **extra)
-        # Unpack the fused buffer back into named tensors.
+            results = strategy.run(world, flat_parts, average=True, **extra)
         for r in range(n):
-            offset = 0
-            for k in group:
-                shape = per_rank_grads[r][k].shape
-                num = per_rank_grads[r][k].size
-                averaged[r][k] = results[r][offset : offset + num].reshape(shape).astype(
-                    per_rank_grads[r][k].dtype
-                )
-                offset += num
+            averaged[r].update(unpack_bucket(results[r], group,
+                                             per_rank_grads[r]))
     report = ExchangeReport(
         negotiation=negotiation,
         fusion=plan,

@@ -16,6 +16,12 @@ Every algorithm is numerically exact (sum of the per-rank buffers, same
 result on every rank) and exchanges real messages through :class:`World`,
 so tests can verify both the math and the traffic pattern.
 
+Every algorithm reduces *in place*: it overwrites the buffers it is handed
+with the result and returns them, and hands each received message back to
+the wire (:meth:`World.recycle`) once it has consumed it, so a steady-state
+exchange allocates nothing.  Callers that must keep their inputs go through
+:func:`repro.comm.allreduce`, which hands the strategy copies.
+
 The implementations are private: :mod:`repro.comm.api` registers each as a
 :class:`repro.comm.CommStrategy` and :func:`repro.comm.allreduce` is the
 only entrypoint.
@@ -40,7 +46,14 @@ def _reduce_span(algorithm: str, world: World, buffers: list[np.ndarray]):
     return tel.tracer.span("")  # NULL_SPAN
 
 
+def _reduce_dtype(dtype) -> type:
+    """The dtype a buffer of ``dtype`` is reduced in: FP64 stays, all else FP32."""
+    return np.float64 if dtype == np.float64 else np.float32
+
+
 def _check_buffers(world: World, buffers: list[np.ndarray]) -> list[np.ndarray]:
+    """Validate one buffer per rank; convert only those not already in their
+    reduction dtype and C order (the rest are returned as they are)."""
     if len(buffers) != world.size:
         raise ValueError(f"need {world.size} buffers, got {len(buffers)}")
     shape = buffers[0].shape
@@ -49,21 +62,32 @@ def _check_buffers(world: World, buffers: list[np.ndarray]) -> list[np.ndarray]:
         b = np.asarray(b)
         if b.shape != shape:
             raise ValueError(f"buffer {i} shape {b.shape} != {shape}")
-        out.append(b.astype(np.float64 if b.dtype == np.float64 else np.float32))
+        out.append(b.astype(_reduce_dtype(b.dtype), order="C", copy=False))
     return out
+
+
+def _average(buffers: list[np.ndarray], average: bool, n: int) -> list[np.ndarray]:
+    if average:
+        for b in buffers:
+            b /= n
+    return buffers
 
 
 def _allreduce_naive(world: World, buffers: list[np.ndarray], average: bool,
                      tag: int) -> list[np.ndarray]:
     """Gather-to-root + broadcast; the O(n*V) baseline."""
     gathered = world.gather(buffers, root=0, tag=tag)
-    total = gathered[0].copy()
-    for b in gathered[1:]:
-        total += b
+    total = buffers[0]
+    for msg in gathered[1:]:
+        total += msg
+        world.recycle(msg)
     if average:
         total /= world.size
     results = world.broadcast(total, root=0, tag=tag + 1)
-    return [np.array(r, copy=True) for r in results]
+    for b, msg in zip(buffers[1:], results[1:]):
+        b[...] = msg
+        world.recycle(msg)
+    return buffers
 
 
 def _allreduce_ring(world: World, buffers: list[np.ndarray], average: bool,
@@ -71,9 +95,8 @@ def _allreduce_ring(world: World, buffers: list[np.ndarray], average: bool,
     """Reduce-scatter + all-gather ring (the NCCL algorithm)."""
     n = world.size
     if n == 1:
-        out = buffers[0].copy()
-        return [out / 1 if not average else out]
-    flat = [b.ravel().copy() for b in buffers]
+        return buffers
+    flat = [b.reshape(-1) for b in buffers]
     length = flat[0].size
     # Chunk boundaries (n chunks, possibly ragged).
     bounds = np.linspace(0, length, n + 1).astype(int)
@@ -90,6 +113,7 @@ def _allreduce_ring(world: World, buffers: list[np.ndarray], average: bool,
             c = (r - 1 - s) % n
             incoming = world.recv(r, (r - 1) % n, tag)
             chunk(r, c)[:] += incoming
+            world.recycle(incoming)
     # All-gather: step s, rank r sends its completed chunk (r+1-s).
     for s in range(n - 1):
         for r in range(n):
@@ -97,22 +121,17 @@ def _allreduce_ring(world: World, buffers: list[np.ndarray], average: bool,
             world.send(chunk(r, c), r, (r + 1) % n, tag + 1)
         for r in range(n):
             c = (r - s) % n
-            chunk(r, c)[:] = world.recv(r, (r - 1) % n, tag + 1)
-    shape = buffers[0].shape
-    results = []
-    for r in range(n):
-        out = flat[r].reshape(shape)
-        if average:
-            out = out / n
-        results.append(out)
-    return results
+            incoming = world.recv(r, (r - 1) % n, tag + 1)
+            chunk(r, c)[:] = incoming
+            world.recycle(incoming)
+    return _average(buffers, average, n)
 
 
 def _allreduce_tree(world: World, buffers: list[np.ndarray], average: bool,
                     tag: int) -> list[np.ndarray]:
     """Binomial-tree reduce to rank 0, then binomial broadcast."""
     n = world.size
-    acc = [b.copy() for b in buffers]
+    acc = buffers
     # Reduce: at round k, ranks with bit k set send to (rank - 2^k).
     k = 1
     while k < n:
@@ -121,7 +140,9 @@ def _allreduce_tree(world: World, buffers: list[np.ndarray], average: bool,
                 world.send(acc[r], r, r - k, tag)
         for r in range(n):
             if r % (2 * k) == 0 and r + k < n:
-                acc[r] += world.recv(r, r + k, tag)
+                incoming = world.recv(r, r + k, tag)
+                acc[r] += incoming
+                world.recycle(incoming)
         k *= 2
     if average:
         acc[0] /= n
@@ -135,7 +156,9 @@ def _allreduce_tree(world: World, buffers: list[np.ndarray], average: bool,
                 world.send(acc[r], r, r + k, tag + 1)
         for r in range(n):
             if r % (2 * k) == k:
-                acc[r] = world.recv(r, r - k, tag + 1)
+                incoming = world.recv(r, r - k, tag + 1)
+                acc[r][...] = incoming
+                world.recycle(incoming)
         k //= 2
     return acc
 
@@ -167,8 +190,7 @@ def _allreduce_hierarchical(
     if not 1 <= mpi_ranks_per_node <= gpus_per_node:
         raise ValueError("mpi_ranks_per_node must be in [1, gpus_per_node]")
     nodes = n // gpus_per_node
-    shape = buffers[0].shape
-    flat = [b.ravel().copy() for b in buffers]
+    flat = [b.reshape(-1) for b in buffers]
     length = flat[0].size
 
     # Stage 1: intra-node ring all-reduce (local sums everywhere).
@@ -184,12 +206,16 @@ def _allreduce_hierarchical(
             for li, r in enumerate(ranks):
                 world.send(chunk(r, (li - s) % g), r, ranks[(li + 1) % g], tag)
             for li, r in enumerate(ranks):
-                chunk(r, (li - 1 - s) % g)[:] += world.recv(r, ranks[(li - 1) % g], tag)
+                incoming = world.recv(r, ranks[(li - 1) % g], tag)
+                chunk(r, (li - 1 - s) % g)[:] += incoming
+                world.recycle(incoming)
         for s in range(g - 1):
             for li, r in enumerate(ranks):
                 world.send(chunk(r, (li + 1 - s) % g), r, ranks[(li + 1) % g], tag + 1)
             for li, r in enumerate(ranks):
-                chunk(r, (li - s) % g)[:] = world.recv(r, ranks[(li - 1) % g], tag + 1)
+                incoming = world.recv(r, ranks[(li - 1) % g], tag + 1)
+                chunk(r, (li - s) % g)[:] = incoming
+                world.recycle(incoming)
 
     # Stage 2: inter-node all-reduce on quarter slices, binomial tree per slice.
     slice_bounds = np.linspace(0, length, mpi_ranks_per_node + 1).astype(int)
@@ -198,7 +224,7 @@ def _allreduce_hierarchical(
             lo, hi = slice_bounds[q], slice_bounds[q + 1]
             # The q-th local rank on every node owns slice q.
             owners = [node * gpus_per_node + q for node in range(nodes)]
-            acc = {r: flat[r][lo:hi].copy() for r in owners}
+            acc = {r: flat[r][lo:hi] for r in owners}
             k = 1
             while k < nodes:
                 for idx, r in enumerate(owners):
@@ -206,7 +232,9 @@ def _allreduce_hierarchical(
                         world.send(acc[r], r, owners[idx - k], tag + 2)
                 for idx, r in enumerate(owners):
                     if idx % (2 * k) == 0 and idx + k < nodes:
-                        acc[r] += world.recv(r, owners[idx + k], tag + 2)
+                        incoming = world.recv(r, owners[idx + k], tag + 2)
+                        acc[r] += incoming
+                        world.recycle(incoming)
                 k *= 2
             k = 1
             while k * 2 < nodes:
@@ -217,10 +245,10 @@ def _allreduce_hierarchical(
                         world.send(acc[r], r, owners[idx + k], tag + 3)
                 for idx, r in enumerate(owners):
                     if idx % (2 * k) == k:
-                        acc[r] = world.recv(r, owners[idx - k], tag + 3)
+                        incoming = world.recv(r, owners[idx - k], tag + 3)
+                        acc[r][...] = incoming
+                        world.recycle(incoming)
                 k //= 2
-            for r in owners:
-                flat[r][lo:hi] = acc[r]
 
     # Stage 3: intra-node broadcast of each slice from its owner.
     for node in range(nodes):
@@ -234,12 +262,8 @@ def _allreduce_hierarchical(
                     world.send(flat[owner][lo:hi], owner, r, tag + 4)
             for r in ranks:
                 if r != owner:
-                    flat[r][lo:hi] = world.recv(r, owner, tag + 4)
+                    incoming = world.recv(r, owner, tag + 4)
+                    flat[r][lo:hi] = incoming
+                    world.recycle(incoming)
 
-    results = []
-    for r in range(n):
-        out = flat[r].reshape(shape)
-        if average:
-            out = out / n
-        results.append(out)
-    return results
+    return _average(buffers, average, n)

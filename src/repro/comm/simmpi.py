@@ -10,7 +10,10 @@ Section V-A3).
 The API mirrors mpi4py closely enough to be familiar: ``send``/``recv`` with
 (source, tag) matching, plus convenience collectives.  Payloads are NumPy
 arrays or picklable Python objects; arrays are copied on send so ranks
-cannot alias each other's buffers (MPI semantics).
+cannot alias each other's buffers (MPI semantics).  The copy lands in a
+recycled buffer when one of the same shape and dtype is free: a receiver
+that has consumed a message hands it back with :meth:`World.recycle`, so a
+collective repeated every step stops allocating after its first run.
 
 Fault model (:mod:`repro.resilience`): a ``World`` built with a
 ``fault_injector`` consults it on every send — injected *drops* surface at
@@ -148,6 +151,9 @@ class World:
         self.collective_checks = bool(collective_checks)
         self._pending_collective: dict[int, tuple] = {}
         self.collective_rounds = 0  # completed, fully-agreed rounds
+        # (shape, dtype) -> message buffers handed back by receivers.
+        self._free: dict[tuple, list[np.ndarray]] = defaultdict(list)
+        self.buffers_allocated = 0  # array sends that found no free buffer
 
     # -- trace context -------------------------------------------------------
 
@@ -187,6 +193,30 @@ class World:
         self._queues.clear()
         return n
 
+    # -- message buffers -----------------------------------------------------
+
+    def _snapshot(self, array: np.ndarray) -> np.ndarray:
+        """The payload as sent: a copy, in a recycled buffer when one is free."""
+        free = self._free.get((array.shape, array.dtype))
+        if free:
+            buf = free.pop()
+            np.copyto(buf, array)
+            return buf
+        self.buffers_allocated += 1
+        return array.copy()
+
+    def recycle(self, payload) -> None:
+        """Hand back a received array the caller has finished with.
+
+        A later :meth:`send` of the same shape and dtype copies into it
+        instead of allocating.  The caller must hold no other reference it
+        still reads: the buffer's contents change on its next send.
+        Messages nobody hands back are simply garbage-collected.
+        """
+        if (isinstance(payload, np.ndarray) and payload.flags.owndata
+                and payload.flags.c_contiguous):
+            self._free[(payload.shape, payload.dtype)].append(payload)
+
     # -- point to point ------------------------------------------------------
 
     def send(self, payload, src: int, dst: int, tag: int = 0) -> None:
@@ -205,7 +235,7 @@ class World:
         if self.fault_injector is not None:
             action = self.fault_injector.message_action(src, dst, tag)
         if isinstance(payload, np.ndarray):
-            payload = payload.copy()
+            payload = self._snapshot(payload)
         nbytes = _payload_bytes(payload)
         tracer = get_active().tracer
         msg_id = None

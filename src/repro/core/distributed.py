@@ -117,7 +117,8 @@ class DistributedTrainer:
             for rank, (trainer, (images, labels)) in enumerate(
                     zip(self.trainers, rank_batches)):
                 trainer.model.train(True)
-                trainer.model.zero_grad()
+                for p in trainer.optimizer.params:
+                    p.zero_grad()
                 with tracer.span("replica_fwd_bwd", category="trainer",
                                  rank=rank) as rank_span:
                     loss = trainer.compute_loss(images, labels)
@@ -135,13 +136,13 @@ class DistributedTrainer:
         if self.trainers[0].scaler is not None:
             # Overflow on ANY rank skips the global step (all ranks must act
             # identically or replicas diverge).
-            oks = [t.scaler.step(t.model.parameters()) for t in self.trainers]
+            oks = [t.scaler.step(t.optimizer.params) for t in self.trainers]
             if not all(oks):
                 # Synchronize the scaler decision across replicas.
                 for t in self.trainers:
                     t.scaler.scale = min(s.scale for s in
                                          (tr.scaler for tr in self.trainers))
-                    for p in t.model.parameters():
+                    for p in t.optimizer.params:
                         p.grad = None
                 tracer.instant("global_loss_scale_overflow",
                                category="trainer", step=self._step)
@@ -153,7 +154,7 @@ class DistributedTrainer:
                 )
         for trainer in self.trainers:
             all_grads.append({p.name: np.asarray(p.grad, dtype=np.float32)
-                              for p in trainer.model.parameters()
+                              for p in trainer.optimizer.params
                               if p.grad is not None})
         with tracer.span("gradient_exchange", category="comm",
                          step=self._step, tensors=len(all_grads[0])) as ex_span:
@@ -166,8 +167,10 @@ class DistributedTrainer:
                 )
         with tracer.span("optimizer_update", category="trainer",
                          step=self._step) as opt_span:
+            # On the engine path these are views of its pack buffers, read
+            # by the update before the next exchange overwrites them.
             for trainer, grads in zip(self.trainers, averaged):
-                for p in trainer.model.parameters():
+                for p in trainer.optimizer.params:
                     if p.name in grads:
                         p.grad = grads[p.name]
                 trainer.optimizer.step()

@@ -16,7 +16,9 @@ class Optimizer:
     Gradients are read from ``param.grad`` (populated by ``backward`` and,
     in distributed training, replaced by the all-reduced average before
     ``step``).  Updates are applied through ``Parameter.apply_update`` so
-    FP32 master weights are handled transparently.
+    FP32 master weights are handled transparently.  ``step`` applies each
+    ``_delta`` before computing the next, so a ``_delta`` may return a view
+    of the optimizer's one scratch buffer (:meth:`_scratch`).
     """
 
     def __init__(self, params: Iterable[Parameter], lr: float):
@@ -27,6 +29,17 @@ class Optimizer:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = float(lr)
         self.steps = 0
+        self._scratch_buf: np.ndarray | None = None
+
+    def _scratch(self, like: np.ndarray) -> np.ndarray:
+        """An FP32 work array shaped like ``like``: a view of one buffer
+        sized to the largest parameter, overwritten by the next call."""
+        buf = self._scratch_buf
+        if buf is None or buf.size < like.size:
+            buf = np.empty(max(like.size, max(p.size for p in self.params)),
+                           dtype=np.float32)
+            self._scratch_buf = buf
+        return buf[:like.size].reshape(like.shape)
 
     def _delta(self, param: Parameter, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError

@@ -54,13 +54,10 @@ class _LayerAdaptive(SGD):
         self.last_local_rates[param.name] = rate
         grad = self._effective_grad(param, grad)
         # Scale the gradient so the base momentum update uses the adapted rate.
-        scaled = grad * (rate / self.lr)
+        scaled = np.multiply(grad, rate / self.lr, out=self._scratch(grad))
         if self.momentum:
-            v = self._velocity.get(id(param))
-            v = scaled if v is None else self.momentum * v + scaled
-            self._velocity[id(param)] = v
-            scaled = v
-        return -self.lr * scaled
+            scaled = self._momentum(param, scaled)
+        return np.multiply(scaled, -self.lr, out=self._scratch(scaled))
 
 
 class LARS(_LayerAdaptive):

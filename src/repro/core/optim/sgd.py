@@ -27,15 +27,27 @@ class SGD(Optimizer):
         self._velocity: dict[int, np.ndarray] = {}
 
     def _effective_grad(self, param: Parameter, grad: np.ndarray) -> np.ndarray:
+        """``g + wd w``, in the scratch buffer when there is decay to add
+        (``grad`` itself otherwise; it is never written)."""
         if self.weight_decay:
-            grad = grad + self.weight_decay * param.master_value().astype(np.float32)
+            out = self._scratch(grad)
+            np.multiply(param.master_value().astype(np.float32, copy=False),
+                        self.weight_decay, out=out)
+            return np.add(grad, out, out=out)
         return grad
+
+    def _momentum(self, param: Parameter, grad: np.ndarray) -> np.ndarray:
+        """``v <- m v + g`` in place in the velocity buffer; returns ``v``."""
+        v = self._velocity.get(id(param))
+        if v is None:
+            v = self._velocity[id(param)] = grad.copy()
+        else:
+            v *= self.momentum
+            v += grad
+        return v
 
     def _delta(self, param: Parameter, grad: np.ndarray) -> np.ndarray:
         grad = self._effective_grad(param, grad)
         if self.momentum:
-            v = self._velocity.get(id(param))
-            v = grad if v is None else self.momentum * v + grad
-            self._velocity[id(param)] = v
-            grad = v
-        return -self.lr * grad
+            grad = self._momentum(param, grad)
+        return np.multiply(grad, -self.lr, out=self._scratch(grad))

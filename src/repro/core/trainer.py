@@ -125,7 +125,8 @@ class Trainer:
         tel = self.telemetry or get_active()
         tracer = tel.tracer
         self.model.train(True)
-        self.model.zero_grad()
+        for p in self.optimizer.params:
+            p.zero_grad()
         with tracer.span("train_step", category="trainer",
                          step=len(self.history)) as step_span:
             with tracer.span("forward", category="trainer"):
@@ -134,7 +135,7 @@ class Trainer:
                 with tracer.span("backward", category="trainer"):
                     scaled = self.scaler.scale_loss(loss)
                     scaled.backward()
-                ok = self.scaler.step(self.model.parameters())
+                ok = self.scaler.step(self.optimizer.params)
                 if not ok:
                     tracer.instant("loss_scale_overflow", category="trainer",
                                    scale=self.scaler.scale)
@@ -167,7 +168,7 @@ class Trainer:
 
     def _grad_norm(self) -> float:
         total = 0.0
-        for p in self.model.parameters():
+        for p in self.optimizer.params:
             if p.grad is not None:
                 g = p.grad.astype(np.float64)
                 total += float((g * g).sum())

@@ -28,7 +28,7 @@ def batchnorm_forward(
     xa = x.astype(acc, copy=False)
     axes = (0, 2, 3)
     mean = xa.mean(axis=axes, keepdims=True)
-    var = xa.var(axis=axes, keepdims=True)
+    var = xa.var(axis=axes, keepdims=True, mean=mean)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (xa - mean) * inv_std
     g = gamma.reshape(1, -1, 1, 1).astype(acc, copy=False)

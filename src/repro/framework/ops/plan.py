@@ -335,7 +335,9 @@ class ConvPlan(_PlanBase):
         n = self.x_shape[0]
         f = self.out_channels
         g = grad_out.astype(self.acc, copy=False).reshape(n, f, -1)
-        dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+        dw = np.matmul(g, cols.transpose(0, 2, 1))
+        # A one-sample batch needs no reduction (and no copy) over N.
+        dw = dw[0] if n == 1 else dw.sum(axis=0)
         self.gemms += 1
         return dw.reshape(self.w_shape)
 

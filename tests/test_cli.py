@@ -179,6 +179,15 @@ class TestCli:
         assert "resolved" in states
         assert (out / "trace.json").exists()
 
+    def test_comm_drill_reports_lockstep(self, capsys):
+        import json
+
+        main(["comm-drill", "--ranks", "2", "--steps", "2", "--samples", "4",
+              "--grid", "8", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["dense"]["replica_divergence"] == 0.0
+        assert doc["compressed"]["replica_divergence"] == 0.0
+
     def test_health_text_dashboard(self, capsys, tmp_path):
         out = tmp_path / "health_out"
         assert main(["health", "--ranks", "4", "--steps", "8",
