@@ -25,8 +25,6 @@ from repro.framework.ops import (
     conv2d_forward,
     conv2d_forward_reference,
     conv_output_size,
-    depthwise_conv2d_forward,
-    depthwise_conv2d_forward_reference,
 )
 from repro.perf import format_table
 
@@ -71,10 +69,6 @@ def _speedups(profile: str = "quick", shape=SHAPE):
     rng = np.random.default_rng(0)
     x, w, g = _problem(rng, shape)
     bias = rng.standard_normal(w.shape[0]).astype(np.float32)
-    xdw = rng.standard_normal((shape[0], shape[1], shape[2], shape[3])
-                              ).astype(np.float32)
-    wdw = (rng.standard_normal((shape[1], KERNEL, KERNEL)) * 0.1
-           ).astype(np.float32)
     clear_plan_cache()
     out = {}
     cases = {
@@ -86,9 +80,6 @@ def _speedups(profile: str = "quick", shape=SHAPE):
         "dgrad": (lambda: conv2d_backward_input(g, w, x.shape, 1, PAD, 1),
                   lambda: conv2d_backward_input_reference(
                       g, w, x.shape, 1, PAD, 1)),
-        "depthwise_fwd": (lambda: depthwise_conv2d_forward(xdw, wdw, 1, PAD, 1),
-                          lambda: depthwise_conv2d_forward_reference(
-                              xdw, wdw, 1, PAD, 1)),
         "fused_fwd": (
             lambda: conv2d_bias_relu_forward(x, w, bias, 1, PAD, 1),
             lambda: np.maximum(

@@ -28,7 +28,6 @@ from .compression import (
     SparseGradient,
     TopKCompressor,
     make_compressor,
-    quantized_allreduce,
     sparse_allreduce,
 )
 from .engine import EngineConfig, EngineReport, GradientExchangeEngine
@@ -65,7 +64,6 @@ __all__ = [
     "QuantizedGradient",
     "make_compressor",
     "sparse_allreduce",
-    "quantized_allreduce",
     "EngineConfig",
     "EngineReport",
     "GradientExchangeEngine",

@@ -31,7 +31,6 @@ __all__ = [
     "QuantizedGradient",
     "make_compressor",
     "sparse_allreduce",
-    "quantized_allreduce",
 ]
 
 
@@ -198,50 +197,6 @@ def sparse_allreduce(
                 idx = world.recv(dst, src, tag)
                 val = world.recv(dst, src, tag + 1)
             np.add.at(total, idx, val)
-        if average:
-            total /= n
-        results.append(total.reshape(shape))
-    return results
-
-
-def quantized_allreduce(
-    world: World,
-    quant_grads: list[QuantizedGradient],
-    average: bool = True,
-    tag: int = 720,
-) -> list[np.ndarray]:
-    """All-reduce quantized gradients: gather codes + scales, sum dequantized.
-
-    Per-rank scales differ, so codes cannot be summed directly; the exchange
-    is an all-gather of (codes, scale) pairs — still a ~4x volume saving on
-    fp32 payloads.  Returns the dense averaged gradient on every rank.
-    """
-    n = world.size
-    if len(quant_grads) != n:
-        raise ValueError(f"need {n} quantized gradients, got {len(quant_grads)}")
-    shape = quant_grads[0].shape
-    for i, qg in enumerate(quant_grads):
-        if qg.shape != shape:
-            raise ValueError(f"rank {i} shape {qg.shape} != {shape}")
-    for src in range(n):
-        payload_q = quant_grads[src].q
-        payload_s = np.array([quant_grads[src].scale], dtype=np.float32)
-        for dst in range(n):
-            if dst != src:
-                world.send(payload_q, src, dst, tag)
-                world.send(payload_s, src, dst, tag + 1)
-    results = []
-    for dst in range(n):
-        # Accumulate in canonical src order so every rank performs the
-        # *same* float additions — replicas must stay bit-identical.
-        total = np.zeros(int(np.prod(shape)), dtype=np.float32)
-        for src in range(n):
-            if src == dst:
-                q, scale = quant_grads[dst].q, np.float32(quant_grads[dst].scale)
-            else:
-                q = world.recv(dst, src, tag)
-                scale = np.float32(world.recv(dst, src, tag + 1)[0])
-            total += q.astype(np.float32) * scale
         if average:
             total /= n
         results.append(total.reshape(shape))

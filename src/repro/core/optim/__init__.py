@@ -2,10 +2,9 @@
 from . import schedules
 from .adam import Adam
 from .base import Optimizer
-from .easgd import EASGDState
 from .lag import GradientLag
 from .larc import LARC, LARS
 from .sgd import SGD
 
 __all__ = ["Optimizer", "SGD", "Adam", "LARS", "LARC", "GradientLag",
-           "EASGDState", "schedules"]
+           "schedules"]

@@ -8,8 +8,8 @@ paper found lag-1 training curves "nearly identical" to lag-0 (Figure 6).
 ``GradientLag`` wraps any optimizer: ``step`` buffers the fresh gradients
 and applies the ones from ``lag`` steps ago (the first ``lag`` calls apply
 nothing, mirroring a pipeline fill).  EASGD (Zhang et al., cited in the
-paper) generalizes to larger effective lags via an elastic center —
-see :mod:`repro.core.optim.easgd`.
+paper) generalizes to larger effective lags via an elastic center; it is
+related work only and is not reproduced here.
 """
 from __future__ import annotations
 

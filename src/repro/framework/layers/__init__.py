@@ -4,7 +4,6 @@ from .activation import ReLU, Sigmoid, Tanh
 from .conv import AtrousConv2D, Conv2D, ConvTranspose2D
 from .dropout import Dropout
 from .norm import BatchNorm2D
-from .separable import DepthwiseConv2D, SeparableConv2D
 from .pool import AvgPool2D, GlobalAvgPool2D, MaxPool2D
 from .upsample import BilinearUpsample2D
 
@@ -23,7 +22,5 @@ __all__ = [
     "AvgPool2D",
     "GlobalAvgPool2D",
     "Dropout",
-    "DepthwiseConv2D",
-    "SeparableConv2D",
     "BilinearUpsample2D",
 ]

@@ -8,9 +8,11 @@ re-derive everything per call and issue one small contraction per kernel
 tap — K*K einsum round-trips over strided views, each too skinny for BLAS
 to reach peak.
 
-:class:`ConvPlan` is the cuDNN-style answer on the NumPy substrate.  For a
-fixed problem signature (input shape, weight shape, stride, padding,
-dilation, dtype) it precomputes:
+:class:`ConvPlan` is the cuDNN-style answer on the NumPy substrate, and
+the only plan kind: the paper's networks keep every convolution dense (no
+depthwise-separable factorization, Section V-B5).  For a fixed problem
+signature (input shape, weight shape, stride, padding, dilation, dtype) it
+precomputes:
 
 * the output geometry and the padded-input geometry;
 * the ``as_strided`` im2col view strides that expose every receptive field
@@ -58,10 +60,8 @@ from ..dtypes import FP16, FP32
 
 __all__ = [
     "ConvPlan",
-    "DepthwiseConvPlan",
     "PlanCache",
     "get_conv_plan",
-    "get_depthwise_plan",
     "plan_cache_stats",
     "clear_plan_cache",
 ]
@@ -85,22 +85,35 @@ def _acc_dtype(dtype) -> np.dtype:
     return FP32 if dtype == FP16 else dtype
 
 
-class _PlanBase:
-    """Shared geometry + workspace logic for dense and depthwise plans."""
+class ConvPlan:
+    """Execution plan for a dense 2-D convolution problem signature."""
 
-    def __init__(self, x_shape, kh, kw, stride, padding, dilation, dtype):
+    def __init__(self, x_shape, w_shape, stride=1, padding=0, dilation=1,
+                 dtype=FP32):
         self.x_shape = tuple(int(s) for s in x_shape)
         n, c, h, w = self.x_shape
-        self.kh, self.kw = int(kh), int(kw)
+        f, cw, kh, kw = (int(s) for s in w_shape)
+        if cw != c:
+            raise ValueError(f"channel mismatch: input has {c}, weight expects {cw}")
+        self.w_shape = (f, cw, kh, kw)
+        self.out_channels = f
+        self.kh, self.kw = kh, kw
         self.stride = int(stride)
         self.padding = int(padding)
         self.dilation = int(dilation)
         self.dtype = np.dtype(dtype)
         self.acc = _acc_dtype(self.dtype)
-        self.oh = _out_size(h, self.kh, self.stride, self.padding, self.dilation)
-        self.ow = _out_size(w, self.kw, self.stride, self.padding, self.dilation)
+        self.oh = _out_size(h, kh, self.stride, self.padding, self.dilation)
+        self.ow = _out_size(w, kw, self.stride, self.padding, self.dilation)
         self.hp = h + 2 * self.padding
         self.wp = w + 2 * self.padding
+        self.cols_shape = (n, c * kh * kw, self.oh * self.ow)
+        #: Which forward a no-tape call runs (:meth:`forward_notape`).  The
+        #: column-free forward writes K*K*F*hp*wp intermediates where im2col
+        #: writes K*K*C*oh*ow, so it is chosen exactly when it moves fewer
+        #: bytes; its flat-offset tap shifts need unit stride.
+        self.column_free = (self.stride == 1
+                            and f * self.hp * self.wp < c * self.oh * self.ow)
         #: Observability: how many times this plan (re)applied its padding
         #: and how many times it filled the column workspace.  The pad-once
         #: invariant tests pin these down.
@@ -114,16 +127,20 @@ class _PlanBase:
         self._xp: np.ndarray | None = None
         self._cols: np.ndarray | None = None
         self._dcols: np.ndarray | None = None
-        self._tap: np.ndarray | None = None
         self._tap_gemm: np.ndarray | None = None
         self._acc_out: np.ndarray | None = None
+
+    @property
+    def key(self) -> tuple:
+        return (self.x_shape, self.w_shape, self.stride, self.padding,
+                self.dilation, self.dtype.str)
 
     # -- copying ----------------------------------------------------------
 
     #: Lazily allocated scratch buffers: padded input, im2col columns,
-    #: dgrad columns, depthwise tap product, and the column-free forward's
-    #: per-tap GEMM output and shifted-sum accumulator.
-    _WORKSPACES = ("_xp", "_cols", "_dcols", "_tap", "_tap_gemm", "_acc_out")
+    #: dgrad columns, and the column-free forward's per-tap GEMM output and
+    #: shifted-sum accumulator.
+    _WORKSPACES = ("_xp", "_cols", "_dcols", "_tap_gemm", "_acc_out")
 
     def __deepcopy__(self, memo):
         """Plans are pure caches: a copy starts cold (no workspaces)."""
@@ -134,7 +151,7 @@ class _PlanBase:
         clone.version = 0
         return clone
 
-    # -- padding ----------------------------------------------------------
+    # -- padding and im2col ----------------------------------------------
 
     def padded_input(self, x: np.ndarray) -> np.ndarray:
         """Padded, accumulation-dtype view of ``x`` (workspace-backed).
@@ -174,12 +191,14 @@ class _PlanBase:
             writeable=False,
         )
 
-    def _fill_cols(self, x: np.ndarray, cols_6d_shape) -> int:
-        xp = self.padded_input(x)
-        view = self._receptive_view(xp)
+    def im2col(self, x: np.ndarray) -> int:
+        """Fill the column workspace from ``x``; returns the version token."""
+        n, c, _, _ = self.x_shape
+        view = self._receptive_view(self.padded_input(x))
         if self._cols is None:
             self._cols = np.empty(self.cols_shape, dtype=self.acc)
-        np.copyto(self._cols.reshape(cols_6d_shape), view)
+        np.copyto(self._cols.reshape(n, c, self.kh, self.kw, self.oh, self.ow),
+                  view)
         self.col_fills += 1
         self.version += 1
         return self.version
@@ -204,39 +223,6 @@ class _PlanBase:
             for v in range(self.kw):
                 dxp[:, :, u * d: u * d + (self.oh - 1) * s + 1: s,
                     v * d: v * d + (self.ow - 1) * s + 1: s] += d6[:, :, u, v]
-
-
-class ConvPlan(_PlanBase):
-    """Execution plan for a dense 2-D convolution problem signature."""
-
-    def __init__(self, x_shape, w_shape, stride=1, padding=0, dilation=1,
-                 dtype=FP32):
-        f, cw, kh, kw = (int(s) for s in w_shape)
-        super().__init__(x_shape, kh, kw, stride, padding, dilation, dtype)
-        n, c, h, w = self.x_shape
-        if cw != c:
-            raise ValueError(f"channel mismatch: input has {c}, weight expects {cw}")
-        self.w_shape = (f, cw, kh, kw)
-        self.out_channels = f
-        self.cols_shape = (n, c * kh * kw, self.oh * self.ow)
-        #: Which forward a no-tape call runs (:meth:`forward_notape`).  The
-        #: column-free forward writes K*K*F*hp*wp intermediates where im2col
-        #: writes K*K*C*oh*ow, so it is chosen exactly when it moves fewer
-        #: bytes; its flat-offset tap shifts need unit stride.
-        self.column_free = (self.stride == 1
-                            and f * self.hp * self.wp < c * self.oh * self.ow)
-
-    @property
-    def key(self) -> tuple:
-        return (self.x_shape, self.w_shape, self.stride, self.padding,
-                self.dilation, self.dtype.str)
-
-    # -- im2col ------------------------------------------------------------
-
-    def im2col(self, x: np.ndarray) -> int:
-        """Fill the column workspace from ``x``; returns the version token."""
-        n, c, _, _ = self.x_shape
-        return self._fill_cols(x, (n, c, self.kh, self.kw, self.oh, self.ow))
 
     # -- the three GEMMs ---------------------------------------------------
 
@@ -364,94 +350,6 @@ class ConvPlan(_PlanBase):
         return dxp.astype(grad_out.dtype, copy=False)
 
 
-class DepthwiseConvPlan(_PlanBase):
-    """Execution plan for per-channel (depthwise) convolution.
-
-    The forward pass is a fused per-tap FMA over the strided receptive-field
-    view of the padded workspace: the op is memory-bound (one multiply per
-    element), so skipping the im2col materialization beats any GEMM
-    formulation — the K*K column copy costs more than the arithmetic it
-    feeds.  The weight/input gradients keep the batched per-channel GEMM
-    over the tap axis (``(N, C, 1, P) @ (N, C, P, KK)``), where the column
-    workspace pays for itself.
-    """
-
-    def __init__(self, x_shape, w_shape, stride=1, padding=0, dilation=1,
-                 dtype=FP32):
-        cw, kh, kw = (int(s) for s in w_shape)
-        super().__init__(x_shape, kh, kw, stride, padding, dilation, dtype)
-        n, c, h, w = self.x_shape
-        if cw != c:
-            raise ValueError(f"channel mismatch: input {c}, weight {cw}")
-        self.w_shape = (cw, kh, kw)
-        self.cols_shape = (n, c, kh * kw, self.oh * self.ow)
-
-    @property
-    def key(self) -> tuple:
-        return (self.x_shape, self.w_shape, self.stride, self.padding,
-                self.dilation, self.dtype.str)
-
-    def im2col(self, x: np.ndarray) -> int:
-        n, c, _, _ = self.x_shape
-        return self._fill_cols(x, (n, c, self.kh, self.kw, self.oh, self.ow))
-
-    def forward_from_cols(self, cols: np.ndarray, w: np.ndarray) -> np.ndarray:
-        n, c, _, _ = self.x_shape
-        wa = w.astype(self.acc, copy=False).reshape(1, c, 1, self.kh * self.kw)
-        out = np.matmul(wa, cols)                # (N, C, 1, P)
-        self.gemms += 1
-        return out.reshape(n, c, self.oh, self.ow).astype(self.dtype, copy=False)
-
-    def forward(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Fused per-tap FMA over the receptive-field view (no im2col).
-
-        The output is a fresh buffer (autograd holds it across the step);
-        only the per-tap product scratch is workspace-reused.
-        """
-        n, c, _, _ = self.x_shape
-        view = self._receptive_view(self.padded_input(x))
-        wa = w.astype(self.acc, copy=False)
-        out = np.empty((n, c, self.oh, self.ow), dtype=self.acc)
-        np.multiply(view[:, :, 0, 0], wa[:, 0, 0].reshape(1, c, 1, 1), out=out)
-        if self.kh * self.kw > 1:
-            if self._tap is None:
-                self._tap = np.empty_like(out)
-            tmp = self._tap
-            for u in range(self.kh):
-                for v in range(self.kw):
-                    if u == 0 and v == 0:
-                        continue
-                    np.multiply(view[:, :, u, v],
-                                wa[:, u, v].reshape(1, c, 1, 1), out=tmp)
-                    np.add(out, tmp, out=out)
-        return out.astype(self.dtype, copy=False)
-
-    def backward_weight_from_cols(self, grad_out: np.ndarray,
-                                  cols: np.ndarray) -> np.ndarray:
-        n, c, _, _ = self.x_shape
-        g = grad_out.astype(self.acc, copy=False).reshape(n, c, 1, -1)
-        dw = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-        self.gemms += 1
-        return dw.reshape(self.w_shape)
-
-    def backward_weight(self, grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
-        token = self.im2col(x)
-        return self.backward_weight_from_cols(grad_out, self.columns_for(token, x))
-
-    def backward_input(self, grad_out: np.ndarray, w: np.ndarray) -> np.ndarray:
-        n, c, h, wi = self.x_shape
-        g = grad_out.astype(self.acc, copy=False).reshape(n, c, 1, -1)
-        wa = w.astype(self.acc, copy=False).reshape(1, c, self.kh * self.kw, 1)
-        dcols = wa * g                            # (N, C, KK, P)
-        dxp = np.zeros((n, c, self.hp, self.wp), dtype=self.acc)
-        self._col2im(dcols.reshape(n, c, self.kh, self.kw, self.oh, self.ow),
-                     dxp)
-        if self.padding:
-            p = self.padding
-            dxp = dxp[:, :, p:p + h, p:p + wi]
-        return dxp.astype(grad_out.dtype, copy=False)
-
-
 class PlanCache:
     """Bounded LRU of execution plans, keyed on the problem signature.
 
@@ -464,7 +362,7 @@ class PlanCache:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = int(maxsize)
-        self._plans: OrderedDict[tuple, _PlanBase] = OrderedDict()
+        self._plans: OrderedDict[tuple, ConvPlan] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -472,7 +370,7 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
-    def get(self, key: tuple, factory) -> _PlanBase:
+    def get(self, key: tuple, factory) -> ConvPlan:
         plan = self._plans.get(key)
         if plan is not None:
             self.hits += 1
@@ -502,21 +400,11 @@ _GLOBAL_PLANS = PlanCache(maxsize=32)
 
 def get_conv_plan(x_shape, w_shape, stride=1, padding=0, dilation=1,
                   dtype=FP32) -> ConvPlan:
-    """Fetch (or build) the dense-conv plan for a problem signature."""
+    """Fetch (or build) the conv plan for a problem signature."""
     key = (tuple(x_shape), tuple(w_shape), int(stride), int(padding),
-           int(dilation), np.dtype(dtype).str, "dense")
+           int(dilation), np.dtype(dtype).str)
     return _GLOBAL_PLANS.get(
         key, lambda: ConvPlan(x_shape, w_shape, stride, padding, dilation, dtype))
-
-
-def get_depthwise_plan(x_shape, w_shape, stride=1, padding=0, dilation=1,
-                       dtype=FP32) -> DepthwiseConvPlan:
-    """Fetch (or build) the depthwise-conv plan for a problem signature."""
-    key = (tuple(x_shape), tuple(w_shape), int(stride), int(padding),
-           int(dilation), np.dtype(dtype).str, "depthwise")
-    return _GLOBAL_PLANS.get(
-        key, lambda: DepthwiseConvPlan(x_shape, w_shape, stride, padding,
-                                       dilation, dtype))
 
 
 def plan_cache_stats() -> dict[str, int]:

@@ -1,4 +1,4 @@
-"""Shape-manipulating kernels: padding, cropping, bilinear interpolation.
+"""Shape-manipulating kernels: bilinear interpolation.
 
 Bilinear upsampling is the cheap alternative the standard DeepLabv3+ decoder
 uses; the paper replaces it with learned full-resolution deconvolutions, but
@@ -10,34 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "pad2d_forward",
-    "pad2d_backward",
-    "crop2d",
     "bilinear_upsample_forward",
     "bilinear_upsample_backward",
 ]
-
-
-def pad2d_forward(x: np.ndarray, pad: tuple[int, int, int, int]) -> np.ndarray:
-    """Zero-pad (N,C,H,W) by (top, bottom, left, right)."""
-    t, b, l, r = pad
-    return np.pad(x, ((0, 0), (0, 0), (t, b), (l, r)))
-
-
-def pad2d_backward(grad_out: np.ndarray, pad: tuple[int, int, int, int]) -> np.ndarray:
-    t, b, l, r = pad
-    h, w = grad_out.shape[2], grad_out.shape[3]
-    return grad_out[:, :, t : h - b, l : w - r]
-
-
-def crop2d(x: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
-    """Center-crop spatial dims down to (target_h, target_w)."""
-    h, w = x.shape[2], x.shape[3]
-    if h < target_h or w < target_w:
-        raise ValueError(f"cannot crop {h}x{w} to {target_h}x{target_w}")
-    dt = (h - target_h) // 2
-    dl = (w - target_w) // 2
-    return x[:, :, dt : dt + target_h, dl : dl + target_w]
 
 
 def _bilinear_weights(in_size: int, out_size: int, align_corners: bool):

@@ -1,4 +1,4 @@
-"""HPC substrate: machine specs, event simulation, storage/network models."""
+"""HPC substrate: machine specs, event simulation, file-system/fabric models."""
 from .events import EventQueue
 from .filesystem import SharedFileSystem
 from .network import FabricModel
@@ -12,8 +12,6 @@ from .specs import (
     NodeSpec,
     SystemSpec,
 )
-from .storage import NodeLocalStorage, daint_tmpfs, summit_ssd
-from .topology import TopologyStats, dragonfly, fat_tree, topology_stats
 
 __all__ = [
     "GpuSpec",
@@ -27,11 +25,4 @@ __all__ = [
     "EventQueue",
     "SharedFileSystem",
     "FabricModel",
-    "NodeLocalStorage",
-    "summit_ssd",
-    "daint_tmpfs",
-    "TopologyStats",
-    "fat_tree",
-    "dragonfly",
-    "topology_stats",
 ]

@@ -1,4 +1,4 @@
-"""Optimizers: SGD/Adam numerics, LARS/LARC adaptation, lag, EASGD."""
+"""Optimizers: SGD/Adam numerics, LARS/LARC adaptation, lag."""
 import numpy as np
 import pytest
 
@@ -7,7 +7,6 @@ from repro.core.optim import (
     LARS,
     SGD,
     Adam,
-    EASGDState,
     GradientLag,
     schedules,
 )
@@ -206,48 +205,6 @@ class TestGradientLag:
         assert abs(t0[-1]) < 0.1
         assert abs(t1[-1]) < 0.15
         assert abs(t0[-1] - t1[-1]) < 0.1
-
-
-class TestEASGD:
-    def test_consensus_conserves_total(self):
-        # EASGD's elastic dynamics conserve center + sum(replicas), so the
-        # consensus point is the (n+1)-way average of the initial states.
-        center = np.zeros(4, dtype=np.float32)
-        state = EASGDState(center, replicas=3, tau=1, beta=0.9)
-        xs = [np.full(4, 3.0, dtype=np.float32) for _ in range(3)]
-        consensus = (0.0 + 3 * 3.0) / 4
-        for _ in range(60):
-            state.maybe_synchronize(xs)
-        np.testing.assert_allclose(state.center, consensus, atol=0.05)
-        for x in xs:
-            np.testing.assert_allclose(x, consensus, atol=0.05)
-
-    def test_sync_only_every_tau(self):
-        state = EASGDState(np.zeros(2), replicas=2, tau=4)
-        xs = [np.ones(2, dtype=np.float32)] * 2
-        synced = [state.maybe_synchronize([x.copy() for x in xs])
-                  for _ in range(8)]
-        assert synced == [False, False, False, True] * 2
-
-    def test_elastic_force_direction(self):
-        state = EASGDState(np.zeros(3), replicas=2, rho=0.1)
-        force = state.elastic_force(np.full(3, 2.0))
-        np.testing.assert_allclose(force, 0.2)
-
-    def test_consensus_distance_shrinks(self):
-        rng = np.random.default_rng(0)
-        state = EASGDState(np.zeros(5), replicas=4, tau=1, beta=0.8)
-        xs = [rng.normal(size=5).astype(np.float32) for _ in range(4)]
-        d0 = state.consensus_distance(xs)
-        for _ in range(20):
-            state.maybe_synchronize(xs)
-        assert state.consensus_distance(xs) < d0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EASGDState(np.zeros(2), replicas=0)
-        with pytest.raises(ValueError):
-            EASGDState(np.zeros(2), replicas=2, rho=-1.0)
 
 
 class TestSchedules:

@@ -13,7 +13,6 @@ from repro.framework import Tensor
 from repro.framework.layers import Conv2D
 from repro.framework.ops import (
     ConvPlan,
-    DepthwiseConvPlan,
     PlanCache,
     clear_plan_cache,
     conv2d_backward_input,
@@ -23,10 +22,6 @@ from repro.framework.ops import (
     conv2d_forward,
     conv2d_forward_reference,
     conv_output_size,
-    depthwise_conv2d_backward_input,
-    depthwise_conv2d_backward_weight,
-    depthwise_conv2d_forward,
-    depthwise_conv2d_forward_reference,
     get_conv_plan,
     plan_cache_stats,
 )
@@ -101,32 +96,6 @@ class TestPlannedEquivalence:
         want = conv2d_backward_weight_reference(g, x, wt.shape, 1, 1, 1)
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, want, rtol=1e-3, atol=1e-3)
-
-    def test_depthwise_matches_reference(self):
-        x = RNG.standard_normal((2, 5, 13, 11)).astype(np.float32)
-        wt = (RNG.standard_normal((5, 3, 3)) * 0.3).astype(np.float32)
-        for s, p, d in [(1, 1, 1), (2, 1, 1), (1, 2, 2)]:
-            got = depthwise_conv2d_forward(x, wt, s, p, d)
-            want = depthwise_conv2d_forward_reference(x, wt, s, p, d)
-            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
-
-    def test_depthwise_backward_finite_difference(self):
-        x = RNG.standard_normal((1, 2, 6, 6)).astype(np.float64)
-        wt = RNG.standard_normal((2, 3, 3)).astype(np.float64)
-        g = np.ones_like(depthwise_conv2d_forward(x, wt, 1, 1, 1))
-        dw = depthwise_conv2d_backward_weight(g, x, wt.shape, 1, 1, 1)
-        dx = depthwise_conv2d_backward_input(g, wt, x.shape, 1, 1, 1)
-        eps = 1e-6
-        wt2 = wt.copy()
-        wt2[1, 2, 0] += eps
-        num = (depthwise_conv2d_forward(x, wt2, 1, 1, 1).sum()
-               - depthwise_conv2d_forward(x, wt, 1, 1, 1).sum()) / eps
-        assert dw[1, 2, 0] == pytest.approx(num, rel=1e-4)
-        x2 = x.copy()
-        x2[0, 1, 3, 3] += eps
-        num = (depthwise_conv2d_forward(x2, wt, 1, 1, 1).sum()
-               - depthwise_conv2d_forward(x, wt, 1, 1, 1).sum()) / eps
-        assert dx[0, 1, 3, 3] == pytest.approx(num, rel=1e-4)
 
 
 class TestPlanCache:

@@ -6,9 +6,6 @@ from repro.framework.ops.norm import batchnorm_backward, batchnorm_forward, batc
 from repro.framework.ops.shape import (
     bilinear_upsample_backward,
     bilinear_upsample_forward,
-    crop2d,
-    pad2d_backward,
-    pad2d_forward,
 )
 
 
@@ -68,24 +65,6 @@ class TestBatchNorm:
         x = np.random.default_rng(0).normal(size=(2, 2, 4, 4)).astype(np.float16)
         out, _ = batchnorm_forward(x, np.ones(2, np.float32), np.zeros(2, np.float32))
         assert out.dtype == np.float16
-
-
-class TestPadCrop:
-    def test_pad_then_backward_roundtrip(self):
-        x = np.random.default_rng(0).normal(size=(1, 2, 4, 5))
-        padded = pad2d_forward(x, (1, 2, 3, 4))
-        assert padded.shape == (1, 2, 7, 12)
-        np.testing.assert_allclose(pad2d_backward(padded, (1, 2, 3, 4)), x)
-
-    def test_crop_center(self):
-        x = np.arange(36.0).reshape(1, 1, 6, 6)
-        c = crop2d(x, 4, 4)
-        assert c.shape == (1, 1, 4, 4)
-        assert c[0, 0, 0, 0] == x[0, 0, 1, 1]
-
-    def test_crop_too_big_raises(self):
-        with pytest.raises(ValueError, match="cannot crop"):
-            crop2d(np.zeros((1, 1, 3, 3)), 4, 4)
 
 
 class TestBilinear:

@@ -1,4 +1,4 @@
-"""File-system, local-storage, fabric, and topology models."""
+"""File-system, node-local staging capacity, and fabric models."""
 import numpy as np
 import pytest
 
@@ -9,11 +9,6 @@ from repro.hpc import (
     PIZ_DAINT,
     SUMMIT,
     SharedFileSystem,
-    daint_tmpfs,
-    dragonfly,
-    fat_tree,
-    summit_ssd,
-    topology_stats,
 )
 
 
@@ -50,34 +45,19 @@ class TestSharedFileSystem:
         assert stressed.mean() < calm.mean()
 
 
-class TestNodeLocalStorage:
-    def test_summit_ssd_holds_node_shard(self):
+class TestStagingCapacity:
+    """Section V-A1's staging capacities, read from the machine specs."""
+
+    def test_summit_burst_buffer_holds_node_shard(self):
         # 1500 samples/node x ~58 MB must fit the 800 GB burst buffer.
-        ssd = summit_ssd()
-        assert ssd.max_samples(PAPER_DATASET.sample_bytes) >= 1500
+        cap = SUMMIT.node.local_storage_bytes
+        assert cap // PAPER_DATASET.sample_bytes >= 1500
 
     def test_daint_tmpfs_much_smaller(self):
-        tmpfs = daint_tmpfs()
-        assert tmpfs.max_samples(PAPER_DATASET.sample_bytes) < 1500
-        assert tmpfs.kind == "tmpfs"
+        cap = PIZ_DAINT.node.local_storage_bytes
+        assert cap // PAPER_DATASET.sample_bytes < 1500
         # But per-GPU requirement (250 samples) fits.
-        assert tmpfs.max_samples(PAPER_DATASET.sample_bytes) >= 250
-
-    def test_times(self):
-        ssd = summit_ssd()
-        assert ssd.write_time(2.1e9) == pytest.approx(1.0)
-        assert ssd.read_time(6e9) == pytest.approx(1.0)
-
-    def test_fits(self):
-        assert summit_ssd().fits(100e9)
-        assert not daint_tmpfs().fits(100e9)
-
-    def test_sustained_read_capped(self):
-        assert summit_ssd().sustained_read_rate(100e9) == 6e9
-
-    def test_invalid_sample_bytes(self):
-        with pytest.raises(ValueError):
-            summit_ssd().max_samples(0)
+        assert cap // PAPER_DATASET.sample_bytes >= 250
 
 
 class TestFabric:
@@ -94,29 +74,3 @@ class TestFabric:
     def test_zero_bytes_free(self):
         f = FabricModel(Link(1e-6, 25e9), nodes=4)
         assert f.redistribution_time(0.0) == 0.0
-
-
-class TestTopology:
-    def test_fat_tree_diameter(self):
-        g = fat_tree(pods=4, hosts_per_edge=4)
-        stats = topology_stats(g)
-        # host-edge-core-edge-host = 4 hops max.
-        assert stats.diameter == 4
-        assert stats.nodes == 16
-
-    def test_dragonfly_diameter_bounded(self):
-        # Aries dragonfly: "diameter-5 Dragonfly topology".
-        g = dragonfly(groups=6, routers_per_group=4, hosts_per_router=2)
-        stats = topology_stats(g, sample=200)
-        assert stats.diameter <= 5
-
-    def test_avg_hops_below_diameter(self):
-        g = fat_tree(pods=4, hosts_per_edge=2)
-        stats = topology_stats(g)
-        assert 1 <= stats.avg_hops <= stats.diameter
-
-    def test_invalid_configs(self):
-        with pytest.raises(ValueError):
-            fat_tree(pods=1)
-        with pytest.raises(ValueError):
-            dragonfly(groups=1)
