@@ -43,7 +43,6 @@ from .timeline import (
     TimelineEvent,
     build_timeline,
     chrome_trace_records,
-    to_chrome_trace,
 )
 from .simmpi import TrafficStats, World
 
@@ -70,7 +69,6 @@ __all__ = [
     "TimelineEvent",
     "build_timeline",
     "chrome_trace_records",
-    "to_chrome_trace",
     "TrafficStats",
     "ReadinessSchedule",
     "NegotiationResult",

@@ -21,7 +21,6 @@ every rank, and counts per-rank control messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import heapq
 
 import numpy as np
 
@@ -170,7 +169,6 @@ def hierarchical_negotiation(schedule: ReadinessSchedule, radix: int = 4,
     all_ready = agg[0]
 
     # Go relays down: each non-leaf sends one message per tensor per child.
-    max_down_hops = 0
     for r in range(ranks):
         kids = children[r]
         if kids:

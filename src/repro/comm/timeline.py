@@ -4,19 +4,17 @@ Horovod ships a Chrome-trace timeline that the paper's team used to find the
 negotiation bottleneck.  This module reconstructs the same artifact from our
 simulated exchange: per tensor, a NEGOTIATE phase (readiness to go-message)
 followed by a fused ALLREDUCE phase, serialized into the Chrome
-``chrome://tracing`` JSON event format so it can be inspected with standard
-tools.
+``chrome://tracing`` JSON event format; the one exporter that writes the file
+is :func:`repro.telemetry.export.write_chrome_trace`.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .coordinator import NegotiationResult
 from .horovod import FusionPlan
 
-__all__ = ["TimelineEvent", "build_timeline", "chrome_trace_records",
-           "to_chrome_trace", "merge_chrome_traces"]
+__all__ = ["TimelineEvent", "build_timeline", "chrome_trace_records"]
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,10 @@ def chrome_trace_records(events: list[TimelineEvent], pid: int = 0, *,
                          thread_names: dict[int, str] | None = None) -> list[dict]:
     """Serialize events to Chrome trace records (the single serializer).
 
-    Both :func:`to_chrome_trace` and the telemetry Chrome exporter
+    The telemetry Chrome exporter
     (:func:`repro.telemetry.export.chrome_trace`, which merges these events
-    into the whole-run trace) go through this function, so the event format
-    is defined in exactly one place.
+    into the whole-run trace) goes through this function, so the event
+    format is defined in exactly one place.
 
     ``process_name`` (when given) and per-lane thread names are emitted as
     Chrome "M" metadata records exactly once per (pid, lane): ``seen_meta``
@@ -126,52 +124,3 @@ def chrome_trace_records(events: list[TimelineEvent], pid: int = 0, *,
         })
     return records
 
-
-def _meta_key(rec: dict):
-    """Identity of a Chrome "M" metadata record for cross-document dedup."""
-    if rec.get("ph") != "M":
-        return None
-    return (rec.get("name"), rec.get("pid"), rec.get("tid"))
-
-
-def merge_chrome_traces(*docs: dict) -> dict:
-    """Concatenate Chrome trace documents, dropping duplicate metadata.
-
-    Event records are kept verbatim and in order; "M" records (process and
-    thread names) are deduplicated on (name, pid, tid) with the first
-    occurrence winning, so merging per-step exports of the same exchange
-    yields one clean set of process/thread rows.
-    """
-    merged: list[dict] = []
-    seen: set = set()
-    for doc in docs:
-        for rec in doc.get("traceEvents", []):
-            key = _meta_key(rec)
-            if key is not None:
-                if key in seen:
-                    continue
-                seen.add(key)
-            merged.append(rec)
-    out = {"traceEvents": merged}
-    for doc in docs:
-        for k, v in doc.items():
-            if k != "traceEvents" and k not in out:
-                out[k] = v
-    return out
-
-
-def to_chrome_trace(events: list[TimelineEvent], path=None,
-                    process_name: str = "comm.exchange") -> dict:
-    """Build the Chrome tracing document; optionally write it to ``path``.
-
-    Returns the trace dict (``json.dumps``-able as-is).  When ``path`` is
-    given the document is also written there, ready for
-    ``chrome://tracing`` / Perfetto.
-    """
-    doc = {"traceEvents": chrome_trace_records(
-        events, process_name=process_name)}
-    if path is not None:
-        from pathlib import Path
-
-        Path(path).write_text(json.dumps(doc, indent=1))
-    return doc

@@ -22,6 +22,7 @@ from ..comm.horovod import ExchangeReport, HorovodConfig, allreduce_gradients
 from ..comm.simmpi import World
 from ..framework.module import Module
 from ..telemetry import get_active
+from .optim import schedules
 from .trainer import StepResult, TrainConfig, Trainer
 
 __all__ = ["DistributedTrainer", "DistributedStepResult"]
@@ -252,9 +253,9 @@ class DistributedTrainer:
         for t in self.trainers[1:]:
             t.model.load_state_dict(ref)
         if lr_scaling == "linear":
-            factor = len(survivors) / old_size
+            factor = schedules.linear_scaled_lr(1.0, len(survivors), old_size)
         elif lr_scaling == "sqrt":
-            factor = float(np.sqrt(len(survivors) / old_size))
+            factor = schedules.sqrt_scaled_lr(1.0, len(survivors), old_size)
         elif lr_scaling == "none":
             factor = 1.0
         else:

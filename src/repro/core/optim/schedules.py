@@ -1,4 +1,4 @@
-"""Learning-rate schedules and large-batch scaling rules.
+"""Large-batch learning-rate scaling rules.
 
 The paper's Figure 6 runs scale the learning rate with concurrency
 (LR=0.0001 at 384 GPUs, 0.0064 at 1536, 0.4096 at 6144 — a faster-than-
@@ -11,10 +11,6 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "constant",
-    "step_decay",
-    "polynomial_decay",
-    "linear_warmup",
     "linear_scaled_lr",
     "sqrt_scaled_lr",
     "paper_lr_for_gpus",
@@ -23,45 +19,6 @@ __all__ = [
 
 #: (GPUs, learning rate) pairs from Figure 6.
 PAPER_LR_TABLE = ((384, 0.0001), (1536, 0.0064), (6144, 0.4096))
-
-
-def constant(lr: float):
-    """lr(step) = lr."""
-    return lambda step: lr
-
-
-def step_decay(lr: float, decay: float, every: int):
-    """Multiply by ``decay`` every ``every`` steps."""
-    if every < 1:
-        raise ValueError("every must be >= 1")
-    return lambda step: lr * decay ** (step // every)
-
-
-def polynomial_decay(lr: float, total_steps: int, power: float = 0.9,
-                     end_lr: float = 0.0):
-    """The DeepLab-family poly schedule."""
-    if total_steps < 1:
-        raise ValueError("total_steps must be >= 1")
-
-    def f(step: int) -> float:
-        frac = min(step / total_steps, 1.0)
-        return (lr - end_lr) * (1.0 - frac) ** power + end_lr
-
-    return f
-
-
-def linear_warmup(target_lr: float, warmup_steps: int, after=None):
-    """Ramp 0 -> target over ``warmup_steps``, then delegate to ``after``."""
-    if warmup_steps < 1:
-        raise ValueError("warmup_steps must be >= 1")
-    after = after or constant(target_lr)
-
-    def f(step: int) -> float:
-        if step < warmup_steps:
-            return target_lr * (step + 1) / warmup_steps
-        return after(step - warmup_steps)
-
-    return f
 
 
 def linear_scaled_lr(base_lr: float, workers: int, base_workers: int = 1) -> float:

@@ -10,11 +10,11 @@ from . import fusion
 from .dtypes import Precision
 from .fusion import FusedConvBiasReLU, FusedScaleShiftReLU, fold_bn_into_conv, freeze
 from .graph import CATEGORIES, GraphAnalysis, GraphTracer, KernelRecord, ShapeProbe
-from .losses import softmax, softmax_probs, weighted_cross_entropy
+from .losses import weighted_cross_entropy
 from .module import Identity, Module, Sequential
 from .parameter import Parameter
 from .precision import LossScaler, apply_fp16_policy, grads_finite
-from .tensor import Tensor, concatenate, no_grad, stack
+from .tensor import Tensor, concatenate, no_grad
 
 __all__ = [
     "Tensor",
@@ -32,10 +32,7 @@ __all__ = [
     "apply_fp16_policy",
     "grads_finite",
     "weighted_cross_entropy",
-    "softmax",
-    "softmax_probs",
     "concatenate",
-    "stack",
     "no_grad",
     "fusion",
     "freeze",

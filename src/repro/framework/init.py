@@ -1,4 +1,4 @@
-"""Weight initializers (He / Glorot variants used by the segmentation nets).
+"""Weight initializers (He normal, the segmentation nets' default).
 
 Inside :func:`shape_only` every initializer returns a read-only stride-0
 placeholder of the requested shape and dtype and leaves the RNG untouched:
@@ -13,8 +13,7 @@ from contextvars import ContextVar
 
 import numpy as np
 
-__all__ = ["he_normal", "he_uniform", "glorot_uniform", "zeros", "ones",
-           "shape_only", "in_shape_only_scope"]
+__all__ = ["he_normal", "zeros", "ones", "shape_only", "in_shape_only_scope"]
 
 # Context-local, so a thread started inside the scope (a prefetch worker,
 # say) still initializes real weights, and nested scopes unwind correctly.
@@ -44,41 +43,23 @@ def _placeholder(shape: tuple[int, ...], dtype, fill: float = 0.0) -> np.ndarray
     return np.broadcast_to(np.asarray(fill, dtype=dtype), shape)
 
 
-def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
-    """Fan-in/out for dense (out,in) or conv (F,C,KH,KW) weight shapes."""
+def _fan_in(shape: tuple[int, ...]) -> int:
+    """Fan-in for dense (out,in) or conv (F,C,KH,KW) weight shapes."""
     if len(shape) == 2:
-        fan_out, fan_in = shape
-        return fan_in, fan_out
+        return shape[1]
     if len(shape) == 4:
-        f, c, kh, kw = shape
-        receptive = kh * kw
-        return c * receptive, f * receptive
+        _, c, kh, kw = shape
+        return c * kh * kw
     raise ValueError(f"unsupported weight shape {shape}")
 
 
 def he_normal(rng: np.random.Generator, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
     """He/Kaiming normal: std = sqrt(2/fan_in); the ReLU-network default."""
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     if _SHAPE_ONLY.get():
         return _placeholder(shape, dtype)
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape).astype(dtype)
-
-
-def he_uniform(rng: np.random.Generator, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
-    fan_in, _ = _fan_in_out(shape)
-    if _SHAPE_ONLY.get():
-        return _placeholder(shape, dtype)
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
-def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
-    fan_in, fan_out = _fan_in_out(shape)
-    if _SHAPE_ONLY.get():
-        return _placeholder(shape, dtype)
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
 def zeros(shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Layer library used by the segmentation networks."""
 from ..module import Identity, Module, Sequential
-from .activation import ReLU, Sigmoid, Tanh
+from .activation import ReLU
 from .conv import AtrousConv2D, Conv2D, ConvTranspose2D
 from .dropout import Dropout
 from .norm import BatchNorm2D
-from .pool import AvgPool2D, GlobalAvgPool2D, MaxPool2D
+from .pool import MaxPool2D
 from .upsample import BilinearUpsample2D
 
 __all__ = [
@@ -16,11 +16,7 @@ __all__ = [
     "ConvTranspose2D",
     "BatchNorm2D",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "MaxPool2D",
-    "AvgPool2D",
-    "GlobalAvgPool2D",
     "Dropout",
     "BilinearUpsample2D",
 ]

@@ -1,53 +1,20 @@
-"""Point-wise activation layers."""
+"""Point-wise activation layer."""
 from __future__ import annotations
 
 from ..graph import ShapeProbe
 from ..module import Module
-from ..tensor import Tensor
 
-__all__ = ["ReLU", "Sigmoid", "Tanh"]
+__all__ = ["ReLU"]
 
 
-class _Pointwise(Module):
-    """Shared trace logic for unary point-wise layers."""
-
-    op = "pointwise"
-    flops_per_elem = 1
-
+class ReLU(Module):
     def forward(self, x):
         if isinstance(x, ShapeProbe):
             tr = x.tracer
             nbytes = tr.tensor_bytes(x.shape)
-            tr.emit(f"{self.op}_fwd", "pointwise_fwd", self.flops_per_elem * x.size, 2 * nbytes)
+            tr.emit("relu_fwd", "pointwise_fwd", x.size, 2 * nbytes)
             tr.note_activation(x.shape)
             if tr.include_backward:
-                tr.emit(f"{self.op}_bwd", "pointwise_bwd",
-                        self.flops_per_elem * x.size, 2 * nbytes)
+                tr.emit("relu_bwd", "pointwise_bwd", x.size, 2 * nbytes)
             return x
-        return self._eager(x)
-
-    def _eager(self, x: Tensor) -> Tensor:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class ReLU(_Pointwise):
-    op = "relu"
-
-    def _eager(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class Sigmoid(_Pointwise):
-    op = "sigmoid"
-    flops_per_elem = 4
-
-    def _eager(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Tanh(_Pointwise):
-    op = "tanh"
-    flops_per_elem = 4
-
-    def _eager(self, x: Tensor) -> Tensor:
-        return x.tanh()

@@ -1,4 +1,4 @@
-"""Pooling layers."""
+"""Max pooling layer."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,19 +6,15 @@ import numpy as np
 from ..graph import ShapeProbe
 from ..module import Module
 from ..ops.conv import conv_output_size
-from ..ops.pool import (
-    avgpool2d_backward,
-    avgpool2d_forward,
-    maxpool2d_backward,
-    maxpool2d_forward,
-    maxpool2d_forward_notape,
-)
+from ..ops.pool import maxpool2d_backward, maxpool2d_forward, maxpool2d_forward_notape
 from ..tensor import Tensor, is_grad_enabled
 
-__all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
+__all__ = ["MaxPool2D"]
 
 
-class _Pool2D(Module):
+class MaxPool2D(Module):
+    """Max pool; the ResNet stem uses 3x3/2, Tiramisu transitions use 2x2/2."""
+
     def __init__(self, kernel: int, stride: int | None = None, padding: int = 0):
         super().__init__()
         self.kernel = int(kernel)
@@ -39,15 +35,11 @@ class _Pool2D(Module):
         window = self.kernel * self.kernel
         flops = n * c * oh * ow * window
         nbytes = tr.tensor_bytes(x.shape) + tr.tensor_bytes(out_shape)
-        tr.emit(f"{type(self).__name__.lower()}_fwd", "pointwise_fwd", flops, nbytes)
+        tr.emit("maxpool2d_fwd", "pointwise_fwd", flops, nbytes)
         tr.note_activation(out_shape)
         if tr.include_backward:
-            tr.emit(f"{type(self).__name__.lower()}_bwd", "pointwise_bwd", flops, nbytes)
+            tr.emit("maxpool2d_bwd", "pointwise_bwd", flops, nbytes)
         return ShapeProbe(out_shape, tr)
-
-
-class MaxPool2D(_Pool2D):
-    """Max pool; the ResNet stem uses 3x3/2, Tiramisu transitions use 2x2/2."""
 
     def forward(self, x):
         if isinstance(x, ShapeProbe):
@@ -64,35 +56,3 @@ class MaxPool2D(_Pool2D):
 
         return Tensor.from_op(y, (x,), backward, f"maxpool[{k}/{s}]")
 
-
-class AvgPool2D(_Pool2D):
-    """Average pool."""
-
-    def forward(self, x):
-        if isinstance(x, ShapeProbe):
-            return self._trace(x)
-        k, s, p = self.kernel, self.stride, self.padding
-        y = avgpool2d_forward(x.data, k, s, p)
-        x_shape = x.data.shape
-
-        def backward(g: np.ndarray) -> None:
-            x.accumulate_grad(avgpool2d_backward(g, x_shape, k, s, p))
-
-        return Tensor.from_op(y, (x,), backward, f"avgpool[{k}/{s}]")
-
-
-class GlobalAvgPool2D(Module):
-    """Spatial mean to 1x1 (ASPP image-pooling branch in stock DeepLabv3+)."""
-
-    def forward(self, x):
-        if isinstance(x, ShapeProbe):
-            tr = x.tracer
-            n, c, h, w = x.shape
-            out_shape = (n, c, 1, 1)
-            tr.emit("global_avgpool_fwd", "pointwise_fwd", x.size,
-                    tr.tensor_bytes(x.shape) + tr.tensor_bytes(out_shape))
-            if tr.include_backward:
-                tr.emit("global_avgpool_bwd", "pointwise_bwd", x.size,
-                        tr.tensor_bytes(x.shape))
-            return ShapeProbe(out_shape, tr)
-        return x.mean(axis=(2, 3), keepdims=True)

@@ -19,16 +19,7 @@ import numpy as np
 from .graph import ShapeProbe
 from .tensor import Tensor
 
-__all__ = ["log_softmax", "softmax", "weighted_cross_entropy", "softmax_probs"]
-
-
-def softmax_probs(logits: np.ndarray, axis: int = 1) -> np.ndarray:
-    """Numerically stable softmax on a raw array (FP32 accumulation)."""
-    acc = np.float64 if logits.dtype == np.float64 else np.float32
-    z = logits.astype(acc, copy=False)
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+__all__ = ["log_softmax", "weighted_cross_entropy"]
 
 
 def log_softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
@@ -37,18 +28,6 @@ def log_softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
     z = logits.astype(acc, copy=False)
     z = z - z.max(axis=axis, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-
-def softmax(x: Tensor, axis: int = 1) -> Tensor:
-    """Differentiable softmax along ``axis``."""
-    p = softmax_probs(x.data, axis=axis)
-
-    def backward(g: np.ndarray) -> None:
-        ga = np.asarray(g, dtype=p.dtype)
-        dot = (ga * p).sum(axis=axis, keepdims=True)
-        x.accumulate_grad((p * (ga - dot)).astype(x.dtype, copy=False))
-
-    return Tensor.from_op(p.astype(x.dtype, copy=False), (x,), backward, "softmax")
 
 
 def weighted_cross_entropy(

@@ -19,13 +19,7 @@ from .plan import (
     get_conv_plan,
     plan_cache_stats,
 )
-from .pool import (
-    avgpool2d_backward,
-    avgpool2d_forward,
-    maxpool2d_backward,
-    maxpool2d_forward,
-    maxpool2d_forward_notape,
-)
+from .pool import maxpool2d_backward, maxpool2d_forward, maxpool2d_forward_notape
 from .shape import (
     bilinear_upsample_backward,
     bilinear_upsample_forward,
@@ -54,8 +48,6 @@ __all__ = [
     "maxpool2d_forward",
     "maxpool2d_forward_notape",
     "maxpool2d_backward",
-    "avgpool2d_forward",
-    "avgpool2d_backward",
     "bilinear_upsample_forward",
     "bilinear_upsample_backward",
 ]

@@ -1,4 +1,4 @@
-"""Pooling kernels (max pooling with overlap support, average pooling).
+"""Max pooling kernels, with overlap support.
 
 The DeepLabv3+ encoder uses a 3x3/2 max pool after the stem conv; Tiramisu's
 transition-down blocks use 2x2/2 max pools.  Both are overlapping/ or
@@ -14,8 +14,6 @@ __all__ = [
     "maxpool2d_forward",
     "maxpool2d_forward_notape",
     "maxpool2d_backward",
-    "avgpool2d_forward",
-    "avgpool2d_backward",
 ]
 
 
@@ -102,40 +100,3 @@ def maxpool2d_backward(
         dxp = dxp[:, :, padding:-padding, padding:-padding]
     return dxp
 
-
-def avgpool2d_forward(x: np.ndarray, kernel: int, stride: int, padding: int = 0) -> np.ndarray:
-    """Average pool (N,C,H,W); padded elements count toward the divisor."""
-    n, c, h, w = x.shape
-    oh = conv_output_size(h, kernel, stride, padding, 1)
-    ow = conv_output_size(w, kernel, stride, padding, 1)
-    if padding:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x
-    acc = np.zeros((n, c, oh, ow), dtype=np.float64 if x.dtype == np.float64 else np.float32)
-    for u in range(kernel):
-        for v in range(kernel):
-            acc += xp[:, :, u : u + (oh - 1) * stride + 1 : stride,
-                      v : v + (ow - 1) * stride + 1 : stride]
-    return (acc / (kernel * kernel)).astype(x.dtype, copy=False)
-
-
-def avgpool2d_backward(
-    grad_out: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kernel: int,
-    stride: int,
-    padding: int = 0,
-) -> np.ndarray:
-    """Spread each output gradient uniformly over its window."""
-    n, c, h, w = x_shape
-    _, _, oh, ow = grad_out.shape
-    share = grad_out / (kernel * kernel)
-    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=grad_out.dtype)
-    for u in range(kernel):
-        for v in range(kernel):
-            dxp[:, :, u : u + (oh - 1) * stride + 1 : stride,
-                v : v + (ow - 1) * stride + 1 : stride] += share
-    if padding:
-        dxp = dxp[:, :, padding:-padding, padding:-padding]
-    return dxp

@@ -6,9 +6,11 @@ reverse pass.  The tape doubles as the *operation graph* that the paper's
 FLOP-counting methodology (Section VI) traverses; see
 :mod:`repro.framework.graph` for the symbolic analysis counterpart.
 
-Only the operations the segmentation networks need are implemented, but each
-is implemented completely (forward + backward, with broadcasting) and is
-validated against finite differences in the test-suite.
+Only the operations the segmentation networks need are implemented: ``+``,
+``*``, ``sum``, ``reshape``, ``relu`` and :func:`concatenate` (convolution,
+normalization, pooling, upsampling and the loss are layers with their own
+kernels).  Each is implemented completely (forward + backward, with
+broadcasting) and is validated against finite differences in the test-suite.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "concatenate", "stack", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "concatenate", "no_grad", "is_grad_enabled"]
 
 _GRAD_ENABLED = True
 
@@ -125,18 +127,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def astype(self, dtype) -> "Tensor":
-        dtype = np.dtype(dtype)
-        src_dtype = self.data.dtype
-
-        def backward(g: np.ndarray) -> None:
-            self.accumulate_grad(g.astype(src_dtype))
-
-        return Tensor.from_op(self.data.astype(dtype), (self,), backward, f"cast[{dtype}]")
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, op={self.op_name!r})"
 
@@ -204,19 +194,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = Tensor._coerce(other)
-        out_data = self.data - other.data
-
-        def backward(g: np.ndarray) -> None:
-            self.accumulate_grad(_unbroadcast(g, self.shape))
-            other.accumulate_grad(_unbroadcast(-g, other.shape))
-
-        return Tensor.from_op(out_data, (self, other), backward, "sub")
-
-    def __rsub__(self, other):
-        return Tensor._coerce(other).__sub__(self)
-
     def __mul__(self, other):
         other = Tensor._coerce(other)
         out_data = self.data * other.data
@@ -229,51 +206,7 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = Tensor._coerce(other)
-        out_data = self.data / other.data
-
-        def backward(g: np.ndarray) -> None:
-            self.accumulate_grad(_unbroadcast(g / other.data, self.shape))
-            other.accumulate_grad(
-                _unbroadcast(-g * self.data / (other.data * other.data), other.shape)
-            )
-
-        return Tensor.from_op(out_data, (self, other), backward, "div")
-
-    def __rtruediv__(self, other):
-        return Tensor._coerce(other).__truediv__(self)
-
-    def __neg__(self):
-        def backward(g: np.ndarray) -> None:
-            self.accumulate_grad(-g)
-
-        return Tensor.from_op(-self.data, (self,), backward, "neg")
-
-    def __pow__(self, exponent: float):
-        exponent = float(exponent)
-        out_data = self.data**exponent
-
-        def backward(g: np.ndarray) -> None:
-            self.accumulate_grad(g * exponent * self.data ** (exponent - 1.0))
-
-        return Tensor.from_op(out_data, (self,), backward, "pow")
-
-    def __matmul__(self, other):
-        other = Tensor._coerce(other)
-        out_data = self.data @ other.data
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                ga = g @ np.swapaxes(other.data, -1, -2)
-                self.accumulate_grad(_unbroadcast(ga, self.shape))
-            if other.requires_grad:
-                gb = np.swapaxes(self.data, -1, -2) @ g
-                other.accumulate_grad(_unbroadcast(gb, other.shape))
-
-        return Tensor.from_op(out_data, (self, other), backward, "matmul")
-
-    # -- reductions / shape ------------------------------------------------
+    # -- reduction / shape -------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
@@ -288,16 +221,6 @@ class Tensor:
 
         return Tensor.from_op(out_data, (self,), backward, "sum")
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            count = self.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = 1
-            for a in axes:
-                count *= self.shape[a % self.ndim]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -308,51 +231,7 @@ class Tensor:
 
         return Tensor.from_op(self.data.reshape(shape), (self,), backward, "reshape")
 
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
-        inv = np.argsort(axes)
-
-        def backward(g: np.ndarray) -> None:
-            self.accumulate_grad(np.transpose(g, inv))
-
-        return Tensor.from_op(np.transpose(self.data, axes), (self,), backward, "transpose")
-
-    def __getitem__(self, idx):
-        out_data = self.data[idx]
-
-        def backward(g: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
-            self.accumulate_grad(full)
-
-        return Tensor.from_op(out_data, (self,), backward, "getitem")
-
-    # -- elementwise non-linearities ----------------------------------------
-
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self.accumulate_grad(g * out_data)
-
-        return Tensor.from_op(out_data, (self,), backward, "exp")
-
-    def log(self):
-        def backward(g: np.ndarray) -> None:
-            self.accumulate_grad(g / self.data)
-
-        return Tensor.from_op(np.log(self.data), (self,), backward, "log")
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self.accumulate_grad(g * 0.5 / out_data)
-
-        return Tensor.from_op(out_data, (self,), backward, "sqrt")
+    # -- non-linearity -----------------------------------------------------
 
     def relu(self):
         mask = self.data > 0
@@ -361,30 +240,6 @@ class Tensor:
             self.accumulate_grad(g * mask)
 
         return Tensor.from_op(self.data * mask, (self,), backward, "relu")
-
-    def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(g: np.ndarray) -> None:
-            self.accumulate_grad(g * out_data * (1.0 - out_data))
-
-        return Tensor.from_op(out_data, (self,), backward, "sigmoid")
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self.accumulate_grad(g * (1.0 - out_data * out_data))
-
-        return Tensor.from_op(out_data, (self,), backward, "tanh")
-
-    def clip(self, lo: float, hi: float):
-        mask = (self.data >= lo) & (self.data <= hi)
-
-        def backward(g: np.ndarray) -> None:
-            self.accumulate_grad(g * mask)
-
-        return Tensor.from_op(np.clip(self.data, lo, hi), (self,), backward, "clip")
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -402,14 +257,3 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
     return Tensor.from_op(data, tensors, backward, "concat")
 
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable stack along a new axis."""
-    tensors = [Tensor._coerce(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g: np.ndarray) -> None:
-        for i, t in enumerate(tensors):
-            t.accumulate_grad(np.take(g, i, axis=axis))
-
-    return Tensor.from_op(data, tensors, backward, "stack")

@@ -11,7 +11,8 @@ inside its latency target.  The queue therefore has
   requests; an arrival past the cap is shed with reason ``queue_full``;
 * **SLO-aware shedding** — with a per-lane ``slo_s`` target, the
   controller estimates the arrival's queueing delay from the windows
-  already waiting and an EWMA of measured per-window service time, and
+  already waiting (each request counts the tiles the replicas will cut
+  from its snapshot) and an EWMA of measured per-window service time, and
   sheds with reason ``slo`` when the estimate exceeds the target.  A
   request that would miss its SLO anyway is cheaper to refuse at the door
   than to compute and deliver late.
@@ -25,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..telemetry import get_active
+from .replica import window_grid
 from .request import DEFAULT_LANES, InferenceRequest
 
 __all__ = ["AdmissionConfig", "AdmissionController", "RequestQueue"]
@@ -105,12 +107,16 @@ class RequestQueue:
     """FIFO-within-lane, priority-across-lane waiting room."""
 
     def __init__(self, config: AdmissionConfig, controller: AdmissionController,
-                 windows_per_request: int = 1):
+                 window_hw: tuple[int, int],
+                 stride_hw: tuple[int, int] | None = None):
         self.config = config
         self.controller = controller
-        self.windows_per_request = max(1, int(windows_per_request))
+        self.window_hw = window_hw
+        self.stride_hw = stride_hw
         self._lanes: dict[str, deque[InferenceRequest]] = {
             lane: deque() for lane in config.lanes}
+        #: Windows the waiting requests will be cut into, summed.
+        self.queued_windows = 0
 
     # -- state -------------------------------------------------------------
 
@@ -119,9 +125,10 @@ class RequestQueue:
             return len(self._lanes[lane])
         return sum(len(q) for q in self._lanes.values())
 
-    @property
-    def queued_windows(self) -> int:
-        return self.depth() * self.windows_per_request
+    def _windows(self, request: InferenceRequest) -> int:
+        ys, xs = window_grid(request.image.shape[1:], self.window_hw,
+                             self.stride_hw)
+        return len(ys) * len(xs)
 
     def oldest_enqueue_s(self) -> float | None:
         oldest = None
@@ -151,6 +158,7 @@ class RequestQueue:
             return False, reason
         request.enqueued_s = now
         self._lanes[request.lane].append(request)
+        self.queued_windows += self._windows(request)
         if tel.enabled:
             tel.metrics.counter("serve.admitted", lane=request.lane).inc()
             tel.metrics.gauge("serve.queue_depth").set(self.depth())
@@ -164,7 +172,9 @@ class RequestQueue:
         for lane in self.config.lanes:
             q = self._lanes[lane]
             while q and len(out) < max_items:
-                out.append(q.popleft())
+                request = q.popleft()
+                self.queued_windows -= self._windows(request)
+                out.append(request)
         return out
 
     def drain(self) -> list[InferenceRequest]:

@@ -36,7 +36,19 @@ from ..telemetry import get_active
 from ..telemetry.clock import WallClock
 from .request import InferenceRequest
 
-__all__ = ["Replica", "BatchResult", "ReplicaPool"]
+__all__ = ["Replica", "BatchResult", "ReplicaPool", "window_grid"]
+
+
+def window_grid(hw: tuple[int, int], window_hw: tuple[int, int],
+                stride_hw: tuple[int, int] | None = None
+                ) -> tuple[list[int], list[int]]:
+    """Window origins down and across an (H, W) snapshot.
+
+    ``stride_hw`` defaults to half a window (overlapping tiles).
+    """
+    (h, w), (wh, ww) = hw, window_hw
+    sh, sw = stride_hw or (wh // 2, ww // 2)
+    return tile_positions(h, wh, sh), tile_positions(w, ww, sw)
 
 
 class Replica:
@@ -75,9 +87,7 @@ class Replica:
         layout = []
         for req in requests:
             _, h, w = req.image.shape
-            sh, sw = stride_hw or (wh // 2, ww // 2)
-            ys = tile_positions(h, wh, sh)
-            xs = tile_positions(w, ww, sw)
+            ys, xs = window_grid((h, w), window_hw, stride_hw)
             start = len(all_tiles)
             all_tiles.extend(req.image[:, y0: y0 + wh, x0: x0 + ww]
                              for y0 in ys for x0 in xs)

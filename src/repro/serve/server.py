@@ -109,7 +109,8 @@ class InferenceServer:
                                         max_depth=cfg.max_depth,
                                         slo_s=cfg.slo_s)
         self.admission = AdmissionController(admission_cfg, cfg.num_replicas)
-        self.queue = RequestQueue(admission_cfg, self.admission)
+        self.queue = RequestQueue(admission_cfg, self.admission,
+                                  cfg.window_hw, cfg.stride_hw)
         self.batcher = MicroBatcher(
             BatchPolicy(cfg.max_batch_size, cfg.max_wait_s), self.queue)
         self.service_model = service_model or measured_service

@@ -23,7 +23,6 @@ disabled session and pay only a no-op context manager per span site.
 from .clock import SimulatedClock, WallClock
 from .export import (
     chrome_trace,
-    read_jsonl,
     render_metrics_report,
     write_chrome_trace,
     write_jsonl,
@@ -41,7 +40,7 @@ from .health import (Alert, HealthEngine, HealthRule, default_health_rules,
                      fleet_health_rules)
 from .session import DISABLED, Telemetry, activate, get_active, set_active
 from .streaming import Ewma, StreamingAggregator, WindowSummary
-from .tracer import NULL_SPAN, Span, Tracer, traced
+from .tracer import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "CrossRankTrace",
@@ -62,7 +61,6 @@ __all__ = [
     "DISABLED",
     "Tracer",
     "Span",
-    "traced",
     "NULL_SPAN",
     "WallClock",
     "SimulatedClock",
@@ -75,6 +73,5 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "write_jsonl",
-    "read_jsonl",
     "render_metrics_report",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "write_jsonl",
-    "read_jsonl",
     "render_metrics_report",
 ]
 
@@ -112,7 +111,7 @@ def write_jsonl(path, spans: list[Span],
                 metrics: MetricsRegistry | dict | None = None) -> int:
     """Write one JSON object per line: spans, then a metrics snapshot.
 
-    Round-trips through :func:`read_jsonl`.  Returns the line count.
+    Returns the line count.
     """
     lines = []
     for s in spans:
@@ -127,26 +126,6 @@ def write_jsonl(path, spans: list[Span],
         lines.append(json.dumps({"type": "metrics", "snapshot": snap}))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
     return len(lines)
-
-
-def read_jsonl(path) -> tuple[list[Span], dict | None]:
-    """Load a JSONL log back into spans and the metrics snapshot (if any)."""
-    spans: list[Span] = []
-    snapshot: dict | None = None
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        if rec["type"] == "span":
-            spans.append(Span(
-                name=rec["name"], category=rec["category"],
-                start_us=rec["start_us"], duration_us=rec["duration_us"],
-                span_id=rec["span_id"], parent_id=rec["parent_id"],
-                lane=rec["lane"], kind=rec["kind"], args=rec["args"],
-            ))
-        elif rec["type"] == "metrics":
-            snapshot = rec["snapshot"]
-    return spans, snapshot
 
 
 # -- plain-text metrics report ----------------------------------------------

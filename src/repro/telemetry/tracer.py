@@ -19,13 +19,12 @@ pipeline, gradient exchange, simulators).  Design constraints:
 """
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass, field
 
 from .clock import WallClock
 
-__all__ = ["Span", "Tracer", "NULL_SPAN", "traced"]
+__all__ = ["Span", "Tracer", "NULL_SPAN"]
 
 
 @dataclass
@@ -209,30 +208,3 @@ class Tracer:
         with self._lock:
             self._spans.clear()
 
-
-def traced(name: str | None = None, category: str = "app",
-           tracer: Tracer | None = None):
-    """Decorator tracing every call of a function as one span.
-
-    The tracer is resolved *per call*: the explicit ``tracer`` argument if
-    given, else the active session's (:func:`repro.telemetry.get_active`),
-    so decorated library code follows whatever telemetry the caller
-    activated — including none (zero overhead beyond one lookup).
-    """
-    def decorate(fn):
-        span_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*fargs, **fkwargs):
-            tr = tracer
-            if tr is None:
-                from .session import get_active
-                tr = get_active().tracer
-            with tr.span(span_name, category=category):
-                return fn(*fargs, **fkwargs)
-        return wrapper
-
-    if callable(name):                    # bare @traced usage
-        fn, name = name, None
-        return decorate(fn)
-    return decorate

@@ -9,9 +9,8 @@ from repro.comm import (
     build_timeline,
     fuse_order,
     hierarchical_negotiation,
-    to_chrome_trace,
 )
-from repro.comm.timeline import chrome_trace_records, merge_chrome_traces
+from repro.comm.timeline import chrome_trace_records
 
 
 @pytest.fixture()
@@ -67,26 +66,16 @@ class TestTimeline:
 
     def test_chrome_trace_is_valid_json(self, exchange):
         names, negotiation, fusion = exchange
-        doc = to_chrome_trace(build_timeline(negotiation, fusion, names))
-        doc = json.loads(json.dumps(doc))     # must be JSON-serializable
-        assert "traceEvents" in doc
-        assert {rec["ph"] for rec in doc["traceEvents"]} == {"M", "X"}
-        for rec in doc["traceEvents"]:
-            if rec["ph"] != "X":
-                continue                      # lane/process metadata records
-            assert rec["dur"] > 0
-            assert set(rec) >= {"name", "cat", "ts", "pid", "tid"}
-
-    def test_chrome_trace_writes_path_and_returns_dict(self, exchange, tmp_path):
-        names, negotiation, fusion = exchange
         events = build_timeline(negotiation, fusion, names)
-        out = tmp_path / "comm_trace.json"
-        doc = to_chrome_trace(events, path=out)
-        assert out.exists()
-        on_disk = json.loads(out.read_text())
-        assert on_disk == doc
+        doc = {"traceEvents": chrome_trace_records(
+            events, process_name="comm.exchange")}
+        doc = json.loads(json.dumps(doc))     # must be JSON-serializable
+        assert {rec["ph"] for rec in doc["traceEvents"]} == {"M", "X"}
         xs = [r for r in doc["traceEvents"] if r["ph"] == "X"]
         assert len(xs) == len(events)
+        for rec in xs:
+            assert rec["dur"] > 0
+            assert set(rec) >= {"name", "cat", "ts", "pid", "tid"}
 
     def test_name_count_mismatch_rejected(self, exchange):
         names, negotiation, fusion = exchange
@@ -126,40 +115,3 @@ class TestChromeMetadata:
         assert any(r["ph"] == "M" for r in first)
         assert not any(r["ph"] == "M" for r in second)
 
-
-class TestMergeChromeTraces:
-    def test_merge_keeps_first_metadata_and_all_events(self):
-        a = {"traceEvents": [
-            {"ph": "M", "name": "process_name", "pid": 1,
-             "args": {"name": "one"}},
-            {"ph": "X", "name": "e1", "cat": "c", "ts": 0, "dur": 1,
-             "pid": 1, "tid": 0}]}
-        b = {"traceEvents": [
-            {"ph": "M", "name": "process_name", "pid": 1,
-             "args": {"name": "two"}},      # duplicate key: dropped
-            {"ph": "X", "name": "e2", "cat": "c", "ts": 5, "dur": 1,
-             "pid": 1, "tid": 0}],
-             "displayTimeUnit": "ms"}
-        merged = merge_chrome_traces(a, b)
-        meta = [r for r in merged["traceEvents"] if r["ph"] == "M"]
-        assert len(meta) == 1
-        assert meta[0]["args"]["name"] == "one"    # first doc wins
-        assert [r["name"] for r in merged["traceEvents"]
-                if r["ph"] == "X"] == ["e1", "e2"]
-        assert merged["displayTimeUnit"] == "ms"   # extra keys preserved
-
-    def test_merge_distinct_pids_keep_both_metas(self):
-        docs = [{"traceEvents": [{"ph": "M", "name": "process_name",
-                                  "pid": p, "args": {"name": f"p{p}"}}]}
-                for p in (1, 2)]
-        merged = merge_chrome_traces(*docs)
-        assert len(merged["traceEvents"]) == 2
-
-    def test_merged_doc_is_json_serializable(self, exchange):
-        names, negotiation, fusion = exchange
-        events = build_timeline(negotiation, fusion, names)
-        doc = to_chrome_trace(events)
-        merged = merge_chrome_traces(doc, doc)
-        json.loads(json.dumps(merged))
-        xs = [r for r in merged["traceEvents"] if r["ph"] == "X"]
-        assert len(xs) == 2 * len(events)          # events never deduped

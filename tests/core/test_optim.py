@@ -208,27 +208,6 @@ class TestGradientLag:
 
 
 class TestSchedules:
-    def test_constant(self):
-        assert schedules.constant(0.1)(1000) == 0.1
-
-    def test_step_decay(self):
-        f = schedules.step_decay(1.0, 0.1, every=10)
-        assert f(0) == 1.0
-        assert f(10) == pytest.approx(0.1)
-        assert f(25) == pytest.approx(0.01)
-
-    def test_polynomial_endpoints(self):
-        f = schedules.polynomial_decay(1.0, total_steps=100, power=0.9)
-        assert f(0) == 1.0
-        assert f(100) == 0.0
-        assert f(200) == 0.0
-
-    def test_warmup_ramps(self):
-        f = schedules.linear_warmup(1.0, warmup_steps=10)
-        assert f(0) == pytest.approx(0.1)
-        assert f(9) == pytest.approx(1.0)
-        assert f(50) == 1.0
-
     def test_scaling_rules(self):
         assert schedules.linear_scaled_lr(0.1, 8) == pytest.approx(0.8)
         assert schedules.sqrt_scaled_lr(0.1, 16) == pytest.approx(0.4)
@@ -243,7 +222,5 @@ class TestSchedules:
         assert all(b > a for a, b in zip(lrs, lrs[1:]))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            schedules.step_decay(1.0, 0.5, every=0)
         with pytest.raises(ValueError):
             schedules.paper_lr_for_gpus(0)

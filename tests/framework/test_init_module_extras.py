@@ -17,16 +17,6 @@ class TestInitializers:
         assert w.std() == pytest.approx(np.sqrt(2.0 / fan_in), rel=0.05)
         assert w.dtype == np.float32
 
-    def test_he_uniform_bounds(self):
-        w = initializers.he_uniform(np.random.default_rng(1), (64, 32, 3, 3))
-        limit = np.sqrt(6.0 / (32 * 9))
-        assert w.min() >= -limit and w.max() <= limit
-
-    def test_glorot_uniform_bounds(self):
-        w = initializers.glorot_uniform(np.random.default_rng(2), (100, 50))
-        limit = np.sqrt(6.0 / 150)
-        assert np.abs(w).max() <= limit
-
     def test_dense_shape_fans(self):
         w = initializers.he_normal(np.random.default_rng(3), (10, 20))
         assert w.shape == (10, 20)

@@ -3,39 +3,26 @@ import numpy as np
 import pytest
 
 from repro.framework import Tensor
-from repro.framework.losses import log_softmax, softmax, softmax_probs, weighted_cross_entropy
+from repro.framework.losses import log_softmax, weighted_cross_entropy
 
 
 class TestSoftmax:
     def test_probs_sum_to_one(self):
         z = np.random.default_rng(0).normal(size=(2, 5, 3, 3))
-        p = softmax_probs(z, axis=1)
+        p = np.exp(log_softmax(z, axis=1))
         np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=1e-6)
 
     def test_stable_for_large_logits(self):
         z = np.array([[1000.0, 1001.0]])
-        p = softmax_probs(z, axis=1)
-        assert np.isfinite(p).all()
-        np.testing.assert_allclose(p.sum(), 1.0)
+        logp = log_softmax(z, axis=1)
+        assert np.isfinite(logp).all()
+        np.testing.assert_allclose(np.exp(logp).sum(), 1.0)
 
     def test_log_softmax_consistent(self):
         z = np.random.default_rng(1).normal(size=(4, 3))
+        e = np.exp(z)
         np.testing.assert_allclose(np.exp(log_softmax(z, axis=1)),
-                                   softmax_probs(z, axis=1), rtol=1e-6)
-
-    def test_softmax_tensor_gradcheck(self):
-        rng = np.random.default_rng(2)
-        z0 = rng.normal(size=(2, 4))
-        z = Tensor(z0, requires_grad=True)
-        g = rng.normal(size=(2, 4))
-        p = softmax(z, axis=1)
-        p.backward(g)
-        eps = 1e-6
-        for idx in [(0, 0), (1, 3)]:
-            zp = z0.copy(); zp[idx] += eps
-            zm = z0.copy(); zm[idx] -= eps
-            fd = ((softmax_probs(zp, 1) * g).sum() - (softmax_probs(zm, 1) * g).sum()) / (2 * eps)
-            np.testing.assert_allclose(z.grad[idx], fd, rtol=1e-5, atol=1e-8)
+                                   e / e.sum(axis=1, keepdims=True), rtol=1e-6)
 
 
 class TestWeightedCrossEntropy:

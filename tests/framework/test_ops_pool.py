@@ -2,12 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.framework.ops.pool import (
-    avgpool2d_backward,
-    avgpool2d_forward,
-    maxpool2d_backward,
-    maxpool2d_forward,
-)
+from repro.framework.ops.pool import maxpool2d_backward, maxpool2d_forward
 
 
 def naive_maxpool(x, k, s, p):
@@ -74,22 +69,3 @@ class TestMaxPool:
         out, _ = maxpool2d_forward(x, 2, 2, 0)
         assert out.dtype == np.float16
 
-
-class TestAvgPool:
-    def test_uniform_input(self):
-        x = np.full((1, 1, 4, 4), 3.0)
-        out = avgpool2d_forward(x, 2, 2, 0)
-        np.testing.assert_allclose(out, 3.0)
-
-    def test_backward_spreads_uniformly(self):
-        g = np.array([[[[4.0]]]])
-        dx = avgpool2d_backward(g, (1, 1, 2, 2), 2, 2, 0)
-        np.testing.assert_allclose(dx, 1.0)
-
-    def test_adjoint_identity(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(1, 2, 6, 6))
-        y = avgpool2d_forward(x, 3, 2, 1)
-        g = rng.normal(size=y.shape)
-        dx = avgpool2d_backward(g, x.shape, 3, 2, 1)
-        np.testing.assert_allclose((y * g).sum(), (x * dx).sum(), rtol=1e-8)

@@ -37,8 +37,7 @@ class TestScope:
         assert hashlib.sha256(w.tobytes()).hexdigest() == (
             "e518df8c98062f7a7e341ebc34479e8aac7265848225dda7b8d9c4edf1fc739f")
 
-    @pytest.mark.parametrize("draw", [initializers.he_normal, initializers.he_uniform,
-                                      initializers.glorot_uniform])
+    @pytest.mark.parametrize("draw", [initializers.he_normal])
     def test_random_initializers_return_placeholders(self, draw):
         rng = np.random.default_rng(5)
         before = rng.bit_generator.state

@@ -1,10 +1,9 @@
-"""Autodiff core: arithmetic, broadcasting, reductions, shape ops."""
+"""Autodiff core: add/mul, broadcasting, sum, reshape, relu, concatenate."""
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.framework import Tensor, concatenate, no_grad, stack
+from repro.framework import Tensor, concatenate, no_grad
 from repro.framework.tensor import _unbroadcast
 
 
@@ -38,11 +37,6 @@ class TestBasics:
     def test_item_scalar(self):
         assert Tensor(3.5).item() == 3.5
 
-    def test_detach_breaks_tape(self):
-        x = Tensor([1.0], requires_grad=True)
-        y = (x * 2).detach()
-        assert not y.requires_grad
-
     def test_numpy_returns_payload(self):
         data = np.arange(4.0)
         assert Tensor(data).numpy() is data
@@ -63,23 +57,6 @@ class TestArithmetic:
         np.testing.assert_allclose(x.grad, [3, 4])
         np.testing.assert_allclose(y.grad, [1, 2])
 
-    def test_sub_rsub(self):
-        x = Tensor(np.array([5.0]), requires_grad=True)
-        (10.0 - x).backward()
-        np.testing.assert_allclose(x.grad, [-1.0])
-
-    def test_div_backward(self):
-        x = Tensor(np.array([4.0]), requires_grad=True)
-        y = Tensor(np.array([2.0]), requires_grad=True)
-        (x / y).backward()
-        np.testing.assert_allclose(x.grad, [0.5])
-        np.testing.assert_allclose(y.grad, [-1.0])
-
-    def test_neg_pow(self):
-        x = Tensor(np.array([3.0]), requires_grad=True)
-        ((-x) ** 2).backward()
-        np.testing.assert_allclose(x.grad, [6.0])
-
     def test_scalar_coercion(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         (x * 3 + 1).backward()
@@ -98,17 +75,6 @@ class TestArithmetic:
         (x * y).sum().backward()
         assert x.grad.shape == (2, 1, 3)
         np.testing.assert_allclose(x.grad, 4.0)
-
-    def test_matmul_backward(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-        (ta @ tb).sum().backward()
-        np.testing.assert_allclose(ta.grad, fd_grad(lambda m: (m @ b).sum(), a),
-                                   rtol=1e-5, atol=1e-7)
-        np.testing.assert_allclose(tb.grad, fd_grad(lambda m: (a @ m).sum(), b),
-                                   rtol=1e-5, atol=1e-7)
 
     def test_diamond_graph_accumulates(self):
         # x used twice: grad must accumulate through both paths.
@@ -142,34 +108,10 @@ class TestReductionsAndShape:
         x.sum(axis=-1).sum().backward()
         np.testing.assert_allclose(x.grad, 1.0)
 
-    def test_mean_scales(self):
-        x = Tensor(np.ones((4,)), requires_grad=True)
-        x.mean().backward()
-        np.testing.assert_allclose(x.grad, 0.25)
-
-    def test_mean_axis_tuple(self):
-        x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
-        m = x.mean(axis=(1, 2))
-        assert m.shape == (2,)
-        m.sum().backward()
-        np.testing.assert_allclose(x.grad, 1.0 / 12)
-
     def test_reshape_roundtrip_grad(self):
         x = Tensor(np.arange(6.0), requires_grad=True)
         x.reshape(2, 3).sum().backward()
         assert x.grad.shape == (6,)
-
-    def test_transpose_grad(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        y = x.transpose(1, 0)
-        assert y.shape == (3, 2)
-        (y * Tensor(np.arange(6.0).reshape(3, 2))).sum().backward()
-        np.testing.assert_allclose(x.grad, np.arange(6.0).reshape(3, 2).T)
-
-    def test_getitem_scatters_grad(self):
-        x = Tensor(np.arange(5.0), requires_grad=True)
-        x[1:3].sum().backward()
-        np.testing.assert_allclose(x.grad, [0, 1, 1, 0, 0])
 
     def test_concatenate_splits_grad(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -180,35 +122,12 @@ class TestReductionsAndShape:
         np.testing.assert_allclose(a.grad, 2.0)
         np.testing.assert_allclose(b.grad, 2.0)
 
-    def test_stack_grad(self):
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.ones(3), requires_grad=True)
-        s = stack([a, b], axis=0)
-        assert s.shape == (2, 3)
-        s.sum().backward()
-        np.testing.assert_allclose(a.grad, 1.0)
-
 
 class TestNonlinearities:
-    @pytest.mark.parametrize("name", ["exp", "log", "sqrt", "sigmoid", "tanh"])
-    def test_unary_matches_fd(self, name):
-        rng = np.random.default_rng(1)
-        x = np.abs(rng.normal(size=5)) + 0.5
-        t = Tensor(x, requires_grad=True)
-        getattr(t, name)().sum().backward()
-        ref = fd_grad(lambda a: getattr(np, name if name != "sigmoid" else "tanh")(a).sum()
-                      if name != "sigmoid" else (1 / (1 + np.exp(-a))).sum(), x)
-        np.testing.assert_allclose(t.grad, ref, rtol=1e-4, atol=1e-6)
-
     def test_relu_gradient_mask(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
         x.relu().sum().backward()
         np.testing.assert_allclose(x.grad, [0, 0, 1])
-
-    def test_clip_gradient(self):
-        x = Tensor(np.array([-2.0, 0.5, 3.0]), requires_grad=True)
-        x.clip(-1, 1).sum().backward()
-        np.testing.assert_allclose(x.grad, [0, 1, 0])
 
 
 class TestNoGrad:
@@ -240,7 +159,7 @@ class TestUnbroadcast:
 class TestHypothesisGradients:
     @given(
         st.integers(2, 4), st.integers(2, 4),
-        st.sampled_from(["add", "mul", "div"]),
+        st.sampled_from(["add", "mul"]),
     )
     @settings(max_examples=25, deadline=None)
     def test_binary_op_gradcheck(self, n, m, op):
@@ -249,10 +168,9 @@ class TestHypothesisGradients:
         b = rng.normal(size=(m,)) + 3.0  # broadcast path
         ta = Tensor(a, requires_grad=True)
         tb = Tensor(b, requires_grad=True)
-        f = {"add": lambda x, y: x + y, "mul": lambda x, y: x * y,
-             "div": lambda x, y: x / y}[op]
+        f = {"add": lambda x, y: x + y, "mul": lambda x, y: x * y}[op]
         f(ta, tb).sum().backward()
-        fnp = {"add": np.add, "mul": np.multiply, "div": np.divide}[op]
+        fnp = {"add": np.add, "mul": np.multiply}[op]
         np.testing.assert_allclose(
             ta.grad, fd_grad(lambda x: fnp(x, b).sum(), a), rtol=1e-4, atol=1e-6)
         np.testing.assert_allclose(

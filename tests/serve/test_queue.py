@@ -7,15 +7,15 @@ from repro.serve import (AdmissionConfig, AdmissionController, BatchPolicy,
 
 
 def request(rid, lane="interactive", arrival=0.0):
-    image = np.zeros((1, 4, 4), np.float32)
+    # 16x16 cut into 8x8 windows at stride 4: 3 x 3 = 9 windows.
+    image = np.zeros((1, 16, 16), np.float32)
     return InferenceRequest(rid, image, lane=lane, arrival_s=arrival)
 
 
-def make_queue(max_depth=4, slo_s=(), windows_per_request=1):
+def make_queue(max_depth=4, slo_s=()):
     config = AdmissionConfig(max_depth=max_depth, slo_s=slo_s)
     controller = AdmissionController(config, num_replicas=1)
-    return RequestQueue(config, controller,
-                        windows_per_request=windows_per_request), controller
+    return RequestQueue(config, controller, (8, 8), (4, 4)), controller
 
 
 class TestAdmissionConfig:
@@ -61,24 +61,33 @@ class TestBackpressure:
 class TestSloShedding:
     def test_sheds_when_estimated_wait_exceeds_slo(self):
         queue, controller = make_queue(
-            max_depth=64, slo_s=(("interactive", 0.01),),
-            windows_per_request=10)
+            max_depth=64, slo_s=(("interactive", 0.01),))
         controller.observe_service(0.005)       # 5 ms per window
         assert queue.offer(request(0), 0.0)[0]  # empty queue: no wait
-        # 10 queued windows * 5 ms = 50 ms estimated wait > 10 ms SLO.
+        # 9 queued windows * 5 ms = 45 ms estimated wait > 10 ms SLO.
         admitted, reason = queue.offer(request(1), 0.0)
         assert not admitted and reason == "slo"
 
+    def test_queued_windows_count_each_requests_tiles(self):
+        queue, _ = make_queue(max_depth=8)
+        small = InferenceRequest(9, np.zeros((1, 8, 8), np.float32))
+        queue.offer(request(0), 0.0)
+        queue.offer(small, 0.0)                 # one 8x8 window
+        queue.offer(request(1, "bulk"), 0.0)
+        assert queue.queued_windows == 9 + 1 + 9
+        queue.pop(2)
+        assert queue.queued_windows == 9
+        queue.drain()
+        assert queue.queued_windows == 0
+
     def test_no_shedding_before_first_observation(self):
-        queue, _ = make_queue(slo_s=(("interactive", 1e-9),),
-                              windows_per_request=100)
+        queue, _ = make_queue(slo_s=(("interactive", 1e-9),))
         for rid in range(3):
             assert queue.offer(request(rid), 0.0)[0]
 
     def test_lane_without_slo_only_depth_gated(self):
         queue, controller = make_queue(
-            max_depth=64, slo_s=(("interactive", 0.01),),
-            windows_per_request=10)
+            max_depth=64, slo_s=(("interactive", 0.01),))
         controller.observe_service(0.005)
         queue.offer(request(0), 0.0)
         assert queue.offer(request(1, lane="bulk"), 0.0)[0]

@@ -178,6 +178,19 @@ class TestOverload:
         assert report.shed_by_reason.get("slo", 0) > 0
         assert report.lost_admitted == 0
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_wait_estimate_counts_every_queued_window(self, k):
+        # 16x16 snapshots in 8x8 windows at stride 4: 9 windows each, so
+        # k queued requests wait 9k windows, shared across the replicas.
+        server = InferenceServer(MeanModel, CONFIG, service_model=SERVICE)
+        for req in burst(k):
+            assert server.queue.offer(req, 0.0) == (True, None)
+        server.admission.observe_service(0.002)
+        ewma = server.admission.ewma_window_s
+        assert server.admission.estimated_wait_s(
+            server.queue.queued_windows) == pytest.approx(
+                9 * k * ewma / CONFIG.num_replicas)
+
 
 class TestTelemetryIntegration:
     def test_counters_histograms_and_spans_land_on_active_session(self):

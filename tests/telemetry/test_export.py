@@ -11,9 +11,9 @@ from repro.comm import (
 )
 from repro.telemetry import (
     MetricsRegistry,
+    Span,
     Tracer,
     chrome_trace,
-    read_jsonl,
     render_metrics_report,
     write_chrome_trace,
     write_jsonl,
@@ -103,11 +103,14 @@ class TestJsonl:
         path = tmp_path / "log.jsonl"
         n = write_jsonl(path, spans, reg)
         assert n == len(spans) + 1
-        loaded, snapshot = read_jsonl(path)
-        assert len(loaded) == len(spans)
-        for a, b in zip(loaded, spans):
-            assert a == b
-        assert snapshot["counters"]["steps"] == 3
+        *records, metrics = [json.loads(line)
+                             for line in path.read_text().splitlines()]
+        loaded = [Span(**{k: v for k, v in rec.items() if k != "type"})
+                  for rec in records]
+        assert [rec["type"] for rec in records] == ["span"] * len(spans)
+        assert loaded == spans
+        assert metrics["type"] == "metrics"
+        assert metrics["snapshot"]["counters"]["steps"] == 3
 
     def test_every_line_is_json(self, tmp_path):
         path = tmp_path / "log.jsonl"

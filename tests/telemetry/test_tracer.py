@@ -7,11 +7,8 @@ import pytest
 from repro.telemetry import (
     NULL_SPAN,
     SimulatedClock,
-    Telemetry,
     Tracer,
-    activate,
     get_active,
-    traced,
 )
 
 
@@ -143,37 +140,6 @@ class TestSimulatedClock:
             clock.advance(-1.0)
         clock.advance_to(5.0)
         assert clock.advance_to(1.0) == 5.0   # no-op jump backwards
-
-
-class TestTracedDecorator:
-    def test_traced_uses_active_session(self):
-        @traced(category="app")
-        def compute(x):
-            return x * 2
-
-        tel = Telemetry()
-        with activate(tel):
-            assert compute(21) == 42
-        (s,) = tel.tracer.spans()
-        assert "compute" in s.name
-
-    def test_traced_explicit_name_and_tracer(self):
-        tr = Tracer()
-
-        @traced("custom_name", category="io", tracer=tr)
-        def fn():
-            return 7
-
-        assert fn() == 7
-        assert tr.spans()[0].name == "custom_name"
-        assert tr.spans()[0].category == "io"
-
-    def test_traced_no_session_is_noop(self):
-        @traced
-        def plain():
-            return 1
-
-        assert plain() == 1   # runs fine against the disabled default
 
 
 class TestInstant:
