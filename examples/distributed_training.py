@@ -6,7 +6,9 @@ Demonstrates the paper's training configuration end to end:
 * one model replica per rank (identical initialization, like Horovod's
   initial broadcast);
 * per-rank shards of the staged dataset (Section V-A1's layout);
-* Horovod-style negotiation + fused hierarchical all-reduce each step;
+* fused hierarchical all-reduce each step (NCCL-in-node + MPI across,
+  Section V-A3), bucketed in the tape's static backward order so no
+  per-step negotiation is needed;
 * the invariant that makes it all correct: replicas stay bit-identical.
 
 Run:  python examples/distributed_training.py
@@ -14,7 +16,7 @@ Run:  python examples/distributed_training.py
 import numpy as np
 
 from repro.climate import ClimateDataset, Grid, class_frequencies
-from repro.comm import HorovodConfig
+from repro.comm import EngineConfig
 from repro.core import DistributedTrainer, TrainConfig
 from repro.core.networks import Tiramisu, TiramisuConfig
 
@@ -35,14 +37,10 @@ def main():
     freqs = class_frequencies(dataset.labels)
 
     config = TrainConfig(lr=0.08, optimizer="larc", weighting="inverse_sqrt")
-    horovod = HorovodConfig(
-        algorithm="hierarchical",       # NCCL-in-node + MPI across (V-A3)
-        control_plane="hierarchical",   # radix-4 readiness tree
-        gpus_per_node=6, mpi_ranks_per_node=4,
-        fusion_threshold_bytes=2 * 1024 * 1024,
-    )
+    engine = EngineConfig(strategies=("hierarchical",), autotune=False,
+                          bucket_bytes=2 << 20, gpus_per_node=6)
     trainer = DistributedTrainer(model_factory, world_size, config, freqs,
-                                 horovod=horovod)
+                                 engine=engine)
     print(f"Training on {world_size} simulated ranks "
           f"({trainer.model.num_parameters():,} params/replica)")
 
@@ -54,7 +52,8 @@ def main():
         print(f"  epoch {epoch}: loss {np.mean(losses):.4f} | "
               f"allreduce: {last.fusion.num_collectives} fused collectives, "
               f"{last.data_bytes/1e6:.1f} MB moved, "
-              f"controller load {last.negotiation.controller_load} msgs")
+              f"decisions {last.decisions}, "
+              f"overlap {last.overlap_fraction:.0%}")
         print(f"    replica parameter divergence: "
               f"{trainer.max_replica_divergence():.2e} (must stay 0)")
 

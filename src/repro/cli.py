@@ -203,7 +203,6 @@ def _cmd_trace(args) -> int:
 
     import json
 
-    from .comm.timeline import build_timeline
     from .core import DistributedTrainer, TrainConfig
     from .io.pipeline import PrefetchPipeline
     from .perf.stats import sustained_throughput
@@ -218,7 +217,6 @@ def _cmd_trace(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     tel = Telemetry()
     step_durations = []
-    last_result = None
     with activate(tel):
         dataset, freqs, factory, _, _ = _training_drill_fixture(args)
         trainer = DistributedTrainer(
@@ -240,7 +238,7 @@ def _cmd_trace(args) -> int:
                                      np.stack([p[1] for p in pairs])))
             with tel.tracer.span("global_step", category="trainer",
                                  step=step) as sp:
-                last_result = trainer.train_step(rank_batches)
+                trainer.train_step(rank_batches)
             step_durations.append(sp.duration_s)
             tel.metrics.histogram("trainer.step_time_s").observe(sp.duration_s)
 
@@ -267,21 +265,9 @@ def _cmd_trace(args) -> int:
         np.full((args.steps, args.ranks), args.batch, dtype=np.float64),
         np.asarray(step_durations))
 
-    # Reconstruct the last exchange's Horovod-style timeline and merge it
-    # into the same trace (one lane set per fusion buffer).
-    comm_events = None
-    exchange = last_result.exchange if last_result else None
-    if exchange is not None and exchange.negotiation is not None:
-        flat = [name for group in exchange.fusion.groups for name in group]
-        names = [""] * len(flat)
-        for pos, tensor in enumerate(exchange.negotiation.order):
-            names[tensor] = flat[pos]
-        comm_events = build_timeline(exchange.negotiation, exchange.fusion,
-                                     names)
-
     spans = tel.tracer.spans()
     trace_path = out / "trace.json"
-    write_chrome_trace(trace_path, spans, comm_events=comm_events)
+    write_chrome_trace(trace_path, spans)
     write_jsonl(out / "telemetry.jsonl", spans, tel.metrics)
     throughput_line = (
         f"per-step throughput: median {stats.median:.2f} samples/s "

@@ -1,4 +1,5 @@
-"""Communication substrate: functional MPI, collectives, Horovod control."""
+"""Communication substrate: functional MPI, collectives, gradient exchange,
+and the Horovod control-plane message-count model."""
 from .api import (
     CommStrategy,
     allreduce,
@@ -30,20 +31,14 @@ from .compression import (
     make_compressor,
     sparse_allreduce,
 )
-from .engine import EngineConfig, EngineReport, GradientExchangeEngine
-from .halo import gather_stripes, halo_exchange, split_stripes, stripe_bounds
-from .horovod import (
-    ExchangeReport,
+from .engine import (
+    EngineConfig,
+    EngineReport,
     FusionPlan,
-    HorovodConfig,
-    allreduce_gradients,
+    GradientExchangeEngine,
     fuse_order,
 )
-from .timeline import (
-    TimelineEvent,
-    build_timeline,
-    chrome_trace_records,
-)
+from .halo import gather_stripes, halo_exchange, split_stripes, stripe_bounds
 from .simmpi import TrafficStats, World
 
 __all__ = [
@@ -66,9 +61,6 @@ __all__ = [
     "EngineConfig",
     "EngineReport",
     "GradientExchangeEngine",
-    "TimelineEvent",
-    "build_timeline",
-    "chrome_trace_records",
     "TrafficStats",
     "ReadinessSchedule",
     "NegotiationResult",
@@ -76,10 +68,7 @@ __all__ = [
     "hierarchical_negotiation",
     "tree_parent",
     "tree_children",
-    "HorovodConfig",
     "FusionPlan",
-    "ExchangeReport",
-    "allreduce_gradients",
     "fuse_order",
     "Link",
     "ring_allreduce_time",

@@ -15,8 +15,8 @@ implements that loop over the existing substrate:
   cheapest *measured* one is cached, so the settled choice is never slower
   than the worst fixed algorithm at that size;
 * **bucketing** — gradients are packed in backward order into flat buckets
-  (generalizing :func:`~repro.comm.horovod.fuse_order`), cutting the number
-  of collectives by the mean bucket occupancy.  The buckets are persistent
+  (:func:`fuse_order`, Horovod's tensor fusion), cutting the number of
+  collectives by the mean bucket occupancy.  The buckets are persistent
   per-(rank, bucket) buffers the engine owns: the strategy reduces in place
   in them and the averaged gradients come back as views, so a steady-state
   dense exchange allocates nothing;
@@ -43,12 +43,12 @@ from .compression import (
     sparse_allreduce,
 )
 from .costmodel import Link
-from .horovod import (ExchangeReport, FusionPlan, fuse_order, pack_bucket,
-                      unpack_bucket)
 from .reducer import _reduce_dtype
 from .simmpi import World
 
-__all__ = ["EngineConfig", "EngineReport", "GradientExchangeEngine"]
+__all__ = ["EngineConfig", "EngineReport", "FusionPlan",
+           "GradientExchangeEngine", "fuse_order", "pack_bucket",
+           "unpack_bucket"]
 
 # Summit's fabric (hpc.specs duplicates these; kept literal to avoid a
 # config dataclass depending on module import order).
@@ -86,13 +86,70 @@ class EngineConfig:
 
 
 @dataclass
-class EngineReport(ExchangeReport):
-    """What one engine exchange did, beyond the base traffic numbers.
+class FusionPlan:
+    """Groups of tensor names reduced together in one collective."""
 
-    Extends :class:`~repro.comm.horovod.ExchangeReport` so the trainer's
-    telemetry path reads ``data_messages``/``data_bytes`` unchanged.
+    groups: list[list[str]]
+    group_bytes: list[int]
+
+    @property
+    def num_collectives(self) -> int:
+        return len(self.groups)
+
+
+def fuse_order(order: list[str], sizes: dict[str, int], threshold_bytes: int) -> FusionPlan:
+    """Pack tensors (in ``order``) into fusion buffers."""
+    groups: list[list[str]] = []
+    group_bytes: list[int] = []
+    cur: list[str] = []
+    cur_bytes = 0
+    for name in order:
+        nbytes = sizes[name]
+        if cur and cur_bytes + nbytes > threshold_bytes:
+            groups.append(cur)
+            group_bytes.append(cur_bytes)
+            cur, cur_bytes = [], 0
+        cur.append(name)
+        cur_bytes += nbytes
+    if cur:
+        groups.append(cur)
+        group_bytes.append(cur_bytes)
+    return FusionPlan(groups, group_bytes)
+
+
+def pack_bucket(tensors: list[np.ndarray],
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Concatenate ``tensors`` flat into one fusion buffer (``out`` if given,
+    converting to its dtype as ``astype`` would)."""
+    return np.concatenate([t.reshape(-1) for t in tensors], out=out,
+                          casting="unsafe")
+
+
+def unpack_bucket(flat: np.ndarray, group: list[str],
+                  like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Split a reduced fusion buffer back into ``group``'s named tensors.
+
+    Each tensor takes the shape and dtype of its entry in ``like``; it is a
+    view of ``flat`` when the dtypes already agree, a converted copy
+    otherwise.
     """
+    out = {}
+    offset = 0
+    for k in group:
+        ref = like[k]
+        out[k] = (flat[offset:offset + ref.size].reshape(ref.shape)
+                  .astype(ref.dtype, copy=False))
+        offset += ref.size
+    return out
 
+
+@dataclass
+class EngineReport:
+    """What one gradient exchange did and cost."""
+
+    fusion: FusionPlan
+    data_messages: int                    # messages on the simulated wire
+    data_bytes: int                       # bytes on the simulated wire
     dense_bytes: int = 0                  # per-rank uncompressed payload
     wire_bytes: int = 0                   # per-rank payload actually sent
     compression_ratio: float = 1.0        # dense_bytes / wire_bytes
@@ -269,12 +326,12 @@ class GradientExchangeEngine:
     ) -> tuple[list[dict[str, np.ndarray]], EngineReport]:
         """Average gradients across ranks adaptively.
 
-        Same contract as :func:`repro.comm.horovod.allreduce_gradients`:
-        one ``{name: gradient}`` dict per rank in, the averaged dicts
-        (identical across ranks) plus a report out.  The inputs are only
-        read.  On the dense path the averaged tensors are views of the
-        engine's pack buffers: they stay valid until this engine's next
-        ``exchange``, which overwrites them.
+        One ``{name: gradient}`` dict per rank in (every rank holds the
+        same names and shapes), the averaged dicts (identical across ranks)
+        plus a report out.  The inputs are only read.  On the dense path
+        the averaged tensors are views of the engine's pack buffers: they
+        stay valid until this engine's next ``exchange``, which overwrites
+        them.
         """
         n = world.size
         if len(per_rank_grads) != n:
@@ -360,7 +417,6 @@ class GradientExchangeEngine:
         data_bytes = world.stats.total_bytes - before_bytes
         compression_ratio = dense_bytes / wire_bytes if wire_bytes else 1.0
         report = EngineReport(
-            negotiation=None,
             fusion=plan,
             data_messages=data_messages,
             data_bytes=data_bytes,

@@ -1,7 +1,8 @@
 """Synchronous data-parallel training over the simulated MPI substrate.
 
 One model replica per rank, identical initialization, per-rank local
-batches, Horovod-style gradient averaging every step — the paper's training
+batches, and fused gradient averaging every step through
+:class:`~repro.comm.engine.GradientExchangeEngine` — the paper's training
 configuration (Section V-A3), executed functionally in one process so the
 distributed-equivalence invariant can be tested exactly:
 
@@ -10,6 +11,11 @@ distributed-equivalence invariant can be tested exactly:
 
 because an averaged mean-per-pixel-weighted gradient over equal-size shards
 equals the global-batch gradient.
+
+The engine is the only exchange path.  The paper's per-tensor readiness
+negotiation existed because TensorFlow ran ops in a different order on each
+rank; the tape runs backward in the same order everywhere, so the engine
+buckets in that static order and nothing is negotiated.
 """
 from __future__ import annotations
 
@@ -17,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..comm.engine import EngineConfig, GradientExchangeEngine
-from ..comm.horovod import ExchangeReport, HorovodConfig, allreduce_gradients
+from ..comm.engine import EngineConfig, EngineReport, GradientExchangeEngine
 from ..comm.simmpi import World
 from ..framework.module import Module
 from ..telemetry import get_active
@@ -34,12 +39,12 @@ class DistributedStepResult:
 
     mean_loss: float
     per_rank_loss: list[float]
-    exchange: ExchangeReport | None
+    exchange: EngineReport | None
     skipped: bool = False
 
 
 class DistributedTrainer:
-    """N synchronized replicas with Horovod gradient averaging.
+    """N synchronized replicas averaging gradients through the engine.
 
     Parameters
     ----------
@@ -48,6 +53,9 @@ class DistributedTrainer:
         called once per rank.  All replicas must initialize identically
         (pass a seeded rng inside the factory), mirroring Horovod's initial
         broadcast of rank 0's variables.
+    engine:
+        The :class:`GradientExchangeEngine` (or its :class:`EngineConfig`)
+        every step exchanges through; ``EngineConfig()`` when omitted.
     """
 
     def __init__(
@@ -56,7 +64,6 @@ class DistributedTrainer:
         world_size: int,
         config: TrainConfig,
         class_frequencies: np.ndarray | None = None,
-        horovod: HorovodConfig | None = None,
         fault_injector=None,
         engine: GradientExchangeEngine | EngineConfig | None = None,
     ):
@@ -64,13 +71,7 @@ class DistributedTrainer:
             raise ValueError("world_size must be >= 1")
         self.world = World(world_size, fault_injector=fault_injector)
         self.config = config
-        self.horovod = horovod or HorovodConfig(
-            algorithm="ring", control_plane="hierarchical",
-            fusion_threshold_bytes=4 * 1024 * 1024,
-        )
-        # Adaptive gradient exchange: an engine (or its config) supersedes
-        # the fixed Horovod data plane.
-        if isinstance(engine, EngineConfig):
+        if not isinstance(engine, GradientExchangeEngine):
             engine = GradientExchangeEngine(world_size, engine)
         self.engine = engine
         self.trainers = [
@@ -159,17 +160,12 @@ class DistributedTrainer:
                               if p.grad is not None})
         with tracer.span("gradient_exchange", category="comm",
                          step=self._step, tensors=len(all_grads[0])) as ex_span:
-            if self.engine is not None:
-                self.world.stats.reset()
-                averaged, report = self.engine.exchange(self.world, all_grads)
-            else:
-                averaged, report = allreduce_gradients(
-                    self.world, all_grads, self.horovod, seed=self._step
-                )
+            self.world.stats.reset()
+            averaged, report = self.engine.exchange(self.world, all_grads)
         with tracer.span("optimizer_update", category="trainer",
                          step=self._step) as opt_span:
-            # On the engine path these are views of its pack buffers, read
-            # by the update before the next exchange overwrites them.
+            # These are views of the engine's pack buffers, read by the
+            # update before the next exchange overwrites them.
             for trainer, grads in zip(self.trainers, averaged):
                 for p in trainer.optimizer.params:
                     if p.name in grads:
@@ -179,8 +175,6 @@ class DistributedTrainer:
             m = tel.metrics
             m.counter("dist.steps").inc()
             m.gauge("dist.mean_loss").set(float(np.mean(losses)))
-            m.counter("comm.exchange_messages").inc(report.data_messages)
-            m.counter("comm.exchange_bytes").inc(report.data_bytes)
         if tel.streams is not None:
             step_s = (fb_span.duration_s + ex_span.duration_s
                       + opt_span.duration_s)
@@ -204,12 +198,11 @@ class DistributedTrainer:
         re-drops it.  This state rides checkpoints next to the model (see
         :meth:`CheckpointManager.save`'s ``extra_arrays``).
         """
-        return {} if self.engine is None else self.engine.comm_state()
+        return self.engine.comm_state()
 
     def load_comm_state(self, state: dict[str, np.ndarray]) -> None:
         """Restore residuals saved by :meth:`comm_state`."""
-        if self.engine is not None:
-            self.engine.load_comm_state(state)
+        self.engine.load_comm_state(state)
 
     # -- elastic degradation ---------------------------------------------------
 
@@ -239,9 +232,8 @@ class DistributedTrainer:
         tel = get_active()
         injector = self.world.fault_injector
         self.trainers = [self.trainers[r] for r in survivors]
-        if self.engine is not None:
-            # Drops only the failed ranks' residuals; survivors keep theirs.
-            self.engine.shrink(survivors)
+        # Drops only the failed ranks' residuals; survivors keep theirs.
+        self.engine.shrink(survivors)
         self.world = World(len(survivors), fault_injector=injector)
         # A failure mid-exchange leaves fresh local gradients that were
         # never averaged; discard them so the retried step starts clean.

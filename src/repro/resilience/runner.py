@@ -111,11 +111,12 @@ def run_resilient_training(
     their scheduled steps; a run with ``plan=None`` is the fault-free
     baseline the CLI compares against.
 
-    ``engine`` (a :class:`repro.comm.GradientExchangeEngine` or its config)
-    routes gradient exchange through the adaptive engine.  Its compressors'
-    error-feedback residuals ride checkpoints as extra arrays and are
-    restored on resume — losing them would silently re-drop gradient mass
-    the compressor had promised to carry forward.
+    ``engine`` (a :class:`repro.comm.GradientExchangeEngine` or its config;
+    ``EngineConfig()`` when omitted) is what every step exchanges
+    gradients through.  Its compressors' error-feedback residuals ride
+    checkpoints as extra arrays and are restored on resume — losing them
+    would silently re-drop gradient mass the compressor had promised to
+    carry forward.
 
     ``on_step(step, result, trainer, original_ids)`` is called after each
     completed step (before telemetry sampling) — the hook the health drill

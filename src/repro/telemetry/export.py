@@ -4,9 +4,9 @@ The Chrome trace is the whole-run analogue of the Horovod timeline the
 paper's team used to find the control-plane bottleneck: one ``trace.json``
 you open in ``chrome://tracing`` / Perfetto, with one process row per
 component (trainer, io, comm, sim) and one thread row per lane
-(thread / rank).  Comm's reconstructed exchange timeline
-(:mod:`repro.comm.timeline`) merges into the same file through comm's own
-serializer, so there is exactly one place that knows the event format.
+(thread / rank).  The gradient exchange appears as the measured
+``engine.exchange``/``engine.bucket`` spans beside its per-rank wire
+messages; this module is the one place that knows the event format.
 """
 from __future__ import annotations
 
@@ -36,14 +36,8 @@ def _category_pids(spans: list[Span]) -> dict[str, int]:
     return {c: i + 1 for i, c in enumerate(ordered)}
 
 
-def chrome_trace(spans: list[Span], comm_events=None,
-                 comm_process: str = "comm.exchange") -> dict:
-    """Build the ``chrome://tracing`` document for a set of spans.
-
-    ``comm_events`` (``repro.comm.timeline.TimelineEvent`` lists) are
-    serialized by :func:`repro.comm.timeline.chrome_trace_records` — the
-    single TimelineEvent serializer — into their own process row.
-    """
+def chrome_trace(spans: list[Span]) -> dict:
+    """Build the ``chrome://tracing`` document for a set of spans."""
     pids = _category_pids(spans)
     records: list[dict] = []
     lanes_seen: set[tuple[int, int]] = set()
@@ -89,18 +83,12 @@ def chrome_trace(spans: list[Span], comm_events=None,
                 flow["ph"] = "f"
                 flow["bp"] = "e"
             records.append(flow)
-    if comm_events:
-        from ..comm.timeline import chrome_trace_records
-
-        comm_pid = max(pids.values(), default=0) + 1
-        records.extend(chrome_trace_records(comm_events, pid=comm_pid,
-                                            process_name=comm_process))
     return {"traceEvents": records, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(path, spans: list[Span], comm_events=None) -> dict:
+def write_chrome_trace(path, spans: list[Span]) -> dict:
     """Serialize :func:`chrome_trace` to ``path``; returns the document."""
-    doc = chrome_trace(spans, comm_events=comm_events)
+    doc = chrome_trace(spans)
     Path(path).write_text(json.dumps(doc, indent=1))
     return doc
 

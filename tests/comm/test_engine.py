@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.comm import EngineConfig, GradientExchangeEngine, World
+from repro.comm import EngineConfig, GradientExchangeEngine, World, fuse_order
+from repro.framework.dtypes import FP16
 from repro.telemetry import Telemetry, activate
 
 SPEC_SMALL = [(f"layer{i}.w", (4, 8)) for i in range(16)]
@@ -23,6 +24,28 @@ def make_grads(n, spec, seed=0):
 def expected_mean(grads):
     return {k: np.mean([g[k] for g in grads], axis=0)
             for k in grads[0]}
+
+
+class TestFusion:
+    def test_respects_threshold(self):
+        sizes = {"a": 40, "b": 40, "c": 40}
+        plan = fuse_order(["a", "b", "c"], sizes, threshold_bytes=80)
+        assert plan.groups == [["a", "b"], ["c"]]
+        assert plan.group_bytes == [80, 40]
+
+    def test_single_oversized_tensor_gets_own_group(self):
+        plan = fuse_order(["big", "a"], {"big": 1000, "a": 10}, threshold_bytes=100)
+        assert plan.groups == [["big"], ["a"]]
+
+    def test_order_preserved(self):
+        names = [f"t{i}" for i in range(10)]
+        plan = fuse_order(names, {n: 1 for n in names}, threshold_bytes=3)
+        flat = [n for g in plan.groups for n in g]
+        assert flat == names
+
+    def test_huge_threshold_single_collective(self):
+        plan = fuse_order(["a", "b"], {"a": 5, "b": 5}, threshold_bytes=10**9)
+        assert plan.num_collectives == 1
 
 
 class TestConfig:
@@ -48,16 +71,24 @@ class TestConfig:
 
 
 class TestDenseExchange:
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_matches_mean(self, n):
+    # algo None is the default, autotuned config; the rest pin one strategy.
+    @pytest.mark.parametrize("algo,n", [
+        pytest.param(None, 2, id="2"), pytest.param(None, 3, id="3"),
+        pytest.param(None, 5, id="5"),
+        ("ring", 4), ("tree", 5), ("naive", 3), ("hierarchical", 12)])
+    def test_matches_mean(self, algo, n):
         grads = make_grads(n, SPEC_MIXED, seed=n)
-        engine = GradientExchangeEngine(n)
-        averaged, report = engine.exchange(World(n), grads)
+        cfg = (EngineConfig() if algo is None else
+               EngineConfig(strategies=(algo,), autotune=False, bucket_bytes=100))
+        averaged, report = GradientExchangeEngine(n, cfg).exchange(World(n), grads)
         want = expected_mean(grads)
         for r in range(n):
             for k, v in want.items():
                 np.testing.assert_allclose(averaged[r][k], v,
                                            rtol=1e-5, atol=1e-6)
+        assert report.decisions
+        assert set(report.decisions.values()) <= set(cfg.strategies)
+        assert report.data_messages > 0 and report.data_bytes > 0
         assert report.dense_bytes == sum(g.nbytes for g in grads[0].values())
         assert report.wire_bytes == report.dense_bytes
 
@@ -74,11 +105,13 @@ class TestDenseExchange:
         assert list(averaged[0]) == list(grads[0])
 
     def test_shapes_and_dtypes_preserved(self):
-        grads = make_grads(2, SPEC_MIXED, seed=2)
-        averaged, _ = GradientExchangeEngine(2).exchange(World(2), grads)
-        for k, g in grads[0].items():
-            assert averaged[0][k].shape == g.shape
-            assert averaged[0][k].dtype == g.dtype
+        for dtype in (np.float32, FP16):
+            grads = [{k: g.astype(dtype) for k, g in rank.items()}
+                     for rank in make_grads(2, SPEC_MIXED, seed=2)]
+            averaged, _ = GradientExchangeEngine(2).exchange(World(2), grads)
+            for k, g in grads[0].items():
+                assert averaged[0][k].shape == g.shape
+                assert averaged[0][k].dtype == g.dtype
 
     def test_rank_count_mismatch_rejected(self):
         grads = make_grads(2, SPEC_SMALL)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm import GradientExchangeEngine, get_strategy
-from repro.comm.horovod import ExchangeReport, fuse_order
+from repro.comm import (EngineReport, GradientExchangeEngine, fuse_order,
+                        get_strategy)
 from repro.core.optim import GradientLag
 from repro.core.optim.base import Optimizer
 
@@ -208,8 +208,8 @@ class CopyingEngine(GradientExchangeEngine):
                     averaged[r][k] = (results[r][offset:offset + like.size]
                                       .reshape(like.shape).astype(like.dtype))
                     offset += like.size
-        report = ExchangeReport(None, plan, world.stats.total_messages,
-                                world.stats.total_bytes)
+        report = EngineReport(plan, world.stats.total_messages,
+                              world.stats.total_bytes)
         return [{k: g[k] for k in names} for g in averaged], report
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.climate import ClimateDataset, Grid, class_frequencies
-from repro.comm import HorovodConfig
+from repro.comm import GradientExchangeEngine
 from repro.core import DistributedTrainer, TrainConfig, Trainer
 from repro.core.networks import Tiramisu, TiramisuConfig
 from repro.framework import Tensor
@@ -126,13 +126,15 @@ class TestStepMechanics:
         with pytest.raises(ValueError, match="rank batches"):
             dt.train_step([(dataset.images[:1], dataset.labels[:1])])
 
-    def test_custom_horovod_config(self, dataset):
-        cfg = TrainConfig(lr=0.01)
-        hvd = HorovodConfig(algorithm="tree", control_plane="centralized",
-                            fusion_threshold_bytes=1024)
-        dt = DistributedTrainer(tiny_factory(), 2, cfg, horovod=hvd)
+    def test_default_exchange_is_the_engine(self, dataset):
+        # No engine= argument: the step still runs through the engine, the
+        # only exchange path, and every bucket gets a strategy decision.
+        dt = DistributedTrainer(tiny_factory(), 2, TrainConfig(lr=0.01))
+        assert isinstance(dt.engine, GradientExchangeEngine)
         res = dt.train_epoch(dataset, 1, np.random.default_rng(2), steps=1)[0]
-        assert res.exchange.fusion.num_collectives >= 1
+        assert sorted(res.exchange.decisions) == list(
+            range(res.exchange.fusion.num_collectives))
+        assert dt.max_replica_divergence() == 0.0
 
     def test_fp16_distributed_step(self, dataset):
         freqs = class_frequencies(dataset.labels)

@@ -1,14 +1,8 @@
-"""Exporters: Chrome trace validity, comm-timeline merge, JSONL, text report."""
+"""Exporters: Chrome trace validity, JSONL, text report."""
 import json
 
 import pytest
 
-from repro.comm import (
-    ReadinessSchedule,
-    build_timeline,
-    fuse_order,
-    hierarchical_negotiation,
-)
 from repro.telemetry import (
     MetricsRegistry,
     Span,
@@ -29,16 +23,6 @@ def make_spans():
             pass
         tr.instant("overflow", category="trainer")
     return tr.spans()
-
-
-def make_comm_events():
-    names = [f"layer{i}.grad" for i in range(4)]
-    schedule = ReadinessSchedule.random(4, len(names), seed=2)
-    negotiation = hierarchical_negotiation(schedule, radix=2)
-    sizes = {n: 2000 for n in names}
-    ordered = [names[t] for t in negotiation.order]
-    fusion = fuse_order(ordered, sizes, threshold_bytes=4000)
-    return build_timeline(negotiation, fusion, names)
 
 
 class TestChromeTrace:
@@ -79,19 +63,6 @@ class TestChromeTrace:
         instants = [r for r in doc["traceEvents"] if r["ph"] == "i"]
         assert len(instants) == 1
         assert instants[0]["name"] == "overflow"
-
-    def test_comm_timeline_merges_into_own_process(self):
-        events = make_comm_events()
-        doc = chrome_trace(make_spans(), comm_events=events)
-        procs = {r["args"]["name"]: r["pid"] for r in doc["traceEvents"]
-                 if r.get("name") == "process_name"}
-        assert "comm.exchange" in procs
-        comm_recs = [r for r in doc["traceEvents"]
-                     if r.get("pid") == procs["comm.exchange"]
-                     and r["ph"] == "X"]
-        assert len(comm_recs) == len(events)
-        # comm events keep their own serialized shape (the single serializer)
-        assert {r["cat"] for r in comm_recs} <= {"negotiate", "allreduce"}
 
 
 class TestJsonl:

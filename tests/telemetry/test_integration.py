@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.climate import ClimateDataset, Grid, class_frequencies
-from repro.comm import HorovodConfig
+from repro.comm import EngineConfig
 from repro.core import DistributedTrainer, TrainConfig, Trainer
 from repro.core.networks import Tiramisu, TiramisuConfig
 from repro.io.pipeline import PrefetchPipeline
@@ -72,22 +72,21 @@ class TestDistributedInstrumentation:
             dt = DistributedTrainer(
                 tiny_model, 2, TrainConfig(lr=0.05, optimizer="sgd"),
                 class_frequencies(dataset.labels),
-                horovod=HorovodConfig(algorithm="ring",
-                                      control_plane="hierarchical",
-                                      fusion_threshold_bytes=1 << 20))
+                engine=EngineConfig(strategies=("ring",), autotune=False,
+                                    bucket_bytes=1 << 20))
             batches = [(dataset.images[:1], dataset.labels[:1]),
                        (dataset.images[1:2], dataset.labels[1:2])]
             dt.train_step(batches)
         cats = {s.category for s in tel.tracer.spans()}
         assert "trainer" in cats and "comm" in cats
         names = {s.name for s in tel.tracer.spans()}
-        assert {"gradient_exchange", "negotiate", "fused_allreduce",
+        assert {"gradient_exchange", "engine.exchange", "engine.bucket",
                 "allreduce.ring"} <= names
-        snap = tel.metrics.snapshot()
-        assert snap["counters"]["comm.exchange_bytes"] > 0
-        assert snap["counters"]["comm.fused_bytes"] > 0
-        assert any(k.startswith("comm.negotiation_rounds")
-                   for k in snap["counters"])
+        counters = tel.metrics.snapshot()["counters"]
+        assert counters["comm.engine.exchanges"] == 1
+        assert counters["comm.engine.messages"] > 0
+        assert counters["comm.engine.bytes_on_wire"] > 0
+        assert counters["comm.engine.collectives"] >= 1
 
 
 class TestPipelineInstrumentation:
