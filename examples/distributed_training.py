@@ -3,13 +3,14 @@
 
 Demonstrates the paper's training configuration end to end:
 
-* one model replica per rank (identical initialization, like Horovod's
-  initial broadcast);
+* one parameter set for every rank (what Horovod's initial broadcast and
+  identical updates give each GPU), with per-rank batch-norm statistics;
 * per-rank shards of the staged dataset (Section V-A1's layout);
 * fused hierarchical all-reduce each step (NCCL-in-node + MPI across,
   Section V-A3), bucketed in the tape's static backward order so no
   per-step negotiation is needed;
-* the invariant that makes it all correct: replicas stay bit-identical.
+* the invariant that makes it all correct: every rank receives
+  bit-identical averaged gradients.
 
 Run:  python examples/distributed_training.py
 """
@@ -42,7 +43,7 @@ def main():
     trainer = DistributedTrainer(model_factory, world_size, config, freqs,
                                  engine=engine)
     print(f"Training on {world_size} simulated ranks "
-          f"({trainer.model.num_parameters():,} params/replica)")
+          f"({trainer.model.num_parameters():,} params, one copy for all ranks)")
 
     rng = np.random.default_rng(3)
     for epoch in range(4):
@@ -54,7 +55,7 @@ def main():
               f"{last.data_bytes/1e6:.1f} MB moved, "
               f"decisions {last.decisions}, "
               f"overlap {last.overlap_fraction:.0%}")
-        print(f"    replica parameter divergence: "
+        print(f"    averaged-gradient divergence across ranks: "
               f"{trainer.max_replica_divergence():.2e} (must stay 0)")
 
     assert trainer.max_replica_divergence() == 0.0

@@ -1,6 +1,6 @@
 """Synchronous data-parallel training over the simulated MPI substrate.
 
-One model replica per rank, identical initialization, per-rank local
+N ranks share one parameter set: identical weights, per-rank local
 batches, and fused gradient averaging every step through
 :class:`~repro.comm.engine.GradientExchangeEngine` — the paper's training
 configuration (Section V-A3), executed functionally in one process so the
@@ -11,6 +11,11 @@ distributed-equivalence invariant can be tested exactly:
 
 because an averaged mean-per-pixel-weighted gradient over equal-size shards
 equals the global-batch gradient.
+
+Every rank receives bit-identical averaged gradients (checked on every
+exchange), so one model, optimizer and loss scaler serve all ranks and the
+update runs once per step.  Only what legitimately differs per rank — BN
+running statistics and dropout generator positions — is stashed per rank.
 
 The engine is the only exchange path.  The paper's per-tensor readiness
 negotiation existed because TensorFlow ran ops in a different order on each
@@ -25,12 +30,20 @@ import numpy as np
 
 from ..comm.engine import EngineConfig, EngineReport, GradientExchangeEngine
 from ..comm.simmpi import World
+from ..framework.layers import Dropout
 from ..framework.module import Module
 from ..telemetry import get_active
 from .optim import schedules
-from .trainer import StepResult, TrainConfig, Trainer
+from .trainer import TrainConfig, Trainer
 
 __all__ = ["DistributedTrainer", "DistributedStepResult"]
+
+
+def _buffers_behind(grads: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """The arrays one rank's averaged tensors view (the exchange's bucket
+    buffers); a tensor that is no view stands for itself."""
+    owners = (g if g.base is None else g.base for g in grads.values())
+    return list({id(b): b for b in owners}.values())
 
 
 @dataclass
@@ -44,15 +57,14 @@ class DistributedStepResult:
 
 
 class DistributedTrainer:
-    """N synchronized replicas averaging gradients through the engine.
+    """N synchronized ranks on one parameter set, averaging through the engine.
 
     Parameters
     ----------
     model_factory:
-        Zero-argument callable returning a *freshly initialized* model;
-        called once per rank.  All replicas must initialize identically
-        (pass a seeded rng inside the factory), mirroring Horovod's initial
-        broadcast of rank 0's variables.
+        Zero-argument callable returning a freshly initialized model;
+        called once.  Its weights are every rank's weights, as after
+        Horovod's initial broadcast of rank 0's variables.
     engine:
         The :class:`GradientExchangeEngine` (or its :class:`EngineConfig`)
         every step exchanges through; ``EngineConfig()`` when omitted.
@@ -74,23 +86,22 @@ class DistributedTrainer:
         if not isinstance(engine, GradientExchangeEngine):
             engine = GradientExchangeEngine(world_size, engine)
         self.engine = engine
-        self.trainers = [
-            Trainer(model_factory(), config, class_frequencies)
-            for _ in range(world_size)
-        ]
-        self._verify_identical_init()
+        self.trainer = Trainer(model_factory(), config, class_frequencies)
+        # BN updates its running statistics in place, so these stay live.
+        modules = list(self.model.modules())
+        self._buffers = [b for m in modules for b in m.buffers().values()]
+        self._generators = list({id(m.rng): m.rng for m in modules
+                                 if isinstance(m, Dropout)}.values())
+        self._stash = [([b.copy() for b in self._buffers],
+                        [g.bit_generator.state for g in self._generators])
+                       for _ in range(world_size)]
+        self._divergence = 0.0
         self._step = 0
 
-    def _verify_identical_init(self) -> None:
-        ref = self.trainers[0].model.state_dict()
-        for r, t in enumerate(self.trainers[1:], start=1):
-            state = t.model.state_dict()
-            for k, v in ref.items():
-                if not np.array_equal(state[k], v):
-                    raise ValueError(
-                        f"rank {r} initialized differently at {k!r}; "
-                        "model_factory must be deterministic"
-                    )
+    @property
+    def trainers(self) -> tuple[Trainer]:
+        """``(self.trainer,)``, for the e2e benchmark's ``trainers[0]``."""
+        return (self.trainer,)
 
     @property
     def world_size(self) -> int:
@@ -98,54 +109,88 @@ class DistributedTrainer:
 
     @property
     def model(self) -> Module:
-        """Rank 0's replica (all replicas stay bit-identical)."""
-        return self.trainers[0].model
+        """The shared model, holding rank 0's batch-norm statistics."""
+        return self.trainer.model
+
+    # -- rank-local state ------------------------------------------------------
+
+    def _swap(self, out: int, into: int) -> None:
+        """Stash the model's rank-local state as rank ``out``'s, then load
+        rank ``into``'s."""
+        buffers, _ = self._stash[out]
+        for saved, live in zip(buffers, self._buffers):
+            np.copyto(saved, live)
+        self._stash[out] = (buffers, [g.bit_generator.state
+                                      for g in self._generators])
+        buffers, states = self._stash[into]
+        for live, saved in zip(self._buffers, buffers):
+            np.copyto(live, saved)
+        for g, state in zip(self._generators, states):
+            g.bit_generator.state = state
+
+    def broadcast_buffers(self) -> None:
+        """Give every rank the model's BN statistics (Horovod's rank-0
+        broadcast), after a checkpoint load or an elastic shrink."""
+        for buffers, _ in self._stash:
+            for saved, live in zip(buffers, self._buffers):
+                np.copyto(saved, live)
 
     # -- one global step -----------------------------------------------------
 
     def train_step(self, rank_batches: list[tuple[np.ndarray, np.ndarray]]
                    ) -> DistributedStepResult:
-        """One synchronous step: local backward, all-reduce, local update."""
+        """One synchronous step: local backward per rank, all-reduce, one
+        update."""
         tel = get_active()
         tracer = tel.tracer
         n = self.world.size
         if len(rank_batches) != n:
             raise ValueError(f"need {n} rank batches, got {len(rank_batches)}")
+        trainer = self.trainer
+        params = trainer.optimizer.params
+        scaler = trainer.scaler
+        grad_dtype = np.float32 if scaler is None else None
+        trainer.model.train(True)
         losses = []
-        all_grads = []
-        any_skip = False
+        rank_grads = []
         with tracer.span("forward_backward", category="trainer",
                          step=self._step, ranks=n) as fb_span:
-            for rank, (trainer, (images, labels)) in enumerate(
-                    zip(self.trainers, rank_batches)):
-                trainer.model.train(True)
-                for p in trainer.optimizer.params:
+            for rank, (images, labels) in enumerate(rank_batches):
+                for p in params:
                     p.zero_grad()
                 with tracer.span("replica_fwd_bwd", category="trainer",
                                  rank=rank) as rank_span:
                     loss = trainer.compute_loss(images, labels)
-                    if trainer.scaler is not None:
-                        trainer.scaler.scale_loss(loss).backward()
+                    if scaler is not None:
+                        scaler.scale_loss(loss).backward()
                     else:
                         loss.backward()
                 losses.append(float(loss.item()))
+                # Each backward allocates fresh grads: kept by reference
+                # (FP16 grads are unscaled into FP32 below).
+                rank_grads.append({p.name: np.asarray(p.grad, dtype=grad_dtype)
+                                   for p in params if p.grad is not None})
+                # Rank 0's state lives in the model between steps.
+                self._swap(rank, (rank + 1) % n)
                 # Zero-duration spans (disabled tracer, or a simulated
                 # clock nobody advanced) carry no timing signal — feeding
                 # them would poison windowed imbalance detection.
                 if tel.streams is not None and rank_span.duration_s > 0:
                     tel.streams.observe("trainer.rank_step_s",
                                         rank_span.duration_s, rank=rank)
-        if self.trainers[0].scaler is not None:
-            # Overflow on ANY rank skips the global step (all ranks must act
-            # identically or replicas diverge).
-            oks = [t.scaler.step(t.optimizer.params) for t in self.trainers]
-            if not all(oks):
-                # Synchronize the scaler decision across replicas.
-                for t in self.trainers:
-                    t.scaler.scale = min(s.scale for s in
-                                         (tr.scaler for tr in self.trainers))
-                    for p in t.optimizer.params:
-                        p.grad = None
+        for p in params:
+            p.grad = None
+        if scaler is not None:
+            # Overflow on ANY rank skips the step, backing off once.
+            finite = all(np.isfinite(g).all()
+                         for grads in rank_grads for g in grads.values())
+            if finite:
+                inv = 1.0 / scaler.scale
+                rank_grads = [{k: g.astype(np.float32) * inv
+                               for k, g in grads.items()}
+                              for grads in rank_grads]
+            scaler.update(finite)
+            if not finite:
                 tracer.instant("global_loss_scale_overflow",
                                category="trainer", step=self._step)
                 if tel.enabled:
@@ -154,23 +199,20 @@ class DistributedTrainer:
                     mean_loss=float(np.mean(losses)), per_rank_loss=losses,
                     exchange=None, skipped=True,
                 )
-        for trainer in self.trainers:
-            all_grads.append({p.name: np.asarray(p.grad, dtype=np.float32)
-                              for p in trainer.optimizer.params
-                              if p.grad is not None})
         with tracer.span("gradient_exchange", category="comm",
-                         step=self._step, tensors=len(all_grads[0])) as ex_span:
+                         step=self._step, tensors=len(rank_grads[0])) as ex_span:
             self.world.stats.reset()
-            averaged, report = self.engine.exchange(self.world, all_grads)
+            averaged, report = self.engine.exchange(self.world, rank_grads)
+        self._check_lockstep(averaged)
         with tracer.span("optimizer_update", category="trainer",
                          step=self._step) as opt_span:
-            # These are views of the engine's pack buffers, read by the
-            # update before the next exchange overwrites them.
-            for trainer, grads in zip(self.trainers, averaged):
-                for p in trainer.optimizer.params:
-                    if p.name in grads:
-                        p.grad = grads[p.name]
-                trainer.optimizer.step()
+            # Views of the engine's pack buffers, read by the update before
+            # the next exchange overwrites them.
+            grads = averaged[0]
+            for p in params:
+                if p.name in grads:
+                    p.grad = grads[p.name]
+            trainer.optimizer.step()
         if tel.enabled:
             m = tel.metrics
             m.counter("dist.steps").inc()
@@ -187,6 +229,16 @@ class DistributedTrainer:
             mean_loss=float(np.mean(losses)), per_rank_loss=losses,
             exchange=report, skipped=False,
         )
+
+    def _check_lockstep(self, averaged: list[dict[str, np.ndarray]]) -> None:
+        """Fold how far any rank's averaged gradients stray from rank 0's
+        into the running maximum :meth:`max_replica_divergence` reports."""
+        ref = _buffers_behind(averaged[0])
+        for grads in averaged[1:]:
+            for got, want in zip(_buffers_behind(grads), ref, strict=True):
+                if not np.array_equal(got, want):
+                    self._divergence = max(
+                        self._divergence, float(np.max(np.abs(got - want))))
 
     # -- communication state (error-feedback residuals) ------------------------
 
@@ -210,13 +262,12 @@ class DistributedTrainer:
         """Rebuild around the survivors of ``failed_ranks``.
 
         The elastic-recovery step of :mod:`repro.resilience`: drop the dead
-        replicas, stand up a fresh (smaller) :class:`World` on the same
-        fault injector, clear any half-exchanged gradients, re-broadcast
-        rank 0's state so every survivor restarts bit-identical (what
-        Horovod does with rank 0's variables after a restart), and rescale
-        the learning rate to the surviving concurrency — ``"linear"``
-        (Goyal et al.) or ``"sqrt"``, the two rules in
-        :mod:`repro.core.optim.schedules`, or ``"none"``.
+        ranks' local state, stand up a fresh (smaller) :class:`World` on the
+        same fault injector, clear any half-exchanged gradients, give every
+        survivor the new rank 0's BN statistics, and rescale the learning
+        rate to the surviving concurrency — ``"linear"`` (Goyal et al.) or
+        ``"sqrt"``, the two rules in :mod:`repro.core.optim.schedules`, or
+        ``"none"``.
 
         Returns a summary dict (old/new size, LR factor).  Subsequent
         :meth:`train_epoch` calls re-shard over the new world size.
@@ -231,19 +282,18 @@ class DistributedTrainer:
                              f"[0, {old_size})")
         tel = get_active()
         injector = self.world.fault_injector
-        self.trainers = [self.trainers[r] for r in survivors]
+        # The model holds rank 0's state; a dead rank 0 hands over.
+        if survivors[0]:
+            self._swap(0, survivors[0])
+        self._stash = [self._stash[r] for r in survivors]
+        self.broadcast_buffers()
         # Drops only the failed ranks' residuals; survivors keep theirs.
         self.engine.shrink(survivors)
         self.world = World(len(survivors), fault_injector=injector)
         # A failure mid-exchange leaves fresh local gradients that were
         # never averaged; discard them so the retried step starts clean.
-        for t in self.trainers:
-            for p in t.model.parameters():
-                p.grad = None
-        # Restore the replica-consistency invariant from rank 0.
-        ref = {k: v.copy() for k, v in self.trainers[0].model.state_dict().items()}
-        for t in self.trainers[1:]:
-            t.model.load_state_dict(ref)
+        for p in self.model.parameters():
+            p.grad = None
         if lr_scaling == "linear":
             factor = schedules.linear_scaled_lr(1.0, len(survivors), old_size)
         elif lr_scaling == "sqrt":
@@ -253,8 +303,8 @@ class DistributedTrainer:
         else:
             raise ValueError(f"unknown lr_scaling {lr_scaling!r}; "
                              "expected linear | sqrt | none")
-        for t in self.trainers:
-            t.optimizer.set_lr(t.optimizer.lr * factor)
+        optimizer = self.trainer.optimizer
+        optimizer.set_lr(optimizer.lr * factor)
         if tel.enabled:
             tel.metrics.counter("resilience.rank_failures").inc(len(failed))
             tel.metrics.gauge("dist.world_size").set(len(survivors))
@@ -264,34 +314,19 @@ class DistributedTrainer:
     # -- invariants ------------------------------------------------------------
 
     def max_replica_divergence(self) -> float:
-        """Max abs *parameter* difference across replicas.
-
-        Stays exactly zero under synchronous training: identical init +
-        identical averaged gradients + deterministic optimizers.  Batch-norm
-        running statistics are excluded — they are computed from local
-        batches and legitimately differ per rank (as in real Horovod
-        training); see :meth:`max_buffer_divergence`.
-        """
-        ref = {k: p.master_value() for k, p in
-               self.trainers[0].model.named_parameters()}
-        worst = 0.0
-        for t in self.trainers[1:]:
-            for k, p in t.model.named_parameters():
-                diff = np.abs(p.master_value() - ref[k])
-                if diff.size:
-                    worst = max(worst, float(diff.max()))
-        return worst
+        """Max abs difference of any rank's averaged gradients from rank
+        0's over every exchange so far; exactly zero under synchronous
+        training.  BN statistics legitimately differ per rank (see
+        :meth:`max_buffer_divergence`)."""
+        return self._divergence
 
     def max_buffer_divergence(self) -> float:
-        """Max abs difference of non-parameter state (BN running stats)."""
-        params = {k for k, _ in self.trainers[0].model.named_parameters()}
-        ref = self.trainers[0].model.state_dict()
+        """Max abs difference of any rank's BN running stats from rank 0's."""
         worst = 0.0
-        for t in self.trainers[1:]:
-            state = t.model.state_dict()
-            for k, v in ref.items():
-                if k not in params and v.size:
-                    worst = max(worst, float(np.max(np.abs(state[k] - v))))
+        for buffers, _ in self._stash[1:]:
+            for saved, live in zip(buffers, self._buffers):
+                if live.size:
+                    worst = max(worst, float(np.max(np.abs(saved - live))))
         return worst
 
     def train_epoch(self, dataset, batch_size: int, rng: np.random.Generator,

@@ -1,7 +1,8 @@
 """Single-process training loop with mixed precision and weighted loss.
 
-This is the per-rank engine; :mod:`repro.core.distributed` replicates it
-across simulated MPI ranks with Horovod-style gradient averaging.
+:mod:`repro.core.distributed` runs one of these for all simulated MPI
+ranks: every rank's forward/backward goes through this trainer's model,
+and the one optimizer applies the bit-identical averaged gradient once.
 """
 from __future__ import annotations
 

@@ -75,25 +75,28 @@ class LossScaler:
         """
         params = list(params)
         finite = grads_finite(params)
-        if not finite:
-            self.num_overflows += 1
-            for p in params:
-                p.grad = None
-            if self.dynamic:
-                self.scale = max(self.scale * self.backoff_factor, self.min_scale)
-            self._good_steps = 0
-            return False
         inv = 1.0 / self.scale
         for p in params:
             if p.grad is not None:
                 # Unscale into FP32 so the master-weight update is precise.
-                p.grad = p.grad.astype(np.float32) * inv
-        if self.dynamic:
+                p.grad = p.grad.astype(np.float32) * inv if finite else None
+        self.update(finite)
+        return finite
+
+    def update(self, finite: bool) -> None:
+        """Advance the scale by one step's outcome: back off and restart the
+        growth count on overflow, else count a good step (growing the scale
+        every ``growth_interval`` of them)."""
+        if not finite:
+            self.num_overflows += 1
+            if self.dynamic:
+                self.scale = max(self.scale * self.backoff_factor, self.min_scale)
+            self._good_steps = 0
+        elif self.dynamic:
             self._good_steps += 1
             if self._good_steps >= self.growth_interval:
                 self.scale = min(self.scale * self.growth_factor, self.max_scale)
                 self._good_steps = 0
-        return True
 
 
 def apply_fp16_policy(model: Module) -> Module:

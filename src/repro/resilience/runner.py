@@ -45,7 +45,7 @@ def mean_eval_loss(trainer, batches) -> float:
     so faulty and fault-free runs are compared by their *final models* on
     one fixed batch set.
     """
-    t = trainer.trainers[0] if isinstance(trainer, DistributedTrainer) else trainer
+    t = trainer.trainer if isinstance(trainer, DistributedTrainer) else trainer
     vals = [float(t.compute_loss(images, labels).item())
             for images, labels in batches]
     if not vals:
@@ -143,12 +143,11 @@ def run_resilient_training(
         latest = manager.latest()
         if latest is not None:
             with tracer.span("checkpoint_resume", category="resilience"):
-                # Restore every replica (model AND optimizer state) from the
-                # same checkpoint, the moral equivalent of Horovod's rank-0
-                # broadcast after restart; optimizer state must come along
-                # or replicas diverge one step after resume.
-                for t in trainer.trainers:
-                    meta = manager.load(t, latest)
+                # Restore the shared model AND optimizer state, then hand
+                # every rank the loaded batch-norm statistics: the moral
+                # equivalent of Horovod's rank-0 broadcast after restart.
+                meta = manager.load(trainer.trainer, latest)
+                trainer.broadcast_buffers()
                 # Error-feedback residuals are comm-layer state, not model
                 # state; restore them alongside or compression re-drops
                 # whatever mass was pending at the checkpoint.
@@ -213,9 +212,8 @@ def run_resilient_training(
                 wire_retries += 1
                 report.step_retries += 1
                 trainer.world.drain()
-                for t in trainer.trainers:
-                    for p in t.model.parameters():
-                        p.grad = None
+                for p in trainer.model.parameters():
+                    p.grad = None
                 if tel.enabled:
                     tel.metrics.counter("resilience.step_retries").inc()
                 if wire_retries > max_step_retries:
@@ -234,7 +232,7 @@ def run_resilient_training(
                 and (step + 1) % checkpoint_every == 0):
             with tracer.span("checkpoint_save", category="resilience",
                              step=step):
-                manager.save(trainer.trainers[0], step=step + 1,
+                manager.save(trainer.trainer, step=step + 1,
                              extra_arrays=trainer.comm_state())
             report.checkpoints_saved += 1
 

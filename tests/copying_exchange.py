@@ -1,11 +1,16 @@
-"""The copying gradient path, kept as the oracle for the in-place one.
+"""The copying, fully replicated gradient path: the oracle for the
+in-place, single-parameter-set one.
 
 These are the all-reduce strategies, the engine's dense exchange and the
 SGD/LARS/LARC updates as they were before they reduced and updated in
 place: every stage allocates fresh arrays (buffer copies, per-message
-copies, ``astype`` unpacks, temporaries in the update).  The in-place code
-must reproduce them bit for bit; ``tests/comm/test_inplace_contract.py``
-and ``tests/core/test_inplace_training.py`` compare against them.
+copies, ``astype`` unpacks, temporaries in the update).  And
+:class:`ReplicatedTrainer` is data-parallel training as it was before the
+ranks shared one parameter set: one full :class:`Trainer` per rank, every
+replica updating its own weights with the same averaged gradient.  The
+production code must reproduce them bit for bit;
+``tests/comm/test_inplace_contract.py`` and
+``tests/core/test_inplace_training.py`` compare against them.
 """
 from __future__ import annotations
 
@@ -13,6 +18,8 @@ import numpy as np
 
 from repro.comm import (EngineReport, GradientExchangeEngine, fuse_order,
                         get_strategy)
+from repro.comm.simmpi import World
+from repro.core import TrainConfig, Trainer
 from repro.core.optim import GradientLag
 from repro.core.optim.base import Optimizer
 
@@ -277,3 +284,87 @@ def copying_optimizer(model, config):
         opt = CopyingLayerAdaptive(params, config.lr,
                                    clip=config.optimizer == "larc", **kw)
     return GradientLag(opt, config.gradient_lag) if config.gradient_lag else opt
+
+
+class ReplicatedTrainer:
+    """N-rank data-parallel training with one full trainer per rank.
+
+    Every rank owns a model, an optimizer and a loss scaler; after the
+    exchange each replica applies its copy of the averaged gradient.  On
+    overflow each rank's scaler reacts to its own gradients and the
+    replicas then adopt the smallest scale.
+    """
+
+    def __init__(self, model_factory, world_size: int, config: TrainConfig,
+                 engine: GradientExchangeEngine, copying_updates=True):
+        self.world = World(world_size)
+        self.engine = engine
+        self.trainers = [Trainer(model_factory(), config)
+                         for _ in range(world_size)]
+        if copying_updates:
+            for t in self.trainers:
+                t.optimizer = copying_optimizer(t.model, config)
+
+    @property
+    def world_size(self) -> int:
+        return self.world.size
+
+    def train_step(self, rank_batches):
+        losses = []
+        for trainer, (images, labels) in zip(self.trainers, rank_batches):
+            trainer.model.train(True)
+            for p in trainer.optimizer.params:
+                p.zero_grad()
+            loss = trainer.compute_loss(images, labels)
+            if trainer.scaler is not None:
+                trainer.scaler.scale_loss(loss).backward()
+            else:
+                loss.backward()
+            losses.append(float(loss.item()))
+        if self.trainers[0].scaler is not None:
+            oks = [t.scaler.step(t.optimizer.params) for t in self.trainers]
+            if not all(oks):
+                scale = min(t.scaler.scale for t in self.trainers)
+                for t in self.trainers:
+                    t.scaler.scale = scale
+                    for p in t.optimizer.params:
+                        p.grad = None
+                return losses, True
+        all_grads = [{p.name: np.asarray(p.grad, dtype=np.float32)
+                      for p in t.optimizer.params if p.grad is not None}
+                     for t in self.trainers]
+        self.world.stats.reset()
+        averaged, _ = self.engine.exchange(self.world, all_grads)
+        for trainer, grads in zip(self.trainers, averaged):
+            for p in trainer.optimizer.params:
+                if p.name in grads:
+                    p.grad = grads[p.name]
+            trainer.optimizer.step()
+        return losses, False
+
+    def shrink(self, failed_ranks, lr_factor=1.0):
+        survivors = [r for r in range(self.world.size)
+                     if r not in set(failed_ranks)]
+        self.trainers = [self.trainers[r] for r in survivors]
+        self.engine.shrink(survivors)
+        self.world = World(len(survivors))
+        ref = {k: v.copy()
+               for k, v in self.trainers[0].model.state_dict().items()}
+        for i, t in enumerate(self.trainers):
+            for p in t.model.parameters():
+                p.grad = None
+            if i:
+                t.model.load_state_dict(ref)
+            t.optimizer.set_lr(t.optimizer.lr * lr_factor)
+
+    def max_buffer_divergence(self) -> float:
+        """Max abs difference of BN running stats from rank 0's."""
+        params = {k for k, _ in self.trainers[0].model.named_parameters()}
+        ref = self.trainers[0].model.state_dict()
+        worst = 0.0
+        for t in self.trainers[1:]:
+            state = t.model.state_dict()
+            for k, v in ref.items():
+                if k not in params and v.size:
+                    worst = max(worst, float(np.max(np.abs(state[k] - v))))
+        return worst

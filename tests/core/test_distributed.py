@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from repro.climate import ClimateDataset, Grid, class_frequencies
-from repro.comm import GradientExchangeEngine
+from repro.comm import CommStrategy, EngineConfig, GradientExchangeEngine
+from repro.comm import api as comm_api
 from repro.core import DistributedTrainer, TrainConfig, Trainer
+from repro.core.optim.base import Optimizer
 from repro.core.networks import Tiramisu, TiramisuConfig
 from repro.framework import Tensor
 from repro.framework.layers import Conv2D, ReLU, Sequential
@@ -52,19 +54,106 @@ class TestReplicaConsistency:
         dt.train_epoch(dataset, 1, np.random.default_rng(0), steps=2)
         assert dt.max_buffer_divergence() > 0.0
 
-    def test_nondeterministic_factory_rejected(self):
-        counter = [0]
-
-        def bad_factory():
-            counter[0] += 1
-            return Sequential(Conv2D(4, 3, 1, rng=np.random.default_rng(counter[0])))
-
-        with pytest.raises(ValueError, match="deterministic"):
-            DistributedTrainer(bad_factory, 2, TrainConfig())
-
     def test_world_size_validation(self):
         with pytest.raises(ValueError):
             DistributedTrainer(tiny_factory(), 0, TrainConfig())
+
+
+class TestLockstepCheck:
+    """The lockstep invariant is checked on the exchange's output: a
+    strategy that hands one rank a result one ulp off must be caught, in
+    any bucket."""
+
+    @staticmethod
+    def divergence(dataset, monkeypatch, perturb=None):
+        """Three steps through ring; ``perturb`` ("first" or "last") puts
+        rank 1's last value in that bucket of the second step one ulp
+        off."""
+        ring = comm_api.get_strategy("ring")
+        calls, perturb_at = [0], [None]
+
+        def run_fn(world, buffers, average, tag, **params):
+            results = ring.run_fn(world, buffers, average, tag, **params)
+            calls[0] += 1
+            if calls[0] == perturb_at[0]:
+                results[1][-1] = np.nextafter(results[1][-1], np.inf)
+            return results
+
+        monkeypatch.setitem(comm_api._REGISTRY, "ring", CommStrategy(
+            "ring", run_fn, ring.default_tag, ring.model_fn))
+        dt = DistributedTrainer(
+            tiny_factory(), 2, TrainConfig(lr=0.05), engine=EngineConfig(
+                strategies=("ring",), autotune=False, bucket_bytes=4096))
+        for step in range(3):
+            result = dt.train_step([(dataset.images[i:i + 1],
+                                     dataset.labels[i:i + 1])
+                                    for i in (2 * step, 2 * step + 1)])
+            buckets = result.exchange.fusion.num_collectives
+            assert buckets > 1
+            if step == 0 and perturb:
+                perturb_at[0] = buckets + (1 if perturb == "first"
+                                           else buckets)
+        return dt.max_replica_divergence()
+
+    @pytest.mark.parametrize("bucket", ["first", "last"])
+    def test_one_ulp_on_one_rank_is_caught(self, dataset, monkeypatch,
+                                           bucket):
+        assert self.divergence(dataset, monkeypatch, perturb=bucket) > 0.0
+
+    def test_unperturbed_strategy_reads_exactly_zero(self, dataset,
+                                                     monkeypatch):
+        assert self.divergence(dataset, monkeypatch) == 0.0
+
+
+class TestOneParameterSet:
+    """One model, one optimizer and one loss scaler serve every rank."""
+
+    def test_counts_on_a_four_rank_three_step_run(self, dataset,
+                                                  monkeypatch):
+        factory_calls, step_calls = [0], [0]
+        make = tiny_factory()
+
+        def counting_factory():
+            factory_calls[0] += 1
+            return make()
+
+        optimizer_step = Optimizer.step
+
+        def counting_step(self):
+            step_calls[0] += 1
+            optimizer_step(self)
+
+        monkeypatch.setattr(Optimizer, "step", counting_step)
+        dt = DistributedTrainer(counting_factory, 4, TrainConfig(lr=0.05))
+        for step in range(3):
+            idx = range(4 * step, 4 * step + 4)
+            result = dt.train_step([(dataset.images[i:i + 1],
+                                     dataset.labels[i:i + 1]) for i in idx])
+            assert not result.skipped
+        assert step_calls[0] == 3
+        assert factory_calls[0] == 1
+        held = sum(p.size for t in dt.trainers for p in t.model.parameters())
+        assert held == make().num_parameters()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_partial_overflow_backs_off_once(self, dataset):
+        cfg = TrainConfig(lr=0.01, optimizer="sgd", precision="fp16",
+                          loss_scale=16)
+        dt = DistributedTrainer(tiny_factory(), 2, cfg)
+        images, labels = dataset.images[:2], dataset.labels[:2]
+        clean = dt.train_step([(images[:1], labels[:1]),
+                               (images[1:], labels[1:])])
+        assert not clean.skipped
+        poisoned = images[1:].copy()
+        poisoned[0, 0, 0, 0] = np.inf
+        result = dt.train_step([(images[:1], labels[:1]),
+                                (poisoned, labels[1:])])
+        assert result.skipped
+        scaler = dt.trainer.scaler
+        assert scaler.scale == 8.0
+        assert scaler._good_steps == 0
+        assert scaler.num_overflows == 1
 
 
 class TestGlobalBatchEquivalence:

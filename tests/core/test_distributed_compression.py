@@ -61,7 +61,7 @@ class TestEngineTraining:
                                 TrainConfig(lr=0.02, optimizer="sgd"),
                                 freqs, engine=EngineConfig())
         r = dt.train_epoch(dataset, 1, np.random.default_rng(6), steps=1)[0]
-        num_tensors = sum(1 for p in dt.trainers[0].model.parameters())
+        num_tensors = sum(1 for p in dt.model.parameters())
         assert r.exchange.fusion.num_collectives * 4 <= num_tensors
 
     def test_compressed_engine_cuts_bytes(self, dataset):
@@ -94,7 +94,7 @@ class TestEngineTraining:
                                 TrainConfig(lr=0.02, optimizer="sgd"),
                                 freqs, engine=cfg)
         dt.train_epoch(dataset, 1, np.random.default_rng(3), steps=1)
-        name = dt.trainers[0].model.parameters()[0].name
+        name = dt.model.parameters()[0].name
         state = dt.comm_state()
         for rank in range(2):
             assert np.linalg.norm(state[f"rank{rank}.{name}"]) > 0
@@ -107,7 +107,7 @@ class TestEngineTraining:
                                 freqs, engine=cfg)
         dt.train_epoch(dataset, 1, np.random.default_rng(8), steps=2)
         mgr = CheckpointManager(tmp_path)
-        mgr.save(dt.trainers[0], step=2, extra_arrays=dt.comm_state())
+        mgr.save(dt.trainer, step=2, extra_arrays=dt.comm_state())
 
         fresh = DistributedTrainer(factory(), 2,
                                    TrainConfig(lr=0.02, optimizer="sgd"),

@@ -1,19 +1,22 @@
-"""Four-rank training through the in-place gradient path is bit-identical
-to the copying path.
+"""Four-rank training on one shared parameter set, through the in-place
+gradient path, is bit-identical to fully replicated, copying training.
 
-The trainer under test exchanges through the engine's pack buffers and
-updates with scratch-buffer optimizers; the reference runs the same
-``DistributedTrainer`` loop with the copying exchange and updates of
-``tests/copying_exchange.py``.  After every step the two must agree to the
-bit, and the replicas must stay exactly in lockstep.
+The trainer under test keeps one model, one optimizer and one loss scaler
+for every rank, exchanges through the engine's pack buffers and updates
+with scratch-buffer optimizers.  The reference is the
+``ReplicatedTrainer`` of ``tests/copying_exchange.py``: one full trainer
+per rank, with the copying exchange and updates.  After every step the
+shared model must equal the reference's rank 0 replica to the bit (batch-norm
+statistics included), and every rank's loss must match.
 """
 import numpy as np
 import pytest
 
 from repro.comm import EngineConfig
 from repro.core import CheckpointManager, DistributedTrainer, TrainConfig
-from repro.core.networks import DeepLabConfig, DeepLabV3Plus
-from tests.copying_exchange import CopyingEngine, copying_optimizer
+from repro.core.networks import (DeepLabConfig, DeepLabV3Plus, Tiramisu,
+                                 TiramisuConfig)
+from tests.copying_exchange import CopyingEngine, ReplicatedTrainer
 
 RANKS = 4
 
@@ -24,38 +27,45 @@ def factory():
                          rng=np.random.default_rng(3))
 
 
+def dropout_factory():
+    return Tiramisu(TiramisuConfig(in_channels=4, base_filters=8, growth=4,
+                                   down_layers=(2,), bottleneck_layers=2,
+                                   kernel=3, dropout=0.2),
+                    rng=np.random.default_rng(3))
+
+
 def batches(step, ranks):
     rng = np.random.default_rng(100 + step)
     return [(rng.normal(size=(1, 4, 8, 8)).astype(np.float32),
              rng.integers(0, 3, size=(1, 8, 8))) for _ in range(ranks)]
 
 
-def pair(config, engine_config):
-    """The trainer under test and its copying reference."""
-    dut = DistributedTrainer(factory, RANKS, config, engine=engine_config)
-    ref = DistributedTrainer(factory, RANKS, config,
-                             engine=CopyingEngine(RANKS, engine_config))
-    for t in ref.trainers:
-        t.optimizer = copying_optimizer(t.model, config)
+def pair(config, engine_config, model_factory=factory):
+    """The trainer under test and its replicated, copying reference."""
+    dut = DistributedTrainer(model_factory, RANKS, config,
+                             engine=engine_config)
+    ref = ReplicatedTrainer(model_factory, RANKS, config,
+                            CopyingEngine(RANKS, engine_config))
     return dut, ref
 
 
 def assert_identical(dut, ref):
     assert dut.world_size == ref.world_size
-    for a, b in zip(dut.trainers, ref.trainers):
-        sa, sb = a.model.state_dict(), b.model.state_dict()
-        assert sa.keys() == sb.keys()
-        for k in sa:
-            assert np.array_equal(sa[k], sb[k]), k
+    sa, sb = dut.model.state_dict(), ref.trainers[0].model.state_dict()
+    assert sa.keys() == sb.keys()
+    for k in sa:
+        assert np.array_equal(sa[k], sb[k]), k
+    assert dut.max_buffer_divergence() == ref.max_buffer_divergence()
     assert dut.max_replica_divergence() == 0.0
 
 
 def run(dut, ref, steps, start=0):
     for step in range(start, start + steps):
         got = dut.train_step(batches(step, dut.world_size))
-        want = ref.train_step(batches(step, ref.world_size))
-        assert got.per_rank_loss == want.per_rank_loss
-        assert got.skipped == want.skipped
+        want_losses, want_skipped = ref.train_step(
+            batches(step, ref.world_size))
+        assert got.per_rank_loss == want_losses
+        assert got.skipped == want_skipped
         assert_identical(dut, ref)
 
 
@@ -78,12 +88,28 @@ def test_matches_copying_path(case):
     run(dut, ref, steps=4)
 
 
+def test_dropout_draws_match_per_rank_replicas():
+    # Each replica drew its masks from its own generator; the shared model
+    # must hand each rank its own generator position.
+    dut, ref = pair(TrainConfig(lr=0.02), EngineConfig(), dropout_factory)
+    run(dut, ref, steps=3)
+
+
 def test_matches_copying_path_after_shrink():
     config = TrainConfig(lr=0.02)
     dut, ref = pair(config, EngineConfig())
     run(dut, ref, steps=2)
-    dut.shrink([1])
+    dut.shrink([1], lr_scaling="none")
     ref.shrink([1])
+    run(dut, ref, steps=2, start=2)
+
+
+def test_matches_after_rank0_dies():
+    config = TrainConfig(lr=0.02)
+    dut, ref = pair(config, EngineConfig(), dropout_factory)
+    run(dut, ref, steps=2)
+    dut.shrink([0], lr_scaling="linear")
+    ref.shrink([0], lr_factor=0.75)
     run(dut, ref, steps=2, start=2)
 
 
@@ -95,20 +121,17 @@ def test_checkpoint_restore_continues_identically(tmp_path):
     dut, ref = pair(config, engine_config)
     run(dut, ref, steps=2)
     manager = CheckpointManager(tmp_path)
-    manager.save(dut.trainers[0], step=2)
+    manager.save(dut.trainer, step=2)
     run(dut, ref, steps=2, start=2)
 
     restored = DistributedTrainer(factory, RANKS, config, engine=engine_config)
-    for t in restored.trainers:
+    manager.load(restored.trainer)
+    restored.broadcast_buffers()
+    replayed = ReplicatedTrainer(factory, RANKS, config,
+                                 CopyingEngine(RANKS, engine_config))
+    for t in replayed.trainers:
         manager.load(t)
-    for step in range(2, 4):
-        restored.train_step(batches(step, RANKS))
-    assert restored.max_replica_divergence() == 0.0
-    for a, b in zip(restored.trainers, dut.trainers):
-        for (name, p), (_, q) in zip(a.model.named_parameters(),
-                                     b.model.named_parameters()):
-            assert np.array_equal(p.master_value(), q.master_value()), name
-    final, want = (restored.trainers[0].model.state_dict(),
-                   dut.trainers[0].model.state_dict())
+    run(restored, replayed, steps=2, start=2)
+    final, want = restored.model.state_dict(), dut.model.state_dict()
     for k in want:
         assert np.array_equal(final[k], want[k]), k

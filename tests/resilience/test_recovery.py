@@ -55,7 +55,7 @@ class TestShrink:
         info = dt.shrink([2], lr_scaling="none")
         assert info == {"old_size": 4, "new_size": 3,
                         "failed_ranks": [2], "lr_factor": 1.0}
-        assert dt.world_size == 3 and len(dt.trainers) == 3
+        assert dt.world_size == 3 and dt.engine.world_size == 3
         assert dt.max_replica_divergence() == 0.0
         # The shrunk world still trains.
         result = dt.train_step([prov(1, r, 3) for r in range(3)])
@@ -66,11 +66,10 @@ class TestShrink:
         for scaling, expect in (("linear", 0.5), ("sqrt", np.sqrt(0.5)),
                                 ("none", 1.0)):
             dt = DistributedTrainer(factory(), 4, CONFIG, freqs)
-            lr0 = dt.trainers[0].optimizer.lr
+            lr0 = dt.trainer.optimizer.lr
             info = dt.shrink([0, 3], lr_scaling=scaling)
             assert info["lr_factor"] == pytest.approx(expect)
-            for t in dt.trainers:
-                assert t.optimizer.lr == pytest.approx(lr0 * expect)
+            assert dt.trainer.optimizer.lr == pytest.approx(lr0 * expect)
 
     def test_shrink_validates(self, freqs):
         dt = DistributedTrainer(factory(), 2, CONFIG, freqs)
