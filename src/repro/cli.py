@@ -240,7 +240,6 @@ def _cmd_trace(args) -> int:
                                  step=step) as sp:
                 trainer.train_step(rank_batches)
             step_durations.append(sp.duration_s)
-            tel.metrics.histogram("trainer.step_time_s").observe(sp.duration_s)
 
         if args.serve_requests:
             # A small serving drill in the *same* session, so serve.* spans

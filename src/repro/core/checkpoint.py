@@ -13,6 +13,8 @@ files — the autoresume primitive :mod:`repro.resilience` builds on.
 from __future__ import annotations
 
 import json
+import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -90,15 +92,33 @@ def _write_checkpoint(trainer: Trainer, path: Path,
             "num_overflows": trainer.scaler.num_overflows,
         }
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    # Written whole under a name the ``<prefix>-*.npz`` glob skips, then
+    # renamed: a save that dies midway never becomes the latest checkpoint.
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
+
+
+def _open_checkpoint(path: Path):
+    """``np.load`` a checkpoint, or raise :class:`CheckpointFormatError`
+    naming ``path`` when the file is torn or not an ``.npz`` archive."""
+    try:
+        return np.load(path)
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise CheckpointFormatError(
+            f"unreadable checkpoint {path}: {exc}") from exc
 
 
 def _read_checkpoint(trainer: Trainer, path: Path,
                      strict_config: bool = True) -> dict:
     """Restore a trainer in place; returns the checkpoint metadata."""
     path = Path(path)
-    with np.load(path) as data:
+    with _open_checkpoint(path) as data:
         meta = json.loads(bytes(data["__meta__"].tobytes()).decode())
         if meta["version"] != _FORMAT_VERSION:
             raise CheckpointFormatError(
@@ -237,7 +257,7 @@ class CheckpointManager:
             if path is None:
                 raise CheckpointError(
                     f"no checkpoints under {self.directory}")
-        with np.load(Path(path)) as data:
+        with _open_checkpoint(Path(path)) as data:
             return {k[len("extra."):]: data[k].copy() for k in data.files
                     if k.startswith("extra.")}
 

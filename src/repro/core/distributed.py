@@ -16,6 +16,8 @@ Every rank receives bit-identical averaged gradients (checked on every
 exchange), so one model, optimizer and loss scaler serve all ranks and the
 update runs once per step.  Only what legitimately differs per rank — BN
 running statistics and dropout generator positions — is stashed per rank.
+The step itself is the single-process :class:`~repro.core.trainer.Trainer`
+step with the exchange between ``unscale`` and ``apply``.
 
 The engine is the only exchange path.  The paper's per-tensor readiness
 negotiation existed because TensorFlow ran ops in a different order on each
@@ -82,7 +84,6 @@ class DistributedTrainer:
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
         self.world = World(world_size, fault_injector=fault_injector)
-        self.config = config
         if not isinstance(engine, GradientExchangeEngine):
             engine = GradientExchangeEngine(world_size, engine)
         self.engine = engine
@@ -139,37 +140,25 @@ class DistributedTrainer:
 
     def train_step(self, rank_batches: list[tuple[np.ndarray, np.ndarray]]
                    ) -> DistributedStepResult:
-        """One synchronous step: local backward per rank, all-reduce, one
-        update."""
+        """One synchronous step: :meth:`Trainer.local_gradients` per rank,
+        one :meth:`Trainer.unscale` over all ranks, all-reduce, one
+        :meth:`Trainer.apply`."""
         tel = get_active()
         tracer = tel.tracer
         n = self.world.size
         if len(rank_batches) != n:
             raise ValueError(f"need {n} rank batches, got {len(rank_batches)}")
         trainer = self.trainer
-        params = trainer.optimizer.params
-        scaler = trainer.scaler
-        grad_dtype = np.float32 if scaler is None else None
-        trainer.model.train(True)
         losses = []
         rank_grads = []
         with tracer.span("forward_backward", category="trainer",
                          step=self._step, ranks=n) as fb_span:
             for rank, (images, labels) in enumerate(rank_batches):
-                for p in params:
-                    p.zero_grad()
                 with tracer.span("replica_fwd_bwd", category="trainer",
                                  rank=rank) as rank_span:
-                    loss = trainer.compute_loss(images, labels)
-                    if scaler is not None:
-                        scaler.scale_loss(loss).backward()
-                    else:
-                        loss.backward()
-                losses.append(float(loss.item()))
-                # Each backward allocates fresh grads: kept by reference
-                # (FP16 grads are unscaled into FP32 below).
-                rank_grads.append({p.name: np.asarray(p.grad, dtype=grad_dtype)
-                                   for p in params if p.grad is not None})
+                    loss, grads = trainer.local_gradients(images, labels)
+                losses.append(loss)
+                rank_grads.append(grads)
                 # Rank 0's state lives in the model between steps.
                 self._swap(rank, (rank + 1) % n)
                 # Zero-duration spans (disabled tracer, or a simulated
@@ -178,27 +167,14 @@ class DistributedTrainer:
                 if tel.streams is not None and rank_span.duration_s > 0:
                     tel.streams.observe("trainer.rank_step_s",
                                         rank_span.duration_s, rank=rank)
-        for p in params:
-            p.grad = None
-        if scaler is not None:
-            # Overflow on ANY rank skips the step, backing off once.
-            finite = all(np.isfinite(g).all()
-                         for grads in rank_grads for g in grads.values())
-            if finite:
-                inv = 1.0 / scaler.scale
-                rank_grads = [{k: g.astype(np.float32) * inv
-                               for k, g in grads.items()}
-                              for grads in rank_grads]
-            scaler.update(finite)
-            if not finite:
-                tracer.instant("global_loss_scale_overflow",
-                               category="trainer", step=self._step)
-                if tel.enabled:
-                    tel.metrics.counter("dist.overflow_steps").inc()
-                return DistributedStepResult(
-                    mean_loss=float(np.mean(losses)), per_rank_loss=losses,
-                    exchange=None, skipped=True,
-                )
+        mean_loss = float(np.mean(losses))
+        rank_grads = trainer.unscale(rank_grads)
+        if rank_grads is None:
+            trainer.record_step(tel, mean_loss, True, fb_span.duration_s)
+            return DistributedStepResult(
+                mean_loss=mean_loss, per_rank_loss=losses,
+                exchange=None, skipped=True,
+            )
         with tracer.span("gradient_exchange", category="comm",
                          step=self._step, tensors=len(rank_grads[0])) as ex_span:
             self.world.stats.reset()
@@ -208,25 +184,15 @@ class DistributedTrainer:
                          step=self._step) as opt_span:
             # Views of the engine's pack buffers, read by the update before
             # the next exchange overwrites them.
-            grads = averaged[0]
-            for p in params:
-                if p.name in grads:
-                    p.grad = grads[p.name]
-            trainer.optimizer.step()
-        if tel.enabled:
-            m = tel.metrics
-            m.counter("dist.steps").inc()
-            m.gauge("dist.mean_loss").set(float(np.mean(losses)))
-        if tel.streams is not None:
-            step_s = (fb_span.duration_s + ex_span.duration_s
-                      + opt_span.duration_s)
-            if step_s > 0:
-                tel.streams.observe("trainer.step_time_s", step_s)
-                tel.streams.observe("comm.exchange_time_s",
-                                    ex_span.duration_s)
+            trainer.apply(averaged[0])
+        step_s = fb_span.duration_s + ex_span.duration_s + opt_span.duration_s
+        trainer.record_step(tel, mean_loss, False, step_s)
+        if tel.streams is not None and step_s > 0:
+            tel.streams.observe("trainer.step_time_s", step_s)
+            tel.streams.observe("comm.exchange_time_s", ex_span.duration_s)
         self._step += 1
         return DistributedStepResult(
-            mean_loss=float(np.mean(losses)), per_rank_loss=losses,
+            mean_loss=mean_loss, per_rank_loss=losses,
             exchange=report, skipped=False,
         )
 

@@ -1,12 +1,13 @@
 """Single-process training loop with mixed precision and weighted loss.
 
-:mod:`repro.core.distributed` runs one of these for all simulated MPI
-ranks: every rank's forward/backward goes through this trainer's model,
-and the one optimizer applies the bit-identical averaged gradient once.
+A step is three pieces, shared with :mod:`repro.core.distributed`, which
+runs ``local_gradients`` per rank and exchanges before ``apply``:
+``local_gradients`` (forward, scaled backward), ``unscale`` (the one FP16
+overflow decision, over every rank's gradients) and ``apply`` (one update).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,17 +82,21 @@ class StepResult:
     grad_norm: float = 0.0
 
 
+def _grad_norm(grads: dict[str, np.ndarray]) -> float:
+    total = 0.0
+    for g in grads.values():
+        g = g.astype(np.float64)
+        total += float((g * g).sum())
+    return float(np.sqrt(total))
+
+
 class Trainer:
     """Owns a model, its optimizer, precision policy, and loss weighting."""
 
     def __init__(self, model: Module, config: TrainConfig,
-                 class_frequencies: np.ndarray | None = None,
-                 telemetry=None):
+                 class_frequencies: np.ndarray | None = None):
         self.model = model
         self.config = config
-        # Explicit session wins; None resolves the active (default disabled)
-        # session at each step, so `activate(...)` works after construction.
-        self.telemetry = telemetry
         freqs = (np.asarray(class_frequencies)
                  if class_frequencies is not None
                  else np.full(config.num_classes, 1.0 / config.num_classes))
@@ -121,65 +126,93 @@ class Trainer:
         wmap = pixel_weight_map(labels, self.class_weight_table)
         return weighted_cross_entropy(logits, labels, wmap)
 
+    def local_gradients(self, images: np.ndarray, labels: np.ndarray
+                        ) -> tuple[float, dict[str, np.ndarray]]:
+        """Forward and (loss-scaled) backward on one local batch; returns
+        the loss and the fresh ``{name: grad}``, leaving ``p.grad`` empty.
+        The loss tensor, and with it the batch's autograd graph, is freed
+        on return, before the next batch's forward."""
+        tracer = get_active().tracer
+        params = self.optimizer.params
+        self.model.train(True)
+        for p in params:
+            p.zero_grad()
+        with tracer.span("forward", category="trainer"):
+            loss = self.compute_loss(images, labels)
+        with tracer.span("backward", category="trainer"):
+            scaled = loss if self.scaler is None else self.scaler.scale_loss(loss)
+            scaled.backward()
+        grads = {p.name: p.grad for p in params if p.grad is not None}
+        for p in params:
+            p.grad = None
+        return float(loss.item()), grads
+
+    def unscale(self, rank_grads: list[dict[str, np.ndarray]]
+                ) -> list[dict[str, np.ndarray]] | None:
+        """The step's FP16 decision over every rank's local gradients:
+        ``None`` (skip; the scale backs off once) if any is non-finite, else
+        each rank's gradients unscaled into FP32.  Without loss scaling the
+        gradients pass through unchanged."""
+        scaler = self.scaler
+        if scaler is None:
+            return rank_grads
+        finite = all(np.isfinite(g).all()
+                     for grads in rank_grads for g in grads.values())
+        inv = 1.0 / scaler.scale
+        scaler.update(finite)
+        if not finite:
+            get_active().tracer.instant("loss_scale_overflow",
+                                        category="trainer", scale=scaler.scale)
+            return None
+        return [{k: g.astype(np.float32) * inv for k, g in grads.items()}
+                for grads in rank_grads]
+
+    def apply(self, grads: dict[str, np.ndarray]) -> None:
+        """One optimizer update from ``{name: grad}``."""
+        for p in self.optimizer.params:
+            if p.name in grads:
+                p.grad = grads[p.name]
+        self.optimizer.step()
+
     def train_step(self, images: np.ndarray, labels: np.ndarray) -> StepResult:
         """Forward, backward, (scaled) update; returns the step outcome."""
-        tel = self.telemetry or get_active()
+        tel = get_active()
         tracer = tel.tracer
-        self.model.train(True)
-        for p in self.optimizer.params:
-            p.zero_grad()
         with tracer.span("train_step", category="trainer",
                          step=len(self.history)) as step_span:
-            with tracer.span("forward", category="trainer"):
-                loss = self.compute_loss(images, labels)
-            if self.scaler is not None:
-                with tracer.span("backward", category="trainer"):
-                    scaled = self.scaler.scale_loss(loss)
-                    scaled.backward()
-                ok = self.scaler.step(self.optimizer.params)
-                if not ok:
-                    tracer.instant("loss_scale_overflow", category="trainer",
-                                   scale=self.scaler.scale)
-                    result = StepResult(loss=float(loss.item()), skipped=True)
-            else:
-                ok = True
-                with tracer.span("backward", category="trainer"):
-                    loss.backward()
-            if ok:
-                gnorm = self._grad_norm()
+            loss, grads = self.local_gradients(images, labels)
+            unscaled = self.unscale([grads])
+            result = StepResult(loss=loss, skipped=unscaled is None)
+            if unscaled is not None:
+                result.grad_norm = _grad_norm(unscaled[0])
                 with tracer.span("optimizer_step", category="trainer"):
-                    self.optimizer.step()
-                result = StepResult(loss=float(loss.item()), grad_norm=gnorm)
+                    self.apply(unscaled[0])
         self.history.append(result)
-        self._record_step_metrics(tel, step_span, result)
+        self.record_step(tel, result.loss, result.skipped,
+                         step_span.duration_s, grad_norm=result.grad_norm)
         return result
 
-    def _record_step_metrics(self, tel, step_span, result: StepResult) -> None:
+    def record_step(self, tel, loss: float, skipped: bool, step_s: float,
+                    grad_norm: float | None = None) -> None:
+        """The ``trainer.*`` metrics of one step, single-process or N-rank
+        (``loss`` is then the mean over ranks)."""
         if not tel.enabled:
             return
         m = tel.metrics
         m.counter("trainer.steps").inc()
-        if result.skipped:
+        if skipped:
             m.counter("trainer.overflow_steps").inc()
-        m.histogram("trainer.step_time_s").observe(step_span.duration_s)
-        m.gauge("trainer.loss").set(result.loss)
-        m.gauge("trainer.grad_norm").set(result.grad_norm)
+        # A simulated clock nobody advanced times nothing; a zero would
+        # poison the step-time series health rules sample from here.
+        if step_s > 0:
+            m.histogram("trainer.step_time_s").observe(step_s)
+        m.gauge("trainer.loss").set(loss)
+        if grad_norm is not None:
+            m.gauge("trainer.grad_norm").set(grad_norm)
         if self.scaler is not None:
             m.gauge("trainer.loss_scale").set(self.scaler.scale)
 
-    def _grad_norm(self) -> float:
-        total = 0.0
-        for p in self.optimizer.params:
-            if p.grad is not None:
-                g = p.grad.astype(np.float64)
-                total += float((g * g).sum())
-        return float(np.sqrt(total))
-
-    # -- loops --------------------------------------------------------------
-
-    def train_epoch(self, batches) -> list[StepResult]:
-        """Run one pass over an iterable of (images, labels) batches."""
-        return [self.train_step(images, labels) for images, labels in batches]
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, batches, class_names: tuple[str, ...] | None = None
                  ) -> SegmentationReport:

@@ -13,7 +13,7 @@ from .graph import CATEGORIES, GraphAnalysis, GraphTracer, KernelRecord, ShapePr
 from .losses import weighted_cross_entropy
 from .module import Identity, Module, Sequential
 from .parameter import Parameter
-from .precision import LossScaler, apply_fp16_policy, grads_finite
+from .precision import LossScaler, apply_fp16_policy
 from .tensor import Tensor, concatenate, no_grad
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "CATEGORIES",
     "LossScaler",
     "apply_fp16_policy",
-    "grads_finite",
     "weighted_cross_entropy",
     "concatenate",
     "no_grad",

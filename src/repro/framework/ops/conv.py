@@ -11,8 +11,8 @@ both supported.
 
 The pre-plan kernels — one GEMM-shaped contraction per kernel tap — are
 kept as ``*_reference`` functions: they are the independent oracle the
-equivalence test-suite checks plans against, and the ``tap_gemm`` backend
-of the autotuner.
+equivalence test-suite checks plans against, and the baseline the kernel
+benchmark times plans against.
 
 Mixed-precision semantics: inputs may be float16; contractions accumulate in
 float32 (Tensor-Core style) and results are rounded back to the input dtype.
@@ -119,7 +119,7 @@ def conv2d_forward_reference(
     """Pre-plan forward: one GEMM-shaped contraction per kernel tap.
 
     Kept as the independent oracle for the plan equivalence suite and as
-    the autotuner's ``tap_gemm`` backend.
+    the kernel benchmark's baseline.
     """
     n, c, h, wi = x.shape
     f, cw, kh, kw = w.shape

@@ -11,33 +11,24 @@ instability of Section V-B1.
 """
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .module import Module
-from .parameter import Parameter
 
-__all__ = ["LossScaler", "apply_fp16_policy", "grads_finite"]
-
-
-def grads_finite(params: Iterable[Parameter]) -> bool:
-    """True when every present gradient is finite (no inf/nan)."""
-    for p in params:
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            return False
-    return True
+__all__ = ["LossScaler", "apply_fp16_policy"]
 
 
 class LossScaler:
     """Static or dynamic loss scaling for FP16 training.
 
-    Usage::
+    Usage (what :meth:`repro.core.trainer.Trainer.unscale` does)::
 
-        scaled = loss * scaler.scale
-        scaled.backward()
-        if scaler.step(params):   # unscales grads in place, True if finite
-            optimizer.step()
+        scaler.scale_loss(loss).backward()
+        finite = all(np.isfinite(g).all() for g in grads)
+        grads = [g.astype(np.float32) * (1.0 / scaler.scale) for g in grads]
+        scaler.update(finite)   # back off on overflow, else count a step
+        if finite:
+            optimizer.step()    # on the unscaled FP32 grads
     """
 
     def __init__(
@@ -65,23 +56,6 @@ class LossScaler:
     def scale_loss(self, loss):
         """Multiply the loss tensor by the current scale (autodiff-aware)."""
         return loss * self.scale
-
-    def step(self, params: Iterable[Parameter]) -> bool:
-        """Unscale gradients in place; returns False if the step must be skipped.
-
-        On overflow (non-finite grads) the gradients are zeroed, the scale is
-        reduced (dynamic mode), and False is returned so the caller skips the
-        optimizer update — the standard mixed-precision recipe.
-        """
-        params = list(params)
-        finite = grads_finite(params)
-        inv = 1.0 / self.scale
-        for p in params:
-            if p.grad is not None:
-                # Unscale into FP32 so the master-weight update is precise.
-                p.grad = p.grad.astype(np.float32) * inv if finite else None
-        self.update(finite)
-        return finite
 
     def update(self, finite: bool) -> None:
         """Advance the scale by one step's outcome: back off and restart the

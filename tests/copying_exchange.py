@@ -286,6 +286,19 @@ def copying_optimizer(model, config):
     return GradientLag(opt, config.gradient_lag) if config.gradient_lag else opt
 
 
+def _unscale_in_place(scaler, params) -> bool:
+    """One replica's own FP16 decision: unscale its grads into FP32 in
+    place, or drop them and back off when any is non-finite."""
+    params = list(params)
+    finite = all(p.grad is None or np.isfinite(p.grad).all() for p in params)
+    inv = 1.0 / scaler.scale
+    for p in params:
+        if p.grad is not None:
+            p.grad = p.grad.astype(np.float32) * inv if finite else None
+    scaler.update(finite)
+    return finite
+
+
 class ReplicatedTrainer:
     """N-rank data-parallel training with one full trainer per rank.
 
@@ -322,7 +335,8 @@ class ReplicatedTrainer:
                 loss.backward()
             losses.append(float(loss.item()))
         if self.trainers[0].scaler is not None:
-            oks = [t.scaler.step(t.optimizer.params) for t in self.trainers]
+            oks = [_unscale_in_place(t.scaler, t.optimizer.params)
+                   for t in self.trainers]
             if not all(oks):
                 scale = min(t.scaler.scale for t in self.trainers)
                 for t in self.trainers:

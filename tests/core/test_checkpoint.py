@@ -1,4 +1,6 @@
 """Checkpointing: bit-exact training resume."""
+import os
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,37 @@ class TestCheckpointManager:
         mgr = CheckpointManager(tmp_path)
         mgr.save(make_trainer(), step=1)
         assert mgr.load_extra_arrays() == {}
+
+
+class TestTornCheckpoints:
+    """A save that dies midway must not break autoresume with a raw
+    ``zipfile``/``EOFError``."""
+
+    def test_truncated_checkpoint_raises_checkpoint_error(self, tmp_path):
+        mgr = CheckpointManager(tmp_path)
+        path = mgr.save(make_trainer(), step=2)
+        data = path.read_bytes()
+        for size in (0, 3, 10, len(data) // 2, len(data) - 30, len(data) - 1):
+            path.write_bytes(data[:size])
+            assert mgr.latest() == path
+            with pytest.raises(CheckpointError, match=path.name):
+                mgr.load(make_trainer())
+            with pytest.raises(CheckpointError, match=path.name):
+                mgr.load_extra_arrays()
+
+    def test_interrupted_save_keeps_previous_latest(self, tmp_path,
+                                                    monkeypatch):
+        mgr = CheckpointManager(tmp_path)
+        trainer = make_trainer()
+        first = mgr.save(trainer, step=1)
+
+        def crash(src, dst):
+            raise OSError("killed mid-save")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="killed mid-save"):
+            mgr.save(trainer, step=2)
+        monkeypatch.undo()
+        assert mgr.latest() == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]
+        mgr.load(make_trainer(seed=1))

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.framework import LossScaler, Tensor, apply_fp16_policy, grads_finite
+from repro.core import TrainConfig, Trainer
+from repro.framework import LossScaler, Tensor, apply_fp16_policy
 from repro.framework.dtypes import Precision, as_numpy_dtype, bytes_per_element, compute_dtype
 from repro.framework.layers import BatchNorm2D, Conv2D, Sequential
 from repro.framework.parameter import Parameter
@@ -55,67 +56,86 @@ class TestParameterMaster:
         np.testing.assert_allclose(p.data, [1.5, 0.5])
 
 
-class TestLossScaler:
-    def _params_with_grads(self, grads):
-        params = []
-        for g in grads:
-            p = Parameter(np.zeros_like(np.asarray(g, dtype=np.float32)))
-            p.grad = np.asarray(g)
-            params.append(p)
-        return params
+def fp16_trainer(**scaler_kw) -> Trainer:
+    """A trainer whose FP16 decision runs through ``LossScaler(**scaler_kw)``."""
+    trainer = Trainer(Sequential(Conv2D(2, 3, 3)),
+                      TrainConfig(optimizer="sgd", precision="fp16"))
+    trainer.scaler = LossScaler(**scaler_kw)
+    return trainer
 
+
+def one_rank(*values):
+    return [{f"p{i}": np.asarray(v) for i, v in enumerate(values)}]
+
+
+class TestLossScaler:
     def test_scale_loss_multiplies(self):
         s = LossScaler(init_scale=8.0, dynamic=False)
         loss = Tensor(np.array(2.0), requires_grad=True)
         assert s.scale_loss(loss).item() == 16.0
 
     def test_unscales_gradients(self):
-        s = LossScaler(init_scale=4.0, dynamic=False)
-        params = self._params_with_grads([np.array([8.0])])
-        assert s.step(params)
-        np.testing.assert_allclose(params[0].grad, [2.0])
-        assert params[0].grad.dtype == np.float32
+        t = fp16_trainer(init_scale=4.0, dynamic=False)
+        (grads,) = t.unscale(one_rank(np.array([8.0], dtype=np.float16)))
+        np.testing.assert_allclose(grads["p0"], [2.0])
+        assert grads["p0"].dtype == np.float32
 
     def test_overflow_skips_and_backs_off(self):
-        s = LossScaler(init_scale=1024.0, dynamic=True, backoff_factor=0.5)
-        params = self._params_with_grads([np.array([np.inf])])
-        assert not s.step(params)
-        assert s.scale == 512.0
-        assert params[0].grad is None
-        assert s.num_overflows == 1
+        t = fp16_trainer(init_scale=1024.0, dynamic=True, backoff_factor=0.5)
+        assert t.unscale(one_rank(np.array([np.inf]))) is None
+        assert t.scaler.scale == 512.0
+        assert t.scaler.num_overflows == 1
 
     def test_nan_detected(self):
-        s = LossScaler(dynamic=True)
-        params = self._params_with_grads([np.array([np.nan])])
-        assert not s.step(params)
+        t = fp16_trainer(dynamic=True)
+        assert t.unscale(one_rank(np.array([np.nan]))) is None
+
+    def test_overflow_on_any_rank_backs_off_once(self):
+        t = fp16_trainer(init_scale=1024.0, dynamic=True)
+        ranks = one_rank(np.array([1.0])) + one_rank(np.array([np.inf]))
+        assert t.unscale(ranks) is None
+        assert t.scaler.scale == 512.0
+        assert t.scaler.num_overflows == 1
 
     def test_growth_after_interval(self):
-        s = LossScaler(init_scale=2.0, dynamic=True, growth_interval=3,
-                       growth_factor=2.0)
+        t = fp16_trainer(init_scale=2.0, dynamic=True, growth_interval=3,
+                         growth_factor=2.0)
         for _ in range(3):
-            params = self._params_with_grads([np.array([1.0])])
-            assert s.step(params)
-        assert s.scale == 4.0
+            assert t.unscale(one_rank(np.array([1.0]))) is not None
+        assert t.scaler.scale == 4.0
+
+    def test_growth_unscales_by_the_scale_before_it(self):
+        t = fp16_trainer(init_scale=2.0, dynamic=True, growth_interval=1)
+        (grads,) = t.unscale(one_rank(np.array([8.0])))
+        np.testing.assert_allclose(grads["p0"], [4.0])
+        assert t.scaler.scale == 4.0
 
     def test_static_never_changes(self):
         s = LossScaler(init_scale=16.0, dynamic=False, growth_interval=1)
         for _ in range(5):
-            s.step(self._params_with_grads([np.array([1.0])]))
+            s.update(True)
+        s.update(False)
         assert s.scale == 16.0
 
     def test_scale_floor(self):
         s = LossScaler(init_scale=2.0, dynamic=True, min_scale=1.0)
         for _ in range(10):
-            s.step(self._params_with_grads([np.array([np.inf])]))
+            s.update(False)
         assert s.scale == 1.0
 
     def test_invalid_init_scale(self):
         with pytest.raises(ValueError):
             LossScaler(init_scale=0.0)
 
-    def test_grads_finite_ignores_missing(self):
-        p = Parameter(np.zeros(2))
-        assert grads_finite([p])
+    def test_unscale_counts_a_rank_without_grads_as_finite(self):
+        t = fp16_trainer(init_scale=2.0, dynamic=True, growth_interval=1)
+        assert t.unscale([{}]) == [{}]
+        assert t.scaler.scale == 4.0
+
+    def test_fp32_grads_pass_through(self):
+        t = Trainer(Sequential(Conv2D(2, 3, 3)), TrainConfig(optimizer="sgd"))
+        ranks = one_rank(np.array([np.inf], dtype=np.float32))
+        assert t.unscale(ranks) is ranks
 
 
 class TestFp16Policy:

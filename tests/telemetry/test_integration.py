@@ -29,8 +29,9 @@ class TestTrainerInstrumentation:
     def test_step_spans_and_metrics(self, dataset):
         tel = Telemetry()
         trainer = Trainer(tiny_model(), TrainConfig(lr=0.05, optimizer="sgd"),
-                          class_frequencies(dataset.labels), telemetry=tel)
-        trainer.train_step(dataset.images[:1], dataset.labels[:1])
+                          class_frequencies(dataset.labels))
+        with activate(tel):
+            trainer.train_step(dataset.images[:1], dataset.labels[:1])
         names = [s.name for s in tel.tracer.spans()]
         assert "train_step" in names
         assert "forward" in names and "backward" in names
@@ -41,8 +42,9 @@ class TestTrainerInstrumentation:
     def test_forward_backward_nested_under_step(self, dataset):
         tel = Telemetry()
         trainer = Trainer(tiny_model(), TrainConfig(lr=0.05, optimizer="sgd"),
-                          class_frequencies(dataset.labels), telemetry=tel)
-        trainer.train_step(dataset.images[:1], dataset.labels[:1])
+                          class_frequencies(dataset.labels))
+        with activate(tel):
+            trainer.train_step(dataset.images[:1], dataset.labels[:1])
         spans = {s.name: s for s in tel.tracer.spans()}
         step_id = spans["train_step"].span_id
         assert spans["forward"].parent_id == step_id
