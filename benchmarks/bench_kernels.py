@@ -42,6 +42,12 @@ PAD = 1
 NOTAPE_SHAPE = (9, 48, 32, 48)
 NOTAPE_FILTERS = 8
 
+# One Tiramisu dense layer at the conv-bound training benchmark's shape:
+# 56 channels in, growth-rate 8 out, on a 36x56 grid, one sample.  Its
+# backward (dgrad + wgrad) is where a training step spends most time.
+BWD_SHAPE = (1, 56, 36, 56)
+BWD_FILTERS = 8
+
 #: profile -> (timing repeats, warmup runs)
 PROFILES = {"smoke": (2, 1), "quick": (3, 1), "full": (7, 2)}
 
@@ -112,6 +118,29 @@ def _notape_stats(profile: str = "quick"):
     return {"planned": nstats, "reference": istats}
 
 
+def _bwd_dense_stats(profile: str = "quick"):
+    """Paired (planned, tap-loop) dgrad + wgrad on the dense-layer shape."""
+    from runner import paired_stats
+
+    repeats, warmup = PROFILES[profile]
+    rng = np.random.default_rng(0)
+    x, w, g = _problem(rng, BWD_SHAPE, BWD_FILTERS)
+    clear_plan_cache()
+
+    def planned():
+        conv2d_backward_input(g, w, x.shape, 1, PAD, 1)
+        conv2d_backward_weight(g, x, w.shape, 1, PAD, 1)
+
+    def reference():
+        conv2d_backward_input_reference(g, w, x.shape, 1, PAD, 1)
+        conv2d_backward_weight_reference(g, x, w.shape, 1, PAD, 1)
+
+    # Each sample is ~1-3 ms, so take more of them than the big tiles do.
+    pstats, rstats = paired_stats(planned, reference,
+                                  repeats=5 * repeats, warmup=warmup)
+    return {"planned": pstats, "reference": rstats}
+
+
 def _ratio(stats: dict) -> float:
     return stats["reference"]["min_s"] / stats["planned"]["min_s"]
 
@@ -145,6 +174,12 @@ def collect(profile: str = "quick"):
         higher_is_better=True, tolerance=0.4,
         note=f"im2col forward / no-tape forward, {NOTAPE_SHAPE} -> "
              f"{NOTAPE_FILTERS} filters 3x3"))
+    metrics.append(Metric(
+        name="kernels.conv_bwd_dense_speedup",
+        value=_ratio(_bwd_dense_stats(profile)), unit="x",
+        higher_is_better=True, tolerance=0.3,
+        note=f"tap-loop dgrad + wgrad / planned, {BWD_SHAPE} -> "
+             f"{BWD_FILTERS} filters 3x3"))
     return metrics
 
 

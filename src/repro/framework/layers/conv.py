@@ -21,13 +21,11 @@ from ..graph import ShapeProbe
 from ..module import Module
 from ..ops.conv import (
     conv2d_backward_input,
-    conv2d_backward_weight,
     conv2d_flops,
-    conv2d_forward,
     conv_output_size,
     conv_transpose_output_size,
 )
-from ..ops.plan import ConvPlan
+from ..ops.plan import ConvPlan, get_conv_plan
 from ..parameter import Parameter
 from ..tensor import Tensor, is_grad_enabled
 
@@ -266,12 +264,16 @@ class ConvTranspose2D(Module):
         x_data = x.data
 
         def backward(g: np.ndarray) -> None:
+            # dx is the conv of g and dw the conv wgrad with x as grad_out:
+            # both read the columns of g, so fill them once for the two.
+            plan = get_conv_plan(g.shape, w.data.shape, stride, pad, 1, g.dtype)
+            token = plan.im2col(g)
             if x.requires_grad:
-                x.accumulate_grad(conv2d_forward(g, w.data, stride, pad, 1))
+                x.accumulate_grad(
+                    plan.forward_from_cols(plan.columns_for(token, g), w.data))
             if w.requires_grad:
-                w.accumulate_grad(
-                    conv2d_backward_weight(x_data, g, w.data.shape, stride, pad, 1)
-                )
+                w.accumulate_grad(plan.backward_weight_from_cols(
+                    x_data, plan.columns_for(token, g)))
 
         out = Tensor.from_op(y, (x, w), backward, f"deconv[{self.kernel}x{self.kernel}]")
         if self.bias is not None:

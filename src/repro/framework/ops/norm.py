@@ -27,15 +27,24 @@ def batchnorm_forward(
     acc = np.float64 if x.dtype == np.float64 else np.float32
     xa = x.astype(acc, copy=False)
     axes = (0, 2, 3)
+    count = np.intp(x.shape[0] * x.shape[2] * x.shape[3])
     mean = xa.mean(axis=axes, keepdims=True)
-    var = xa.var(axis=axes, keepdims=True, mean=mean)
+    # Center once: ``xc`` feeds the variance and then becomes x-hat in
+    # place.  The variance runs the ufuncs ``ndarray.var(mean=mean)`` runs
+    # (subtract, square, add.reduce, true_divide by an intp count), so
+    # every statistic rounds exactly as the two-call form does.
+    xc = np.subtract(xa, mean)
+    sq = np.square(xc)
+    var = np.add.reduce(sq, axis=axes, keepdims=True)
+    np.true_divide(var, count, out=var, casting="unsafe")
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xa - mean) * inv_std
+    xhat = np.multiply(xc, inv_std, out=xc)
     g = gamma.reshape(1, -1, 1, 1).astype(acc, copy=False)
     b = beta.reshape(1, -1, 1, 1).astype(acc, copy=False)
-    out = (g * xhat + b).astype(x.dtype, copy=False)
+    out = np.multiply(g, xhat, out=sq)
+    out += b
     cache = (xhat, inv_std, g, x.dtype, mean, var)
-    return out, cache
+    return out.astype(x.dtype, copy=False), cache
 
 
 def batchnorm_backward(
@@ -46,16 +55,19 @@ def batchnorm_backward(
     acc = xhat.dtype
     go = grad_out.astype(acc, copy=False)
     axes = (0, 2, 3)
-    m = go.shape[0] * go.shape[2] * go.shape[3]
+    # Standard batch-norm backward, fused form
+    #   dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
+    # evaluated term by term in that order in two scratch buffers.
+    s1 = np.multiply(go, xhat)
     dbeta = go.sum(axis=axes)
-    dgamma = (go * xhat).sum(axis=axes)
-    # Standard batch-norm backward, fused form.
-    dxhat = go * g
-    dx = (
-        inv_std
-        * (dxhat - dxhat.mean(axis=axes, keepdims=True)
-           - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True))
-    )
+    dgamma = s1.sum(axis=axes)
+    dxhat = np.multiply(go, g)
+    mean_dxhat = dxhat.mean(axis=axes, keepdims=True)
+    mean_dxhat_xhat = np.multiply(dxhat, xhat, out=s1).mean(axis=axes,
+                                                            keepdims=True)
+    dx = np.subtract(dxhat, mean_dxhat, out=dxhat)
+    dx -= np.multiply(xhat, mean_dxhat_xhat, out=s1)
+    np.multiply(inv_std, dx, out=dx)
     # Parameter grads stay FP32 (the cuDNN convention) unless running in
     # double precision (gradient-check mode).
     param_dtype = np.float64 if acc == np.float64 else np.float32

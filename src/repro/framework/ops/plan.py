@@ -24,16 +24,20 @@ precomputes:
 All three conv derivatives then lower to a single batched GEMM:
 
 * forward:          ``(F, CKK) @ (N, CKK, P)            -> (N, F, P)``
-* weight gradient:  ``(N, F, P) @ (N, P, CKK)  summed N -> (F, CKK)``
+* weight gradient:  ``(N, F, P) @ (N, P, CKK)  summed N -> (F, CKK)``, or
+  its operand-swapped twin when that is cheaper (small F, large P)
 * input gradient:   ``(CKK, F) @ (N, F, P)              -> (N, CKK, P)``
-  followed by K*K cheap strided scatter-adds (col2im).
+  followed by K*K tap adds (at unit stride on a pitched flat grid, see
+  :meth:`ConvPlan.backward_input`; strided, a col2im scatter).
 
 The column matrix exists for the weight gradient.  A forward that records
 no tape has no reader for it, so :meth:`ConvPlan.forward_notape` may run a
 second, *column-free* formulation (shift-GEMM) that puts the K*K expansion
 on the output side; the plan picks it from its own geometry exactly when
-that moves fewer bytes (:attr:`ConvPlan.column_free`).  Everything taped
-keeps the im2col arithmetic above bit for bit.
+that moves fewer bytes (:attr:`ConvPlan.column_free`).  That forward adds
+the taps after the channel contraction, a different rounding order, so
+everything taped keeps the im2col forward; the two gradients above run
+every sum in the order the plain column formulation does.
 
 Plans are cached in a bounded LRU keyed on the problem signature
 (:func:`get_conv_plan`); layers additionally hold their *own* plans so the
@@ -114,6 +118,12 @@ class ConvPlan:
         #: bytes; its flat-offset tap shifts need unit stride.
         self.column_free = (self.stride == 1
                             and f * self.hp * self.wp < c * self.oh * self.ow)
+        #: Which operand order wgrad uses (:meth:`backward_weight_from_cols`).
+        #: ``cols @ g^T`` costs one transposed copy of the (F, C*K*K) result
+        #: more than ``g @ cols^T``, so it is chosen exactly when that result
+        #: is smaller than the two operands the GEMM reads.
+        ckk = c * kh * kw
+        self.wgrad_swapped = f * ckk < (f + ckk) * self.oh * self.ow
         #: Observability: how many times this plan (re)applied its padding
         #: and how many times it filled the column workspace.  The pad-once
         #: invariant tests pin these down.
@@ -127,6 +137,8 @@ class ConvPlan:
         self._xp: np.ndarray | None = None
         self._cols: np.ndarray | None = None
         self._dcols: np.ndarray | None = None
+        self._gpad: np.ndarray | None = None
+        self._dtaps: np.ndarray | None = None
         self._tap_gemm: np.ndarray | None = None
         self._acc_out: np.ndarray | None = None
 
@@ -138,9 +150,11 @@ class ConvPlan:
     # -- copying ----------------------------------------------------------
 
     #: Lazily allocated scratch buffers: padded input, im2col columns,
-    #: dgrad columns, and the column-free forward's per-tap GEMM output and
-    #: shifted-sum accumulator.
-    _WORKSPACES = ("_xp", "_cols", "_dcols", "_tap_gemm", "_acc_out")
+    #: strided dgrad columns, the unit-stride dgrad's pitched grad_out and
+    #: per-tap GEMM output, and the column-free forward's per-tap GEMM
+    #: output and shifted-sum accumulator.
+    _WORKSPACES = ("_xp", "_cols", "_dcols", "_gpad", "_dtaps", "_tap_gemm",
+                   "_acc_out")
 
     def __deepcopy__(self, memo):
         """Plans are pure caches: a copy starts cold (no workspaces)."""
@@ -317,14 +331,28 @@ class ConvPlan:
     def backward_weight_from_cols(self, grad_out: np.ndarray,
                                   cols: np.ndarray) -> np.ndarray:
         """wgrad as one batched GEMM; accumulates (and returns) in FP32
-        for half inputs, exactly like the legacy kernel."""
+        for half inputs, exactly like the legacy kernel.
+
+        Either ``g @ cols^T -> (N, F, CKK)``, or, when the plan is
+        :attr:`wgrad_swapped`, ``cols @ g^T -> (N, CKK, F)`` with the result
+        transposed back into C order (downstream reductions — LARC norms,
+        the FP16 unscale — iterate in memory order).  Both are NT GEMMs
+        contracting the same ``P = OH*OW`` products in the same order; with
+        a small F as the GEMM's N dimension instead of its M, BLAS packs the
+        large operand once instead of running a skinny panel.
+        """
         n = self.x_shape[0]
         f = self.out_channels
         g = grad_out.astype(self.acc, copy=False).reshape(n, f, -1)
-        dw = np.matmul(g, cols.transpose(0, 2, 1))
-        # A one-sample batch needs no reduction (and no copy) over N.
+        if self.wgrad_swapped:
+            dw = np.matmul(cols, g.transpose(0, 2, 1))
+        else:
+            dw = np.matmul(g, cols.transpose(0, 2, 1))
+        # A one-sample batch needs no reduction over N.
         dw = dw[0] if n == 1 else dw.sum(axis=0)
         self.gemms += 1
+        if self.wgrad_swapped:
+            dw = np.ascontiguousarray(dw.T)
         return dw.reshape(self.w_shape)
 
     def backward_weight(self, grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -332,18 +360,63 @@ class ConvPlan:
         return self.backward_weight_from_cols(grad_out, self.columns_for(token, x))
 
     def backward_input(self, grad_out: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """dgrad: one GEMM into the column workspace, then K*K col2im adds."""
+        """dgrad: one GEMM contracting over F, then K*K tap adds.
+
+        At unit stride the K*K expansion stays on the output side
+        (shift-GEMM, as in :meth:`forward_notape`, mirrored):
+
+        * ``grad_out`` is copied into a workspace of row pitch ``wp`` whose
+          ``wp - ow`` trailing columns stay zero;
+        * one GEMM ``(C*KH*KW, F) @ (N, F, oh*wp)`` gives every tap's
+          contribution at every flat output position;
+        * tap ``(u, v)``'s row block lands in the flat padded input grid at
+          offset ``u*d*wp + v*d``, so the blocks are added there over the
+          span ``(oh-1)*wp + ow``, then the border is stripped.
+
+        Unlike the forward shift-GEMM this keeps the im2col formulation's
+        rounding order exactly: each value is the same dot product over F
+        and the taps are added to a zeroed grid in the same ``(u, v)``
+        order.  The zero columns add exact zeros, which can flip only the
+        sign of a zero.  Strided plans keep the column workspace and the
+        strided col2im scatter.
+        """
         n, c, h, wi = self.x_shape
         f = self.out_channels
-        g = grad_out.astype(self.acc, copy=False).reshape(n, f, -1)
+        taps = self.kh * self.kw
         wmat = w.astype(self.acc, copy=False).reshape(f, -1)
-        if self._dcols is None:
-            self._dcols = np.empty(self.cols_shape, dtype=self.acc)
-        np.matmul(wmat.T, g, out=self._dcols)
-        self.gemms += 1
-        dxp = np.zeros((n, c, self.hp, self.wp), dtype=self.acc)
-        self._col2im(self._dcols.reshape(n, c, self.kh, self.kw, self.oh, self.ow),
-                     dxp)
+        if self.stride != 1:
+            g = grad_out.astype(self.acc, copy=False).reshape(n, f, -1)
+            if self._dcols is None:
+                self._dcols = np.empty(self.cols_shape, dtype=self.acc)
+            np.matmul(wmat.T, g, out=self._dcols)
+            self.gemms += 1
+            dxp = np.zeros((n, c, self.hp, self.wp), dtype=self.acc)
+            self._col2im(self._dcols.reshape(n, c, self.kh, self.kw,
+                                             self.oh, self.ow), dxp)
+        elif taps == 1 and self.padding == 0:
+            # One tap, no border: the GEMM result is the input gradient.
+            g = grad_out.astype(self.acc, copy=False).reshape(n, f, -1)
+            self.gemms += 1
+            return (np.matmul(wmat.T, g).reshape(self.x_shape)
+                    .astype(grad_out.dtype, copy=False))
+        else:
+            oh, ow, wp = self.oh, self.ow, self.wp
+            if self._gpad is None:
+                self._gpad = np.zeros((n, f, oh, wp), dtype=self.acc)
+                self._dtaps = np.empty((n, c * taps, oh * wp), dtype=self.acc)
+            self._gpad[:, :, :, :ow] = grad_out
+            np.matmul(wmat.T, self._gpad.reshape(n, f, oh * wp),
+                      out=self._dtaps)
+            self.gemms += 1
+            span = (oh - 1) * wp + ow
+            d = self.dilation
+            y = self._dtaps.reshape(n, c, taps, oh * wp)
+            flat = np.zeros((n, c, self.hp * wp), dtype=self.acc)
+            for u in range(self.kh):
+                for v in range(self.kw):
+                    off = u * d * wp + v * d
+                    flat[:, :, off:off + span] += y[:, :, u * self.kw + v, :span]
+            dxp = flat.reshape(n, c, self.hp, wp)
         if self.padding:
             p = self.padding
             dxp = dxp[:, :, p:p + h, p:p + wi]
