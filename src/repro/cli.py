@@ -13,7 +13,6 @@ Usage::
     python -m repro.cli faults --ranks 8 --plan "rank_fail@2:rank=1;read_fault@1"
     python -m repro.cli serve --requests 64 --replicas 2 --plan "rank_fail@2:rank=1"
     python -m repro.cli campaign --users 3 --jobs 12 --plan "rank_fail@1:rank=0"
-    python -m repro.cli lint --format json src tests
 """
 from __future__ import annotations
 
@@ -932,53 +931,6 @@ def _cmd_campaign(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_lint(args) -> int:
-    """Distributed-correctness static analysis over the given paths.
-
-    Exit code 0 when every finding is inline-suppressed or recorded in the
-    committed baseline; 1 when any *new* finding exists — that is the CI
-    gate.  ``--update-baseline`` rewrites the baseline from the current
-    findings (and exits 0); ``--prune-baseline`` only *removes* baseline
-    entries that no longer match any finding (fixed debt) without ever
-    accepting new ones; ``--fix`` applies every rule autofix in place
-    and reports the post-fix state; ``--rules`` prints the rule catalog.
-    ``--deep`` additionally runs the whole-program (inter-procedural)
-    pass — rules RPR101–RPR104 — with its own summary cache
-    (``--deep-cache``) so only changed files are re-analyzed.
-    """
-    from .analysis import (deep_rules, render_json, render_text,
-                           rule_catalog, run_lint)
-
-    if args.rules:
-        for row in rule_catalog() + rule_catalog(deep_rules()):
-            fix = " [autofix]" if row["autofix"] else ""
-            print(f"{row['id']} {row['name']} ({row['severity']}){fix}")
-            print(f"    {row['description']}")
-        return 0
-    paths = args.paths or ["src", "tests"]
-    report = run_lint(
-        paths,
-        baseline_path=args.baseline,
-        update_baseline=args.update_baseline,
-        prune_baseline=args.prune_baseline,
-        fix=args.fix,
-        cache_path=args.cache,
-        deep=args.deep,
-        deep_cache=args.deep_cache)
-    if args.format == "json":
-        print(render_json(report))
-    else:
-        print(render_text(report, show_all=args.show_all))
-    if args.prune_baseline and not args.update_baseline:
-        print(f"baseline pruned: {len(report.pruned_entries)} stale "
-              f"entr{'y' if len(report.pruned_entries) == 1 else 'ies'} "
-              f"removed from {args.baseline}")
-    if args.update_baseline:
-        print(f"baseline updated: {args.baseline}")
-        return 0
-    return report.exit_code
-
-
 def _cmd_bench(args) -> int:
     """Run benchmark suites through the machine-readable protocol.
 
@@ -1245,37 +1197,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="directory for the JSONL log, checkpoints, "
                          "report.json, and Chrome trace (optional)")
     pg.set_defaults(fn=_cmd_campaign)
-
-    pl = sub.add_parser(
-        "lint",
-        help="distributed-correctness static analysis (AST rule pack)")
-    pl.add_argument("paths", nargs="*",
-                    help="files/directories to analyze (default: src tests)")
-    pl.add_argument("--format", default="text", choices=["text", "json"])
-    pl.add_argument("--fix", action="store_true",
-                    help="apply rule autofixes in place, then re-analyze")
-    pl.add_argument("--update-baseline", action="store_true",
-                    help="accept all current findings into the baseline")
-    pl.add_argument("--prune-baseline", action="store_true",
-                    help="drop baseline entries that no longer match any "
-                         "finding (never accepts new ones)")
-    pl.add_argument("--baseline", default=".repro-lint-baseline.json",
-                    help="baseline file (default: .repro-lint-baseline.json)")
-    pl.add_argument("--cache", default=None, metavar="PATH",
-                    help="per-file result cache keyed on content hash "
-                         "(off unless given; CI restores this file)")
-    pl.add_argument("--show-all", action="store_true",
-                    help="also list baselined and suppressed findings")
-    pl.add_argument("--rules", action="store_true",
-                    help="print the rule catalog and exit")
-    pl.add_argument("--deep", action="store_true",
-                    help="also run the whole-program pass (RPR101-RPR104: "
-                         "inter-procedural collective/precision/RNG/"
-                         "swallowed-error analysis)")
-    pl.add_argument("--deep-cache", default=None, metavar="PATH",
-                    help="project summary cache for --deep (only changed "
-                         "files are re-summarized; CI restores this file)")
-    pl.set_defaults(fn=_cmd_lint)
 
     pb = sub.add_parser(
         "bench",

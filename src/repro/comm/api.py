@@ -63,14 +63,13 @@ class CommStrategy:
             **params) -> list[np.ndarray]:
         buffers = _check_buffers(world, buffers)
         resolved_tag = self.default_tag if tag is None else tag
-        if getattr(world, "collective_checks", False):
-            # Every alive rank enters the same allreduce here; announcing
-            # per rank lets the debug assertion catch a caller that runs
-            # a divergent schedule (e.g. per-rank strategy choices).
-            for r in world.alive_ranks():
-                world.announce_collective(
-                    r, f"allreduce.{self.name}", resolved_tag,
-                    buffers[0].shape, buffers[0].dtype)
+        # Every alive rank enters the same allreduce here; announcing per
+        # rank lets the collective check catch a caller that runs a
+        # divergent schedule (e.g. per-rank strategy choices).
+        for r in world.alive_ranks():
+            world.announce_collective(
+                r, f"allreduce.{self.name}", resolved_tag,
+                buffers[0].shape, buffers[0].dtype)
         with _reduce_span(self.name, world, buffers):
             return self.run_fn(world, buffers, average, resolved_tag,
                                **params)

@@ -240,8 +240,8 @@ class GradientExchangeEngine:
         The measured "time" is the alpha-beta cost of the traffic actually
         seen on the wire — messages pay latency, bytes pay bandwidth —
         normalized per payload byte so buckets of different sizes within a
-        size class compare fairly.  Deterministic by construction (RPR008:
-        no wall clocks in library code).
+        size class compare fairly.  Deterministic by construction: no wall
+        clock is read.
         """
         if not self.config.autotune:
             return

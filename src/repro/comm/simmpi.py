@@ -129,17 +129,15 @@ class World:
     every send; ranks killed with :meth:`fail_rank` poison all their
     channels.
 
-    ``collective_checks=True`` enables the opt-in debug assertion behind
+    Every collective is checked at run time through
     :meth:`announce_collective`: every rank entering a collective announces
     its (op, tag, shape, dtype) and any disagreement within a round — or a
     rank announcing twice before its peers caught up — raises
     :class:`~repro.errors.CollectiveMismatch` at the call site instead of
-    deadlocking somewhere down the wire.  This is the runtime complement
-    of the static RPR101 analysis (``repro lint --deep``).
+    deadlocking somewhere down the wire.
     """
 
-    def __init__(self, size: int, fault_injector=None, *,
-                 collective_checks: bool = False):
+    def __init__(self, size: int, fault_injector=None):
         if size < 1:
             raise ValueError("world size must be >= 1")
         self.size = int(size)
@@ -148,7 +146,6 @@ class World:
         self.fault_injector = fault_injector
         self._failed: set[int] = set()
         self._msg_seq = 0           # wire-level message ids (trace context)
-        self.collective_checks = bool(collective_checks)
         self._pending_collective: dict[int, tuple] = {}
         self.collective_rounds = 0  # completed, fully-agreed rounds
         # (shape, dtype) -> message buffers handed back by receivers.
@@ -335,17 +332,14 @@ class World:
 
     def announce_collective(self, rank: int, op: str, tag: int,
                             shape=None, dtype=None) -> None:
-        """Debug assertion: ``rank`` declares the collective it is entering.
+        """Runtime check: ``rank`` declares the collective it is entering.
 
-        No-op unless the world was built with ``collective_checks=True``.
         Within one *round* (one announcement per alive rank) every
         announcement must agree on ``(op, tag, shape, dtype)``; a
         disagreeing rank — or a rank announcing a second collective while
         peers are still in the current round, i.e. a divergent schedule —
         raises :class:`~repro.errors.CollectiveMismatch` immediately.
         """
-        if not self.collective_checks:
-            return
         self._check_rank(rank)
         self._check_alive(rank)
         sig = self._collective_sig(op, tag, shape, dtype)
@@ -383,8 +377,6 @@ class World:
 
     def _announce_all(self, op: str, tag: int, payload) -> None:
         """Driver-level collectives enter on every alive rank at once."""
-        if not self.collective_checks:
-            return
         shape = payload.shape if isinstance(payload, np.ndarray) else None
         dtype = payload.dtype if isinstance(payload, np.ndarray) else None
         for r in self.alive_ranks():

@@ -79,11 +79,10 @@ class DeadlockError(CommError, LookupError):
 class CollectiveMismatch(CommError):
     """Ranks disagree on the collective they are entering.
 
-    Raised by :meth:`repro.comm.simmpi.World.announce_collective` (the
-    opt-in ``collective_checks`` mode) when a rank announces a collective
-    whose op/tag/shape/dtype differs from what its peers announced this
-    round, or announces twice before the round completes — the runtime
-    complement of the static RPR101 analysis.
+    Raised by :meth:`repro.comm.simmpi.World.announce_collective` when a
+    rank announces a collective whose op/tag/shape/dtype differs from what
+    its peers announced this round, or announces twice before the round
+    completes.
     """
 
 

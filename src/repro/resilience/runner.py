@@ -109,7 +109,9 @@ def run_resilient_training(
     so after an elastic shrink the surviving ranks automatically cover a
     re-sharded data assignment.  Faults listed in ``plan`` are injected at
     their scheduled steps; a run with ``plan=None`` is the fault-free
-    baseline the CLI compares against.
+    baseline the CLI compares against.  A step that keeps losing
+    messages is retried at most ``max_step_retries`` times (each one counted
+    in ``report.step_retries``); the next failure propagates.
 
     ``engine`` (a :class:`repro.comm.GradientExchangeEngine` or its config;
     ``EngineConfig()`` when omitted) is what every step exchanges
@@ -209,6 +211,8 @@ def run_resilient_training(
             except FaultInjected:
                 # A drop that escaped the reliable-recv paths (e.g. inside
                 # the allreduce): flush the wire, recompute the step.
+                if wire_retries == max_step_retries:
+                    raise
                 wire_retries += 1
                 report.step_retries += 1
                 trainer.world.drain()
@@ -216,8 +220,6 @@ def run_resilient_training(
                     p.grad = None
                 if tel.enabled:
                     tel.metrics.counter("resilience.step_retries").inc()
-                if wire_retries > max_step_retries:
-                    raise
                 continue
         report.losses.append(result.mean_loss)
         report.steps_completed += 1

@@ -240,14 +240,8 @@ class TestReferenceCollectives:
 
 
 class TestCollectiveChecks:
-    def test_off_by_default_and_noop(self):
-        w = World(2)
-        assert w.collective_checks is False
-        w.announce_collective(0, "allreduce", 7)   # no-op, nothing pending
-        assert w.collective_rounds == 0
-
     def test_agreed_round_completes(self):
-        w = World(3, collective_checks=True)
+        w = World(3)
         for r in range(3):
             w.announce_collective(r, "allreduce", 7, (4,), "float32")
         assert w.collective_rounds == 1
@@ -255,7 +249,7 @@ class TestCollectiveChecks:
     def test_disagreeing_signature_raises_at_call_site(self):
         from repro.errors import CollectiveMismatch
 
-        w = World(2, collective_checks=True)
+        w = World(2)
         w.announce_collective(0, "allreduce", 7, (4,), "float32")
         with pytest.raises(CollectiveMismatch, match="disagreement"):
             w.announce_collective(1, "allreduce", 7, (8,), "float32")
@@ -263,20 +257,20 @@ class TestCollectiveChecks:
     def test_divergent_schedule_raises(self):
         from repro.errors import CollectiveMismatch
 
-        w = World(2, collective_checks=True)
+        w = World(2)
         w.announce_collective(0, "allreduce", 7)
         with pytest.raises(CollectiveMismatch, match="divergent"):
             w.announce_collective(0, "broadcast", 8)
 
     def test_failed_rank_excluded_from_round(self):
-        w = World(3, collective_checks=True)
+        w = World(3)
         w.fail_rank(2)
         w.announce_collective(0, "allreduce", 7)
         w.announce_collective(1, "allreduce", 7)
         assert w.collective_rounds == 1
 
     def test_reference_collectives_announce(self):
-        w = World(2, collective_checks=True)
+        w = World(2)
         w.broadcast("hello", root=0)
         w.gather(["a", "b"], root=0)
         assert w.collective_rounds == 2
@@ -284,7 +278,7 @@ class TestCollectiveChecks:
     def test_allreduce_facade_announces(self):
         from repro.comm import allreduce
 
-        w = World(2, collective_checks=True)
+        w = World(2)
         bufs = [np.ones(4, dtype=np.float32) for _ in range(2)]
         allreduce(w, bufs, strategy="ring")
         assert w.collective_rounds >= 1

@@ -5,6 +5,7 @@ import pytest
 from repro.climate import ClimateDataset, Grid, class_frequencies
 from repro.comm import CommStrategy, EngineConfig, GradientExchangeEngine
 from repro.comm import api as comm_api
+from repro.comm.simmpi import World
 from repro.core import DistributedTrainer, TrainConfig, Trainer
 from repro.core.optim.base import Optimizer
 from repro.core.networks import Tiramisu, TiramisuConfig
@@ -57,6 +58,49 @@ class TestReplicaConsistency:
     def test_world_size_validation(self):
         with pytest.raises(ValueError):
             DistributedTrainer(tiny_factory(), 0, TrainConfig())
+
+    def test_same_seed_epochs_are_byte_identical(self, dataset):
+        """The shard shuffles and the dropout masks draw from generators
+        seeded by the caller, so a rerun reproduces every loss and weight."""
+        def run():
+            def make():
+                return Tiramisu(TiramisuConfig(in_channels=4, base_filters=8,
+                                               growth=4, down_layers=(2,),
+                                               bottleneck_layers=2, kernel=3,
+                                               dropout=0.2),
+                                rng=np.random.default_rng(3))
+            dt = DistributedTrainer(make, 2, TrainConfig(lr=0.05,
+                                                         optimizer="larc"))
+            results = dt.train_epoch(dataset, 1, np.random.default_rng(11),
+                                     steps=3)
+            losses = np.array([r.per_rank_loss for r in results])
+            return losses, dt.model.state_dict()
+
+        losses_a, state_a = run()
+        losses_b, state_b = run()
+        assert losses_a.tobytes() == losses_b.tobytes()
+        assert state_a.keys() == state_b.keys()
+        for name, value in state_a.items():
+            assert value.tobytes() == state_b[name].tobytes(), name
+
+    def test_every_bucket_is_announced_by_every_rank(self, dataset,
+                                                     monkeypatch):
+        # The world checks every collective: each bucket's allreduce is
+        # announced once per rank, so a divergent schedule would raise.
+        announced = []
+        real = World.announce_collective
+
+        def spy(world, rank, op, *args, **kwargs):
+            announced.append((rank, op))
+            return real(world, rank, op, *args, **kwargs)
+
+        monkeypatch.setattr(World, "announce_collective", spy)
+        dt = DistributedTrainer(tiny_factory(), 4, TrainConfig(lr=0.01))
+        results = dt.train_epoch(dataset, 1, np.random.default_rng(4), steps=2)
+        buckets = sum(r.exchange.fusion.num_collectives for r in results)
+        for rank in range(4):
+            assert sum(r == rank and op.startswith("allreduce.")
+                       for r, op in announced) == buckets
 
 
 class TestLockstepCheck:

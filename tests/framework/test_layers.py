@@ -205,6 +205,13 @@ class TestDropout:
         np.testing.assert_allclose(survivors, 2.0, rtol=1e-6)
         assert 0.4 < (out != 0).mean() < 0.6
 
+    def test_default_generator_is_seeded(self):
+        # Two layers built without rng= must drop the same units: an
+        # entropy-seeded default would give every rank and run its own mask.
+        x = Tensor(np.ones((1, 2, 8, 8), dtype=np.float32))
+        np.testing.assert_array_equal(Dropout(0.5)(x).data,
+                                      Dropout(0.5)(x).data)
+
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             Dropout(1.0)

@@ -3,11 +3,13 @@ import numpy as np
 import pytest
 
 from repro.climate import ClimateDataset, Grid, class_frequencies
-from repro.core import DistributedTrainer, TrainConfig
+from repro.core import CheckpointManager, DistributedTrainer, TrainConfig
 from repro.core.networks import Tiramisu, TiramisuConfig
+from repro.errors import FaultInjected
 from repro.resilience import (FaultInjector, FaultPlan, FaultSpec,
                               RetryPolicy, mean_eval_loss,
                               run_resilient_training)
+from repro.resilience import runner
 
 GRID = Grid(16, 24)
 
@@ -129,6 +131,42 @@ class TestResilientRun:
                                         plan=plan, class_frequencies=freqs)
         assert report.steps_completed == 3
         assert report.injected.get("drop_msg") == 2
+
+    def test_persistent_drop_exhausts_the_step_retry_budget(
+            self, dataset, freqs, monkeypatch):
+        """Every send from step 1 on is dropped: step 1 is retried exactly
+        ``max_step_retries`` times, then the drop propagates instead of the
+        run carrying on with a stale step result."""
+        reports = []
+
+        class Recorded(runner.ResilienceReport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                reports.append(self)
+
+        monkeypatch.setattr(runner, "ResilienceReport", Recorded)
+        plan = FaultPlan([FaultSpec("drop_msg", step=1, count=10**6)])
+        with pytest.raises(FaultInjected):
+            run_resilient_training(factory(), CONFIG, 2, provider_for(dataset),
+                                   steps=3, plan=plan,
+                                   class_frequencies=freqs,
+                                   max_step_retries=2)
+        (report,) = reports
+        assert report.step_retries == 2
+        assert report.steps_completed == 1
+
+    def test_failed_checkpoint_save_propagates(self, dataset, freqs, tmp_path,
+                                               monkeypatch):
+        """A checkpoint that cannot be written stops the run; carrying on
+        would leave autoresume at an older step than the report claims."""
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(CheckpointManager, "save", disk_full)
+        with pytest.raises(OSError, match="No space"):
+            run_resilient_training(factory(), CONFIG, 2, provider_for(dataset),
+                                   steps=2, class_frequencies=freqs,
+                                   checkpoint_dir=tmp_path, checkpoint_every=1)
 
     def test_checkpoint_autoresume(self, dataset, freqs, tmp_path):
         prov = provider_for(dataset)

@@ -207,89 +207,6 @@ class TestCli:
             build_parser().parse_args(["fig4", "--network", "alexnet"])
 
 
-SCRATCH_RPR001 = """\
-def sync(world, rank, value):
-    if rank == 0:
-        world.broadcast(value, root=0)
-    return value
-"""
-
-
-class TestLintCli:
-    """The ISSUE acceptance demo: a collective under ``if rank == 0:`` in a
-    scratch file must surface as RPR001 with file/line/rule in both
-    formats, and the exit code is the CI gate."""
-
-    def test_rpr001_text_output(self, capsys, tmp_path):
-        scratch = tmp_path / "scratch.py"
-        scratch.write_text(SCRATCH_RPR001)
-        assert main(["lint", str(scratch)]) == 1
-        out = capsys.readouterr().out
-        assert "RPR001" in out
-        assert "scratch.py:3" in out
-        assert "broadcast" in out and "deadlock" in out
-
-    def test_rpr001_json_output(self, capsys, tmp_path):
-        import json
-
-        scratch = tmp_path / "scratch.py"
-        scratch.write_text(SCRATCH_RPR001)
-        assert main(["lint", "--format", "json", str(scratch)]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["exit_code"] == 1
-        (finding,) = doc["findings"]
-        assert finding["rule"] == "RPR001"
-        assert finding["path"].endswith("scratch.py")
-        assert finding["line"] == 3
-        assert doc["summary"]["new_by_rule"] == {"RPR001": 1}
-
-    def test_clean_file_exits_zero(self, capsys, tmp_path):
-        scratch = tmp_path / "clean.py"
-        scratch.write_text("def add(a, b):\n    return a + b\n")
-        assert main(["lint", str(scratch)]) == 0
-        assert "0 new" in capsys.readouterr().out
-
-    def test_update_baseline_then_gate(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        bad = tmp_path / "legacy.py"
-        bad.write_text("import numpy as np\ny = np.random.rand(3)\n")
-        assert main(["lint", "--update-baseline", str(bad)]) == 0
-        capsys.readouterr()
-        assert main(["lint", str(bad)]) == 0    # baselined
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_fix_rewrites_file(self, capsys, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("try:\n    risky()\nexcept:\n    pass\n")
-        main(["lint", "--fix", str(bad)])
-        assert "except Exception:" in bad.read_text()
-
-    def test_rules_catalog(self, capsys):
-        assert main(["lint", "--rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("RPR001", "RPR002", "RPR003", "RPR005", "RPR006",
-                        "RPR007", "RPR008"):
-            assert rule_id in out
-
-    def test_prune_baseline_drops_fixed_debt(self, capsys, tmp_path,
-                                             monkeypatch):
-        import json
-
-        monkeypatch.chdir(tmp_path)
-        bad = tmp_path / "legacy.py"
-        bad.write_text("import numpy as np\ny = np.random.rand(3)\n")
-        assert main(["lint", "--update-baseline", str(bad)]) == 0
-        capsys.readouterr()
-        bad.write_text("import numpy as np\n"
-                       "y = np.random.default_rng(0).random(3)\n")
-        assert main(["lint", "--prune-baseline", str(bad)]) == 0
-        out = capsys.readouterr().out
-        assert "baseline pruned: 1 stale entry removed" in out
-        doc = json.loads((tmp_path / ".repro-lint-baseline.json").read_text())
-        assert doc["entries"] == []
-
-
 class TestServeCli:
     """The serving drill end-to-end through the CLI entry point."""
 

@@ -77,13 +77,6 @@ class TestExamples:
         assert "sustained throughput: median" in out
         assert "last step span tree" in out
 
-    def test_lint_report(self):
-        out = run_example("lint_report.py")
-        assert "Rule catalog vs findings" in out
-        assert "Findings per module" in out
-        assert "analysis.files_scanned" in out
-        assert "CI gate against the committed baseline: clean" in out
-
     def test_cli_report(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repro.cli", "report"],
