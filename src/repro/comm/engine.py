@@ -17,9 +17,11 @@ implements that loop over the existing substrate:
 * **bucketing** — gradients are packed in backward order into flat buckets
   (:func:`fuse_order`, Horovod's tensor fusion), cutting the number of
   collectives by the mean bucket occupancy.  The buckets are persistent
-  per-(rank, bucket) buffers the engine owns: the strategy reduces in place
-  in them and the averaged gradients come back as views, so a steady-state
-  dense exchange allocates nothing;
+  ``(ranks, elems)`` buffers the engine owns, one row per rank: the
+  strategy reduces in place in the rows and the averaged gradients come
+  back as views, so a steady-state dense exchange allocates nothing.  A
+  trainer that writes its gradients straight into their rows
+  (:meth:`GradientExchangeEngine.bucket_slots`) skips the pack copy too;
 * **compression** — optional top-k or int8 compression with per-tensor
   error-feedback residuals (see :mod:`repro.comm.compression`); residual
   state is exportable so it survives checkpoint/restore and elastic shrink;
@@ -30,6 +32,7 @@ implements that loop over the existing substrate:
 """
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +50,7 @@ from .reducer import _reduce_dtype
 from .simmpi import World
 
 __all__ = ["EngineConfig", "EngineReport", "FusionPlan",
-           "GradientExchangeEngine", "fuse_order", "pack_bucket",
-           "unpack_bucket"]
+           "GradientExchangeEngine", "fuse_order", "unpack_bucket"]
 
 # Summit's fabric (hpc.specs duplicates these; kept literal to avoid a
 # config dataclass depending on module import order).
@@ -117,14 +119,6 @@ def fuse_order(order: list[str], sizes: dict[str, int], threshold_bytes: int) ->
     return FusionPlan(groups, group_bytes)
 
 
-def pack_bucket(tensors: list[np.ndarray],
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Concatenate ``tensors`` flat into one fusion buffer (``out`` if given,
-    converting to its dtype as ``astype`` would)."""
-    return np.concatenate([t.reshape(-1) for t in tensors], out=out,
-                          casting="unsafe")
-
-
 def unpack_bucket(flat: np.ndarray, group: list[str],
                   like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Split a reduced fusion buffer back into ``group``'s named tensors.
@@ -141,6 +135,20 @@ def unpack_bucket(flat: np.ndarray, group: list[str],
                   .astype(ref.dtype, copy=False))
         offset += ref.size
     return out
+
+
+def _mapped(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An array on an anonymous memory mapping of its own.
+
+    Bucket buffers are the largest arrays a trainer keeps (ranks times the
+    bucket size).  malloc would map them too, but releasing such a block
+    raises glibc's mmap threshold to its size, and from then on every
+    smaller transient is carved from a heap that does not give memory back.
+    A mapping of their own returns to the OS when the engine drops it.
+    """
+    nbytes = max(int(np.prod(shape)) * np.dtype(dtype).itemsize, 1)
+    return np.ndarray(shape, dtype,
+                      buffer=mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE))
 
 
 @dataclass
@@ -182,9 +190,12 @@ class GradientExchangeEngine:
                 for _ in range(self.world_size)
             ]
         self.last_report: EngineReport | None = None
-        # Dense pack buffers: layout key and one flat buffer per (rank, bucket).
+        # Dense bucket buffers: layout key and one (ranks, elems) buffer per
+        # bucket.
         self._pack_key: tuple | None = None
-        self._pack: list[list[np.ndarray]] = []
+        self._pack: list[np.ndarray] = []
+        #: Gradient tensors copied into a bucket row (an in-slot one is not).
+        self.pack_copies = 0
 
     # -- selection / autotune ------------------------------------------------
 
@@ -296,26 +307,70 @@ class GradientExchangeEngine:
         self.world_size = len(survivors)
         self._pack_key, self._pack = None, []
 
-    def _pack_buffers(self, per_rank_grads: list[dict[str, np.ndarray]],
-                      plan: FusionPlan) -> list[list[np.ndarray]]:
-        """One flat buffer per (rank, bucket), rebuilt only when the fusion
-        plan, a gradient dtype or the world size changes.
+    def _plan(self, like: dict[str, np.ndarray]) -> FusionPlan:
+        """The fusion plan for tensors shaped and typed like ``like``.
+
+        Bucket in backward order: the last-registered tensor's gradient is
+        produced first during backprop, so reversed name order is the
+        readiness order the overlap model replays.
+        """
+        sizes = {k: int(g.nbytes) for k, g in like.items()}
+        return fuse_order(list(reversed(like)), sizes, self.config.bucket_bytes)
+
+    def _pack_buffers(self, like: dict[str, np.ndarray], plan: FusionPlan,
+                      n: int) -> list[np.ndarray]:
+        """One ``(n, elems)`` buffer per bucket, row ``r`` rank ``r``'s,
+        rebuilt only when the fusion plan, a gradient dtype or the world
+        size changes.
 
         Each buffer has the dtype the strategy reduces in, so packing is the
         only copy a dense exchange makes.
         """
+        dtypes = tuple(_reduce_dtype(np.result_type(*[like[k].dtype
+                                                      for k in group]))
+                       for group in plan.groups)
         key = (tuple(map(tuple, plan.groups)), tuple(plan.group_bytes),
-               tuple(tuple(g.dtype for g in grads.values())
-                     for grads in per_rank_grads))
+               dtypes, n)
         if key != self._pack_key:
-            self._pack = [
-                [np.empty(sum(grads[k].size for k in group),
-                          dtype=_reduce_dtype(np.result_type(
-                              *[grads[k].dtype for k in group])))
-                 for group in plan.groups]
-                for grads in per_rank_grads]
+            self._pack = [_mapped((n, sum(like[k].size for k in group)),
+                                  dtype)
+                          for group, dtype in zip(plan.groups, dtypes)]
             self._pack_key = key
         return self._pack
+
+    def bucket_slots(self, like: dict[str, np.ndarray]
+                     ) -> dict[str, np.ndarray]:
+        """Each tensor's ``(ranks, *shape)`` slot in the bucket buffers an
+        exchange of gradients shaped and typed like ``like`` (in that name
+        order) reduces in.  A gradient written into its row of its slot is
+        exchanged without a pack copy; the slot is overwritten by the
+        average, and by the next exchange."""
+        n = self.world_size
+        plan = self._plan(like)
+        slots = {}
+        for group, bucket in zip(plan.groups,
+                                 self._pack_buffers(like, plan, n)):
+            offset = 0
+            for k in group:
+                size = like[k].size
+                slots[k] = bucket[:, offset:offset + size].reshape(
+                    (n,) + like[k].shape)
+                offset += size
+        return slots
+
+    def _pack_row(self, row: np.ndarray, tensors: list[np.ndarray]) -> None:
+        """Copy ``tensors`` flat into one rank's bucket row (converting as
+        ``astype`` would), skipping each one already in its slot there.  A
+        tensor inside this bucket can only be its own slot (slots never
+        overlap, and a new layout gets new buffers), so overlap with the
+        destination is the test."""
+        offset = 0
+        for t in tensors:
+            dst = row[offset:offset + t.size]
+            offset += t.size
+            if not (t.base is row.base and np.may_share_memory(t, dst)):
+                np.copyto(dst, t.reshape(-1), casting="unsafe")
+                self.pack_copies += 1
 
     # -- the exchange itself -------------------------------------------------
 
@@ -328,10 +383,12 @@ class GradientExchangeEngine:
 
         One ``{name: gradient}`` dict per rank in (every rank holds the
         same names and shapes), the averaged dicts (identical across ranks)
-        plus a report out.  The inputs are only read.  On the dense path
-        the averaged tensors are views of the engine's pack buffers: they
-        stay valid until this engine's next ``exchange``, which overwrites
-        them.
+        plus a report out.  On the dense path the averaged tensors are
+        views of the engine's bucket buffers: they stay valid until this
+        engine's next ``exchange``, which overwrites them.  An input that
+        already sits in its :meth:`bucket_slots` slot is reduced where it
+        lies, and so is overwritten by its average; every other input is
+        only read.
         """
         n = world.size
         if len(per_rank_grads) != n:
@@ -348,18 +405,14 @@ class GradientExchangeEngine:
         tel = get_active()
         tracer = tel.tracer
 
-        # Bucket in backward order: the last-registered tensor's gradient is
-        # produced first during backprop, so reversed name order is the
-        # readiness order the overlap model replays.
-        backward_names = list(reversed(names))
-        sizes = {k: int(per_rank_grads[0][k].nbytes) for k in names}
-        plan = fuse_order(backward_names, sizes, cfg.bucket_bytes)
+        plan = self._plan(per_rank_grads[0])
+        sizes = {k: int(g.nbytes) for k, g in per_rank_grads[0].items()}
         dense_bytes = sum(sizes.values())
 
         before_msgs = world.stats.total_messages
         before_bytes = world.stats.total_bytes
         packs = (None if self._compressors is not None
-                 else self._pack_buffers(per_rank_grads, plan))
+                 else self._pack_buffers(per_rank_grads[0], plan, n))
         averaged: list[dict[str, np.ndarray]] = [dict() for _ in range(n)]
         decisions: dict[int, str] = {}
         wire_bytes = 0
@@ -384,13 +437,12 @@ class GradientExchangeEngine:
                     else:
                         algo = self.select(n, group_bytes)
                         strategy = get_strategy(algo)
-                        flat = [
-                            pack_bucket([per_rank_grads[r][k] for k in group],
-                                        out=packs[r][bucket_index])
-                            for r in range(n)
-                        ]
+                        bucket = packs[bucket_index]
+                        for r in range(n):
+                            self._pack_row(bucket[r], [per_rank_grads[r][k]
+                                                       for k in group])
                         results = strategy.run(
-                            world, flat, average=True,
+                            world, list(bucket), average=True,
                             **self._strategy_params(algo))
                         decisions[bucket_index] = algo
                         wire_bytes += group_bytes
@@ -402,7 +454,7 @@ class GradientExchangeEngine:
                             n, float(group_bytes), nvlink=cfg.nvlink,
                             interconnect=cfg.interconnect,
                             **self._strategy_params(algo)))
-                # Whatever the strategy returned (the pack buffers for the
+                # Whatever the strategy returned (the bucket rows for the
                 # built-ins) is split back into named tensors.
                 for r in range(n):
                     averaged[r].update(unpack_bucket(

@@ -14,10 +14,11 @@ equals the global-batch gradient.
 
 Every rank receives bit-identical averaged gradients (checked on every
 exchange), so one model, optimizer and loss scaler serve all ranks and the
-update runs once per step.  Only what legitimately differs per rank — BN
-running statistics and dropout generator positions — is stashed per rank.
-The step itself is the single-process :class:`~repro.core.trainer.Trainer`
-step with the exchange between ``unscale`` and ``apply``.
+update runs once per step; the ranks' batches run as one stacked forward
+and backward (:meth:`DistributedTrainer.stack_width`) that writes FP32
+grads straight into the engine's buckets.  The step is the single-process
+:class:`~repro.core.trainer.Trainer` step with the exchange between
+``unscale`` and ``apply``.
 
 The engine is the only exchange path.  The paper's per-tensor readiness
 negotiation existed because TensorFlow ran ops in a different order on each
@@ -32,7 +33,7 @@ import numpy as np
 
 from ..comm.engine import EngineConfig, EngineReport, GradientExchangeEngine
 from ..comm.simmpi import World
-from ..framework.layers import Dropout
+from ..framework.layers import BatchNorm2D
 from ..framework.module import Module
 from ..telemetry import get_active
 from .optim import schedules
@@ -41,11 +42,14 @@ from .trainer import TrainConfig, Trainer
 __all__ = ["DistributedTrainer", "DistributedStepResult"]
 
 
-def _buffers_behind(grads: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """The arrays one rank's averaged tensors view (the exchange's bucket
-    buffers); a tensor that is no view stands for itself."""
-    owners = (g if g.base is None else g.base for g in grads.values())
-    return list({id(b): b for b in owners}.values())
+def _rows_behind(grads: dict[str, np.ndarray], rank: int) -> list[np.ndarray]:
+    """The arrays rank ``rank``'s averaged tensors view: its row of each
+    ``(ranks, elems)`` bucket, a strategy's own 1-D result, or itself."""
+    rows = {}
+    for g in grads.values():
+        b = g if g.base is None else g.base
+        rows[id(b)] = b[rank] if b is not g and b.ndim == 2 else b
+    return list(rows.values())
 
 
 @dataclass
@@ -88,14 +92,9 @@ class DistributedTrainer:
             engine = GradientExchangeEngine(world_size, engine)
         self.engine = engine
         self.trainer = Trainer(model_factory(), config, class_frequencies)
-        # BN updates its running statistics in place, so these stay live.
-        modules = list(self.model.modules())
-        self._buffers = [b for m in modules for b in m.buffers().values()]
-        self._generators = list({id(m.rng): m.rng for m in modules
-                                 if isinstance(m, Dropout)}.values())
-        self._stash = [([b.copy() for b in self._buffers],
-                        [g.bit_generator.state for g in self._generators])
-                       for _ in range(world_size)]
+        self.model.restack([0] * world_size)
+        self._stacks: dict[tuple, bool] = {}
+        self._seat_gradients()
         self._divergence = 0.0
         self._step = 0
 
@@ -110,63 +109,63 @@ class DistributedTrainer:
 
     @property
     def model(self) -> Module:
-        """The shared model, holding rank 0's batch-norm statistics."""
+        """The shared model (BN statistics: one row per rank)."""
         return self.trainer.model
 
     # -- rank-local state ------------------------------------------------------
 
-    def _swap(self, out: int, into: int) -> None:
-        """Stash the model's rank-local state as rank ``out``'s, then load
-        rank ``into``'s."""
-        buffers, _ = self._stash[out]
-        for saved, live in zip(buffers, self._buffers):
-            np.copyto(saved, live)
-        self._stash[out] = (buffers, [g.bit_generator.state
-                                      for g in self._generators])
-        buffers, states = self._stash[into]
-        for live, saved in zip(self._buffers, buffers):
-            np.copyto(live, saved)
-        for g, state in zip(self._generators, states):
-            g.bit_generator.state = state
-
     def broadcast_buffers(self) -> None:
-        """Give every rank the model's BN statistics (Horovod's rank-0
-        broadcast), after a checkpoint load or an elastic shrink."""
-        for buffers, _ in self._stash:
-            for saved, live in zip(buffers, self._buffers):
-                np.copyto(saved, live)
+        """Give every rank rank 0's BN statistics, after a checkpoint load."""
+        self.model.restack(range(self.world.size))
+
+    def _seat_gradients(self) -> None:
+        """Point each parameter's ``slot`` at its bucket rows; FP32 and
+        uncompressed only (FP16 unscale and compressors copy anyway)."""
+        params = self.trainer.optimizer.params
+        slots = {}
+        if self.trainer.scaler is None and self.engine.compression is None:
+            slots = self.engine.bucket_slots({p.name: p.data for p in params})
+        for p in params:
+            p.slot = slots.get(p.name)
+
+    def stack_width(self, rank_batches) -> int:
+        """All ranks per forward/backward if their batches share a shape and
+        one sample's activations (``Module.analyze``) weigh no more than the
+        parameters, whose per-rank gradient sets the slots remove; else 1."""
+        images = rank_batches[0][0]
+        shape = images.shape[1:]
+        if shape not in self._stacks:
+            sample = self.model.analyze(shape, precision=self.trainer.config.precision)
+            self._stacks[shape] = sample.total_activation_bytes <= sum(
+                p.data.nbytes for p in self.model.parameters())
+        equal = all(b[0].shape == images.shape for b in rank_batches)
+        return len(rank_batches) if equal and self._stacks[shape] else 1
 
     # -- one global step -----------------------------------------------------
 
     def train_step(self, rank_batches: list[tuple[np.ndarray, np.ndarray]]
                    ) -> DistributedStepResult:
-        """One synchronous step: :meth:`Trainer.local_gradients` per rank,
-        one :meth:`Trainer.unscale` over all ranks, all-reduce, one
-        :meth:`Trainer.apply`."""
+        """One synchronous step: :meth:`Trainer.local_gradients` per stack
+        of rank batches (:meth:`stack_width`), one :meth:`Trainer.unscale`
+        over all ranks, all-reduce, one :meth:`Trainer.apply`."""
         tel = get_active()
         tracer = tel.tracer
         n = self.world.size
         if len(rank_batches) != n:
             raise ValueError(f"need {n} rank batches, got {len(rank_batches)}")
         trainer = self.trainer
+        width = self.stack_width(rank_batches)
         losses = []
         rank_grads = []
         with tracer.span("forward_backward", category="trainer",
-                         step=self._step, ranks=n) as fb_span:
-            for rank, (images, labels) in enumerate(rank_batches):
-                with tracer.span("replica_fwd_bwd", category="trainer",
-                                 rank=rank) as rank_span:
-                    loss, grads = trainer.local_gradients(images, labels)
-                losses.append(loss)
-                rank_grads.append(grads)
-                # Rank 0's state lives in the model between steps.
-                self._swap(rank, (rank + 1) % n)
-                # Zero-duration spans (disabled tracer, or a simulated
-                # clock nobody advanced) carry no timing signal — feeding
-                # them would poison windowed imbalance detection.
-                if tel.streams is not None and rank_span.duration_s > 0:
-                    tel.streams.observe("trainer.rank_step_s",
-                                        rank_span.duration_s, rank=rank)
+                         step=self._step, ranks=n, stack=width) as fb_span:
+            for lo in range(0, n, width):
+                images, labels = map(np.concatenate,
+                                     zip(*rank_batches[lo:lo + width]))
+                stack_losses, grads = trainer.local_gradients(
+                    images, labels, range(lo, lo + width))
+                losses += stack_losses
+                rank_grads += grads
         mean_loss = float(np.mean(losses))
         rank_grads = trainer.unscale(rank_grads)
         if rank_grads is None:
@@ -182,8 +181,8 @@ class DistributedTrainer:
         self._check_lockstep(averaged)
         with tracer.span("optimizer_update", category="trainer",
                          step=self._step) as opt_span:
-            # Views of the engine's pack buffers, read by the update before
-            # the next exchange overwrites them.
+            # Views of the engine's bucket buffers, read by the update before
+            # the next step's gradients overwrite them.
             trainer.apply(averaged[0])
         step_s = fb_span.duration_s + ex_span.duration_s + opt_span.duration_s
         trainer.record_step(tel, mean_loss, False, step_s)
@@ -198,10 +197,11 @@ class DistributedTrainer:
 
     def _check_lockstep(self, averaged: list[dict[str, np.ndarray]]) -> None:
         """Fold how far any rank's averaged gradients stray from rank 0's
-        into the running maximum :meth:`max_replica_divergence` reports."""
-        ref = _buffers_behind(averaged[0])
-        for grads in averaged[1:]:
-            for got, want in zip(_buffers_behind(grads), ref, strict=True):
+        into the running maximum :meth:`max_replica_divergence` reports;
+        rank rows are compared, not the bucket arrays all ranks share."""
+        ref = _rows_behind(averaged[0], 0)
+        for rank, grads in enumerate(averaged[1:], 1):
+            for got, want in zip(_rows_behind(grads, rank), ref, strict=True):
                 if not np.array_equal(got, want):
                     self._divergence = max(
                         self._divergence, float(np.max(np.abs(got - want))))
@@ -248,14 +248,13 @@ class DistributedTrainer:
                              f"[0, {old_size})")
         tel = get_active()
         injector = self.world.fault_injector
-        # The model holds rank 0's state; a dead rank 0 hands over.
-        if survivors[0]:
-            self._swap(0, survivors[0])
-        self._stash = [self._stash[r] for r in survivors]
-        self.broadcast_buffers()
+        # Survivors keep their generators; a dead rank 0 hands its BN
+        # statistics role to the first survivor.
+        self.model.restack(survivors)
         # Drops only the failed ranks' residuals; survivors keep theirs.
         self.engine.shrink(survivors)
         self.world = World(len(survivors), fault_injector=injector)
+        self._seat_gradients()
         # A failure mid-exchange leaves fresh local gradients that were
         # never averaged; discard them so the retried step starts clean.
         for p in self.model.parameters():
@@ -288,12 +287,10 @@ class DistributedTrainer:
 
     def max_buffer_divergence(self) -> float:
         """Max abs difference of any rank's BN running stats from rank 0's."""
-        worst = 0.0
-        for buffers, _ in self._stash[1:]:
-            for saved, live in zip(buffers, self._buffers):
-                if live.size:
-                    worst = max(worst, float(np.max(np.abs(saved - live))))
-        return worst
+        rows = [r for m in self.model.modules() if isinstance(m, BatchNorm2D)
+                for r in (m.rank_mean, m.rank_var) if len(r) > 1]
+        return max((float(np.max(np.abs(r[1:] - r[0]))) for r in rows),
+                   default=0.0)
 
     def train_epoch(self, dataset, batch_size: int, rng: np.random.Generator,
                     steps: int | None = None) -> list[DistributedStepResult]:

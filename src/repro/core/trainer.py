@@ -1,7 +1,7 @@
 """Single-process training loop with mixed precision and weighted loss.
 
 A step is three pieces, shared with :mod:`repro.core.distributed`, which
-runs ``local_gradients`` per rank and exchanges before ``apply``:
+stacks its ranks into ``local_gradients`` and exchanges before ``apply``:
 ``local_gradients`` (forward, scaled backward), ``unscale`` (the one FP16
 overflow decision, over every rank's gradients) and ``apply`` (one update).
 """
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..framework import LossScaler, Tensor, apply_fp16_policy, no_grad
+from ..framework import LossScaler, Tensor, apply_fp16_policy, no_grad, rank_stack
 from ..framework.dtypes import FP16, FP32
 from ..framework.module import Module
 from ..telemetry import get_active
@@ -126,26 +126,28 @@ class Trainer:
         wmap = pixel_weight_map(labels, self.class_weight_table)
         return weighted_cross_entropy(logits, labels, wmap)
 
-    def local_gradients(self, images: np.ndarray, labels: np.ndarray
-                        ) -> tuple[float, dict[str, np.ndarray]]:
-        """Forward and (loss-scaled) backward on one local batch; returns
-        the loss and the fresh ``{name: grad}``, leaving ``p.grad`` empty.
-        The loss tensor, and with it the batch's autograd graph, is freed
-        on return, before the next batch's forward."""
+    def local_gradients(self, images: np.ndarray, labels: np.ndarray,
+                        ranks: range = range(1)) -> tuple[list, list]:
+        """One forward and one (loss-scaled) backward over the equal batches
+        of ``ranks`` stacked on the batch axis; returns one loss and one
+        ``{name: grad}`` per rank, leaving ``p.grad`` empty.  The loss
+        tensor, and with it the autograd graph, is freed on return."""
         tracer = get_active().tracer
         params = self.optimizer.params
         self.model.train(True)
         for p in params:
             p.zero_grad()
-        with tracer.span("forward", category="trainer"):
-            loss = self.compute_loss(images, labels)
-        with tracer.span("backward", category="trainer"):
-            scaled = loss if self.scaler is None else self.scaler.scale_loss(loss)
-            scaled.backward()
-        grads = {p.name: p.grad for p in params if p.grad is not None}
+        with rank_stack(ranks):
+            with tracer.span("forward", category="trainer"):
+                loss = self.compute_loss(images, labels)
+            with tracer.span("backward", category="trainer"):
+                scaled = loss if self.scaler is None else self.scaler.scale_loss(loss)
+                scaled.backward()
+        grads = [{p.name: p.grad[i] if len(ranks) > 1 else p.grad
+                  for p in params if p.grad is not None} for i in range(len(ranks))]
         for p in params:
             p.grad = None
-        return float(loss.item()), grads
+        return [float(v) for v in loss.data.reshape(-1)], grads
 
     def unscale(self, rank_grads: list[dict[str, np.ndarray]]
                 ) -> list[dict[str, np.ndarray]] | None:
@@ -180,9 +182,9 @@ class Trainer:
         tracer = tel.tracer
         with tracer.span("train_step", category="trainer",
                          step=len(self.history)) as step_span:
-            loss, grads = self.local_gradients(images, labels)
-            unscaled = self.unscale([grads])
-            result = StepResult(loss=loss, skipped=unscaled is None)
+            losses, grads = self.local_gradients(images, labels)
+            unscaled = self.unscale(grads)
+            result = StepResult(loss=losses[0], skipped=unscaled is None)
             if unscaled is not None:
                 result.grad_norm = _grad_norm(unscaled[0])
                 with tracer.span("optimizer_step", category="trainer"):

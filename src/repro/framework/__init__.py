@@ -14,7 +14,7 @@ from .losses import weighted_cross_entropy
 from .module import Identity, Module, Sequential
 from .parameter import Parameter
 from .precision import LossScaler, apply_fp16_policy
-from .tensor import Tensor, concatenate, no_grad
+from .tensor import Tensor, concatenate, no_grad, rank_stack
 
 __all__ = [
     "Tensor",
@@ -33,6 +33,7 @@ __all__ = [
     "weighted_cross_entropy",
     "concatenate",
     "no_grad",
+    "rank_stack",
     "fusion",
     "freeze",
     "fold_bn_into_conv",

@@ -27,7 +27,7 @@ from ..ops.conv import (
 )
 from ..ops.plan import ConvPlan, get_conv_plan
 from ..parameter import Parameter
-from ..tensor import Tensor, is_grad_enabled
+from ..tensor import Tensor, is_grad_enabled, split_ranks, stacked_ranks
 
 __all__ = ["Conv2D", "AtrousConv2D", "ConvTranspose2D"]
 
@@ -35,6 +35,19 @@ __all__ = ["Conv2D", "AtrousConv2D", "ConvTranspose2D"]
 #: normally see one shape per phase (training grid, serving tile); a small
 #: bound keeps pathological callers from hoarding workspaces.
 _LAYER_PLAN_SLOTS = 4
+
+
+def _add_bias(out: Tensor, bias: Parameter) -> Tensor:
+    """``out`` plus a per-channel bias; inside a rank stack the bias
+    gradient is one batch sum per rank."""
+    ranks = stacked_ranks()
+
+    def backward(g: np.ndarray) -> None:
+        out.accumulate_grad(g)
+        bias.accumulate_grad(split_ranks(g, ranks).sum(axis=(-4, -2, -1)))
+
+    return Tensor.from_op(out.data + bias.data.reshape(1, -1, 1, 1),
+                          (out, bias), backward, "bias_add")
 
 
 def _resolve_padding(padding, kernel: int, dilation: int) -> int:
@@ -134,13 +147,14 @@ class Conv2D(Module):
             # pick whichever forward moves fewer bytes.
             out = Tensor(plan.forward_notape(x.data, w.data))
         if self.bias is not None:
-            out = out + self.bias.reshape(1, -1, 1, 1)
+            out = _add_bias(out, self.bias)
         return out
 
     def _taped(self, plan: ConvPlan, x: Tensor, w: Parameter) -> Tensor:
         token = plan.im2col(x.data)
         y = plan.forward_from_cols(plan.columns_for(token, x.data), w.data)
         x_data = x.data
+        ranks = stacked_ranks()
 
         def backward(g: np.ndarray) -> None:
             if w.requires_grad:
@@ -148,7 +162,8 @@ class Conv2D(Module):
                 # reused here; the token only misses if this layer ran again
                 # before backward, in which case columns_for refills safely.
                 cols = plan.columns_for(token, x_data)
-                w.accumulate_grad(plan.backward_weight_from_cols(g, cols))
+                w.accumulate_grad(plan.backward_weight_from_cols(
+                    split_ranks(g, ranks), cols))
             if x.requires_grad:
                 x.accumulate_grad(plan.backward_input(g, w.data))
 
@@ -262,6 +277,7 @@ class ConvTranspose2D(Module):
         out_shape = (n, self.out_channels, oh, ow)
         y = conv2d_backward_input(x.data, w.data, out_shape, stride, pad, 1)
         x_data = x.data
+        ranks = stacked_ranks()
 
         def backward(g: np.ndarray) -> None:
             # dx is the conv of g and dw the conv wgrad with x as grad_out:
@@ -273,11 +289,11 @@ class ConvTranspose2D(Module):
                     plan.forward_from_cols(plan.columns_for(token, g), w.data))
             if w.requires_grad:
                 w.accumulate_grad(plan.backward_weight_from_cols(
-                    x_data, plan.columns_for(token, g)))
+                    split_ranks(x_data, ranks), plan.columns_for(token, g)))
 
         out = Tensor.from_op(y, (x, w), backward, f"deconv[{self.kernel}x{self.kernel}]")
         if self.bias is not None:
-            out = out + self.bias.reshape(1, -1, 1, 1)
+            out = _add_bias(out, self.bias)
         return out
 
     def _trace(self, x: ShapeProbe) -> ShapeProbe:

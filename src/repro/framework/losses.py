@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import ShapeProbe
-from .tensor import Tensor
+from .tensor import Tensor, stacked_ranks
 
 __all__ = ["log_softmax", "weighted_cross_entropy"]
 
@@ -53,6 +53,10 @@ def weighted_cross_entropy(
         independent of the weighting strategy); ``"mean"`` divides by the
         pixel count (paper-style: weights directly scale the loss magnitude,
         which is what made inverse-frequency weights unstable in FP16).
+
+    Inside a :class:`~repro.framework.tensor.rank_stack` of R > 1 ranks
+    the loss is a length-R vector, each rank's slice normalized on its own,
+    and backward seeds each slice from its own entry.
     """
     if isinstance(logits, ShapeProbe):
         return _trace_loss(logits)
@@ -68,30 +72,40 @@ def weighted_cross_entropy(
         weights = np.asarray(pixel_weights, dtype=np.float32)
         if weights.shape != (n, h, w):
             raise ValueError(f"pixel_weights shape {weights.shape} != {(n, h, w)}")
-    if normalization == "weighted_mean":
-        denom = max(float(weights.sum()), np.finfo(np.float32).tiny)
-    elif normalization == "mean":
-        denom = float(n * h * w)
-    else:
+    if normalization not in ("weighted_mean", "mean"):
         raise ValueError(f"unknown normalization {normalization!r}")
+    ranks = stacked_ranks()
+    parts = 1 if ranks is None else len(ranks)
+    per = n // parts
+    slices = [slice(i * per, (i + 1) * per) for i in range(parts)]
 
     logp = log_softmax(logits.data, axis=1)  # (N,K,H,W) float32+
     ni, hi, wi = np.ogrid[:n, :h, :w]
     nll = -logp[ni, labels, hi, wi]  # (N,H,W)
-    loss_value = float((weights * nll).sum() / denom)
+    weighted = weights * nll
+    denoms, values = [], []
+    for sl in slices:
+        if normalization == "weighted_mean":
+            denom = max(float(weights[sl].sum()), np.finfo(np.float32).tiny)
+        else:
+            denom = float(per * h * w)
+        denoms.append(denom)
+        values.append(float(weighted[sl].sum() / denom))
 
     probs = np.exp(logp)
 
     def backward(g: np.ndarray) -> None:
-        scale = float(np.asarray(g)) / denom
+        seeds = np.asarray(g).reshape(-1)
         grad = probs.copy()
         grad[ni, labels, hi, wi] -= 1.0
-        grad *= (weights * scale)[:, None, :, :]
+        scaled = np.empty_like(weights)
+        for sl, seed, denom in zip(slices, seeds, denoms):
+            np.multiply(weights[sl], float(seed) / denom, out=scaled[sl])
+        grad *= scaled[:, None, :, :]
         logits.accumulate_grad(grad.astype(logits.dtype, copy=False))
 
-    return Tensor.from_op(
-        np.asarray(loss_value, dtype=logp.dtype), (logits,), backward, "weighted_xent"
-    )
+    value = np.asarray(values if parts > 1 else values[0], dtype=logp.dtype)
+    return Tensor.from_op(value, (logits,), backward, "weighted_xent")
 
 
 def _trace_loss(logits: ShapeProbe) -> ShapeProbe:

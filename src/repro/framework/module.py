@@ -93,6 +93,23 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
+    # -- simulated ranks ---------------------------------------------------------
+
+    def restack(self, rows) -> None:
+        """Re-seat the rank-local state for a stack of ``len(rows)`` ranks
+        (see :class:`~repro.framework.tensor.rank_stack`): new rank ``i``
+        continues old rank ``rows[i]``'s dropout generators, and every rank
+        starts from old rank ``rows[0]``'s batch-norm statistics (Horovod's
+        broadcast).  ``[0] * n`` replicates one rank, ``range(n)`` only
+        broadcasts, a list of survivors drops the other ranks."""
+        rows = list(rows)
+        memo: dict = {}
+        for m in {id(m): m for m in self.modules()}.values():
+            m._restack(rows, memo)
+
+    def _restack(self, rows: list[int], memo: dict) -> None:
+        """This module's share of :meth:`restack` (stateless: nothing)."""
+
     # -- state --------------------------------------------------------------------
 
     def state_dict(self) -> dict[str, np.ndarray]:

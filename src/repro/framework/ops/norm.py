@@ -6,9 +6,20 @@ memory- rather than math-bound (Figure 3).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["batchnorm_forward", "batchnorm_backward", "batchnorm_infer"]
+
+
+def _rank_axes(ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reduction axes and per-channel broadcast shape for an NCHW array,
+    or for the per-rank ``(ranks, n, C, H, W)`` layout (one set of
+    statistics per rank)."""
+    if ndim == 4:
+        return (0, 2, 3), (1, -1, 1, 1)
+    return (1, 3, 4), (1, 1, -1, 1, 1)
 
 
 def batchnorm_forward(
@@ -23,11 +34,14 @@ def batchnorm_forward(
     half inputs (matching cuDNN's CUDNN_BATCHNORM_SPATIAL with FP32 params).
     The cache ends with the batch ``(mean, var)`` (keepdims, accumulation
     dtype) so the layer's running-stat update need not reduce ``x`` again.
+    A 5-D ``x`` is ``(ranks, n, C, H, W)``: each rank's slice is normalized
+    over its own ``(n, H, W)`` (the paper's per-GPU batch norm), and the
+    cached statistics keep the rank axis.
     """
     acc = np.float64 if x.dtype == np.float64 else np.float32
     xa = x.astype(acc, copy=False)
-    axes = (0, 2, 3)
-    count = np.intp(x.shape[0] * x.shape[2] * x.shape[3])
+    axes, channel = _rank_axes(x.ndim)
+    count = np.intp(math.prod(x.shape[a] for a in axes))
     mean = xa.mean(axis=axes, keepdims=True)
     # Center once: ``xc`` feeds the variance and then becomes x-hat in
     # place.  The variance runs the ufuncs ``ndarray.var(mean=mean)`` runs
@@ -39,8 +53,8 @@ def batchnorm_forward(
     np.true_divide(var, count, out=var, casting="unsafe")
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = np.multiply(xc, inv_std, out=xc)
-    g = gamma.reshape(1, -1, 1, 1).astype(acc, copy=False)
-    b = beta.reshape(1, -1, 1, 1).astype(acc, copy=False)
+    g = gamma.reshape(channel).astype(acc, copy=False)
+    b = beta.reshape(channel).astype(acc, copy=False)
     out = np.multiply(g, xhat, out=sq)
     out += b
     cache = (xhat, inv_std, g, x.dtype, mean, var)
@@ -50,11 +64,12 @@ def batchnorm_forward(
 def batchnorm_backward(
     grad_out: np.ndarray, cache: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward pass; returns (dx, dgamma, dbeta)."""
+    """Backward pass; returns (dx, dgamma, dbeta), the parameter gradients
+    one row per rank for a per-rank (5-D) forward."""
     xhat, inv_std, g, in_dtype, *_ = cache
     acc = xhat.dtype
     go = grad_out.astype(acc, copy=False)
-    axes = (0, 2, 3)
+    axes, _ = _rank_axes(xhat.ndim)
     # Standard batch-norm backward, fused form
     #   dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
     # evaluated term by term in that order in two scratch buffers.

@@ -25,7 +25,8 @@ All three conv derivatives then lower to a single batched GEMM:
 
 * forward:          ``(F, CKK) @ (N, CKK, P)            -> (N, F, P)``
 * weight gradient:  ``(N, F, P) @ (N, P, CKK)  summed N -> (F, CKK)``, or
-  its operand-swapped twin when that is cheaper (small F, large P)
+  its operand-swapped twin when that is cheaper (small F, large P); for
+  stacked ranks, summed over each rank's samples only
 * input gradient:   ``(CKK, F) @ (N, F, P)              -> (N, CKK, P)``
   followed by K*K tap adds (at unit stride on a pitched flat grid, see
   :meth:`ConvPlan.backward_input`; strided, a col2im scatter).
@@ -340,6 +341,11 @@ class ConvPlan:
         contracting the same ``P = OH*OW`` products in the same order; with
         a small F as the GEMM's N dimension instead of its M, BLAS packs the
         large operand once instead of running a skinny panel.
+
+        A 5-D ``grad_out``, ``(ranks, n, F, OH, OW)``, stacks the batches of
+        several ranks: the result is then one sum per rank,
+        ``(ranks, *w_shape)``, each over that rank's ``n`` per-sample GEMMs
+        only.
         """
         n = self.x_shape[0]
         f = self.out_channels
@@ -348,12 +354,20 @@ class ConvPlan:
             dw = np.matmul(cols, g.transpose(0, 2, 1))
         else:
             dw = np.matmul(g, cols.transpose(0, 2, 1))
-        # A one-sample batch needs no reduction over N.
-        dw = dw[0] if n == 1 else dw.sum(axis=0)
+        if grad_out.ndim == 5:
+            ranks = grad_out.shape[0]
+            # One sample per rank: the per-sample products are the sums.
+            if ranks < n:
+                dw = dw.reshape(ranks, n // ranks, *dw.shape[1:]).sum(axis=1)
+            w_shape = (ranks, *self.w_shape)
+        else:
+            # A one-sample batch needs no reduction over N.
+            dw = dw[0] if n == 1 else dw.sum(axis=0)
+            w_shape = self.w_shape
         self.gemms += 1
         if self.wgrad_swapped:
-            dw = np.ascontiguousarray(dw.T)
-        return dw.reshape(self.w_shape)
+            dw = np.ascontiguousarray(dw.swapaxes(-1, -2))
+        return dw.reshape(w_shape)
 
     def backward_weight(self, grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
         token = self.im2col(x)

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import ReproError
 from .init import in_shape_only_scope
-from .tensor import Tensor
+from .tensor import Tensor, stacked_ranks
 
 __all__ = ["Parameter"]
 
@@ -32,15 +32,36 @@ class Parameter(Tensor):
     placeholder for graph analysis: it has a shape and a dtype but no
     weights, and :meth:`require_weights` rejects any attempt to train or
     save it.
+
+    ``slot``, when set, is a ``(ranks, *shape)`` array (a view of the
+    gradient exchange's bucket buffer) that gradients computed inside a
+    :class:`~repro.framework.tensor.rank_stack` are written into, one row
+    per rank, instead of into a fresh array.
     """
 
-    __slots__ = ("name", "master", "shape_only")
+    __slots__ = ("name", "master", "shape_only", "slot")
 
     def __init__(self, data, name: str = "param"):
         super().__init__(np.asarray(data), requires_grad=True)
         self.name = name
         self.master: np.ndarray | None = None
         self.shape_only = in_shape_only_scope()
+        self.slot: np.ndarray | None = None
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """As :meth:`Tensor.accumulate_grad`; inside a rank stack, with a
+        ``slot``, the gradient lands in the stacked ranks' rows (a one-rank
+        stack's gradient has no rank axis, see
+        :func:`~repro.framework.tensor.split_ranks`)."""
+        ranks = stacked_ranks()
+        if self.slot is None or ranks is None or not self.requires_grad:
+            super().accumulate_grad(g)
+        elif self.grad is None:
+            rows = self.slot[ranks.start:ranks.stop]
+            self.grad = rows if len(ranks) > 1 else rows[0]
+            np.copyto(self.grad, g)
+        else:
+            np.add(self.grad, g, out=self.grad)
 
     def require_weights(self) -> None:
         """Raise unless this parameter holds real, updatable weights."""

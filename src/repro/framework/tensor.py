@@ -18,9 +18,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "concatenate", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "concatenate", "no_grad", "is_grad_enabled",
+           "rank_stack", "stacked_ranks", "split_ranks", "join_ranks"]
 
 _GRAD_ENABLED = True
+_RANKS: range | None = None
 
 
 class no_grad:
@@ -40,6 +42,53 @@ class no_grad:
 
 def is_grad_enabled() -> bool:
     return _GRAD_ENABLED
+
+
+class rank_stack:
+    """Context manager: the batch axis stacks the equal batches of simulated
+    ranks ``ranks`` (a ``range``), like :class:`no_grad` for tape recording.
+
+    Inside a stack everything that couples one sample to another works per
+    rank slice: batch norm normalizes each slice with that rank's running
+    statistics, dropout draws each slice's mask from that rank's generator,
+    the loss is one weighted mean per rank, and every parameter gradient
+    carries a leading rank axis (one batch sum per rank).  A one-rank stack
+    computes exactly what no stack does (no rank axes), with that rank's
+    statistics and generator.
+    """
+
+    def __init__(self, ranks: range | None):
+        self.ranks = ranks
+
+    def __enter__(self):
+        global _RANKS
+        self._prev = _RANKS
+        _RANKS = self.ranks
+        return self
+
+    def __exit__(self, *exc):
+        global _RANKS
+        _RANKS = self._prev
+        return False
+
+
+def stacked_ranks() -> range | None:
+    """The ranks the current :class:`rank_stack` stacks (``None``: none)."""
+    return _RANKS
+
+
+def split_ranks(a: np.ndarray, ranks: range | None) -> np.ndarray:
+    """``a`` with its batch axis split into ``(len(ranks), batch/len(ranks))``,
+    the per-rank layout the kernels reduce over.  Unchanged outside a stack
+    of two or more ranks: a one-rank stack is the plain batch."""
+    if ranks is None or len(ranks) == 1:
+        return a
+    return a.reshape(len(ranks), -1, *a.shape[1:])
+
+
+def join_ranks(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Undo :func:`split_ranks`: ``a`` reshaped to the batch ``shape``."""
+    return a if a.shape == shape else a.reshape(shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -23,6 +23,10 @@ flapping).  Rule kinds:
     Cross-series skew within one window over a labeled family
     (``trainer.rank_step_s{rank=*}``): max/median ratio above a bound
     names the straggler rank — the paper's §VI attribution as an alert.
+    The family needs a clock per rank, such as the ``repro health``
+    drill's virtual rank times; the in-process ``DistributedTrainer`` runs
+    its ranks as one stacked forward/backward on one clock and feeds no
+    ``trainer.rank_step_s``.
 
 Alerts are mirrored into telemetry (``health_fired`` / ``health_resolved``
 instants, ``health.alerts_fired`` counters) so a Chrome trace of a faulty

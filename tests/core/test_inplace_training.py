@@ -34,10 +34,19 @@ def dropout_factory():
                     rng=np.random.default_rng(3))
 
 
-def batches(step, ranks):
+def small_map_dropout_factory():
+    """A dropout Tiramisu whose ranks stack: on 4x4 maps one sample's
+    activations (27 kB) weigh less than its parameters (51 kB)."""
+    return Tiramisu(TiramisuConfig(in_channels=4, base_filters=8, growth=4,
+                                   down_layers=(2,), bottleneck_layers=2,
+                                   kernel=5, dropout=0.2),
+                    rng=np.random.default_rng(3))
+
+
+def batches(step, ranks, hw=(8, 8), per_rank=1):
     rng = np.random.default_rng(100 + step)
-    return [(rng.normal(size=(1, 4, 8, 8)).astype(np.float32),
-             rng.integers(0, 3, size=(1, 8, 8))) for _ in range(ranks)]
+    return [(rng.normal(size=(per_rank, 4) + hw).astype(np.float32),
+             rng.integers(0, 3, size=(per_rank,) + hw)) for _ in range(ranks)]
 
 
 def pair(config, engine_config, model_factory=factory):
@@ -59,11 +68,11 @@ def assert_identical(dut, ref):
     assert dut.max_replica_divergence() == 0.0
 
 
-def run(dut, ref, steps, start=0):
+def run(dut, ref, steps, start=0, **geometry):
     for step in range(start, start + steps):
-        got = dut.train_step(batches(step, dut.world_size))
+        got = dut.train_step(batches(step, dut.world_size, **geometry))
         want_losses, want_skipped = ref.train_step(
-            batches(step, ref.world_size))
+            batches(step, ref.world_size, **geometry))
         assert got.per_rank_loss == want_losses
         assert got.skipped == want_skipped
         assert_identical(dut, ref)
@@ -135,3 +144,33 @@ def test_checkpoint_restore_continues_identically(tmp_path):
     final, want = restored.model.state_dict(), dut.model.state_dict()
     for k in want:
         assert np.array_equal(final[k], want[k]), k
+
+
+# The ranks stack into one forward/backward (one batch-norm slice, dropout
+# generator, loss normalization and gradient sum per rank); each case
+# asserts the rule stacked them, so none falls back to one rank at a time.
+STACKED = {
+    "dropout-small-map": (small_map_dropout_factory, dict(hw=(4, 4))),
+    "two-samples-per-rank": (factory, dict(per_rank=2)),
+    "dropout-two-samples-per-rank": (small_map_dropout_factory,
+                                     dict(hw=(4, 4), per_rank=2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED))
+def test_stacked_ranks_match_per_rank_replicas(case):
+    model_factory, geometry = STACKED[case]
+    dut, ref = pair(TrainConfig(lr=0.02), EngineConfig(), model_factory)
+    assert dut.stack_width(batches(0, RANKS, **geometry)) == RANKS
+    run(dut, ref, steps=3, **geometry)
+
+
+def test_stacked_dropout_matches_after_rank0_dies():
+    geometry = dict(hw=(4, 4))
+    dut, ref = pair(TrainConfig(lr=0.02), EngineConfig(),
+                    small_map_dropout_factory)
+    run(dut, ref, steps=2, **geometry)
+    dut.shrink([0], lr_scaling="linear")
+    ref.shrink([0], lr_factor=0.75)
+    assert dut.stack_width(batches(2, RANKS - 1, **geometry)) == RANKS - 1
+    run(dut, ref, steps=2, start=2, **geometry)

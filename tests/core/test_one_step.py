@@ -72,6 +72,8 @@ def test_single_process_step_is_the_one_rank_step(name):
 
 def test_fp32_local_gradients_are_float32():
     trainer = Trainer(factory(), TrainConfig(optimizer="larc"))
-    _, grads = trainer.local_gradients(*batch(0))
+    losses, rank_grads = trainer.local_gradients(*batch(0))
+    assert len(losses) == len(rank_grads) == 1
+    (grads,) = rank_grads
     assert grads and all(g.dtype == np.float32 for g in grads.values())
     assert all(p.grad is None for p in trainer.optimizer.params)
