@@ -48,6 +48,14 @@ NOTAPE_FILTERS = 8
 BWD_SHAPE = (1, 56, 36, 56)
 BWD_FILTERS = 8
 
+# DeepLab's ASPP on train_exchange's 1x1 feature maps: a 3x3 branch at
+# dilation 2 over 368 channels, four stacked ranks of one sample.  The
+# weight gradient has one output pixel and eight of nine taps read only
+# padding.
+PIXEL_SHAPE = (4, 368, 1, 1)
+PIXEL_FILTERS = 46
+PIXEL_DILATION = 2
+
 #: profile -> (timing repeats, warmup runs)
 PROFILES = {"smoke": (2, 1), "quick": (3, 1), "full": (7, 2)}
 
@@ -141,6 +149,36 @@ def _bwd_dense_stats(profile: str = "quick"):
     return {"planned": pstats, "reference": rstats}
 
 
+def _wgrad_pixel_stats(profile: str = "quick"):
+    """Paired (single-pixel plan, K=1 GEMM) wgrad on the ASPP shape."""
+    from runner import paired_stats
+
+    repeats, warmup = PROFILES[profile]
+    rng = np.random.default_rng(0)
+    n, c = PIXEL_SHAPE[:2]
+    d = PIXEL_DILATION
+    x = rng.standard_normal(PIXEL_SHAPE).astype(np.float32)
+    w_shape = (PIXEL_FILTERS, c, KERNEL, KERNEL)
+    plan = ConvPlan(x.shape, w_shape, 1, d, d)
+    if plan.oh * plan.ow != 1 or len(plan.live_taps) != 1:
+        raise RuntimeError("the ASPP shape no longer has one pixel and tap")
+    cols = plan.columns_for(plan.im2col(x), x)
+    g = rng.standard_normal((n, 1, PIXEL_FILTERS, 1, 1)).astype(np.float32)
+
+    def k1_gemm():
+        for _ in range(10):
+            np.matmul(g.reshape(n, PIXEL_FILTERS, 1),
+                      cols.transpose(0, 2, 1)).reshape(n, *w_shape)
+
+    def planned():
+        for _ in range(10):
+            plan.backward_weight_from_cols(g, cols)
+
+    pstats, rstats = paired_stats(planned, k1_gemm,
+                                  repeats=5 * repeats, warmup=warmup)
+    return {"planned": pstats, "reference": rstats}
+
+
 def _ratio(stats: dict) -> float:
     return stats["reference"]["min_s"] / stats["planned"]["min_s"]
 
@@ -174,6 +212,13 @@ def collect(profile: str = "quick"):
         higher_is_better=True, tolerance=0.4,
         note=f"im2col forward / no-tape forward, {NOTAPE_SHAPE} -> "
              f"{NOTAPE_FILTERS} filters 3x3"))
+    metrics.append(Metric(
+        name="kernels.conv_wgrad_pixel_speedup",
+        value=_ratio(_wgrad_pixel_stats(profile)), unit="x",
+        higher_is_better=True, tolerance=0.5,
+        note=f"K=1 GEMM / single-pixel outer product, {PIXEL_SHAPE} -> "
+             f"{PIXEL_FILTERS} filters 3x3 dilation {PIXEL_DILATION}, "
+             "4 stacked ranks"))
     metrics.append(Metric(
         name="kernels.conv_bwd_dense_speedup",
         value=_ratio(_bwd_dense_stats(profile)), unit="x",

@@ -31,6 +31,20 @@ All three conv derivatives then lower to a single batched GEMM:
   followed by K*K tap adds (at unit stride on a pitched flat grid, see
   :meth:`ConvPlan.backward_input`; strided, a col2im scatter).
 
+Small feature maps — DeepLab's encoder ends in 1x1 maps on small grids —
+add two facts the plan reads from its own geometry:
+
+* :attr:`ConvPlan.live_taps`: a tap whose receptive offsets never land
+  inside the unpadded input reads only padding (on a 1x1 map, 8 of a
+  dilated 3x3 kernel's 9 taps).  Its weight gradient is +0 and its input
+  gradient lands only in the stripped border, so neither is scattered or
+  multiplied.  The GEMMs keep those rows and columns: dropping them changes
+  the GEMM's shape, and with it BLAS's blocking and rounding.
+* one output pixel (``P == 1``): the weight gradient's GEMM would contract
+  over a single product, so it is the outer product ``g ⊗ cols`` plus +0,
+  the sign of zero BLAS gives; the input gradient runs the column GEMM
+  (N = 1) with no shift workspace.
+
 The column matrix exists for the weight gradient.  A forward that records
 no tape has no reader for it, so :meth:`ConvPlan.forward_notape` may run a
 second, *column-free* formulation (shift-GEMM) that puts the K*K expansion
@@ -84,6 +98,15 @@ def _out_size(size: int, kernel: int, stride: int, padding: int, dilation: int) 
     return out
 
 
+def _live_offsets(kernel: int, out: int, size: int, stride: int,
+                  padding: int, dilation: int) -> list[int]:
+    """Kernel offsets along one dim that read the unpadded input for at
+    least one output position (the rest read only zero padding)."""
+    return [u for u in range(kernel)
+            if any(0 <= i * stride + u * dilation - padding < size
+                   for i in range(out))]
+
+
 def _acc_dtype(dtype) -> np.dtype:
     """GEMM accumulation dtype: FP16 accumulates in FP32 (Tensor-Core style)."""
     dtype = np.dtype(dtype)
@@ -125,6 +148,18 @@ class ConvPlan:
         #: is smaller than the two operands the GEMM reads.
         ckk = c * kh * kw
         self.wgrad_swapped = f * ckk < (f + ckk) * self.oh * self.ow
+        #: Taps ``u*kw + v`` whose receptive offsets land inside the
+        #: unpadded input for some output pixel.  A dead tap reads only zero
+        #: padding: its column rows are zero and its input gradient lands
+        #: only in the stripped border, so the single-pixel wgrad does not
+        #: multiply it and dgrad does not scatter it.  On a 1x1 map with
+        #: padding = dilation only the centre tap of a 3x3 kernel is live.
+        self.live_taps = tuple(
+            u * kw + v
+            for u in _live_offsets(kh, self.oh, h, self.stride, self.padding,
+                                   self.dilation)
+            for v in _live_offsets(kw, self.ow, w, self.stride, self.padding,
+                                   self.dilation))
         #: Observability: how many times this plan (re)applied its padding
         #: and how many times it filled the column workspace.  The pad-once
         #: invariant tests pin these down.
@@ -132,6 +167,12 @@ class ConvPlan:
         self.col_fills = 0
         self.gemms = 0
         self.colfree_forwards = 0
+        #: Work counters of the geometry-picked backward paths: wgrads formed
+        #: as an outer product (one output pixel, no K=1 GEMM), and dead taps
+        #: skipped (not multiplied by wgrad, not scattered by dgrad), summed
+        #: over calls.
+        self.pixel_wgrads = 0
+        self.dead_taps_skipped = 0
         #: Monotonic token identifying the current contents of the column
         #: workspace; bumped on every :meth:`im2col` fill.
         self.version = 0
@@ -232,12 +273,13 @@ class ConvPlan:
         return self._cols
 
     def _col2im(self, d6: np.ndarray, dxp: np.ndarray) -> None:
-        """Scatter-add (N,C,KH,KW,OH,OW) tap gradients into the padded grid."""
+        """Scatter-add (N,C,KH,KW,OH,OW) live-tap gradients into the padded
+        grid (dead taps land only in its border)."""
         s, d = self.stride, self.dilation
-        for u in range(self.kh):
-            for v in range(self.kw):
-                dxp[:, :, u * d: u * d + (self.oh - 1) * s + 1: s,
-                    v * d: v * d + (self.ow - 1) * s + 1: s] += d6[:, :, u, v]
+        for t in self.live_taps:
+            u, v = divmod(t, self.kw)
+            dxp[:, :, u * d: u * d + (self.oh - 1) * s + 1: s,
+                v * d: v * d + (self.ow - 1) * s + 1: s] += d6[:, :, u, v]
 
     # -- the three GEMMs ---------------------------------------------------
 
@@ -342,6 +384,11 @@ class ConvPlan:
         a small F as the GEMM's N dimension instead of its M, BLAS packs the
         large operand once instead of running a skinny panel.
 
+        With one output pixel (``P == 1``) the GEMM would contract over a
+        single product, so the plan forms the outer product ``g ⊗ cols``
+        over the live taps directly instead, in the unswapped layout (see
+        :meth:`_pixel_result`).
+
         A 5-D ``grad_out``, ``(ranks, n, F, OH, OW)``, stacks the batches of
         several ranks: the result is then one sum per rank,
         ``(ranks, *w_shape)``, each over that rank's ``n`` per-sample GEMMs
@@ -350,7 +397,13 @@ class ConvPlan:
         n = self.x_shape[0]
         f = self.out_channels
         g = grad_out.astype(self.acc, copy=False).reshape(n, f, -1)
-        if self.wgrad_swapped:
+        pixel = self.oh * self.ow == 1
+        if pixel:
+            live, taps = self.live_taps, self.kh * self.kw
+            if len(live) < taps:
+                cols = cols.reshape(n, -1, taps)[:, :, list(live)]
+            dw = g * cols.reshape(n, 1, -1)            # (N, F, C*L)
+        elif self.wgrad_swapped:
             dw = np.matmul(cols, g.transpose(0, 2, 1))
         else:
             dw = np.matmul(g, cols.transpose(0, 2, 1))
@@ -364,17 +417,41 @@ class ConvPlan:
             # A one-sample batch needs no reduction over N.
             dw = dw[0] if n == 1 else dw.sum(axis=0)
             w_shape = self.w_shape
+        if pixel:
+            return self._pixel_result(dw, w_shape)
         self.gemms += 1
         if self.wgrad_swapped:
             dw = np.ascontiguousarray(dw.swapaxes(-1, -2))
         return dw.reshape(w_shape)
+
+    def _pixel_result(self, dw: np.ndarray, w_shape: tuple) -> np.ndarray:
+        """Finish a single-pixel wgrad: signed zeros as BLAS makes them,
+        dead taps as zeros, the result in ``w_shape``.
+
+        BLAS forms each K=1 product as ``fma(a, b, +0)``, so a zero product
+        is +0 where a bare multiply gives -0 (a ReLU zero times a negative
+        gradient); a sum over N is -0 only when every term is, so adding
+        +0 after the reduction reproduces the GEMM bit for bit.  Dead taps
+        multiply zero padding and are written as that +0 without the
+        multiply (a non-finite gradient therefore no longer reaches their
+        entries; every live entry still carries it).
+        """
+        dw += 0.0
+        live, taps = self.live_taps, self.kh * self.kw
+        self.pixel_wgrads += 1
+        if len(live) == taps:
+            return dw.reshape(w_shape)
+        self.dead_taps_skipped += taps - len(live)
+        out = np.zeros((*w_shape[:-2], taps), dtype=dw.dtype)
+        out[..., list(live)] = dw.reshape(*w_shape[:-2], len(live))
+        return out.reshape(w_shape)
 
     def backward_weight(self, grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
         token = self.im2col(x)
         return self.backward_weight_from_cols(grad_out, self.columns_for(token, x))
 
     def backward_input(self, grad_out: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """dgrad: one GEMM contracting over F, then K*K tap adds.
+        """dgrad: one GEMM contracting over F, then tap adds.
 
         At unit stride the K*K expansion stays on the output side
         (shift-GEMM, as in :meth:`forward_notape`, mirrored):
@@ -390,15 +467,30 @@ class ConvPlan:
         Unlike the forward shift-GEMM this keeps the im2col formulation's
         rounding order exactly: each value is the same dot product over F
         and the taps are added to a zeroed grid in the same ``(u, v)``
-        order.  The zero columns add exact zeros, which can flip only the
-        sign of a zero.  Strided plans keep the column workspace and the
-        strided col2im scatter.
+        order.  The zero columns add exact zeros, which change nothing: a
+        sum that starts from the grid's +0 is never -0.  Strided plans, and
+        plans with one output pixel (whose column GEMM has N = 1), run that
+        column GEMM itself and the col2im scatter.
+
+        Only the :attr:`live_taps` are scattered: a dead tap's block lands
+        in the stripped border (apart from the shift-GEMM's zero
+        wrap-around columns).  Every GEMM keeps all K*K row blocks, because
+        cutting the dead ones changes the GEMM's M, and with it which BLAS
+        kernel path, hence which summation order, a row gets.
         """
         n, c, h, wi = self.x_shape
         f = self.out_channels
         taps = self.kh * self.kw
+        live = self.live_taps
         wmat = w.astype(self.acc, copy=False).reshape(f, -1)
-        if self.stride != 1:
+        if self.stride == 1 and taps == 1 and self.padding == 0:
+            # One tap, no border: the GEMM result is the input gradient.
+            g = grad_out.astype(self.acc, copy=False).reshape(n, f, -1)
+            self.gemms += 1
+            return (np.matmul(wmat.T, g).reshape(self.x_shape)
+                    .astype(grad_out.dtype, copy=False))
+        self.dead_taps_skipped += taps - len(live)
+        if self.stride != 1 or self.oh * self.ow == 1:
             g = grad_out.astype(self.acc, copy=False).reshape(n, f, -1)
             if self._dcols is None:
                 self._dcols = np.empty(self.cols_shape, dtype=self.acc)
@@ -407,12 +499,6 @@ class ConvPlan:
             dxp = np.zeros((n, c, self.hp, self.wp), dtype=self.acc)
             self._col2im(self._dcols.reshape(n, c, self.kh, self.kw,
                                              self.oh, self.ow), dxp)
-        elif taps == 1 and self.padding == 0:
-            # One tap, no border: the GEMM result is the input gradient.
-            g = grad_out.astype(self.acc, copy=False).reshape(n, f, -1)
-            self.gemms += 1
-            return (np.matmul(wmat.T, g).reshape(self.x_shape)
-                    .astype(grad_out.dtype, copy=False))
         else:
             oh, ow, wp = self.oh, self.ow, self.wp
             if self._gpad is None:
@@ -426,10 +512,10 @@ class ConvPlan:
             d = self.dilation
             y = self._dtaps.reshape(n, c, taps, oh * wp)
             flat = np.zeros((n, c, self.hp * wp), dtype=self.acc)
-            for u in range(self.kh):
-                for v in range(self.kw):
-                    off = u * d * wp + v * d
-                    flat[:, :, off:off + span] += y[:, :, u * self.kw + v, :span]
+            for t in live:
+                u, v = divmod(t, self.kw)
+                off = u * d * wp + v * d
+                flat[:, :, off:off + span] += y[:, :, t, :span]
             dxp = flat.reshape(n, c, self.hp, wp)
         if self.padding:
             p = self.padding

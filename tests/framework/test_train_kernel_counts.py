@@ -5,13 +5,22 @@ After one step of the conv-bound benchmark network (a Tiramisu):
 * every taped convolution fills its column workspace exactly once — a
   conv's wgrad reuses its forward's columns, and a transposed conv's
   backward fills once for both its input and weight gradients;
-* unit-stride dgrad runs as an output-side shift-GEMM, so no stride-1
-  plan allocates dgrad columns or calls the strided col2im scatter.
+* no plan has a single output pixel or a dead tap;
+* so unit-stride dgrad always runs as an output-side shift-GEMM: no
+  stride-1 plan allocates dgrad columns or calls the col2im scatter
+  (a single-pixel plan would, at any stride).
+
+After one rank-stacked step of the parameter-bound benchmark network (a
+DeepLabv3+ whose encoder ends in 1x1 maps), every single-pixel wgrad is an
+outer product, so the step issues no GEMM with a contraction length of 1,
+and the taps that read only padding are neither multiplied nor scattered.
 """
 import numpy as np
+import pytest
 
-from repro.core import TrainConfig, Trainer
-from repro.core.networks import Tiramisu, TiramisuConfig
+from repro.core import DistributedTrainer, TrainConfig, Trainer
+from repro.core.networks import (DeepLabConfig, DeepLabV3Plus, Tiramisu,
+                                 TiramisuConfig)
 from repro.framework import Tensor
 from repro.framework.layers import Conv2D, ConvTranspose2D
 from repro.framework.ops import ConvPlan, clear_plan_cache
@@ -68,6 +77,64 @@ def test_one_column_fill_per_taped_conv():
     model, taped = _one_step()
     assert taped == 16
     assert sum(p.col_fills for p in _plans(model)) == taped
+
+
+def test_tiramisu_has_no_pixel_or_dead_tap_plans():
+    model, _ = _one_step()
+    plans = _plans(model)
+    assert all(p.oh * p.ow > 1 and len(p.live_taps) == p.kh * p.kw
+               for p in plans)
+    assert sum(p.pixel_wgrads + p.dead_taps_skipped for p in plans) == 0
+
+
+def _deeplab():
+    return DeepLabV3Plus(DeepLabConfig(in_channels=16, width=0.18,
+                                       aspp_dilations=(1, 2, 3)),
+                         rng=np.random.default_rng(1234))
+
+
+@pytest.fixture
+def stacked_deeplab_step(monkeypatch):
+    """One warm four-rank stacked DeepLab step at ``train_exchange``'s
+    geometry; yields its plans and the contraction length of every
+    ``np.matmul`` the step called."""
+    clear_plan_cache()
+    dut = DistributedTrainer(_deeplab, 4, TrainConfig(lr=0.01,
+                                                      optimizer="larc"))
+    rng = np.random.default_rng(0)
+    batches = [(rng.normal(size=(1, 16, 8, 8)).astype(np.float32),
+                rng.integers(0, 3, size=(1, 8, 8))) for _ in range(4)]
+    dut.train_step(batches)                     # warm: plans exist
+    plans = _plans(dut.model)
+    for p in plans:
+        p.pixel_wgrads = p.dead_taps_skipped = 0
+    contractions = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        contractions.append(np.shape(a)[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    dut.train_step(batches)
+    monkeypatch.undo()
+    return plans, contractions
+
+
+def test_stacked_deeplab_step_issues_no_k1_gemm(stacked_deeplab_step):
+    plans, contractions = stacked_deeplab_step
+    assert contractions and 1 not in contractions
+    # 47 of the step's conv wgrads have one output pixel, each of which
+    # would otherwise be a K=1 GEMM.
+    assert sum(p.pixel_wgrads for p in plans) == 47
+
+
+def test_stacked_deeplab_step_skips_dead_taps(stacked_deeplab_step):
+    plans, _ = stacked_deeplab_step
+    # 1x1 maps under 3x3 kernels at dilation 1-4 keep the centre tap of 9;
+    # the stride-2 3x3 convs on 2x2 maps keep 4.  Each tap is skipped once
+    # by wgrad and once by dgrad.
+    assert sum(p.dead_taps_skipped for p in plans) == 260
 
 
 def test_stride1_plans_have_no_dgrad_columns():

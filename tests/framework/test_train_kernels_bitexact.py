@@ -1,12 +1,14 @@
 """Training kernels keep the rounding order of the formulations they replace.
 
 Unit-stride dgrad (output-side shift-GEMM), wgrad (``cols @ g^T`` where
-the plan picks it) and the in-place training batch norm are faster rewrites that run every
-floating-point sum in the same order as before.  The earlier formulations
-are copied here as oracles and every result is pinned with
-``np.array_equal`` plus its dtype: over a grid of geometries, over the
-exact arrays one training step of each benchmark network feeds the kernels,
-and over a three-step training trajectory run both ways.
+the plan picks it), the single-pixel wgrad (an outer product instead of a
+K=1 GEMM), dead-tap skipping and the in-place training batch norm are
+faster rewrites that run every floating-point sum in the same order as
+before.  The earlier formulations are copied here as oracles and every
+result is pinned by its bit pattern, layout and dtype: over a grid of
+geometries, over tiny maps where most dilated taps read only padding, over
+the exact arrays one training step of each benchmark network feeds the
+kernels, and over a three-step training trajectory run both ways.
 
 Bit equality of the GEMM rewrites is a property of the installed BLAS, not
 a theorem (swapping the forward GEMM's operands is *not* bit-equal on some
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import repro.framework.layers.norm as layer_norm
-from repro.core import TrainConfig, Trainer
+from repro.core import DistributedTrainer, TrainConfig, Trainer
 from repro.core.networks import (DeepLabConfig, DeepLabV3Plus, Tiramisu,
                                  TiramisuConfig)
 from repro.framework.ops import ConvPlan, clear_plan_cache
@@ -50,10 +52,15 @@ def dgrad_oracle(plan, grad_out, w):
 
 
 def wgrad_oracle(plan, grad_out, cols):
-    """``g @ cols^T`` per sample, summed over N."""
+    """``g @ cols^T`` per sample, summed over N (over each rank's samples
+    for a rank-stacked 5-D ``grad_out``)."""
     n = plan.x_shape[0]
     g = grad_out.astype(plan.acc, copy=False).reshape(n, plan.out_channels, -1)
     dw = np.matmul(g, cols.transpose(0, 2, 1))
+    if grad_out.ndim == 5:
+        ranks = grad_out.shape[0]
+        dw = dw.reshape(ranks, n // ranks, *dw.shape[1:]).sum(axis=1)
+        return dw.reshape(ranks, *plan.w_shape)
     dw = dw[0] if n == 1 else dw.sum(axis=0)
     return dw.reshape(plan.w_shape)
 
@@ -97,7 +104,11 @@ def assert_bit_equal(got, want):
     # visit elements in memory order, so a transposed view of the same
     # values can still change the trajectory.
     assert got.strides == want.strides
-    assert np.array_equal(got, want)
+    # Down to the bit pattern: ``np.array_equal`` counts -0 equal to +0,
+    # and LARC velocities carry the sign of a zero gradient into
+    # byte-compared checkpoints.
+    bits = np.dtype(f"u{got.dtype.itemsize}")
+    assert np.array_equal(got.view(bits), want.view(bits))
 
 
 # -- the geometry grid -----------------------------------------------------
@@ -151,6 +162,102 @@ def test_wgrad_matches_g_cols_t(case):
                      wgrad_oracle(plan, g, cols))
 
 
+# -- tiny maps: single-pixel wgrad and dead taps ----------------------------
+
+#: DeepLab's ASPP on small grids: 1x1 and 2x2 maps, 3x3 kernels at dilation
+#: 1-4 with padding = dilation (most taps read only padding) and the 1x1
+#: branch, at both strides; ``ranks`` stacks the batch as a 5-D gradient.
+TINY = [
+    dict(size=size, k=k, d=d, s=s, n=n, ranks=ranks, dtype=dt)
+    for size, (k, d), s, (n, ranks), dt in itertools.product(
+        (1, 2), ((1, 1), (3, 1), (3, 2), (3, 3), (3, 4)), (1, 2),
+        ((1, None), (1, 1), (4, None), (4, 4), (4, 2)),
+        (np.float16, np.float32, np.float64))
+]
+
+
+def _tiny_id(case):
+    stack = "" if case["ranks"] is None else f"r{case['ranks']}"
+    return (f"{case['size']}x{case['size']}k{case['k']}d{case['d']}"
+            f"s{case['s']}n{case['n']}{stack}-{np.dtype(case['dtype']).name}")
+
+
+def _tiny_problem(case, seed):
+    rng = np.random.default_rng(seed)
+    k, d, dt, n = case["k"], case["d"], case["dtype"], case["n"]
+    pad = d * (k - 1) // 2
+    x = rng.standard_normal((n, 6, case["size"], case["size"]))
+    # ReLU zeros, some for a whole channel: negative gradients times them
+    # are -0 products in every sample of a rank.
+    x[rng.random(x.shape) < 0.3] = 0.0
+    x[:, ::3] = 0.0
+    w = rng.standard_normal((5, 6, k, k)) * 0.3
+    plan = ConvPlan(x.shape, w.shape, case["s"], pad, d, dt)
+    g = rng.standard_normal((n, 5, plan.oh, plan.ow))
+    g[rng.random(g.shape) < 0.3] = 0.0
+    return plan, x.astype(dt), w.astype(dt), g.astype(dt)
+
+
+def _stacked(g, ranks):
+    return g if ranks is None else g.reshape(ranks, -1, *g.shape[1:])
+
+
+@pytest.mark.parametrize("case", TINY, ids=_tiny_id)
+def test_tiny_map_wgrad_bits(case):
+    plan, x, _, g = _tiny_problem(case, 2)
+    cols = plan.columns_for(plan.im2col(x), x)
+    g = _stacked(g, case["ranks"])
+    assert_bit_equal(plan.backward_weight_from_cols(g, cols),
+                     wgrad_oracle(plan, g, cols))
+
+
+@pytest.mark.parametrize("case", [c for c in TINY if c["ranks"] is None],
+                         ids=_tiny_id)
+def test_tiny_map_dgrad_bits(case):
+    plan, _, w, g = _tiny_problem(case, 3)
+    want = dgrad_oracle(plan, g, w)
+    assert_bit_equal(plan.backward_input(g, w), want)
+    assert_bit_equal(plan.backward_input(g, w), want)
+
+
+def test_tiny_grid_takes_the_new_paths():
+    plans = [_tiny_problem(case, 2)[0] for case in TINY]
+    assert any(p.oh * p.ow == 1 and len(p.live_taps) == 1 for p in plans)
+    assert any(p.oh * p.ow == 1 and 1 < len(p.live_taps) < 9 for p in plans)
+    assert any(p.stride == 1 and p.oh * p.ow > 1 and len(p.live_taps) < 9
+               for p in plans)
+
+
+def test_pixel_wgrad_zero_signs_are_blas_zeros():
+    """A bare outer product gives -0 where the K=1 GEMM gives +0, and the
+    tiny grid's data has such entries, so it fails a dropped ``+ 0.0``."""
+    case = dict(size=1, k=3, d=2, s=1, n=4, ranks=4, dtype=np.float32)
+    plan, x, _, g = _tiny_problem(case, 2)
+    cols = plan.columns_for(plan.im2col(x), x)
+    bare = g.reshape(4, 5, 1) * cols.reshape(4, 1, -1)
+    got = plan.backward_weight_from_cols(_stacked(g, 4), cols)
+    got = got.reshape(bare.shape)
+    flipped = np.signbit(bare) & ~np.signbit(got)
+    assert flipped.any() and np.all(bare[flipped] == 0)
+
+
+@pytest.mark.parametrize("hw,k,s,d,pad,live", [
+    ((36, 56), 3, 1, 1, 1, tuple(range(9))),
+    ((1, 1), 3, 1, 1, 1, (4,)),
+    ((1, 1), 3, 1, 2, 2, (4,)),
+    ((1, 1), 3, 1, 3, 3, (4,)),
+    ((1, 1), 3, 1, 4, 4, (4,)),
+    ((1, 1), 1, 1, 1, 0, (0,)),
+    ((2, 2), 3, 1, 1, 1, tuple(range(9))),
+    ((2, 2), 3, 1, 2, 2, (4,)),
+    ((1, 3), 3, 1, 2, 2, (3, 4, 5)),
+    ((2, 2), 3, 2, 1, 1, (4, 5, 7, 8)),
+])
+def test_live_taps(hw, k, s, d, pad, live):
+    plan = ConvPlan((1, 2) + hw, (3, 2, k, k), s, pad, d)
+    assert plan.live_taps == live
+
+
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(1, 8, 36, 56), (4, 6, 5, 7), (2, 3, 1, 1)])
 def test_batchnorm_matches_two_call_form(shape, dtype):
@@ -201,8 +308,9 @@ def batch(hw, seed, n=1):
             rng.integers(0, 3, size=(n,) + hw))
 
 
-def _record_step(monkeypatch, model, hw):
-    """Run one training step; return the arrays each kernel was called on."""
+def _record_step(monkeypatch, step):
+    """Run ``step()``, one training step; return the arrays each kernel was
+    called on."""
     calls = {"dgrad": [], "wgrad": [], "bn": []}
     dgrad, wgrad = ConvPlan.backward_input, ConvPlan.backward_weight_from_cols
 
@@ -223,18 +331,40 @@ def _record_step(monkeypatch, model, hw):
     monkeypatch.setattr(ConvPlan, "backward_weight_from_cols", spy_wgrad)
     monkeypatch.setattr(layer_norm, "batchnorm_forward", spy_bn)
     clear_plan_cache()
-    Trainer(model, TrainConfig(lr=0.01)).train_step(*batch(hw, 0))
+    step()
     monkeypatch.undo()
     return calls
 
 
-@pytest.mark.parametrize("net", ["tiramisu", "deeplab"])
+#: name -> one training step.  ``deeplab-stacked`` is ``train_exchange``'s
+#: step: four ranks stacked into one backward, with 5-D weight gradients.
+STEPS = {
+    "tiramisu": lambda: Trainer(tiramisu(), TrainConfig(lr=0.01)).train_step(
+        *batch((36, 56), 0)),
+    "deeplab": lambda: Trainer(deeplab(), TrainConfig(lr=0.01)).train_step(
+        *batch((8, 8), 0)),
+    "deeplab-stacked": lambda: DistributedTrainer(
+        deeplab, 4, TrainConfig(lr=0.01)).train_step(
+            [batch((8, 8), rank) for rank in range(4)]),
+}
+
+
+@pytest.mark.parametrize("net", sorted(STEPS))
 def test_benchmark_network_geometries(monkeypatch, net):
-    model, hw = (tiramisu(), (36, 56)) if net == "tiramisu" else (deeplab(), (8, 8))
-    calls = _record_step(monkeypatch, model, hw)
+    calls = _record_step(monkeypatch, STEPS[net])
     assert calls["dgrad"] and calls["wgrad"] and calls["bn"]
-    if net == "deeplab":
+    if net == "deeplab-stacked":
+        # Stacked batch norm keeps per-rank statistics, so the whole-batch
+        # oracle does not apply; tests/core/test_inplace_training.py pins
+        # it against per-rank replicas.
+        calls["bn"] = []
+    if net.startswith("deeplab"):
         assert {p.stride for p, *_ in calls["dgrad"]} == {1, 2}
+        # 1x1 maps: single-pixel plans, most of them with dead taps.
+        assert any(p.oh * p.ow == 1 and len(p.live_taps) < 9
+                   for p, *_ in calls["wgrad"])
+    if net == "deeplab-stacked":
+        assert {g.ndim for _, g, _ in calls["wgrad"]} == {5}
     for plan, g, w in calls["dgrad"]:
         assert_bit_equal(plan.backward_input(g, w), dgrad_oracle(plan, g, w))
     for plan, g, cols in calls["wgrad"]:
