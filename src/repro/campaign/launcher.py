@@ -38,27 +38,25 @@ __all__ = ["SiteConfig", "SiteLauncher"]
 #: CPU-side scan that scales with nodes.
 SERVE_RPS_PER_GPU = 200.0
 LABEL_BYTES_PER_NODE_S = 2.0e9
+#: The training-job cost model: the paper's Tiramisu at FP16 and its
+#: per-GPU batch of 2, and the per-node preprocessing rate (bytes/s).
+TRAIN_NETWORK = "tiramisu"
+TRAIN_PRECISION = "fp16"
+BATCH_PER_GPU = 2
+PREPROCESS_BYTES_PER_S = 4.0e9
 
 
 @dataclass(frozen=True)
 class SiteConfig:
-    """The slice of machine a campaign may use, plus model knobs."""
+    """The slice of machine a campaign may use."""
 
     system: SystemSpec
     nodes: int | None = None         # cap (default: the whole machine)
-    network: str = "tiramisu"        # cost-model architecture for train jobs
-    precision: str = "fp16"
-    batch_per_gpu: int = 2           # the paper's per-GPU batch
-    preprocess_bytes_per_s: float = 4.0e9   # per-node preprocessing rate
 
     def __post_init__(self):
         if self.nodes is not None and not 1 <= self.nodes <= self.system.nodes:
             raise ValueError(
                 f"nodes must be in [1, {self.system.nodes}]")
-        if self.batch_per_gpu < 1:
-            raise ValueError("batch_per_gpu must be >= 1")
-        if self.preprocess_bytes_per_s <= 0:
-            raise ValueError("preprocess_bytes_per_s must be positive")
 
     @property
     def total_nodes(self) -> int:
@@ -139,7 +137,7 @@ class SiteLauncher:
         """Virtual seconds of single-node preprocessing before launch."""
         if job.data_bytes <= 0:
             return 0.0
-        return job.data_bytes / self.config.preprocess_bytes_per_s
+        return job.data_bytes / PREPROCESS_BYTES_PER_S
 
     def run_s(self, job: Job, nodes: int,
               from_step: int | None = None) -> float:
@@ -159,10 +157,10 @@ class SiteLauncher:
             # steps_total is a *sample* budget; a wider allocation eats
             # more samples per step at the model's measured efficiency.
             per_step = step_time_model(
-                self.config.network, gpus, self.config.precision,
+                TRAIN_NETWORK, gpus, TRAIN_PRECISION,
                 system_name=("summit" if self.config.system.name == "Summit"
                              else "piz_daint"))
-            samples_per_step = self.config.batch_per_gpu * gpus
+            samples_per_step = BATCH_PER_GPU * gpus
             steps = -(-remaining // samples_per_step)   # ceil division
             return steps * per_step
         if job.kind == "serve":

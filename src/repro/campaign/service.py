@@ -21,7 +21,7 @@ Fault model — the campaign reading of a :class:`FaultPlan`:
   the restart path has real progress to lose and a checkpoint to resume
   from.  The killed job transitions ``RUNNING → RUN_ERROR → RESTARTING``,
   resumes from its latest checkpoint (:meth:`CheckpointManager.latest_step`
-  via the runtime), relaunches on ``restart_shrink`` fewer nodes
+  via the runtime), relaunches on ``RESTART_SHRINK`` fewer nodes
   (mirroring :meth:`DistributedTrainer.shrink`), and must finish.
 * ``straggler@T:rank=J:factor=F`` stretches every event the service
   schedules for job ``J`` by ``F`` through the event queue's existing
@@ -45,22 +45,19 @@ from .report import CampaignReport, summarize
 
 __all__ = ["ServiceConfig", "CampaignService"]
 
+RESTART_SHRINK = 1          # nodes dropped per elastic restart
+KILL_AT_FRACTION = 0.5      # where in the remaining run a kill lands
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Orchestration-loop policy knobs."""
 
     ckpt_every_s: float = 120.0      # virtual checkpoint cadence while RUNNING
-    restart_shrink: int = 1          # nodes dropped per elastic restart
-    kill_at_fraction: float = 0.5    # where in the remaining run a kill lands
 
     def __post_init__(self):
         if self.ckpt_every_s <= 0:
             raise ValueError("ckpt_every_s must be positive")
-        if self.restart_shrink < 0:
-            raise ValueError("restart_shrink must be >= 0")
-        if not 0.0 < self.kill_at_fraction < 1.0:
-            raise ValueError("kill_at_fraction must be in (0, 1)")
 
 
 @dataclass
@@ -270,7 +267,7 @@ class CampaignService:
         run.kill_scheduled = True
         now = self.events.now
         remaining = max(0.0, run.start_s + run.duration_s - now)
-        delay = self.config.kill_at_fraction * remaining
+        delay = KILL_AT_FRACTION * remaining
         self.events.schedule(delay,
                              lambda t=run.token: self._on_killed(job, t))
 
@@ -298,7 +295,7 @@ class CampaignService:
         else:
             resume = self.runtime.resume_step(job)
             new_nodes = max(job.min_nodes,
-                            nodes - self.config.restart_shrink)
+                            nodes - RESTART_SHRINK)
             self.store.transition(job, "RESTARTING", now,
                                   reason="elastic restart",
                                   resume_step=resume,

@@ -15,8 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .job import JOB_KINDS, Job
+from .scheduler import DEFAULT_LANES
 
 __all__ = ["CampaignConfig", "synth_campaign"]
+
+NODE_CHOICES = (2, 4, 8)
+#: Progress units drawn per job kind: training sample budgets, serve
+#: requests, label data shards.
+STEPS_BY_KIND = {"train": (4096, 8192),
+                 "serve": (50_000, 100_000),
+                 "label": (64, 128)}
+DATA_GB_CHOICES = (64.0, 128.0, 256.0)
+LANE_WEIGHTS = (0.2, 0.6, 0.2)      # over the scheduler's DEFAULT_LANES
 
 
 @dataclass(frozen=True)
@@ -28,14 +38,6 @@ class CampaignConfig:
     submit_rate_per_s: float = 1.0 / 30.0   # Poisson job arrivals
     kinds: tuple[str, ...] = JOB_KINDS
     kind_weights: tuple[float, ...] = (0.5, 0.25, 0.25)
-    node_choices: tuple[int, ...] = (2, 4, 8)
-    #: Training sample budgets (progress units) drawn per job.
-    train_steps: tuple[int, ...] = (4096, 8192)
-    serve_steps: tuple[int, ...] = (50_000, 100_000)   # requests
-    label_steps: tuple[int, ...] = (64, 128)           # data shards
-    data_gb_choices: tuple[float, ...] = (64.0, 128.0, 256.0)
-    lanes: tuple[str, ...] = ("urgent", "normal", "backfill")
-    lane_weights: tuple[float, ...] = (0.2, 0.6, 0.2)
     seed: int = 0
 
     def __post_init__(self):
@@ -45,8 +47,6 @@ class CampaignConfig:
             raise ValueError("submit_rate_per_s must be positive")
         if len(self.kind_weights) != len(self.kinds):
             raise ValueError("kind_weights must match kinds")
-        if len(self.lane_weights) != len(self.lanes):
-            raise ValueError("lane_weights must match lanes")
         for kind in self.kinds:
             if kind not in JOB_KINDS:
                 raise ValueError(f"unknown job kind {kind!r}")
@@ -61,23 +61,19 @@ def synth_campaign(config: CampaignConfig) -> list[Job]:
     rng = np.random.default_rng(config.seed)
     kind_w = np.asarray(config.kind_weights, dtype=np.float64)
     kind_w = kind_w / kind_w.sum()
-    lane_w = np.asarray(config.lane_weights, dtype=np.float64)
+    lane_w = np.asarray(LANE_WEIGHTS, dtype=np.float64)
     lane_w = lane_w / lane_w.sum()
-    steps_by_kind = {"train": config.train_steps,
-                     "serve": config.serve_steps,
-                     "label": config.label_steps}
     jobs: list[Job] = []
     t = 0.0
     for i in range(config.num_jobs):
         t += float(rng.exponential(1.0 / config.submit_rate_per_s))
         kind = config.kinds[int(rng.choice(len(config.kinds), p=kind_w))]
-        nodes = int(config.node_choices[
-            int(rng.integers(len(config.node_choices)))])
-        choices = steps_by_kind[kind]
+        nodes = int(NODE_CHOICES[int(rng.integers(len(NODE_CHOICES)))])
+        choices = STEPS_BY_KIND[kind]
         steps = int(choices[int(rng.integers(len(choices)))])
-        data_gb = float(config.data_gb_choices[
-            int(rng.integers(len(config.data_gb_choices)))])
-        lane = config.lanes[int(rng.choice(len(config.lanes), p=lane_w))]
+        data_gb = float(DATA_GB_CHOICES[
+            int(rng.integers(len(DATA_GB_CHOICES)))])
+        lane = DEFAULT_LANES[int(rng.choice(len(DEFAULT_LANES), p=lane_w))]
         jobs.append(Job(
             job_id=f"job-{i:04d}",
             user=f"user{i % config.num_users}",

@@ -7,7 +7,7 @@ from .analytics import (
     storm_statistics,
 )
 from .dataset import ChannelNormalizer, ClimateDataset, DatasetSplits
-from .floodfill import ARConfig, connected_components_periodic, river_mask
+from .floodfill import connected_components_periodic, river_mask
 from .grid import CHANNEL_NAMES, PAPER_CHANNELS, PAPER_GRID, Grid
 from .hdf5store import GATE, SampleFileStore, SerializationGate
 from .labels import (
@@ -49,7 +49,6 @@ __all__ = [
     "TCCandidate",
     "detect_cyclones",
     "cyclone_mask",
-    "ARConfig",
     "river_mask",
     "connected_components_periodic",
     "CLASS_BG",

@@ -14,27 +14,21 @@ The standard ARTMIP-style recipe, reimplemented here:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 
 from .grid import Grid
 
-__all__ = ["ARConfig", "river_mask", "connected_components_periodic"]
+__all__ = ["river_mask", "connected_components_periodic"]
 
-
-@dataclass(frozen=True)
-class ARConfig:
-    """Thresholds for the AR labeler."""
-
-    anomaly_threshold: float = 7.0     # kg/m^2 above the zonal background
-    min_length_deg: float = 15.0       # great-circle extent requirement
-    min_aspect: float = 1.6            # length / width elongation requirement
-    min_area_cells: int = 12           # discard specks
-    min_reach_lat: float = 24.0        # must reach poleward of this latitude
-    max_abs_lat: float = 65.0          # ignore polar artifacts
-    exclusion_lat: float = 5.0         # deep tropics excluded (ITCZ moisture)
+# Thresholds for the AR labeler.
+ANOMALY_THRESHOLD = 7.0     # kg/m^2 above the zonal background
+MIN_LENGTH_DEG = 15.0       # great-circle extent requirement
+MIN_ASPECT = 1.6            # length / width elongation requirement
+MIN_AREA_CELLS = 12         # discard specks
+MIN_REACH_LAT = 24.0        # must reach poleward of this latitude
+MAX_ABS_LAT = 65.0          # ignore polar artifacts
+EXCLUSION_LAT = 5.0         # deep tropics excluded (ITCZ moisture)
 
 
 def connected_components_periodic(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -110,7 +104,6 @@ def _component_geometry(rows: np.ndarray, cols: np.ndarray, grid: Grid):
 def river_mask(
     fields: dict[str, np.ndarray],
     grid: Grid,
-    config: ARConfig | None = None,
     exclude: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean AR mask from the TMQ field.
@@ -118,27 +111,26 @@ def river_mask(
     ``exclude`` marks pixels already claimed by another class (TCs take
     precedence in the paper's 3-class labels).
     """
-    cfg = config or ARConfig()
     tmq = fields["TMQ"].astype(np.float64)
     background = _zonal_climatology(tmq, grid)
-    wet = tmq - background >= cfg.anomaly_threshold
+    wet = tmq - background >= ANOMALY_THRESHOLD
     lat2d, _ = grid.meshgrid()
-    wet &= np.abs(lat2d) >= cfg.exclusion_lat
-    wet &= np.abs(lat2d) <= cfg.max_abs_lat
+    wet &= np.abs(lat2d) >= EXCLUSION_LAT
+    wet &= np.abs(lat2d) <= MAX_ABS_LAT
     if exclude is not None:
         wet &= ~exclude
     labeled, count = connected_components_periodic(wet)
     out = np.zeros(grid.shape, dtype=bool)
     for comp in range(1, count + 1):
         rows, cols = np.nonzero(labeled == comp)
-        if rows.size < cfg.min_area_cells:
+        if rows.size < MIN_AREA_CELLS:
             continue
         length, width, reach, _ = _component_geometry(rows, cols, grid)
-        if length < cfg.min_length_deg:
+        if length < MIN_LENGTH_DEG:
             continue
-        if width > 0 and length / max(width, 1e-9) < cfg.min_aspect:
+        if width > 0 and length / max(width, 1e-9) < MIN_ASPECT:
             continue
-        if reach < cfg.min_reach_lat:
+        if reach < MIN_REACH_LAT:
             continue
         out[rows, cols] = True
     return out

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .floodfill import ARConfig, river_mask
+from .floodfill import river_mask
 from .grid import Grid
 from .synthesis import ClimateSnapshot
 from .teca import TecaConfig, cyclone_mask, detect_cyclones
@@ -37,7 +37,6 @@ PAPER_CLASS_FREQUENCIES = {"BG": 0.982, "AR": 0.017, "TC": 0.001}
 def make_labels(
     snapshot: ClimateSnapshot,
     teca_config: TecaConfig | None = None,
-    ar_config: ARConfig | None = None,
 ) -> np.ndarray:
     """Run the heuristic labeling pipeline on a snapshot -> (H, W) int8.
 
@@ -46,8 +45,8 @@ def make_labels(
     """
     fields, grid = snapshot.fields, snapshot.grid
     candidates = detect_cyclones(fields, grid, teca_config)
-    tc = cyclone_mask(fields, grid, candidates, teca_config)
-    ar = river_mask(fields, grid, ar_config, exclude=tc)
+    tc = cyclone_mask(fields, grid, candidates)
+    ar = river_mask(fields, grid, exclude=tc)
     labels = np.zeros(grid.shape, dtype=np.int8)
     labels[tc] = CLASS_TC
     labels[ar] = CLASS_AR

@@ -41,14 +41,17 @@ class TCCandidate:
 class TecaConfig:
     """Thresholds for the TC detector (TECA-like defaults)."""
 
-    min_depression_pa: float = 800.0     # central pressure deficit
     min_warm_core_k: float = 0.5         # upper-level warm anomaly
-    min_wind_ms: float = 15.0            # near-center wind maximum
-    max_abs_lat: float = 45.0            # tropical/subtropical band
-    search_radius_deg: float = 4.0       # radius for the wind criterion
-    mask_radius_deg: float = 8.0         # hard cap on mask extent
-    mask_depression_frac: float = 0.25   # floodfill keeps pixels above this
-    environment_sigma_deg: float = 12.0  # smoothing scale for the environment
+
+
+# The detector's fixed TECA-like thresholds.
+MIN_DEPRESSION_PA = 800.0       # central pressure deficit
+MIN_WIND_MS = 15.0              # near-center wind maximum
+MAX_ABS_LAT = 45.0              # tropical/subtropical band
+SEARCH_RADIUS_DEG = 4.0         # radius for the wind criterion
+MASK_RADIUS_DEG = 8.0           # hard cap on mask extent
+MASK_DEPRESSION_FRAC = 0.25     # floodfill keeps pixels above this
+ENVIRONMENT_SIGMA_DEG = 12.0    # smoothing scale for the environment
 
 
 def _environment(field: np.ndarray, grid: Grid, sigma_deg: float) -> np.ndarray:
@@ -63,17 +66,17 @@ def detect_cyclones(
     """Find cyclone centers passing all TECA criteria."""
     cfg = config or TecaConfig()
     psl = fields["PSL"].astype(np.float64)
-    env = _environment(psl, grid, cfg.environment_sigma_deg)
+    env = _environment(psl, grid, ENVIRONMENT_SIGMA_DEG)
     anomaly = psl - env  # negative in depressions
     t500_anom = fields["T500"].astype(np.float64) - _environment(
-        fields["T500"].astype(np.float64), grid, cfg.environment_sigma_deg
+        fields["T500"].astype(np.float64), grid, ENVIRONMENT_SIGMA_DEG
     )
     wind = np.hypot(fields["U850"], fields["V850"]).astype(np.float64)
 
     # Local minima of the anomaly field within a window ~ the search radius.
-    win = max(int(cfg.search_radius_deg / grid.deg_per_cell_lat), 1) * 2 + 1
+    win = max(int(SEARCH_RADIUS_DEG / grid.deg_per_cell_lat), 1) * 2 + 1
     local_min = ndimage.minimum_filter(anomaly, size=win, mode=("nearest", "wrap"))
-    is_min = (anomaly == local_min) & (anomaly <= -cfg.min_depression_pa)
+    is_min = (anomaly == local_min) & (anomaly <= -MIN_DEPRESSION_PA)
 
     lats = grid.lats
     candidates: list[TCCandidate] = []
@@ -81,11 +84,11 @@ def detect_cyclones(
     wind_max_near = ndimage.maximum_filter(wind, size=wind_win, mode=("nearest", "wrap"))
     for i, j in zip(*np.nonzero(is_min)):
         lat = lats[i]
-        if abs(lat) > cfg.max_abs_lat:
+        if abs(lat) > MAX_ABS_LAT:
             continue
         if t500_anom[i, j] < cfg.min_warm_core_k:
             continue
-        if wind_max_near[i, j] < cfg.min_wind_ms:
+        if wind_max_near[i, j] < MIN_WIND_MS:
             continue
         candidates.append(
             TCCandidate(
@@ -104,7 +107,7 @@ def detect_cyclones(
     for c in candidates:
         if all(
             grid.angular_distance_deg(c.lat, c.lon)[k.lat_idx, k.lon_idx]
-            > cfg.search_radius_deg
+            > SEARCH_RADIUS_DEG
             for k in kept
         ):
             kept.append(c)
@@ -115,17 +118,15 @@ def cyclone_mask(
     fields: dict[str, np.ndarray],
     grid: Grid,
     candidates: list[TCCandidate],
-    config: TecaConfig | None = None,
 ) -> np.ndarray:
     """Grow a boolean TC mask around each accepted center."""
-    cfg = config or TecaConfig()
     psl = fields["PSL"].astype(np.float64)
-    env = _environment(psl, grid, cfg.environment_sigma_deg)
+    env = _environment(psl, grid, ENVIRONMENT_SIGMA_DEG)
     depression = env - psl  # positive inside storms
     mask = np.zeros(grid.shape, dtype=bool)
     for c in candidates:
-        keep = depression >= cfg.mask_depression_frac * c.depression_pa
-        keep &= grid.angular_distance_deg(c.lat, c.lon) <= cfg.mask_radius_deg
+        keep = depression >= MASK_DEPRESSION_FRAC * c.depression_pa
+        keep &= grid.angular_distance_deg(c.lat, c.lon) <= MASK_RADIUS_DEG
         # Connected component containing the center only (floodfill).
         labeled, _ = ndimage.label(keep)
         comp = labeled[c.lat_idx, c.lon_idx]

@@ -22,7 +22,7 @@ from .cyclones import TropicalCyclone, imprint_cyclone
 from .grid import Grid
 from .rivers import imprint_river
 from .synthesis import ClimateSnapshot, SnapshotSynthesizer
-from .teca import TCCandidate, TecaConfig, detect_cyclones
+from .teca import TCCandidate, detect_cyclones
 
 __all__ = ["Track", "advect_cyclone", "generate_sequence", "track_cyclones"]
 

@@ -5,12 +5,15 @@ performance model (:mod:`repro.perf.scaling`) uses them to estimate the
 exposed communication time per training step on Summit and Piz Daint.
 
 Conventions: ``alpha`` is per-message latency in seconds, ``bandwidth`` in
-bytes/second, ``volume`` in bytes.
+bytes/second, ``volume`` in bytes.  :class:`Link` is declared with the
+machine specs in :mod:`repro.hpc.specs`, so ``hpc`` imports nothing from
+``comm``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, log2
+
+from ..hpc.specs import Link
 
 __all__ = [
     "Link",
@@ -20,17 +23,6 @@ __all__ = [
     "centralized_control_time",
     "hierarchical_control_time",
 ]
-
-
-@dataclass(frozen=True)
-class Link:
-    """One communication channel."""
-
-    alpha: float        # latency per message, s
-    bandwidth: float    # bytes per second
-
-    def transfer_time(self, volume: float) -> float:
-        return self.alpha + volume / self.bandwidth
 
 
 def ring_allreduce_time(n: int, volume: float, link: Link) -> float:

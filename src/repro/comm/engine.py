@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..hpc.events import EventQueue
+from ..hpc.specs import SUMMIT
 from ..telemetry import get_active
 from .api import get_strategy
 from .compression import (
@@ -45,17 +46,20 @@ from .compression import (
     make_compressor,
     sparse_allreduce,
 )
-from .costmodel import Link
 from .reducer import _reduce_dtype
 from .simmpi import World
 
 __all__ = ["EngineConfig", "EngineReport", "FusionPlan",
            "GradientExchangeEngine", "fuse_order", "unpack_bucket"]
 
-# Summit's fabric (hpc.specs duplicates these; kept literal to avoid a
-# config dataclass depending on module import order).
-_SUMMIT_NVLINK = Link(alpha=3.0e-6, bandwidth=150e9)
-_SUMMIT_IB = Link(alpha=1.5e-6, bandwidth=6.25e9)
+# The exchange is costed on Summit's fabric, with the paper's hybrid
+# all-reduce layout of 4 MPI ranks per node.
+_NVLINK = SUMMIT.node.nvlink
+_INTERCONNECT = SUMMIT.interconnect
+_MPI_RANKS_PER_NODE = 4
+# Backward-pass speed for the overlap model: seconds of compute per
+# gradient byte produced (~0.5 GB/s of gradients on a V100-class GPU).
+_COMPUTE_S_PER_BYTE = 2e-9
 
 
 @dataclass(frozen=True)
@@ -67,14 +71,7 @@ class EngineConfig:
     compression: str | None = None        # None, "topk", or "int8"
     compression_ratio: float = 0.01       # top-k keep fraction
     autotune: bool = True
-    overlap: bool = True
     gpus_per_node: int = 6
-    mpi_ranks_per_node: int = 4
-    nvlink: Link = _SUMMIT_NVLINK
-    interconnect: Link = _SUMMIT_IB
-    # Backward-pass speed for the overlap model: seconds of compute per
-    # gradient byte produced (~0.5 GB/s of gradients on a V100-class GPU).
-    compute_s_per_byte: float = 2e-9
 
     def __post_init__(self):
         if not self.strategies:
@@ -207,7 +204,7 @@ class GradientExchangeEngine:
     def _strategy_params(self, name: str) -> dict:
         if name == "hierarchical":
             return dict(gpus_per_node=self.config.gpus_per_node,
-                        mpi_ranks_per_node=self.config.mpi_ranks_per_node)
+                        mpi_ranks_per_node=_MPI_RANKS_PER_NODE)
         return {}
 
     def _candidates(self, n: int, nbytes: int) -> list[str]:
@@ -224,8 +221,8 @@ class GradientExchangeEngine:
 
         def modeled(name: str) -> float:
             return get_strategy(name).modeled_time(
-                n, float(nbytes), nvlink=cfg.nvlink,
-                interconnect=cfg.interconnect, **self._strategy_params(name))
+                n, float(nbytes), nvlink=_NVLINK,
+                interconnect=_INTERCONNECT, **self._strategy_params(name))
 
         return sorted(out, key=modeled)
 
@@ -257,7 +254,7 @@ class GradientExchangeEngine:
         if not self.config.autotune:
             return
         key = (n, self._size_class(nbytes))
-        ic = self.config.interconnect
+        ic = _INTERCONNECT
         cost = d_messages * ic.alpha + d_bytes / ic.bandwidth
         per_byte = cost / max(nbytes, 1)
         tried = self._measured.setdefault(key, {})
@@ -433,7 +430,7 @@ class GradientExchangeEngine:
                         decisions[bucket_index] = cfg.compression
                         wire_bytes += payload
                         bucket_times.append(
-                            2 * (n - 1) * cfg.interconnect.transfer_time(payload))
+                            2 * (n - 1) * _INTERCONNECT.transfer_time(payload))
                     else:
                         algo = self.select(n, group_bytes)
                         strategy = get_strategy(algo)
@@ -451,8 +448,8 @@ class GradientExchangeEngine:
                             world.stats.total_messages - bucket_msgs0,
                             world.stats.total_bytes - bucket_bytes0)
                         bucket_times.append(strategy.modeled_time(
-                            n, float(group_bytes), nvlink=cfg.nvlink,
-                            interconnect=cfg.interconnect,
+                            n, float(group_bytes), nvlink=_NVLINK,
+                            interconnect=_INTERCONNECT,
                             **self._strategy_params(algo)))
                 # Whatever the strategy returned (the bucket rows for the
                 # built-ins) is split back into named tensors.
@@ -461,7 +458,7 @@ class GradientExchangeEngine:
                         results[r], group, per_rank_grads[r]))
 
         overlap_fraction = 0.0
-        if cfg.overlap and bucket_times:
+        if bucket_times:
             overlap_fraction = self._overlap_fraction(
                 plan, sizes, bucket_times)
 
@@ -572,13 +569,12 @@ class GradientExchangeEngine:
         generalization of the paper's gradient-lag pipelining.  Returns the
         fraction of total comm time hidden under compute.
         """
-        cfg = self.config
         q = EventQueue()
         compute_t = 0.0
         ready_times = []
         for group in plan.groups:
             for name in group:
-                compute_t += sizes[name] * cfg.compute_s_per_byte
+                compute_t += sizes[name] * _COMPUTE_S_PER_BYTE
             ready_times.append(compute_t)
         total_compute = compute_t
         state = {"channel_free": 0.0}

@@ -17,13 +17,14 @@ from .blocks import Bottleneck
 
 __all__ = ["ResNetConfig", "ResNetEncoder"]
 
+BLOCKS = (3, 4, 6, 3)       # bottlenecks per stage: ResNet-50
+
 
 @dataclass(frozen=True)
 class ResNetConfig:
     """Encoder hyper-parameters; ``width`` scales all channel counts."""
 
     in_channels: int = 16
-    blocks: tuple[int, ...] = (3, 4, 6, 3)   # ResNet-50
     width: float = 1.0
 
     def scaled(self, channels: int) -> int:
@@ -61,7 +62,7 @@ class ResNetEncoder(Module):
         ch = stem_ch
         self.stages: list[list[Bottleneck]] = []
         for s, ((planes, stride, dilation), depth) in enumerate(
-            zip(stage_specs, cfg.blocks)
+            zip(stage_specs, BLOCKS)
         ):
             stage = []
             for b in range(depth):

@@ -23,6 +23,8 @@ __all__ = ["TrainConfig", "StepResult", "Trainer", "build_optimizer"]
 
 _OPTIMIZERS = ("sgd", "adam", "lars", "larc")
 _WEIGHTINGS = ("none", "inverse", "inverse_sqrt")
+NUM_CLASSES = 3             # BG / TC / AR
+WEIGHT_DECAY = 1e-4
 
 
 @dataclass(frozen=True)
@@ -32,13 +34,11 @@ class TrainConfig:
     lr: float = 1e-3
     optimizer: str = "larc"           # sgd | adam | lars | larc
     momentum: float = 0.9
-    weight_decay: float = 1e-4
     precision: str = "fp32"           # fp32 | fp16
     loss_scale: float = 2.0**12
     dynamic_loss_scale: bool = True
     weighting: str = "inverse_sqrt"   # none | inverse | inverse_sqrt
     gradient_lag: int = 0
-    num_classes: int = 3
 
     def __post_init__(self):
         if self.precision not in ("fp32", "fp16"):
@@ -57,15 +57,15 @@ def build_optimizer(model: Module, config: TrainConfig):
     kind = config.optimizer
     if kind == "sgd":
         opt = SGD(params, config.lr, momentum=config.momentum,
-                  weight_decay=config.weight_decay)
+                  weight_decay=WEIGHT_DECAY)
     elif kind == "adam":
-        opt = Adam(params, config.lr, weight_decay=config.weight_decay)
+        opt = Adam(params, config.lr, weight_decay=WEIGHT_DECAY)
     elif kind == "lars":
         opt = LARS(params, config.lr, momentum=config.momentum,
-                   weight_decay=config.weight_decay)
+                   weight_decay=WEIGHT_DECAY)
     elif kind == "larc":
         opt = LARC(params, config.lr, momentum=config.momentum,
-                   weight_decay=config.weight_decay)
+                   weight_decay=WEIGHT_DECAY)
     else:
         raise ValueError(f"unknown optimizer {kind!r}")
     if config.gradient_lag > 0:
@@ -99,7 +99,7 @@ class Trainer:
         self.config = config
         freqs = (np.asarray(class_frequencies)
                  if class_frequencies is not None
-                 else np.full(config.num_classes, 1.0 / config.num_classes))
+                 else np.full(NUM_CLASSES, 1.0 / NUM_CLASSES))
         self.class_weight_table = class_weights(freqs, config.weighting).astype(np.float32)
         if config.precision == "fp16":
             apply_fp16_policy(model)
@@ -220,7 +220,7 @@ class Trainer:
                  ) -> SegmentationReport:
         """IoU/accuracy over an iterable of (images, labels) batches."""
         self.model.train(False)
-        report = SegmentationReport(self.config.num_classes, class_names)
+        report = SegmentationReport(NUM_CLASSES, class_names)
         with no_grad():
             for images, labels in batches:
                 x = Tensor(self._cast_inputs(images))

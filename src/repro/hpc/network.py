@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..comm.costmodel import Link
+from .specs import Link
 
 __all__ = ["FabricModel"]
 

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..comm.costmodel import Link
-
 __all__ = [
+    "Link",
     "GpuSpec",
     "NodeSpec",
     "FileSystemSpec",
@@ -29,6 +28,17 @@ __all__ = [
     "SUMMIT",
     "PIZ_DAINT",
 ]
+
+
+@dataclass(frozen=True)
+class Link:
+    """One communication channel (alpha-beta model)."""
+
+    alpha: float        # latency per message, s
+    bandwidth: float    # bytes per second
+
+    def transfer_time(self, volume: float) -> float:
+        return self.alpha + volume / self.bandwidth
 
 
 @dataclass(frozen=True)

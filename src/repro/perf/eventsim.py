@@ -4,15 +4,15 @@ The analytic model (:mod:`repro.perf.scaling`) gives expected step times;
 this module simulates the *dynamics*: every rank draws a stochastic compute
 time per step (log-normal jitter), the all-reduce starts when the slowest
 rank finishes (synchronous SGD's barrier), gradient lag overlaps part of
-the exchange with the next step, and the input pipeline injects waits when
-its queue runs dry.  The output is a per-(step, rank) sample-count matrix
-and per-step times — exactly what the paper's Section VI statistics
-pipeline consumes, so the sustained-throughput median and central-68% CI
-(the Figure 4 error bars) come out of :func:`repro.perf.stats.sustained_throughput`.
+the exchange with the next step; the input pipeline is assumed to keep up.
+The output is a per-(step, rank) sample-count matrix and per-step times —
+exactly what the paper's Section VI statistics pipeline consumes, so the
+sustained-throughput median and central-68% CI (the Figure 4 error bars)
+come out of :func:`repro.perf.stats.sustained_throughput`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class TrainingRunConfig:
     compute_jitter: float = 0.03     # log-normal sigma of compute time
     allreduce_time_s: float = 0.0    # full exchange duration
     overlap_fraction: float = 0.9    # hidden behind next step's compute (lag)
-    input_rate_margin: float = 2.0   # pipeline production / consumption rate
     batch_per_rank: int = 1
     seed: int = 0
 
@@ -52,7 +51,6 @@ class TrainingRunResult:
     step_times: np.ndarray            # (steps,)
     samples_per_step: np.ndarray      # (steps, ranks)
     barrier_waits: np.ndarray         # (steps,) slowest-minus-mean compute
-    input_waits: np.ndarray           # (steps,) time spent starving
 
     def sustained(self) -> ThroughputStats:
         return sustained_throughput(self.samples_per_step, self.step_times)
@@ -88,16 +86,9 @@ def simulate_training_run(config: TrainingRunConfig,
 
     step_times = np.zeros(steps)
     barrier_waits = np.zeros(steps)
-    input_waits = np.zeros(steps)
     samples = np.full((steps, n), config.batch_per_rank, dtype=np.float64)
 
     exposed_comm = config.allreduce_time_s * (1.0 - config.overlap_fraction)
-    # Input pipeline: production rate relative to consumption; a margin < 1
-    # means the loader cannot keep up and every step waits for the deficit.
-    if config.input_rate_margin < 1.0:
-        starve = config.compute_time_s * (1.0 / config.input_rate_margin - 1.0)
-    else:
-        starve = 0.0
 
     state = {"step": 0, "finished": 0, "slowest": 0.0, "step_start": 0.0,
              "compute_sum": 0.0, "draws": None}
@@ -111,7 +102,7 @@ def simulate_training_run(config: TrainingRunConfig,
             step=state["step"])
         for r, draw in enumerate(state["draws"]):
             tracer.emit("compute", start_s=tracer.epoch + start,
-                        duration_s=float(draw) + starve, category="sim",
+                        duration_s=float(draw), category="sim",
                         lane=r + 1, parent_id=step_id, rank=r)
         if exposed_comm > 0:
             tracer.emit("allreduce_exposed",
@@ -128,7 +119,7 @@ def simulate_training_run(config: TrainingRunConfig,
             0.0, config.compute_jitter, size=n)
         state["draws"] = draws
         for r in range(n):
-            ev.schedule(float(draws[r]) + starve, rank_done(draws[r]))
+            ev.schedule(float(draws[r]), rank_done(draws[r]))
 
     def rank_done(compute):
         def _done():
@@ -142,8 +133,7 @@ def simulate_training_run(config: TrainingRunConfig,
     def step_complete():
         s = state["step"]
         step_times[s] = ev.now - state["step_start"]
-        barrier_waits[s] = state["slowest"] - state["compute_sum"] / n - starve
-        input_waits[s] = starve
+        barrier_waits[s] = state["slowest"] - state["compute_sum"] / n
         if tracer is not None:
             if isinstance(tracer.clock, SimulatedClock):
                 tracer.clock.advance_to(tracer.epoch + ev.now)
@@ -161,4 +151,4 @@ def simulate_training_run(config: TrainingRunConfig,
             m.histogram("sim.step_time_s").observe(float(t))
         for w in barrier_waits:
             m.histogram("sim.barrier_wait_s").observe(float(w))
-    return TrainingRunResult(step_times, samples, barrier_waits, input_waits)
+    return TrainingRunResult(step_times, samples, barrier_waits)

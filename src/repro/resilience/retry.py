@@ -23,6 +23,8 @@ from ..telemetry import get_active
 
 __all__ = ["RetryPolicy", "RetryState", "RetriesExhausted", "with_retries"]
 
+BACKOFF_FACTOR = 2.0        # each retry waits twice as long as the last
+
 
 class RetriesExhausted(ReproError):
     """All attempts failed; ``last`` is the final underlying exception."""
@@ -39,7 +41,6 @@ class RetryPolicy:
 
     max_attempts: int = 3
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     max_backoff_s: float = 2.0
     jitter: float = 0.1          # +/- fraction of the delay, seeded
     seed: int = 0
@@ -49,8 +50,6 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_base_s < 0 or self.max_backoff_s < 0:
             raise ValueError("backoff times must be >= 0")
-        if self.backoff_factor < 1:
-            raise ValueError("backoff_factor must be >= 1")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
 
@@ -59,7 +58,7 @@ class RetryPolicy:
         rng = np.random.default_rng(self.seed)
         out = []
         for attempt in range(self.max_attempts - 1):
-            delay = min(self.backoff_base_s * self.backoff_factor ** attempt,
+            delay = min(self.backoff_base_s * BACKOFF_FACTOR ** attempt,
                         self.max_backoff_s)
             if self.jitter:
                 delay *= 1.0 + self.jitter * float(rng.uniform(-1.0, 1.0))

@@ -25,7 +25,7 @@ Entry points: build an :class:`InferenceServer`, feed it requests from
 :func:`replay_workload` stream and fold with :func:`summarize_fleet`.
 ``repro serve`` and ``repro fleet`` wrap exactly that.
 """
-from .batcher import BatchPolicy, MicroBatcher
+from .batcher import MicroBatcher
 from .cache import CacheStats, TileCache
 from .fleet import (
     Autoscaler,
@@ -45,7 +45,7 @@ from .fleet import (
 )
 from .loadgen import ReplayConfig, WorkloadConfig, replay_workload, \
     synth_workload
-from .queue import AdmissionConfig, AdmissionController, RequestQueue
+from .queue import AdmissionController, RequestQueue
 from .replica import BatchResult, Replica, ReplicaPool
 from .request import DEFAULT_LANES, InferenceRequest, InferenceResponse
 from .server import (
@@ -63,10 +63,8 @@ __all__ = [
     "InferenceResponse",
     "CacheStats",
     "TileCache",
-    "AdmissionConfig",
     "AdmissionController",
     "RequestQueue",
-    "BatchPolicy",
     "MicroBatcher",
     "Replica",
     "BatchResult",

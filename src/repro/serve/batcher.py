@@ -10,40 +10,30 @@ multiplicative throughput win (the ``bench_serving`` benchmark pins the
 The policy is the classic two-knob one (as in ORBIT-2-style serving
 stacks): flush when ``max_batch_size`` requests are waiting, or when the
 oldest waiting request has aged ``max_wait_s`` — whichever comes first.
-All timing reads the server's clock (a
+Both are :class:`~repro.serve.ServeConfig` fields, validated there.  All
+timing reads the server's clock (a
 :class:`repro.telemetry.SimulatedClock` in tests), so batch-formation
 behaviour is deterministic and wall-clock-free under test.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..telemetry import get_active
 from .queue import RequestQueue
 from .request import InferenceRequest
 
-__all__ = ["BatchPolicy", "MicroBatcher"]
+if TYPE_CHECKING:
+    from .server import ServeConfig
 
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """The two knobs: size trigger and age trigger."""
-
-    max_batch_size: int = 8
-    max_wait_s: float = 0.002
-
-    def __post_init__(self):
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
+__all__ = ["MicroBatcher"]
 
 
 class MicroBatcher:
     """Decides when the queue's head becomes a dispatchable batch."""
 
-    def __init__(self, policy: BatchPolicy, queue: RequestQueue):
-        self.policy = policy
+    def __init__(self, config: ServeConfig, queue: RequestQueue):
+        self.config = config
         self.queue = queue
         self.batches_formed = 0
 
@@ -52,7 +42,7 @@ class MicroBatcher:
         depth = self.queue.depth()
         if depth == 0:
             return False
-        if depth >= self.policy.max_batch_size:
+        if depth >= self.config.max_batch_size:
             return True
         # Compare against the very expression the event loop advances the
         # clock to: ``(t + wait) - t`` can round below ``wait``, so testing
@@ -65,11 +55,11 @@ class MicroBatcher:
         oldest = self.queue.oldest_enqueue_s()
         if oldest is None:
             return None
-        return oldest + self.policy.max_wait_s
+        return oldest + self.config.max_wait_s
 
     def take(self, now: float) -> list[InferenceRequest]:
         """Pop the next batch (priority order); records batch-size metrics."""
-        batch = self.queue.pop(self.policy.max_batch_size)
+        batch = self.queue.pop(self.config.max_batch_size)
         if batch:
             self.batches_formed += 1
             tel = get_active()

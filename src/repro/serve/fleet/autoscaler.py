@@ -12,13 +12,13 @@ folds each into a time-decayed :class:`~repro.telemetry.streaming.Ewma`,
 and on every control tick converts them into a demand estimate::
 
     demand_replicas = arrival_rps * windows_per_request * service_s
-                      + backlog_windows * service_s / drain_horizon_s
-    target = ceil(demand_replicas / target_utilization)
+                      + backlog_windows * service_s / DRAIN_HORIZON_S
+    target = ceil(demand_replicas / TARGET_UTILIZATION)
 
 Growth and shrink are deliberately asymmetric, the way
 :meth:`repro.core.DistributedTrainer.shrink` treats losing ranks as the
 careful path: growth reacts fast (short cooldown, up to
-``max_grow_step`` replicas at once, each admitted through a warm-up
+``MAX_GROW_STEP`` replicas at once, each admitted through a warm-up
 ramp), shrink is slow (long cooldown, one replica per decision, only
 when the surviving set would still sit under the utilization target with
 hysteresis).  Every decision is returned as a :class:`ScaleDecision` so
@@ -36,35 +36,28 @@ __all__ = ["AutoscalerConfig", "ScaleDecision", "Autoscaler"]
 
 _CELL_LABEL = re.compile(r"\{cell=([^,}]+)")
 
+# The scaling policy, shared by every fleet and cell.
+TARGET_UTILIZATION = 0.70   # demand / capacity we steer toward
+SHRINK_UTILIZATION = 0.45   # hysteresis: shrink only below this
+GROW_COOLDOWN_S = 2.0
+SHRINK_COOLDOWN_S = 8.0
+MAX_GROW_STEP = 2           # replicas added per decision
+MAX_SHRINK_STEP = 1         # replicas removed per decision
+WARMUP_S = 2.0              # admission ramp for a new replica
+DRAIN_HORIZON_S = 2.0       # time budget to absorb the backlog
+EWMA_HALFLIFE_S = 4.0
+
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
-    """Policy knobs for one fleet's autoscaler (shared by all cells)."""
+    """Replica bounds for one fleet's autoscaler (shared by all cells)."""
 
     min_replicas: int = 1
     max_replicas: int = 16
-    target_utilization: float = 0.70    # demand / capacity we steer toward
-    shrink_utilization: float = 0.45    # hysteresis: shrink only below this
-    grow_cooldown_s: float = 2.0
-    shrink_cooldown_s: float = 8.0
-    max_grow_step: int = 2              # replicas added per decision
-    max_shrink_step: int = 1            # replicas removed per decision
-    warmup_s: float = 2.0               # admission ramp for a new replica
-    drain_horizon_s: float = 2.0        # time budget to absorb the backlog
-    ewma_halflife_s: float = 4.0
 
     def __post_init__(self):
         if not 1 <= self.min_replicas <= self.max_replicas:
             raise ValueError("need 1 <= min_replicas <= max_replicas")
-        if not 0.0 < self.target_utilization <= 1.0:
-            raise ValueError("target_utilization must be in (0, 1]")
-        if not 0.0 <= self.shrink_utilization < self.target_utilization:
-            raise ValueError(
-                "shrink_utilization must sit below target_utilization")
-        if self.max_grow_step < 1 or self.max_shrink_step < 1:
-            raise ValueError("scale steps must be >= 1")
-        if self.warmup_s < 0 or self.drain_horizon_s <= 0:
-            raise ValueError("warmup_s >= 0 and drain_horizon_s > 0 required")
 
 
 @dataclass(frozen=True)
@@ -135,8 +128,7 @@ class Autoscaler:
     def _signals(self, cell: str) -> _CellSignals:
         sig = self._cells.get(cell)
         if sig is None:
-            sig = self._cells[cell] = _CellSignals(
-                self.config.ewma_halflife_s)
+            sig = self._cells[cell] = _CellSignals(EWMA_HALFLIFE_S)
         return sig
 
     def observe(self, summary: WindowSummary) -> None:
@@ -161,7 +153,7 @@ class Autoscaler:
         if service <= 0 or sig.service_window_s.updates == 0:
             return 0.0
         steady = (sig.arrival_rps.mean * self.windows_per_request * service)
-        drain = sig.backlog_windows * service / self.config.drain_horizon_s
+        drain = sig.backlog_windows * service / DRAIN_HORIZON_S
         return max(steady, 0.0) + max(drain, 0.0)
 
     def decide(self, cell: str, now: float,
@@ -172,30 +164,30 @@ class Autoscaler:
         demand = self.demand_replicas(cell)
         target = max(cfg.min_replicas,
                      min(cfg.max_replicas,
-                         math.ceil(demand / cfg.target_utilization)
+                         math.ceil(demand / TARGET_UTILIZATION)
                          if demand > 0 else cfg.min_replicas))
         predicted = demand / max(current_replicas, 1)
         kind, delta, reason = "hold", 0, "within band"
         if target > current_replicas:
-            if now - sig.last_grow_t >= cfg.grow_cooldown_s:
-                delta = min(target - current_replicas, cfg.max_grow_step)
+            if now - sig.last_grow_t >= GROW_COOLDOWN_S:
+                delta = min(target - current_replicas, MAX_GROW_STEP)
                 kind = "grow"
                 reason = (f"demand {demand:.2f} replicas > "
                           f"{current_replicas} at target utilization "
-                          f"{cfg.target_utilization:.0%}")
+                          f"{TARGET_UTILIZATION:.0%}")
                 sig.last_grow_t = now
             else:
                 reason = "grow wanted but cooling down"
         elif (target < current_replicas
               and current_replicas > cfg.min_replicas
-              and predicted < cfg.shrink_utilization):
-            if now - sig.last_shrink_t >= cfg.shrink_cooldown_s:
+              and predicted < SHRINK_UTILIZATION):
+            if now - sig.last_shrink_t >= SHRINK_COOLDOWN_S:
                 delta = -min(current_replicas - target,
-                             cfg.max_shrink_step,
+                             MAX_SHRINK_STEP,
                              current_replicas - cfg.min_replicas)
                 kind = "shrink"
                 reason = (f"predicted utilization {predicted:.0%} < "
-                          f"shrink floor {cfg.shrink_utilization:.0%}")
+                          f"shrink floor {SHRINK_UTILIZATION:.0%}")
                 sig.last_shrink_t = now
             else:
                 reason = "shrink wanted but cooling down"

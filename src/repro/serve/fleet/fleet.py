@@ -36,8 +36,9 @@ import numpy as np
 from ...resilience import FaultPlan
 from ...telemetry import SimulatedClock, Telemetry, get_active
 from ..cache import TileCache
+from ..queue import fold_service_ewma
 from ..request import DEFAULT_LANES
-from .autoscaler import Autoscaler, AutoscalerConfig
+from .autoscaler import WARMUP_S, Autoscaler, AutoscalerConfig
 from .hashring import HashRing, remap_fraction
 
 __all__ = ["FleetRequest", "Replay", "FleetConfig", "FleetReplica",
@@ -55,6 +56,18 @@ _MAX_WINDOWS = 64           # tile-key packing: key*64 + window index
 _KEY_SAMPLE_CAP = 20_000    # per-cell key sample for remap measurement
 _HIT_TRACE_TICKS = 5        # trailing ticks defining "current" hit rate
 _RECOVERY_TICKS = 3         # rolling ticks that must clear the bar
+
+# Batching triggers and per-replica, per-lane queue cap.
+_MAX_BATCH_SIZE = 8
+_MAX_WAIT_S = 0.004
+_MAX_DEPTH = 512
+# The parametric service model: per-batch dispatch overhead, per uncached
+# window compute, and a cache hit at 10% of a miss.
+_SERVICE_BASE_S = 0.002
+_SERVICE_WINDOW_S = 0.004
+_HIT_WINDOW_S = 0.1 * _SERVICE_WINDOW_S
+_TILE_BYTES = 4096          # accounted bytes of one cached tile
+_WINDOW_S = 1.0             # control tick = streaming window
 
 
 @dataclass(frozen=True)
@@ -127,50 +140,30 @@ class Replay:
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Fleet topology, batching, service model, and control-loop knobs."""
+    """Fleet topology, cache budget, routing, and autoscaling knobs."""
 
     cells: tuple[str, ...] = ("cell0",)
     initial_replicas: int = 2       # per cell
-    lanes: tuple[str, ...] = DEFAULT_LANES
-    max_batch_size: int = 8
-    max_wait_s: float = 0.004       # batch age trigger
-    max_depth: int = 512            # per-replica, per-lane queue cap
     #: Per-lane estimated-wait budgets; a request whose home-cell wait
     #: blows the budget spills to the cheapest in-budget cell, and sheds
     #: with reason ``slo`` only when no cell is in budget.
     slo_s: tuple[tuple[str, float], ...] = (("interactive", 0.25),)
-    service_base_s: float = 0.002   # per-batch dispatch overhead
-    service_window_s: float = 0.004  # per *uncached* window compute
-    cached_window_s: float | None = None    # default: 10% of a miss
     cache_budget_bytes: int = 4 << 20       # per replica
-    tile_bytes: int = 4096          # accounted bytes of one cached tile
-    vnodes: int = 64
     sharded: bool = True            # False: least-loaded routing (ablation)
     spillover: bool = True
-    window_s: float = 1.0           # control tick = streaming window
     autoscaler: AutoscalerConfig | None = field(
         default_factory=AutoscalerConfig)   # None pins the initial size
-    ewma_alpha: float = 0.2         # per-cell service-time estimator
 
     def __post_init__(self):
         if not self.cells or len(set(self.cells)) != len(self.cells):
             raise ValueError("cells must be non-empty and unique")
         if self.initial_replicas < 1:
             raise ValueError("initial_replicas must be >= 1")
-        if self.max_batch_size < 1 or self.max_depth < 1:
-            raise ValueError("max_batch_size and max_depth must be >= 1")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if self.service_window_s <= 0 or self.service_base_s < 0:
-            raise ValueError("service model times must be positive")
         for lane, slo in self.slo_s:
+            if lane not in DEFAULT_LANES:
+                raise ValueError(f"slo for unknown lane {lane!r}")
             if slo <= 0:
                 raise ValueError("slo_s targets must be positive")
-
-    @property
-    def hit_service_s(self) -> float:
-        return (self.cached_window_s if self.cached_window_s is not None
-                else 0.1 * self.service_window_s)
 
 
 class FleetReplica:
@@ -278,10 +271,10 @@ class _Cell:
                  "c_shed", "g_queue", "g_service", "g_replicas",
                  "g_hit_rate")
 
-    def __init__(self, name: str, index: int, vnodes: int, metrics):
+    def __init__(self, name: str, index: int, metrics):
         self.name = name
         self.index = index
-        self.ring = HashRing(vnodes=vnodes, salt=name)
+        self.ring = HashRing(salt=name)
         self.replicas: dict[int, FleetReplica] = {}
         self.ewma_window_s: float | None = None
         self.keys_seen: set[int] = set()
@@ -306,15 +299,6 @@ class _Cell:
 
     def live(self) -> list[FleetReplica]:
         return [r for r in self.replicas.values() if r.routable]
-
-    def observe_service(self, per_window_s: float, alpha: float) -> None:
-        if per_window_s <= 0:
-            return
-        if self.ewma_window_s is None:
-            self.ewma_window_s = per_window_s
-        else:
-            self.ewma_window_s = ((1 - alpha) * self.ewma_window_s
-                                  + alpha * per_window_s)
 
     def cache_totals(self) -> tuple[int, int]:
         hits = misses = 0
@@ -345,7 +329,7 @@ class FleetServer:
         # the fleet self-contained without touching the global state.
         self.tel = (session if session.enabled
                     else Telemetry(enabled=True, clock=self.clock))
-        self.streams = self.tel.attach_streams(window_s=cfg.window_s)
+        self.streams = self.tel.attach_streams(window_s=_WINDOW_S)
         if self.tel.health is None:
             from ...telemetry.health import fleet_health_rules
 
@@ -356,7 +340,7 @@ class FleetServer:
         if self.autoscaler is not None:
             self.autoscaler.subscribe(self.streams)
         self.cells: dict[str, _Cell] = {
-            name: _Cell(name, i, cfg.vnodes, self.tel.metrics)
+            name: _Cell(name, i, self.tel.metrics)
             for i, name in enumerate(cfg.cells)}
         self._cell_order = list(self.cells.values())
         self.replicas: dict[int, FleetReplica] = {}
@@ -364,11 +348,10 @@ class FleetServer:
         self.scale_events: list[ScaleEventRecord] = []
         self.total_retries = 0
         self._slo_by_lane = [dict(cfg.slo_s).get(lane)
-                             for lane in cfg.lanes]
+                             for lane in DEFAULT_LANES]
         # One shared tile payload: the cache accounts bytes per entry, and
         # every tile is the same logical size, so one array serves all.
-        self._tile_value = np.zeros(max(cfg.tile_bytes, 4) // 4,
-                                    dtype=np.float32)
+        self._tile_value = np.zeros(_TILE_BYTES // 4, dtype=np.float32)
         kills = [(float(s.step), int(s.rank))
                  for s in (plan.of_kind("rank_fail") if plan else ())]
         self._kills = sorted(kills)
@@ -382,10 +365,9 @@ class FleetServer:
     def _add_replica(self, cell: _Cell, now: float, warm: bool = True,
                      record: bool = True) -> FleetReplica:
         cfg = self.config
-        warmup = (self.autoscaler.config.warmup_s
-                  if warm and self.autoscaler is not None else 0.0)
+        warmup = WARMUP_S if warm and self.autoscaler is not None else 0.0
         rep = FleetReplica(
-            self._next_replica, cell.name, len(cfg.lanes),
+            self._next_replica, cell.name, len(DEFAULT_LANES),
             cfg.cache_budget_bytes,
             added_s=now if warm else float("-inf"),
             warmup_s=warmup)
@@ -480,7 +462,7 @@ class FleetServer:
                         now: float) -> float:
         service = cell.ewma_window_s
         if service is None:
-            service = self.config.service_window_s
+            service = _SERVICE_WINDOW_S
         return (max(rep.busy_until - now, 0.0)
                 + rep.queued_windows * service)
 
@@ -497,7 +479,7 @@ class FleetServer:
         rep = self._owner(home, key, now)
         blown = depth_full = False
         if rep is not None:
-            depth_full = len(rep.queues[lane]) >= cfg.max_depth
+            depth_full = len(rep.queues[lane]) >= _MAX_DEPTH
             blown = (slo is not None
                      and self._estimated_wait(home, rep, now) > slo)
         if rep is not None and not depth_full and not blown:
@@ -511,7 +493,7 @@ class FleetServer:
                 if cell is home:
                     continue
                 cand = self._owner(cell, key, now)
-                if cand is None or len(cand.queues[lane]) >= cfg.max_depth:
+                if cand is None or len(cand.queues[lane]) >= _MAX_DEPTH:
                     continue
                 wait = self._estimated_wait(cell, cand, now)
                 if slo is not None and wait > slo:
@@ -573,23 +555,22 @@ class FleetServer:
         """Dispatch if the batch triggers fire, else arm the age deadline."""
         if not rep.alive or rep.busy_until > now or rep.queued == 0:
             return
-        if rep.queued >= self.config.max_batch_size:
+        if rep.queued >= _MAX_BATCH_SIZE:
             self._dispatch(rep, now)
             return
         # Compare against the same float the deadline heap stores — a
         # subtraction-based age check can round the other way at the
         # exact firing instant and re-arm the due deadline forever.
-        deadline = self._oldest_enqueue(rep) + self.config.max_wait_s
+        deadline = self._oldest_enqueue(rep) + _MAX_WAIT_S
         if now >= deadline:
             self._dispatch(rep, now)
         else:
             heapq.heappush(self._deadlines, (deadline, rep.replica_id))
 
     def _dispatch(self, rep: FleetReplica, now: float) -> None:
-        cfg = self.config
         batch: list[int] = []
         for q in rep.queues:        # lanes are priority-ordered
-            while q and len(batch) < cfg.max_batch_size:
+            while q and len(batch) < _MAX_BATCH_SIZE:
                 batch.append(q.popleft())
         if not batch:
             return
@@ -608,14 +589,15 @@ class FleetServer:
                 else:
                     hits += 1
         rep.queued_windows -= nwin
-        service = (cfg.service_base_s + cfg.service_window_s * misses
-                   + cfg.hit_service_s * hits)
+        service = (_SERVICE_BASE_S + _SERVICE_WINDOW_S * misses
+                   + _HIT_WINDOW_S * hits)
         rep.busy_until = now + service
         rep.inflight = batch
         rep.epoch += 1
         rep.batches += 1
         cell = self.cells[rep.cell]
-        cell.observe_service(service / max(nwin, 1), cfg.ewma_alpha)
+        cell.ewma_window_s = fold_service_ewma(cell.ewma_window_s,
+                                               service / max(nwin, 1))
         heapq.heappush(self._completions,
                        (rep.busy_until, rep.replica_id, rep.epoch))
 
@@ -680,9 +662,9 @@ class FleetServer:
     def run(self, replay: Replay) -> FleetResult:
         """Serve the whole replay; returns the columnar outcomes."""
         cfg = self.config
-        if tuple(replay.lanes) != tuple(cfg.lanes):
+        if tuple(replay.lanes) != DEFAULT_LANES:
             raise ValueError(f"replay lanes {replay.lanes} != fleet lanes "
-                             f"{cfg.lanes}")
+                             f"{DEFAULT_LANES}")
         if tuple(replay.cells) != tuple(cfg.cells):
             raise ValueError(f"replay cells {replay.cells} != fleet cells "
                              f"{cfg.cells}")
@@ -704,7 +686,7 @@ class FleetServer:
         kills = self._kills
         clock = self.clock
         i = k = 0
-        next_tick = (np.floor(clock.now() / cfg.window_s) + 1) * cfg.window_s
+        next_tick = (np.floor(clock.now() / _WINDOW_S) + 1) * _WINDOW_S
         while True:
             now = clock.now()
             progressed = False
@@ -737,7 +719,7 @@ class FleetServer:
             # 5. Control tick (telemetry windows, health, autoscaler).
             if now >= next_tick:
                 self._tick(now)
-                next_tick += cfg.window_s
+                next_tick += _WINDOW_S
                 progressed = True
             if progressed:
                 continue

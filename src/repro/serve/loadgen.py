@@ -16,8 +16,8 @@ Two generators live here:
 * :func:`replay_workload` — the fleet-scale path: a columnar
   :class:`~repro.serve.fleet.Replay` of ~10^6 virtual requests with a
   diurnal rate curve, square-wave bursts, Zipf-skewed key popularity,
-  and weighted lane/cell assignment, all built with vectorized numpy so
-  a million requests materialise in well under a second.
+  weighted lanes and uniform cells, all built with vectorized numpy so a
+  million requests materialise in well under a second.
 """
 from __future__ import annotations
 
@@ -31,6 +31,13 @@ from .request import DEFAULT_LANES, InferenceRequest
 __all__ = ["WorkloadConfig", "synth_workload",
            "ReplayConfig", "replay_workload"]
 
+#: Share of requests per lane of ``DEFAULT_LANES``, in both generators.
+LANE_WEIGHTS = (0.5, 0.5)
+#: Peak-to-mean swing of the replay's sinusoidal "day": the trough runs
+#: at 40% of mean rate and the peak at 160%.
+DIURNAL_AMPLITUDE = 0.6
+ZIPF_EXPONENT = 1.1         # replay key popularity skew (cache redundancy)
+
 
 @dataclass(frozen=True)
 class WorkloadConfig:
@@ -40,19 +47,14 @@ class WorkloadConfig:
     rate_rps: float = 200.0          # offered arrival rate (Poisson)
     image_hw: tuple[int, int] = (16, 16)
     channels: int = 16               # matches the paper's 16-channel stack
-    lanes: tuple[str, ...] = DEFAULT_LANES
-    lane_weights: tuple[float, ...] = (0.5, 0.5)
     repeat_fraction: float = 0.25    # P(resubmit an earlier snapshot)
     seed: int = 0
-    start_s: float = 0.0
 
     def __post_init__(self):
         if self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
         if self.rate_rps <= 0:
             raise ValueError("rate_rps must be positive")
-        if len(self.lane_weights) != len(self.lanes):
-            raise ValueError("lane_weights must match lanes")
         if not 0.0 <= self.repeat_fraction <= 1.0:
             raise ValueError("repeat_fraction must be in [0, 1]")
 
@@ -60,12 +62,12 @@ class WorkloadConfig:
 def synth_workload(config: WorkloadConfig) -> list[InferenceRequest]:
     """Materialise the request stream described by ``config``."""
     rng = np.random.default_rng(config.seed)
-    weights = np.asarray(config.lane_weights, dtype=np.float64)
+    weights = np.asarray(LANE_WEIGHTS, dtype=np.float64)
     weights = weights / weights.sum()
     h, w = config.image_hw
     images: list[np.ndarray] = []
     requests: list[InferenceRequest] = []
-    t = config.start_s
+    t = 0.0
     for rid in range(config.num_requests):
         t += float(rng.exponential(1.0 / config.rate_rps))
         if images and rng.random() < config.repeat_fraction:
@@ -74,7 +76,7 @@ def synth_workload(config: WorkloadConfig) -> list[InferenceRequest]:
             image = rng.standard_normal(
                 (config.channels, h, w)).astype(np.float32)
             images.append(image)
-        lane = config.lanes[int(rng.choice(len(config.lanes), p=weights))]
+        lane = DEFAULT_LANES[int(rng.choice(len(DEFAULT_LANES), p=weights))]
         requests.append(InferenceRequest(
             request_id=rid, image=image, lane=lane, arrival_s=t))
     return requests
@@ -86,21 +88,12 @@ class ReplayConfig:
 
     num_requests: int = 1_000_000
     duration_s: float = 600.0
-    cells: tuple[str, ...] = ("cell0",)
-    cell_weights: tuple[float, ...] | None = None    # default uniform
-    lanes: tuple[str, ...] = DEFAULT_LANES
-    lane_weights: tuple[float, ...] = (0.5, 0.5)
-    #: Peak-to-mean swing of the sinusoidal "day": 0 flat, 0.6 means the
-    #: trough runs at 40% of mean rate and the peak at 160%.
-    diurnal_amplitude: float = 0.6
-    diurnal_period_s: float | None = None   # default: one "day" = duration_s
+    cells: tuple[str, ...] = ("cell0",)            # drawn uniformly
     #: Square-wave overload windows: (start_s, duration_s, rate_multiplier).
     bursts: tuple[tuple[float, float, float], ...] = ()
     snapshot_pool: int = 5000       # distinct content keys
-    zipf_exponent: float = 1.1      # key popularity skew (cache redundancy)
     windows: int = 4                # tile windows per request
     seed: int = 0
-    start_s: float = 0.0
 
     def __post_init__(self):
         if self.num_requests < 1:
@@ -109,20 +102,11 @@ class ReplayConfig:
             raise ValueError("duration_s must be positive")
         if not self.cells:
             raise ValueError("cells must be non-empty")
-        if self.cell_weights is not None \
-                and len(self.cell_weights) != len(self.cells):
-            raise ValueError("cell_weights must match cells")
-        if len(self.lane_weights) != len(self.lanes):
-            raise ValueError("lane_weights must match lanes")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError("diurnal_amplitude must be in [0, 1)")
         for start, dur, mult in self.bursts:
             if dur <= 0 or mult <= 0:
                 raise ValueError("burst duration and multiplier must be > 0")
         if self.snapshot_pool < 1 or self.windows < 1:
             raise ValueError("snapshot_pool and windows must be >= 1")
-        if self.zipf_exponent < 0:
-            raise ValueError("zipf_exponent must be >= 0")
 
     @property
     def mean_rate_rps(self) -> float:
@@ -130,12 +114,11 @@ class ReplayConfig:
 
 
 def _rate_profile(config: ReplayConfig, bins: int = 4096) -> np.ndarray:
-    """Relative arrival intensity per time bin over the replay horizon."""
-    period = config.diurnal_period_s or config.duration_s
+    """Relative arrival intensity per time bin; one "day" = the horizon."""
     centers = (np.arange(bins) + 0.5) * (config.duration_s / bins)
     # Trough at t=0 so a replay starts quiet and climbs into the "day".
-    rate = 1.0 + config.diurnal_amplitude * np.sin(
-        2.0 * np.pi * centers / period - np.pi / 2.0)
+    rate = 1.0 + DIURNAL_AMPLITUDE * np.sin(
+        2.0 * np.pi * centers / config.duration_s - np.pi / 2.0)
     for start, dur, mult in config.bursts:
         rate[(centers >= start) & (centers < start + dur)] *= mult
     return rate
@@ -157,25 +140,21 @@ def replay_workload(config: ReplayConfig) -> Replay:
     idx = np.searchsorted(cdf, u, side="left")
     lo = np.concatenate(([0.0], cdf[:-1]))[idx]
     frac = (u - lo) / np.maximum(cdf[idx] - lo, 1e-300)
-    arrival = config.start_s + (idx + frac) * bin_w
+    arrival = (idx + frac) * bin_w
     arrival.sort()
 
     ranks = np.arange(1, config.snapshot_pool + 1, dtype=np.float64)
-    pop = ranks ** -config.zipf_exponent
+    pop = ranks ** -ZIPF_EXPONENT
     pop /= pop.sum()
     keys = rng.choice(config.snapshot_pool, size=config.num_requests,
                       p=pop).astype(np.int64)
 
-    lane_w = np.asarray(config.lane_weights, dtype=np.float64)
-    lanes = rng.choice(len(config.lanes), size=config.num_requests,
+    lane_w = np.asarray(LANE_WEIGHTS, dtype=np.float64)
+    lanes = rng.choice(len(DEFAULT_LANES), size=config.num_requests,
                        p=lane_w / lane_w.sum()).astype(np.int16)
-    if config.cell_weights is not None:
-        cell_w = np.asarray(config.cell_weights, dtype=np.float64)
-        cell_w = cell_w / cell_w.sum()
-    else:
-        cell_w = np.full(len(config.cells), 1.0 / len(config.cells))
+    cell_w = np.full(len(config.cells), 1.0 / len(config.cells))
     cells = rng.choice(len(config.cells), size=config.num_requests,
                        p=cell_w).astype(np.int16)
     windows = np.full(config.num_requests, config.windows, dtype=np.int16)
     return Replay(arrival_s=arrival, key=keys, lane=lanes, cell=cells,
-                  windows=windows, lanes=config.lanes, cells=config.cells)
+                  windows=windows, lanes=DEFAULT_LANES, cells=config.cells)

@@ -5,8 +5,8 @@ happens at overload: an unbounded queue turns excess demand into unbounded
 latency for *everyone*, while load shedding keeps the served fraction
 inside its latency target.  The queue therefore has
 
-* **priority lanes** (``interactive`` ahead of ``bulk`` by default) —
-  batches drain higher lanes first, FIFO within a lane;
+* **priority lanes** (``interactive`` ahead of ``bulk``) — batches drain
+  higher lanes first, FIFO within a lane;
 * **depth backpressure** — each lane holds at most ``max_depth`` waiting
   requests; an arrival past the cap is shed with reason ``queue_full``;
 * **SLO-aware shedding** — with a per-lane ``slo_s`` target, the
@@ -18,77 +18,60 @@ inside its latency target.  The queue therefore has
   than to compute and deliver late.
 
 Every decision is counted (``serve.admitted``, ``serve.shed{lane,reason}``)
-through the active :mod:`repro.telemetry` session.
+through the active :mod:`repro.telemetry` session.  The lane layout,
+depth cap and SLO targets are read from the server's
+:class:`~repro.serve.ServeConfig`, which validates them.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..telemetry import get_active
 from .replica import window_grid
-from .request import DEFAULT_LANES, InferenceRequest
+from .request import InferenceRequest
 
-__all__ = ["AdmissionConfig", "AdmissionController", "RequestQueue"]
+if TYPE_CHECKING:
+    from .server import ServeConfig
+
+__all__ = ["AdmissionController", "RequestQueue", "fold_service_ewma"]
+
+SERVICE_EWMA_ALPHA = 0.2    # service-time estimator decay
 
 
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Lane layout and shed thresholds."""
+def fold_service_ewma(ewma_s: float | None,
+                      per_window_s: float) -> float | None:
+    """Fold one measured per-window service time into an EWMA estimate.
 
-    lanes: tuple[str, ...] = DEFAULT_LANES   # highest priority first
-    max_depth: int = 64                      # per-lane waiting-request cap
-    #: Optional per-lane queueing-delay targets, e.g.
-    #: ``(("interactive", 0.05),)``; lanes without an entry shed on depth
-    #: only.
-    slo_s: tuple[tuple[str, float], ...] = ()
-    ewma_alpha: float = 0.2                  # service-time estimator decay
-
-    def __post_init__(self):
-        if not self.lanes:
-            raise ValueError("need at least one lane")
-        if len(set(self.lanes)) != len(self.lanes):
-            raise ValueError("duplicate lane names")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        for lane, slo in self.slo_s:
-            if lane not in self.lanes:
-                raise ValueError(f"slo for unknown lane {lane!r}")
-            if slo <= 0:
-                raise ValueError("slo_s targets must be positive")
-
-    def slo_for(self, lane: str) -> float | None:
-        for name, slo in self.slo_s:
-            if name == lane:
-                return slo
-        return None
+    The serve admission controller and each fleet cell keep their
+    service-time estimate with this one rule.
+    """
+    if per_window_s <= 0:
+        return ewma_s
+    if ewma_s is None:
+        return per_window_s
+    a = SERVICE_EWMA_ALPHA
+    return (1 - a) * ewma_s + a * per_window_s
 
 
 class AdmissionController:
     """Shed-or-admit decisions plus the service-time estimator they use."""
 
-    def __init__(self, config: AdmissionConfig, num_replicas: int):
+    def __init__(self, config: ServeConfig):
         self.config = config
-        self.num_replicas = max(1, int(num_replicas))
         self.ewma_window_s: float | None = None   # measured s per window
 
     def observe_service(self, per_window_s: float) -> None:
         """Fold one batch's measured per-window service time into the EWMA."""
-        if per_window_s <= 0:
-            return
-        if self.ewma_window_s is None:
-            self.ewma_window_s = per_window_s
-        else:
-            a = self.config.ewma_alpha
-            self.ewma_window_s = (1 - a) * self.ewma_window_s + a * per_window_s
+        self.ewma_window_s = fold_service_ewma(self.ewma_window_s,
+                                               per_window_s)
 
     def estimated_wait_s(self, queued_windows: int) -> float | None:
         """Predicted queueing delay for work behind ``queued_windows``."""
         if self.ewma_window_s is None:
             return None
-        return queued_windows * self.ewma_window_s / self.num_replicas
+        return (queued_windows * self.ewma_window_s
+                / self.config.num_replicas)
 
     def decide(self, lane: str, lane_depth: int,
                queued_windows: int) -> tuple[bool, str | None]:
@@ -106,13 +89,11 @@ class AdmissionController:
 class RequestQueue:
     """FIFO-within-lane, priority-across-lane waiting room."""
 
-    def __init__(self, config: AdmissionConfig, controller: AdmissionController,
-                 window_hw: tuple[int, int],
-                 stride_hw: tuple[int, int] | None = None):
+    def __init__(self, config: ServeConfig, controller: AdmissionController):
         self.config = config
         self.controller = controller
-        self.window_hw = window_hw
-        self.stride_hw = stride_hw
+        self.window_hw = config.window_hw
+        self.stride_hw = config.stride_hw
         self._lanes: dict[str, deque[InferenceRequest]] = {
             lane: deque() for lane in config.lanes}
         #: Windows the waiting requests will be cut into, summed.

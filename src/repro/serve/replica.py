@@ -38,6 +38,10 @@ from .request import InferenceRequest
 
 __all__ = ["Replica", "BatchResult", "ReplicaPool", "window_grid"]
 
+#: A failed dispatch is retried on a survivor twice, with 1-10 ms backoff.
+DISPATCH_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.001,
+                             max_backoff_s=0.01)
+
 
 def window_grid(hw: tuple[int, int], window_hw: tuple[int, int],
                 stride_hw: tuple[int, int] | None = None
@@ -132,7 +136,6 @@ class ReplicaPool:
                  stride_hw: tuple[int, int] | None = None,
                  forward_batch: int = 32,
                  cache=None,
-                 retry: RetryPolicy | None = None,
                  injector=None):
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
@@ -140,8 +143,6 @@ class ReplicaPool:
         self.stride_hw = tuple(stride_hw) if stride_hw else None
         self.forward_batch = int(forward_batch)
         self.cache = cache
-        self.retry = retry or RetryPolicy(max_attempts=3, backoff_base_s=0.001,
-                                          max_backoff_s=0.01)
         self.injector = injector
         self.replicas = [Replica(i, model_factory())
                          for i in range(num_replicas)]
@@ -234,7 +235,7 @@ class ReplicaPool:
             return replica, maps, compute_s, windows
 
         replica, maps, compute_s, windows = with_retries(
-            attempt, self.retry, retry_on=(ReproError,),
+            attempt, DISPATCH_RETRY, retry_on=(ReproError,),
             label="serve.dispatch", state=state)
         return BatchResult(
             class_maps=maps, replica_id=replica.replica_id,

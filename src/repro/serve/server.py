@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from ..errors import ReproError
-from ..resilience import FaultInjector, FaultPlan, RetriesExhausted, RetryPolicy
+from ..resilience import FaultInjector, FaultPlan, RetriesExhausted
 from ..telemetry import SimulatedClock, get_active
-from .batcher import BatchPolicy, MicroBatcher
+from .batcher import MicroBatcher
 from .cache import TileCache
-from .queue import AdmissionConfig, AdmissionController, RequestQueue
+from .queue import AdmissionController, RequestQueue
 from .replica import BatchResult, ReplicaPool
 from .request import DEFAULT_LANES, InferenceRequest, InferenceResponse
 
@@ -56,27 +57,50 @@ class FixedServiceTime:
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Everything the server needs beyond the model itself."""
+    """Everything the server needs beyond the model itself.
+
+    The queue, admission controller and micro-batcher all read their
+    knobs from here.
+    """
+
+    #: Priority lanes, highest first (not a field: every server uses them).
+    lanes: ClassVar[tuple[str, ...]] = DEFAULT_LANES
 
     window_hw: tuple[int, int] = (8, 8)
     stride_hw: tuple[int, int] | None = None    # default: half-window overlap
     num_replicas: int = 2
-    max_batch_size: int = 8
-    max_wait_s: float = 0.002
+    max_batch_size: int = 8         # batch size trigger
+    max_wait_s: float = 0.002       # batch age trigger
     forward_batch: int = 32         # windows stacked per model call
-    lanes: tuple[str, ...] = DEFAULT_LANES
     max_depth: int = 64             # per-lane queue cap (backpressure)
-    slo_s: tuple[tuple[str, float], ...] = ()   # per-lane shed targets
+    #: Optional per-lane queueing-delay targets, e.g.
+    #: ``(("interactive", 0.05),)``; lanes without an entry shed on depth
+    #: only.
+    slo_s: tuple[tuple[str, float], ...] = ()
     cache_budget_bytes: int = 32 << 20          # 0 disables the tile cache
-    freeze: bool = True             # replicas run the fused inference graph
-    retry: RetryPolicy = RetryPolicy(max_attempts=3, backoff_base_s=0.001,
-                                     max_backoff_s=0.01)
 
     def __post_init__(self):
         if self.num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
         if self.cache_budget_bytes < 0:
             raise ValueError("cache_budget_bytes must be >= 0")
+        if self.max_batch_size < 1:
+            raise ValueError("max_batch_size must be >= 1")
+        if self.max_wait_s < 0:
+            raise ValueError("max_wait_s must be >= 0")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        for lane, slo in self.slo_s:
+            if lane not in self.lanes:
+                raise ValueError(f"slo for unknown lane {lane!r}")
+            if slo <= 0:
+                raise ValueError("slo_s targets must be positive")
+
+    def slo_for(self, lane: str) -> float | None:
+        for name, slo in self.slo_s:
+            if name == lane:
+                return slo
+        return None
 
 
 class InferenceServer:
@@ -92,27 +116,19 @@ class InferenceServer:
         self.injector = FaultInjector(plan) if plan is not None else None
         self.cache = (TileCache(cfg.cache_budget_bytes, model_key=model_key)
                       if cfg.cache_budget_bytes else None)
-        if cfg.freeze:
-            # Each replica serves the BN-folded, fusion-rewritten graph
-            # (repro.framework.fusion); the caller's model is untouched.
-            base_factory = model_factory
-
-            def model_factory():
-                model = base_factory()
-                fz = getattr(model, "freeze_for_inference", None)
-                return fz() if callable(fz) else model
+        # Each replica serves the BN-folded, fusion-rewritten graph
+        # (repro.framework.fusion); the caller's model is untouched.
+        def frozen_model():
+            model = model_factory()
+            fz = getattr(model, "freeze_for_inference", None)
+            return fz() if callable(fz) else model
         self.pool = ReplicaPool(
-            model_factory, cfg.num_replicas, cfg.window_hw,
+            frozen_model, cfg.num_replicas, cfg.window_hw,
             stride_hw=cfg.stride_hw, forward_batch=cfg.forward_batch,
-            cache=self.cache, retry=cfg.retry, injector=self.injector)
-        admission_cfg = AdmissionConfig(lanes=cfg.lanes,
-                                        max_depth=cfg.max_depth,
-                                        slo_s=cfg.slo_s)
-        self.admission = AdmissionController(admission_cfg, cfg.num_replicas)
-        self.queue = RequestQueue(admission_cfg, self.admission,
-                                  cfg.window_hw, cfg.stride_hw)
-        self.batcher = MicroBatcher(
-            BatchPolicy(cfg.max_batch_size, cfg.max_wait_s), self.queue)
+            cache=self.cache, injector=self.injector)
+        self.admission = AdmissionController(cfg)
+        self.queue = RequestQueue(cfg, self.admission)
+        self.batcher = MicroBatcher(cfg, self.queue)
         self.service_model = service_model or measured_service
         self.total_retries = 0
         self._cache_synced = {"hits": 0, "misses": 0, "evictions": 0}

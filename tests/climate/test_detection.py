@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from repro.climate import (
-    ARConfig,
     CLASS_AR,
     CLASS_BG,
     CLASS_TC,
@@ -18,6 +17,8 @@ from repro.climate import (
     river_mask,
 )
 from repro.climate.cyclones import TropicalCyclone, imprint_cyclone
+from repro.climate.floodfill import EXCLUSION_LAT
+from repro.climate.teca import MASK_RADIUS_DEG
 from repro.climate.rivers import AtmosphericRiver, imprint_river
 from repro.climate.grid import CHANNEL_NAMES
 
@@ -88,8 +89,7 @@ class TestTecaDetection:
         i, j = GRID.lat_index(18.0), GRID.lon_index(140.0)
         assert mask[i, j]
         dist = GRID.angular_distance_deg(18.0, 140.0)
-        cfg = TecaConfig()
-        assert not mask[dist > cfg.mask_radius_deg + 1.0].any()
+        assert not mask[dist > MASK_RADIUS_DEG + 1.0].any()
 
     def test_mask_empty_without_candidates(self):
         snap = snapshot_with()
@@ -120,15 +120,14 @@ class TestFloodfillAR:
         lat2d, _ = GRID.meshgrid()
         d = GRID.angular_distance_deg(35.0, 200.0)
         snap.fields["TMQ"] += 25.0 * np.exp(-0.5 * (d / 2.0) ** 2)
-        mask = river_mask(snap.fields, GRID,
-                          ARConfig(min_length_deg=20.0, min_aspect=2.0))
+        mask = river_mask(snap.fields, GRID)
         assert not mask.any()
 
     def test_tropical_band_excluded(self):
         snap = snapshot_with()
         mask = river_mask(snap.fields, GRID)
         lat2d, _ = GRID.meshgrid()
-        assert not mask[np.abs(lat2d) < ARConfig().exclusion_lat].any()
+        assert not mask[np.abs(lat2d) < EXCLUSION_LAT].any()
 
     def test_exclusion_mask_respected(self):
         ar = straight_river()
@@ -140,7 +139,7 @@ class TestFloodfillAR:
     def test_weak_river_below_threshold(self):
         ar = straight_river(intensity=3.0)
         snap = snapshot_with(rivers=[ar], noise=0.1)
-        mask = river_mask(snap.fields, GRID, ARConfig(anomaly_threshold=10.0))
+        mask = river_mask(snap.fields, GRID)
         assert not mask.any()
 
 

@@ -22,6 +22,7 @@ from repro.comm.simmpi import World
 from repro.core import TrainConfig, Trainer
 from repro.core.optim import GradientLag
 from repro.core.optim.base import Optimizer
+from repro.core.trainer import WEIGHT_DECAY
 
 
 def check_buffers(world, buffers):
@@ -277,7 +278,7 @@ class CopyingLayerAdaptive(CopyingSGD):
 def copying_optimizer(model, config):
     """``build_optimizer`` for sgd/lars/larc with the copying updates."""
     params = model.parameters()
-    kw = dict(momentum=config.momentum, weight_decay=config.weight_decay)
+    kw = dict(momentum=config.momentum, weight_decay=WEIGHT_DECAY)
     if config.optimizer == "sgd":
         opt = CopyingSGD(params, config.lr, **kw)
     else:

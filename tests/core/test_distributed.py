@@ -212,7 +212,7 @@ class TestGlobalBatchEquivalence:
         imgs = dataset.images[:n * 2]
         labs = dataset.labels[:n * 2]
         cfg = TrainConfig(lr=0.1, optimizer="sgd", momentum=0.9,
-                          weight_decay=0.0, weighting="none")
+                          weighting="none")
 
         # Distributed: each rank takes 2 samples.
         dt = DistributedTrainer(convnet_factory(), n, cfg)

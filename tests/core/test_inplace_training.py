@@ -92,7 +92,7 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_matches_copying_path(case):
     overrides, bucket_bytes = CASES[case]
-    config = TrainConfig(lr=0.02, weight_decay=1e-3, **overrides)
+    config = TrainConfig(lr=0.02, **overrides)
     dut, ref = pair(config, EngineConfig(bucket_bytes=bucket_bytes))
     run(dut, ref, steps=4)
 
@@ -126,7 +126,7 @@ def test_checkpoint_restore_continues_identically(tmp_path):
     # A fixed strategy: a restarted engine must not re-explore algorithms
     # whose sums round differently.
     engine_config = EngineConfig(autotune=False)
-    config = TrainConfig(lr=0.02, weight_decay=1e-3)
+    config = TrainConfig(lr=0.02)
     dut, ref = pair(config, engine_config)
     run(dut, ref, steps=2)
     manager = CheckpointManager(tmp_path)

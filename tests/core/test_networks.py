@@ -120,8 +120,8 @@ class TestResNetEncoder:
             enc(Tensor(np.zeros((1, 4, 30, 48), dtype=np.float32)))
 
     def test_resnet50_block_counts(self):
-        cfg = ResNetConfig()
-        assert cfg.blocks == (3, 4, 6, 3)
+        enc = ResNetEncoder(ResNetConfig(in_channels=4, width=0.125))
+        assert [len(stage) for stage in enc.stages] == [3, 4, 6, 3]
 
     def test_atrous_stages(self):
         enc = ResNetEncoder(ResNetConfig(in_channels=4, width=0.125))

@@ -152,13 +152,11 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
             RetryPolicy(jitter=1.0)
 
     def test_backoff_schedule_exponential_and_capped(self):
         p = RetryPolicy(max_attempts=5, backoff_base_s=0.1,
-                        backoff_factor=2.0, max_backoff_s=0.3, jitter=0.0)
+                        max_backoff_s=0.3, jitter=0.0)
         assert p.delays() == pytest.approx([0.1, 0.2, 0.3, 0.3])
 
     def test_jitter_seeded(self):

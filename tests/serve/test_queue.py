@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.serve import (AdmissionConfig, AdmissionController, BatchPolicy,
-                         InferenceRequest, MicroBatcher, RequestQueue)
+from repro.serve import (AdmissionController, InferenceRequest, MicroBatcher,
+                         RequestQueue, ServeConfig)
 
 
 def request(rid, lane="interactive", arrival=0.0):
@@ -12,27 +12,51 @@ def request(rid, lane="interactive", arrival=0.0):
     return InferenceRequest(rid, image, lane=lane, arrival_s=arrival)
 
 
+def serve_config(max_depth=4, slo_s=(), max_batch_size=8, max_wait_s=0.002,
+                 num_replicas=1):
+    return ServeConfig(window_hw=(8, 8), stride_hw=(4, 4),
+                       num_replicas=num_replicas, max_depth=max_depth,
+                       slo_s=slo_s, max_batch_size=max_batch_size,
+                       max_wait_s=max_wait_s)
+
+
 def make_queue(max_depth=4, slo_s=()):
-    config = AdmissionConfig(max_depth=max_depth, slo_s=slo_s)
-    controller = AdmissionController(config, num_replicas=1)
-    return RequestQueue(config, controller, (8, 8), (4, 4)), controller
+    config = serve_config(max_depth=max_depth, slo_s=slo_s)
+    controller = AdmissionController(config)
+    return RequestQueue(config, controller), controller
+
+
+def make_batcher(max_batch_size, max_wait_s):
+    config = serve_config(max_depth=8, max_batch_size=max_batch_size,
+                          max_wait_s=max_wait_s)
+    queue = RequestQueue(config, AdmissionController(config))
+    return MicroBatcher(config, queue), queue
 
 
 class TestAdmissionConfig:
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            AdmissionConfig(lanes=())
-        with pytest.raises(ValueError):
-            AdmissionConfig(lanes=("a", "a"))
-        with pytest.raises(ValueError):
-            AdmissionConfig(max_depth=0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(slo_s=(("nope", 0.1),))
-        with pytest.raises(ValueError):
-            AdmissionConfig(slo_s=(("interactive", 0.0),))
+    # Every input the queue's and batcher's knobs must refuse, checked once
+    # by ServeConfig.  The lane layout is not a field, so a lane list
+    # cannot be passed at all.
+    @pytest.mark.parametrize("kwargs, error", [
+        (dict(lanes=()), TypeError),
+        (dict(lanes=("a", "a")), TypeError),
+        (dict(max_depth=0), ValueError),
+        (dict(slo_s=(("nope", 0.1),)), ValueError),
+        (dict(slo_s=(("interactive", 0.0),)), ValueError),
+        (dict(slo_s=(("interactive", -1.0),)), ValueError),
+        (dict(max_batch_size=0), ValueError),
+        (dict(max_wait_s=-1.0), ValueError),
+    ], ids=["empty-lanes", "duplicate-lanes", "depth-0", "slo-unknown-lane",
+            "slo-zero", "slo-negative", "batch-0", "negative-wait"])
+    def test_rejects(self, kwargs, error):
+        with pytest.raises(error):
+            ServeConfig(**kwargs)
+
+    def test_lanes_fixed_and_readable(self):
+        assert ServeConfig().lanes == ("interactive", "bulk")
 
     def test_slo_for(self):
-        cfg = AdmissionConfig(slo_s=(("interactive", 0.05),))
+        cfg = ServeConfig(slo_s=(("interactive", 0.05),))
         assert cfg.slo_for("interactive") == 0.05
         assert cfg.slo_for("bulk") is None
 
@@ -93,7 +117,7 @@ class TestSloShedding:
         assert queue.offer(request(1, lane="bulk"), 0.0)[0]
 
     def test_ewma_converges(self):
-        controller = AdmissionController(AdmissionConfig(), num_replicas=2)
+        controller = AdmissionController(serve_config(num_replicas=2))
         for _ in range(100):
             controller.observe_service(0.004)
         assert controller.ewma_window_s == pytest.approx(0.004, rel=1e-3)
@@ -128,15 +152,12 @@ class TestPriorityOrdering:
 
 class TestMicroBatcher:
     def test_not_ready_when_empty(self):
-        queue, _ = make_queue()
-        batcher = MicroBatcher(BatchPolicy(4, 0.002), queue)
+        batcher, _ = make_batcher(4, 0.002)
         assert not batcher.ready(0.0)
         assert batcher.next_deadline() is None
 
     def test_size_trigger(self):
-        queue, _ = make_queue(max_depth=8)
-        batcher = MicroBatcher(BatchPolicy(max_batch_size=2,
-                                           max_wait_s=10.0), queue)
+        batcher, queue = make_batcher(max_batch_size=2, max_wait_s=10.0)
         queue.offer(request(0), 0.0)
         assert not batcher.ready(0.0)           # under size, under age
         queue.offer(request(1), 0.0)
@@ -144,9 +165,7 @@ class TestMicroBatcher:
         assert len(batcher.take(0.0)) == 2
 
     def test_age_trigger(self):
-        queue, _ = make_queue(max_depth=8)
-        batcher = MicroBatcher(BatchPolicy(max_batch_size=8,
-                                           max_wait_s=0.002), queue)
+        batcher, queue = make_batcher(max_batch_size=8, max_wait_s=0.002)
         queue.offer(request(0), 0.0)
         assert batcher.next_deadline() == pytest.approx(0.002)
         assert not batcher.ready(0.0015)
@@ -158,24 +177,14 @@ class TestMicroBatcher:
         # difference would never fire at the instant the loop advances to.
         t, wait = 2.5, 0.002
         assert (t + wait) - t < wait
-        queue, _ = make_queue(max_depth=8)
-        batcher = MicroBatcher(BatchPolicy(max_batch_size=8,
-                                           max_wait_s=wait), queue)
+        batcher, queue = make_batcher(max_batch_size=8, max_wait_s=wait)
         queue.offer(request(0), t)
         assert not batcher.ready(t)
         assert batcher.ready(batcher.next_deadline())
 
     def test_take_caps_at_max_batch_size(self):
-        queue, _ = make_queue(max_depth=8)
-        batcher = MicroBatcher(BatchPolicy(max_batch_size=3,
-                                           max_wait_s=0.0), queue)
+        batcher, queue = make_batcher(max_batch_size=3, max_wait_s=0.0)
         for rid in range(5):
             queue.offer(request(rid), 0.0)
         assert len(batcher.take(0.0)) == 3
         assert queue.depth() == 2
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            BatchPolicy(max_batch_size=0)
-        with pytest.raises(ValueError):
-            BatchPolicy(max_wait_s=-1.0)

@@ -5,8 +5,7 @@ import pytest
 from repro.errors import ReproError
 from repro.framework import Tensor
 from repro.framework.module import Module
-from repro.resilience import (FaultInjector, FaultPlan, RetriesExhausted,
-                              RetryPolicy)
+from repro.resilience import FaultInjector, FaultPlan, RetriesExhausted
 from repro.serve import InferenceRequest, ReplicaPool, TileCache
 
 
@@ -30,9 +29,6 @@ def requests(n, hw=(8, 8), seed=0):
 
 
 def make_pool(num_replicas=2, factory=MeanModel, **kwargs):
-    kwargs.setdefault("retry", RetryPolicy(max_attempts=3,
-                                           backoff_base_s=0.001,
-                                           max_backoff_s=0.01))
     return ReplicaPool(factory, num_replicas, window_hw=(4, 4),
                        stride_hw=(2, 2), forward_batch=8, **kwargs)
 

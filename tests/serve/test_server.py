@@ -253,8 +253,6 @@ class TestLoadGenerator:
         with pytest.raises(ValueError):
             WorkloadConfig(rate_rps=0.0)
         with pytest.raises(ValueError):
-            WorkloadConfig(lane_weights=(1.0,))
-        with pytest.raises(ValueError):
             WorkloadConfig(repeat_fraction=1.5)
 
 
