@@ -91,7 +91,7 @@ def with_retries(fn, policy: RetryPolicy | None = None,
     """
     policy = policy or RetryPolicy()
     state = state if state is not None else RetryState()
-    delays = policy.delays()
+    delays = None           # drawn at the first retry: most calls succeed
     tel = get_active()
     last: BaseException | None = None
     for attempt in range(policy.max_attempts):
@@ -103,6 +103,8 @@ def with_retries(fn, policy: RetryPolicy | None = None,
             state.errors.append(exc)
             if attempt == policy.max_attempts - 1:
                 break
+            if delays is None:
+                delays = policy.delays()
             delay = delays[attempt]
             state.retries += 1
             state.backoff_total_s += delay

@@ -28,8 +28,8 @@ taken from the measured ``bench_serving`` numbers.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from ...resilience import FaultPlan
 from ...telemetry import SimulatedClock, Telemetry, get_active
 from ..cache import TileCache
 from ..queue import fold_service_ewma
-from ..request import DEFAULT_LANES
+from ..request import DEFAULT_LANES, validate_slo_s
 from .autoscaler import WARMUP_S, Autoscaler, AutoscalerConfig
 from .hashring import HashRing, remap_fraction
 
@@ -159,11 +159,7 @@ class FleetConfig:
             raise ValueError("cells must be non-empty and unique")
         if self.initial_replicas < 1:
             raise ValueError("initial_replicas must be >= 1")
-        for lane, slo in self.slo_s:
-            if lane not in DEFAULT_LANES:
-                raise ValueError(f"slo for unknown lane {lane!r}")
-            if slo <= 0:
-                raise ValueError("slo_s targets must be positive")
+        validate_slo_s(self.slo_s)
 
 
 class FleetReplica:
@@ -347,6 +343,7 @@ class FleetServer:
         self._next_replica = 0
         self.scale_events: list[ScaleEventRecord] = []
         self.total_retries = 0
+        self._queued_total = 0      # requests waiting in any replica queue
         self._slo_by_lane = [dict(cfg.slo_s).get(lane)
                              for lane in DEFAULT_LANES]
         # One shared tile payload: the cache accounts bytes per entry, and
@@ -394,6 +391,7 @@ class FleetServer:
         queued = [i for q in rep.queues for i in q]
         for q in rep.queues:
             q.clear()
+        self._queued_total -= rep.queued
         rep.queued = 0
         rep.queued_windows = 0
         if kind == "kill":
@@ -447,15 +445,17 @@ class FleetServer:
                 return None
             return min(live, key=lambda r: (r.queued_windows, r.busy_until,
                                             r.replica_id))
-        owner = cell.ring.assign(key)
+        ring = cell.ring
+        owner = ring.assign(key)
         if owner is None:
             return None
         rep = cell.replicas[owner]
-        frac = rep.ramp_fraction(now)
-        if frac < 1.0 and cell.ring.key_fraction(key) >= frac:
-            prev = cell.ring.assign(key, exclude=(owner,))
-            if prev is not None:
-                return cell.replicas[prev]
+        if rep.warmup_s > 0:
+            frac = rep.ramp_fraction(now)
+            if frac < 1.0 and ring.key_fraction(key) >= frac:
+                prev = ring.assign(key, exclude=(owner,))
+                if prev is not None:
+                    return cell.replicas[prev]
         return rep
 
     def _estimated_wait(self, cell: _Cell, rep: FleetReplica,
@@ -468,12 +468,12 @@ class FleetServer:
 
     def _admit(self, i: int, now: float) -> None:
         """Route request ``i``: home shard, spillover, or shed."""
-        cfg = self.config
         home = self._cell_order[self._req_cell[i]]
         home.c_arrivals.inc()
-        key = int(self._req_key[i])
-        if len(home.keys_seen) < _KEY_SAMPLE_CAP:
-            home.keys_seen.add(key)
+        key = self._req_key[i]
+        keys_seen = home.keys_seen
+        if len(keys_seen) < _KEY_SAMPLE_CAP:
+            keys_seen.add(key)
         lane = self._req_lane[i]
         slo = self._slo_by_lane[lane]
         rep = self._owner(home, key, now)
@@ -482,13 +482,13 @@ class FleetServer:
             depth_full = len(rep.queues[lane]) >= _MAX_DEPTH
             blown = (slo is not None
                      and self._estimated_wait(home, rep, now) > slo)
-        if rep is not None and not depth_full and not blown:
-            self._enqueue(rep, i, now)
-            return
+            if not depth_full and not blown:
+                self._enqueue(rep, i, lane, now)
+                return
         # Home cell is dead, full, or out of budget: try the other cells.
         best = None
         best_wait = float("inf")
-        if cfg.spillover:
+        if self.config.spillover:
             for cell in self._cell_order:
                 if cell is home:
                     continue
@@ -501,116 +501,125 @@ class FleetServer:
                 if wait < best_wait:
                     best, best_wait = cand, wait
         if best is not None:
-            self._result.spilled[i] = True
+            self._spilled[i] = True
             home.c_spill.inc()
-            self._enqueue(best, i, now)
+            self._enqueue(best, i, lane, now)
             return
         if rep is None and all(not c.live() for c in self._cell_order):
-            self._result.status[i] = STATUS_FAILED
+            self._status[i] = STATUS_FAILED
             return
         reason = "slo" if blown else "queue_full"
-        self._result.status[i] = STATUS_SHED
-        self._result.shed_reason[i] = _SHED_REASONS.index(reason)
+        self._status[i] = STATUS_SHED
+        self._shed_reason[i] = _SHED_REASONS.index(reason)
         home.c_shed[reason].inc()
 
-    def _enqueue(self, rep: FleetReplica, i: int, now: float) -> None:
-        rep.queues[self._req_lane[i]].append(i)
+    def _enqueue(self, rep: FleetReplica, i: int, lane: int,
+                 now: float) -> None:
+        rep.queues[lane].append(i)
         rep.queued += 1
         rep.queued_windows += self._req_windows[i]
+        self._queued_total += 1
         self._enq_t[i] = now
         self._maybe_dispatch(rep, now)
 
     def _enqueue_admitted(self, i: int, now: float) -> None:
         """Re-home an already-admitted request after its replica died."""
+        key = self._req_key[i]
         cell = self._cell_order[self._req_cell[i]]
-        rep = self._owner(cell, int(self._req_key[i]), now)
+        rep = self._owner(cell, key, now)
         if rep is None:
             for other in self._cell_order:
-                rep = self._owner(other, int(self._req_key[i]), now)
+                rep = self._owner(other, key, now)
                 if rep is not None:
-                    self._result.spilled[i] = True
+                    self._spilled[i] = True
                     break
         if rep is None:         # the whole fleet is dead: fail loudly
-            self._result.status[i] = STATUS_FAILED
+            self._status[i] = STATUS_FAILED
             return
         # Depth caps do not apply: the request was admitted, and an
         # admitted request must never be silently dropped.
         rep.queues[self._req_lane[i]].append(i)
         rep.queued += 1
         rep.queued_windows += self._req_windows[i]
+        self._queued_total += 1
         self._maybe_dispatch(rep, now)
 
     # -- batching / dispatch -------------------------------------------------
 
-    def _oldest_enqueue(self, rep: FleetReplica) -> float:
-        oldest = float("inf")
-        for q in rep.queues:
-            if q:
-                t = self._enq_t[q[0]]
-                if t < oldest:
-                    oldest = t
-        return oldest
-
     def _maybe_dispatch(self, rep: FleetReplica, now: float) -> None:
         """Dispatch if the batch triggers fire, else arm the age deadline."""
-        if not rep.alive or rep.busy_until > now or rep.queued == 0:
+        queued = rep.queued
+        if not queued or not rep.alive or rep.busy_until > now:
             return
-        if rep.queued >= _MAX_BATCH_SIZE:
+        if queued >= _MAX_BATCH_SIZE:
             self._dispatch(rep, now)
             return
         # Compare against the same float the deadline heap stores — a
         # subtraction-based age check can round the other way at the
         # exact firing instant and re-arm the due deadline forever.
-        deadline = self._oldest_enqueue(rep) + _MAX_WAIT_S
+        enq_t = self._enq_t
+        oldest = float("inf")
+        for q in rep.queues:
+            if q:
+                t = enq_t[q[0]]
+                if t < oldest:
+                    oldest = t
+        deadline = oldest + _MAX_WAIT_S
         if now >= deadline:
             self._dispatch(rep, now)
         else:
-            heapq.heappush(self._deadlines, (deadline, rep.replica_id))
+            heappush(self._deadlines, (deadline, rep.replica_id))
 
     def _dispatch(self, rep: FleetReplica, now: float) -> None:
         batch: list[int] = []
+        room = _MAX_BATCH_SIZE
         for q in rep.queues:        # lanes are priority-ordered
-            while q and len(batch) < _MAX_BATCH_SIZE:
+            while q and room:
                 batch.append(q.popleft())
+                room -= 1
         if not batch:
             return
         rep.queued -= len(batch)
+        self._queued_total -= len(batch)
         cache = rep.cache
+        get, put = cache.get, cache.put
         tile = self._tile_value
+        req_key, req_windows = self._req_key, self._req_windows
         hits = misses = nwin = 0
         for i in batch:
-            base = int(self._req_key[i]) << 6
-            w = int(self._req_windows[i])
+            base = req_key[i] << 6
+            w = req_windows[i]
             nwin += w
             for off in range(w):
-                if cache.get(base | off) is None:
-                    cache.put(base | off, tile)
+                if get(base | off) is None:
+                    put(base | off, tile)
                     misses += 1
                 else:
                     hits += 1
         rep.queued_windows -= nwin
         service = (_SERVICE_BASE_S + _SERVICE_WINDOW_S * misses
                    + _HIT_WINDOW_S * hits)
-        rep.busy_until = now + service
+        busy_until = rep.busy_until = now + service
         rep.inflight = batch
         rep.epoch += 1
         rep.batches += 1
         cell = self.cells[rep.cell]
         cell.ewma_window_s = fold_service_ewma(cell.ewma_window_s,
-                                               service / max(nwin, 1))
-        heapq.heappush(self._completions,
-                       (rep.busy_until, rep.replica_id, rep.epoch))
+                                               service / nwin)
+        heappush(self._completions, (busy_until, rep.replica_id, rep.epoch))
 
     def _complete(self, rep: FleetReplica, now: float) -> None:
         batch = rep.inflight or []
         rep.inflight = None
         cell = self.cells[rep.cell]
-        res = self._result
+        status, completed_s = self._status, self._completed_s
+        replica, served_cell = self._replica, self._served_cell
+        rid, index = rep.replica_id, cell.index
         for i in batch:
-            res.status[i] = STATUS_SERVED
-            res.completed_s[i] = now
-            res.replica[i] = rep.replica_id
-            res.served_cell[i] = cell.index
+            status[i] = STATUS_SERVED
+            completed_s[i] = now
+            replica[i] = rid
+            served_cell[i] = index
         rep.served += len(batch)
         cell.c_served.inc(len(batch))
         if rep.draining and rep.queued == 0:
@@ -674,75 +683,83 @@ class FleetServer:
             # how many windows an average request fans out into.
             self.autoscaler.windows_per_request = float(
                 replay.windows.mean())
-        self._req_key = replay.key
-        self._req_lane = replay.lane
-        self._req_cell = replay.cell
-        self._req_windows = replay.windows
-        self._enq_t = np.zeros(n)
-        self._result = FleetResult(n)
-        self._completions: list[tuple[float, int, int]] = []
-        self._deadlines: list[tuple[float, int]] = []
-        arrivals = replay.arrival_s
+        # Per-request columns are read and written through memoryviews:
+        # indexing one yields a Python scalar at a fraction of the cost of
+        # a NumPy scalar, and copies nothing.
+        self._req_key = memoryview(replay.key)
+        self._req_lane = memoryview(replay.lane)
+        self._req_cell = memoryview(replay.cell)
+        self._req_windows = memoryview(replay.windows)
+        self._enq_t = memoryview(np.zeros(n))
+        result = FleetResult(n)
+        self._status = memoryview(result.status)
+        self._completed_s = memoryview(result.completed_s)
+        self._replica = memoryview(result.replica)
+        self._served_cell = memoryview(result.served_cell)
+        self._spilled = memoryview(result.spilled)
+        self._shed_reason = memoryview(result.shed_reason)
+        self._queued_total = 0
+        completions: list[tuple[float, int, int]] = []
+        deadlines: list[tuple[float, int]] = []
+        self._completions, self._deadlines = completions, deadlines
+        arrivals = memoryview(replay.arrival_s)
+        replicas = self.replicas
+        admit, maybe_dispatch = self._admit, self._maybe_dispatch
         kills = self._kills
         clock = self.clock
+        inf = float("inf")
         i = k = 0
-        next_tick = (np.floor(clock.now() / _WINDOW_S) + 1) * _WINDOW_S
+        next_arrival = arrivals[0] if n else inf
+        next_kill = kills[0][0] if kills else inf
+        now = clock.now()
+        next_tick = float((np.floor(now / _WINDOW_S) + 1) * _WINDOW_S)
         while True:
-            now = clock.now()
-            progressed = False
+            # One pass handles everything due at ``now``; whatever it
+            # schedules lies strictly after ``now``.
             # 1. Retire due completions (stale epochs are voided kills).
-            while self._completions and self._completions[0][0] <= now:
-                _, rid, epoch = heapq.heappop(self._completions)
-                rep = self.replicas[rid]
+            while completions and completions[0][0] <= now:
+                _, rid, epoch = heappop(completions)
+                rep = replicas[rid]
                 if rep.epoch == epoch and rep.inflight is not None:
                     self._complete(rep, now)
-                progressed = True
             # 2. Inject due replica kills.
-            while k < len(kills) and kills[k][0] <= now:
-                _, rid = kills[k]
+            while next_kill <= now:
+                rid = kills[k][1]
                 k += 1
-                rep = self.replicas.get(rid)
+                next_kill = kills[k][0] if k < len(kills) else inf
+                rep = replicas.get(rid)
                 if rep is not None and rep.alive:
-                    cell = self.cells[rep.cell]
-                    self._remove_replica(cell, rep, now, "kill")
-                progressed = True
+                    self._remove_replica(self.cells[rep.cell], rep, now,
+                                         "kill")
             # 3. Admit due arrivals.
-            while i < n and arrivals[i] <= now:
-                self._admit(i, now)
+            while next_arrival <= now:
+                admit(i, now)
                 i += 1
-                progressed = True
+                next_arrival = arrivals[i] if i < n else inf
             # 4. Fire due batch-age deadlines.
-            while self._deadlines and self._deadlines[0][0] <= now:
-                _, rid = heapq.heappop(self._deadlines)
-                self._maybe_dispatch(self.replicas[rid], now)
-                progressed = True
+            while deadlines and deadlines[0][0] <= now:
+                _, rid = heappop(deadlines)
+                maybe_dispatch(replicas[rid], now)
             # 5. Control tick (telemetry windows, health, autoscaler).
             if now >= next_tick:
                 self._tick(now)
                 next_tick += _WINDOW_S
-                progressed = True
-            if progressed:
-                continue
-            # Jump to the next event.
-            pending = (i < n or self._completions
-                       or any(r.queued for r in self.replicas.values()))
-            if not pending:
+            if i >= n and not completions and not self._queued_total:
                 # Drained: one final tick closes the last stream windows.
                 clock.advance_to(next_tick)
                 self._tick(clock.now())
                 break
-            candidates = []
-            if i < n:
-                candidates.append(arrivals[i])
-            if self._completions:
-                candidates.append(self._completions[0][0])
-            if self._deadlines:
-                candidates.append(self._deadlines[0][0])
-            # next_tick > now here (a due tick sets ``progressed``), so the
-            # minimum always exists.
-            candidates.append(next_tick)
-            clock.advance_to(min(c for c in candidates if c > now))
-        return self._result
+            # Jump to the next event: the earliest of the heap heads, the
+            # next arrival and the tick (kills land on the next of these).
+            t = next_tick
+            if next_arrival < t:
+                t = next_arrival
+            if completions and completions[0][0] < t:
+                t = completions[0][0]
+            if deadlines and deadlines[0][0] < t:
+                t = deadlines[0][0]
+            now = clock.advance_to(t)
+        return result
 
 
 # ---------------------------------------------------------------------------

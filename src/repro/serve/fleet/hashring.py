@@ -119,15 +119,17 @@ class HashRing:
         ``exclude`` skips nodes (warm-up fallback, drain routing); returns
         ``None`` when the ring is empty or fully excluded.
         """
-        if not self._points:
+        points = self._points
+        if not points:
             return None
-        if exclude and not (self._nodes - set(exclude)):
+        n = len(points)
+        idx = bisect.bisect_left(self._hashes, self.key_hash(key))
+        if not exclude:
+            return points[idx % n][1]
+        if not self._nodes.difference(exclude):
             return None
-        h = self.key_hash(key)
-        n = len(self._points)
-        idx = bisect.bisect_left(self._hashes, h)
         for step in range(n):
-            node = self._points[(idx + step) % n][1]
+            node = points[(idx + step) % n][1]
             if node not in exclude:
                 return node
         return None

@@ -25,6 +25,20 @@ __all__ = ["DEFAULT_LANES", "InferenceRequest", "InferenceResponse"]
 DEFAULT_LANES = ("interactive", "bulk")
 
 
+def validate_slo_s(slo_s) -> None:
+    """Reject a per-lane SLO table with an unknown, repeated or
+    non-positive entry (a repeated lane would be read two ways)."""
+    seen = set()
+    for lane, slo in slo_s:
+        if lane not in DEFAULT_LANES:
+            raise ValueError(f"slo for unknown lane {lane!r}")
+        if lane in seen:
+            raise ValueError(f"slo for lane {lane!r} given twice")
+        seen.add(lane)
+        if slo <= 0:
+            raise ValueError("slo_s targets must be positive")
+
+
 @dataclass
 class InferenceRequest:
     """One snapshot to segment, with its arrival metadata."""

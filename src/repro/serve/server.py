@@ -31,7 +31,8 @@ from .batcher import MicroBatcher
 from .cache import TileCache
 from .queue import AdmissionController, RequestQueue
 from .replica import BatchResult, ReplicaPool
-from .request import DEFAULT_LANES, InferenceRequest, InferenceResponse
+from .request import (DEFAULT_LANES, InferenceRequest, InferenceResponse,
+                      validate_slo_s)
 
 __all__ = ["ServeConfig", "FixedServiceTime", "measured_service",
            "InferenceServer", "ServeReport", "summarize"]
@@ -90,11 +91,7 @@ class ServeConfig:
             raise ValueError("max_wait_s must be >= 0")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        for lane, slo in self.slo_s:
-            if lane not in self.lanes:
-                raise ValueError(f"slo for unknown lane {lane!r}")
-            if slo <= 0:
-                raise ValueError("slo_s targets must be positive")
+        validate_slo_s(self.slo_s)
 
     def slo_for(self, lane: str) -> float | None:
         for name, slo in self.slo_s:

@@ -145,6 +145,10 @@ class HealthEngine:
     since the last call (via the aggregator's cursor API) and advances the
     per-(rule, series) streak machines.  Deterministic under a simulated
     clock — same observations, same windows, same alert lifecycle.
+
+    Alerts are mirrored into ``telemetry``, or into the active session
+    when it is ``None``.  An engine made by ``Telemetry.attach_health``
+    holds a weak proxy of its session and must not outlive it.
     """
 
     def __init__(self, rules, streams: StreamingAggregator, telemetry=None):

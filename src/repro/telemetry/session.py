@@ -14,6 +14,7 @@ signature.
 """
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 
 from .metrics import MetricsRegistry
@@ -60,14 +61,23 @@ class Telemetry:
 
     def attach_health(self, rules=None, window_s: float = 1.0, **kwargs):
         """Attach a :class:`~repro.telemetry.health.HealthEngine` (creating
-        the streaming layer if needed); returns it (idempotent)."""
+        the streaming layer if needed); returns it (idempotent).
+
+        The engine reports through a weak proxy of this session, so it
+        lives only as long as the session does: keep the session, not
+        just the returned engine.  Once the session is gone, the next
+        alert transition in ``evaluate`` raises ``ReferenceError``.
+        """
         if self.health is None:
             from .health import HealthEngine, default_health_rules
 
             streams = self.attach_streams(window_s=window_s)
+            # A proxy, not ``self``: the session owns its engine, and a
+            # strong back-reference would make every session cyclic
+            # garbage that only a full collection frees.
             self.health = HealthEngine(
                 rules if rules is not None else default_health_rules(**kwargs),
-                streams, telemetry=self)
+                streams, telemetry=weakref.proxy(self))
         return self.health
 
     def clear(self) -> None:

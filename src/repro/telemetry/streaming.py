@@ -36,6 +36,51 @@ from .metrics import MetricsRegistry, series_key
 
 __all__ = ["WindowSummary", "Ewma", "StreamingAggregator"]
 
+#: A closed window's quantiles: ``np.percentile``'s ``[16, 50, 84] / 100``.
+_QUANTILES = (0.16, 0.5, 0.84)
+
+
+def _mixed_zero_signs(values) -> bool:
+    return len({math.copysign(1.0, v) for v in values if v == 0.0}) > 1
+
+
+def _window_quantiles(values: list[float]) -> tuple[float, float, float]:
+    """``np.percentile(values, [16, 50, 84])``, bit for bit, from one sort.
+
+    NumPy's 'linear' method: the virtual index ``(n - 1) * q`` has the
+    neighbours ``lo = floor`` and ``hi = lo + 1`` (both the last element
+    when the index reaches ``n - 1``, where NumPy's weight becomes
+    ``index + 1``), and ``_lerp`` returns ``a + (b - a) * t`` below
+    ``t = 0.5`` and ``b - (b - a) * (1 - t)`` from it.  One NaN anywhere
+    makes all three NaN.  A sort fixes every value a quantile reads but
+    one: NumPy's partition leaves ``+0.0`` and ``-0.0`` in no set order,
+    and the upper branch returns ``hi``'s zero sign as it finds it, so a
+    window holding both zero signs that lands there asks NumPy itself.
+    """
+    s = sorted(values)
+    if any(v != v for v in s):
+        return (math.nan, math.nan, math.nan)
+    last = len(s) - 1
+    out = []
+    for q in _QUANTILES:
+        index = last * q
+        if index >= last:
+            lo = hi = last
+            t = index + 1.0
+        else:
+            lo = int(index)
+            hi = lo + 1
+            t = index - lo
+        a, b = s[lo], s[hi]
+        if t < 0.5:
+            out.append(a + (b - a) * t)
+        elif b == 0.0 and _mixed_zero_signs(s):
+            p16, med, p84 = np.percentile(values, [16, 50, 84])
+            return (float(p16), float(med), float(p84))
+        else:
+            out.append(b - (b - a) * (1.0 - t))
+    return (out[0], out[1], out[2])
+
 
 @dataclass(frozen=True)
 class WindowSummary:
@@ -223,15 +268,18 @@ class StreamingAggregator:
         out: list[WindowSummary] = []
         for idx, key, values in closing:
             arr = np.asarray(values, dtype=np.float64)
-            p16, med, p84 = np.percentile(arr, [16, 50, 84])
+            total = float(arr.sum())
+            p16, med, p84 = _window_quantiles(values)
             start = idx * self.window_s
             end = start + self.window_s
+            # ``total / count`` is ``arr.mean()``: NumPy divides the same
+            # pairwise sum by the count.
             summary = WindowSummary(
-                series=key, start=start, end=end, count=int(arr.size),
-                total=float(arr.sum()), mean=float(arr.mean()),
+                series=key, start=start, end=end, count=len(values),
+                total=total, mean=total / len(values),
                 minimum=float(arr.min()), maximum=float(arr.max()),
-                last=float(arr[-1]), rate=float(arr.sum()) / self.window_s,
-                median=float(med), p16=float(p16), p84=float(p84),
+                last=values[-1], rate=total / self.window_s,
+                median=med, p16=p16, p84=p84,
             )
             history = self._closed[key]
             history.append(summary)

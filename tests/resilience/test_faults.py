@@ -203,6 +203,18 @@ class TestWithRetries:
             with_retries(typo, RetryPolicy(max_attempts=5))
         assert len(calls) == 1
 
+    def test_first_try_success_draws_no_backoff(self, monkeypatch):
+        # The jitter schedule is drawn at the first retry, not up front:
+        # a dispatch that succeeds pays for no generator.
+        def no_delays(policy):
+            raise AssertionError("delays() drawn without a retry")
+
+        monkeypatch.setattr(RetryPolicy, "delays", no_delays)
+        state = RetryState()
+        assert with_retries(lambda: 7, RetryPolicy(max_attempts=4),
+                            state=state) == 7
+        assert state.attempts == 1 and state.retries == 0
+
     def test_sleep_pluggable_and_accounted(self):
         slept = []
 

@@ -233,6 +233,10 @@ class TestFleetServer:
         with pytest.raises(ValueError, match="unknown lane"):
             FleetConfig(slo_s=(("interactve", 0.1),))
 
+    def test_slo_for_repeated_lane_rejected(self):
+        with pytest.raises(ValueError, match="given twice"):
+            FleetConfig(slo_s=(("interactive", 0.1), ("interactive", 0.2)))
+
 
 class TestScaleEvents:
     def test_e2e_burst_scaleout_and_kill(self):
@@ -331,3 +335,39 @@ class TestFleetTelemetry:
         # private session and leaves the global state untouched.
         _, _, report = drill(requests=5000, duration=60.0)
         assert report.served > 0
+
+
+class TestWorkCounts:
+    """Exact per-request work of the ledger's fleet drill.
+
+    Routing, the warm-up ramp and the remap snapshots go through
+    ``HashRing.assign``, and every tile window through one
+    ``TileCache.get`` (plus a ``put`` on a miss).  Making those calls
+    cheaper is free; skipping a call changes what the e2e
+    benchmark's traced counters measure, so it fails here first.
+    """
+
+    def test_ring_and_cache_calls_pinned(self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.serve.cache import TileCache
+        from repro.serve.fleet import HashRing
+        from tests import test_cli
+
+        calls = dict.fromkeys(("assign", "get", "put"), 0)
+
+        def counting(cls, name):
+            fn = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(HashRing, "assign")
+        counting(TileCache, "get")
+        counting(TileCache, "put")
+        assert main(["fleet", *test_cli.TestFleetCli.FAST,
+                     "--plan", "rank_fail@25:rank=0", "--json"]) == 0
+        capsys.readouterr()
+        assert calls == {"assign": 9183, "get": 16020, "put": 6020}

@@ -1,8 +1,11 @@
 """HashRing: stability under churn, vnode balance, process determinism."""
+import bisect
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.fleet import HashRing, remap_fraction
 
@@ -147,3 +150,45 @@ class TestDeterminism:
         here = HashRing(nodes=range(4), vnodes=16, salt="cell0")
         assert outs.pop().strip() == str(
             [here.assign(k) for k in range(200)])
+
+
+def walk(ring, key, exclude=()):
+    """The reference lookup: bisect, then walk clockwise past ``exclude``."""
+    if not ring._points:
+        return None
+    if exclude and not (ring._nodes - set(exclude)):
+        return None
+    h = ring.key_hash(key)
+    n = len(ring._points)
+    idx = bisect.bisect_left(ring._hashes, h)
+    for step in range(n):
+        node = ring._points[(idx + step) % n][1]
+        if node not in exclude:
+            return node
+    return None
+
+
+NODE = st.integers(0, 5)
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), NODE),
+    st.tuples(st.just("remove"), NODE),
+    st.tuples(st.just("assign"), st.integers(0, 40),
+              st.lists(NODE, max_size=3).map(tuple))), max_size=80)
+
+
+class TestAssignWalk:
+    @given(st.lists(NODE, max_size=4), OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_assign_matches_reference_walk_under_churn(self, nodes, ops):
+        ring = HashRing(nodes=nodes, vnodes=4, salt="walk")
+        for op in ops:
+            if op[0] == "add":
+                ring.add(op[1])
+            elif op[0] == "remove":
+                ring.remove(op[1])
+            else:
+                _, key, exclude = op
+                assert ring.assign(key, exclude=exclude) == walk(
+                    ring, key, exclude)
+        keys = range(41)
+        assert ring.assignment(keys) == {k: walk(ring, k) for k in keys}

@@ -60,6 +60,11 @@ class TestAdmissionConfig:
         assert cfg.slo_for("interactive") == 0.05
         assert cfg.slo_for("bulk") is None
 
+    def test_rejects_repeated_slo_lane(self):
+        # slo_for would read the first entry, the fleet's dict the last.
+        with pytest.raises(ValueError, match="given twice"):
+            ServeConfig(slo_s=(("interactive", 0.1), ("interactive", 0.2)))
+
 
 class TestBackpressure:
     def test_depth_cap_sheds_queue_full(self):

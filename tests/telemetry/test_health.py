@@ -1,5 +1,7 @@
 """Health engine: rule kinds, firing/resolved lifecycle, reporting."""
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -209,6 +211,23 @@ class TestEngineIntegration:
         assert tel.health is again
         tel.clear()
         assert tel.streams is None and tel.health is None
+
+    def test_attached_engine_lives_only_as_long_as_its_session(self):
+        # The session owns its engine; the engine's back-reference is weak,
+        # so dropping the session frees it at once, without a collection.
+        tel = Telemetry(clock=SimulatedClock())
+        eng = tel.attach_health(rules=[HealthRule(
+            name="hot", series="q", value=10.0, for_windows=1)])
+        session = weakref.ref(tel)
+        gc.disable()
+        try:
+            del tel
+            assert session() is None
+        finally:
+            gc.enable()
+        feed(eng.streams, "q", [50.0])
+        with pytest.raises(ReferenceError):
+            eng.evaluate(t=5.0)
 
 
 class TestDefaultRules:

@@ -1,7 +1,11 @@
 """Streaming aggregator: tumbling windows, registry sampling, EWMA, subs."""
 import math
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import (Ewma, MetricsRegistry, SimulatedClock,
                              StreamingAggregator, WindowSummary)
@@ -73,6 +77,44 @@ class TestTumblingWindows:
         closed = agg.advance()             # closes window 0 at t=1.5
         assert len(closed) == 1
         assert closed[0].start == 0.0
+
+
+def bits(x: float) -> bytes:
+    """A float's exact bytes; every NaN reads as one value."""
+    return b"nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                           1e-300, -1e-300, 1e300, -1e300, 5e-324])
+SCALED = st.builds(lambda m, e: m * 10.0 ** e,
+                   st.floats(-9.99, 9.99), st.integers(-300, 299))
+VALUE = st.one_of(SPECIAL, SCALED, st.floats())
+WINDOW = st.one_of(
+    st.lists(VALUE, min_size=1, max_size=40),
+    # Ties: many draws from a few values (zeros of both signs included).
+    st.lists(VALUE, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1,
+                              max_size=40)))
+
+
+class TestWindowStatisticsExact:
+    @given(WINDOW)
+    @settings(max_examples=300, deadline=None)
+    def test_quantiles_bit_equal_numpy(self, values):
+        _, agg = make()
+        for v in values:
+            agg.observe("x", v, t=0.5)
+        arr = np.array(values, dtype=np.float64)
+        with np.errstate(all="ignore"):     # inf - inf is NaN, as asked
+            (w,) = agg.advance(1.0)
+            expect = np.percentile(arr, [16, 50, 84])
+            total = arr.sum()
+            mean = arr.mean()
+        assert [bits(w.p16), bits(w.median), bits(w.p84)] == [
+            bits(float(q)) for q in expect]
+        assert bits(w.total) == bits(float(total))
+        assert bits(w.mean) == bits(float(mean))
+        assert w.count == len(values)
 
 
 class TestRegistrySampling:
