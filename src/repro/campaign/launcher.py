@@ -139,16 +139,12 @@ class SiteLauncher:
             return 0.0
         return job.data_bytes / PREPROCESS_BYTES_PER_S
 
-    def run_s(self, job: Job, nodes: int,
-              from_step: int | None = None) -> float:
+    def run_s(self, job: Job, nodes: int) -> float:
         """Wall-time estimate to finish ``job`` on ``nodes`` nodes.
 
-        ``from_step`` overrides the resume point (default: the job's
-        ``resume_step``); the remaining work is ``steps_total - from_step``
-        progress units.
+        The remaining work is ``steps_total - resume_step`` progress units.
         """
-        start = job.resume_step if from_step is None else from_step
-        remaining = max(0, job.steps_total - start)
+        remaining = max(0, job.steps_total - job.resume_step)
         if remaining == 0:
             return 0.0
         gpus = nodes * self.config.system.node.gpus

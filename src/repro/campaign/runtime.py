@@ -28,6 +28,9 @@ from .job import Job
 
 __all__ = ["CheckpointedRuntime", "MemoryRuntime"]
 
+#: Checkpoint files each job directory keeps.
+KEEP_LAST = 3
+
 
 def _tiny_trainer(seed: int):
     """A minuscule real Trainer: enough state to make checkpoints honest."""
@@ -45,11 +48,9 @@ def _tiny_trainer(seed: int):
 class CheckpointedRuntime:
     """Real ``CheckpointManager``-backed progress for training jobs."""
 
-    def __init__(self, workdir: str | Path, seed: int = 0,
-                 keep_last: int = 3):
+    def __init__(self, workdir: str | Path, seed: int = 0):
         self.workdir = Path(workdir)
         self.seed = int(seed)
-        self.keep_last = keep_last
         self._managers: dict[str, object] = {}
         self._trainers: dict[str, object] = {}
 
@@ -59,7 +60,7 @@ class CheckpointedRuntime:
         mgr = self._managers.get(job.job_id)
         if mgr is None:
             mgr = CheckpointManager(self.workdir / job.job_id / "ckpts",
-                                    keep_last=self.keep_last)
+                                    keep_last=KEEP_LAST)
             self._managers[job.job_id] = mgr
         return mgr
 
@@ -91,9 +92,6 @@ class CheckpointedRuntime:
         self._manager(job).load(self._trainer(job))
         return latest
 
-    def has_checkpoint(self, job: Job, step: int) -> bool:
-        return job.kind == "train" and self._manager(job).exists(step)
-
 
 class MemoryRuntime:
     """Dict-backed runtime with the same duck type (unit tests)."""
@@ -107,6 +105,3 @@ class MemoryRuntime:
     def resume_step(self, job: Job) -> int:
         steps = self.saved.get(job.job_id)
         return max(steps) if steps else 0
-
-    def has_checkpoint(self, job: Job, step: int) -> bool:
-        return step in self.saved.get(job.job_id, [])

@@ -52,11 +52,14 @@ class StormStatistics:
     power_dissipation_index: float   # sum of v^3 * area, m^3 s^-3 km^2
 
 
+#: Components smaller than this many cells are not reported as storms.
+MIN_AREA_CELLS = 3
+
+
 def storm_statistics(
     fields: dict[str, np.ndarray],
     mask: np.ndarray,
     grid: Grid,
-    min_area_cells: int = 3,
 ) -> list[StormStatistics]:
     """Per-connected-component storm statistics from a boolean mask."""
     if mask.shape != grid.shape:
@@ -70,7 +73,7 @@ def storm_statistics(
     out: list[StormStatistics] = []
     for comp in range(1, count + 1):
         sel = labeled == comp
-        if sel.sum() < min_area_cells:
+        if sel.sum() < MIN_AREA_CELLS:
             continue
         w = areas[sel]
         w_norm = w / w.sum()

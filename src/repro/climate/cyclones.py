@@ -36,18 +36,21 @@ class TropicalCyclone:
         return 1.0 if self.lat >= 0 else -1.0
 
 
+#: Tropical genesis band, degrees of latitude either side of the equator.
+MIN_LAT = 8.0
+MAX_LAT = 32.0
+
+
 def sample_cyclones(
     rng: np.random.Generator,
     mean_count: float = 3.0,
-    min_lat: float = 8.0,
-    max_lat: float = 32.0,
 ) -> list[TropicalCyclone]:
     """Draw a Poisson number of TCs with tropical genesis latitudes."""
     count = rng.poisson(mean_count)
     storms = []
     for _ in range(count):
         hemisphere = 1.0 if rng.random() < 0.5 else -1.0
-        lat = hemisphere * rng.uniform(min_lat, max_lat)
+        lat = hemisphere * rng.uniform(MIN_LAT, MAX_LAT)
         lon = rng.uniform(0.0, 360.0)
         radius = rng.uniform(1.5, 4.0)
         depth = rng.uniform(15.0, 60.0)

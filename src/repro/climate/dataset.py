@@ -117,16 +117,13 @@ class ClimateDataset:
 
     # -- batching -----------------------------------------------------------
 
-    def shard_indices(self, split: np.ndarray, rank: int, world: int,
-                      per_rank_cap: int | None = None) -> np.ndarray:
+    def shard_indices(self, split: np.ndarray, rank: int,
+                      world: int) -> np.ndarray:
         """Disjoint per-rank shard of a split (the staging layout: each node
         holds its own subset of the dataset, Section V-A1)."""
         if not 0 <= rank < world:
             raise ValueError(f"rank {rank} out of range for world {world}")
-        shard = split[rank::world]
-        if per_rank_cap is not None:
-            shard = shard[:per_rank_cap]
-        return shard
+        return split[rank::world]
 
     def batches(self, indices: np.ndarray, batch_size: int,
                 rng: np.random.Generator | None = None, drop_last: bool = True):

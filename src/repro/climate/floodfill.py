@@ -70,10 +70,14 @@ def connected_components_periodic(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return remap[labeled], next_id
 
 
-def _zonal_climatology(tmq: np.ndarray, grid: Grid, sigma_deg: float = 8.0) -> np.ndarray:
+#: Meridional smoothing of the zonal moisture background, degrees.
+CLIMATOLOGY_SIGMA_DEG = 8.0
+
+
+def _zonal_climatology(tmq: np.ndarray, grid: Grid) -> np.ndarray:
     """Smooth zonal-mean moisture background, broadcast over longitude."""
     zonal = np.median(tmq, axis=1)
-    sigma = max(sigma_deg / grid.deg_per_cell_lat, 1.0)
+    sigma = max(CLIMATOLOGY_SIGMA_DEG / grid.deg_per_cell_lat, 1.0)
     zonal = ndimage.gaussian_filter1d(zonal, sigma=sigma, mode="nearest")
     return np.broadcast_to(zonal[:, None], tmq.shape)
 

@@ -31,15 +31,15 @@ class SerializationGate:
 
     Lock wait/held times are genuine thread-contention measurements, so
     the gate reads an explicit :class:`~repro.telemetry.clock.WallClock`
-    (injectable for tests) rather than the session clock — simulated time
-    does not advance while a thread blocks on a mutex.
+    rather than the session clock — simulated time does not advance while
+    a thread blocks on a mutex.
     """
 
-    def __init__(self, clock=None):
+    def __init__(self):
         from ..telemetry.clock import WallClock
 
         self._lock = threading.Lock()
-        self._clock = clock if clock is not None else WallClock()
+        self._clock = WallClock()
         self._held_time = 0.0
         self._wait_time = 0.0
         self._acquisitions = 0

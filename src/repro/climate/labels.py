@@ -11,7 +11,7 @@ import numpy as np
 from .floodfill import river_mask
 from .grid import Grid
 from .synthesis import ClimateSnapshot
-from .teca import TecaConfig, cyclone_mask, detect_cyclones
+from .teca import cyclone_mask, detect_cyclones
 
 __all__ = [
     "CLASS_BG",
@@ -34,17 +34,14 @@ CLASS_NAMES = ("BG", "TC", "AR")
 PAPER_CLASS_FREQUENCIES = {"BG": 0.982, "AR": 0.017, "TC": 0.001}
 
 
-def make_labels(
-    snapshot: ClimateSnapshot,
-    teca_config: TecaConfig | None = None,
-) -> np.ndarray:
+def make_labels(snapshot: ClimateSnapshot) -> np.ndarray:
     """Run the heuristic labeling pipeline on a snapshot -> (H, W) int8.
 
     Mirrors the paper's ground-truth production: TECA for TCs, then an
     IWV floodfill for ARs on the remaining pixels.
     """
     fields, grid = snapshot.fields, snapshot.grid
-    candidates = detect_cyclones(fields, grid, teca_config)
+    candidates = detect_cyclones(fields, grid)
     tc = cyclone_mask(fields, grid, candidates)
     ar = river_mask(fields, grid, exclude=tc)
     labels = np.zeros(grid.shape, dtype=np.int8)
@@ -53,8 +50,8 @@ def make_labels(
     return labels
 
 
-def class_frequencies(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
+def class_frequencies(labels: np.ndarray) -> np.ndarray:
     """Fraction of pixels per class over one or more label maps."""
     flat = np.asarray(labels).ravel()
-    counts = np.bincount(flat, minlength=num_classes).astype(np.float64)
+    counts = np.bincount(flat, minlength=NUM_CLASSES).astype(np.float64)
     return counts / max(flat.size, 1)

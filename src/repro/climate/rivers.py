@@ -55,7 +55,11 @@ def sample_rivers(
     return rivers
 
 
-def _with_waypoints(ar: AtmosphericRiver, step_deg: float = 1.0) -> AtmosphericRiver:
+#: Centerline integration step, degrees.
+WAYPOINT_STEP_DEG = 1.0
+
+
+def _with_waypoints(ar: AtmosphericRiver) -> AtmosphericRiver:
     """Integrate the centerline into explicit (lat, lon) waypoints."""
     pts = []
     lat, lon = ar.start_lat, ar.start_lon
@@ -63,10 +67,10 @@ def _with_waypoints(ar: AtmosphericRiver, step_deg: float = 1.0) -> AtmosphericR
     travelled = 0.0
     while travelled <= ar.length_deg:
         pts.append((lat, lon % 360.0))
-        lat += step_deg * np.sin(heading)
-        lon += step_deg * np.cos(heading) / max(np.cos(np.deg2rad(np.clip(lat, -75, 75))), 0.2)
-        heading += np.deg2rad(ar.curvature) * step_deg
-        travelled += step_deg
+        lat += WAYPOINT_STEP_DEG * np.sin(heading)
+        lon += WAYPOINT_STEP_DEG * np.cos(heading) / max(np.cos(np.deg2rad(np.clip(lat, -75, 75))), 0.2)
+        heading += np.deg2rad(ar.curvature) * WAYPOINT_STEP_DEG
+        travelled += WAYPOINT_STEP_DEG
         if abs(lat) > 62.0:
             break
     return AtmosphericRiver(ar.start_lat, ar.start_lon, ar.length_deg, ar.width_deg,

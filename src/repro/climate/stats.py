@@ -33,10 +33,6 @@ class DatasetFacts:
     def total_tb(self) -> float:
         return self.total_bytes / 1e12
 
-    def files_for_nodes(self, nodes: int, files_per_node: int) -> int:
-        """Total files staged when every node holds ``files_per_node``."""
-        return nodes * files_per_node
-
     def replication_factor(self, nodes: int, files_per_node: int) -> float:
         """How many nodes read each file on average under naive staging.
 

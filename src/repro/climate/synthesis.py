@@ -33,9 +33,10 @@ class ClimateSnapshot:
     cyclones: list[TropicalCyclone]
     rivers: list[AtmosphericRiver]
 
-    def to_array(self, dtype=np.float32) -> np.ndarray:
-        """Stack fields in canonical channel order -> (16, H, W)."""
-        return np.stack([self.fields[name] for name in CHANNEL_NAMES]).astype(dtype)
+    def to_array(self) -> np.ndarray:
+        """Stack fields in canonical channel order -> (16, H, W) float32."""
+        return np.stack([self.fields[name]
+                         for name in CHANNEL_NAMES]).astype(np.float32)
 
     @property
     def shape(self) -> tuple[int, int, int]:

@@ -27,15 +27,19 @@ from .teca import TCCandidate, detect_cyclones
 __all__ = ["Track", "advect_cyclone", "generate_sequence", "track_cyclones"]
 
 
-def advect_cyclone(tc: TropicalCyclone, rng: np.random.Generator,
-                   dt_hours: float = 3.0) -> TropicalCyclone:
+#: Time between consecutive snapshots of a sequence, hours.
+DT_HOURS = 3.0
+
+
+def advect_cyclone(tc: TropicalCyclone,
+                   rng: np.random.Generator) -> TropicalCyclone:
     """One time step of storm motion and evolution.
 
     Climatological steering: ~4 deg/day westward in the trades with a
     ~1.5 deg/day poleward beta drift, plus stochastic wobble; intensity
     performs a bounded random walk.
     """
-    days = dt_hours / 24.0
+    days = DT_HOURS / 24.0
     sign = tc.hemisphere_sign
     dlon = -4.0 * days + rng.normal(0.0, 0.6 * days)
     dlat = sign * (1.5 * days + abs(rng.normal(0.0, 0.5 * days)))

@@ -5,7 +5,6 @@ from .api import (
     allreduce,
     available_strategies,
     get_strategy,
-    register_strategy,
 )
 from .coordinator import (
     NegotiationResult,
@@ -46,7 +45,6 @@ __all__ = [
     "allreduce",
     "available_strategies",
     "get_strategy",
-    "register_strategy",
     "World",
     "stripe_bounds",
     "split_stripes",

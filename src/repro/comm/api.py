@@ -1,15 +1,17 @@
 """The unified all-reduce entrypoint: one facade over a strategy registry.
 
-    ``allreduce(world, buffers, *, strategy="ring", average=False, ...)``
+    ``allreduce(world, buffers, *, strategy="ring", **params)``
 
-dispatches through a :class:`CommStrategy` registry.  A strategy bundles
-the wire implementation with its alpha-beta cost model, so higher layers
+dispatches through a closed table of :class:`CommStrategy` objects.  A
+strategy bundles the wire implementation with its alpha-beta cost model,
+so higher layers
 (:mod:`repro.comm.engine`, :mod:`repro.perf.scaling`) can *predict* a
 strategy's cost from the same object they *execute* — the property the
 adaptive gradient-exchange engine's autotuner is built on.
 
-Third parties extend the surface with :func:`register_strategy`; the four
-paper algorithms (implemented in :mod:`.reducer`) are pre-registered.
+The table holds the four paper algorithms (implemented in
+:mod:`.reducer`); a caller with another algorithm passes its
+:class:`CommStrategy` to :func:`allreduce` directly.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ __all__ = [
     "allreduce",
     "available_strategies",
     "get_strategy",
-    "register_strategy",
 ]
 
 
@@ -42,7 +43,8 @@ __all__ = [
 class CommStrategy:
     """One named all-reduce: wire implementation + analytic cost model.
 
-    ``run_fn(world, buffers, average, tag, **params)`` must return one
+    ``run_fn(world, buffers, average, tag, **params)`` (``tag`` is the
+    strategy's ``default_tag``) must return one
     result buffer per rank (the exact sum, or mean when ``average``).  It
     may reduce in place: :meth:`run` hands it the caller's buffers
     (converted only when not already FP32/FP64 in C order), and the
@@ -59,19 +61,17 @@ class CommStrategy:
     model_fn: Callable[..., float] | None = None
 
     def run(self, world: World, buffers: list[np.ndarray], *,
-            average: bool = False, tag: int | None = None,
-            **params) -> list[np.ndarray]:
+            average: bool = False, **params) -> list[np.ndarray]:
         buffers = _check_buffers(world, buffers)
-        resolved_tag = self.default_tag if tag is None else tag
         # Every alive rank enters the same allreduce here; announcing per
         # rank lets the collective check catch a caller that runs a
         # divergent schedule (e.g. per-rank strategy choices).
         for r in world.alive_ranks():
             world.announce_collective(
-                r, f"allreduce.{self.name}", resolved_tag,
+                r, f"allreduce.{self.name}", self.default_tag,
                 buffers[0].shape, buffers[0].dtype)
         with _reduce_span(self.name, world, buffers):
-            return self.run_fn(world, buffers, average, resolved_tag,
+            return self.run_fn(world, buffers, average, self.default_tag,
                                **params)
 
     def modeled_time(self, world_size: int, volume: float, *,
@@ -82,21 +82,8 @@ class CommStrategy:
                              interconnect=interconnect, **params)
 
 
-_REGISTRY: dict[str, CommStrategy] = {}
-
-
-def register_strategy(strategy: CommStrategy, *, overwrite: bool = False) -> None:
-    """Add ``strategy`` to the registry (``overwrite`` to replace)."""
-    if not isinstance(strategy, CommStrategy):
-        raise TypeError(f"expected CommStrategy, got {type(strategy).__name__}")
-    if strategy.name in _REGISTRY and not overwrite:
-        raise ValueError(f"strategy {strategy.name!r} already registered; "
-                         "pass overwrite=True to replace it")
-    _REGISTRY[strategy.name] = strategy
-
-
 def get_strategy(name: str) -> CommStrategy:
-    """Look up a registered strategy by name."""
+    """Look up a built-in strategy by name."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -106,25 +93,24 @@ def get_strategy(name: str) -> CommStrategy:
 
 
 def available_strategies() -> tuple[str, ...]:
-    """Registered strategy names, in registration order."""
+    """Built-in strategy names, in table order."""
     return tuple(_REGISTRY)
 
 
 def allreduce(world: World, buffers: list[np.ndarray], *,
-              strategy: str | CommStrategy = "ring", average: bool = False,
-              tag: int | None = None, **params) -> list[np.ndarray]:
+              strategy: str | CommStrategy = "ring",
+              **params) -> list[np.ndarray]:
     """All-reduce ``buffers`` (one per rank) under the named strategy.
 
     The single public entrypoint for dense collectives: every per-rank
-    buffer is summed (or averaged) and the identical result is returned
+    buffer is summed and the identical result is returned
     for every rank.  The inputs are never mutated: the strategy reduces in
     copies of them.  ``strategy`` is a registry name or a
     :class:`CommStrategy` instance; strategy-specific knobs (e.g.
     ``gpus_per_node`` for ``"hierarchical"``) pass through ``**params``.
     """
     s = strategy if isinstance(strategy, CommStrategy) else get_strategy(strategy)
-    return s.run(world, [np.array(b, order="C") for b in buffers],
-                 average=average, tag=tag, **params)
+    return s.run(world, [np.array(b, order="C") for b in buffers], **params)
 
 
 # -- built-in strategies -----------------------------------------------------
@@ -155,8 +141,10 @@ def _hierarchical_time(n: int, volume: float, *, nvlink: Link,
         parallel_devices=mpi_ranks_per_node)
 
 
-register_strategy(CommStrategy("naive", _allreduce_naive, 10, _naive_time))
-register_strategy(CommStrategy("ring", _allreduce_ring, 20, _ring_time))
-register_strategy(CommStrategy("tree", _allreduce_tree, 30, _tree_time))
-register_strategy(CommStrategy("hierarchical", _allreduce_hierarchical, 40,
-                               _hierarchical_time))
+_REGISTRY: dict[str, CommStrategy] = {
+    "naive": CommStrategy("naive", _allreduce_naive, 10, _naive_time),
+    "ring": CommStrategy("ring", _allreduce_ring, 20, _ring_time),
+    "tree": CommStrategy("tree", _allreduce_tree, 30, _tree_time),
+    "hierarchical": CommStrategy("hierarchical", _allreduce_hierarchical, 40,
+                                 _hierarchical_time),
+}

@@ -155,11 +155,14 @@ def make_compressor(kind: str, ratio: float = 0.01) -> _ErrorFeedbackCompressor:
     raise ValueError(f"unknown compressor kind {kind!r}; expected 'topk' or 'int8'")
 
 
+#: Message tags of the sparse all-gather (indices, then values at +1).
+SPARSE_TAG = 700
+
+
 def sparse_allreduce(
     world: World,
     sparse_grads: list[SparseGradient],
     average: bool = True,
-    tag: int = 700,
 ) -> list[np.ndarray]:
     """All-reduce sparse gradients: gather payloads, sum densified, share.
 
@@ -181,8 +184,8 @@ def sparse_allreduce(
         payload_val = sparse_grads[src].values
         for dst in range(n):
             if dst != src:
-                world.send(payload_idx, src, dst, tag)
-                world.send(payload_val, src, dst, tag + 1)
+                world.send(payload_idx, src, dst, SPARSE_TAG)
+                world.send(payload_val, src, dst, SPARSE_TAG + 1)
     results = []
     size = int(np.prod(shape))
     for dst in range(n):
@@ -194,8 +197,8 @@ def sparse_allreduce(
                 idx = sparse_grads[dst].indices
                 val = sparse_grads[dst].values
             else:
-                idx = world.recv(dst, src, tag)
-                val = world.recv(dst, src, tag + 1)
+                idx = world.recv(dst, src, SPARSE_TAG)
+                val = world.recv(dst, src, SPARSE_TAG + 1)
             np.add.at(total, idx, val)
         if average:
             total /= n

@@ -49,6 +49,11 @@ __all__ = [
     "tree_parent",
 ]
 
+#: Mean gap between consecutive tensors' readiness, and the per-rank
+#: jitter as a fraction of it, for :meth:`ReadinessSchedule.random`.
+MEAN_GAP = 1.0
+JITTER = 0.5
+
 
 @dataclass
 class ReadinessSchedule:
@@ -62,13 +67,12 @@ class ReadinessSchedule:
     times: np.ndarray  # (ranks, tensors) float
 
     @staticmethod
-    def random(ranks: int, tensors: int, seed: int = 0,
-               mean_gap: float = 1.0, jitter: float = 0.5) -> "ReadinessSchedule":
+    def random(ranks: int, tensors: int, seed: int = 0) -> "ReadinessSchedule":
         rng = np.random.default_rng(seed)
-        base = np.cumsum(rng.exponential(mean_gap, size=tensors))
+        base = np.cumsum(rng.exponential(MEAN_GAP, size=tensors))
         # Per-rank jitter makes tensors become ready in rank-specific orders,
         # the condition that forces Horovod's negotiation in the first place.
-        noise = rng.normal(0.0, jitter * mean_gap, size=(ranks, tensors))
+        noise = rng.normal(0.0, JITTER * MEAN_GAP, size=(ranks, tensors))
         return ReadinessSchedule(np.maximum(base[None, :] + noise, 0.0))
 
     @property
@@ -100,8 +104,7 @@ class NegotiationResult:
         return self.controller_load / max(len(self.order), 1)
 
 
-def centralized_negotiation(schedule: ReadinessSchedule,
-                            hop_latency: float = 0.0) -> NegotiationResult:
+def centralized_negotiation(schedule: ReadinessSchedule) -> NegotiationResult:
     """Original Horovod: every rank reports to rank 0; rank 0 broadcasts go.
 
     Message counts: rank 0 receives (ranks-1) readiness messages and sends
@@ -110,10 +113,8 @@ def centralized_negotiation(schedule: ReadinessSchedule,
     ranks, tensors = schedule.ranks, schedule.tensors
     sent = np.zeros(ranks, dtype=np.int64)
     received = np.zeros(ranks, dtype=np.int64)
-    # Readiness reaches rank 0 one hop after local readiness.
-    arrival = schedule.times + hop_latency
-    arrival[0] = schedule.times[0]  # rank 0's own op needs no message
-    all_ready = arrival.max(axis=0)
+    # Hops are free in this model: a tensor is ready once its last rank is.
+    all_ready = schedule.times.max(axis=0)
     # Non-root ranks each send one readiness message per tensor.
     sent[1:] += tensors
     received[0] += (ranks - 1) * tensors
@@ -121,7 +122,7 @@ def centralized_negotiation(schedule: ReadinessSchedule,
     sent[0] += (ranks - 1) * tensors
     received[1:] += tensors
     order = sorted(range(tensors), key=lambda t: (all_ready[t], t))
-    decisions = np.sort(all_ready) + hop_latency
+    decisions = np.sort(all_ready)
     result = NegotiationResult(order, decisions, sent, received)
     _record_negotiation("centralized", result)
     return result

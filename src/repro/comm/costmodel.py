@@ -67,36 +67,33 @@ def hierarchical_allreduce_time(
     return t_intra_reduce + t_inter + t_intra_bcast
 
 
-def centralized_control_time(
-    ranks: int,
-    tensors_per_step: int,
-    controller_msg_rate: float = 2.0e6,
-) -> float:
+#: Control messages/second one rank can sustain (a few million, per the
+#: paper's narrative).
+CONTROLLER_MSG_RATE = 2.0e6
+#: The control plane's aggregation-tree radix and its per-hop latency, s.
+RADIX = 4
+HOP_LATENCY_S = 5.0e-6
+
+
+def centralized_control_time(ranks: int, tensors_per_step: int) -> float:
     """Control-plane time per step with the original rank-0 scheduler.
 
     Rank 0 must receive one readiness and send one go message per (rank,
     tensor): ``2 * ranks * tensors`` messages serialized through one
-    process.  ``controller_msg_rate`` is the messages/second one rank can
-    sustain (a few million, per the paper's narrative).
+    process at ``CONTROLLER_MSG_RATE``.
     """
     messages = 2 * max(ranks - 1, 0) * tensors_per_step
-    return messages / controller_msg_rate
+    return messages / CONTROLLER_MSG_RATE
 
 
-def hierarchical_control_time(
-    ranks: int,
-    tensors_per_step: int,
-    radix: int = 4,
-    controller_msg_rate: float = 2.0e6,
-    hop_latency: float = 5.0e-6,
-) -> float:
+def hierarchical_control_time(ranks: int, tensors_per_step: int) -> float:
     """Control-plane time per step with the radix-r aggregation tree.
 
-    Every rank handles at most ``2 (radix + 1)`` messages per tensor and the
+    Every rank handles at most ``2 (RADIX + 1)`` messages per tensor and the
     readiness/go waves traverse ``2 log_r(ranks)`` hops.
     """
     if ranks <= 1:
         return 0.0
-    per_rank_messages = 2 * (radix + 1) * tensors_per_step
-    depth = ceil(log2(max(ranks, 2)) / log2(radix + 1))
-    return per_rank_messages / controller_msg_rate + 2 * depth * hop_latency
+    per_rank_messages = 2 * (RADIX + 1) * tensors_per_step
+    depth = ceil(log2(max(ranks, 2)) / log2(RADIX + 1))
+    return per_rank_messages / CONTROLLER_MSG_RATE + 2 * depth * HOP_LATENCY_S

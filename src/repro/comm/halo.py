@@ -37,8 +37,12 @@ def split_stripes(x: np.ndarray, ranks: int) -> list[np.ndarray]:
     return [x[:, :, lo:hi].copy() for lo, hi in bounds]
 
 
-def halo_exchange(world: World, stripes: list[np.ndarray], halo: int,
-                  tag: int = 500) -> list[np.ndarray]:
+#: Message tags of the halo exchange (upward rows; downward rows at +1).
+HALO_TAG = 500
+
+
+def halo_exchange(world: World, stripes: list[np.ndarray],
+                  halo: int) -> list[np.ndarray]:
     """Pad each stripe with ``halo`` rows from its neighbours.
 
     Boundary ranks (top of rank 0, bottom of the last rank) get zero padding,
@@ -60,18 +64,20 @@ def halo_exchange(world: World, stripes: list[np.ndarray], halo: int,
     # Post all sends first (non-blocking semantics), then receive.
     for r, s in enumerate(stripes):
         if r > 0:
-            world.send(s[:, :, :halo], r, r - 1, tag)       # my top rows -> up
+            # my top rows -> up
+            world.send(s[:, :, :halo], r, r - 1, HALO_TAG)
         if r < n_ranks - 1:
-            world.send(s[:, :, -halo:], r, r + 1, tag + 1)  # my bottom rows -> down
+            # my bottom rows -> down
+            world.send(s[:, :, -halo:], r, r + 1, HALO_TAG + 1)
     padded = []
     for r, s in enumerate(stripes):
         n, c, h, w = s.shape
         out = np.zeros((n, c, h + 2 * halo, w), dtype=s.dtype)
         out[:, :, halo : halo + h] = s
         if r > 0:
-            out[:, :, :halo] = world.recv(r, r - 1, tag + 1)
+            out[:, :, :halo] = world.recv(r, r - 1, HALO_TAG + 1)
         if r < n_ranks - 1:
-            out[:, :, halo + h :] = world.recv(r, r + 1, tag)
+            out[:, :, halo + h :] = world.recv(r, r + 1, HALO_TAG)
         padded.append(out)
     return padded
 

@@ -38,6 +38,9 @@ from ..telemetry import get_active
 
 __all__ = ["World", "TrafficStats"]
 
+#: Retransmissions :meth:`World.recv_reliable` makes before giving up.
+MAX_RESENDS = 3
+
 
 @dataclass
 class TrafficStats:
@@ -292,26 +295,27 @@ class World:
         return head
 
     def recv_reliable(self, dst: int, src: int, tag: int = 0, *,
-                      resend=None, max_resends: int = 3):
+                      resend=None):
         """``recv`` that survives injected drops by re-sending.
 
         ``resend`` is a zero-argument callable returning the payload to
         retransmit (the protocol layer knows what it sent); each
         :class:`~repro.errors.MessageDropped` triggers one retransmission,
-        up to ``max_resends``.
+        up to ``MAX_RESENDS``.
         """
         attempts = 0
         while True:
             try:
                 return self.recv(dst, src, tag)
             except MessageDropped:
-                if resend is None or attempts >= max_resends:
+                if resend is None or attempts >= MAX_RESENDS:
                     raise
                 attempts += 1
                 self.send(resend(), src, dst, tag)
 
-    def pending(self, dst: int, src: int, tag: int = 0) -> int:
-        q = self._queues[(src, dst, tag)]
+    def pending(self, dst: int, src: int) -> int:
+        """Deliverable messages queued from ``src`` to ``dst`` on tag 0."""
+        q = self._queues[(src, dst, 0)]
         return sum(1 for m in q if not isinstance(m, (_DropMarker, _DupMarker)))
 
     def _check_rank(self, rank: int) -> None:
@@ -367,13 +371,6 @@ class World:
             self.collective_rounds += 1
 
     # -- simple collectives (reference implementations) -----------------------
-
-    def exchange(self, payloads: list, pairs: list[tuple[int, int]], tag: int = 0) -> list:
-        """Send payloads[src] along each (src, dst) pair; return recv list
-        aligned with ``pairs``.  Helper for algorithm implementations."""
-        for (src, dst), payload in zip(pairs, payloads):
-            self.send(payload, src, dst, tag)
-        return [self.recv(dst, src, tag) for (src, dst) in pairs]
 
     def _announce_all(self, op: str, tag: int, payload) -> None:
         """Driver-level collectives enter on every alive rank at once."""

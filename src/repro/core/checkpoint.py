@@ -26,6 +26,8 @@ from .trainer import Trainer
 __all__ = ["CheckpointManager"]
 
 _FORMAT_VERSION = 1
+#: Checkpoint file names are ``<PREFIX>-<step:08d>.npz``.
+PREFIX = "ckpt"
 
 
 def _optimizer_state(optimizer) -> tuple[dict[str, np.ndarray], dict]:
@@ -92,7 +94,7 @@ def _write_checkpoint(trainer: Trainer, path: Path,
             "num_overflows": trainer.scaler.num_overflows,
         }
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    # Written whole under a name the ``<prefix>-*.npz`` glob skips, then
+    # Written whole under a name the ``<PREFIX>-*.npz`` glob skips, then
     # renamed: a save that dies midway never becomes the latest checkpoint.
     tmp = path.with_name(f".{path.name}.tmp")
     try:
@@ -114,8 +116,7 @@ def _open_checkpoint(path: Path):
             f"unreadable checkpoint {path}: {exc}") from exc
 
 
-def _read_checkpoint(trainer: Trainer, path: Path,
-                     strict_config: bool = True) -> dict:
+def _read_checkpoint(trainer: Trainer, path: Path) -> dict:
     """Restore a trainer in place; returns the checkpoint metadata."""
     path = Path(path)
     with _open_checkpoint(path) as data:
@@ -124,10 +125,7 @@ def _read_checkpoint(trainer: Trainer, path: Path,
             raise CheckpointFormatError(
                 f"unsupported checkpoint version {meta['version']}")
         saved_cfg = meta["config"]
-        skip_keys = set() if strict_config else {"lr"}
         for key, value in saved_cfg.items():
-            if key in skip_keys:
-                continue
             if getattr(trainer.config, key) != value:
                 raise CheckpointConfigMismatch(
                     f"checkpoint config mismatch at {key!r}: saved {value}, "
@@ -165,26 +163,24 @@ def _read_checkpoint(trainer: Trainer, path: Path,
 class CheckpointManager:
     """Owns a directory of step-named checkpoints with rotation.
 
-    Files are ``<prefix>-<step:08d>.npz`` inside ``directory``; ``latest``
+    Files are ``<PREFIX>-<step:08d>.npz`` inside ``directory``; ``latest``
     resolves the newest restart point by step number (not mtime, so a
     restored/copied directory still resumes correctly), and
     ``rotate(keep_last=N)`` bounds disk use on long runs.  The resilience
     runner's autoresume path is built on exactly these four verbs.
     """
 
-    def __init__(self, directory: str | Path, keep_last: int | None = None,
-                 prefix: str = "ckpt"):
+    def __init__(self, directory: str | Path, keep_last: int | None = None):
         if keep_last is not None and keep_last < 1:
             raise ValueError("keep_last must be >= 1")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep_last = keep_last
-        self.prefix = prefix
 
     # -- naming ------------------------------------------------------------
 
     def path_for(self, step: int) -> Path:
-        return self.directory / f"{self.prefix}-{int(step):08d}.npz"
+        return self.directory / f"{PREFIX}-{int(step):08d}.npz"
 
     def _step_of(self, path: Path) -> int:
         stem = path.stem
@@ -196,7 +192,7 @@ class CheckpointManager:
 
     def checkpoints(self) -> list[Path]:
         """Managed checkpoint files, oldest first."""
-        paths = self.directory.glob(f"{self.prefix}-*.npz")
+        paths = self.directory.glob(f"{PREFIX}-*.npz")
         return sorted(paths, key=self._step_of)
 
     def latest(self) -> Path | None:
@@ -233,8 +229,7 @@ class CheckpointManager:
             self.rotate(self.keep_last)
         return path
 
-    def load(self, trainer: Trainer, path: str | Path | None = None,
-             strict_config: bool = True) -> dict:
+    def load(self, trainer: Trainer, path: str | Path | None = None) -> dict:
         """Restore ``trainer`` from ``path`` (default: latest); returns
         the checkpoint metadata."""
         if path is None:
@@ -242,8 +237,7 @@ class CheckpointManager:
             if path is None:
                 raise CheckpointError(
                     f"no checkpoints under {self.directory}")
-        return _read_checkpoint(trainer, Path(path),
-                                strict_config=strict_config)
+        return _read_checkpoint(trainer, Path(path))
 
     def load_extra_arrays(self, path: str | Path | None = None
                           ) -> dict[str, np.ndarray]:

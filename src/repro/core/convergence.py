@@ -55,7 +55,6 @@ def wall_clock_curve(
     gpus: int,
     precision: str,
     lag: int = 0,
-    label: str | None = None,
 ) -> ConvergenceCurve:
     """Attach modeled step times to a measured loss trajectory."""
     from ..perf.scaling import step_time_model  # local import: perf uses core
@@ -63,18 +62,22 @@ def wall_clock_curve(
     step_time = step_time_model(architecture, gpus, precision, lag)
     losses = np.asarray(losses, dtype=np.float64)
     times = step_time * np.arange(1, len(losses) + 1)
-    name = label or f"{architecture} {precision} #GPUs={gpus} lag={lag}"
+    name = f"{architecture} {precision} #GPUs={gpus} lag={lag}"
     return ConvergenceCurve(name, times, losses, gpus, precision, lag)
 
 
-def loss_trajectory_summary(losses: np.ndarray, tail_frac: float = 0.2) -> dict:
+#: Share of the series averaged as its head and as its tail.
+TAIL_FRAC = 0.2
+
+
+def loss_trajectory_summary(losses: np.ndarray) -> dict:
     """Simple convergence diagnostics for a loss series."""
     losses = np.asarray(losses, dtype=np.float64)
     n = len(losses)
     if n < 4:
         raise ValueError("need at least 4 steps")
-    tail = losses[int(n * (1 - tail_frac)):]
-    head = losses[: max(int(n * tail_frac), 2)]
+    tail = losses[int(n * (1 - TAIL_FRAC)):]
+    head = losses[: max(int(n * TAIL_FRAC), 2)]
     return {
         "initial": float(head.mean()),
         "final": float(tail.mean()),

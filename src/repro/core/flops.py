@@ -45,6 +45,9 @@ PAPER_OP_COUNTS_TF = {
     "tiramisu_4ch": 3.703,
 }
 
+#: The paper's native 1152x768 image, as (height, width).
+PAPER_HW = (768, 1152)
+
 #: The paper's benchmarked configurations: name -> (constructor, input
 #: channels).  The one place a network name becomes a network.
 _PAPER_NETWORKS = {
@@ -71,10 +74,11 @@ class NetworkFlops:
         return self.tf_per_sample / self.paper_tf_per_sample
 
 
-def count_training_flops(model: Module, input_shape: tuple[int, int, int],
-                         batch: int = 1, precision: str = "fp32") -> GraphAnalysis:
-    """Full training-step kernel inventory (forward + backward)."""
-    return model.analyze(input_shape, batch=batch, precision=precision,
+def count_training_flops(model: Module,
+                         input_shape: tuple[int, int, int]) -> GraphAnalysis:
+    """Full FP32 training-step kernel inventory (forward + backward) of
+    one sample."""
+    return model.analyze(input_shape, batch=1, precision="fp32",
                          include_backward=True)
 
 
@@ -100,9 +104,9 @@ def paper_network(network: str) -> Module:
 
 
 def paper_graph(network: str, batch: int, precision: str,
-                include_backward: bool = True,
-                height: int = 768, width: int = 1152) -> tuple[GraphAnalysis, int]:
-    """Traced kernel inventory and parameter count of a paper-size network.
+                include_backward: bool = True) -> tuple[GraphAnalysis, int]:
+    """Traced kernel inventory and parameter count of a paper-size network
+    on a ``PAPER_HW`` image.
 
     The single, memoised source of paper-size graphs for the cost models in
     :mod:`repro.perf`: the first call per configuration builds a shape-only
@@ -110,24 +114,24 @@ def paper_graph(network: str, batch: int, precision: str,
     return the same immutable analysis.
     """
     # Positional, so every spelling of one configuration shares a cache entry.
-    return _paper_graph(network, batch, precision, include_backward, height, width)
+    return _paper_graph(network, batch, precision, include_backward)
 
 
 @lru_cache(maxsize=64)
-def _paper_graph(network, batch, precision, include_backward, height, width):
+def _paper_graph(network, batch, precision, include_backward):
     model = paper_network(network)
     channels = _PAPER_NETWORKS[network][1]
-    analysis = model.analyze((channels, height, width), batch=batch,
+    analysis = model.analyze((channels, *PAPER_HW), batch=batch,
                              precision=precision,
                              include_backward=include_backward)
     return analysis, model.num_parameters()
 
 
-def network_flop_table(height: int = 768, width: int = 1152) -> list[NetworkFlops]:
+def network_flop_table() -> list[NetworkFlops]:
     """Reproduce Figure 2's operation-count column for all three configs."""
     rows = []
     for name in _PAPER_NETWORKS:
-        a, parameters = paper_graph(name, 1, "fp32", height=height, width=width)
+        a, parameters = paper_graph(name, 1, "fp32")
         rows.append(NetworkFlops(name, a.flops_per_sample() / 1e12,
                                  PAPER_OP_COUNTS_TF[name], parameters,
                                  a.kernel_count))

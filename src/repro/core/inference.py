@@ -126,8 +126,8 @@ def _blend_weights(image_hw: tuple[int, int], window_hw: tuple[int, int],
 
 
 def blend_windows(outs: list[np.ndarray], ys: list[int], xs: list[int],
-                  image_hw: tuple[int, int], window_hw: tuple[int, int],
-                  num_classes: int | None = None) -> np.ndarray:
+                  image_hw: tuple[int, int], window_hw: tuple[int, int]
+                  ) -> np.ndarray:
     """Tent-blend per-window logits into a full (K, H, W) logit map.
 
     ``outs`` holds one (K, wh, ww) block per (y, x) position, ordered as
@@ -143,8 +143,7 @@ def blend_windows(outs: list[np.ndarray], ys: list[int], xs: list[int],
             out = outs[i].astype(np.float64)
             i += 1
             if acc is None:
-                k = out.shape[0] if num_classes is None else num_classes
-                acc = np.zeros((k, h, w))
+                acc = np.zeros((out.shape[0], h, w))
             acc[:, y0: y0 + wh, x0: x0 + ww] += out * weight_2d
     if acc is None:
         raise RuntimeError("no tiles generated")
@@ -156,7 +155,6 @@ def sliding_window_logits(
     image: np.ndarray,
     window_hw: tuple[int, int],
     stride_hw: tuple[int, int] | None = None,
-    num_classes: int | None = None,
     batch_size: int = 1,
     cache=None,
 ) -> np.ndarray:
@@ -178,13 +176,12 @@ def sliding_window_logits(
             if cache is not None else None)
     outs = forward_windows(model, tiles, batch_size=batch_size, cache=cache,
                            keys=keys)
-    return blend_windows(outs, ys, xs, (h, w), (wh, ww),
-                         num_classes=num_classes)
+    return blend_windows(outs, ys, xs, (h, w), (wh, ww))
 
 
 def predict_tiled(model: Module, image: np.ndarray,
-                  window_hw: tuple[int, int],
-                  stride_hw: tuple[int, int] | None = None) -> np.ndarray:
-    """Class-id map for one (C, H, W) snapshot via tiled inference."""
-    logits = sliding_window_logits(model, image, window_hw, stride_hw)
+                  window_hw: tuple[int, int]) -> np.ndarray:
+    """Class-id map for one (C, H, W) snapshot via tiled inference at
+    half-window stride."""
+    logits = sliding_window_logits(model, image, window_hw)
     return np.argmax(logits, axis=0)

@@ -38,16 +38,20 @@ def uniform_class_weights(frequencies: np.ndarray) -> np.ndarray:
     return np.ones_like(np.asarray(frequencies, dtype=np.float64))
 
 
-def inverse_frequency_weights(frequencies: np.ndarray, floor: float = 1e-8) -> np.ndarray:
+#: Frequencies are floored here so an absent class gets a finite weight.
+FREQUENCY_FLOOR = 1e-8
+
+
+def inverse_frequency_weights(frequencies: np.ndarray) -> np.ndarray:
     """w_k = 1 / f_k (normalized so the background weight is ~1)."""
-    f = np.maximum(np.asarray(frequencies, dtype=np.float64), floor)
+    f = np.maximum(np.asarray(frequencies, dtype=np.float64), FREQUENCY_FLOOR)
     w = 1.0 / f
     return w / w[np.argmax(f)]  # most-frequent class (BG) weighs 1
 
 
-def inverse_sqrt_frequency_weights(frequencies: np.ndarray, floor: float = 1e-8) -> np.ndarray:
+def inverse_sqrt_frequency_weights(frequencies: np.ndarray) -> np.ndarray:
     """w_k = 1 / sqrt(f_k), the paper's production weighting."""
-    f = np.maximum(np.asarray(frequencies, dtype=np.float64), floor)
+    f = np.maximum(np.asarray(frequencies, dtype=np.float64), FREQUENCY_FLOOR)
     w = 1.0 / np.sqrt(f)
     return w / w[np.argmax(f)]  # most-frequent class (BG) weighs 1
 
@@ -77,24 +81,28 @@ def pixel_weight_map(labels: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return weights[labels]
 
 
-def tc_penalty_ratio(weights: np.ndarray, tc_class: int = 1, bg_class: int = 0) -> float:
+#: Class ids of the label maps (:mod:`repro.climate.labels`).
+BG_CLASS = 0
+TC_CLASS = 1
+
+
+def tc_penalty_ratio(weights: np.ndarray) -> float:
     """False-negative / false-positive penalty ratio for the TC class.
 
     A TC false negative is weighted by w_TC (the missed pixel is labeled TC);
     a false positive by w_BG.  The paper quotes ~37x for their frequencies
     under inverse-sqrt weighting.
     """
-    return float(weights[tc_class] / weights[bg_class])
+    return float(weights[TC_CLASS] / weights[BG_CLASS])
 
 
 def segmentation_loss(
     logits: Tensor,
     labels: np.ndarray,
     frequencies: np.ndarray,
-    strategy: str = "inverse_sqrt",
-    normalization: str = "weighted_mean",
 ) -> Tensor:
-    """Weighted cross-entropy with the chosen class-weighting strategy."""
-    w = class_weights(frequencies, strategy)
-    wmap = pixel_weight_map(labels, w)
-    return weighted_cross_entropy(logits, labels, wmap, normalization=normalization)
+    """The paper's loss: cross-entropy under inverse-sqrt class weights,
+    normalized by the total pixel weight."""
+    weights = inverse_sqrt_frequency_weights(frequencies)
+    return weighted_cross_entropy(logits, labels,
+                                  pixel_weight_map(labels, weights))

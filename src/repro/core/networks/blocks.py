@@ -31,10 +31,10 @@ class ConvBNReLU(Module):
     """Conv -> BatchNorm -> ReLU, the workhorse composite."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, dilation: int = 1,
+                 dilation: int = 1,
                  rng: np.random.Generator | None = None, name: str = "cbr"):
         super().__init__()
-        self.conv = Conv2D(in_channels, out_channels, kernel, stride=stride,
+        self.conv = Conv2D(in_channels, out_channels, kernel,
                            dilation=dilation, bias=False, rng=rng, name=f"{name}.conv")
         self.bn = BatchNorm2D(out_channels, name=f"{name}.bn")
         self.act = ReLU()

@@ -113,19 +113,12 @@ class DeepLabV3Plus(Module):
         return self.final_upsample(self.classifier(out))
 
 
-def deeplab_modified(in_channels: int = 16, num_classes: int = 3,
-                     width: float = 1.0,
-                     rng: np.random.Generator | None = None) -> DeepLabV3Plus:
+def deeplab_modified(in_channels: int = 16) -> DeepLabV3Plus:
     """The paper's network: full-resolution deconvolutional decoder."""
     return DeepLabV3Plus(DeepLabConfig(in_channels=in_channels,
-                                       num_classes=num_classes,
-                                       decoder="fullres", width=width), rng=rng)
+                                       decoder="fullres"))
 
 
-def deeplab_stock(in_channels: int = 16, num_classes: int = 3,
-                  width: float = 1.0,
-                  rng: np.random.Generator | None = None) -> DeepLabV3Plus:
+def deeplab_stock() -> DeepLabV3Plus:
     """Stock quarter-resolution decoder (the ablation baseline)."""
-    return DeepLabV3Plus(DeepLabConfig(in_channels=in_channels,
-                                       num_classes=num_classes,
-                                       decoder="quarter", width=width), rng=rng)
+    return DeepLabV3Plus(DeepLabConfig(decoder="quarter"))

@@ -122,18 +122,14 @@ class Tiramisu(Module):
         return self.classifier(out)
 
 
-def tiramisu_modified(in_channels: int = 16, num_classes: int = 3,
-                      rng: np.random.Generator | None = None,
-                      growth: int = 32) -> Tiramisu:
+def tiramisu_modified(in_channels: int = 16) -> Tiramisu:
     """The paper's final Tiramisu: growth 32, halved blocks, 5x5 convs."""
-    return Tiramisu(TiramisuConfig(in_channels=in_channels, num_classes=num_classes,
-                                   growth=growth, down_layers=(2, 2, 2, 4, 5),
-                                   bottleneck_layers=5, kernel=5), rng=rng)
+    return Tiramisu(TiramisuConfig(in_channels=in_channels,
+                                   growth=32, down_layers=(2, 2, 2, 4, 5),
+                                   bottleneck_layers=5, kernel=5))
 
 
-def tiramisu_original(in_channels: int = 16, num_classes: int = 3,
-                      rng: np.random.Generator | None = None) -> Tiramisu:
+def tiramisu_original() -> Tiramisu:
     """The initial design: growth 16, double-depth blocks, 3x3 convs."""
-    return Tiramisu(TiramisuConfig(in_channels=in_channels, num_classes=num_classes,
-                                   growth=16, down_layers=(4, 4, 4, 8, 10),
-                                   bottleneck_layers=10, kernel=3), rng=rng)
+    return Tiramisu(TiramisuConfig(growth=16, down_layers=(4, 4, 4, 8, 10),
+                                   bottleneck_layers=10, kernel=3))

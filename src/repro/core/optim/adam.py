@@ -11,17 +11,20 @@ from .base import Optimizer
 
 __all__ = ["Adam"]
 
+#: Kingma & Ba's second-moment decay rate and denominator epsilon.
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam(Optimizer):
     """Kingma & Ba (2014) with bias correction."""
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+                 beta1: float = 0.9, weight_decay: float = 0.0):
         super().__init__(params, lr)
-        if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
-            raise ValueError("betas must be in [0, 1)")
-        self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
+        if not 0 <= beta1 < 1:
+            raise ValueError("beta1 must be in [0, 1)")
+        self.beta1 = float(beta1)
         self.weight_decay = float(weight_decay)
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
@@ -36,8 +39,8 @@ class Adam(Optimizer):
         m = self._m.get(key, np.zeros_like(grad))
         v = self._v.get(key, np.zeros_like(grad))
         m = self.beta1 * m + (1 - self.beta1) * grad
-        v = self.beta2 * v + (1 - self.beta2) * grad * grad
+        v = BETA2 * v + (1 - BETA2) * grad * grad
         self._m[key], self._v[key] = m, v
         mhat = m / (1 - self.beta1**t)
-        vhat = v / (1 - self.beta2**t)
-        return -self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        vhat = v / (1 - BETA2**t)
+        return -self.lr * mhat / (np.sqrt(vhat) + EPS)

@@ -24,18 +24,20 @@ from .sgd import SGD
 
 __all__ = ["LARS", "LARC"]
 
+#: Denominator epsilon of the local-rate norm ratio.
+EPS = 1e-8
+
 
 class _LayerAdaptive(SGD):
     """Shared machinery: momentum SGD with a per-layer rate adaptor."""
 
     def __init__(self, params: Iterable[Parameter], lr: float,
                  momentum: float = 0.9, weight_decay: float = 0.0,
-                 trust_coefficient: float = 0.02, eps: float = 1e-8):
+                 trust_coefficient: float = 0.02):
         super().__init__(params, lr, momentum=momentum, weight_decay=weight_decay)
         if trust_coefficient <= 0:
             raise ValueError("trust coefficient must be positive")
         self.trust = float(trust_coefficient)
-        self.eps = float(eps)
         self.last_local_rates: dict[str, float] = {}
 
     def _local_rate(self, param: Parameter, grad: np.ndarray) -> float:
@@ -43,7 +45,8 @@ class _LayerAdaptive(SGD):
         g_norm = float(np.linalg.norm(grad))
         if w_norm == 0.0 or g_norm == 0.0:
             return self.lr
-        local = self.trust * w_norm / (g_norm + self.weight_decay * w_norm + self.eps)
+        local = self.trust * w_norm / (g_norm + self.weight_decay * w_norm
+                                       + EPS)
         return self._combine(local)
 
     def _combine(self, local: float) -> float:

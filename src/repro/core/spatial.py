@@ -96,20 +96,25 @@ def distributed_conv2d(
     return outputs
 
 
+#: Bytes per activation element (FP32).
+ITEMSIZE = 4
+
+
 def activation_bytes_per_rank(
     batch: int, channels: int, height: int, width: int,
-    ranks: int, kernel: int, dilation: int = 1, itemsize: int = 4,
+    ranks: int, kernel: int,
 ) -> tuple[int, int]:
-    """(full-tensor bytes, per-rank stripe+halo bytes) for capacity planning.
+    """(full-tensor bytes, per-rank stripe+halo bytes) of an undilated
+    FP32 'same' conv, for capacity planning.
 
     This is the memory argument for model parallelism: the paper's
     1152x768x256 decoder activations exceed comfortable V100 residency
     alongside weights and workspace; striping over the 6 NVLink-connected
     GPUs of a Summit node divides the activation burden accordingly.
     """
-    full = batch * channels * height * width * itemsize
+    full = batch * channels * height * width * ITEMSIZE
     bounds = stripe_bounds(height, ranks)
     tallest = max(hi - lo for lo, hi in bounds)
-    halo = halo_rows_for(kernel, dilation)
-    per_rank = batch * channels * (tallest + 2 * halo) * width * itemsize
+    halo = halo_rows_for(kernel)
+    per_rank = batch * channels * (tallest + 2 * halo) * width * ITEMSIZE
     return full, per_rank

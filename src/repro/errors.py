@@ -145,8 +145,8 @@ class FaultInjected(ReproError):
 class RankFailure(FaultInjected):
     """An injected node/rank death; ``rank`` identifies the casualty."""
 
-    def __init__(self, rank: int, message: str | None = None):
-        super().__init__(message or f"injected failure of rank {rank}")
+    def __init__(self, rank: int):
+        super().__init__(f"injected failure of rank {rank}")
         self.rank = int(rank)
 
 

@@ -106,12 +106,6 @@ class FusedConvBiasReLU(Module):
         w, b = fold_bn_into_conv(conv, bn)
         return cls(w, b, conv.stride, conv.padding, conv.dilation, relu=relu)
 
-    @classmethod
-    def from_conv(cls, conv: Conv2D, relu: bool = False) -> "FusedConvBiasReLU":
-        bias = None if conv.bias is None else conv.bias.master_value().astype(np.float32)
-        return cls(conv.weight.data.copy(), bias,
-                   conv.stride, conv.padding, conv.dilation, relu=relu)
-
     def output_hw(self, h: int, w: int) -> tuple[int, int]:
         k = self.kernel
         return (conv_output_size(h, k, self.stride, self.padding, self.dilation),

@@ -121,9 +121,9 @@ class GraphTracer:
         return ShapeProbe((self.batch, channels, height, width), self)
 
     def emit(self, name: str, category: str, flops: int, nbytes: int,
-             count: int = 1, algorithm: str = "") -> None:
+             algorithm: str = "") -> None:
         self.records.append(
-            KernelRecord(name, category, int(flops), int(nbytes), count,
+            KernelRecord(name, category, int(flops), int(nbytes),
                          algorithm=algorithm))
 
     def note_activation(self, shape: Iterable[int]) -> None:

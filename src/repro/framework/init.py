@@ -53,13 +53,14 @@ def _fan_in(shape: tuple[int, ...]) -> int:
     raise ValueError(f"unsupported weight shape {shape}")
 
 
-def he_normal(rng: np.random.Generator, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
-    """He/Kaiming normal: std = sqrt(2/fan_in); the ReLU-network default."""
+def he_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """He/Kaiming normal FP32 weights: std = sqrt(2/fan_in); the
+    ReLU-network default."""
     fan_in = _fan_in(shape)
     if _SHAPE_ONLY.get():
-        return _placeholder(shape, dtype)
+        return _placeholder(shape, np.float32)
     std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape).astype(dtype)
+    return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
 def zeros(shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:

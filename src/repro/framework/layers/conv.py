@@ -50,15 +50,11 @@ def _add_bias(out: Tensor, bias: Parameter) -> Tensor:
                           (out, bias), backward, "bias_add")
 
 
-def _resolve_padding(padding, kernel: int, dilation: int) -> int:
-    """Resolve ``'same'`` to the symmetric pad that preserves H/stride."""
-    if padding == "same":
-        if kernel % 2 == 0:
-            raise ValueError("'same' padding requires an odd kernel size")
-        return dilation * (kernel - 1) // 2
-    if padding == "valid":
-        return 0
-    return int(padding)
+def _same_padding(kernel: int, dilation: int) -> int:
+    """The symmetric ``'same'`` pad that preserves H/stride."""
+    if kernel % 2 == 0:
+        raise ValueError("'same' padding requires an odd kernel size")
+    return dilation * (kernel - 1) // 2
 
 
 class Conv2D(Module):
@@ -70,8 +66,7 @@ class Conv2D(Module):
         Filter geometry; ``kernel`` is the (square) spatial size.
     stride, dilation:
         Standard conv hyper-parameters; ``dilation > 1`` gives atrous conv.
-    padding:
-        ``'same'`` (default), ``'valid'`` or an explicit int.
+        Padding is always ``'same'`` (odd kernels only).
     bias:
         Whether to add a per-channel bias (disabled before batch norm).
     """
@@ -82,7 +77,6 @@ class Conv2D(Module):
         out_channels: int,
         kernel: int,
         stride: int = 1,
-        padding="same",
         dilation: int = 1,
         bias: bool = True,
         rng: np.random.Generator | None = None,
@@ -94,7 +88,7 @@ class Conv2D(Module):
         self.kernel = int(kernel)
         self.stride = int(stride)
         self.dilation = int(dilation)
-        self.padding = _resolve_padding(padding, self.kernel, self.dilation)
+        self.padding = _same_padding(self.kernel, self.dilation)
         rng = rng or np.random.default_rng(0)
         wshape = (self.out_channels, self.in_channels, self.kernel, self.kernel)
         self.weight = Parameter(initializers.he_normal(rng, wshape), name=f"{name}.weight")
@@ -211,10 +205,9 @@ class Conv2D(Module):
 class AtrousConv2D(Conv2D):
     """Dilated convolution, the DeepLabv3+ building block (Section III-A1)."""
 
-    def __init__(self, in_channels, out_channels, kernel, dilation, stride=1,
-                 padding="same", bias=True, rng=None, name="atrous"):
-        super().__init__(in_channels, out_channels, kernel, stride=stride,
-                         padding=padding, dilation=dilation, bias=bias, rng=rng, name=name)
+    def __init__(self, in_channels, out_channels, kernel, dilation):
+        super().__init__(in_channels, out_channels, kernel,
+                         dilation=dilation, name="atrous")
 
 
 class ConvTranspose2D(Module):

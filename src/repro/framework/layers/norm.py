@@ -23,12 +23,13 @@ class BatchNorm2D(Module):
     checkpoints and inference see.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
-                 name: str = "bn"):
+    #: Variance epsilon and running-statistics momentum (PyTorch's values).
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, channels: int, name: str = "bn"):
         super().__init__()
         self.channels = int(channels)
-        self.eps = float(eps)
-        self.momentum = float(momentum)
         self.gamma = Parameter(initializers.ones((channels,)), name=f"{name}.gamma")
         self.beta = Parameter(initializers.zeros((channels,)), name=f"{name}.beta")
         self.rank_mean = np.zeros((1, channels), dtype=np.float32)

@@ -19,12 +19,11 @@ class BilinearUpsample2D(Module):
     ablation baseline.
     """
 
-    def __init__(self, scale: int = 2, align_corners: bool = False):
+    def __init__(self, scale: int = 2):
         super().__init__()
         if scale < 1:
             raise ValueError(f"scale must be >= 1, got {scale}")
         self.scale = int(scale)
-        self.align_corners = bool(align_corners)
 
     def output_hw(self, h: int, w: int) -> tuple[int, int]:
         return h * self.scale, w * self.scale
@@ -45,11 +44,10 @@ class BilinearUpsample2D(Module):
             return ShapeProbe(out_shape, tr)
         n, c, h, w = x.data.shape
         oh, ow = self.output_hw(h, w)
-        y = bilinear_upsample_forward(x.data, oh, ow, self.align_corners)
+        y = bilinear_upsample_forward(x.data, oh, ow)
         x_shape = x.data.shape
-        align = self.align_corners
 
         def backward(g: np.ndarray) -> None:
-            x.accumulate_grad(bilinear_upsample_backward(g, x_shape, align))
+            x.accumulate_grad(bilinear_upsample_backward(g, x_shape))
 
         return Tensor.from_op(y, (x,), backward, f"bilinear[x{self.scale}]")

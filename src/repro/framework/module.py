@@ -167,11 +167,11 @@ class Module:
 
     # -- precision policy ------------------------------------------------------------
 
-    def cast_parameters(self, dtype, keep_master: bool = True) -> "Module":
+    def cast_parameters(self, dtype) -> "Module":
         """Cast working parameter copies (FP16 mode keeps FP32 masters)."""
         dtype = np.dtype(dtype)
         for p in self.parameters():
-            if keep_master and dtype == FP16:
+            if dtype == FP16:
                 p.enable_master_copy()
             p.cast_(dtype)
         return self

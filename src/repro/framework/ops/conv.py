@@ -50,10 +50,10 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int, dilation
 
 
 def conv_transpose_output_size(
-    size: int, kernel: int, stride: int, padding: int, output_padding: int = 0, dilation: int = 1
+    size: int, kernel: int, stride: int, padding: int, output_padding: int = 0
 ) -> int:
-    """Output length of a transposed conv along one spatial dim."""
-    return (size - 1) * stride - 2 * padding + dilation * (kernel - 1) + 1 + output_padding
+    """Output length of an undilated transposed conv along one spatial dim."""
+    return (size - 1) * stride - 2 * padding + kernel + output_padding
 
 
 def _acc_dtype(dtype: np.dtype) -> np.dtype:

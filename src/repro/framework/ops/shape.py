@@ -15,12 +15,11 @@ __all__ = [
 ]
 
 
-def _bilinear_weights(in_size: int, out_size: int, align_corners: bool):
-    """Source indices and blend weights for 1-D bilinear resampling."""
+def _bilinear_weights(in_size: int, out_size: int):
+    """Source indices and blend weights for 1-D bilinear resampling on
+    half-pixel centers (corners not aligned)."""
     if out_size == 1:
         pos = np.zeros(1)
-    elif align_corners:
-        pos = np.linspace(0.0, in_size - 1, out_size)
     else:
         scale = in_size / out_size
         pos = np.maximum((np.arange(out_size) + 0.5) * scale - 0.5, 0.0)
@@ -31,13 +30,12 @@ def _bilinear_weights(in_size: int, out_size: int, align_corners: bool):
     return lo, hi, frac
 
 
-def bilinear_upsample_forward(
-    x: np.ndarray, out_h: int, out_w: int, align_corners: bool = False
-) -> np.ndarray:
+def bilinear_upsample_forward(x: np.ndarray, out_h: int,
+                              out_w: int) -> np.ndarray:
     """Resize (N,C,H,W) to (N,C,out_h,out_w) with bilinear interpolation."""
     n, c, h, w = x.shape
-    ylo, yhi, yf = _bilinear_weights(h, out_h, align_corners)
-    xlo, xhi, xf = _bilinear_weights(w, out_w, align_corners)
+    ylo, yhi, yf = _bilinear_weights(h, out_h)
+    xlo, xhi, xf = _bilinear_weights(w, out_w)
     acc = np.float64 if x.dtype == np.float64 else np.float32
     xa = x.astype(acc, copy=False)
     yf2 = yf[:, None]
@@ -51,13 +49,12 @@ def bilinear_upsample_forward(
 def bilinear_upsample_backward(
     grad_out: np.ndarray,
     x_shape: tuple[int, int, int, int],
-    align_corners: bool = False,
 ) -> np.ndarray:
     """Adjoint of bilinear resize: scatter-add the four blend contributions."""
     n, c, h, w = x_shape
     _, _, oh, ow = grad_out.shape
-    ylo, yhi, yf = _bilinear_weights(h, oh, align_corners)
-    xlo, xhi, xf = _bilinear_weights(w, ow, align_corners)
+    ylo, yhi, yf = _bilinear_weights(h, oh)
+    xlo, xhi, xf = _bilinear_weights(w, ow)
     acc = np.float64 if grad_out.dtype == np.float64 else np.float32
     g = grad_out.astype(acc, copy=False)
     dx = np.zeros((n, c, h, w), dtype=acc)

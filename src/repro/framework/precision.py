@@ -17,6 +17,15 @@ from .module import Module
 
 __all__ = ["LossScaler", "apply_fp16_policy"]
 
+#: Dynamic scaling policy: grow by ``GROWTH_FACTOR`` after every
+#: ``GROWTH_INTERVAL`` finite steps, back off by ``BACKOFF_FACTOR`` on an
+#: overflow, and stay within [``MIN_SCALE``, ``MAX_SCALE``].
+GROWTH_FACTOR = 2.0
+BACKOFF_FACTOR = 0.5
+GROWTH_INTERVAL = 200
+MIN_SCALE = 1.0
+MAX_SCALE = 2.0**24
+
 
 class LossScaler:
     """Static or dynamic loss scaling for FP16 training.
@@ -31,25 +40,11 @@ class LossScaler:
             optimizer.step()    # on the unscaled FP32 grads
     """
 
-    def __init__(
-        self,
-        init_scale: float = 2.0**15,
-        dynamic: bool = True,
-        growth_factor: float = 2.0,
-        backoff_factor: float = 0.5,
-        growth_interval: int = 200,
-        min_scale: float = 1.0,
-        max_scale: float = 2.0**24,
-    ):
+    def __init__(self, init_scale: float = 2.0**15, dynamic: bool = True):
         if init_scale <= 0:
             raise ValueError("init_scale must be positive")
         self.scale = float(init_scale)
         self.dynamic = bool(dynamic)
-        self.growth_factor = float(growth_factor)
-        self.backoff_factor = float(backoff_factor)
-        self.growth_interval = int(growth_interval)
-        self.min_scale = float(min_scale)
-        self.max_scale = float(max_scale)
         self._good_steps = 0
         self.num_overflows = 0
 
@@ -60,16 +55,16 @@ class LossScaler:
     def update(self, finite: bool) -> None:
         """Advance the scale by one step's outcome: back off and restart the
         growth count on overflow, else count a good step (growing the scale
-        every ``growth_interval`` of them)."""
+        every ``GROWTH_INTERVAL`` of them)."""
         if not finite:
             self.num_overflows += 1
             if self.dynamic:
-                self.scale = max(self.scale * self.backoff_factor, self.min_scale)
+                self.scale = max(self.scale * BACKOFF_FACTOR, MIN_SCALE)
             self._good_steps = 0
         elif self.dynamic:
             self._good_steps += 1
-            if self._good_steps >= self.growth_interval:
-                self.scale = min(self.scale * self.growth_factor, self.max_scale)
+            if self._good_steps >= GROWTH_INTERVAL:
+                self.scale = min(self.scale * GROWTH_FACTOR, MAX_SCALE)
                 self._good_steps = 0
 
 

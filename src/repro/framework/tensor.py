@@ -197,13 +197,10 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
-        """Run reverse-mode autodiff from this tensor.
-
-        ``grad`` defaults to ones (so ``loss.backward()`` works for scalars).
+    def backward(self) -> None:
+        """Run reverse-mode autodiff from this tensor, seeded with ones (the
+        gradient of a scalar loss, or of the sum of a non-scalar output).
         """
-        if grad is None:
-            grad = np.ones_like(self.data)
         # Topological order over the tape.
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -220,7 +217,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
-        self.accumulate_grad(np.asarray(grad, dtype=self.data.dtype))
+        self.accumulate_grad(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

@@ -15,16 +15,15 @@ from .specs import FileSystemSpec
 
 __all__ = ["SharedFileSystem"]
 
+#: Samples :meth:`SharedFileSystem.throughput_variability` draws.
+VARIABILITY_SAMPLES = 100
+
 
 @dataclass
 class SharedFileSystem:
     """Analytic contention model over a :class:`FileSystemSpec`."""
 
     spec: FileSystemSpec
-
-    def aggregate_read_bandwidth(self, demand: float) -> float:
-        """Delivered aggregate bandwidth for a given aggregate demand (B/s)."""
-        return min(demand, self.spec.effective_read_bandwidth)
 
     def client_bandwidth(self, clients: int, per_client_demand: float) -> float:
         """Per-client delivered bandwidth under fair-share throttling."""
@@ -52,15 +51,14 @@ class SharedFileSystem:
             raise ValueError("no read bandwidth available")
         return total_bytes / agg
 
-    def throughput_variability(self, saturation: float,
-                               rng: np.random.Generator | None = None,
-                               samples: int = 100) -> np.ndarray:
-        """Relative delivered-bandwidth samples; variance grows as the FS
-        saturates (the paper observed "larger variability" near the limit)."""
-        rng = rng or np.random.default_rng(0)
+    def throughput_variability(self, saturation: float) -> np.ndarray:
+        """``VARIABILITY_SAMPLES`` relative delivered-bandwidth samples
+        (seed 0); variance grows as the FS saturates (the paper observed
+        "larger variability" near the limit)."""
+        rng = np.random.default_rng(0)
         sat = min(max(saturation, 0.0), 4.0)
         # Below saturation: a few percent jitter.  Beyond: long-tailed slowdowns.
         sigma = 0.02 + 0.18 * max(sat - 0.8, 0.0)
-        draw = rng.lognormal(mean=0.0, sigma=sigma, size=samples)
+        draw = rng.lognormal(mean=0.0, sigma=sigma, size=VARIABILITY_SAMPLES)
         cap = 1.0 / max(sat, 1.0)
         return np.minimum(cap, cap / draw)

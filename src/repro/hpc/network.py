@@ -37,6 +37,3 @@ class FabricModel:
         messages = max(total_bytes / avg_message_bytes, 1.0)
         latency = messages / self.nodes * self.injection.alpha
         return total_bytes / self.aggregate_bandwidth + latency
-
-    def point_to_point_time(self, nbytes: float) -> float:
-        return self.injection.transfer_time(nbytes)

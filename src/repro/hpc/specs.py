@@ -100,9 +100,8 @@ class SystemSpec:
     def total_gpus(self) -> int:
         return self.nodes * self.node.gpus
 
-    def peak_flops(self, precision: str, gpus: int | None = None) -> float:
-        g = self.total_gpus if gpus is None else gpus
-        return g * self.node.gpu.peak(precision)
+    def peak_flops(self, precision: str) -> float:
+        return self.total_gpus * self.node.gpu.peak(precision)
 
 
 V100 = GpuSpec(

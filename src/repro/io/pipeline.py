@@ -30,17 +30,13 @@ from ..telemetry import get_active
 __all__ = ["PipelineStats", "PipelineSimulator", "PrefetchPipeline", "pipeline_throughput"]
 
 
-def pipeline_throughput(step_time_s: float, prep_time_s: float, workers: int,
-                        serialized_workers: bool = False) -> float:
-    """Steady-state samples/s of the consumer (analytic bound).
-
-    With serialized workers (the HDF5 thread regime) extra workers don't
-    help: production rate stays ``1 / prep_time``.
-    """
+def pipeline_throughput(step_time_s: float, prep_time_s: float,
+                        workers: int) -> float:
+    """Steady-state samples/s of the consumer (analytic bound) with
+    ``workers`` independent producers."""
     if step_time_s <= 0 or prep_time_s <= 0 or workers < 1:
         raise ValueError("times must be positive and workers >= 1")
-    effective_workers = 1 if serialized_workers else workers
-    produce_rate = effective_workers / prep_time_s
+    produce_rate = workers / prep_time_s
     consume_rate = 1.0 / step_time_s
     return min(produce_rate, consume_rate)
 

@@ -25,21 +25,25 @@ from ..telemetry.clock import WallClock
 __all__ = ["scaled_read_bandwidth", "ReadResult", "ThreadedReader"]
 
 
+#: Per-thread read-efficiency decay; reproduces the paper's measured 6.7x
+#: at 8 threads.
+EFFICIENCY_DECAY = 0.0277
+
+
 def scaled_read_bandwidth(
     threads: int,
     single_thread_bw: float,
-    efficiency_decay: float = 0.0277,
     cap: float | None = None,
 ) -> float:
     """Per-node read bandwidth as a function of reader thread count.
 
-    Near-linear scaling with a mild per-thread efficiency decay; the default
-    decay reproduces the paper's measured 6.7x at 8 threads.  ``cap`` bounds
-    the result by e.g. the NIC or storage limit.
+    Near-linear scaling with a mild per-thread efficiency decay
+    (``EFFICIENCY_DECAY``).  ``cap`` bounds the result by e.g. the NIC or
+    storage limit.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    eff = 1.0 / (1.0 + efficiency_decay * (threads - 1))
+    eff = 1.0 / (1.0 + EFFICIENCY_DECAY * (threads - 1))
     bw = single_thread_bw * threads * eff
     if cap is not None:
         bw = min(bw, cap)
@@ -69,26 +73,24 @@ class ThreadedReader:
     paper's multiprocessing fix (each process has its own HDF5 library).
 
     ``fault_injector`` (:class:`repro.resilience.FaultInjector`) makes the
-    read path lossy on purpose; injected read faults are retried under
-    ``retry`` (a :class:`repro.resilience.RetryPolicy`) and counted in the
+    read path lossy on purpose; injected read faults are retried under the
+    default :class:`repro.resilience.RetryPolicy` and counted in the
     returned :class:`ReadResult`, so a slow or corrupted reader degrades a
     batch instead of killing it.
     """
 
     def __init__(self, store: SampleFileStore, num_workers: int = 4,
-                 shared_gate: bool = True, fault_injector=None, retry=None,
-                 clock=None):
+                 shared_gate: bool = True, fault_injector=None):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.store = store
         self.num_workers = num_workers
         self.shared_gate = shared_gate
         self.fault_injector = fault_injector
-        self.retry = retry
         # Batch wall time is a genuine thread-pool elapsed-time measurement,
-        # so the default is an explicit WallClock — simulated time does not
+        # so the clock is an explicit WallClock — simulated time does not
         # advance while worker threads block on real file I/O.
-        self.clock = clock if clock is not None else WallClock()
+        self.clock = WallClock()
         if shared_gate:
             self._gates = [GATE] * num_workers
         else:
@@ -103,7 +105,7 @@ class ThreadedReader:
             g.reset()
         t0 = self.clock.now()
         results = [None] * len(indices)
-        policy = self.retry or RetryPolicy()
+        policy = RetryPolicy()
         retry_state = RetryState()
 
         def read_one(index: int, worker: int):

@@ -53,27 +53,30 @@ class StagingReport:
     total_time_s: float
 
 
+#: Files each node stages (the paper's 1500 per node) and the reader
+#: threads it stages them with.
+FILES_PER_NODE = 1500
+READER_THREADS = 8
+
+
 def plan_staging(
     system: SystemSpec,
     dataset_files: int,
     file_bytes: float,
     nodes: int,
-    files_per_node: int = 1500,
     strategy: str = "distributed",
-    reader_threads: int = 8,
 ) -> StagingReport:
     """Analytic staging-time estimate on a given machine."""
+    files_per_node = FILES_PER_NODE
     if strategy not in ("naive", "distributed"):
         raise StagingConfigError(f"unknown staging strategy {strategy!r}")
     if nodes < 1 or nodes > system.nodes:
         raise StagingConfigError(f"nodes {nodes} out of range for {system.name}")
     fs = SharedFileSystem(system.filesystem)
     node = system.node
-    per_node_bw = scaled_read_bandwidth(
-        reader_threads,
-        node.fs_read_bw_single_thread,
-        cap=node.fs_read_bw_multi_thread if reader_threads > 1 else None,
-    )
+    per_node_bw = scaled_read_bandwidth(READER_THREADS,
+                                        node.fs_read_bw_single_thread,
+                                        cap=node.fs_read_bw_multi_thread)
     needed_bytes = nodes * files_per_node * file_bytes
     local_write_time = files_per_node * file_bytes / node.local_storage_write_bw
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..core.flops import paper_graph
 from ..framework.graph import GraphAnalysis, KernelRecord
-from ..hpc.specs import V100, SUMMIT, GpuSpec
+from ..hpc.specs import V100, SUMMIT
 from .kernels import CategoryTime, KernelTimeModel
 
 __all__ = ["PAPER_CATEGORY_TIME_PCT", "BreakdownTable", "kernel_breakdown",
@@ -86,13 +86,11 @@ def _allreduce_record(parameters: int, precision: str) -> KernelRecord:
     return KernelRecord("nccl_allreduce", "allreduce", 0, moved, count=30)
 
 
-def kernel_breakdown(network: str, precision: str,
-                     gpu: GpuSpec = V100,
-                     height: int = 768, width: int = 1152) -> BreakdownTable:
-    """Regenerate one of the Figure 8/9 tables."""
+def kernel_breakdown(network: str, precision: str) -> BreakdownTable:
+    """Regenerate one of the Figure 8/9 tables (a V100 of a Summit node)."""
     batch = 2 if precision == "fp16" else 1
-    analysis, parameters = paper_graph(network, batch, precision,
-                                       height=height, width=width)
+    gpu = V100
+    analysis, parameters = paper_graph(network, batch, precision)
     # Append the all-reduce kernels (present in the paper's 24-GPU profile).
     records = (*analysis.records, _allreduce_record(parameters, precision))
     analysis = GraphAnalysis(records, analysis.batch, analysis.precision)

@@ -62,6 +62,9 @@ _MATH_MODIFIERS: dict[str, dict[str, float]] = {
     "fp16": {"conv5x5": 0.60, "deconv": 0.70},
 }
 
+#: Fixed launch cost charged per kernel, seconds.
+LAUNCH_OVERHEAD_S = 2.0e-6
+
 
 @dataclass
 class CategoryTime:
@@ -79,21 +82,17 @@ class CategoryTime:
 class KernelTimeModel:
     """Maps a traced kernel inventory onto a GPU's roofline."""
 
-    def __init__(self, gpu: GpuSpec, precision: str = "fp32",
-                 efficiency_table: dict | None = None,
-                 kernel_launch_overhead_s: float = 2.0e-6):
+    def __init__(self, gpu: GpuSpec, precision: str = "fp32"):
         if precision not in ("fp32", "fp16"):
             raise ValueError(f"unsupported precision {precision!r}")
         self.gpu = gpu
         self.precision = precision
-        self.table = efficiency_table or EFFICIENCY_TABLE
-        self.launch_overhead = float(kernel_launch_overhead_s)
 
     def _efficiency(self, category: str) -> CategoryEfficiency:
         key = (category, self.precision)
-        if key not in self.table:
+        if key not in EFFICIENCY_TABLE:
             raise KeyError(f"no efficiency entry for {key}")
-        return self.table[key]
+        return EFFICIENCY_TABLE[key]
 
     def _math_modifier(self, name: str) -> float:
         """Kernel-geometry derating of the math efficiency.
@@ -114,7 +113,7 @@ class KernelTimeModel:
         eff = self._efficiency(category)
         peak_math = self.gpu.peak(self.precision)
         peak_mem = self.gpu.mem_bandwidth
-        t = kernels * self.launch_overhead
+        t = kernels * LAUNCH_OVERHEAD_S
         for rec in analysis.records:
             if rec.category != category:
                 continue

@@ -56,11 +56,10 @@ def training_memory(
     input_shape: tuple[int, int, int],
     batch: int,
     precision: str = "fp32",
-    momentum_state: bool = True,
-    reserve: float = DEFAULT_RESERVE,
     liveness: float = DEFAULT_LIVENESS,
 ) -> MemoryBudget:
-    """Memory demand of one training step at the given batch/precision."""
+    """Memory demand of one training step at the given batch/precision,
+    with one FP32 momentum buffer per parameter."""
     if not 0.0 < liveness <= 1.0:
         raise ValueError("liveness must be in (0, 1]")
     analysis = model.analyze(input_shape, batch=batch, precision=precision,
@@ -70,14 +69,14 @@ def training_memory(
     weights = params * itemsize
     master = params * 4 if precision == "fp16" else 0.0
     grads = params * 4  # gradients kept FP32 for the update
-    opt = params * 4 if momentum_state else 0.0
+    opt = params * 4
     return MemoryBudget(
         activations=float(analysis.total_activation_bytes) * liveness,
         weights=float(weights),
         master_weights=float(master),
         gradients=float(grads),
         optimizer_state=float(opt),
-        reserve=float(reserve),
+        reserve=float(DEFAULT_RESERVE),
     )
 
 
@@ -87,12 +86,11 @@ def max_batch(
     precision: str,
     gpu: GpuSpec = V100,
     limit: int = 16,
-    **kwargs,
 ) -> int:
     """Largest batch whose training footprint fits the GPU (0 if none)."""
     best = 0
     for batch in range(1, limit + 1):
-        budget = training_memory(model, input_shape, batch, precision, **kwargs)
+        budget = training_memory(model, input_shape, batch, precision)
         if budget.fits(gpu):
             best = batch
         else:

@@ -33,9 +33,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def paper_vs_measured(name: str, paper: float, measured: float,
-                      unit: str = "") -> str:
+def paper_vs_measured(name: str, paper: float, measured: float) -> str:
     """One comparison line: paper value, reproduced value, ratio."""
     ratio = measured / paper if paper else float("nan")
-    return (f"{name}: paper={paper:g}{unit}  measured={measured:g}{unit}  "
+    return (f"{name}: paper={paper:g}  measured={measured:g}  "
             f"ratio={ratio:.2f}")

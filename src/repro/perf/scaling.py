@@ -57,6 +57,9 @@ PAPER_SCALING_ANCHORS = {
 #: Tensors negotiated per step ("over a hundred", Section V-A3).
 TENSORS_PER_STEP = 110
 
+#: Share of an epoch's samples the per-epoch validation pass reads.
+VALIDATION_FRACTION = 0.125
+
 
 @dataclass
 class ScalingPoint:
@@ -173,8 +176,8 @@ class ScalingModel:
             input_limited=limited,
         )
 
-    def epoch_time(self, gpus: int, samples_per_gpu: int = 250,
-                   validation_fraction: float = 0.125) -> tuple[float, float]:
+    def epoch_time(self, gpus: int,
+                   samples_per_gpu: int = 250) -> tuple[float, float]:
         """(epoch seconds, validation overhead fraction) at a GPU count.
 
         Section VI: a validation pass runs after every epoch; the staging
@@ -188,7 +191,8 @@ class ScalingModel:
         step_t, _ = self.step_time(gpus)
         train_steps = samples_per_gpu // self.batch
         t_train = train_steps * step_t
-        val_steps = max(int(validation_fraction * samples_per_gpu) // self.batch, 1)
+        val_steps = max(
+            int(VALIDATION_FRACTION * samples_per_gpu) // self.batch, 1)
         t_val = val_steps * step_t / 3.0
         return t_train + t_val, t_val / (t_train + t_val)
 
@@ -221,11 +225,11 @@ class ScalingModel:
         )
 
 
-def _default_counts(system: SystemSpec, max_gpus: int | None) -> list[int]:
+def _default_counts(system: SystemSpec) -> list[int]:
     g = system.node.gpus
     counts = [1]
     n = g
-    limit = max_gpus or system.total_gpus
+    limit = system.total_gpus
     while n <= limit:
         counts.append(n)
         n *= 2
@@ -239,19 +243,19 @@ def weak_scaling_curve(
     system_name: str = "summit",
     precision: str = "fp16",
     lag: int = 1,
-    staging: str = "local",
     gpu_counts: list[int] | None = None,
     **model_kwargs,
 ) -> list[ScalingPoint]:
-    """Compute a Figure-4/5 series."""
+    """Compute a Figure-4/5 series (node-local staging)."""
     system = {"summit": SUMMIT, "piz_daint": PIZ_DAINT}[system_name]
-    model = _make_model(network, system, precision, lag, staging, **model_kwargs)
-    counts = gpu_counts or _default_counts(system, None)
+    model = _make_model(network, system, precision, lag, **model_kwargs)
+    counts = gpu_counts or _default_counts(system)
     return [model.point(n) for n in counts]
 
 
 def _make_model(network: str, system: SystemSpec, precision: str, lag: int,
-                staging: str, **kwargs) -> ScalingModel:
+                **kwargs) -> ScalingModel:
+    """A node-local-staging model with the system's calibrated jitter."""
     defaults = dict(straggler_sigma=0.02)
     if system is PIZ_DAINT:
         # Piz Daint showed more per-step jitter (single GPU per node, no
@@ -259,7 +263,7 @@ def _make_model(network: str, system: SystemSpec, precision: str, lag: int,
         defaults = dict(straggler_sigma=0.045)
     defaults.update(kwargs)
     return ScalingModel(network=network, system=system, precision=precision,
-                        lag=lag, staging=staging, **defaults)
+                        lag=lag, **defaults)
 
 
 def step_time_model(architecture: str, gpus: int, precision: str,
@@ -268,6 +272,6 @@ def step_time_model(architecture: str, gpus: int, precision: str,
     if system_name is None:
         system_name = "piz_daint" if architecture == "tiramisu_4ch" else "summit"
     system = {"summit": SUMMIT, "piz_daint": PIZ_DAINT}[system_name]
-    model = _make_model(architecture, system, precision, lag, "local")
+    model = _make_model(architecture, system, precision, lag)
     t, _ = model.step_time(max(gpus, 1))
     return t

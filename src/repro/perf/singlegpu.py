@@ -45,15 +45,10 @@ def single_gpu_performance(
     network: str,
     gpu: GpuSpec,
     precision: str,
-    batch: int | None = None,
-    height: int = 768,
-    width: int = 1152,
 ) -> SingleGpuPoint:
-    """Model one Figure 2 configuration."""
-    if batch is None:
-        batch = 2 if precision == "fp16" else 1
-    analysis, _ = paper_graph(network, batch, precision,
-                              height=height, width=width)
+    """Model one Figure 2 configuration at the paper's per-GPU batch."""
+    batch = 2 if precision == "fp16" else 1
+    analysis, _ = paper_graph(network, batch, precision)
     step_time = KernelTimeModel(gpu, precision).step_time(analysis)
     rate = analysis.batch / step_time
     # Training FLOP/s: counted work / modeled time.

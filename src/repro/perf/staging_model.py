@@ -35,10 +35,10 @@ class Figure5Point:
         return (self.local.efficiency - self.global_fs.efficiency) * 100.0
 
 
-def figure5_curves(gpu_counts: list[int] | None = None,
-                   network: str = "tiramisu_4ch") -> list[Figure5Point]:
-    """The two Figure 5 series on Piz Daint."""
+def figure5_curves(gpu_counts: list[int] | None = None) -> list[Figure5Point]:
+    """The two Figure 5 series on Piz Daint (the 4-channel Tiramisu)."""
     counts = gpu_counts or [1, 64, 128, 256, 512, 1024, 1536, 2048]
+    network = "tiramisu_4ch"
     local = ScalingModel(network=network, system=PIZ_DAINT, precision="fp32",
                          lag=0, staging="local", straggler_sigma=0.045)
     global_fs = ScalingModel(network=network, system=PIZ_DAINT, precision="fp32",

@@ -109,8 +109,8 @@ def reproduction_summary() -> list[SummaryRow]:
     return rows
 
 
-def render_summary(rows: list[SummaryRow] | None = None) -> str:
-    rows = rows if rows is not None else reproduction_summary()
+def render_summary() -> str:
+    rows = reproduction_summary()
     return format_table(
         ["experiment", "metric", "paper", "measured"],
         [[r.experiment, r.metric, r.paper, r.measured] for r in rows],

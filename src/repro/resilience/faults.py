@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import FaultInjected, ReadFault
+from ..errors import ReadFault
 from ..telemetry import get_active
 
 __all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "FaultInjector"]
@@ -205,11 +205,6 @@ class FaultInjector:
                 self._stragglers.append(s)
         return due
 
-    def rank_failures_due(self, step: int) -> list[int]:
-        """Ranks scheduled to die at ``step`` (without advancing state)."""
-        return [s.rank for s in self.plan.specs
-                if s.kind == "rank_fail" and s.step == step]
-
     # -- comm hook ---------------------------------------------------------
 
     def message_action(self, src: int, dst: int, tag: int) -> str:
@@ -273,8 +268,3 @@ class FaultInjector:
     @property
     def failed_ranks(self) -> frozenset[int]:
         return frozenset(self._failed_ranks)
-
-
-def is_injected(exc: BaseException) -> bool:
-    """True when ``exc`` came from a fault plan (vs a genuine bug)."""
-    return isinstance(exc, FaultInjected)

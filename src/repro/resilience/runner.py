@@ -36,6 +36,11 @@ from .retry import RetryPolicy, RetryState, with_retries
 
 __all__ = ["ResilienceReport", "run_resilient_training", "mean_eval_loss"]
 
+#: Checkpoint files a run keeps, and how often one step may be retried
+#: after losing messages before the failure propagates.
+KEEP_LAST = 3
+MAX_STEP_RETRIES = 3
+
 
 def mean_eval_loss(trainer, batches) -> float:
     """Mean loss of the (rank 0) model over fixed evaluation batches.
@@ -71,17 +76,6 @@ class ResilienceReport:
     losses: list[float] = field(default_factory=list)
     trainer: DistributedTrainer | None = field(default=None, repr=False)
 
-    @property
-    def final_loss(self) -> float:
-        if not self.losses:
-            return float("nan")
-        return self.losses[-1]
-
-    def mean_loss(self, last: int | None = None) -> float:
-        if not self.losses:
-            return float("nan")
-        window = self.losses if last is None else self.losses[-last:]
-        return float(np.mean(window))
 
 
 def run_resilient_training(
@@ -94,11 +88,7 @@ def run_resilient_training(
     class_frequencies: np.ndarray | None = None,
     checkpoint_dir=None,
     checkpoint_every: int = 0,
-    keep_last: int = 3,
     lr_scaling: str = "linear",
-    retry: RetryPolicy | None = None,
-    max_step_retries: int = 3,
-    resume: bool = True,
     on_step=None,
     engine=None,
 ) -> ResilienceReport:
@@ -109,9 +99,11 @@ def run_resilient_training(
     so after an elastic shrink the surviving ranks automatically cover a
     re-sharded data assignment.  Faults listed in ``plan`` are injected at
     their scheduled steps; a run with ``plan=None`` is the fault-free
-    baseline the CLI compares against.  A step that keeps losing
-    messages is retried at most ``max_step_retries`` times (each one counted
-    in ``report.step_retries``); the next failure propagates.
+    baseline the CLI compares against.  Batch reads are retried under the
+    default :class:`RetryPolicy`.  A step that keeps losing messages is
+    retried at most ``MAX_STEP_RETRIES`` times (each one counted in
+    ``report.step_retries``); the next failure propagates.  A run with a
+    ``checkpoint_dir`` resumes from its latest checkpoint.
 
     ``engine`` (a :class:`repro.comm.GradientExchangeEngine` or its config;
     ``EngineConfig()`` when omitted) is what every step exchanges
@@ -139,9 +131,9 @@ def run_resilient_training(
     report = ResilienceReport(start_world_size=world_size, trainer=trainer)
     manager = None
     if checkpoint_dir is not None:
-        manager = CheckpointManager(checkpoint_dir, keep_last=keep_last)
+        manager = CheckpointManager(checkpoint_dir, keep_last=KEEP_LAST)
     start_step = 0
-    if manager is not None and resume:
+    if manager is not None:
         latest = manager.latest()
         if latest is not None:
             with tracer.span("checkpoint_resume", category="resilience"):
@@ -160,7 +152,7 @@ def run_resilient_training(
             if tel.enabled:
                 tel.metrics.counter("resilience.resumes").inc()
 
-    policy = retry or RetryPolicy()
+    policy = RetryPolicy()
     read_state = RetryState()
     # Current-rank -> original-rank mapping; fault plans name ranks in the
     # original numbering, and the report does too.
@@ -211,7 +203,7 @@ def run_resilient_training(
             except FaultInjected:
                 # A drop that escaped the reliable-recv paths (e.g. inside
                 # the allreduce): flush the wire, recompute the step.
-                if wire_retries == max_step_retries:
+                if wire_retries == MAX_STEP_RETRIES:
                     raise
                 wire_retries += 1
                 report.step_retries += 1

@@ -112,10 +112,10 @@ class Autoscaler:
     wall clock, no randomness — so a replayed run scales identically.
     """
 
-    def __init__(self, config: AutoscalerConfig,
-                 windows_per_request: float = 1.0):
+    def __init__(self, config: AutoscalerConfig):
         self.config = config
-        self.windows_per_request = float(windows_per_request)
+        # Tile windows per request; the fleet sets the replay's mean.
+        self.windows_per_request = 1.0
         self.decisions: list[ScaleDecision] = []
         self._cells: dict[str, _CellSignals] = {}
 

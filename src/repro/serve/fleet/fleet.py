@@ -122,13 +122,12 @@ class Replay:
             windows=int(self.windows[i]))
 
     @classmethod
-    def from_requests(cls, requests, lanes=None, cells=None) -> "Replay":
-        """Build a replay from explicit :class:`FleetRequest` objects."""
+    def from_requests(cls, requests) -> "Replay":
+        """Build a replay from explicit :class:`FleetRequest` objects, over
+        the fleet's lanes and the cells the requests name."""
         reqs = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        lanes = tuple(lanes if lanes is not None
-                      else dict.fromkeys(r.lane for r in reqs))
-        cells = tuple(cells if cells is not None
-                      else sorted(set(r.cell for r in reqs)))
+        lanes = DEFAULT_LANES
+        cells = tuple(sorted(set(r.cell for r in reqs)))
         return cls(
             arrival_s=np.array([r.arrival_s for r in reqs]),
             key=np.array([r.key for r in reqs], dtype=np.int64),
@@ -168,7 +167,7 @@ class FleetReplica:
     __slots__ = ("replica_id", "cell", "cache", "added_s", "warmup_s",
                  "alive", "draining", "busy_until", "queues", "queued",
                  "queued_windows", "epoch", "inflight", "served", "batches",
-                 "failed_reason")
+                 "failed_reason", "armed_deadline")
 
     def __init__(self, replica_id: int, cell: str, num_lanes: int,
                  cache_budget: int, added_s: float = float("-inf"),
@@ -191,6 +190,7 @@ class FleetReplica:
         self.served = 0
         self.batches = 0
         self.failed_reason: str | None = None
+        self.armed_deadline = float("-inf")   # last age deadline pushed
 
     @property
     def routable(self) -> bool:
@@ -303,8 +303,8 @@ class _Cell:
             misses += rep.cache.stats.misses
         return hits, misses
 
-    def trailing_hit_rate(self, ticks: int = _HIT_TRACE_TICKS) -> float:
-        tail = self.hit_trace[-ticks:]
+    def trailing_hit_rate(self) -> float:
+        tail = self.hit_trace[-_HIT_TRACE_TICKS:]
         hits = sum(h for _, h, _ in tail)
         total = hits + sum(m for _, _, m in tail)
         return hits / total if total else 0.0
@@ -567,7 +567,10 @@ class FleetServer:
         deadline = oldest + _MAX_WAIT_S
         if now >= deadline:
             self._dispatch(rep, now)
-        else:
+        elif deadline != rep.armed_deadline:
+            # An equal deadline was pushed while ``now`` was still before
+            # it, so it is still in the heap and will fire at that instant.
+            rep.armed_deadline = deadline
             heappush(self._deadlines, (deadline, rep.replica_id))
 
     def _dispatch(self, rep: FleetReplica, now: float) -> None:
@@ -702,6 +705,8 @@ class FleetServer:
         completions: list[tuple[float, int, int]] = []
         deadlines: list[tuple[float, int]] = []
         self._completions, self._deadlines = completions, deadlines
+        for rep in self.replicas.values():
+            rep.armed_deadline = float("-inf")
         arrivals = memoryview(replay.arrival_s)
         replicas = self.replicas
         admit, maybe_dispatch = self._admit, self._maybe_dispatch

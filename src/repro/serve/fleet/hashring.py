@@ -42,10 +42,10 @@ def _digest(text: str) -> int:
 class HashRing:
     """Consistent hashing of keys onto integer node ids.
 
+    Nodes join with :meth:`add`.
+
     Parameters
     ----------
-    nodes:
-        Initial node ids (any hashable ints).
     vnodes:
         Virtual nodes per node; more points = tighter balance.
     salt:
@@ -53,7 +53,7 @@ class HashRing:
         node ids (e.g. two cells) shard the key space independently.
     """
 
-    def __init__(self, nodes=(), vnodes: int = 64, salt: str = ""):
+    def __init__(self, vnodes: int = 64, salt: str = ""):
         if vnodes < 1:
             raise ValueError("vnodes must be >= 1")
         self.vnodes = int(vnodes)
@@ -62,8 +62,6 @@ class HashRing:
         self._points: list[tuple[int, int]] = []    # sorted (hash, node)
         self._hashes: list[int] = []                # parallel hash column
         self._key_cache: dict[int, int] = {}
-        for node in nodes:
-            self.add(node)
 
     # -- membership ----------------------------------------------------------
 

@@ -108,14 +108,14 @@ class ReplayConfig:
         if self.snapshot_pool < 1 or self.windows < 1:
             raise ValueError("snapshot_pool and windows must be >= 1")
 
-    @property
-    def mean_rate_rps(self) -> float:
-        return self.num_requests / self.duration_s
+
+#: Time bins of the arrival-intensity profile.
+RATE_BINS = 4096
 
 
-def _rate_profile(config: ReplayConfig, bins: int = 4096) -> np.ndarray:
+def _rate_profile(config: ReplayConfig) -> np.ndarray:
     """Relative arrival intensity per time bin; one "day" = the horizon."""
-    centers = (np.arange(bins) + 0.5) * (config.duration_s / bins)
+    centers = (np.arange(RATE_BINS) + 0.5) * (config.duration_s / RATE_BINS)
     # Trough at t=0 so a replay starts quiet and climbs into the "day".
     rate = 1.0 + DIURNAL_AMPLITUDE * np.sin(
         2.0 * np.pi * centers / config.duration_s - np.pi / 2.0)

@@ -101,9 +101,7 @@ class RequestQueue:
 
     # -- state -------------------------------------------------------------
 
-    def depth(self, lane: str | None = None) -> int:
-        if lane is not None:
-            return len(self._lanes[lane])
+    def depth(self) -> int:
         return sum(len(q) for q in self._lanes.values())
 
     def _windows(self, request: InferenceRequest) -> int:

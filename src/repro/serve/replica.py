@@ -58,13 +58,13 @@ def window_grid(hw: tuple[int, int], window_hw: tuple[int, int],
 class Replica:
     """One model instance plus its scheduling state."""
 
-    def __init__(self, replica_id: int, model: Module, clock=None):
+    def __init__(self, replica_id: int, model: Module):
         self.replica_id = int(replica_id)
         self.model = model
         # compute_s must be *measured* wall time even when a simulated
         # telemetry clock drives the virtual service clock it feeds, so
-        # the default is an explicit WallClock, not the session clock.
-        self.clock = clock if clock is not None else WallClock()
+        # the clock is an explicit WallClock, not the session clock.
+        self.clock = WallClock()
         self.alive = True
         self.busy_until = 0.0        # server-clock time this replica frees up
         self.batches = 0

@@ -104,12 +104,11 @@ class InferenceServer:
     """Admission -> micro-batching -> replica dispatch -> completion."""
 
     def __init__(self, model_factory, config: ServeConfig | None = None,
-                 clock: SimulatedClock | None = None,
                  plan: FaultPlan | None = None,
                  service_model=None, model_key: str = "model-v0"):
         self.config = config or ServeConfig()
         cfg = self.config
-        self.clock = clock or SimulatedClock()
+        self.clock = SimulatedClock()
         self.injector = FaultInjector(plan) if plan is not None else None
         self.cache = (TileCache(cfg.cache_budget_bytes, model_key=model_key)
                       if cfg.cache_budget_bytes else None)

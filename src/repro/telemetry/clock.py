@@ -29,8 +29,8 @@ class SimulatedClock:
     spans, on their own virtual timeline.
     """
 
-    def __init__(self, start: float = 0.0):
-        self._time = float(start)
+    def __init__(self):
+        self._time = 0.0
 
     def now(self) -> float:
         return self._time

@@ -64,12 +64,6 @@ class MessageLink:
     def matched(self) -> bool:
         return self.send is not None and self.recv is not None
 
-    @property
-    def latency_us(self) -> float:
-        if not self.matched:
-            return float("nan")
-        return self.recv.start_us - self.send.start_us
-
 
 @dataclass
 class StepBreakdown:
@@ -165,10 +159,6 @@ class CrossRankTrace:
             else:
                 link.recv = s
                 link.dropped = True
-
-    @classmethod
-    def from_spans(cls, spans: list[Span]) -> "CrossRankTrace":
-        return cls(spans)
 
     # -- message links -------------------------------------------------------
 

@@ -364,8 +364,12 @@ class HealthEngine:
         return "\n".join(lines).rstrip() + "\n"
 
 
-def default_health_rules(step_time_slo_s: float = 2.0,
-                         latency_slo_s: float = 0.5) -> list[HealthRule]:
+#: SLOs of the stock rules: median training step time and serve latency.
+STEP_TIME_SLO_S = 2.0
+LATENCY_SLO_S = 0.5
+
+
+def default_health_rules() -> list[HealthRule]:
     """The stock rule set covering trainer, comm, resilience, and serve."""
     return [
         HealthRule(
@@ -381,7 +385,7 @@ def default_health_rules(step_time_slo_s: float = 2.0,
         HealthRule(
             name="step_time_slo_burn", series="trainer.step_time_s",
             kind="slo_burn", stat="median", op=">",
-            slo_target=step_time_slo_s, budget_fraction=0.5,
+            slo_target=STEP_TIME_SLO_S, budget_fraction=0.5,
             budget_windows=10, severity="critical",
             description="median step time breaches its SLO in more than "
                         "half the recent windows"),
@@ -405,7 +409,7 @@ def default_health_rules(step_time_slo_s: float = 2.0,
         HealthRule(
             name="serve_latency_slo_burn", series="serve.latency_s*",
             kind="slo_burn", stat="median", op=">",
-            slo_target=latency_slo_s, budget_fraction=0.5,
+            slo_target=LATENCY_SLO_S, budget_fraction=0.5,
             budget_windows=10, severity="critical",
             description="serve latency burns its SLO budget"),
         HealthRule(
@@ -416,8 +420,11 @@ def default_health_rules(step_time_slo_s: float = 2.0,
     ]
 
 
-def fleet_health_rules(backlog_windows_warn: float = 200.0
-                       ) -> list[HealthRule]:
+#: Queued tile windows per cell above which the backlog rule warns.
+BACKLOG_WINDOWS_WARN = 200.0
+
+
+def fleet_health_rules() -> list[HealthRule]:
     """Rules covering the autoscaled serve fleet (``repro.serve.fleet``).
 
     The fleet publishes per-cell gauges every control tick, so the
@@ -433,7 +440,7 @@ def fleet_health_rules(backlog_windows_warn: float = 200.0
             name="fleet_queue_backlog",
             series="fleet.queue_windows{cell=*}",
             kind="threshold", stat="last", op=">",
-            value=backlog_windows_warn, severity="warning",
+            value=BACKLOG_WINDOWS_WARN, severity="warning",
             for_windows=2, resolve_windows=2,
             description="a cell's queued tile-window backlog is deep "
                         "enough to blow the drain horizon"),

@@ -49,17 +49,17 @@ class Telemetry:
     def span(self, name: str, category: str = "app", **args):
         return self.tracer.span(name, category=category, **args)
 
-    def attach_streams(self, window_s: float = 1.0, **kwargs):
+    def attach_streams(self, window_s: float = 1.0):
         """Attach a :class:`~repro.telemetry.streaming.StreamingAggregator`
         on this session's clock; returns it (idempotent)."""
         if self.streams is None:
             from .streaming import StreamingAggregator
 
-            self.streams = StreamingAggregator(
-                clock=self.clock, window_s=window_s, **kwargs)
+            self.streams = StreamingAggregator(clock=self.clock,
+                                               window_s=window_s)
         return self.streams
 
-    def attach_health(self, rules=None, window_s: float = 1.0, **kwargs):
+    def attach_health(self, rules=None, window_s: float = 1.0):
         """Attach a :class:`~repro.telemetry.health.HealthEngine` (creating
         the streaming layer if needed); returns it (idempotent).
 
@@ -76,7 +76,7 @@ class Telemetry:
             # strong back-reference would make every session cyclic
             # garbage that only a full collection frees.
             self.health = HealthEngine(
-                rules if rules is not None else default_health_rules(**kwargs),
+                rules if rules is not None else default_health_rules(),
                 streams, telemetry=weakref.proxy(self))
         return self.health
 

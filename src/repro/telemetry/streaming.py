@@ -39,6 +39,10 @@ __all__ = ["WindowSummary", "Ewma", "StreamingAggregator"]
 #: A closed window's quantiles: ``np.percentile``'s ``[16, 50, 84] / 100``.
 _QUANTILES = (0.16, 0.5, 0.84)
 
+#: Per-series EWMA half-life, in windows, and closed summaries kept.
+EWMA_HALFLIFE_WINDOWS = 8
+KEEP_WINDOWS = 256
+
 
 def _mixed_zero_signs(values) -> bool:
     return len({math.copysign(1.0, v) for v in values if v == 0.0}) > 1
@@ -166,23 +170,18 @@ class StreamingAggregator:
         the session's clock (simulated or wall).
     window_s:
         Tumbling window width in (virtual) seconds.
-    ewma_halflife_s:
-        Half-life of each series' EWMA baseline; defaults to 8 windows.
-    keep_windows:
-        Closed summaries retained per series (ring-buffer semantics).
+
+    Each series keeps an EWMA baseline with a half-life of
+    ``EWMA_HALFLIFE_WINDOWS`` windows and its last ``KEEP_WINDOWS`` closed
+    summaries (ring-buffer semantics).
     """
 
-    def __init__(self, clock=None, window_s: float = 1.0,
-                 ewma_halflife_s: float | None = None,
-                 keep_windows: int = 256):
+    def __init__(self, clock=None, window_s: float = 1.0):
         if window_s <= 0:
             raise ValueError("window_s must be positive")
         self.clock = clock
         self.window_s = float(window_s)
-        self.ewma_halflife_s = float(ewma_halflife_s
-                                     if ewma_halflife_s is not None
-                                     else 8 * window_s)
-        self.keep_windows = int(keep_windows)
+        self.ewma_halflife_s = float(EWMA_HALFLIFE_WINDOWS * window_s)
         # series -> window index -> list of values (open buckets)
         self._open: dict[str, dict[int, list[float]]] = defaultdict(dict)
         self._closed: dict[str, list[WindowSummary]] = defaultdict(list)
@@ -283,7 +282,7 @@ class StreamingAggregator:
             )
             history = self._closed[key]
             history.append(summary)
-            del history[:-self.keep_windows]
+            del history[:-KEEP_WINDOWS]
             ewma = self._ewma.get(key)
             if ewma is None:
                 ewma = self._ewma[key] = Ewma(self.ewma_halflife_s)
@@ -304,9 +303,8 @@ class StreamingAggregator:
         history = self._closed.get(series)
         return history[-1] if history else None
 
-    def summaries(self, series: str, n: int | None = None) -> list[WindowSummary]:
-        history = self._closed.get(series, [])
-        return list(history if n is None else history[-n:])
+    def summaries(self, series: str) -> list[WindowSummary]:
+        return list(self._closed.get(series, []))
 
     def ewma(self, series: str) -> Ewma | None:
         return self._ewma.get(series)

@@ -99,7 +99,8 @@ class TestCostModels:
     def test_train_resume_reduces_remaining(self, site):
         job = make_job(kind="train", steps=100_000)
         full = site.run_s(job, 4)
-        half = site.run_s(job, 4, from_step=50_000)
+        job.resume_step = 50_000
+        half = site.run_s(job, 4)
         assert 0 < half < full
 
     def test_serve_rate_model(self, site):
@@ -116,7 +117,8 @@ class TestCostModels:
 
     def test_completed_job_costs_nothing(self, site):
         job = make_job(steps=100)
-        assert site.run_s(job, 4, from_step=100) == 0.0
+        job.resume_step = 100
+        assert site.run_s(job, 4) == 0.0
 
     def test_unknown_kind_rejected(self, site):
         job = make_job()

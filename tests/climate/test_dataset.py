@@ -79,10 +79,6 @@ class TestClimateDataset:
         merged = np.concatenate(shards)
         assert len(set(merged.tolist())) == len(split)
 
-    def test_shard_cap(self, dataset):
-        shard = dataset.shard_indices(dataset.splits.train, 0, 2, per_rank_cap=3)
-        assert len(shard) == 3
-
     def test_shard_rank_out_of_range(self, dataset):
         with pytest.raises(ValueError):
             dataset.shard_indices(dataset.splits.train, 5, 4)

@@ -9,8 +9,9 @@ giving up snapshot-at-send semantics.
 import numpy as np
 import pytest
 
+import repro.comm.api as comm_api
 from repro.comm import (CommStrategy, EngineConfig, GradientExchangeEngine,
-                        World, allreduce, get_strategy, register_strategy)
+                        World, allreduce, get_strategy)
 from repro.errors import DeadlockError, MessageDropped
 from repro.framework.dtypes import FP16, FP32, FP64
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec
@@ -72,11 +73,9 @@ def test_facade_never_mutates_inputs(name, dtype):
     # A transposed (non C-order) input must be reduced correctly too.
     bufs[1] = np.ascontiguousarray(bufs[1].T).T
     before = [b.tobytes() for b in bufs]
-    out = allreduce(World(n), bufs, strategy=name, average=True,
-                    **_params(name, n))
+    out = allreduce(World(n), bufs, strategy=name, **_params(name, n))
     assert [b.tobytes() for b in bufs] == before
-    expect = copying_allreduce(World(n), bufs, name, average=True,
-                               **_params(name, n))
+    expect = copying_allreduce(World(n), bufs, name, **_params(name, n))
     for o, e in zip(out, expect):
         assert o.tobytes() == e.tobytes()
         assert not any(np.shares_memory(o, b) for b in bufs)
@@ -204,21 +203,17 @@ class TestEngineBuffers:
         mean = np.mean([g["d"] for g in grads], axis=0)
         np.testing.assert_allclose(out[1]["d"], mean, rtol=1e-5, atol=1e-6)
 
-    def test_allocating_strategy_still_works(self):
+    def test_allocating_strategy_still_works(self, monkeypatch):
         def fresh(world, buffers, average, tag):
             total = np.sum(buffers, axis=0) / (world.size if average else 1)
             return [total.copy() for _ in range(world.size)]
 
-        register_strategy(CommStrategy("fresh-test", fresh, 92,
-                                       lambda n, v, **kw: 1.0))
-        try:
-            engine = GradientExchangeEngine(
-                2, EngineConfig(strategies=("fresh-test",)))
-            grads = _grads(2, 5)
-            out, report = engine.exchange(World(2), grads)
-            assert set(report.decisions.values()) == {"fresh-test"}
-            np.testing.assert_allclose(
-                out[0]["a"], (grads[0]["a"] + grads[1]["a"]) / 2, rtol=1e-6)
-        finally:
-            from repro.comm.api import _REGISTRY
-            _REGISTRY.pop("fresh-test", None)
+        monkeypatch.setitem(comm_api._REGISTRY, "fresh-test", CommStrategy(
+            "fresh-test", fresh, 92, lambda n, v, **kw: 1.0))
+        engine = GradientExchangeEngine(
+            2, EngineConfig(strategies=("fresh-test",)))
+        grads = _grads(2, 5)
+        out, report = engine.exchange(World(2), grads)
+        assert set(report.decisions.values()) == {"fresh-test"}
+        np.testing.assert_allclose(
+            out[0]["a"], (grads[0]["a"] + grads[1]["a"]) / 2, rtol=1e-6)

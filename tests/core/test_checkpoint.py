@@ -154,13 +154,13 @@ class TestCheckpointManager:
         np.testing.assert_allclose(resumed, ref_losses[3:], rtol=1e-6)
 
     def test_step_naming_and_latest(self, dataset, tmp_path):
-        mgr = CheckpointManager(tmp_path, prefix="run")
+        mgr = CheckpointManager(tmp_path)
         a = make_trainer()
         for step in (1, 12, 3):
             mgr.save(a, step=step)
-        assert mgr.latest().name == "run-00000012.npz"
+        assert mgr.latest().name == "ckpt-00000012.npz"
         assert [p.name for p in mgr.checkpoints()] == [
-            "run-00000001.npz", "run-00000003.npz", "run-00000012.npz"]
+            "ckpt-00000001.npz", "ckpt-00000003.npz", "ckpt-00000012.npz"]
 
     def test_latest_empty_directory(self, tmp_path):
         assert CheckpointManager(tmp_path).latest() is None
@@ -177,9 +177,9 @@ class TestCheckpointManager:
         assert mgr.latest_step() == 41
 
     def test_latest_step_matches_latest_path(self, dataset, tmp_path):
-        mgr = CheckpointManager(tmp_path, prefix="run")
+        mgr = CheckpointManager(tmp_path)
         mgr.save(make_trainer(), step=12)
-        assert mgr.latest().name == "run-00000012.npz"
+        assert mgr.latest().name == "ckpt-00000012.npz"
         assert mgr.latest_step() == 12
 
     def test_load_without_checkpoints_raises(self, tmp_path):

@@ -180,7 +180,7 @@ class TestSlidingWindow:
                                       kernel=3, dropout=0.0),
                        rng=np.random.default_rng(1))
         image = np.random.default_rng(2).normal(size=(4, 24, 32)).astype(np.float32)
-        preds = predict_tiled(net, image, (16, 16), (8, 8))
+        preds = predict_tiled(net, image, (16, 16))
         assert preds.shape == (24, 32)
         assert preds.min() >= 0 and preds.max() < 3
 

@@ -19,9 +19,17 @@ from repro.core.metrics import (
     pixel_accuracy,
 )
 from repro.framework import Tensor
+from repro.framework.losses import weighted_cross_entropy
 
 #: The paper's class frequencies: BG 98.2%, TC <0.1%, AR 1.7%.
 PAPER_FREQS = np.array([0.982, 0.001, 0.017])
+
+
+def weighted_loss(logits, labels, freqs, strategy,
+                  normalization="weighted_mean"):
+    wmap = pixel_weight_map(labels, class_weights(freqs, strategy))
+    return weighted_cross_entropy(logits, labels, wmap,
+                                  normalization=normalization)
 
 
 class TestWeightStrategies:
@@ -94,10 +102,9 @@ class TestSegmentationLoss:
         logits[:, 0] = 8.0  # confident BG everywhere
         t = Tensor(logits)
         freqs = np.bincount(labels.ravel(), minlength=3) / labels.size
-        l_none = segmentation_loss(t, labels, freqs, "none",
-                                   normalization="mean")
-        l_sqrt = segmentation_loss(t, labels, freqs, "inverse_sqrt",
-                                   normalization="mean")
+        l_none = weighted_loss(t, labels, freqs, "none", normalization="mean")
+        l_sqrt = weighted_loss(t, labels, freqs, "inverse_sqrt",
+                               normalization="mean")
         assert l_sqrt.item() > 3 * l_none.item()
 
     def test_weighted_mean_normalization_stable_across_strategies(self):
@@ -105,8 +112,10 @@ class TestSegmentationLoss:
         labels = rng.integers(0, 3, size=(1, 8, 8))
         logits = rng.normal(size=(1, 3, 8, 8))
         freqs = np.bincount(labels.ravel(), minlength=3) / labels.size
-        losses = [segmentation_loss(Tensor(logits), labels, freqs, s).item()
+        losses = [weighted_loss(Tensor(logits), labels, freqs, s).item()
                   for s in ("none", "inverse", "inverse_sqrt")]
+        assert segmentation_loss(Tensor(logits), labels,
+                                 freqs).item() == losses[-1]
         # weighted_mean keeps all strategies in the same ballpark.
         assert max(losses) / min(losses) < 5
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.framework import Tensor
 from repro.framework.init import shape_only
-from repro.core.flops import paper_graph
+from repro.core.flops import PAPER_HW, paper_graph
 from repro.core.networks import (
     ASPP,
     DeepLabConfig,
@@ -13,7 +13,6 @@ from repro.core.networks import (
     ResNetEncoder,
     Tiramisu,
     TiramisuConfig,
-    deeplab_modified,
     deeplab_stock,
     tiramisu_modified,
     tiramisu_original,
@@ -27,6 +26,12 @@ def tiny_tiramisu(**kw):
                     down_layers=(2, 2), bottleneck_layers=2, kernel=3, dropout=0.0)
     defaults.update(kw)
     return Tiramisu(TiramisuConfig(**defaults), rng=np.random.default_rng(1))
+
+
+def small_deeplab(decoder, seed):
+    return DeepLabV3Plus(DeepLabConfig(in_channels=4, decoder=decoder,
+                                       width=0.125),
+                         rng=np.random.default_rng(seed))
 
 
 class TestTiramisuConfig:
@@ -145,22 +150,20 @@ class TestASPP:
 
 class TestDeepLab:
     def test_fullres_output_shape(self):
-        net = deeplab_modified(in_channels=4, width=0.125,
-                               rng=np.random.default_rng(4))
+        net = small_deeplab("fullres", 4)
         x = Tensor(RNG.normal(size=(1, 4, 16, 24)).astype(np.float32))
         assert net(x).shape == (1, 3, 16, 24)
 
     def test_stock_output_shape_also_fullres_logits(self):
-        net = deeplab_stock(in_channels=4, width=0.125,
-                            rng=np.random.default_rng(5))
+        net = small_deeplab("quarter", 5)
         x = Tensor(RNG.normal(size=(1, 4, 16, 24)).astype(np.float32))
         assert net(x).shape == (1, 3, 16, 24)
 
     def test_stock_cheaper_than_fullres(self):
         # The paper paid for the full-res decoder; stock cuts decoder FLOPs.
-        full, _ = paper_graph("deeplabv3+", 1, "fp32", height=96, width=144)
+        full, _ = paper_graph("deeplabv3+", 1, "fp32")
         with shape_only():
-            stock = deeplab_stock(in_channels=16).analyze((16, 96, 144))
+            stock = deeplab_stock().analyze((16, *PAPER_HW))
         assert stock.total_flops < full.total_flops
 
     def test_paper_flops_deeplab(self):
@@ -169,8 +172,7 @@ class TestDeepLab:
         assert a.flops_per_sample() / 1e12 == pytest.approx(14.41, rel=0.15)
 
     def test_gradients_flow_everywhere(self):
-        net = deeplab_modified(in_channels=4, width=0.125,
-                               rng=np.random.default_rng(6))
+        net = small_deeplab("fullres", 6)
         x = Tensor(RNG.normal(size=(1, 4, 8, 8)).astype(np.float32))
         net(x).sum().backward()
         missing = [n for n, p in net.named_parameters() if p.grad is None]
@@ -181,8 +183,8 @@ class TestDeepLab:
             DeepLabConfig(decoder="octree")
 
     def test_deterministic_construction(self):
-        a = deeplab_modified(in_channels=4, width=0.125, rng=np.random.default_rng(7))
-        b = deeplab_modified(in_channels=4, width=0.125, rng=np.random.default_rng(7))
+        a = small_deeplab("fullres", 7)
+        b = small_deeplab("fullres", 7)
         for (na, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
 
@@ -191,6 +193,6 @@ class TestArchitectureComparison:
     def test_deeplab_heavier_than_tiramisu(self):
         # Paper: "the atrous convolutions result in a more computationally
         # expensive network than Tiramisu" (14.41 vs 4.188 TF/sample).
-        dl, _ = paper_graph("deeplabv3+", 1, "fp32", height=96, width=192)
-        tm, _ = paper_graph("tiramisu", 1, "fp32", height=96, width=192)
+        dl, _ = paper_graph("deeplabv3+", 1, "fp32")
+        tm, _ = paper_graph("tiramisu", 1, "fp32")
         assert dl.total_flops > 2 * tm.total_flops

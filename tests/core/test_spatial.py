@@ -137,6 +137,4 @@ class TestMemoryPlanning:
         assert per_rank > full / 7  # halo overhead is small but nonzero
 
     def test_halo_grows_with_dilation(self):
-        _, small = activation_bytes_per_rank(1, 8, 64, 64, 4, 3, dilation=1)
-        _, big = activation_bytes_per_rank(1, 8, 64, 64, 4, 3, dilation=4)
-        assert big > small
+        assert halo_rows_for(3, 4) > halo_rows_for(3, 1)

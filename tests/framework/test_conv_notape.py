@@ -190,7 +190,7 @@ class TestTapeSplit:
     """Taped calls keep im2col; only tape-free calls go column-free."""
 
     def _layer_and_input(self):
-        layer = Conv2D(48, 8, 3, padding="same", bias=True,
+        layer = Conv2D(48, 8, 3, bias=True,
                        rng=np.random.default_rng(0))
         x = np.random.default_rng(9).standard_normal(
             (2, 48, 12, 14)).astype(np.float32)

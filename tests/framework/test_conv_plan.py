@@ -188,14 +188,14 @@ class TestPadOnce:
     """
 
     def test_layer_step_pads_once(self):
-        layer = Conv2D(3, 4, 3, padding="same", bias=False,
+        layer = Conv2D(3, 4, 3, bias=False,
                        rng=np.random.default_rng(0))
         x = Tensor(RNG.standard_normal((2, 3, 10, 10)).astype(np.float32),
                    requires_grad=True)
         out = layer(x)
         plan = next(iter(layer._plans.values()))
         assert plan.pad_fills == 1 and plan.col_fills == 1
-        out.backward(np.ones_like(out.data))
+        out.backward()
         # wgrad reused the forward's columns; dgrad needs no im2col at all.
         assert plan.pad_fills == 1 and plan.col_fills == 1
         assert layer.weight.grad is not None
@@ -204,7 +204,7 @@ class TestPadOnce:
     def test_double_forward_then_backward_is_safe(self):
         """Running the layer twice before backward invalidates the first
         token; the gradient must still be computed from the right input."""
-        layer = Conv2D(2, 3, 3, padding="same", bias=False,
+        layer = Conv2D(2, 3, 3, bias=False,
                        rng=np.random.default_rng(0))
         x1 = Tensor(RNG.standard_normal((1, 2, 8, 8)).astype(np.float32),
                     requires_grad=True)
@@ -212,7 +212,7 @@ class TestPadOnce:
                     requires_grad=True)
         out1 = layer(x1)
         layer(x2)                       # same shape: overwrites the workspace
-        out1.backward(np.ones_like(out1.data))
+        out1.backward()
         want = conv2d_backward_weight_reference(
             np.ones_like(out1.data), x1.data, layer.weight.data.shape, 1, 1, 1)
         np.testing.assert_allclose(layer.weight.grad, want,
@@ -221,14 +221,14 @@ class TestPadOnce:
     def test_layer_plan_slots_bounded(self):
         from repro.framework.layers.conv import _LAYER_PLAN_SLOTS
 
-        layer = Conv2D(2, 3, 3, padding="same", bias=False,
+        layer = Conv2D(2, 3, 3, bias=False,
                        rng=np.random.default_rng(0))
         for size in range(8, 8 + _LAYER_PLAN_SLOTS + 3):
             layer(Tensor(np.zeros((1, 2, size, size), dtype=np.float32)))
         assert len(layer._plans) == _LAYER_PLAN_SLOTS
 
     def test_layer_matches_reference_end_to_end(self):
-        layer = Conv2D(3, 5, 3, padding="same", stride=2, dilation=1,
+        layer = Conv2D(3, 5, 3, stride=2, dilation=1,
                        bias=True, rng=np.random.default_rng(1))
         x = RNG.standard_normal((2, 3, 12, 12)).astype(np.float32)
         out = layer(Tensor(x))

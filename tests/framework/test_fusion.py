@@ -64,7 +64,7 @@ class TestFolding:
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_fold_bn_into_conv_matches_sequential(self):
-        conv = Conv2D(3, 6, 3, padding="same", bias=False,
+        conv = Conv2D(3, 6, 3, bias=False,
                       rng=np.random.default_rng(0))
         bn = BatchNorm2D(6)
         _warm_bn(bn, 6)
@@ -77,7 +77,7 @@ class TestFolding:
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_fold_handles_conv_bias(self):
-        conv = Conv2D(2, 4, 3, padding="same", bias=True,
+        conv = Conv2D(2, 4, 3, bias=True,
                       rng=np.random.default_rng(0))
         conv.bias.data[:] = RNG.standard_normal(4).astype(np.float32)
         bn = BatchNorm2D(4)
@@ -89,7 +89,7 @@ class TestFolding:
                                    rtol=1e-5, atol=1e-5)
 
     def test_fused_relu_epilogue(self):
-        conv = Conv2D(3, 5, 3, padding="same", bias=False,
+        conv = Conv2D(3, 5, 3, bias=False,
                       rng=np.random.default_rng(2))
         bn = BatchNorm2D(5)
         _warm_bn(bn, 5)
@@ -102,7 +102,7 @@ class TestFolding:
         assert (got >= 0).all()
 
     def test_fused_module_has_no_trainable_parameters(self):
-        conv = Conv2D(2, 3, 3, padding="same", bias=False,
+        conv = Conv2D(2, 3, 3, bias=False,
                       rng=np.random.default_rng(0))
         bn = BatchNorm2D(3)
         fused = FusedConvBiasReLU.from_conv_bn(conv, bn)
@@ -113,7 +113,7 @@ class TestFuseSequential:
     def test_conv_bn_relu_pattern(self):
         rng = np.random.default_rng(3)
         seq = Sequential(
-            Conv2D(3, 6, 3, padding="same", bias=False, rng=rng),
+            Conv2D(3, 6, 3, bias=False, rng=rng),
             BatchNorm2D(6),
             ReLU(),
             Conv2D(6, 4, 1, bias=False, rng=rng),

@@ -36,8 +36,8 @@ def eager_shape(layer, in_shape, batch=2):
 LAYER_CASES = [
     pytest.param(Conv2D(3, 8, 3), (3, 8, 12), id="Conv2D_0"),
     pytest.param(Conv2D(3, 8, 3, stride=2), (3, 8, 12), id="Conv2D_1"),
-    pytest.param(Conv2D(3, 8, 5, padding="same"), (3, 10, 10), id="Conv2D_2"),
-    pytest.param(Conv2D(3, 8, 1, padding="valid"), (3, 8, 8), id="Conv2D_3"),
+    pytest.param(Conv2D(3, 8, 5), (3, 10, 10), id="Conv2D_2"),
+    pytest.param(Conv2D(3, 8, 1), (3, 8, 8), id="Conv2D_3"),
     pytest.param(Conv2D(3, 8, 7, stride=2), (3, 16, 16), id="Conv2D_4"),
     pytest.param(AtrousConv2D(4, 6, 3, dilation=4), (4, 16, 16), id="AtrousConv2D_5"),
     pytest.param(ConvTranspose2D(6, 3, 3, stride=2), (6, 5, 7), id="ConvTranspose2D_6"),
@@ -92,7 +92,7 @@ class TestConv2D:
 
     def test_same_padding_even_kernel_raises(self):
         with pytest.raises(ValueError, match="odd kernel"):
-            Conv2D(2, 3, 4, padding="same")
+            Conv2D(2, 3, 4)
 
     def test_channel_mismatch_raises_in_trace(self):
         tracer = GraphTracer(1)

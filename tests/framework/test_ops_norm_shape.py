@@ -75,8 +75,9 @@ class TestBilinear:
 
     def test_exact_2x_known_values(self):
         x = np.array([[[[0.0, 1.0]]]])
-        out = bilinear_upsample_forward(x, 1, 4, align_corners=True)
-        np.testing.assert_allclose(out[0, 0, 0], [0, 1 / 3, 2 / 3, 1.0], atol=1e-6)
+        out = bilinear_upsample_forward(x, 1, 4)
+        # Half-pixel centers: outputs sample at -0.25, 0.25, 0.75, 1.25.
+        np.testing.assert_allclose(out[0, 0, 0], [0, 0.25, 0.75, 1.0], atol=1e-6)
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(1)

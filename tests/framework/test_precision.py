@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import TrainConfig, Trainer
 from repro.framework import LossScaler, Tensor, apply_fp16_policy
+from repro.framework.precision import GROWTH_INTERVAL
 from repro.framework.dtypes import Precision, as_numpy_dtype, bytes_per_element, compute_dtype
 from repro.framework.layers import BatchNorm2D, Conv2D, Sequential
 from repro.framework.parameter import Parameter
@@ -81,7 +82,7 @@ class TestLossScaler:
         assert grads["p0"].dtype == np.float32
 
     def test_overflow_skips_and_backs_off(self):
-        t = fp16_trainer(init_scale=1024.0, dynamic=True, backoff_factor=0.5)
+        t = fp16_trainer(init_scale=1024.0, dynamic=True)
         assert t.unscale(one_rank(np.array([np.inf]))) is None
         assert t.scaler.scale == 512.0
         assert t.scaler.num_overflows == 1
@@ -98,27 +99,30 @@ class TestLossScaler:
         assert t.scaler.num_overflows == 1
 
     def test_growth_after_interval(self):
-        t = fp16_trainer(init_scale=2.0, dynamic=True, growth_interval=3,
-                         growth_factor=2.0)
-        for _ in range(3):
+        t = fp16_trainer(init_scale=2.0, dynamic=True)
+        for _ in range(GROWTH_INTERVAL - 1):
             assert t.unscale(one_rank(np.array([1.0]))) is not None
+        assert t.scaler.scale == 2.0
+        assert t.unscale(one_rank(np.array([1.0]))) is not None
         assert t.scaler.scale == 4.0
 
     def test_growth_unscales_by_the_scale_before_it(self):
-        t = fp16_trainer(init_scale=2.0, dynamic=True, growth_interval=1)
+        t = fp16_trainer(init_scale=2.0, dynamic=True)
+        for _ in range(GROWTH_INTERVAL - 1):
+            t.unscale(one_rank(np.array([1.0])))
         (grads,) = t.unscale(one_rank(np.array([8.0])))
         np.testing.assert_allclose(grads["p0"], [4.0])
         assert t.scaler.scale == 4.0
 
     def test_static_never_changes(self):
-        s = LossScaler(init_scale=16.0, dynamic=False, growth_interval=1)
-        for _ in range(5):
+        s = LossScaler(init_scale=16.0, dynamic=False)
+        for _ in range(GROWTH_INTERVAL + 1):
             s.update(True)
         s.update(False)
         assert s.scale == 16.0
 
     def test_scale_floor(self):
-        s = LossScaler(init_scale=2.0, dynamic=True, min_scale=1.0)
+        s = LossScaler(init_scale=2.0, dynamic=True)
         for _ in range(10):
             s.update(False)
         assert s.scale == 1.0
@@ -128,8 +132,9 @@ class TestLossScaler:
             LossScaler(init_scale=0.0)
 
     def test_unscale_counts_a_rank_without_grads_as_finite(self):
-        t = fp16_trainer(init_scale=2.0, dynamic=True, growth_interval=1)
-        assert t.unscale([{}]) == [{}]
+        t = fp16_trainer(init_scale=2.0, dynamic=True)
+        for _ in range(GROWTH_INTERVAL):
+            assert t.unscale([{}]) == [{}]
         assert t.scaler.scale == 4.0
 
     def test_fp32_grads_pass_through(self):

@@ -42,8 +42,8 @@ class TestScope:
         rng = np.random.default_rng(5)
         before = rng.bit_generator.state
         with shape_only():
-            w = draw(rng, (16, 8, 3, 3), dtype=np.float16)
-        assert w.shape == (16, 8, 3, 3) and w.dtype == np.float16
+            w = draw(rng, (16, 8, 3, 3))
+        assert w.shape == (16, 8, 3, 3) and w.dtype == np.float32
         assert w.strides == (0, 0, 0, 0) and not w.flags.writeable
         assert rng.bit_generator.state == before
         with pytest.raises(ValueError, match="read-only"):

@@ -149,7 +149,7 @@ class TestGpuSpecs:
     def test_summit_full_system(self):
         # 4608 nodes x 6 GPUs = 27648; the paper ran on 4560 nodes = 27360.
         assert SUMMIT.total_gpus == 27648
-        assert SUMMIT.peak_flops("fp16", gpus=27360) == pytest.approx(3.42e18)
+        assert 27360 * SUMMIT.node.gpu.peak("fp16") == pytest.approx(3.42e18)
 
     def test_piz_daint_single_precision_peak(self):
         # "peak single-precision ... performance of the machine is 50.6 PF/s"

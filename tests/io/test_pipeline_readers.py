@@ -39,12 +39,6 @@ class TestPipelineThroughput:
     def test_io_bound(self):
         assert pipeline_throughput(0.1, 1.0, 2) == pytest.approx(2.0)
 
-    def test_serialized_workers_dont_scale(self):
-        # The HDF5-lock regime: 8 threads produce like 1.
-        t8 = pipeline_throughput(0.1, 1.0, 8, serialized_workers=True)
-        t1 = pipeline_throughput(0.1, 1.0, 1)
-        assert t8 == t1
-
     def test_validation(self):
         with pytest.raises(ValueError):
             pipeline_throughput(0.0, 1.0, 1)

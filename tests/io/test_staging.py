@@ -8,6 +8,8 @@ from repro.climate import PAPER_DATASET
 from repro.comm import World
 from repro.hpc import PIZ_DAINT, SUMMIT
 from repro.io import assign_disjoint_pieces, plan_staging, stage_distributed
+from repro.io.readers import scaled_read_bandwidth
+from repro.io.staging import READER_THREADS
 
 FILE_BYTES = PAPER_DATASET.sample_bytes
 N_FILES = PAPER_DATASET.num_samples
@@ -46,15 +48,16 @@ class TestPlanStaging:
         assert r.redistribution_time_s < r.fs_read_time_s * 10
 
     def test_single_thread_slower(self):
-        fast = plan_staging(SUMMIT, N_FILES, FILE_BYTES, 256,
-                            strategy="distributed", reader_threads=8)
-        slow = plan_staging(SUMMIT, N_FILES, FILE_BYTES, 256,
-                            strategy="distributed", reader_threads=1)
-        assert slow.fs_read_time_s >= fast.fs_read_time_s
+        node = SUMMIT.node
+        single = scaled_read_bandwidth(1, node.fs_read_bw_single_thread)
+        staged = scaled_read_bandwidth(READER_THREADS,
+                                       node.fs_read_bw_single_thread,
+                                       cap=node.fs_read_bw_multi_thread)
+        assert single < staged
 
     def test_piz_daint_supported(self):
         r = plan_staging(PIZ_DAINT, N_FILES, FILE_BYTES, 2048,
-                         strategy="distributed", files_per_node=250)
+                         strategy="distributed")
         assert r.total_time_s > 0
 
     def test_unknown_strategy(self):

@@ -12,6 +12,7 @@ from repro.perf import (
     figure2_table,
     single_gpu_performance,
 )
+from repro.perf.kernels import LAUNCH_OVERHEAD_S
 
 
 def analysis_of(records, batch=1, precision="fp32"):
@@ -20,33 +21,35 @@ def analysis_of(records, batch=1, precision="fp32"):
 
 class TestKernelTimeModel:
     def test_math_bound_kernel(self):
-        # Enormous FLOPs, no bytes: time = flops / (peak * eff).
+        # Enormous FLOPs, no bytes: time = launch + flops / (peak * eff).
         rec = KernelRecord("conv3x3_fwd", "conv_fwd", int(1e12), 1)
-        model = KernelTimeModel(V100, "fp32", kernel_launch_overhead_s=0.0)
+        model = KernelTimeModel(V100, "fp32")
         ct = model.category_time(analysis_of([rec]), "conv_fwd")
         eff = EFFICIENCY_TABLE[("conv_fwd", "fp32")].math
-        assert ct.time_s == pytest.approx(1e12 / (V100.fp32_peak * eff))
+        assert ct.time_s == pytest.approx(
+            LAUNCH_OVERHEAD_S + 1e12 / (V100.fp32_peak * eff))
 
     def test_memory_bound_kernel(self):
         rec = KernelRecord("relu_fwd", "pointwise_fwd", 10, int(1e9))
-        model = KernelTimeModel(V100, "fp32", kernel_launch_overhead_s=0.0)
+        model = KernelTimeModel(V100, "fp32")
         ct = model.category_time(analysis_of([rec]), "pointwise_fwd")
         eff = EFFICIENCY_TABLE[("pointwise_fwd", "fp32")].memory
-        assert ct.time_s == pytest.approx(1e9 / (V100.mem_bandwidth * eff))
+        assert ct.time_s == pytest.approx(
+            LAUNCH_OVERHEAD_S + 1e9 / (V100.mem_bandwidth * eff))
 
     def test_5x5_modifier_slows_math(self):
         r3 = KernelRecord("conv3x3_fwd", "conv_fwd", int(1e12), 1)
         r5 = KernelRecord("conv5x5_fwd", "conv_fwd", int(1e12), 1)
-        model = KernelTimeModel(V100, "fp32", kernel_launch_overhead_s=0.0)
+        model = KernelTimeModel(V100, "fp32")
         t3 = model.category_time(analysis_of([r3]), "conv_fwd").time_s
         t5 = model.category_time(analysis_of([r5]), "conv_fwd").time_s
         assert t5 > t3
 
     def test_launch_overhead_counts_kernels(self):
         rec = KernelRecord("tiny", "optimizer", 0, 0, count=1000)
-        model = KernelTimeModel(V100, "fp32", kernel_launch_overhead_s=1e-6)
+        model = KernelTimeModel(V100, "fp32")
         ct = model.category_time(analysis_of([rec]), "optimizer")
-        assert ct.time_s == pytest.approx(1e-3)
+        assert ct.time_s == pytest.approx(1000 * LAUNCH_OVERHEAD_S)
 
     def test_step_time_sums_categories(self):
         recs = [KernelRecord("conv3x3_fwd", "conv_fwd", int(1e11), int(1e8)),
@@ -69,7 +72,7 @@ class TestKernelTimeModel:
 
     def test_pct_peaks_bounded(self):
         rec = KernelRecord("conv3x3_fwd", "conv_fwd", int(1e11), int(1e9))
-        model = KernelTimeModel(V100, "fp32", kernel_launch_overhead_s=0.0)
+        model = KernelTimeModel(V100, "fp32")
         ct = model.category_time(analysis_of([rec]), "conv_fwd")
         assert 0 < ct.pct_math_peak <= 100.0
         assert 0 < ct.pct_mem_peak <= 100.0
@@ -118,10 +121,6 @@ class TestFigure2:
         p100 = table[("tiramisu_4ch", "P100", "fp32")]
         v100 = table[("tiramisu", "V100", "fp32")]
         assert p100.samples_per_second < v100.samples_per_second
-
-    def test_custom_batch(self):
-        point = single_gpu_performance("tiramisu", V100, "fp32", batch=4)
-        assert point.batch == 4
 
     def test_unknown_network(self):
         with pytest.raises(ValueError):

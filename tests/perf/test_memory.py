@@ -57,11 +57,6 @@ class TestBudgetComponents:
             tiramisu.num_parameters() * 4)
         assert f16.weights == pytest.approx(f32.weights / 2)
 
-    def test_optimizer_state_optional(self, tiramisu):
-        with_m = training_memory(tiramisu, FULL, 1, "fp32", momentum_state=True)
-        without = training_memory(tiramisu, FULL, 1, "fp32", momentum_state=False)
-        assert without.total < with_m.total
-
     def test_activations_dominate_at_full_res(self, deeplab):
         b = training_memory(deeplab, FULL, 1, "fp32")
         assert b.activations > 3 * (b.weights + b.gradients + b.optimizer_state)

@@ -6,7 +6,8 @@ import dataclasses
 
 import pytest
 
-from repro.core.flops import paper_graph, paper_network
+from repro.core import flops
+from repro.core.flops import PAPER_HW, paper_graph, paper_network
 from repro.core.networks import (
     DeepLabV3Plus,
     Tiramisu,
@@ -30,13 +31,12 @@ def eager_graph():
     once per module: drawing the weights is the slow part)."""
     built = {}
 
-    def graph(network, batch, precision, include_backward=True,
-              height=768, width=1152):
+    def graph(network, batch, precision, include_backward=True):
         build, channels = EAGER_BUILDERS[network]
         if network not in built:
             built[network] = build()
         model = built[network]
-        analysis = model.analyze((channels, height, width), batch=batch,
+        analysis = model.analyze((channels, *PAPER_HW), batch=batch,
                                  precision=precision,
                                  include_backward=include_backward)
         return analysis, model.num_parameters()
@@ -80,10 +80,11 @@ class TestMemo:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counting)
-        first = paper_graph("tiramisu", 1, "fp32", height=64, width=96)
+        flops._paper_graph.cache_clear()
+        first = paper_graph("tiramisu", 1, "fp32")
         assert built == ["Tiramisu"]
-        assert paper_graph("tiramisu", 1, "fp32", True, 64, 96) is first
-        assert paper_graph("tiramisu", 1, "fp32", width=96, height=64) is first
+        assert paper_graph("tiramisu", 1, "fp32", True) is first
+        assert paper_graph("tiramisu", precision="fp32", batch=1) is first
         step_time_model("deeplabv3+", 6, "fp16", 1)
         count = len(built)
         step_time_model("deeplabv3+", 12, "fp16", 0)

@@ -68,7 +68,7 @@ class TestReport:
         assert "1.5" in out
 
     def test_paper_vs_measured(self):
-        line = paper_vs_measured("eff", 90.7, 90.3, unit="%")
-        assert "paper=90.7%" in line
-        assert "measured=90.3%" in line
+        line = paper_vs_measured("eff", 90.7, 90.3)
+        assert "paper=90.7 " in line
+        assert "measured=90.3 " in line
         assert "ratio=1.00" in line

@@ -24,7 +24,7 @@ class TestSummary:
         assert row.measured == "1 / 2"
 
     def test_render_is_table(self, rows):
-        out = render_summary(rows)
+        out = render_summary()
         lines = out.splitlines()
         assert lines[0].startswith("Reproduction summary")
         assert len(lines) == len(rows) + 3

@@ -7,8 +7,7 @@ from repro.core import CheckpointManager, DistributedTrainer, TrainConfig
 from repro.core.networks import Tiramisu, TiramisuConfig
 from repro.errors import FaultInjected
 from repro.resilience import (FaultInjector, FaultPlan, FaultSpec,
-                              RetryPolicy, mean_eval_loss,
-                              run_resilient_training)
+                              mean_eval_loss, run_resilient_training)
 from repro.resilience import runner
 
 GRID = Grid(16, 24)
@@ -135,7 +134,7 @@ class TestResilientRun:
     def test_persistent_drop_exhausts_the_step_retry_budget(
             self, dataset, freqs, monkeypatch):
         """Every send from step 1 on is dropped: step 1 is retried exactly
-        ``max_step_retries`` times, then the drop propagates instead of the
+        ``MAX_STEP_RETRIES`` times, then the drop propagates instead of the
         run carrying on with a stale step result."""
         reports = []
 
@@ -149,10 +148,9 @@ class TestResilientRun:
         with pytest.raises(FaultInjected):
             run_resilient_training(factory(), CONFIG, 2, provider_for(dataset),
                                    steps=3, plan=plan,
-                                   class_frequencies=freqs,
-                                   max_step_retries=2)
+                                   class_frequencies=freqs)
         (report,) = reports
-        assert report.step_retries == 2
+        assert report.step_retries == runner.MAX_STEP_RETRIES
         assert report.steps_completed == 1
 
     def test_failed_checkpoint_save_propagates(self, dataset, freqs, tmp_path,
@@ -218,18 +216,6 @@ class TestResilientRun:
         for key, value in final_straight.items():
             np.testing.assert_array_equal(final_resumed[key], value)
 
-    def test_resume_disabled_starts_fresh(self, dataset, freqs, tmp_path):
-        prov = provider_for(dataset)
-        run_resilient_training(factory(), CONFIG, 2, prov, steps=2,
-                               class_frequencies=freqs,
-                               checkpoint_dir=tmp_path, checkpoint_every=1)
-        report = run_resilient_training(factory(), CONFIG, 2, prov, steps=2,
-                                        class_frequencies=freqs,
-                                        checkpoint_dir=tmp_path,
-                                        checkpoint_every=0, resume=False)
-        assert report.resumed_from is None
-        assert report.steps_completed == 2
-
 
 class TestReaderFaults:
     def test_threaded_reader_retries_injected_faults(self, tmp_path):
@@ -246,9 +232,7 @@ class TestReaderFaults:
         injector = FaultInjector(plan)
         injector.begin_step(0)
         reader = ThreadedReader(store, num_workers=2,
-                                fault_injector=injector,
-                                retry=RetryPolicy(max_attempts=3,
-                                                  backoff_base_s=0.0))
+                                fault_injector=injector)
         samples, result = reader.read_indices(list(range(8)))
         assert all(s is not None for s in samples)
         assert result.faults_retried == 2

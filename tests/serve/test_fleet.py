@@ -17,6 +17,13 @@ def window(series, end, *, mean=0.0, rate=0.0, last=0.0, total=0.0):
                          p84=mean)
 
 
+def autoscaler():
+    """An autoscaler whose requests fan out into 4 windows each."""
+    scaler = Autoscaler(AutoscalerConfig())
+    scaler.windows_per_request = 4.0
+    return scaler
+
+
 class TestAutoscalerPolicy:
     def feed(self, scaler, cell, end, rps, service_ms, backlog=0.0):
         scaler.observe(window(f"fleet.arrivals{{cell={cell}}}", end,
@@ -27,7 +34,7 @@ class TestAutoscalerPolicy:
                               last=backlog))
 
     def test_grows_when_demand_exceeds_capacity(self):
-        scaler = Autoscaler(AutoscalerConfig(), windows_per_request=4.0)
+        scaler = autoscaler()
         for t in range(1, 6):
             self.feed(scaler, "east", float(t), rps=200.0, service_ms=4.0)
         # demand = 200 req/s * 4 windows * 4ms = 3.2 replica-equivalents.
@@ -39,7 +46,7 @@ class TestAutoscalerPolicy:
 
     def test_grow_respects_cooldown_and_step(self):
         # Cooldown 2 s, at most 2 replicas per grow decision.
-        scaler = Autoscaler(AutoscalerConfig(), windows_per_request=4.0)
+        scaler = autoscaler()
         for t in range(1, 6):
             self.feed(scaler, "east", float(t), rps=400.0, service_ms=4.0)
         first = scaler.decide("east", 6.0, 1)
@@ -49,7 +56,7 @@ class TestAutoscalerPolicy:
         assert "cooling down" in again.reason
 
     def test_shrink_needs_hysteresis_margin(self):
-        scaler = Autoscaler(AutoscalerConfig(), windows_per_request=4.0)
+        scaler = autoscaler()
         for t in range(1, 8):
             self.feed(scaler, "east", float(t), rps=30.0, service_ms=4.0)
         # demand ~0.5 replicas; at 4 replicas predicted utilization ~0.12
@@ -61,7 +68,7 @@ class TestAutoscalerPolicy:
         assert floor.kind == "hold"
 
     def test_backlog_counts_toward_demand(self):
-        scaler = Autoscaler(AutoscalerConfig(), windows_per_request=4.0)
+        scaler = autoscaler()
         for t in range(1, 4):
             self.feed(scaler, "east", float(t), rps=10.0, service_ms=4.0,
                       backlog=2000.0)
@@ -70,7 +77,7 @@ class TestAutoscalerPolicy:
         assert scaler.demand_replicas("east") > 3.0
 
     def test_cells_are_independent(self):
-        scaler = Autoscaler(AutoscalerConfig(), windows_per_request=4.0)
+        scaler = autoscaler()
         for t in range(1, 6):
             self.feed(scaler, "east", float(t), rps=300.0, service_ms=4.0)
             self.feed(scaler, "west", float(t), rps=5.0, service_ms=4.0)
@@ -121,8 +128,7 @@ class TestReplay:
         reqs = [FleetRequest(request_id=i, key=i % 3, lane="bulk",
                              cell="east", arrival_s=float(i), windows=2)
                 for i in range(5)]
-        replay = Replay.from_requests(reqs, lanes=("interactive", "bulk"),
-                                      cells=("east",))
+        replay = Replay.from_requests(reqs)
         assert len(replay) == 5
         got = replay.request(3)
         assert got.key == 0 and got.lane == "bulk" and got.windows == 2
@@ -371,3 +377,25 @@ class TestWorkCounts:
                      "--plan", "rank_fail@25:rank=0", "--json"]) == 0
         capsys.readouterr()
         assert calls == {"assign": 9183, "get": 16020, "put": 6020}
+
+    def test_each_batch_deadline_armed_once(self, monkeypatch, capsys):
+        """A replica re-arms its batch-age deadline only when it moved: an
+        equal one is still in the heap and fires at the same instant."""
+        import repro.serve.fleet.fleet as fleet_mod
+        from repro.cli import main
+        from tests import test_cli
+
+        pushed = []
+        heappush = fleet_mod.heappush
+
+        def recording(heap, item):
+            if len(item) == 2:          # (deadline, replica_id)
+                pushed.append(item)
+            heappush(heap, item)
+
+        monkeypatch.setattr(fleet_mod, "heappush", recording)
+        assert main(["fleet", *test_cli.TestFleetCli.FAST,
+                     "--plan", "rank_fail@25:rank=0", "--json"]) == 0
+        capsys.readouterr()
+        assert len(pushed) == 2110
+        assert len(set(pushed)) == len(pushed)

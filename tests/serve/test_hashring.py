@@ -12,6 +12,14 @@ from repro.serve.fleet import HashRing, remap_fraction
 KEYS = list(range(10_000))
 
 
+def ring_of(nodes, **kwargs):
+    """A ring holding ``nodes``, added in the order given."""
+    ring = HashRing(**kwargs)
+    for node in nodes:
+        ring.add(node)
+    return ring
+
+
 class TestMembership:
     def test_empty_ring_assigns_nothing(self):
         ring = HashRing()
@@ -20,7 +28,7 @@ class TestMembership:
         assert ring.ownership() == {}
 
     def test_add_remove_roundtrip(self):
-        ring = HashRing(nodes=(0, 1, 2))
+        ring = ring_of((0, 1, 2))
         assert ring.nodes == [0, 1, 2]
         assert 1 in ring
         ring.remove(1)
@@ -30,7 +38,7 @@ class TestMembership:
         assert ring.nodes == [0, 1, 2]
 
     def test_add_is_idempotent(self):
-        ring = HashRing(nodes=(0,), vnodes=8)
+        ring = ring_of((0,), vnodes=8)
         before = ring.assignment(KEYS[:100])
         ring.add(0)
         assert ring.assignment(KEYS[:100]) == before
@@ -46,7 +54,7 @@ class TestStableAssignmentUnderChurn:
         # slice the new node takes over, ~1/(N+1) in expectation and
         # always <= 1.5/(N+1) with enough vnodes.
         for n in (2, 4, 8):
-            ring = HashRing(nodes=range(n), vnodes=64)
+            ring = ring_of(range(n), vnodes=64)
             before = ring.assignment(KEYS)
             ring.add(n)
             after = ring.assignment(KEYS)
@@ -59,7 +67,7 @@ class TestStableAssignmentUnderChurn:
                     assert after[k] == n
 
     def test_removing_one_replica_remaps_only_its_keys(self):
-        ring = HashRing(nodes=range(5), vnodes=64)
+        ring = ring_of(range(5), vnodes=64)
         before = ring.assignment(KEYS)
         ring.remove(2)
         after = ring.assignment(KEYS)
@@ -72,7 +80,7 @@ class TestStableAssignmentUnderChurn:
         assert remap_fraction(before, after) <= 1.5 / 5
 
     def test_exclusion_is_next_owner_fallback(self):
-        ring = HashRing(nodes=range(4), vnodes=32)
+        ring = ring_of(range(4), vnodes=32)
         for key in KEYS[:500]:
             owner = ring.assign(key)
             fallback = ring.assign(key, exclude=(owner,))
@@ -80,7 +88,7 @@ class TestStableAssignmentUnderChurn:
             # Excluding everything yields no owner.
             assert ring.assign(key, exclude=tuple(range(4))) is None
             # The fallback matches what removal would produce.
-        ring2 = HashRing(nodes=range(4), vnodes=32)
+        ring2 = ring_of(range(4), vnodes=32)
         key = 123
         owner = ring2.assign(key)
         fallback = ring2.assign(key, exclude=(owner,))
@@ -90,26 +98,26 @@ class TestStableAssignmentUnderChurn:
 
 class TestVirtualNodeBalance:
     def test_ownership_sums_to_one(self):
-        ring = HashRing(nodes=range(6), vnodes=64)
+        ring = ring_of(range(6), vnodes=64)
         shares = ring.ownership()
         assert sum(shares.values()) == pytest.approx(1.0)
 
     def test_more_vnodes_tighten_balance(self):
         def spread(vnodes):
-            ring = HashRing(nodes=range(8), vnodes=vnodes)
+            ring = ring_of(range(8), vnodes=vnodes)
             shares = ring.ownership().values()
             return max(shares) / (1.0 / 8)
 
         assert spread(256) < spread(4)
 
     def test_balanced_within_factor_two_at_64_vnodes(self):
-        ring = HashRing(nodes=range(8), vnodes=64)
+        ring = ring_of(range(8), vnodes=64)
         for node, share in ring.ownership().items():
             assert 0.5 / 8 < share < 2.0 / 8, (
                 f"node {node} owns {share:.3f} of the space")
 
     def test_key_fraction_is_roughly_uniform(self):
-        ring = HashRing(nodes=(0,))
+        ring = ring_of((0,))
         fracs = [ring.key_fraction(k) for k in KEYS]
         assert all(0.0 <= f < 1.0 for f in fracs)
         assert 0.45 < sum(fracs) / len(fracs) < 0.55
@@ -117,20 +125,20 @@ class TestVirtualNodeBalance:
 
 class TestDeterminism:
     def test_same_inputs_same_ring(self):
-        a = HashRing(nodes=range(5), vnodes=32, salt="cell0")
-        b = HashRing(nodes=range(5), vnodes=32, salt="cell0")
+        a = ring_of(range(5), vnodes=32, salt="cell0")
+        b = ring_of(range(5), vnodes=32, salt="cell0")
         assert a.assignment(KEYS) == b.assignment(KEYS)
 
     def test_salt_shards_independently(self):
-        a = HashRing(nodes=range(5), vnodes=32, salt="east")
-        b = HashRing(nodes=range(5), vnodes=32, salt="west")
+        a = ring_of(range(5), vnodes=32, salt="east")
+        b = ring_of(range(5), vnodes=32, salt="west")
         same = sum(1 for k in KEYS if a.assign(k) == b.assign(k))
         # ~1/5 agreement by chance; identical rings would be 100%.
         assert same / len(KEYS) < 0.5
 
     def test_insertion_order_is_irrelevant(self):
-        a = HashRing(nodes=(0, 1, 2, 3), vnodes=32)
-        b = HashRing(nodes=(3, 1, 0, 2), vnodes=32)
+        a = ring_of((0, 1, 2, 3), vnodes=32)
+        b = ring_of((3, 1, 0, 2), vnodes=32)
         assert a.assignment(KEYS) == b.assignment(KEYS)
 
     def test_assignment_stable_across_processes(self):
@@ -139,7 +147,9 @@ class TestDeterminism:
         # its tests, and a replayed run disagree about key ownership.
         script = (
             "from repro.serve.fleet import HashRing\n"
-            "ring = HashRing(nodes=range(4), vnodes=16, salt='cell0')\n"
+            "ring = HashRing(vnodes=16, salt='cell0')\n"
+            "for node in range(4):\n"
+            "    ring.add(node)\n"
             "print([ring.assign(k) for k in range(200)])\n")
         outs = {
             subprocess.run(
@@ -147,7 +157,7 @@ class TestDeterminism:
                 text=True, check=True, timeout=60).stdout
             for _ in range(2)}
         assert len(outs) == 1
-        here = HashRing(nodes=range(4), vnodes=16, salt="cell0")
+        here = ring_of(range(4), vnodes=16, salt="cell0")
         assert outs.pop().strip() == str(
             [here.assign(k) for k in range(200)])
 
@@ -180,7 +190,7 @@ class TestAssignWalk:
     @given(st.lists(NODE, max_size=4), OPS)
     @settings(max_examples=200, deadline=None)
     def test_assign_matches_reference_walk_under_churn(self, nodes, ops):
-        ring = HashRing(nodes=nodes, vnodes=4, salt="walk")
+        ring = ring_of(nodes, vnodes=4, salt="walk")
         for op in ops:
             if op[0] == "add":
                 ring.add(op[1])

@@ -55,7 +55,7 @@ class TestHappyPath:
         server, requests, responses = run()
         model = MeanModel()
         for req, resp in list(zip(requests, responses))[:6]:
-            expected = predict_tiled(model, req.image, (8, 8), (4, 4))
+            expected = predict_tiled(model, req.image, (8, 8))
             np.testing.assert_array_equal(resp.class_map, expected)
         assert server.cache.stats.lookups > 0
 
@@ -122,8 +122,7 @@ class TestFaultsEndToEnd:
         victim = responses[-1]
         np.testing.assert_array_equal(
             victim.class_map,
-            predict_tiled(model, requests[victim.request_id].image,
-                          (8, 8), (4, 4)))
+            predict_tiled(model, requests[victim.request_id].image, (8, 8)))
 
     def test_total_pool_loss_fails_loudly_not_silently(self):
         config = ServeConfig(window_hw=(8, 8), stride_hw=(4, 4),

@@ -10,9 +10,8 @@ from repro.telemetry import (HealthEngine, HealthRule, SimulatedClock,
                              default_health_rules)
 
 
-def make_engine(rules, window_s=1.0, telemetry=None, **kwargs):
-    streams = StreamingAggregator(clock=SimulatedClock(), window_s=window_s,
-                                  **kwargs)
+def make_engine(rules, window_s=1.0, telemetry=None):
+    streams = StreamingAggregator(clock=SimulatedClock(), window_s=window_s)
     return streams, HealthEngine(rules, streams, telemetry=telemetry)
 
 

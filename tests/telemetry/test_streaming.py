@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from repro.telemetry import (Ewma, MetricsRegistry, SimulatedClock,
                              StreamingAggregator, WindowSummary)
+from repro.telemetry.streaming import KEEP_WINDOWS
 
 
-def make(window_s=1.0, **kwargs):
+def make(window_s=1.0):
     clock = SimulatedClock()
-    return clock, StreamingAggregator(clock=clock, window_s=window_s, **kwargs)
+    return clock, StreamingAggregator(clock=clock, window_s=window_s)
 
 
 class TestTumblingWindows:
@@ -61,13 +62,15 @@ class TestTumblingWindows:
         agg.observe("x", 1.0, t=0.5)      # explicit t is fine
 
     def test_keep_windows_bounds_history(self):
-        _, agg = make(keep_windows=3)
-        for i in range(10):
+        _, agg = make()
+        n = KEEP_WINDOWS + 3
+        for i in range(n):
             agg.observe("x", float(i), t=i + 0.5)
-        agg.advance(10.0)
+        agg.advance(float(n))
         hist = agg.summaries("x")
-        assert len(hist) == 3
-        assert [w.start for w in hist] == [7.0, 8.0, 9.0]
+        assert len(hist) == KEEP_WINDOWS
+        assert [w.start for w in hist[:2]] == [3.0, 4.0]
+        assert hist[-1].start == n - 1.0
 
     def test_simulated_clock_drives_default_timestamps(self):
         clock, agg = make()
@@ -183,7 +186,7 @@ class TestEwma:
         assert math.isinf(e.zscore(2.0))
 
     def test_aggregator_maintains_per_series_ewma(self):
-        _, agg = make(ewma_halflife_s=4.0)
+        _, agg = make()
         for i in range(5):
             agg.observe("x", 2.0, t=i + 0.5)
         agg.advance(5.0)

@@ -309,6 +309,17 @@ class TestFleetCli:
             docs.append(json.loads(capsys.readouterr().out))
         assert docs[0] == docs[1]
 
+    def test_fleet_ablation_flags(self, capsys):
+        import json
+
+        assert main(["fleet", *self.FAST, "--unsharded", "--no-spillover",
+                     "--no-autoscale", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["lost_admitted"] == 0
+        assert doc["scale_events"] == []
+        assert doc["autoscaler"]["decisions"] == []
+        assert doc["spilled"] == 0
+
     def test_fleet_validates_arguments(self):
         with pytest.raises(SystemExit):
             main(["fleet", "--requests", "0"])
