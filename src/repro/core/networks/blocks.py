@@ -54,7 +54,7 @@ class ConvBNReLU(Module):
 class DenseLayer(Module):
     """One Tiramisu dense layer: BN -> ReLU -> Conv(k) -> Dropout.
 
-    Produces ``growth`` new feature maps; the caller concatenates them onto
+    Produces ``growth`` new feature maps; the caller puts them on top of
     the running feature stack (DenseNet's concatenative skip, which the
     paper contrasts with ResNet's additive skip in Section III-A1).
     """
@@ -84,10 +84,14 @@ class DenseLayer(Module):
 class DenseBlock(Module):
     """A stack of dense layers with concatenative feed-forward.
 
-    ``forward`` returns ``(stack, new_features)``: the full concatenation
-    (input + all new maps) and the concatenation of only the new maps —
-    Tiramisu's up-path feeds *only* the new maps into transition-up to bound
-    channel growth.
+    ``forward`` takes the block input, or the list of parts whose channel
+    concatenation it is (the up path's upsampled maps and skip), and
+    returns ``(stack, new_features)``: the full concatenation (input + all
+    new maps) and the concatenation of only the new maps — Tiramisu's
+    up-path feeds *only* the new maps into transition-up to bound channel
+    growth.  Both are views of one
+    :class:`~repro.framework.functional.FeatureStack` buffer, so no layer
+    re-copies the stack below it.
     """
 
     def __init__(self, in_channels: int, num_layers: int, growth: int,
@@ -108,14 +112,11 @@ class DenseBlock(Module):
         self.new_channels = num_layers * growth     # new-features width
 
     def forward(self, x):
-        stack = x
-        new_maps = []
+        parts = list(x) if isinstance(x, (list, tuple)) else [x]
+        features = F.FeatureStack(parts, self.out_channels)
         for layer in self.layers_list:
-            out = layer(stack)
-            new_maps.append(out)
-            stack = F.concat([stack, out], axis=1)
-        new = new_maps[0] if len(new_maps) == 1 else F.concat(new_maps, axis=1)
-        return stack, new
+            features.append(layer(features.stack))
+        return features.stack, features.new()
 
 
 class TransitionDown(Module):

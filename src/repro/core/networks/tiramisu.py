@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...framework import functional as F
 from ...framework.layers import Conv2D, Module
 from .blocks import DenseBlock, TransitionDown, TransitionUp
 
@@ -115,9 +114,7 @@ class Tiramisu(Module):
         _, out = self.bottleneck(out)
         for tu, block, skip in zip(self.up_transitions, self.up_blocks,
                                    reversed(skips)):
-            out = tu(out)
-            out = F.concat([out, skip], axis=1)
-            stack, new = block(out)
+            stack, new = block([tu(out), skip])
             out = new if block is not self.up_blocks[-1] else stack
         return self.classifier(out)
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import ShapeProbe
-from .tensor import Tensor, concatenate
+import numpy as np
 
-__all__ = ["add", "concat", "relu"]
+from .graph import ShapeProbe
+from .tensor import Tensor, channel_view, concatenate
+
+__all__ = ["add", "concat", "relu", "FeatureStack"]
 
 
 def add(a, b):
@@ -71,3 +73,52 @@ def relu(x):
             tr.emit("relu_bwd", "pointwise_bwd", x.size, 2 * nbytes)
         return x
     return x.relu()
+
+
+class FeatureStack:
+    """A dense block's growing channel stack, in one buffer per call.
+
+    Concatenating onto the stack after every layer re-copies everything
+    before it, O(L^2) bytes per block.  Like the shared-storage DenseNet
+    (Pleiss et al., arXiv:1707.06990), this allocates the block's final
+    width once and writes every input part and every layer's new maps into
+    their channel slice once; :attr:`stack` and :meth:`new` are read-only
+    views of that buffer (:func:`~repro.framework.tensor.channel_view`),
+    taped as the concat chain they replace, so gradients match it bit for
+    bit.  Under a :class:`ShapeProbe` it *is* that chain of :func:`concat`
+    calls: the kernel inventory still counts the copies a framework that
+    materializes concats makes.
+    """
+
+    def __init__(self, parts: Sequence, channels: int):
+        self._new: list = []
+        if isinstance(parts[0], ShapeProbe):
+            self._buf = None
+            self.stack = parts[0] if len(parts) == 1 else concat(parts)
+            return
+        n, _, h, w = parts[0].shape
+        self._buf = np.empty((n, channels, h, w),
+                             dtype=np.result_type(*(p.dtype for p in parts)))
+        lo = 0
+        for p in parts:
+            self._buf[:, lo:lo + p.shape[1]] = p.data
+            lo += p.shape[1]
+        self._start = lo
+        self.stack = (parts[0] if len(parts) == 1
+                      else channel_view(self._buf, 0, parts))
+
+    def append(self, maps) -> None:
+        """Put a layer's new ``maps`` on top of the stack."""
+        self._new.append(maps)
+        if self._buf is None:
+            self.stack = concat([self.stack, maps])
+            return
+        lo = self.stack.shape[1]
+        self._buf[:, lo:lo + maps.shape[1]] = maps.data
+        self.stack = channel_view(self._buf, 0, (self.stack, maps))
+
+    def new(self):
+        """The concatenation of every appended layer's maps."""
+        if self._buf is None:
+            return self._new[0] if len(self._new) == 1 else concat(self._new)
+        return channel_view(self._buf, self._start, self._new)

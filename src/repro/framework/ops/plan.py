@@ -47,12 +47,14 @@ add two facts the plan reads from its own geometry:
 
 The column matrix exists for the weight gradient.  A forward that records
 no tape has no reader for it, so :meth:`ConvPlan.forward_notape` may run a
-second, *column-free* formulation (shift-GEMM) that puts the K*K expansion
-on the output side; the plan picks it from its own geometry exactly when
-that moves fewer bytes (:attr:`ConvPlan.column_free`).  That forward adds
-the taps after the channel contraction, a different rounding order, so
-everything taped keeps the im2col forward; the two gradients above run
-every sum in the order the plain column formulation does.
+second, *column-free* formulation (a pad-free shift-GEMM on the unpadded
+input: no padded copy, no strip) that puts the K*K expansion on the output
+side; the plan picks it from its own geometry — unit stride, 'same'
+geometry, and fewer output than input channels or a 1x1 kernel
+(:attr:`ConvPlan.column_free`).  That forward adds the taps after the
+channel contraction, a different rounding order, so everything taped
+keeps the im2col forward; the two gradients above run every sum in the
+order the plain column formulation does.
 
 Plans are cached in a bounded LRU keyed on the problem signature
 (:func:`get_conv_plan`); layers additionally hold their *own* plans so the
@@ -137,11 +139,15 @@ class ConvPlan:
         self.wp = w + 2 * self.padding
         self.cols_shape = (n, c * kh * kw, self.oh * self.ow)
         #: Which forward a no-tape call runs (:meth:`forward_notape`).  The
-        #: column-free forward writes K*K*F*hp*wp intermediates where im2col
-        #: writes K*K*C*oh*ow, so it is chosen exactly when it moves fewer
-        #: bytes; its flat-offset tap shifts need unit stride.
-        self.column_free = (self.stride == 1
-                            and f * self.hp * self.wp < c * self.oh * self.ow)
+        #: pad-free shift-GEMM needs unit stride and 'same' geometry: the
+        #: output grid is the input grid and the (odd) kernel's centre tap
+        #: is unshifted, so every tap is a flat shift of the GEMM output.
+        #: It writes K*K*F*h*w GEMM outputs where im2col writes K*K*C*h*w
+        #: columns, so it is chosen when F < C, and for a 1x1 kernel, whose
+        #: GEMM reads the input as it stands.
+        self.column_free = (self.stride == 1 and kh % 2 == 1
+                            and (self.oh, self.ow) == (h, w)
+                            and (f < c or kh * kw == 1))
         #: Which operand order wgrad uses (:meth:`backward_weight_from_cols`).
         #: ``cols @ g^T`` costs one transposed copy of the (F, C*K*K) result
         #: more than ``g @ cols^T``, so it is chosen exactly when that result
@@ -182,7 +188,6 @@ class ConvPlan:
         self._gpad: np.ndarray | None = None
         self._dtaps: np.ndarray | None = None
         self._tap_gemm: np.ndarray | None = None
-        self._acc_out: np.ndarray | None = None
 
     @property
     def key(self) -> tuple:
@@ -194,9 +199,8 @@ class ConvPlan:
     #: Lazily allocated scratch buffers: padded input, im2col columns,
     #: strided dgrad columns, the unit-stride dgrad's pitched grad_out and
     #: per-tap GEMM output, and the column-free forward's per-tap GEMM
-    #: output and shifted-sum accumulator.
-    _WORKSPACES = ("_xp", "_cols", "_dcols", "_gpad", "_dtaps", "_tap_gemm",
-                   "_acc_out")
+    #: output.
+    _WORKSPACES = ("_xp", "_cols", "_dcols", "_gpad", "_dtaps", "_tap_gemm")
 
     def __deepcopy__(self, memo):
         """Plans are pure caches: a copy starts cold (no workspaces)."""
@@ -316,18 +320,27 @@ class ConvPlan:
 
         The column matrix exists for wgrad; without a backward it is pure
         memory traffic.  When the plan is :attr:`column_free` the K*K
-        expansion moves to the (narrower) output side instead — shift-GEMM:
+        expansion moves to the (narrower) output side instead — a pad-free
+        shift-GEMM on the unpadded input:
 
-        * one GEMM ``(KH*KW*F, C) @ (N, C, hp*wp)`` applies every tap's
-          (F, C) pointwise filter to the whole flat padded image;
-        * output pixel ``j = i*wp + q`` is the sum over taps of row-block
-          ``(u, v)`` read at ``j + u*d*wp + v*d``, so the K*K blocks are
-          summed at their flat offsets over the span ``(oh-1)*wp + ow``;
-        * flat positions with ``q >= ow`` wrapped into the next row and are
-          stripped by the final ``(oh, wp) -> (oh, ow)`` slice.
+        * one GEMM ``(KH*KW*F, C) @ (N, C, h*w)`` applies every tap's
+          (F, C) pointwise filter to the whole flat image, into
+          ``_tap_gemm``;
+        * tap ``(u, v)`` shifts by ``(dy, dx) = (u*d - p, v*d - p)``:
+          output pixel ``j`` reads its row block at ``j + dy*w + dx``.  A
+          read that wraps into the neighbouring row lands only in the
+          block's first ``dx`` (or last ``-dx``) columns, and no in-row
+          read does, so those columns are zeroed and each tap is one add
+          over a contiguous flat span (reads past either end are the
+          vertical padding and are simply not made);
+        * the centre tap (no shift) is copied into the result first, the
+          others are added in tap order, and taps with ``|dy| >= h`` or
+          ``|dx| >= w`` read only padding and are skipped.
 
-        A 1x1 kernel has one tap and no wrap-around: the GEMM result *is*
-        the output.  Summation order differs from the im2col GEMM (taps are
+        There is no padded input, no accumulator workspace and no strip of
+        wrap-around columns, and the GEMM issues exactly K*K*F*C*h*w
+        multiply-adds.  A 1x1 kernel has one tap: the GEMM result *is* the
+        output.  Summation order differs from the im2col GEMM (taps are
         added in the accumulation dtype after the channel contraction), so
         results agree with :meth:`forward` to rounding, not bit for bit —
         which is why taped callers never come here.  Plans that are not
@@ -335,41 +348,47 @@ class ConvPlan:
         """
         if not self.column_free:
             return self.forward(x, w, bias=bias, relu=relu)
-        n, c, _, _ = self.x_shape
+        if x.shape != self.x_shape:
+            raise ValueError(f"plan expects input {self.x_shape}, got {x.shape}")
+        n, c, h, wi = self.x_shape
         f = self.out_channels
         taps = self.kh * self.kw
-        wp, area = self.wp, self.hp * self.wp
-        xflat = self.padded_input(x).reshape(n, c, area)
+        area = h * wi
+        xflat = x.astype(self.acc, copy=False).reshape(n, c, area)
         wtaps = (w.astype(self.acc, copy=False)
                  .transpose(2, 3, 0, 1).reshape(taps * f, c))
         if taps == 1:
-            acc = full = np.matmul(wtaps, xflat)           # (N, F, oh*ow)
+            out = np.matmul(wtaps, xflat)                 # (N, F, h*w)
         else:
             if self._tap_gemm is None:
                 self._tap_gemm = np.empty((n, taps * f, area), dtype=self.acc)
-                self._acc_out = np.empty((n, f, self.oh * wp), dtype=self.acc)
             np.matmul(wtaps, xflat, out=self._tap_gemm)
             y = self._tap_gemm.reshape(n, taps, f, area)
-            span = (self.oh - 1) * wp + self.ow
-            d = self.dilation
-            offs = [u * d * wp + v * d
-                    for u in range(self.kh) for v in range(self.kw)]
-            full = self._acc_out
-            acc = full[:, :, :span]
-            np.add(y[:, 0, :, :span], y[:, 1, :, offs[1]:offs[1] + span],
-                   out=acc)
-            for t in range(2, taps):
-                np.add(acc, y[:, t, :, offs[t]:offs[t] + span], out=acc)
+            centre = taps // 2
+            out = y[:, centre].copy()
+            d, p = self.dilation, self.padding
+            for t in self.live_taps:
+                if t == centre:
+                    continue
+                u, v = divmod(t, self.kw)
+                dy, dx = u * d - p, v * d - p
+                grid = y[:, t].reshape(n, f, h, wi)
+                if dx > 0:
+                    grid[..., :dx] = 0
+                elif dx < 0:
+                    grid[..., dx:] = 0
+                off = dy * wi + dx
+                if off >= 0:
+                    out[:, :, :area - off] += y[:, t, :, off:]
+                else:
+                    out[:, :, -off:] += y[:, t, :, :area + off]
         if bias is not None:
-            acc += bias.astype(self.acc, copy=False).reshape(1, f, 1)
+            out += bias.astype(self.acc, copy=False).reshape(1, f, 1)
         if relu:
-            np.maximum(acc, 0, out=acc)
+            np.maximum(out, 0, out=out)
         self.gemms += 1
         self.colfree_forwards += 1
-        out = full.reshape(n, f, self.oh, wp)[:, :, :, :self.ow]
-        # The accumulator is a reused workspace: hand back a fresh array
-        # (the strip already forces the copy unless this is the 1x1 case).
-        return out.astype(self.dtype, copy=taps > 1)
+        return out.reshape(n, f, h, wi).astype(self.dtype, copy=False)
 
     def backward_weight_from_cols(self, grad_out: np.ndarray,
                                   cols: np.ndarray) -> np.ndarray:

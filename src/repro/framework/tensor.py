@@ -7,10 +7,11 @@ FLOP-counting methodology (Section VI) traverses; see
 :mod:`repro.framework.graph` for the symbolic analysis counterpart.
 
 Only the operations the segmentation networks need are implemented: ``+``,
-``*``, ``sum``, ``reshape``, ``relu`` and :func:`concatenate` (convolution,
-normalization, pooling, upsampling and the loss are layers with their own
-kernels).  Each is implemented completely (forward + backward, with
-broadcasting) and is validated against finite differences in the test-suite.
+``*``, ``sum``, ``reshape``, ``relu``, :func:`concatenate` and its
+copy-free twin :func:`channel_view` (convolution, normalization, pooling,
+upsampling and the loss are layers with their own kernels).  Each is
+implemented completely (forward + backward, with broadcasting) and is
+validated against finite differences in the test-suite.
 """
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "concatenate", "no_grad", "is_grad_enabled",
-           "rank_stack", "stacked_ranks", "split_ranks", "join_ranks"]
+__all__ = ["Tensor", "concatenate", "channel_view", "no_grad",
+           "is_grad_enabled", "rank_stack", "stacked_ranks", "split_ranks",
+           "join_ranks"]
 
 _GRAD_ENABLED = True
 _RANKS: range | None = None
@@ -288,12 +290,10 @@ class Tensor:
         return Tensor.from_op(self.data * mask, (self,), backward, "relu")
 
 
-def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable concatenation (Tiramisu's skip connections use this)."""
-    tensors = [Tensor._coerce(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+def _split_backward(tensors: Sequence[Tensor], axis: int):
+    """Concatenation's backward: each part takes its slice of the gradient,
+    in part order."""
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def backward(g: np.ndarray) -> None:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -301,5 +301,26 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             sl[axis] = slice(lo, hi)
             t.accumulate_grad(g[tuple(sl)])
 
-    return Tensor.from_op(data, tensors, backward, "concat")
+    return backward
 
+
+def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
+    """Differentiable concatenation (DeepLab's ASPP branch merge uses this)."""
+    tensors = [Tensor._coerce(t) for t in tensors]
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    return Tensor.from_op(data, tensors, _split_backward(tensors, axis),
+                          "concat")
+
+
+def channel_view(buf: np.ndarray, lo: int, parts: Sequence[Tensor]) -> Tensor:
+    """The channel concatenation of ``parts``, already written into
+    ``buf[:, lo:...]`` by the caller, as a read-only view of ``buf``.
+
+    Taped exactly like :func:`concatenate` along axis 1 (same parents, same
+    split backward), so gradients are bit for bit those of the copy it
+    replaces; the view is read-only because the buffer is shared.
+    """
+    hi = lo + sum(t.shape[1] for t in parts)
+    data = buf[:, lo:hi]
+    data.flags.writeable = False
+    return Tensor.from_op(data, parts, _split_backward(parts, 1), "concat")

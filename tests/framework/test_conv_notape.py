@@ -1,8 +1,9 @@
 """The no-tape forward: column-free shift-GEMM conv, argmax-free max pool.
 
-Three things are pinned here.  *Numerics*: the column-free forward equals
-the tap-loop reference oracle over seeded random geometry (kernel,
-dilation, batch, dtype, epilogue, and the window == extent corner).
+Three things are pinned here.  *Numerics*: the pad-free shift-GEMM equals
+the tap-loop reference oracle over seeded random 'same' geometry (kernel,
+dilation, batch, dtype, epilogue), including maps so small that taps read
+only padding; non-'same' geometry runs im2col against the same oracle.
 *Selection*: the plan picks the formulation from its geometry alone.
 *The split*: anything that records a tape keeps the im2col arithmetic bit
 for bit, and only tape-free calls take the new path.
@@ -38,7 +39,8 @@ def _oracle(x, w, padding, dilation, bias, relu):
 
 
 def _random_problem(rng, k, dilation, n, dtype, same_pad):
-    """A stride-1 problem on which the column-free forward is selected."""
+    """A stride-1 problem with more input than output channels; with
+    ``same_pad`` the column-free forward is selected."""
     eff = dilation * (k - 1) + 1
     padding = dilation * (k - 1) // 2 if same_pad else 0
     h = eff + int(rng.integers(0, 9))
@@ -46,7 +48,7 @@ def _random_problem(rng, k, dilation, n, dtype, same_pad):
     hp, wp = h + 2 * padding, w + 2 * padding
     oh, ow = hp - eff + 1, wp - eff + 1
     f = int(rng.integers(1, 5))
-    # Smallest C with F*hp*wp < C*oh*ow, plus a random surplus.
+    # C > F: with the old byte rule's C (F*hp*wp < C*oh*ow), plus a surplus.
     c = f * hp * wp // (oh * ow) + 1 + int(rng.integers(0, 6))
     x = rng.standard_normal((n, c, h, w)).astype(dtype)
     wt = (rng.standard_normal((f, c, k, k)) * 0.2).astype(dtype)
@@ -65,15 +67,22 @@ class TestColumnFreeEqualsReference:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_seeded_random_geometry(self, k, dilation, n, dtype):
         rng = np.random.default_rng([k, dilation, n, np.dtype(dtype).itemsize])
-        for trial in range(4):
-            use_bias, relu = bool(trial & 1), bool(trial & 2)
+        # Trial 3 is unpadded ('valid'), so it runs im2col; trial 4 is its
+        # 'same' twin, with the same epilogue.
+        for trial in range(5):
+            use_bias, relu = bool(trial & 1) or trial == 4, trial >= 2
+            same = trial != 3
             x, wt, bias, padding = _random_problem(
-                rng, k, dilation, n, dtype, same_pad=trial != 3)
+                rng, k, dilation, n, dtype, same_pad=same)
             plan = ConvPlan(x.shape, wt.shape, 1, padding, dilation, dtype)
-            assert plan.column_free
+            assert plan.column_free == (same or k == 1)
             got = plan.forward_notape(x, wt, bias=bias if use_bias else None,
                                       relu=relu)
-            assert plan.colfree_forwards == 1 and plan.col_fills == 0
+            if plan.column_free:
+                assert plan.colfree_forwards == 1 and plan.col_fills == 0
+                assert plan.pad_fills == 0 and plan._xp is None
+            else:
+                assert plan.colfree_forwards == 0 and plan.col_fills == 1
             assert got.dtype == dtype and got.flags.c_contiguous
             want = _oracle(x, wt, padding, dilation,
                            bias if use_bias else None, relu)
@@ -81,22 +90,75 @@ class TestColumnFreeEqualsReference:
                                        **TOL[dtype])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 3)])
+    def test_maps_with_dead_taps(self, hw, k, dilation, n, dtype):
+        # On a 1x1 map only the centre tap reads the input; on 2x3 at
+        # dilation 3 every off-centre tap of a 3x3 kernel does not either,
+        # and at dilation 1 a 5x5 kernel keeps only its |dx| = 1, 2 taps
+        # along the row and its |dy| = 1 taps down the column.
+        rng = np.random.default_rng([k, dilation, n, *hw])
+        x = rng.standard_normal((n, 12, *hw)).astype(dtype)
+        wt = (rng.standard_normal((5, 12, k, k)) * 0.2).astype(dtype)
+        bias = rng.standard_normal(5).astype(np.float32)
+        padding = dilation * (k - 1) // 2
+        plan = ConvPlan(x.shape, wt.shape, 1, padding, dilation, dtype)
+        assert plan.column_free
+        for use_bias, relu in [(False, False), (True, True)]:
+            got = plan.forward_notape(x, wt, bias=bias if use_bias else None,
+                                      relu=relu)
+            want = _oracle(x, wt, padding, dilation,
+                           bias if use_bias else None, relu)
+            np.testing.assert_allclose(got.astype(np.float32), want,
+                                       **TOL[dtype])
+        assert plan.pad_fills == 0 and plan.col_fills == 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
     def test_window_equals_extent(self, dtype):
-        # One output pixel: the whole span is a single flat position.
+        # One output pixel of an unpadded window: not 'same', so im2col.
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 30, 3, 3)).astype(dtype)
         wt = (rng.standard_normal((2, 30, 3, 3)) * 0.2).astype(dtype)
         plan = ConvPlan(x.shape, wt.shape, 1, 0, 1, dtype)
-        assert plan.column_free and (plan.oh, plan.ow) == (1, 1)
+        assert not plan.column_free and (plan.oh, plan.ow) == (1, 1)
         got = plan.forward_notape(x, wt)
+        assert plan.col_fills == 1 and plan.colfree_forwards == 0
         np.testing.assert_allclose(got.astype(np.float32),
                                    _oracle(x, wt, 0, 1, None, False),
                                    **TOL[dtype])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_window_equals_extent_same(self, dtype):
+        # The 'same' twin: the window spans the map, every tap is live.
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 30, 3, 3)).astype(dtype)
+        wt = (rng.standard_normal((2, 30, 3, 3)) * 0.2).astype(dtype)
+        plan = ConvPlan(x.shape, wt.shape, 1, 1, 1, dtype)
+        assert plan.column_free and len(plan.live_taps) == 9
+        got = plan.forward_notape(x, wt)
+        np.testing.assert_allclose(got.astype(np.float32),
+                                   _oracle(x, wt, 1, 1, None, False),
+                                   **TOL[dtype])
+
     def test_asymmetric_kernel(self):
+        # A 3x5 kernel cannot keep both extents under one padding: im2col.
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 24, 9, 11)).astype(np.float32)
         wt = (rng.standard_normal((2, 24, 3, 5)) * 0.2).astype(np.float32)
+        plan = ConvPlan(x.shape, wt.shape, 1, 2, 1)
+        assert not plan.column_free
+        np.testing.assert_allclose(plan.forward_notape(x, wt),
+                                   _oracle(x, wt, 2, 1, None, False),
+                                   rtol=1e-5, atol=1e-5)
+        assert plan.col_fills == 1
+
+    def test_asymmetric_map_same(self):
+        # The 'same' twin: a square 5x5 kernel on the same 9x11 map.
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 24, 9, 11)).astype(np.float32)
+        wt = (rng.standard_normal((2, 24, 5, 5)) * 0.2).astype(np.float32)
         plan = ConvPlan(x.shape, wt.shape, 1, 2, 1)
         assert plan.column_free
         np.testing.assert_allclose(plan.forward_notape(x, wt),
@@ -128,15 +190,31 @@ class TestColumnFreeEqualsReference:
                                    rtol=1e-5, atol=1e-5)
 
     def test_padded_pointwise(self):
+        # A padded 1x1 grows the map: not 'same', so im2col.
         rng = np.random.default_rng(14)
         x = rng.standard_normal((2, 12, 6, 5)).astype(np.float16)
         wt = rng.standard_normal((3, 12, 1, 1)).astype(np.float16)
         bias = rng.standard_normal(3).astype(np.float32)
         plan = ConvPlan(x.shape, wt.shape, 1, 2, 1, np.float16)
-        assert plan.column_free and (plan.oh, plan.ow) == (10, 9)
+        assert not plan.column_free and (plan.oh, plan.ow) == (10, 9)
         got = plan.forward_notape(x, wt, bias=bias, relu=True)
+        assert plan.col_fills == 1
         np.testing.assert_allclose(got.astype(np.float32),
                                    _oracle(x, wt, 2, 1, bias, True),
+                                   **TOL[np.float16])
+
+    def test_unpadded_pointwise_same(self):
+        # The 'same' twin: the same FP16 1x1 with its epilogue, unpadded.
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2, 12, 6, 5)).astype(np.float16)
+        wt = rng.standard_normal((3, 12, 1, 1)).astype(np.float16)
+        bias = rng.standard_normal(3).astype(np.float32)
+        plan = ConvPlan(x.shape, wt.shape, 1, 0, 1, np.float16)
+        assert plan.column_free
+        got = plan.forward_notape(x, wt, bias=bias, relu=True)
+        assert plan.col_fills == 0 and plan.pad_fills == 0
+        np.testing.assert_allclose(got.astype(np.float32),
+                                   _oracle(x, wt, 0, 1, bias, True),
                                    **TOL[np.float16])
 
     def test_non_contiguous_input(self):
@@ -156,8 +234,20 @@ class TestSelection:
         assert ConvPlan((1, 48, 32, 48), (8, 48, 3, 3), 1, 1, 1).column_free
 
     def test_square_channels_do_not(self):
-        # F*hp*wp > C*oh*ow as soon as there is any padding.
+        # F == C: the per-tap GEMM output is as large as the columns.
         assert not ConvPlan((1, 16, 32, 48), (16, 16, 3, 3), 1, 1, 1).column_free
+
+    def test_pointwise_engages_at_any_width(self):
+        # A 1x1 GEMM reads the input as it stands (Tiramisu's transition
+        # down convs are C -> C).
+        assert ConvPlan((1, 16, 32, 48), (16, 16, 1, 1)).column_free
+        assert ConvPlan((1, 8, 32, 48), (48, 8, 1, 1)).column_free
+
+    def test_non_same_geometry_does_not(self):
+        # 'valid' padding shrinks the map; an even kernel has no centre tap
+        # even where its dilation keeps the extent.
+        assert not ConvPlan((1, 48, 32, 48), (8, 48, 3, 3), 1, 0, 1).column_free
+        assert not ConvPlan((1, 48, 32, 48), (8, 48, 2, 2), 1, 1, 2).column_free
 
     def test_stride_two_does_not(self):
         assert not ConvPlan((1, 48, 32, 48), (8, 48, 3, 3), 2, 1, 1).column_free
@@ -181,9 +271,8 @@ class TestSelection:
         plan = ConvPlan((9, 48, 32, 48), (8, 48, 3, 3), 1, 1, 1)
         x = np.zeros(plan.x_shape, dtype=np.float32)
         plan.forward_notape(x, np.zeros(plan.w_shape, dtype=np.float32))
-        assert plan._cols is None
-        assert (plan._tap_gemm.size + plan._acc_out.size
-                < int(np.prod(plan.cols_shape)))
+        assert plan._cols is None and plan._xp is None
+        assert plan._tap_gemm.size < int(np.prod(plan.cols_shape))
 
 
 class TestTapeSplit:
@@ -263,10 +352,9 @@ class TestTapeSplit:
         plan = ConvPlan((1, 16, 8, 8), (2, 16, 3, 3), 1, 1, 1)
         plan.forward_notape(np.zeros(plan.x_shape, dtype=np.float32),
                             np.zeros(plan.w_shape, dtype=np.float32))
-        assert plan._tap_gemm is not None and plan._acc_out is not None
+        assert plan._tap_gemm is not None
         clone = copy.deepcopy(plan)
-        assert clone._tap_gemm is None and clone._acc_out is None
-        assert clone._xp is None and clone.column_free
+        assert clone._tap_gemm is None and clone.column_free
 
 
 class TestMaxPoolNoTape:
