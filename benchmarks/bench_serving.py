@@ -68,7 +68,7 @@ def test_micro_batching_speedup(benchmark, emit):
         lane = report.lanes["interactive"]
         rows.append([name, f"{report.throughput_rps:,.0f}",
                      f"{report.mean_batch_size:.1f}",
-                     f"{lane.p50_ms:.2f}", f"{lane.p99_ms:.2f}",
+                     f"{lane['p50_ms']:.2f}", f"{lane['p99_ms']:.2f}",
                      f"{hit_rate * 100:.1f}"])
     base, _ = results["per-request"]
     fast, _ = results["micro-batch 8"]

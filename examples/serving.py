@@ -53,8 +53,8 @@ def main():
     print(f"  throughput {report.throughput_rps:,.0f} req/s, "
           f"mean batch {report.mean_batch_size:.1f}")
     for lane, summary in report.lanes.items():
-        print(f"  {lane}: p50 {summary.p50_ms:.1f} ms, "
-              f"p99 {summary.p99_ms:.1f} ms")
+        print(f"  {lane}: p50 {summary['p50_ms']:.1f} ms, "
+              f"p99 {summary['p99_ms']:.1f} ms")
     print(f"  cache hit rate {report.cache['hit_rate'] * 100:.1f}%")
 
     print("Again, killing replica 1 at the second dispatch ...")

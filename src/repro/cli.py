@@ -243,8 +243,8 @@ def _cmd_trace(args) -> int:
         if args.serve_requests:
             # A small serving drill in the *same* session, so serve.* spans
             # merge into the one trace (PR 4's spans were previously lost).
-            from .serve import (FixedServiceTime, InferenceServer,
-                                ServeConfig, WorkloadConfig, synth_workload)
+            from .serve import (InferenceServer, ServeConfig,
+                                WorkloadConfig, synth_workload)
 
             server = InferenceServer(
                 factory,
@@ -252,7 +252,7 @@ def _cmd_trace(args) -> int:
                             num_replicas=2, max_batch_size=4,
                             max_wait_s=0.002, forward_batch=16,
                             cache_budget_bytes=0),
-                service_model=FixedServiceTime(per_window_s=0.001),
+                service_window_s=0.001,
                 model_key=f"tiramisu-seed{args.seed}")
             server.serve(synth_workload(WorkloadConfig(
                 num_requests=args.serve_requests, rate_rps=500.0,
@@ -618,8 +618,8 @@ def _cmd_serve(args) -> int:
     from .errors import ReproError
     from .perf import format_table
     from .resilience import FaultPlan
-    from .serve import (FixedServiceTime, InferenceServer, ServeConfig,
-                        WorkloadConfig, summarize, synth_workload)
+    from .serve import (InferenceServer, ServeConfig, WorkloadConfig,
+                        summarize, synth_workload)
     from .telemetry import Telemetry, activate, write_chrome_trace
 
     if args.requests < 1 or args.replicas < 1 or args.batch < 1:
@@ -643,8 +643,7 @@ def _cmd_serve(args) -> int:
     plan = FaultPlan.parse(args.plan, seed=args.seed) if args.plan else None
     # A nonzero --service-ms pins virtual service time (deterministic
     # queueing for CI); 0 uses the measured compute wall time.
-    service = (FixedServiceTime(per_window_s=args.service_ms / 1e3)
-               if args.service_ms else None)
+    service_window_s = args.service_ms / 1e3 if args.service_ms else None
 
     def factory():
         return Tiramisu(
@@ -657,7 +656,7 @@ def _cmd_serve(args) -> int:
     error = None
     with activate(tel):
         server = InferenceServer(factory, config, plan=plan,
-                                 service_model=service,
+                                 service_window_s=service_window_s,
                                  model_key=f"tiramisu-seed{args.seed}")
         try:
             responses = server.serve(synth_workload(workload))
@@ -700,8 +699,9 @@ def _cmd_serve(args) -> int:
         ]
         for lane, summary in report.lanes.items():
             rows.append([f"{lane} p50/p99",
-                         f"{summary.p50_ms:.2f} / {summary.p99_ms:.2f} ms "
-                         f"({summary.served} served, {summary.shed} shed)"])
+                         f"{summary['p50_ms']:.2f} / {summary['p99_ms']:.2f} "
+                         f"ms ({summary['served']} served, "
+                         f"{summary['shed']} shed)"])
         if report.cache is not None:
             rows.append(["cache hit rate",
                          f"{report.cache['hit_rate'] * 100:.1f}% "

@@ -4,14 +4,14 @@ The paper ends where most reproductions stop: a trained network.  This
 package is the deployment half — serving sliding-window segmentation to
 concurrent clients with the throughput tricks that make it affordable:
 
-* dynamic **micro-batching** (:mod:`.batcher`) — coalesce concurrent
-  requests into one stacked forward per dispatch;
 * a fault-tolerant **replica pool** (:mod:`.replica`) — least-loaded
   routing with retry-on-survivor, reusing :mod:`repro.resilience`;
 * a content-keyed, byte-budgeted **tile cache** (:mod:`.cache`) over
   per-window logits;
-* **SLO-aware admission control** (:mod:`.queue`) — priority lanes,
-  depth backpressure, and estimated-wait load shedding;
+* one laned **request queue** (:mod:`.queue`) — priority lanes, depth
+  backpressure, estimated-wait load shedding, and the dynamic
+  **micro-batching** triggers that coalesce concurrent requests into one
+  stacked forward per dispatch;
 * a discrete-event **server** (:mod:`.server`) on the telemetry
   :class:`~repro.telemetry.SimulatedClock`, plus a seeded synthetic
   **load generator** (:mod:`.loadgen`);
@@ -25,7 +25,6 @@ Entry points: build an :class:`InferenceServer`, feed it requests from
 :func:`replay_workload` stream and fold with :func:`summarize_fleet`.
 ``repro serve`` and ``repro fleet`` wrap exactly that.
 """
-from .batcher import MicroBatcher
 from .cache import CacheStats, TileCache
 from .fleet import (
     Autoscaler,
@@ -33,7 +32,6 @@ from .fleet import (
     FleetConfig,
     FleetReplica,
     FleetReport,
-    FleetRequest,
     FleetResult,
     FleetServer,
     HashRing,
@@ -45,17 +43,10 @@ from .fleet import (
 )
 from .loadgen import ReplayConfig, WorkloadConfig, replay_workload, \
     synth_workload
-from .queue import AdmissionController, RequestQueue
+from .queue import RequestQueue
 from .replica import BatchResult, Replica, ReplicaPool
 from .request import DEFAULT_LANES, InferenceRequest, InferenceResponse
-from .server import (
-    FixedServiceTime,
-    InferenceServer,
-    ServeConfig,
-    ServeReport,
-    measured_service,
-    summarize,
-)
+from .server import InferenceServer, ServeConfig, ServeReport, summarize
 
 __all__ = [
     "DEFAULT_LANES",
@@ -63,15 +54,11 @@ __all__ = [
     "InferenceResponse",
     "CacheStats",
     "TileCache",
-    "AdmissionController",
     "RequestQueue",
-    "MicroBatcher",
     "Replica",
     "BatchResult",
     "ReplicaPool",
     "ServeConfig",
-    "FixedServiceTime",
-    "measured_service",
     "InferenceServer",
     "ServeReport",
     "summarize",
@@ -83,7 +70,6 @@ __all__ = [
     "AutoscalerConfig",
     "ScaleDecision",
     "FleetConfig",
-    "FleetRequest",
     "FleetReplica",
     "FleetServer",
     "FleetReport",

@@ -30,7 +30,6 @@ from .fleet import (
     FleetConfig,
     FleetReplica,
     FleetReport,
-    FleetRequest,
     FleetResult,
     FleetServer,
     Replay,
@@ -46,7 +45,6 @@ __all__ = [
     "AutoscalerConfig",
     "ScaleDecision",
     "FleetConfig",
-    "FleetRequest",
     "FleetReplica",
     "FleetServer",
     "FleetReport",

@@ -37,11 +37,11 @@ from ...resilience import FaultPlan
 from ...telemetry import SimulatedClock, Telemetry, get_active
 from ..cache import TileCache
 from ..queue import fold_service_ewma
-from ..request import DEFAULT_LANES, validate_slo_s
+from ..request import DEFAULT_LANES, lane_summary, validate_slo_s
 from .autoscaler import WARMUP_S, Autoscaler, AutoscalerConfig
 from .hashring import HashRing, remap_fraction
 
-__all__ = ["FleetRequest", "Replay", "FleetConfig", "FleetReplica",
+__all__ = ["Replay", "FleetConfig", "FleetReplica",
            "ScaleEventRecord", "FleetResult", "FleetServer",
            "FleetReport", "summarize_fleet",
            "STATUS_SERVED", "STATUS_SHED", "STATUS_FAILED"]
@@ -70,22 +70,10 @@ _TILE_BYTES = 4096          # accounted bytes of one cached tile
 _WINDOW_S = 1.0             # control tick = streaming window
 
 
-@dataclass(frozen=True)
-class FleetRequest:
-    """One virtual request (the friendly, non-columnar view)."""
-
-    request_id: int
-    key: int                    # snapshot/tile-group content id
-    lane: str = "interactive"
-    cell: str = "cell0"         # home cell (client locality)
-    arrival_s: float = 0.0
-    windows: int = 4            # tile windows this request decomposes into
-
-
 class Replay:
     """A columnar request stream: one numpy column per request field.
 
-    A million :class:`FleetRequest` objects would cost hundreds of MB of
+    A million per-request objects would cost hundreds of MB of
     python object headers; the same stream as six arrays costs ~20 MB
     and iterates by index.  ``lanes``/``cells`` are the vocabularies the
     int columns index into.
@@ -112,29 +100,6 @@ class Replay:
 
     def __len__(self) -> int:
         return len(self.arrival_s)
-
-    def request(self, i: int) -> FleetRequest:
-        """Materialise request ``i`` as a :class:`FleetRequest`."""
-        return FleetRequest(
-            request_id=i, key=int(self.key[i]),
-            lane=self.lanes[self.lane[i]], cell=self.cells[self.cell[i]],
-            arrival_s=float(self.arrival_s[i]),
-            windows=int(self.windows[i]))
-
-    @classmethod
-    def from_requests(cls, requests) -> "Replay":
-        """Build a replay from explicit :class:`FleetRequest` objects, over
-        the fleet's lanes and the cells the requests name."""
-        reqs = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        lanes = DEFAULT_LANES
-        cells = tuple(sorted(set(r.cell for r in reqs)))
-        return cls(
-            arrival_s=np.array([r.arrival_s for r in reqs]),
-            key=np.array([r.key for r in reqs], dtype=np.int64),
-            lane=np.array([lanes.index(r.lane) for r in reqs]),
-            cell=np.array([cells.index(r.cell) for r in reqs]),
-            windows=np.array([r.windows for r in reqs]),
-            lanes=lanes, cells=cells)
 
 
 @dataclass(frozen=True)
@@ -243,19 +208,6 @@ class FleetResult:
 
     def __len__(self) -> int:
         return len(self.status)
-
-    def response(self, i: int) -> dict:
-        """Row ``i`` as a dict (tests and debugging)."""
-        return {
-            "request_id": i,
-            "status": ("pending", "served", "shed", "failed")[self.status[i]],
-            "completed_s": (None if np.isnan(self.completed_s[i])
-                            else float(self.completed_s[i])),
-            "replica": int(self.replica[i]),
-            "served_cell": int(self.served_cell[i]),
-            "spilled": bool(self.spilled[i]),
-            "shed_reason": _SHED_REASONS[self.shed_reason[i]] or None,
-        }
 
 
 class _Cell:
@@ -849,14 +801,9 @@ def summarize_fleet(result: FleetResult, server: FleetServer,
     for li, lane in enumerate(replay.lanes):
         lane_mask = replay.lane == li
         lane_served = served_mask & lane_mask
-        lat = (result.completed_s[lane_served]
-               - replay.arrival_s[lane_served])
-        p50, p99 = (np.percentile(lat, [50, 99]) if lat.size
-                    else (0.0, 0.0))
-        lanes[lane] = {"served": int(lane_served.sum()),
-                       "shed": int((shed_mask & lane_mask).sum()),
-                       "p50_ms": float(p50) * 1e3,
-                       "p99_ms": float(p99) * 1e3}
+        lanes[lane] = lane_summary(
+            result.completed_s[lane_served] - replay.arrival_s[lane_served],
+            int((shed_mask & lane_mask).sum()))
     cells = {}
     for name, cell in server.cells.items():
         hits, misses = cell.cache_totals()

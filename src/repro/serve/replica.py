@@ -162,13 +162,6 @@ class ReplicaPool:
     def dead_ids(self) -> list[int]:
         return [r.replica_id for r in self.replicas if not r.alive]
 
-    def next_free_s(self) -> float | None:
-        """Earliest time any live replica frees up (None if none live)."""
-        alive = self.alive_replicas
-        if not alive:
-            return None
-        return min(r.busy_until for r in alive)
-
     def free_replica(self, now: float) -> Replica | None:
         """Least-loaded live replica that is idle at ``now``."""
         candidates = [r for r in self.alive_replicas if r.busy_until <= now]

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DEFAULT_LANES", "InferenceRequest", "InferenceResponse"]
+__all__ = ["DEFAULT_LANES", "InferenceRequest", "InferenceResponse",
+           "lane_summary"]
 
 #: Priority lanes, highest priority first: interactive requests are
 #: batched ahead of bulk backfill traffic.
@@ -37,6 +38,17 @@ def validate_slo_s(slo_s) -> None:
         seen.add(lane)
         if slo <= 0:
             raise ValueError("slo_s targets must be positive")
+
+
+def lane_summary(latencies_s, shed: int) -> dict:
+    """One lane's report row from its served latencies and shed count.
+
+    ``summarize`` and ``summarize_fleet`` build their per-lane rows here.
+    """
+    lat = np.asarray(latencies_s, dtype=np.float64)
+    p50, p99 = np.percentile(lat, [50, 99]) if lat.size else (0.0, 0.0)
+    return {"served": int(lat.size), "shed": int(shed),
+            "p50_ms": float(p50) * 1e3, "p99_ms": float(p99) * 1e3}
 
 
 @dataclass

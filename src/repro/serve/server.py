@@ -1,14 +1,14 @@
-"""The inference server: one event loop tying queue, batcher, pool, cache.
+"""The inference server: one event loop over the queue, pool and cache.
 
 Discrete-event serving on a virtual clock.  Arrivals are admitted (or
-shed) the moment the clock reaches them; the micro-batcher flushes on its
-size/age triggers; batches dispatch to the least-loaded free replica; and
+shed) the moment the clock reaches them; the queue's size/age triggers
+form micro-batches; batches dispatch to the least-loaded free replica; and
 completions retire at ``dispatch + service_time``.  The *results* are real
 (replicas run the actual model over the actual windows); only the
 passage of time is virtual — by default each batch's virtual service time
 is its **measured** compute wall time, so throughput and latency numbers
-reflect the real cost of the work, while tests can pin a
-:class:`FixedServiceTime` to make every queueing decision deterministic.
+reflect the real cost of the work, while tests pin ``service_window_s``
+(seconds per window) to make every queueing decision deterministic.
 
 This mirrors how the training side couples its simulators to telemetry:
 spans land on the active session with virtual timestamps
@@ -27,41 +27,20 @@ import numpy as np
 from ..errors import ReproError
 from ..resilience import FaultInjector, FaultPlan, RetriesExhausted
 from ..telemetry import SimulatedClock, get_active
-from .batcher import MicroBatcher
 from .cache import TileCache
-from .queue import AdmissionController, RequestQueue
+from .queue import RequestQueue
 from .replica import BatchResult, ReplicaPool
 from .request import (DEFAULT_LANES, InferenceRequest, InferenceResponse,
-                      validate_slo_s)
+                      lane_summary, validate_slo_s)
 
-__all__ = ["ServeConfig", "FixedServiceTime", "measured_service",
-           "InferenceServer", "ServeReport", "summarize"]
-
-
-def measured_service(compute_s: float, n_requests: int,
-                     n_windows: int) -> float:
-    """Default service model: virtual time = measured compute wall time."""
-    return compute_s
-
-
-@dataclass(frozen=True)
-class FixedServiceTime:
-    """Deterministic service model for tests: affine in window count."""
-
-    per_batch_s: float = 0.0
-    per_window_s: float = 0.001
-
-    def __call__(self, compute_s: float, n_requests: int,
-                 n_windows: int) -> float:
-        return self.per_batch_s + self.per_window_s * n_windows
+__all__ = ["ServeConfig", "InferenceServer", "ServeReport", "summarize"]
 
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Everything the server needs beyond the model itself.
 
-    The queue, admission controller and micro-batcher all read their
-    knobs from here.
+    The request queue reads its admission and batching knobs from here.
     """
 
     #: Priority lanes, highest first (not a field: every server uses them).
@@ -105,7 +84,8 @@ class InferenceServer:
 
     def __init__(self, model_factory, config: ServeConfig | None = None,
                  plan: FaultPlan | None = None,
-                 service_model=None, model_key: str = "model-v0"):
+                 service_window_s: float | None = None,
+                 model_key: str = "model-v0"):
         self.config = config or ServeConfig()
         cfg = self.config
         self.clock = SimulatedClock()
@@ -122,10 +102,9 @@ class InferenceServer:
             frozen_model, cfg.num_replicas, cfg.window_hw,
             stride_hw=cfg.stride_hw, forward_batch=cfg.forward_batch,
             cache=self.cache, injector=self.injector)
-        self.admission = AdmissionController(cfg)
-        self.queue = RequestQueue(cfg, self.admission)
-        self.batcher = MicroBatcher(cfg, self.queue)
-        self.service_model = service_model or measured_service
+        self.queue = RequestQueue(cfg)
+        #: Virtual seconds per window; None charges measured compute time.
+        self.service_window_s = service_window_s
         self.total_retries = 0
         self._cache_synced = {"hits": 0, "misses": 0, "evictions": 0}
 
@@ -139,58 +118,52 @@ class InferenceServer:
         """
         arrivals = sorted(requests,
                           key=lambda r: (r.arrival_s, r.request_id))
+        n = len(arrivals)
         responses: dict[int, InferenceResponse] = {}
         inflight: list = []     # heap: (completion_s, seq, batch, result, t0)
-        seq = 0
-        i = 0
-        while i < len(arrivals) or self.queue.depth() or inflight:
-            now = self.clock.now()
-            progressed = False
-            # Retire completions due at `now`.
+        queue, pool = self.queue, self.pool
+        inf = float("inf")
+        seq = i = 0
+        now = self.clock.now()
+        while True:
+            # One pass handles everything due at ``now``, in the fleet's
+            # order; whatever it schedules lies at or after ``now``.
+            # 1. Retire due completions.
             while inflight and inflight[0][0] <= now:
                 comp_t, _, batch, result, dispatched = heapq.heappop(inflight)
                 self._complete(batch, result, dispatched, comp_t, responses)
-                progressed = True
-            # Admit (or shed) arrivals due at `now`.
-            while i < len(arrivals) and arrivals[i].arrival_s <= now:
+            # 2. Admit (or shed) due arrivals.
+            while i < n and arrivals[i].arrival_s <= now:
                 req = arrivals[i]
                 i += 1
-                admitted, reason = self.queue.offer(req, now)
+                admitted, reason = queue.offer(req, now)
                 if not admitted:
                     responses[req.request_id] = InferenceResponse(
                         req.request_id, req.lane, "shed", req.arrival_s,
                         shed_reason=reason)
-                progressed = True
-            # Total pool loss: everything still owed fails loudly.
-            if not self.pool.alive_replicas and (
-                    self.queue.depth() or i < len(arrivals)):
-                for req in self.queue.drain() + arrivals[i:]:
+            # 3. Dispatch while a batch is ready and a replica is free.
+            while queue.ready(now) and pool.free_replica(now) is not None:
+                seq += 1
+                self._dispatch(queue.take(now), now, seq, responses,
+                               inflight)
+            # 4. Total pool loss: everything still owed fails loudly.  After
+            # dispatch, because a dispatch can kill the last replica.
+            if not pool.alive_replicas and (queue.depth() or i < n):
+                for req in queue.drain() + arrivals[i:]:
                     responses[req.request_id] = self._failed(
                         req, "no live replicas in the pool")
-                i = len(arrivals)
-                progressed = True
-            # Dispatch while a batch is ready and a replica is free.
-            while self.batcher.ready(now):
-                if self.pool.free_replica(now) is None:
-                    break
-                batch = self.batcher.take(now)
-                seq += 1
-                self._dispatch(batch, now, seq, responses, inflight)
-                progressed = True
-            if progressed:
-                continue
-            # Nothing actionable at `now`: jump to the next event.
-            candidates = []
-            if i < len(arrivals):
-                candidates.append(arrivals[i].arrival_s)
-            if inflight:
-                candidates.append(inflight[0][0])
-            if self.queue.depth():
-                deadline = self.batcher.next_deadline()
-                if deadline is not None:
-                    candidates.append(deadline)
-            candidates = [t for t in candidates if t > now]
-            if not candidates:
+                i = n
+            if i == n and not inflight and not queue.depth():
+                break
+            # Jump to the next event: the earliest of the next arrival, the
+            # inflight head and a future age deadline.
+            t = arrivals[i].arrival_s if i < n else inf
+            if inflight and inflight[0][0] < t:
+                t = inflight[0][0]
+            deadline = queue.deadline_s
+            if deadline is not None and now < deadline < t:
+                t = deadline
+            if t == inf:
                 # Nothing can ever progress: say who is stuck rather than
                 # return a response list with holes in it.
                 stranded = sorted(r.request_id for r in requests
@@ -198,7 +171,7 @@ class InferenceServer:
                 raise ReproError(
                     f"serve loop stalled at t={now!r} with no future event; "
                     f"stranded request ids: {stranded}")
-            self.clock.advance_to(min(candidates))
+            now = self.clock.advance_to(t)
         return [responses[r.request_id] for r in
                 sorted(requests, key=lambda r: r.request_id)]
 
@@ -222,13 +195,14 @@ class InferenceServer:
             return
         finally:
             self._sync_cache_counters(tel)
-        duration = self.service_model(
-            result.compute_s, len(batch), result.windows) + result.backoff_s
+        service = (result.compute_s if self.service_window_s is None
+                   else self.service_window_s * result.windows)
+        duration = service + result.backoff_s
         completion = now + duration
         self.pool.replicas[result.replica_id].busy_until = completion
         heapq.heappush(inflight, (completion, seq, batch, result, now))
         if result.windows:
-            self.admission.observe_service(duration / result.windows)
+            self.queue.observe_service(duration / result.windows)
         if result.retries:
             self.total_retries += result.retries
             if tel.enabled:
@@ -288,20 +262,6 @@ class InferenceServer:
 
 
 @dataclass
-class LaneSummary:
-    """Served-latency distribution for one priority lane."""
-
-    served: int = 0
-    shed: int = 0
-    p50_ms: float = 0.0
-    p99_ms: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {"served": self.served, "shed": self.shed,
-                "p50_ms": self.p50_ms, "p99_ms": self.p99_ms}
-
-
-@dataclass
 class ServeReport:
     """End-of-run accounting over one workload's responses."""
 
@@ -327,9 +287,7 @@ class ServeReport:
         return self.admitted - self.served
 
     def as_dict(self) -> dict:
-        doc = {k: v for k, v in self.__dict__.items() if k != "lanes"}
-        doc["lanes"] = {name: lane.as_dict()
-                       for name, lane in self.lanes.items()}
+        doc = dict(self.__dict__)
         doc["lost_admitted"] = self.lost_admitted
         if self.cache is not None:
             doc["cache_hit_rate"] = self.cache.get("hit_rate", 0.0)
@@ -346,18 +304,10 @@ def summarize(responses: list[InferenceResponse],
     for r in shed:
         reason = r.shed_reason or "unknown"
         shed_by_reason[reason] = shed_by_reason.get(reason, 0) + 1
-    lanes: dict[str, LaneSummary] = {}
-    for lane in server.config.lanes:
-        lane_served = [r for r in served if r.lane == lane]
-        summary = LaneSummary(
-            served=len(lane_served),
-            shed=sum(1 for r in shed if r.lane == lane))
-        if lane_served:
-            lat = np.asarray([r.latency_s for r in lane_served])
-            p50, p99 = np.percentile(lat, [50, 99])
-            summary.p50_ms = float(p50) * 1e3
-            summary.p99_ms = float(p99) * 1e3
-        lanes[lane] = summary
+    lanes = {lane: lane_summary(
+                 [r.latency_s for r in served if r.lane == lane],
+                 sum(1 for r in shed if r.lane == lane))
+             for lane in server.config.lanes}
     makespan = 0.0
     throughput = 0.0
     if served:
@@ -381,6 +331,6 @@ def summarize(responses: list[InferenceResponse],
                if server.cache is not None else None),
         replica_failures=len(pool.dead_ids),
         dispatch_retries=server.total_retries,
-        batches=server.batcher.batches_formed,
+        batches=server.queue.batches_formed,
         mean_batch_size=float(np.mean(sizes)) if sizes else 0.0,
         alive_replicas=pool.alive_ids)

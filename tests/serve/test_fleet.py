@@ -5,7 +5,7 @@ import pytest
 from repro.resilience import FaultPlan
 from repro.serve import (FleetConfig, FleetServer, Replay, ReplayConfig,
                          replay_workload, summarize_fleet)
-from repro.serve.fleet import Autoscaler, AutoscalerConfig, FleetRequest
+from repro.serve.fleet import Autoscaler, AutoscalerConfig
 from repro.telemetry import Telemetry, activate
 from repro.telemetry.streaming import WindowSummary
 
@@ -123,15 +123,6 @@ class TestReplay:
         _, counts = np.unique(replay.key, return_counts=True)
         top = np.sort(counts)[-10:].sum()
         assert top / len(replay) > 0.10   # top-1% of keys > 10% of traffic
-
-    def test_from_requests_roundtrip(self):
-        reqs = [FleetRequest(request_id=i, key=i % 3, lane="bulk",
-                             cell="east", arrival_s=float(i), windows=2)
-                for i in range(5)]
-        replay = Replay.from_requests(reqs)
-        assert len(replay) == 5
-        got = replay.request(3)
-        assert got.key == 0 and got.lane == "bulk" and got.windows == 2
 
     def test_validates_columns(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,8 @@
-"""Admission control, priority lanes, and the micro-batcher triggers."""
+"""The request queue: admission control, priority lanes, batch triggers."""
 import numpy as np
 import pytest
 
-from repro.serve import (AdmissionController, InferenceRequest, MicroBatcher,
-                         RequestQueue, ServeConfig)
+from repro.serve import InferenceRequest, RequestQueue, ServeConfig
 
 
 def request(rid, lane="interactive", arrival=0.0):
@@ -20,21 +19,15 @@ def serve_config(max_depth=4, slo_s=(), max_batch_size=8, max_wait_s=0.002,
                        max_wait_s=max_wait_s)
 
 
-def make_queue(max_depth=4, slo_s=()):
-    config = serve_config(max_depth=max_depth, slo_s=slo_s)
-    controller = AdmissionController(config)
-    return RequestQueue(config, controller), controller
-
-
-def make_batcher(max_batch_size, max_wait_s):
-    config = serve_config(max_depth=8, max_batch_size=max_batch_size,
-                          max_wait_s=max_wait_s)
-    queue = RequestQueue(config, AdmissionController(config))
-    return MicroBatcher(config, queue), queue
+def make_queue(max_depth=4, slo_s=(), max_batch_size=8, max_wait_s=0.002,
+               num_replicas=1):
+    return RequestQueue(serve_config(
+        max_depth=max_depth, slo_s=slo_s, max_batch_size=max_batch_size,
+        max_wait_s=max_wait_s, num_replicas=num_replicas))
 
 
 class TestAdmissionConfig:
-    # Every input the queue's and batcher's knobs must refuse, checked once
+    # Every input the queue's knobs must refuse, checked once
     # by ServeConfig.  The lane layout is not a field, so a lane list
     # cannot be passed at all.
     @pytest.mark.parametrize("kwargs, error", [
@@ -68,7 +61,7 @@ class TestAdmissionConfig:
 
 class TestBackpressure:
     def test_depth_cap_sheds_queue_full(self):
-        queue, _ = make_queue(max_depth=2)
+        queue = make_queue(max_depth=2)
         assert queue.offer(request(0), 0.0) == (True, None)
         assert queue.offer(request(1), 0.0) == (True, None)
         admitted, reason = queue.offer(request(2), 0.0)
@@ -76,29 +69,29 @@ class TestBackpressure:
         assert queue.depth() == 2
 
     def test_caps_are_per_lane(self):
-        queue, _ = make_queue(max_depth=1)
+        queue = make_queue(max_depth=1)
         assert queue.offer(request(0, "interactive"), 0.0)[0]
         assert queue.offer(request(1, "bulk"), 0.0)[0]
         assert not queue.offer(request(2, "interactive"), 0.0)[0]
 
     def test_unknown_lane_rejected(self):
-        queue, _ = make_queue()
+        queue = make_queue()
         with pytest.raises(ValueError, match="unknown lane"):
             queue.offer(request(0, lane="vip"), 0.0)
 
 
 class TestSloShedding:
     def test_sheds_when_estimated_wait_exceeds_slo(self):
-        queue, controller = make_queue(
+        queue = make_queue(
             max_depth=64, slo_s=(("interactive", 0.01),))
-        controller.observe_service(0.005)       # 5 ms per window
+        queue.observe_service(0.005)       # 5 ms per window
         assert queue.offer(request(0), 0.0)[0]  # empty queue: no wait
         # 9 queued windows * 5 ms = 45 ms estimated wait > 10 ms SLO.
         admitted, reason = queue.offer(request(1), 0.0)
         assert not admitted and reason == "slo"
 
     def test_queued_windows_count_each_requests_tiles(self):
-        queue, _ = make_queue(max_depth=8)
+        queue = make_queue(max_depth=8)
         small = InferenceRequest(9, np.zeros((1, 8, 8), np.float32))
         queue.offer(request(0), 0.0)
         queue.offer(small, 0.0)                 # one 8x8 window
@@ -110,30 +103,33 @@ class TestSloShedding:
         assert queue.queued_windows == 0
 
     def test_no_shedding_before_first_observation(self):
-        queue, _ = make_queue(slo_s=(("interactive", 1e-9),))
+        queue = make_queue(slo_s=(("interactive", 1e-9),))
         for rid in range(3):
             assert queue.offer(request(rid), 0.0)[0]
 
     def test_lane_without_slo_only_depth_gated(self):
-        queue, controller = make_queue(
+        queue = make_queue(
             max_depth=64, slo_s=(("interactive", 0.01),))
-        controller.observe_service(0.005)
+        queue.observe_service(0.005)
         queue.offer(request(0), 0.0)
         assert queue.offer(request(1, lane="bulk"), 0.0)[0]
 
     def test_ewma_converges(self):
-        controller = AdmissionController(serve_config(num_replicas=2))
+        queue = make_queue(max_depth=8, num_replicas=2)
         for _ in range(100):
-            controller.observe_service(0.004)
-        assert controller.ewma_window_s == pytest.approx(0.004, rel=1e-3)
-        # Two replicas halve the estimated wait.
-        assert controller.estimated_wait_s(10) == pytest.approx(0.02,
-                                                                rel=1e-3)
+            queue.observe_service(0.004)
+        assert queue.ewma_window_s == pytest.approx(0.004, rel=1e-3)
+        # 10 queued windows; two replicas halve the estimated wait.
+        queue.offer(request(0), 0.0)
+        queue.offer(InferenceRequest(1, np.zeros((1, 8, 8), np.float32)),
+                    0.0)
+        assert queue.queued_windows == 10
+        assert queue.estimated_wait_s() == pytest.approx(0.02, rel=1e-3)
 
 
 class TestPriorityOrdering:
     def test_pop_drains_interactive_before_bulk(self):
-        queue, _ = make_queue(max_depth=8)
+        queue = make_queue(max_depth=8)
         queue.offer(request(0, "bulk"), 0.0)
         queue.offer(request(1, "interactive"), 0.0)
         queue.offer(request(2, "bulk"), 0.0)
@@ -142,13 +138,13 @@ class TestPriorityOrdering:
         assert [r.request_id for r in batch] == [1, 3, 0]
 
     def test_fifo_within_lane(self):
-        queue, _ = make_queue(max_depth=8)
+        queue = make_queue(max_depth=8)
         for rid in range(4):
             queue.offer(request(rid), float(rid))
         assert [r.request_id for r in queue.pop(10)] == [0, 1, 2, 3]
 
     def test_drain_empties(self):
-        queue, _ = make_queue(max_depth=8)
+        queue = make_queue(max_depth=8)
         for rid in range(3):
             queue.offer(request(rid), 0.0)
         assert len(queue.drain()) == 3
@@ -156,40 +152,58 @@ class TestPriorityOrdering:
 
 
 class TestMicroBatcher:
+    """The queue's batch triggers: size, age, and the batch cap."""
+
     def test_not_ready_when_empty(self):
-        batcher, _ = make_batcher(4, 0.002)
-        assert not batcher.ready(0.0)
-        assert batcher.next_deadline() is None
+        queue = make_queue(max_batch_size=4)
+        assert not queue.ready(0.0)
+        assert queue.deadline_s is None
 
     def test_size_trigger(self):
-        batcher, queue = make_batcher(max_batch_size=2, max_wait_s=10.0)
+        queue = make_queue(max_batch_size=2, max_wait_s=10.0)
         queue.offer(request(0), 0.0)
-        assert not batcher.ready(0.0)           # under size, under age
+        assert not queue.ready(0.0)             # under size, under age
         queue.offer(request(1), 0.0)
-        assert batcher.ready(0.0)               # size trigger, age ignored
-        assert len(batcher.take(0.0)) == 2
+        assert queue.ready(0.0)                 # size trigger, age ignored
+        assert len(queue.take(0.0)) == 2
+        assert queue.batches_formed == 1
 
     def test_age_trigger(self):
-        batcher, queue = make_batcher(max_batch_size=8, max_wait_s=0.002)
+        queue = make_queue(max_depth=8, max_wait_s=0.002)
         queue.offer(request(0), 0.0)
-        assert batcher.next_deadline() == pytest.approx(0.002)
-        assert not batcher.ready(0.0015)
-        assert batcher.ready(0.002)
-        assert len(batcher.take(0.002)) == 1
+        assert queue.deadline_s == pytest.approx(0.002)
+        assert not queue.ready(0.0015)
+        assert queue.ready(0.002)
+        assert len(queue.take(0.002)) == 1
+        assert queue.deadline_s is None
+
+    def test_deadline_follows_the_oldest_waiting_request(self):
+        queue = make_queue(max_depth=8, max_batch_size=1, max_wait_s=0.002)
+        queue.offer(request(0, "bulk"), 1.0)
+        queue.offer(request(1, "interactive"), 2.0)
+        assert queue.deadline_s == 1.0 + 0.002
+        # The interactive head leaves first; the older bulk head still
+        # sets the deadline.
+        assert [r.request_id for r in queue.take(2.0)] == [1]
+        assert queue.deadline_s == 1.0 + 0.002
+        queue.offer(request(2, "interactive"), 3.0)
+        assert [r.request_id for r in queue.take(3.0)] == [2]
+        assert [r.request_id for r in queue.take(3.0)] == [0]
+        assert queue.deadline_s is None
 
     def test_age_trigger_fires_at_its_own_deadline(self):
         # (2.5 + 0.002) - 2.5 rounds to 0.00199999...: an age test on the
         # difference would never fire at the instant the loop advances to.
         t, wait = 2.5, 0.002
         assert (t + wait) - t < wait
-        batcher, queue = make_batcher(max_batch_size=8, max_wait_s=wait)
+        queue = make_queue(max_depth=8, max_wait_s=wait)
         queue.offer(request(0), t)
-        assert not batcher.ready(t)
-        assert batcher.ready(batcher.next_deadline())
+        assert not queue.ready(t)
+        assert queue.ready(queue.deadline_s)
 
     def test_take_caps_at_max_batch_size(self):
-        batcher, queue = make_batcher(max_batch_size=3, max_wait_s=0.0)
+        queue = make_queue(max_depth=8, max_batch_size=3, max_wait_s=0.0)
         for rid in range(5):
             queue.offer(request(rid), 0.0)
-        assert len(batcher.take(0.0)) == 3
+        assert len(queue.take(0.0)) == 3
         assert queue.depth() == 2

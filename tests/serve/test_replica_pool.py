@@ -48,7 +48,6 @@ class TestRouting:
         for r in pool.replicas:
             r.busy_until = 10.0
         assert pool.free_replica(0.0) is None
-        assert pool.next_free_s() == 10.0
 
     def test_dead_replicas_leave_routing(self):
         pool = make_pool(2)

@@ -6,9 +6,8 @@ from repro.core.inference import predict_tiled, sliding_window_logits
 from repro.framework import Tensor
 from repro.framework.module import Module
 from repro.resilience import FaultPlan
-from repro.serve import (FixedServiceTime, InferenceRequest, InferenceServer,
-                         ServeConfig, WorkloadConfig, summarize,
-                         synth_workload)
+from repro.serve import (InferenceRequest, InferenceServer, ServeConfig,
+                         WorkloadConfig, summarize, synth_workload)
 from repro.telemetry import Telemetry, activate
 
 
@@ -22,7 +21,7 @@ class MeanModel(Module):
 
 CONFIG = ServeConfig(window_hw=(8, 8), stride_hw=(4, 4), num_replicas=2,
                      max_batch_size=4, max_wait_s=0.002, forward_batch=16)
-SERVICE = FixedServiceTime(per_batch_s=0.0, per_window_s=0.0005)
+SERVICE = 0.0005       # virtual service seconds per window
 
 
 def burst(n, t=0.0, hw=(16, 16), lane="interactive", seed=0):
@@ -35,7 +34,7 @@ def burst(n, t=0.0, hw=(16, 16), lane="interactive", seed=0):
 def run(config=CONFIG, requests=None, plan=None, service=SERVICE,
         workload=None):
     server = InferenceServer(MeanModel, config, plan=plan,
-                             service_model=service)
+                             service_window_s=service)
     if requests is None:
         requests = synth_workload(workload or WorkloadConfig(
             num_requests=24, rate_rps=2000.0, image_hw=(16, 16),
@@ -77,8 +76,8 @@ class TestHappyPath:
 
     def test_stalled_loop_names_the_stranded_requests(self, monkeypatch):
         from repro.errors import ReproError
-        from repro.serve.batcher import MicroBatcher
-        monkeypatch.setattr(MicroBatcher, "ready", lambda self, now: False)
+        from repro.serve import RequestQueue
+        monkeypatch.setattr(RequestQueue, "ready", lambda self, now: False)
         with pytest.raises(ReproError, match=r"stranded request ids: \[0, 1\]"):
             run(requests=burst(2))
 
@@ -97,8 +96,8 @@ class TestHappyPath:
             for i, r in enumerate(burst(4, seed=2))]
         server, _, responses = run(config=config, requests=reqs)
         report = summarize(responses, server)
-        assert report.lanes["interactive"].p50_ms < report.lanes[
-            "bulk"].p50_ms
+        assert report.lanes["interactive"]["p50_ms"] < report.lanes[
+            "bulk"]["p50_ms"]
 
     def test_deterministic_given_fixed_service_model(self):
         _, _, first = run()
@@ -149,7 +148,7 @@ class TestOverload:
                              num_replicas=1, max_batch_size=2,
                              max_wait_s=0.001, forward_batch=16,
                              max_depth=3)
-        service = FixedServiceTime(per_batch_s=0.0, per_window_s=0.01)
+        service = 0.01
         _, requests, responses = run(
             config=config, requests=burst(32), service=service)
         server = None
@@ -165,7 +164,7 @@ class TestOverload:
                              max_wait_s=0.001, forward_batch=16,
                              max_depth=64,
                              slo_s=(("interactive", 0.005),))
-        service = FixedServiceTime(per_batch_s=0.0, per_window_s=0.01)
+        service = 0.01
         # Two waves: the first warms the EWMA, the second hits the SLO gate.
         reqs = burst(4, t=0.0) + [
             InferenceRequest(100 + i, r.image, lane="interactive",
@@ -181,14 +180,13 @@ class TestOverload:
     def test_wait_estimate_counts_every_queued_window(self, k):
         # 16x16 snapshots in 8x8 windows at stride 4: 9 windows each, so
         # k queued requests wait 9k windows, shared across the replicas.
-        server = InferenceServer(MeanModel, CONFIG, service_model=SERVICE)
+        server = InferenceServer(MeanModel, CONFIG, service_window_s=SERVICE)
         for req in burst(k):
             assert server.queue.offer(req, 0.0) == (True, None)
-        server.admission.observe_service(0.002)
-        ewma = server.admission.ewma_window_s
-        assert server.admission.estimated_wait_s(
-            server.queue.queued_windows) == pytest.approx(
-                9 * k * ewma / CONFIG.num_replicas)
+        server.queue.observe_service(0.002)
+        ewma = server.queue.ewma_window_s
+        assert server.queue.estimated_wait_s() == pytest.approx(
+            9 * k * ewma / CONFIG.num_replicas)
 
 
 class TestTelemetryIntegration:
@@ -205,7 +203,7 @@ class TestTelemetryIntegration:
 
         assert total("serve.admitted") == 12
         assert total("serve.served") == 12
-        assert total("serve.batches") == server.batcher.batches_formed
+        assert total("serve.batches") == server.queue.batches_formed
         assert total("serve.replica_failures") == 1
         assert total("serve.cache.misses") > 0
         names = {s.name for s in tel.tracer.spans()}
