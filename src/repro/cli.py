@@ -607,7 +607,8 @@ def _cmd_serve(args) -> int:
     end-of-run report (served/shed/failed, per-lane p50/p99, cache hit
     rate).  ``--plan`` injects replica failures mid-run; ``--json`` emits
     the machine-readable report the CI smoke job asserts on.  Exit code 1
-    if any *admitted* request was lost (the resilience invariant).
+    if any *admitted* request was lost (the resilience invariant) or any
+    request failed, as in ``repro fleet``.
     """
     import json
     from pathlib import Path
@@ -709,7 +710,8 @@ def _cmd_serve(args) -> int:
         print(format_table(["metric", "value"], rows,
                            title=f"Serving drill - {args.requests} requests, "
                                  f"{args.replicas} replicas, seed {args.seed}"))
-    return 0 if report.lost_admitted == 0 and error is None else 1
+    ok = report.lost_admitted == 0 and report.failed == 0 and error is None
+    return 0 if ok else 1
 
 
 def _cmd_fleet(args) -> int:

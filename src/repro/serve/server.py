@@ -283,8 +283,8 @@ class ServeReport:
 
     @property
     def lost_admitted(self) -> int:
-        """Admitted requests without a served response (must stay 0)."""
-        return self.admitted - self.served
+        """Admitted requests without a terminal response (must stay 0)."""
+        return self.admitted - self.served - self.failed
 
     def as_dict(self) -> dict:
         doc = dict(self.__dict__)

@@ -128,11 +128,15 @@ class TestFaultsEndToEnd:
                              num_replicas=1, max_batch_size=4,
                              max_wait_s=0.002, forward_batch=16)
         plan = FaultPlan.parse("rank_fail@0:rank=0", seed=0)
-        _, requests, responses = run(config=config, requests=burst(8),
-                                     plan=plan)
+        server, requests, responses = run(config=config, requests=burst(8),
+                                          plan=plan)
         assert len(responses) == len(requests)
         assert all(r.status == "failed" for r in responses)
         assert all(r.error for r in responses)
+        # A failed request is terminal, not lost: same rule as the fleet.
+        report = summarize(responses, server)
+        assert report.failed == report.admitted == 8
+        assert report.lost_admitted == 0
 
 
 class TestOverload:

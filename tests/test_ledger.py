@@ -58,7 +58,7 @@ LEDGER = {
         ["serve", "--requests", "32", "--rate", "1000", "--service-ms", "0.5",
          "--replicas", "1", "--plan", "rank_fail@2:rank=0", "--channels", "2",
          "--seed", "0", "--json"],
-        1, "54b5af081779f575ddfa956e52340a5b1bd19e261c54c4a652e1c957aac6a8f8"),
+        1, "12176ec9e8e675ccc8598a3a43247f6738360a57b9fe4e19cd789d92550fe988"),
     # No age wait: every batch dispatches the instant a replica is free.
     "serve-zero-wait": (
         ["serve", "--requests", "64", "--rate", "3000", "--service-ms", "0.3",
