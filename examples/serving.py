@@ -63,8 +63,10 @@ def main():
           f"(survivors: {faulty.alive_replicas}, "
           f"{faulty.dispatch_retries} dispatch retries)")
     print(f"  served {faulty.served}/{faulty.offered}, "
+          f"failed {faulty.failed}, "
           f"admitted-but-lost: {faulty.lost_admitted}")
     assert faulty.lost_admitted == 0, "an admitted request was lost"
+    assert faulty.failed == 0, "a request failed with a replica alive"
     print("No admitted request lost.")
 
 

@@ -106,6 +106,11 @@ class InferenceServer:
         #: Virtual seconds per window; None charges measured compute time.
         self.service_window_s = service_window_s
         self.total_retries = 0
+        #: Requests the last :meth:`serve` call owes a terminal response:
+        #: every accepted offer, plus arrivals failed unoffered once the
+        #: whole pool is dead.  Counted apart from the responses, so
+        #: :attr:`ServeReport.lost_admitted` can see a missing one.
+        self.admitted = 0
         self._cache_synced = {"hits": 0, "misses": 0, "evictions": 0}
 
     # -- the event loop ----------------------------------------------------
@@ -124,6 +129,7 @@ class InferenceServer:
         queue, pool = self.queue, self.pool
         inf = float("inf")
         seq = i = 0
+        self.admitted = 0
         now = self.clock.now()
         while True:
             # One pass handles everything due at ``now``, in the fleet's
@@ -137,7 +143,9 @@ class InferenceServer:
                 req = arrivals[i]
                 i += 1
                 admitted, reason = queue.offer(req, now)
-                if not admitted:
+                if admitted:
+                    self.admitted += 1
+                else:
                     responses[req.request_id] = InferenceResponse(
                         req.request_id, req.lane, "shed", req.arrival_s,
                         shed_reason=reason)
@@ -152,6 +160,7 @@ class InferenceServer:
                 for req in queue.drain() + arrivals[i:]:
                     responses[req.request_id] = self._failed(
                         req, "no live replicas in the pool")
+                self.admitted += n - i
                 i = n
             if i == n and not inflight and not queue.depth():
                 break
@@ -319,7 +328,7 @@ def summarize(responses: list[InferenceResponse],
     sizes = [r.batch_size for r in served]
     return ServeReport(
         offered=len(responses),
-        admitted=len(served) + len(failed),
+        admitted=server.admitted,
         served=len(served), shed=len(shed), failed=len(failed),
         shed_by_reason=shed_by_reason,
         lanes=lanes, makespan_s=makespan, throughput_rps=throughput,

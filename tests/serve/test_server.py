@@ -6,8 +6,9 @@ from repro.core.inference import predict_tiled, sliding_window_logits
 from repro.framework import Tensor
 from repro.framework.module import Module
 from repro.resilience import FaultPlan
-from repro.serve import (InferenceRequest, InferenceServer, ServeConfig,
-                         WorkloadConfig, summarize, synth_workload)
+from repro.serve import (InferenceRequest, InferenceResponse,
+                         InferenceServer, ServeConfig, WorkloadConfig,
+                         summarize, synth_workload)
 from repro.telemetry import Telemetry, activate
 
 
@@ -145,7 +146,8 @@ class TestOverload:
                                   image_hw=(16, 16), channels=2, seed=1)
         server, _, responses = run(workload=workload)
         report = summarize(responses, server)
-        assert report.shed == 0 and report.lost_admitted == 0
+        assert report.shed == 0 and report.failed == 0
+        assert report.lost_admitted == 0
 
     def test_overload_sheds_queue_full_and_loses_nothing_admitted(self):
         config = ServeConfig(window_hw=(8, 8), stride_hw=(4, 4),
@@ -178,7 +180,7 @@ class TestOverload:
                                    service=service)
         report = summarize(responses, server)
         assert report.shed_by_reason.get("slo", 0) > 0
-        assert report.lost_admitted == 0
+        assert report.failed == 0 and report.lost_admitted == 0
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_wait_estimate_counts_every_queued_window(self, k):
@@ -267,9 +269,21 @@ class TestReport:
         assert report.throughput_rps > 0
         assert report.mean_batch_size == 4.0
         doc = report.as_dict()
-        assert doc["lost_admitted"] == 0
+        assert doc["failed"] == 0 and doc["lost_admitted"] == 0
         assert 0.0 <= doc["cache_hit_rate"] <= 1.0
         assert doc["lanes"]["interactive"]["served"] == 8
+
+    def test_admitted_request_without_a_served_or_failed_answer_is_lost(self):
+        server, _, responses = run(requests=burst(8))
+        assert summarize(responses, server).lost_admitted == 0
+        # ``admitted`` is the server's own count, not read back from the
+        # responses: a dropped or mislabelled answer shows as lost.
+        assert summarize(responses[:-1], server).lost_admitted == 1
+        mislabelled = responses[:-1] + [InferenceResponse(
+            responses[-1].request_id, responses[-1].lane, "shed",
+            responses[-1].arrival_s, shed_reason="queue_full")]
+        report = summarize(mislabelled, server)
+        assert report.admitted == 8 and report.lost_admitted == 1
 
     def test_request_image_must_be_chw(self):
         with pytest.raises(ValueError):

@@ -264,6 +264,9 @@ class TestServeCli:
                      "--plan", "rank_fail@0:rank=0", "--json"])
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
+        # Failed is terminal, not lost; the exit code still reports it.
+        assert doc["failed"] == doc["admitted"] == 16
+        assert doc["lost_admitted"] == 0
         assert doc["alive_replicas"] == []
         assert doc["cache"] is not None
         assert "hit_rate" in doc["cache"]
