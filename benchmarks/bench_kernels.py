@@ -26,6 +26,9 @@ from repro.framework.ops import (
     conv2d_forward_reference,
     conv_output_size,
 )
+from repro.framework import Tensor, no_grad
+from repro.framework.fusion import FusedPreActConv
+from repro.framework.layers import BatchNorm2D, Conv2D, ReLU
 from repro.perf import format_table
 
 # Paper-scale training tile: 1152x768 split 6x across H and 4x across W
@@ -126,6 +129,37 @@ def _notape_stats(profile: str = "quick"):
     return {"planned": nstats, "reference": istats}
 
 
+def _preact_stats(profile: str = "quick"):
+    """Paired (fused, unfused) frozen pre-activation conv on the 48->8 tile.
+
+    Unfused is what an unfrozen eval runs: BN, ReLU, then the no-tape
+    conv.  Fused is the one-pass fold of all three (``FusedPreActConv``).
+    """
+    from runner import paired_stats
+
+    repeats, warmup = PROFILES[profile]
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal(NOTAPE_SHAPE).astype(np.float32))
+    channels = NOTAPE_SHAPE[1]
+    bn = BatchNorm2D(channels)
+    bn.gamma.data[:] = rng.uniform(0.5, 1.5, channels)
+    bn.beta.data[:] = rng.uniform(-0.5, 0.5, channels)
+    bn.rank_mean[0] = rng.normal(0.0, 0.5, channels)
+    bn.rank_var[0] = rng.uniform(0.5, 2.0, channels)
+    bn.eval()
+    conv = Conv2D(channels, NOTAPE_FILTERS, KERNEL, bias=False, rng=rng)
+    relu = ReLU()
+    fused = FusedPreActConv.from_bn_conv(bn, conv)
+
+    def unfused():
+        with no_grad():
+            conv(relu(bn(x)))
+
+    fstats, ustats = paired_stats(lambda: fused(x), unfused,
+                                  repeats=5 * repeats, warmup=warmup)
+    return {"planned": fstats, "reference": ustats}
+
+
 def _bwd_dense_stats(profile: str = "quick"):
     """Paired (planned, tap-loop) dgrad + wgrad on the dense-layer shape."""
     from runner import paired_stats
@@ -212,6 +246,12 @@ def collect(profile: str = "quick"):
         higher_is_better=True, tolerance=0.4,
         note=f"im2col forward / no-tape forward, {NOTAPE_SHAPE} -> "
              f"{NOTAPE_FILTERS} filters 3x3"))
+    metrics.append(Metric(
+        name="kernels.preact_conv_ratio",
+        value=_ratio(_preact_stats(profile)), unit="x",
+        higher_is_better=True, tolerance=0.3,
+        note=f"BN -> ReLU -> no-tape conv / fused pre-activation conv, "
+             f"{NOTAPE_SHAPE} -> {NOTAPE_FILTERS} filters 3x3"))
     metrics.append(Metric(
         name="kernels.conv_wgrad_pixel_speedup",
         value=_ratio(_wgrad_pixel_stats(profile)), unit="x",

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...framework import functional as F
-from ...framework.fusion import FusedConvBiasReLU, FusedScaleShiftReLU
+from ...framework.fusion import FusedConvBiasReLU, FusedPreActConv
 from ...framework.layers import (
     Identity,
     BatchNorm2D,
@@ -74,9 +74,9 @@ class DenseLayer(Module):
         return self.drop(self.conv(self.act(self.bn(x))))
 
     def fuse_inference(self) -> int:
-        """Pre-activation BN -> ReLU cannot fold across the conv's padding;
-        it becomes one fused scale-shift-ReLU pass instead."""
-        self.bn = FusedScaleShiftReLU.from_bn(self.bn, relu=True)
+        """BN -> ReLU -> Conv become one fused pre-activation conv."""
+        self.conv = FusedPreActConv.from_bn_conv(self.bn, self.conv)
+        self.bn = Identity()
         self.act = Identity()
         return 1
 
@@ -135,7 +135,8 @@ class TransitionDown(Module):
         return self.pool(self.drop(self.conv(self.act(self.bn(x)))))
 
     def fuse_inference(self) -> int:
-        self.bn = FusedScaleShiftReLU.from_bn(self.bn, relu=True)
+        self.conv = FusedPreActConv.from_bn_conv(self.bn, self.conv)
+        self.bn = Identity()
         self.act = Identity()
         return 1
 

@@ -8,7 +8,7 @@ FLOP-counting methodology.
 from . import functional, init, layers, ops
 from . import fusion
 from .dtypes import Precision
-from .fusion import FusedConvBiasReLU, FusedScaleShiftReLU, fold_bn_into_conv, freeze
+from .fusion import FusedConvBiasReLU, FusedPreActConv, fold_bn_into_conv, freeze
 from .graph import CATEGORIES, GraphAnalysis, GraphTracer, KernelRecord, ShapeProbe
 from .losses import weighted_cross_entropy
 from .module import Identity, Module, Sequential
@@ -38,7 +38,7 @@ __all__ = [
     "freeze",
     "fold_bn_into_conv",
     "FusedConvBiasReLU",
-    "FusedScaleShiftReLU",
+    "FusedPreActConv",
     "functional",
     "layers",
     "ops",

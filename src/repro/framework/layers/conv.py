@@ -37,6 +37,19 @@ __all__ = ["Conv2D", "AtrousConv2D", "ConvTranspose2D"]
 _LAYER_PLAN_SLOTS = 4
 
 
+def slot_for(slots: OrderedDict, key, make):
+    """``slots[key]``, built by ``make()`` on a miss; the least recently
+    used entry beyond :data:`_LAYER_PLAN_SLOTS` is dropped."""
+    value = slots.get(key)
+    if value is None:
+        value = slots[key] = make()
+        while len(slots) > _LAYER_PLAN_SLOTS:
+            slots.popitem(last=False)
+    else:
+        slots.move_to_end(key)
+    return value
+
+
 def _add_bias(out: Tensor, bias: Parameter) -> Tensor:
     """``out`` plus a per-channel bias; inside a rank stack the bias
     gradient is one batch sum per rank."""
@@ -104,17 +117,9 @@ class Conv2D(Module):
         self._plans: OrderedDict[tuple, ConvPlan] = OrderedDict()
 
     def _plan_for(self, x) -> ConvPlan:
-        key = (x.shape, str(x.dtype))
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = ConvPlan(x.shape, self.weight.data.shape, self.stride,
-                            self.padding, self.dilation, x.dtype)
-            self._plans[key] = plan
-            while len(self._plans) > _LAYER_PLAN_SLOTS:
-                self._plans.popitem(last=False)
-        else:
-            self._plans.move_to_end(key)
-        return plan
+        return slot_for(self._plans, (x.shape, str(x.dtype)), lambda: ConvPlan(
+            x.shape, self.weight.data.shape, self.stride, self.padding,
+            self.dilation, x.dtype))
 
     # -- geometry ---------------------------------------------------------
 

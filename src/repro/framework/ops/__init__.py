@@ -10,7 +10,7 @@ from .conv import (
     conv_output_size,
     conv_transpose_output_size,
 )
-from .fused import conv2d_bias_relu_forward, scale_shift_relu
+from .fused import conv2d_bias_relu_forward
 from .norm import batchnorm_backward, batchnorm_forward, batchnorm_infer
 from .plan import (
     ConvPlan,
@@ -31,7 +31,6 @@ __all__ = [
     "conv2d_backward_input_reference",
     "conv2d_backward_weight_reference",
     "conv2d_bias_relu_forward",
-    "scale_shift_relu",
     "ConvPlan",
     "PlanCache",
     "get_conv_plan",

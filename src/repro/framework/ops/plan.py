@@ -198,7 +198,7 @@ class ConvPlan:
 
     #: Lazily allocated scratch buffers: padded input, im2col columns,
     #: strided dgrad columns, the unit-stride dgrad's pitched grad_out and
-    #: per-tap GEMM output, and the column-free forward's per-tap GEMM
+    #: per-tap GEMM output, and the column-free forward's guarded tap GEMM
     #: output.
     _WORKSPACES = ("_xp", "_cols", "_dcols", "_gpad", "_dtaps", "_tap_gemm")
 
@@ -301,7 +301,7 @@ class ConvPlan:
         wmat = w.astype(self.acc, copy=False).reshape(f, -1)
         out = np.matmul(wmat, cols)              # (N, F, P)
         if bias is not None:
-            out += bias.astype(self.acc, copy=False).reshape(1, f, 1)
+            out += bias.astype(self.acc, copy=False).reshape(1, f, -1)
         if relu:
             np.maximum(out, 0, out=out)
         self.gemms += 1
@@ -324,27 +324,37 @@ class ConvPlan:
         shift-GEMM on the unpadded input:
 
         * one GEMM ``(KH*KW*F, C) @ (N, C, h*w)`` applies every tap's
-          (F, C) pointwise filter to the whole flat image, into
-          ``_tap_gemm``;
+          (F, C) pointwise filter to the whole flat image, into the body
+          of ``_tap_gemm``, whose rows carry ``p*(w+1)`` zeros on either
+          side (shared by neighbouring rows, written once, when the
+          workspace is made);
         * tap ``(u, v)`` shifts by ``(dy, dx) = (u*d - p, v*d - p)``:
-          output pixel ``j`` reads its row block at ``j + dy*w + dx``.  A
-          read that wraps into the neighbouring row lands only in the
-          block's first ``dx`` (or last ``-dx``) columns, and no in-row
-          read does, so those columns are zeroed and each tap is one add
-          over a contiguous flat span (reads past either end are the
-          vertical padding and are simply not made);
-        * the centre tap (no shift) is copied into the result first, the
-          others are added in tap order, and taps with ``|dy| >= h`` or
-          ``|dx| >= w`` read only padding and are skipped.
+          output pixel ``j`` reads its row at ``j + dy*w + dx``.  A read
+          past either end of the image lands in the guard zeros (the
+          vertical padding); a read that wraps into the neighbouring image
+          row lands only in the row's first ``dx`` (or last ``-dx``)
+          columns, and no in-row read does, so those columns are zeroed
+          after each GEMM;
+        * the read address is affine in ``u`` and ``v`` (the guards make
+          the shift the same for every row), so the live taps — a
+          rectangle, since a tap is dead when ``|dy| >= h`` or
+          ``|dx| >= w`` — are one ``as_strided`` view, summed by one
+          ``np.sum`` over its two tap axes into the result.
 
-        There is no padded input, no accumulator workspace and no strip of
-        wrap-around columns, and the GEMM issues exactly K*K*F*C*h*w
-        multiply-adds.  A 1x1 kernel has one tap: the GEMM result *is* the
-        output.  Summation order differs from the im2col GEMM (taps are
-        added in the accumulation dtype after the channel contraction), so
-        results agree with :meth:`forward` to rounding, not bit for bit —
-        which is why taped callers never come here.  Plans that are not
-        column-free fall through to :meth:`forward` unchanged.
+        There is no padded input and no per-tap pass, and the GEMM issues
+        exactly K*K*F*C*h*w multiply-adds.  A 1x1 kernel has one tap: the
+        GEMM result *is* the output.  Summation order differs from the
+        im2col GEMM (taps are summed in the accumulation dtype after the
+        channel contraction), so results agree with :meth:`forward` to
+        rounding, not bit for bit — which is why taped callers never come
+        here.  Plans that are not column-free fall through to
+        :meth:`forward` unchanged.
+
+        ``bias`` is per output channel, ``(F,)``, or a per-pixel map
+        ``(F, OH, OW)`` (the bias of a folded pre-activation, see
+        :class:`repro.framework.fusion.FusedPreActConv`); either is added
+        in the accumulation buffer, before the ReLU and the one rounding
+        to the storage dtype.
         """
         if not self.column_free:
             return self.forward(x, w, bias=bias, relu=relu)
@@ -360,35 +370,56 @@ class ConvPlan:
         if taps == 1:
             out = np.matmul(wtaps, xflat)                 # (N, F, h*w)
         else:
-            if self._tap_gemm is None:
-                self._tap_gemm = np.empty((n, taps * f, area), dtype=self.acc)
-            np.matmul(wtaps, xflat, out=self._tap_gemm)
-            y = self._tap_gemm.reshape(n, taps, f, area)
-            centre = taps // 2
-            out = y[:, centre].copy()
-            d, p = self.dilation, self.padding
-            for t in self.live_taps:
-                if t == centre:
-                    continue
-                u, v = divmod(t, self.kw)
-                dy, dx = u * d - p, v * d - p
-                grid = y[:, t].reshape(n, f, h, wi)
-                if dx > 0:
-                    grid[..., :dx] = 0
-                elif dx < 0:
-                    grid[..., dx:] = 0
-                off = dy * wi + dx
-                if off >= 0:
-                    out[:, :, :area - off] += y[:, t, :, off:]
-                else:
-                    out[:, :, -off:] += y[:, t, :, :area + off]
+            out = self._sum_taps(wtaps, xflat)
         if bias is not None:
-            out += bias.astype(self.acc, copy=False).reshape(1, f, 1)
+            out += bias.astype(self.acc, copy=False).reshape(1, f, -1)
         if relu:
             np.maximum(out, 0, out=out)
         self.gemms += 1
         self.colfree_forwards += 1
         return out.reshape(n, f, h, wi).astype(self.dtype, copy=False)
+
+    def _sum_taps(self, wtaps: np.ndarray, xflat: np.ndarray) -> np.ndarray:
+        """The shift-GEMM for K > 1: one GEMM into the guarded tap rows,
+        the wrap columns zeroed, then every live tap summed by one
+        reduction over a strided view (see :meth:`forward_notape`)."""
+        n, _, h, wi = self.x_shape
+        f, kh, kw = self.out_channels, self.kh, self.kw
+        d, p = self.dilation, self.padding
+        area = h * wi
+        # The farthest any tap reads off the image.  Each row's trailing
+        # guard is the next row's leading one.
+        guard = p * (wi + 1)
+        row = area + guard
+        if self._tap_gemm is None:
+            # The guards are written here once; the GEMM fills only bodies.
+            self._tap_gemm = np.zeros(guard + n * kh * kw * f * row,
+                                      dtype=self.acc)
+        body = self._tap_gemm[guard:].reshape(n, kh * kw * f, row)[..., :area]
+        np.matmul(wtaps, xflat, out=body)
+        us = sorted({t // kw for t in self.live_taps})
+        vs = sorted({t % kw for t in self.live_taps})
+        grid = body.reshape(n, kh, kw, f, h, wi)
+        for v in vs:
+            dx = v * d - p
+            if dx > 0:
+                grid[:, us[0]:us[-1] + 1, v, :, :, :dx] = 0
+            elif dx < 0:
+                grid[:, us[0]:us[-1] + 1, v, :, :, dx:] = 0
+        # Tap (u, v) of filter row k reads output pixel j at flat index
+        # ((u*kw + v)*f + k)*row + guard + (u*d - p)*wi + (v*d - p) + j:
+        # affine in u and v, so the live rectangle is one 5-D view.
+        item = self._tap_gemm.itemsize
+        first = (us[0] * kw + vs[0]) * f * row + (us[0] * wi + vs[0]) * d
+        taps = np.lib.stride_tricks.as_strided(
+            self._tap_gemm[first:],
+            (n, f, len(us), len(vs), area),
+            (kh * kw * f * row * item, row * item,
+             (kw * f * row + d * wi) * item, (f * row + d) * item, item),
+            writeable=False)
+        out = np.empty((n, f, area), dtype=self.acc)
+        np.sum(taps, axis=(2, 3), out=out)
+        return out
 
     def backward_weight_from_cols(self, grad_out: np.ndarray,
                                   cols: np.ndarray) -> np.ndarray:

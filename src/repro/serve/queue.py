@@ -37,7 +37,7 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from ..telemetry import get_active
-from .replica import window_grid
+from .replica import request_grid
 from .request import InferenceRequest
 
 if TYPE_CHECKING:
@@ -84,8 +84,8 @@ class RequestQueue:
         return sum(len(q) for q in self._lanes.values())
 
     def _windows(self, request: InferenceRequest) -> int:
-        ys, xs = window_grid(request.image.shape[1:], self.config.window_hw,
-                             self.config.stride_hw)
+        ys, xs = request_grid(request, self.config.window_hw,
+                              self.config.stride_hw)
         return len(ys) * len(xs)
 
     # -- admission ---------------------------------------------------------

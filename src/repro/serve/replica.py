@@ -36,7 +36,7 @@ from ..telemetry import get_active
 from ..telemetry.clock import WallClock
 from .request import InferenceRequest
 
-__all__ = ["Replica", "BatchResult", "ReplicaPool", "window_grid"]
+__all__ = ["Replica", "BatchResult", "ReplicaPool", "request_grid", "window_grid"]
 
 #: A failed dispatch is retried on a survivor twice, with 1-10 ms backoff.
 DISPATCH_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.001,
@@ -53,6 +53,19 @@ def window_grid(hw: tuple[int, int], window_hw: tuple[int, int],
     (h, w), (wh, ww) = hw, window_hw
     sh, sw = stride_hw or (wh // 2, ww // 2)
     return tile_positions(h, wh, sh), tile_positions(w, ww, sw)
+
+
+def request_grid(request: InferenceRequest, window_hw: tuple[int, int],
+                 stride_hw: tuple[int, int] | None = None
+                 ) -> tuple[list[int], list[int]]:
+    """:func:`window_grid` of ``request``'s snapshot, kept on the request:
+    admission counts its windows and the replica cuts them from one grid."""
+    key = (tuple(window_hw), stride_hw and tuple(stride_hw))
+    grid = request.grids.get(key)
+    if grid is None:
+        grid = request.grids[key] = window_grid(request.image.shape[1:],
+                                                window_hw, stride_hw)
+    return grid
 
 
 class Replica:
@@ -91,7 +104,7 @@ class Replica:
         layout = []
         for req in requests:
             _, h, w = req.image.shape
-            ys, xs = window_grid((h, w), window_hw, stride_hw)
+            ys, xs = request_grid(req, window_hw, stride_hw)
             start = len(all_tiles)
             all_tiles.extend(req.image[:, y0: y0 + wh, x0: x0 + ww]
                              for y0 in ys for x0 in xs)

@@ -60,6 +60,9 @@ class InferenceRequest:
     lane: str = "interactive"
     arrival_s: float = 0.0          # offered time on the server clock
     enqueued_s: float | None = None  # set on admission
+    #: Window origins ``(ys, xs)`` per ``(window_hw, stride_hw)``, cut
+    #: once (:func:`repro.serve.replica.request_grid`).
+    grids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.image.ndim != 3:

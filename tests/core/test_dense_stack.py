@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.networks import DenseBlock, Tiramisu, TiramisuConfig
 from repro.framework import Tensor, apply_fp16_policy, no_grad, rank_stack
+from repro.framework.fusion import FusedPreActConv
 from repro.framework import functional as F
 from repro.framework.layers import Conv2D
 
@@ -160,7 +161,12 @@ def test_frozen_forward_concatenates_and_pads_nothing(monkeypatch):
         logits = frozen(Tensor(x))
     assert logits.shape == (9, 3, 32, 48)
     assert calls == []
-    plans = [p for m in frozen.modules() if isinstance(m, Conv2D)
+    # All 12 pre-activation convs (ten dense layers, two transition-down
+    # 1x1s) are fused; the stem and the classifier stay plain convs.
+    fused = [m for m in frozen.modules() if isinstance(m, FusedPreActConv)]
+    assert len(fused) == 12
+    plans = [p for m in frozen.modules()
+             if isinstance(m, (Conv2D, FusedPreActConv))
              for p in m._plans.values()]
     free = [p for p in plans if p.column_free]
     # Every conv but the stem (16 -> 16, 3x3) is column-free: ten dense

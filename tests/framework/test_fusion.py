@@ -9,10 +9,10 @@ training cost model.
 import numpy as np
 import pytest
 
-from repro.framework import Tensor, no_grad
+from repro.framework import Tensor, apply_fp16_policy, no_grad
 from repro.framework.fusion import (
     FusedConvBiasReLU,
-    FusedScaleShiftReLU,
+    FusedPreActConv,
     bn_scale_shift,
     fold_bn_into_conv,
     freeze,
@@ -232,11 +232,211 @@ class TestFreeze:
         assert any("bias_relu_fwd" in n for n in names), names
         assert not any("bwd" in n for n in names), "frozen graph has no backward"
 
-    def test_scale_shift_relu_matches_bn_relu(self):
+    def test_preact_conv_matches_bn_relu_conv(self):
         bn = BatchNorm2D(4)
         _warm_bn(bn, 4)
-        fused = FusedScaleShiftReLU.from_bn(bn, relu=True)
+        conv = Conv2D(4, 3, 3, bias=False, rng=np.random.default_rng(1))
+        fused = FusedPreActConv.from_bn_conv(bn, conv)
         x = RNG.standard_normal((2, 4, 6, 6)).astype(np.float32)
-        want = np.maximum(bn(Tensor(x)).data, 0.0)
+        with no_grad():
+            want = conv(ReLU()(bn(Tensor(x)))).data
         np.testing.assert_allclose(fused(Tensor(x)).data, want,
                                    rtol=1e-5, atol=1e-5)
+
+
+# -- the pre-activation fold under adversarial batch-norm statistics --------
+#
+# Freshly built BNs sit at their defaults (mean 0, var 1, gamma 1, beta 0),
+# where a wrong bias map or a wrong form of the fold still passes.  These
+# statistics make both forms run: all-positive normal scales take the
+# multiply-free max(x, -t/s), and negative, zero or subnormal scales the
+# max(s*x, -t) form.
+
+FORMS = ["positive", "signed"]
+
+
+def _adversarial_bn(bn: BatchNorm2D, rng, form: str, scale_cap=None):
+    """Tiny and normal gammas, tiny variances and |beta| up to 5; with
+    ``form="signed"`` also negative, zero and subnormal gammas.  A
+    ``scale_cap`` pairs each tiny variance with a gamma small enough that
+    ``|gamma| / sqrt(var + eps)`` stays under it (deep stacks)."""
+    c = bn.channels
+    gamma = rng.uniform(0.5, 1.5, c)
+    gamma[::5] = 1e-30                                  # tiny, still normal
+    var = rng.uniform(0.5, 2.0, c)
+    var[1::3] = 1e-12                                   # tiny variance
+    if form == "signed":
+        gamma[1::4] *= -1.0
+        gamma[2::4] = 0.0
+        gamma[3::7] = 1e-40                             # subnormal in FP32
+    if scale_cap is not None:
+        gamma[1::3] *= scale_cap * np.sqrt(var[1::3] + bn.eps)
+    bn.gamma.data[:] = gamma.astype(np.float32)
+    bn.beta.data[:] = rng.uniform(-5.0, 5.0, c).astype(np.float32)
+    bn.rank_mean[0] = rng.normal(0.0, 1.0, c).astype(np.float32)
+    bn.rank_var[0] = var.astype(np.float32)
+
+
+def _adversarial(module, form: str, scale_cap=None):
+    rng = np.random.default_rng(0)
+    module.eval()
+    for m in module.modules():
+        if isinstance(m, BatchNorm2D):
+            _adversarial_bn(m, rng, form, scale_cap)
+    return module
+
+
+def _assert_close(got, want, dtype):
+    """Frozen against unfused eval of a ``dtype`` model, to rounding.
+
+    Tiny variances scale activations by up to ~316, so outputs reach the
+    thousands; there the FP32 unfused eval is itself ~2e-4 off a float64
+    evaluation, so the existing ``atol=1e-5`` is taken per unit of the
+    reference's largest magnitude.  In FP16 the unfused eval rounds every
+    BN output to FP16 before the conv and the fold does not (it is the
+    closer of the two to a float64 evaluation), so they differ by FP16
+    rounding, compounded over the layers: 4e-3, about four FP16 ulps.
+    """
+    assert got.dtype == want.dtype
+    scale = max(1.0, float(np.abs(want).max()))
+    if dtype == np.float32:
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5 * scale)
+    else:
+        np.testing.assert_allclose(got, want, rtol=4e-3, atol=4e-3 * scale)
+
+
+def _cap(dtype):
+    """Uncapped, a few x316 layers overflow FP16's 65504 in the unfused
+    eval (whose ReLU then turns -inf into NaN); FP16 models cap scales."""
+    return None if dtype == np.float32 else 4.0
+
+
+def _eval_and_frozen(module, x):
+    """(unfused eval outputs, frozen outputs), each a list of arrays."""
+    def run(mod):
+        out = mod(Tensor(x))
+        return [t.data for t in (out if isinstance(out, tuple) else (out,))]
+
+    with no_grad():
+        want = run(module)
+    frozen = freeze(module)
+    return want, run(frozen), frozen
+
+
+def _check_form(frozen, form):
+    fused = [m for m in frozen.modules() if isinstance(m, FusedPreActConv)]
+    assert fused
+    for m in fused:
+        assert (m.alpha is None) == (form == "positive")
+
+
+MODULES = {
+    "denselayer-k3": (lambda rng: DenseLayer(12, 4, 3, rng=rng), 12),
+    "denselayer-k5": (lambda rng: DenseLayer(12, 4, 5, rng=rng), 12),
+    "denselayer-wide": (lambda rng: DenseLayer(4, 6, 3, rng=rng), 4),
+    "transition": (lambda rng: TransitionDown(6, rng=rng), 6),
+    "denseblock": (lambda rng: DenseBlock(6, 2, 4, rng=rng), 6),
+}
+MAPS = [(1, 1), (2, 3), (32, 48)]
+
+
+class TestPreActFold:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16],
+                             ids=["fp32", "fp16"])
+    @pytest.mark.parametrize("n", [1, 9])
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("name,hw", [
+        # A transition's 2x2 max pool needs at least a 2x2 map.
+        (name, hw) for name in MODULES for hw in MAPS
+        if not (name == "transition" and hw == (1, 1))],
+        ids=lambda v: f"{v[0]}x{v[1]}" if isinstance(v, tuple) else v)
+    def test_module_matches_eval(self, name, hw, form, n, dtype):
+        factory, channels = MODULES[name]
+        module = _adversarial(factory(np.random.default_rng(5)), form,
+                              scale_cap=_cap(dtype))
+        if dtype == np.float16:
+            apply_fp16_policy(module)
+        x = (np.random.default_rng(n).standard_normal((n, channels, *hw))
+             * 2.0).astype(dtype)
+        want, got, frozen = _eval_and_frozen(module, x)
+        _check_form(frozen, form)
+        for g, w in zip(got, want, strict=True):
+            _assert_close(g, w, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16],
+                             ids=["fp32", "fp16"])
+    @pytest.mark.parametrize("n", [1, 9])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_block_on_up_path_parts(self, form, n, dtype):
+        """The up path hands a block ``[tu, skip]``; the first layer's fused
+        conv then reads the stacked parts."""
+        block = _adversarial(DenseBlock(10, 2, 4, rng=np.random.default_rng(2)),
+                             form, scale_cap=_cap(dtype))
+        if dtype == np.float16:
+            apply_fp16_policy(block)
+        rng = np.random.default_rng(n)
+        parts = [(rng.standard_normal((n, c, 8, 12)) * 2.0).astype(dtype)
+                 for c in (4, 6)]
+        with no_grad():
+            want = [t.data for t in block([Tensor(p) for p in parts])]
+        frozen = freeze(block)
+        _check_form(frozen, form)
+        got = [t.data for t in frozen([Tensor(p) for p in parts])]
+        for g, w in zip(got, want, strict=True):
+            _assert_close(g, w, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16],
+                             ids=["fp32", "fp16"])
+    @pytest.mark.parametrize("n", [1, 9])
+    @pytest.mark.parametrize("hw", [(4, 4), (8, 12), (32, 48)],
+                             ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    @pytest.mark.parametrize("form", FORMS)
+    def test_tiramisu_matches_eval(self, form, hw, n, dtype):
+        """The whole e2e-config Tiramisu; at 4x4 and 8x12 its bottleneck
+        runs on 1x1 and 2x3 maps, where the 3x3 taps are partly dead."""
+        model = _adversarial(_e2e_tiramisu(), form, scale_cap=4.0)
+        if dtype == np.float16:
+            apply_fp16_policy(model)
+        x = np.random.default_rng(n).standard_normal(
+            (n, 16, *hw)).astype(dtype)
+        (want,), (got,), frozen = _eval_and_frozen(model, x)
+        _check_form(frozen, form)
+        assert sum(isinstance(m, FusedPreActConv)
+                   for m in frozen.modules()) == 12
+        assert np.isfinite(want).all()
+        _assert_close(got, want, dtype)
+
+
+def _e2e_tiramisu():
+    from repro.core.networks import Tiramisu, TiramisuConfig
+
+    return Tiramisu(TiramisuConfig(in_channels=16, base_filters=16, growth=8,
+                                   down_layers=(2, 2), bottleneck_layers=2,
+                                   kernel=3),
+                    rng=np.random.default_rng(1234))
+
+
+class TestNonFinite:
+    """The fold keeps NaN-propagating ops: a non-finite input pixel makes
+    the frozen output non-finite exactly where the unfused eval's is."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("name", ["denselayer", "tiramisu"])
+    def test_non_finite_pixel_lands_where_eval_puts_it(self, name, form,
+                                                       value):
+        if name == "denselayer":
+            module = _adversarial(DenseLayer(12, 4, 3,
+                                             rng=np.random.default_rng(5)),
+                                  form)
+            x = np.random.default_rng(0).standard_normal((2, 12, 8, 12))
+        else:
+            module = _adversarial(_e2e_tiramisu(), form, scale_cap=4.0)
+            x = np.random.default_rng(0).standard_normal((2, 16, 32, 48))
+        x = x.astype(np.float32)
+        x[1, :, 5, 7] = value
+        (want,), (got,), _ = _eval_and_frozen(module, x)
+        bad = ~np.isfinite(want)
+        assert bad.any() and not bad.all()
+        assert not bad[0].any()
+        np.testing.assert_array_equal(~np.isfinite(got), bad)

@@ -251,6 +251,25 @@ class TestServeCli:
         with pytest.raises(SystemExit):
             main(["serve", "--requests", "0"])
 
+    def test_serve_cuts_each_window_grid_once(self, capsys, monkeypatch):
+        """Admission counts a request's windows and the replica cuts them
+        from the one grid: ``window_grid`` runs once per request, and each
+        run places the windows down and across (two ``tile_positions``)."""
+        import json
+
+        import repro.serve.replica as replica
+
+        calls = []
+        real = replica.tile_positions
+        monkeypatch.setattr(replica, "tile_positions",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert main(["serve", "--requests", "48", "--rate", "100",
+                     "--service-ms", "0.2", "--replicas", "2",
+                     "--channels", "2", "--seed", "0", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["served"] == doc["admitted"] == 48
+        assert len(calls) == 2 * 48
+
     def test_serve_json_valid_on_total_loss(self, capsys):
         # Regression: killing the only replica used to short-circuit the
         # JSON emitter (falsy empty TileCache + an escaping ReproError),
