@@ -17,6 +17,7 @@ import pytest
 from repro.framework.ops import (
     ConvPlan,
     clear_plan_cache,
+    clear_workspace,
     conv2d_backward_input,
     conv2d_backward_input_reference,
     conv2d_backward_weight,
@@ -25,7 +26,10 @@ from repro.framework.ops import (
     conv2d_forward,
     conv2d_forward_reference,
     conv_output_size,
+    plan_cache_stats,
+    workspace_stats,
 )
+from repro.core.networks import Tiramisu, TiramisuConfig
 from repro.framework import Tensor, no_grad
 from repro.framework.fusion import FusedPreActConv
 from repro.framework.layers import BatchNorm2D, Conv2D, ReLU
@@ -58,6 +62,12 @@ BWD_FILTERS = 8
 PIXEL_SHAPE = (4, 368, 1, 1)
 PIXEL_FILTERS = 46
 PIXEL_DILATION = 2
+
+# The served model: the e2e benchmark's Tiramisu over one snapshot's stack
+# of nine 32x48 windows.
+FROZEN_TIRAMISU = dict(in_channels=16, base_filters=16, growth=8,
+                       down_layers=(2, 2), bottleneck_layers=2, kernel=3)
+FROZEN_SHAPE = (9, 16, 32, 48)
 
 #: profile -> (timing repeats, warmup runs)
 PROFILES = {"smoke": (2, 1), "quick": (3, 1), "full": (7, 2)}
@@ -213,6 +223,26 @@ def _wgrad_pixel_stats(profile: str = "quick"):
     return {"planned": pstats, "reference": rstats}
 
 
+def _frozen_workspace_mib() -> float:
+    """Conv scratch held after one frozen Tiramisu forward on a fresh
+    workspace arena: the arena's slabs plus the buffers of the model's
+    plans and of the process-wide cache's (the transposed convs), MiB.
+
+    An exact count (shapes only, no timing), so it is gated with no band.
+    """
+    frozen = Tiramisu(TiramisuConfig(**FROZEN_TIRAMISU),
+                      rng=np.random.default_rng(1234)).freeze_for_inference()
+    x = np.random.default_rng(0).standard_normal(FROZEN_SHAPE)
+    clear_plan_cache()
+    clear_workspace()
+    with no_grad():
+        frozen(Tensor(x.astype(np.float32)))
+    arena = sum(st["bytes"] for st in workspace_stats().values())
+    owned = sum(p.owned_bytes for m in frozen.modules()
+                for p in getattr(m, "_plans", {}).values())
+    return (arena + owned + plan_cache_stats()["owned_bytes"]) / 2**20
+
+
 def _ratio(stats: dict) -> float:
     return stats["reference"]["min_s"] / stats["planned"]["min_s"]
 
@@ -265,6 +295,12 @@ def collect(profile: str = "quick"):
         higher_is_better=True, tolerance=0.3,
         note=f"tap-loop dgrad + wgrad / planned, {BWD_SHAPE} -> "
              f"{BWD_FILTERS} filters 3x3"))
+    metrics.append(Metric(
+        name="kernels.frozen_workspace_mib",
+        value=_frozen_workspace_mib(), unit="MiB",
+        higher_is_better=False, tolerance=0.0,
+        note=f"conv scratch held after one frozen Tiramisu forward on "
+             f"{FROZEN_SHAPE}: workspace arena + plan-owned buffers"))
     return metrics
 
 

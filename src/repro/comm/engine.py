@@ -32,11 +32,11 @@ implements that loop over the existing substrate:
 """
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..framework.ops.workspace import mapped
 from ..hpc.events import EventQueue
 from ..hpc.specs import SUMMIT
 from ..telemetry import get_active
@@ -132,20 +132,6 @@ def unpack_bucket(flat: np.ndarray, group: list[str],
                   .astype(ref.dtype, copy=False))
         offset += ref.size
     return out
-
-
-def _mapped(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An array on an anonymous memory mapping of its own.
-
-    Bucket buffers are the largest arrays a trainer keeps (ranks times the
-    bucket size).  malloc would map them too, but releasing such a block
-    raises glibc's mmap threshold to its size, and from then on every
-    smaller transient is carved from a heap that does not give memory back.
-    A mapping of their own returns to the OS when the engine drops it.
-    """
-    nbytes = max(int(np.prod(shape)) * np.dtype(dtype).itemsize, 1)
-    return np.ndarray(shape, dtype,
-                      buffer=mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE))
 
 
 @dataclass
@@ -321,7 +307,10 @@ class GradientExchangeEngine:
         size changes.
 
         Each buffer has the dtype the strategy reduces in, so packing is the
-        only copy a dense exchange makes.
+        only copy a dense exchange makes.  Bucket buffers are the largest
+        arrays a trainer keeps, so each sits on a memory mapping of its own
+        (:func:`~repro.framework.ops.workspace.mapped`) and returns to the
+        OS when the engine drops it.
         """
         dtypes = tuple(_reduce_dtype(np.result_type(*[like[k].dtype
                                                       for k in group]))
@@ -329,8 +318,8 @@ class GradientExchangeEngine:
         key = (tuple(map(tuple, plan.groups)), tuple(plan.group_bytes),
                dtypes, n)
         if key != self._pack_key:
-            self._pack = [_mapped((n, sum(like[k].size for k in group)),
-                                  dtype)
+            self._pack = [mapped((n, sum(like[k].size for k in group)),
+                                 dtype)
                           for group, dtype in zip(plan.groups, dtypes)]
             self._pack_key = key
         return self._pack

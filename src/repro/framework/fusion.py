@@ -315,11 +315,15 @@ def freeze(model: Module) -> Module:
 
     The copy runs the folded/fused graph in eval mode and refuses to
     re-enter training mode (``train(True)`` is a no-op that keeps eval
-    semantics).  The original model — parameters, running stats, and its
-    ``analyze()`` kernel records — is left bit-for-bit untouched.
+    semantics).  None of its parameters requires grad, so it records no
+    tape even outside ``no_grad()`` and its convs run the no-tape forward.
+    The original model — parameters, running stats, and its ``analyze()``
+    kernel records — is left bit-for-bit untouched.
     """
     frozen = deepcopy(model)
     _fuse_tree(frozen)
+    for param in frozen.parameters():
+        param.requires_grad = False
     frozen.eval()
     object.__setattr__(frozen, "_frozen", True)
     return frozen

@@ -24,6 +24,7 @@ from .shape import (
     bilinear_upsample_backward,
     bilinear_upsample_forward,
 )
+from .workspace import clear_workspace, workspace_stats
 
 __all__ = [
     "conv2d_forward",
@@ -36,6 +37,8 @@ __all__ = [
     "get_conv_plan",
     "plan_cache_stats",
     "clear_plan_cache",
+    "workspace_stats",
+    "clear_workspace",
     "conv2d_backward_input",
     "conv2d_backward_weight",
     "conv2d_flops",

@@ -17,9 +17,19 @@ precomputes:
 * the output geometry and the padded-input geometry;
 * the ``as_strided`` im2col view strides that expose every receptive field
   without copying;
-* reusable workspace buffers — the zero-initialised padded input (only its
-  interior is rewritten per step, so the pad is applied by *construction*,
-  not by ``np.pad``) and the ``(N, C*KH*KW, OH*OW)`` column matrix.
+* which formulation each derivative runs, read from that geometry.
+
+A plan keeps only state that outlives a call: its counters and the
+``(N, C*KH*KW, OH*OW)`` column matrix of a taped forward, which the weight
+gradient reads back later in the step (:meth:`ConvPlan.columns_for`).  Every
+other buffer a call needs — the padded input, a no-tape call's columns, the
+shift-GEMM outputs, the input gradient's columns — is per-call scratch,
+borrowed from this thread's workspace arena (:mod:`.workspace`), as cuDNN
+borrows the workspace its caller lends it.  A slab is shared by every plan,
+so a kernel rewrites each zero region it reads — the padded input's border,
+the tap GEMM's guards, the pitched ``grad_out``'s trailing columns — on
+every call; the pad is still applied by *construction* (an interior copy
+into a zero-bordered buffer), not by ``np.pad``.
 
 All three conv derivatives then lower to a single batched GEMM:
 
@@ -58,16 +68,16 @@ order the plain column formulation does.
 
 Plans are cached in a bounded LRU keyed on the problem signature
 (:func:`get_conv_plan`); layers additionally hold their *own* plans so the
-column workspace survives from a layer's forward to its weight gradient
+column matrix survives from a layer's forward to its weight gradient
 within a step (see :meth:`ConvPlan.columns_for`), eliminating the double
 pad + double im2col the legacy kernels performed.
 
 Mixed precision follows the Tensor-Core contract of the legacy kernels:
-half inputs are promoted once into the float32 workspace, every GEMM
+half inputs are promoted once into a float32 workspace, every GEMM
 accumulates in float32, and only the final result is rounded back.
 
-Workspaces make plans stateful: they are *caches*, not model state — a
-deep-copied plan starts cold (``__deepcopy__``), and the version token
+The column matrix makes plans stateful: it is a *cache*, not model state —
+a deep-copied plan starts cold (``__deepcopy__``), and the version token
 returned by :meth:`im2col` lets a caller detect that its columns were
 overwritten by a later fill and transparently recompute.
 """
@@ -78,6 +88,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..dtypes import FP16, FP32
+from .workspace import take
 
 __all__ = [
     "ConvPlan",
@@ -167,8 +178,8 @@ class ConvPlan:
             for v in _live_offsets(kw, self.ow, w, self.stride, self.padding,
                                    self.dilation))
         #: Observability: how many times this plan (re)applied its padding
-        #: and how many times it filled the column workspace.  The pad-once
-        #: invariant tests pin these down.
+        #: and how many times it filled a column matrix (its own or the
+        #: arena's).  The pad-once invariant tests pin these down.
         self.pad_fills = 0
         self.col_fills = 0
         self.gemms = 0
@@ -180,64 +191,62 @@ class ConvPlan:
         self.pixel_wgrads = 0
         self.dead_taps_skipped = 0
         #: Monotonic token identifying the current contents of the column
-        #: workspace; bumped on every :meth:`im2col` fill.
+        #: matrix; bumped on every :meth:`im2col` fill.
         self.version = 0
-        self._xp: np.ndarray | None = None
+        #: The taped forward's columns, kept for the weight gradient.  The
+        #: plan's only buffer; per-call scratch comes from the arena.
         self._cols: np.ndarray | None = None
-        self._dcols: np.ndarray | None = None
-        self._gpad: np.ndarray | None = None
-        self._dtaps: np.ndarray | None = None
-        self._tap_gemm: np.ndarray | None = None
 
     @property
     def key(self) -> tuple:
         return (self.x_shape, self.w_shape, self.stride, self.padding,
                 self.dilation, self.dtype.str)
 
+    @property
+    def owned_bytes(self) -> int:
+        """Bytes of workspace the plan itself holds (the taped columns)."""
+        return 0 if self._cols is None else self._cols.nbytes
+
     # -- copying ----------------------------------------------------------
 
-    #: Lazily allocated scratch buffers: padded input, im2col columns,
-    #: strided dgrad columns, the unit-stride dgrad's pitched grad_out and
-    #: per-tap GEMM output, and the column-free forward's guarded tap GEMM
-    #: output.
-    _WORKSPACES = ("_xp", "_cols", "_dcols", "_gpad", "_dtaps", "_tap_gemm")
-
     def __deepcopy__(self, memo):
-        """Plans are pure caches: a copy starts cold (no workspaces)."""
+        """Plans are pure caches: a copy starts cold (no columns)."""
         clone = self.__class__.__new__(self.__class__)
         clone.__dict__.update(self.__dict__)
-        for name in self._WORKSPACES:
-            setattr(clone, name, None)
+        clone._cols = None
         clone.version = 0
         return clone
 
     # -- padding and im2col ----------------------------------------------
 
     def padded_input(self, x: np.ndarray) -> np.ndarray:
-        """Padded, accumulation-dtype view of ``x`` (workspace-backed).
+        """Padded, accumulation-dtype copy of ``x`` in the arena's ``xp``
+        slab (``x`` itself when there is nothing to pad or promote).
 
-        With padding the zero border is written once at workspace creation;
-        each call only rewrites the interior, so padding costs one strided
-        copy instead of an allocation + full copy per call (and per
-        forward/backward pair, when the caller shares the fill through
+        The slab holds the previous call's data, so each call writes the
+        zero border strip by strip and copies ``x`` into the interior: no
+        allocation, and no element written twice (one fill per
+        forward/backward pair, when the caller shares the columns through
         :meth:`columns_for`).
         """
         n, c, h, w = self.x_shape
         if x.shape != self.x_shape:
             raise ValueError(f"plan expects input {self.x_shape}, got {x.shape}")
-        if self.padding == 0:
+        p = self.padding
+        if p == 0:
             if x.dtype == self.acc:
                 return x
-            if self._xp is None:
-                self._xp = np.empty((n, c, h, w), dtype=self.acc)
-            np.copyto(self._xp, x)
-            return self._xp
-        if self._xp is None:
-            self._xp = np.zeros((n, c, self.hp, self.wp), dtype=self.acc)
-        p = self.padding
-        self._xp[:, :, p:p + h, p:p + w] = x
+            xp = take("xp", self.x_shape, self.acc)
+            np.copyto(xp, x)
+            return xp
+        xp = take("xp", (n, c, self.hp, self.wp), self.acc)
+        xp[:, :, :p] = 0
+        xp[:, :, p + h:] = 0
+        xp[:, :, p:p + h, :p] = 0
+        xp[:, :, p:p + h, p + w:] = 0
+        xp[:, :, p:p + h, p:p + w] = x
         self.pad_fills += 1
-        return self._xp
+        return xp
 
     def _receptive_view(self, xp: np.ndarray) -> np.ndarray:
         """(N, C, KH, KW, OH, OW) read-only view of all receptive fields."""
@@ -251,23 +260,29 @@ class ConvPlan:
             writeable=False,
         )
 
-    def im2col(self, x: np.ndarray) -> int:
-        """Fill the column workspace from ``x``; returns the version token."""
+    def _fill_cols(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Copy every receptive field of ``x`` into ``cols``, a
+        :attr:`cols_shape` array."""
         n, c, _, _ = self.x_shape
         view = self._receptive_view(self.padded_input(x))
+        np.copyto(cols.reshape(n, c, self.kh, self.kw, self.oh, self.ow), view)
+        self.col_fills += 1
+        return cols
+
+    def im2col(self, x: np.ndarray) -> int:
+        """Fill the plan-owned column matrix from ``x`` (for a taped
+        forward and its weight gradient); returns the version token."""
         if self._cols is None:
             self._cols = np.empty(self.cols_shape, dtype=self.acc)
-        np.copyto(self._cols.reshape(n, c, self.kh, self.kw, self.oh, self.ow),
-                  view)
-        self.col_fills += 1
+        self._fill_cols(x, self._cols)
         self.version += 1
         return self.version
 
     def columns_for(self, token: int, x: np.ndarray) -> np.ndarray:
-        """Column matrix for ``x``, reusing the workspace when still valid.
+        """Column matrix for ``x``, reusing the plan's when still valid.
 
         ``token`` is the version returned by the :meth:`im2col` call whose
-        result the caller wants back.  If the workspace has since been
+        result the caller wants back.  If the matrix has since been
         refilled (same-shape layer re-run, interleaved inference), the
         columns are transparently recomputed from ``x`` — correctness never
         depends on the cache.
@@ -324,10 +339,10 @@ class ConvPlan:
         shift-GEMM on the unpadded input:
 
         * one GEMM ``(KH*KW*F, C) @ (N, C, h*w)`` applies every tap's
-          (F, C) pointwise filter to the whole flat image, into the body
-          of ``_tap_gemm``, whose rows carry ``p*(w+1)`` zeros on either
-          side (shared by neighbouring rows, written once, when the
-          workspace is made);
+          (F, C) pointwise filter to the whole flat image, into the bodies
+          of the rows of the arena's ``tap_gemm`` slab, which carry
+          ``p*(w+1)`` zeros on either side (shared by neighbouring rows,
+          rewritten on each call, since the slab is shared);
         * tap ``(u, v)`` shifts by ``(dy, dx) = (u*d - p, v*d - p)``:
           output pixel ``j`` reads its row at ``j + dy*w + dx``.  A read
           past either end of the image lands in the guard zeros (the
@@ -347,8 +362,10 @@ class ConvPlan:
         im2col GEMM (taps are summed in the accumulation dtype after the
         channel contraction), so results agree with :meth:`forward` to
         rounding, not bit for bit — which is why taped callers never come
-        here.  Plans that are not column-free fall through to
-        :meth:`forward` unchanged.
+        here.  Plans that are not column-free run :meth:`forward`'s im2col
+        GEMM bit for bit, with the columns in the arena's ``cols`` slab
+        instead of the plan's own: nothing reads them back, and a taped
+        forward's columns, still waiting for their wgrad, stay intact.
 
         ``bias`` is per output channel, ``(F,)``, or a per-pixel map
         ``(F, OH, OW)`` (the bias of a folded pre-activation, see
@@ -357,7 +374,9 @@ class ConvPlan:
         to the storage dtype.
         """
         if not self.column_free:
-            return self.forward(x, w, bias=bias, relu=relu)
+            cols = take("cols", self.cols_shape, self.acc)
+            return self.forward_from_cols(self._fill_cols(x, cols), w,
+                                          bias=bias, relu=relu)
         if x.shape != self.x_shape:
             raise ValueError(f"plan expects input {self.x_shape}, got {x.shape}")
         n, c, h, wi = self.x_shape
@@ -380,9 +399,10 @@ class ConvPlan:
         return out.reshape(n, f, h, wi).astype(self.dtype, copy=False)
 
     def _sum_taps(self, wtaps: np.ndarray, xflat: np.ndarray) -> np.ndarray:
-        """The shift-GEMM for K > 1: one GEMM into the guarded tap rows,
-        the wrap columns zeroed, then every live tap summed by one
-        reduction over a strided view (see :meth:`forward_notape`)."""
+        """The shift-GEMM for K > 1: the guards zeroed, one GEMM into the
+        guarded tap rows, the wrap columns zeroed, then every live tap
+        summed by one reduction over a strided view (see
+        :meth:`forward_notape`)."""
         n, _, h, wi = self.x_shape
         f, kh, kw = self.out_channels, self.kh, self.kw
         d, p = self.dilation, self.padding
@@ -391,11 +411,13 @@ class ConvPlan:
         # guard is the next row's leading one.
         guard = p * (wi + 1)
         row = area + guard
-        if self._tap_gemm is None:
-            # The guards are written here once; the GEMM fills only bodies.
-            self._tap_gemm = np.zeros(guard + n * kh * kw * f * row,
-                                      dtype=self.acc)
-        body = self._tap_gemm[guard:].reshape(n, kh * kw * f, row)[..., :area]
+        tap = take("tap_gemm", (guard + n * kh * kw * f * row,), self.acc)
+        # The slab holds the last call's data: the GEMM fills the bodies,
+        # and the guards the taps read are zeroed here.
+        tap[:guard] = 0
+        rows = tap[guard:].reshape(n, kh * kw * f, row)
+        rows[..., area:] = 0
+        body = rows[..., :area]
         np.matmul(wtaps, xflat, out=body)
         us = sorted({t // kw for t in self.live_taps})
         vs = sorted({t % kw for t in self.live_taps})
@@ -409,10 +431,10 @@ class ConvPlan:
         # Tap (u, v) of filter row k reads output pixel j at flat index
         # ((u*kw + v)*f + k)*row + guard + (u*d - p)*wi + (v*d - p) + j:
         # affine in u and v, so the live rectangle is one 5-D view.
-        item = self._tap_gemm.itemsize
+        item = tap.itemsize
         first = (us[0] * kw + vs[0]) * f * row + (us[0] * wi + vs[0]) * d
         taps = np.lib.stride_tricks.as_strided(
-            self._tap_gemm[first:],
+            tap[first:],
             (n, f, len(us), len(vs), area),
             (kh * kw * f * row * item, row * item,
              (kw * f * row + d * wi) * item, (f * row + d) * item, item),
@@ -506,10 +528,11 @@ class ConvPlan:
         At unit stride the K*K expansion stays on the output side
         (shift-GEMM, as in :meth:`forward_notape`, mirrored):
 
-        * ``grad_out`` is copied into a workspace of row pitch ``wp`` whose
-          ``wp - ow`` trailing columns stay zero;
-        * one GEMM ``(C*KH*KW, F) @ (N, F, oh*wp)`` gives every tap's
-          contribution at every flat output position;
+        * ``grad_out`` is copied into the arena's ``gpad`` slab at row
+          pitch ``wp``, and the ``wp - ow`` trailing columns are zeroed;
+        * one GEMM ``(C*KH*KW, F) @ (N, F, oh*wp)`` into the ``dtaps``
+          slab gives every tap's contribution at every flat output
+          position;
         * tap ``(u, v)``'s row block lands in the flat padded input grid at
           offset ``u*d*wp + v*d``, so the blocks are added there over the
           span ``(oh-1)*wp + ow``, then the border is stripped.
@@ -520,7 +543,8 @@ class ConvPlan:
         order.  The zero columns add exact zeros, which change nothing: a
         sum that starts from the grid's +0 is never -0.  Strided plans, and
         plans with one output pixel (whose column GEMM has N = 1), run that
-        column GEMM itself and the col2im scatter.
+        column GEMM itself, into the ``dcols`` slab, and the col2im
+        scatter.
 
         Only the :attr:`live_taps` are scattered: a dead tap's block lands
         in the stripped border (apart from the shift-GEMM's zero
@@ -542,25 +566,23 @@ class ConvPlan:
         self.dead_taps_skipped += taps - len(live)
         if self.stride != 1 or self.oh * self.ow == 1:
             g = grad_out.astype(self.acc, copy=False).reshape(n, f, -1)
-            if self._dcols is None:
-                self._dcols = np.empty(self.cols_shape, dtype=self.acc)
-            np.matmul(wmat.T, g, out=self._dcols)
+            dcols = take("dcols", self.cols_shape, self.acc)
+            np.matmul(wmat.T, g, out=dcols)
             self.gemms += 1
             dxp = np.zeros((n, c, self.hp, self.wp), dtype=self.acc)
-            self._col2im(self._dcols.reshape(n, c, self.kh, self.kw,
-                                             self.oh, self.ow), dxp)
+            self._col2im(dcols.reshape(n, c, self.kh, self.kw,
+                                       self.oh, self.ow), dxp)
         else:
             oh, ow, wp = self.oh, self.ow, self.wp
-            if self._gpad is None:
-                self._gpad = np.zeros((n, f, oh, wp), dtype=self.acc)
-                self._dtaps = np.empty((n, c * taps, oh * wp), dtype=self.acc)
-            self._gpad[:, :, :, :ow] = grad_out
-            np.matmul(wmat.T, self._gpad.reshape(n, f, oh * wp),
-                      out=self._dtaps)
+            gpad = take("gpad", (n, f, oh, wp), self.acc)
+            dtaps = take("dtaps", (n, c * taps, oh * wp), self.acc)
+            gpad[..., :ow] = grad_out
+            gpad[..., ow:] = 0
+            np.matmul(wmat.T, gpad.reshape(n, f, oh * wp), out=dtaps)
             self.gemms += 1
             span = (oh - 1) * wp + ow
             d = self.dilation
-            y = self._dtaps.reshape(n, c, taps, oh * wp)
+            y = dtaps.reshape(n, c, taps, oh * wp)
             flat = np.zeros((n, c, self.hp * wp), dtype=self.acc)
             for t in live:
                 u, v = divmod(t, self.kw)
@@ -576,9 +598,10 @@ class ConvPlan:
 class PlanCache:
     """Bounded LRU of execution plans, keyed on the problem signature.
 
-    Bounding matters because plans own workspaces proportional to
-    ``C * K^2`` times the output extent; an unbounded cache on a workload
-    with many distinct tile shapes would be a slow memory leak.
+    Bounding matters because a plan that ran a taped forward keeps its
+    column matrix, ``C * K^2`` times the output extent; an unbounded cache
+    on a workload with many distinct tile shapes would be a slow memory
+    leak.
     """
 
     def __init__(self, maxsize: int = 32):
@@ -612,12 +635,15 @@ class PlanCache:
 
     def stats(self) -> dict[str, int]:
         return {"size": len(self._plans), "hits": self.hits,
-                "misses": self.misses, "evictions": self.evictions}
+                "misses": self.misses, "evictions": self.evictions,
+                "owned_bytes": sum(p.owned_bytes
+                                   for p in self._plans.values())}
 
 
 #: Process-wide cache backing the functional conv API.  Layers hold their
-#: own plans (so forward/backward workspace sharing cannot be disturbed by
-#: other same-shape layers); this cache serves direct kernel calls.
+#: own plans (so the columns a forward leaves for its wgrad cannot be
+#: overwritten by other same-shape layers); this cache serves direct
+#: kernel calls.
 _GLOBAL_PLANS = PlanCache(maxsize=32)
 
 
@@ -631,11 +657,13 @@ def get_conv_plan(x_shape, w_shape, stride=1, padding=0, dilation=1,
 
 
 def plan_cache_stats() -> dict[str, int]:
-    """Hit/miss/eviction counters of the process-wide plan cache."""
+    """Hit/miss/eviction counters of the process-wide plan cache, and the
+    bytes its plans hold (see :func:`.workspace.workspace_stats` for the
+    per-call scratch they borrow)."""
     return _GLOBAL_PLANS.stats()
 
 
 def clear_plan_cache() -> None:
-    """Drop all cached plans (tests; frees workspace memory)."""
+    """Drop all cached plans (tests; frees their column matrices)."""
     _GLOBAL_PLANS.clear()
     _GLOBAL_PLANS.hits = _GLOBAL_PLANS.misses = _GLOBAL_PLANS.evictions = 0

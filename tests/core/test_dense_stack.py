@@ -24,6 +24,7 @@ from repro.framework import Tensor, apply_fp16_policy, no_grad, rank_stack
 from repro.framework.fusion import FusedPreActConv
 from repro.framework import functional as F
 from repro.framework.layers import Conv2D
+from repro.framework.ops import workspace_stats
 
 IN_CHANNELS, LAYERS, GROWTH = 6, 3, 4
 
@@ -157,8 +158,10 @@ def test_frozen_forward_concatenates_and_pads_nothing(monkeypatch):
     real = np.concatenate
     monkeypatch.setattr(np, "concatenate",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
+    before = workspace_stats()
     with no_grad():
         logits = frozen(Tensor(x))
+    after = workspace_stats()
     assert logits.shape == (9, 3, 32, 48)
     assert calls == []
     # All 12 pre-activation convs (ten dense layers, two transition-down
@@ -174,4 +177,10 @@ def test_frozen_forward_concatenates_and_pads_nothing(monkeypatch):
     assert len(plans) == 14 and len(free) == 13
     assert sum(p.colfree_forwards for p in free) == len(free)
     assert sum(p.pad_fills for p in free) == 0
-    assert all(p._xp is None and p._cols is None for p in free)
+    # The one padded input and the one column matrix of the forward are
+    # the stem's, both borrowed from the arena; no plan holds a buffer.
+    stem = [p for p in plans if not p.column_free]
+    assert stem[0].pad_fills == 1 and stem[0].col_fills == 1
+    for role in ("xp", "cols"):
+        assert after[role]["requests"] - before[role]["requests"] == 1
+    assert all(p.owned_bytes == 0 for p in plans)

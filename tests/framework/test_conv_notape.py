@@ -18,11 +18,13 @@ from repro.framework.layers import Conv2D, MaxPool2D
 from repro.framework.ops import (
     ConvPlan,
     clear_plan_cache,
+    clear_workspace,
     conv2d_forward,
     conv2d_forward_reference,
     get_conv_plan,
     maxpool2d_forward,
     maxpool2d_forward_notape,
+    workspace_stats,
 )
 from repro.framework.ops.fused import conv2d_bias_relu_forward
 
@@ -36,6 +38,11 @@ def _oracle(x, w, padding, dilation, bias, relu):
     if relu:
         out = np.maximum(out, 0)
     return out
+
+
+def _requests():
+    """Views each arena role has handed out on this thread so far."""
+    return {role: st["requests"] for role, st in workspace_stats().items()}
 
 
 def _random_problem(rng, k, dilation, n, dtype, same_pad):
@@ -76,11 +83,15 @@ class TestColumnFreeEqualsReference:
                 rng, k, dilation, n, dtype, same_pad=same)
             plan = ConvPlan(x.shape, wt.shape, 1, padding, dilation, dtype)
             assert plan.column_free == (same or k == 1)
+            before = _requests()
             got = plan.forward_notape(x, wt, bias=bias if use_bias else None,
                                       relu=relu)
             if plan.column_free:
                 assert plan.colfree_forwards == 1 and plan.col_fills == 0
-                assert plan.pad_fills == 0 and plan._xp is None
+                # No padded copy: not even a promoting one for FP16.
+                assert plan.pad_fills == 0
+                assert _requests()["xp"] == before["xp"]
+                assert plan.owned_bytes == 0
             else:
                 assert plan.colfree_forwards == 0 and plan.col_fills == 1
             assert got.dtype == dtype and got.flags.c_contiguous
@@ -182,10 +193,12 @@ class TestColumnFreeEqualsReference:
         x = rng.standard_normal((2, 12, 7, 5)).astype(np.float32)
         wt = rng.standard_normal((3, 12, 1, 1)).astype(np.float32)
         plan = ConvPlan(x.shape, wt.shape)
+        before = _requests()
         got = plan.forward_notape(x, wt)
         assert plan.column_free
         assert plan.pad_fills == 0 and plan.col_fills == 0
-        assert plan._xp is None and plan._tap_gemm is None and plan._cols is None
+        # No scratch at all: no padded input, no columns, no tap GEMM.
+        assert _requests() == before and plan.owned_bytes == 0
         np.testing.assert_allclose(got, _oracle(x, wt, 0, 1, None, False),
                                    rtol=1e-5, atol=1e-5)
 
@@ -268,11 +281,15 @@ class TestSelection:
             got, b.forward(x, wt, bias=bias, relu=True))
 
     def test_workspace_is_smaller_than_the_columns_it_replaces(self):
+        clear_workspace()
         plan = ConvPlan((9, 48, 32, 48), (8, 48, 3, 3), 1, 1, 1)
         x = np.zeros(plan.x_shape, dtype=np.float32)
         plan.forward_notape(x, np.zeros(plan.w_shape, dtype=np.float32))
-        assert plan._cols is None and plan._xp is None
-        assert plan._tap_gemm.size < int(np.prod(plan.cols_shape))
+        stats = workspace_stats()
+        assert plan.owned_bytes == 0
+        assert stats["cols"]["bytes"] == 0 and stats["xp"]["bytes"] == 0
+        assert stats["tap_gemm"]["requests"] == 1
+        assert 0 < stats["tap_gemm"]["bytes"] < 4 * int(np.prod(plan.cols_shape))
 
 
 class TestTapeSplit:
@@ -304,7 +321,7 @@ class TestTapeSplit:
             out = layer(Tensor(x))
         plan = next(iter(layer._plans.values()))
         assert plan.col_fills == 0 and plan.colfree_forwards == 1
-        assert plan._cols is None
+        assert plan.owned_bytes == 0
         assert not out.requires_grad
         want = _oracle(x, layer.weight.data, 1, 1, layer.bias.data, False)
         np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
@@ -349,12 +366,20 @@ class TestTapeSplit:
                                    rtol=1e-5, atol=1e-5)
 
     def test_deepcopy_drops_the_new_workspaces(self):
+        # The tap GEMM output is arena scratch, so neither the plan nor its
+        # copy holds it; the copy runs the same forward from a cold start.
         plan = ConvPlan((1, 16, 8, 8), (2, 16, 3, 3), 1, 1, 1)
-        plan.forward_notape(np.zeros(plan.x_shape, dtype=np.float32),
-                            np.zeros(plan.w_shape, dtype=np.float32))
-        assert plan._tap_gemm is not None
+        x = np.random.default_rng(13).standard_normal(
+            plan.x_shape).astype(np.float32)
+        wt = np.random.default_rng(14).standard_normal(
+            plan.w_shape).astype(np.float32)
+        before = _requests()["tap_gemm"]
+        want = plan.forward_notape(x, wt)
+        assert _requests()["tap_gemm"] == before + 1
+        assert plan.owned_bytes == 0
         clone = copy.deepcopy(plan)
-        assert clone._tap_gemm is None and clone.column_free
+        assert clone.owned_bytes == 0 and clone.column_free
+        np.testing.assert_array_equal(clone.forward_notape(x, wt), want)
 
 
 class TestMaxPoolNoTape:

@@ -107,7 +107,8 @@ class TestPlanCache:
         cache.get(("b",), lambda: mk(9))
         cache.get(("c",), lambda: mk(10))                 # evicts "a"
         stats = cache.stats()
-        assert stats == {"size": 2, "hits": 1, "misses": 3, "evictions": 1}
+        assert stats == {"size": 2, "hits": 1, "misses": 3, "evictions": 1,
+                         "owned_bytes": 0}
         b2 = cache.get(("a",), lambda: mk(8))
         assert b2 is not a                                # rebuilt after evict
 
@@ -167,8 +168,9 @@ class TestWorkspaceProtocol:
         plan = ConvPlan((1, 2, 8, 8), (3, 2, 3, 3), 1, 1, 1)
         x = RNG.standard_normal((1, 2, 8, 8)).astype(np.float32)
         plan.im2col(x)
+        assert plan.owned_bytes == 4 * int(np.prod(plan.cols_shape))
         clone = copy.deepcopy(plan)
-        assert clone._cols is None and clone._xp is None
+        assert clone.owned_bytes == 0
         assert clone.version == 0
         assert clone.key == plan.key
 

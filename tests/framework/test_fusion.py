@@ -189,8 +189,27 @@ class TestFreeze:
         for k in before:
             np.testing.assert_array_equal(before[k], after[k])
         assert len(list(model.parameters())) == n_params
+        assert all(p.requires_grad for p in model.parameters())
         model.train(True)
         assert model.training     # original still toggles into training mode
+
+    def test_frozen_copy_records_no_tape_outside_no_grad(self):
+        # No parameter of the copy requires grad, so a direct call outside
+        # no_grad() tapes nothing, its plain convs (the stem and the
+        # classifier) run the no-tape forward, and no plan keeps columns.
+        frozen = _e2e_tiramisu().freeze_for_inference()
+        assert not any(p.requires_grad for p in frozen.parameters())
+        x = RNG.standard_normal((9, 16, 32, 48)).astype(np.float32)
+        with no_grad():
+            want = frozen(Tensor(x)).data
+        out = frozen(Tensor(x))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        assert np.array_equal(out.data.view(np.uint32), want.view(np.uint32))
+        plans = [p for m in frozen.modules()
+                 for p in getattr(m, "_plans", {}).values()]
+        assert len(plans) == 14
+        assert all(p.owned_bytes == 0 and p.version == 0 for p in plans)
 
     def test_frozen_model_refuses_training_mode(self):
         model = self._model()

@@ -7,8 +7,8 @@ After one step of the conv-bound benchmark network (a Tiramisu):
   backward fills once for both its input and weight gradients;
 * no plan has a single output pixel or a dead tap;
 * so unit-stride dgrad always runs as an output-side shift-GEMM: no
-  stride-1 plan allocates dgrad columns or calls the col2im scatter
-  (a single-pixel plan would, at any stride).
+  stride-1 plan takes dgrad columns from the workspace arena or calls the
+  col2im scatter (a single-pixel plan would, at any stride).
 
 After one rank-stacked step of the parameter-bound benchmark network (a
 DeepLabv3+ whose encoder ends in 1x1 maps), every single-pixel wgrad is an
@@ -23,7 +23,7 @@ from repro.core.networks import (DeepLabConfig, DeepLabV3Plus, Tiramisu,
                                  TiramisuConfig)
 from repro.framework import Tensor
 from repro.framework.layers import Conv2D, ConvTranspose2D
-from repro.framework.ops import ConvPlan, clear_plan_cache
+from repro.framework.ops import ConvPlan, clear_plan_cache, workspace_stats
 from repro.framework.ops import plan as plan_module
 
 
@@ -137,11 +137,26 @@ def test_stacked_deeplab_step_skips_dead_taps(stacked_deeplab_step):
     assert sum(p.dead_taps_skipped for p in plans) == 260
 
 
-def test_stride1_plans_have_no_dgrad_columns():
-    model, _ = _one_step()
-    stride1 = [p for p in _plans(model) if p.stride == 1]
-    assert stride1
-    assert all(p._dcols is None for p in stride1)
+def test_stride1_plans_have_no_dgrad_columns(monkeypatch):
+    # Per dgrad call: the plan's stride and how many dgrad column views it
+    # took from the arena.
+    calls = []
+    dgrad = ConvPlan.backward_input
+
+    def spy(plan, grad_out, w):
+        before = workspace_stats()["dcols"]["requests"]
+        out = dgrad(plan, grad_out, w)
+        calls.append((plan.stride,
+                      workspace_stats()["dcols"]["requests"] - before))
+        return out
+
+    monkeypatch.setattr(ConvPlan, "backward_input", spy)
+    _one_step()
+    stride1 = [taken for stride, taken in calls if stride == 1]
+    strided = [taken for stride, taken in calls if stride != 1]
+    assert stride1 and all(taken == 0 for taken in stride1)
+    # The transposed convs' forwards are strided dgrads: the count is live.
+    assert strided and all(taken == 1 for taken in strided)
 
 
 def test_col2im_runs_only_on_strided_plans(monkeypatch):
