@@ -69,6 +69,15 @@ FROZEN_TIRAMISU = dict(in_channels=16, base_filters=16, growth=8,
                        down_layers=(2, 2), bottleneck_layers=2, kernel=3)
 FROZEN_SHAPE = (9, 16, 32, 48)
 
+# Section V-B5's two Tiramisu designs on one 4-channel 32x48 sample: the
+# original (growth 16, 3x3, deep blocks) and the redesign (growth 32, 5x5,
+# half the depth).
+REDESIGN = {
+    "original": dict(growth=16, down_layers=(4, 4), bottleneck_layers=4, kernel=3),
+    "modified": dict(growth=32, down_layers=(2, 2), bottleneck_layers=2, kernel=5),
+}
+REDESIGN_SHAPE = (1, 4, 32, 48)
+
 #: profile -> (timing repeats, warmup runs)
 PROFILES = {"smoke": (2, 1), "quick": (3, 1), "full": (7, 2)}
 
@@ -223,6 +232,36 @@ def _wgrad_pixel_stats(profile: str = "quick"):
     return {"planned": pstats, "reference": rstats}
 
 
+def _redesign_rate_ratio(profile: str = "quick") -> float:
+    """Achieved GF/s of the redesigned Tiramisu over the original's.
+
+    Paired fwd+bwd training steps; each design's counted FLOPs over its
+    fastest step.  The redesign's wider GEMMs are the paper's reason for
+    it, and BLAS rewards them as Tensor Cores do.
+    """
+    from runner import paired_stats
+
+    repeats, warmup = PROFILES[profile]
+    x = Tensor(np.random.default_rng(1).standard_normal(REDESIGN_SHAPE)
+               .astype(np.float32), requires_grad=True)
+    steps, flops = {}, {}
+    for name, arch in REDESIGN.items():
+        net = Tiramisu(TiramisuConfig(in_channels=4, base_filters=48,
+                                      dropout=0.0, **arch),
+                       rng=np.random.default_rng(0))
+        flops[name] = net.analyze(REDESIGN_SHAPE[1:], batch=1).total_flops
+
+        def step(net=net):
+            net.zero_grad()
+            net(x).sum().backward()
+
+        steps[name] = step
+    modified, original = paired_stats(steps["modified"], steps["original"],
+                                      repeats=repeats, warmup=warmup)
+    return ((flops["modified"] / modified["min_s"])
+            / (flops["original"] / original["min_s"]))
+
+
 def _frozen_workspace_mib() -> float:
     """Conv scratch held after one frozen Tiramisu forward on a fresh
     workspace arena: the arena's slabs plus the buffers of the model's
@@ -295,6 +334,12 @@ def collect(profile: str = "quick"):
         higher_is_better=True, tolerance=0.3,
         note=f"tap-loop dgrad + wgrad / planned, {BWD_SHAPE} -> "
              f"{BWD_FILTERS} filters 3x3"))
+    metrics.append(Metric(
+        name="kernels.redesign_rate_ratio",
+        value=_redesign_rate_ratio(profile), unit="x",
+        higher_is_better=True, tolerance=0.4,
+        note=f"achieved GF/s, redesigned / original Tiramisu (Section "
+             f"V-B5), fwd+bwd on {REDESIGN_SHAPE}"))
     metrics.append(Metric(
         name="kernels.frozen_workspace_mib",
         value=_frozen_workspace_mib(), unit="MiB",

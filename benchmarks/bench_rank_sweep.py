@@ -16,6 +16,7 @@ import numpy as np
 from repro.core import DistributedTrainer, TrainConfig
 from repro.core.networks import DeepLabConfig, DeepLabV3Plus
 from repro.perf import format_table, sustained_throughput
+from repro.perf.stats import central68
 
 RANKS = (1, 2, 4, 8)
 WARMUP, STEPS = 3, 15
@@ -48,9 +49,9 @@ def test_rank_sweep(benchmark, emit):
                               rounds=1, iterations=1)
     table = []
     for ranks, width, times in rows:
-        lo, med, hi = np.quantile(times * 1e3, [0.16, 0.5, 0.84])
+        ms = central68(times * 1e3)
         rate = sustained_throughput(np.ones((len(times), ranks)), times)
-        table.append([ranks, width, f"{med:.1f}", f"{lo:.1f}-{hi:.1f}",
+        table.append([ranks, width, f"{ms.median:.1f}", f"{ms.lo:.1f}-{ms.hi:.1f}",
                       f"{rate.median:.1f}"])
         assert width == ranks
     emit(format_table(["ranks", "stack", "step ms (median)",

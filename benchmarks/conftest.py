@@ -1,8 +1,8 @@
-"""Shared helpers for the figure-reproduction benchmarks.
+"""Shared helpers for the benchmark suites.
 
-Every benchmark regenerates one of the paper's tables or figures, printing a
-paper-vs-measured comparison and saving it under ``benchmarks/out/`` so the
-numbers survive pytest's output capture.
+Each suite's pytest entry points print a timing table and save it under
+``benchmarks/out/`` so the numbers survive pytest's output capture.  The
+paper's own numbers are checked by ``repro report`` (``repro.perf.claims``).
 """
 import pathlib
 

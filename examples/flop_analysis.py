@@ -8,17 +8,21 @@ the V100/P100 rooflines for the per-category breakdown of Figures 8/9.
 Run:  python examples/flop_analysis.py
 """
 from repro.core import network_flop_table, paper_conv_example_flops
-from repro.perf import PAPER_DETAIL, figure2_table, format_table, kernel_breakdown
+from repro.perf import figure2_table, format_table, kernel_breakdown
+from repro.perf.claims import paper_value
 
 
 def main():
     print("Section VI worked example: 3x3 conv, 1152x768, 48->32 ch, batch 2")
-    print(f"  counted {paper_conv_example_flops()/1e9:.1f} GFLOPs (paper: 48.9)\n")
+    print(f"  counted {paper_conv_example_flops()/1e9:.1f} GFLOPs "
+          f"(paper: {paper_value('sec6.conv_example')})\n")
 
-    rows = [[r.name, f"{r.tf_per_sample:.3f}", r.paper_tf_per_sample,
-             f"{r.ratio_to_paper:.2f}", f"{r.parameters/1e6:.1f}M",
-             r.kernel_count]
-            for r in network_flop_table()]
+    rows = []
+    for r in network_flop_table():
+        paper = paper_value(f"fig2.flops.{r.name}")
+        rows.append([r.name, f"{r.tf_per_sample:.3f}", paper,
+                     f"{r.tf_per_sample / paper:.2f}", f"{r.parameters/1e6:.1f}M",
+                     r.kernel_count])
     print(format_table(
         ["network", "TF/sample", "paper", "ratio", "params", "kernels"],
         rows, title="Figure 2 operation counts (traced at 1152x768)"))
@@ -36,7 +40,8 @@ def main():
     for net in ("tiramisu", "deeplabv3+"):
         for prec in ("fp32", "fp16"):
             table = kernel_breakdown(net, prec)
-            paper_ms = PAPER_DETAIL[(net, prec)][0]
+            fig = 8 if net == "tiramisu" else 9
+            paper_ms = paper_value(f"fig{fig}.step_ms.{net}.{prec}")
             print(f"\n{net} {prec}: modeled step "
                   f"{table.total_time_s*1e3:.0f} ms (paper {paper_ms} ms); "
                   f"dominant category: {table.dominant_category()}")

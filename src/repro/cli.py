@@ -22,15 +22,19 @@ import sys
 
 
 def _cmd_fig2(args) -> int:
-    from .perf import PAPER_FIG2, figure2_table, format_table
+    from .perf import figure2_table, format_table
+    from .perf.claims import paper_value
 
     rows = []
     for p in figure2_table():
-        paper = PAPER_FIG2[(p.network, p.gpu, p.precision)]
+        run = f"{p.network}.{p.precision}"
+        flops = paper_value(f"fig2.flops.{p.network}")
+        rate = paper_value(f"fig2.rate.{run}")
+        peak = paper_value(f"fig2.peak.{run}")
         rows.append([p.network, p.gpu, p.precision, p.batch,
-                     f"{p.tf_per_sample:.2f} ({paper[0]})",
-                     f"{p.samples_per_second:.2f} ({paper[1]})",
-                     f"{p.pct_peak:.1f} ({paper[3]})"])
+                     f"{p.tf_per_sample:.2f} ({flops:g})",
+                     f"{p.samples_per_second:.2f} ({rate:g})",
+                     f"{p.pct_peak:.1f} ({peak:g})"])
     print(format_table(
         ["network", "gpu", "prec", "batch", "TF/sample (paper)",
          "samples/s (paper)", "% peak (paper)"],
@@ -68,10 +72,13 @@ def _cmd_fig5(args) -> int:
 def _cmd_flops(args) -> int:
     from .core import network_flop_table
     from .perf import format_table
+    from .perf.claims import paper_value
 
-    rows = [[r.name, f"{r.tf_per_sample:.3f}", r.paper_tf_per_sample,
-             f"{r.ratio_to_paper:.2f}", f"{r.parameters:,}"]
-            for r in network_flop_table()]
+    rows = []
+    for r in network_flop_table():
+        paper = paper_value(f"fig2.flops.{r.name}")
+        rows.append([r.name, f"{r.tf_per_sample:.3f}", paper,
+                     f"{r.tf_per_sample / paper:.2f}", f"{r.parameters:,}"])
     print(format_table(["network", "TF/sample", "paper", "ratio", "params"],
                        rows, title="Operation counts (Section VI trace)"))
     return 0
@@ -116,10 +123,11 @@ def _cmd_control_plane(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .perf import render_summary
+    from .perf.claims import report
 
-    print(render_summary())
-    return 0
+    text, failed = report(trained=args.trained)
+    print(text)
+    return 1 if failed else 0
 
 
 def _cmd_train(args) -> int:
@@ -994,8 +1002,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--radix", type=int, default=4)
     pc.set_defaults(fn=_cmd_control_plane)
 
-    sub.add_parser("report", help="full paper-vs-measured summary").set_defaults(
-        fn=_cmd_report)
+    prep = sub.add_parser(
+        "report", help="every paper number vs measured; exit 1 if one is out "
+                       "of its band")
+    prep.add_argument("--trained", action="store_true",
+                      help="add the rows that train scaled-down networks")
+    prep.set_defaults(fn=_cmd_report)
 
     pt = sub.add_parser("train", help="train a small Tiramisu on synthetic data")
     pt.add_argument("--samples", type=int, default=16)

@@ -5,7 +5,6 @@ from .convergence import ConvergenceCurve, loss_trajectory_summary, wall_clock_c
 from .distributed import DistributedStepResult, DistributedTrainer
 from .inference import predict_tiled, sliding_window_logits, tile_positions
 from .flops import (
-    PAPER_OP_COUNTS_TF,
     NetworkFlops,
     count_training_flops,
     network_flop_table,
@@ -71,7 +70,6 @@ __all__ = [
     "network_flop_table",
     "paper_conv_example_flops",
     "NetworkFlops",
-    "PAPER_OP_COUNTS_TF",
     "ConvergenceCurve",
     "wall_clock_curve",
     "loss_trajectory_summary",

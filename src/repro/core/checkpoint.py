@@ -19,7 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CheckpointConfigMismatch, CheckpointError, CheckpointFormatError
+from ..errors import (
+    CheckpointConfigMismatch,
+    CheckpointError,
+    CheckpointFormatError,
+    CheckpointNonFinite,
+)
 from .optim import GradientLag
 from .trainer import Trainer
 
@@ -56,7 +61,7 @@ def _optimizer_state(optimizer) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def _write_checkpoint(trainer: Trainer, path: Path,
+def _write_checkpoint(trainer: Trainer, path: Path, step: int,
                       extra_meta: dict | None = None,
                       extra_arrays: dict[str, np.ndarray] | None = None) -> Path:
     """Serialize a trainer to ``path``.
@@ -64,7 +69,9 @@ def _write_checkpoint(trainer: Trainer, path: Path,
     ``extra_arrays`` lets subsystems persist array state alongside the
     trainer (e.g. the comm engine's error-feedback residuals); they are
     namespaced under ``extra.`` and retrieved with
-    :meth:`CheckpointManager.load_extra_arrays`.
+    :meth:`CheckpointManager.load_extra_arrays`.  State holding NaN or inf
+    raises :class:`CheckpointNonFinite` before any file is written, so a
+    poisoned run never becomes the restart point.
     """
     arrays: dict[str, np.ndarray] = {}
     for name, value in trainer.model.state_dict().items():
@@ -73,6 +80,9 @@ def _write_checkpoint(trainer: Trainer, path: Path,
     arrays.update(opt_arrays)
     for name, value in (extra_arrays or {}).items():
         arrays[f"extra.{name}"] = np.asarray(value)
+    for name, value in arrays.items():
+        if value.dtype.kind in "fc" and not np.isfinite(value).all():
+            raise CheckpointNonFinite(step, name)
     meta = {
         "version": _FORMAT_VERSION,
         "optimizer": opt_meta,
@@ -223,8 +233,8 @@ class CheckpointManager:
         step = len(trainer.history) if step is None else int(step)
         extra = dict(extra_meta or {})
         extra["step"] = step
-        path = _write_checkpoint(trainer, self.path_for(step), extra_meta=extra,
-                                 extra_arrays=extra_arrays)
+        path = _write_checkpoint(trainer, self.path_for(step), step,
+                                 extra_meta=extra, extra_arrays=extra_arrays)
         if self.keep_last is not None:
             self.rotate(self.keep_last)
         return path

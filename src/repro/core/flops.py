@@ -7,15 +7,8 @@ direct-convolution count applies).  Our layers emit the same inventory
 through the symbolic tracer; this module packages it into the numbers the
 paper reports.
 
-Reference values (Figure 2):
-
-==================  =====================  ==============
-Network             Configuration          TF / sample
-==================  =====================  ==============
-DeepLabv3+          16 ch, 1152x768        14.41
-Tiramisu            16 ch, 1152x768        4.188
-Tiramisu            4 ch (Piz Daint)       3.703
-==================  =====================  ==============
+The paper's Figure 2 counts are the ``fig2.flops.*`` rows of
+:mod:`repro.perf.claims`.
 """
 from __future__ import annotations
 
@@ -29,7 +22,6 @@ from ..framework.ops.conv import conv2d_flops
 from . import networks
 
 __all__ = [
-    "PAPER_OP_COUNTS_TF",
     "NetworkFlops",
     "count_training_flops",
     "paper_conv_example_flops",
@@ -37,13 +29,6 @@ __all__ = [
     "paper_graph",
     "network_flop_table",
 ]
-
-#: Figure 2 "Operation Count (TF/sample)" values.
-PAPER_OP_COUNTS_TF = {
-    "deeplabv3+": 14.41,
-    "tiramisu": 4.188,
-    "tiramisu_4ch": 3.703,
-}
 
 #: The paper's native 1152x768 image, as (height, width).
 PAPER_HW = (768, 1152)
@@ -63,15 +48,8 @@ class NetworkFlops:
 
     name: str
     tf_per_sample: float
-    paper_tf_per_sample: float | None
     parameters: int
     kernel_count: int
-
-    @property
-    def ratio_to_paper(self) -> float | None:
-        if self.paper_tf_per_sample is None:
-            return None
-        return self.tf_per_sample / self.paper_tf_per_sample
 
 
 def count_training_flops(model: Module,
@@ -133,6 +111,5 @@ def network_flop_table() -> list[NetworkFlops]:
     for name in _PAPER_NETWORKS:
         a, parameters = paper_graph(name, 1, "fp32")
         rows.append(NetworkFlops(name, a.flops_per_sample() / 1e12,
-                                 PAPER_OP_COUNTS_TF[name], parameters,
-                                 a.kernel_count))
+                                 parameters, a.kernel_count))
     return rows

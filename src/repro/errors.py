@@ -25,7 +25,8 @@ Hierarchy::
     │   └── StagingReadError         (also OSError; carries .path)
     ├── CheckpointError              (serialization / restore)
     │   ├── CheckpointFormatError    (also ValueError)
-    │   └── CheckpointConfigMismatch (also ValueError)
+    │   ├── CheckpointConfigMismatch (also ValueError)
+    │   └── CheckpointNonFinite      (carries .step/.array)
     ├── CampaignError                (campaign orchestration)
     │   ├── InvalidTransition        (also ValueError)
     │   └── CampaignStoreError       (also ValueError)
@@ -48,6 +49,7 @@ __all__ = [
     "CheckpointError",
     "CheckpointFormatError",
     "CheckpointConfigMismatch",
+    "CheckpointNonFinite",
     "CampaignError",
     "InvalidTransition",
     "CampaignStoreError",
@@ -116,6 +118,16 @@ class CheckpointFormatError(CheckpointError, ValueError):
 
 class CheckpointConfigMismatch(CheckpointError, ValueError):
     """Checkpoint was written under a different training configuration."""
+
+
+class CheckpointNonFinite(CheckpointError):
+    """A save refused state holding NaN or inf; ``array`` names the first."""
+
+    def __init__(self, step: int, array: str):
+        super().__init__(f"refusing to checkpoint step {step}: "
+                         f"{array} holds a non-finite value")
+        self.step = step
+        self.array = array
 
 
 # -- campaign orchestration ------------------------------------------------

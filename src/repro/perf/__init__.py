@@ -1,24 +1,12 @@
 """Performance models reproducing the paper's tables and figures."""
-from .breakdown import (
-    PAPER_CATEGORY_TIME_PCT,
-    PAPER_DETAIL,
-    BreakdownTable,
-    kernel_breakdown,
-)
+from .breakdown import BreakdownTable, kernel_breakdown
 from .eventsim import TrainingRunConfig, TrainingRunResult, simulate_training_run
 from .kernels import EFFICIENCY_TABLE, CategoryEfficiency, CategoryTime, KernelTimeModel
 from .memory import DEFAULT_LIVENESS, MemoryBudget, max_batch, training_memory
 from .report import format_table, paper_vs_measured
-from .scaling import (
-    PAPER_SCALING_ANCHORS,
-    ScalingModel,
-    ScalingPoint,
-    step_time_model,
-    weak_scaling_curve,
-)
-from .singlegpu import PAPER_FIG2, SingleGpuPoint, figure2_table, single_gpu_performance
-from .staging_model import PAPER_FIG5_ANCHORS, Figure5Point, aggregate_demand, figure5_curves
-from .summary import SummaryRow, render_summary, reproduction_summary
+from .scaling import ScalingModel, ScalingPoint, step_time_model, weak_scaling_curve
+from .singlegpu import SingleGpuPoint, figure2_table, single_gpu_performance
+from .staging_model import Figure5Point, aggregate_demand, figure5_curves
 from .stats import ThroughputStats, peak_throughput, sustained_throughput
 
 __all__ = [
@@ -30,29 +18,21 @@ __all__ = [
     "training_memory",
     "max_batch",
     "DEFAULT_LIVENESS",
-    "SummaryRow",
-    "reproduction_summary",
-    "render_summary",
     "CategoryTime",
     "CategoryEfficiency",
     "EFFICIENCY_TABLE",
     "SingleGpuPoint",
     "single_gpu_performance",
     "figure2_table",
-    "PAPER_FIG2",
     "BreakdownTable",
     "kernel_breakdown",
-    "PAPER_CATEGORY_TIME_PCT",
-    "PAPER_DETAIL",
     "ScalingModel",
     "ScalingPoint",
     "weak_scaling_curve",
     "step_time_model",
-    "PAPER_SCALING_ANCHORS",
     "Figure5Point",
     "figure5_curves",
     "aggregate_demand",
-    "PAPER_FIG5_ANCHORS",
     "ThroughputStats",
     "sustained_throughput",
     "peak_throughput",

@@ -16,41 +16,7 @@ from ..framework.graph import GraphAnalysis, KernelRecord
 from ..hpc.specs import V100, SUMMIT
 from .kernels import CategoryTime, KernelTimeModel
 
-__all__ = ["PAPER_CATEGORY_TIME_PCT", "BreakdownTable", "kernel_breakdown",
-           "PAPER_DETAIL"]
-
-#: Figure 3 "% Time" per category: (network, precision) -> {category: pct}.
-PAPER_CATEGORY_TIME_PCT = {
-    ("tiramisu", "fp32"): {
-        "conv_fwd": 31.4, "pointwise_fwd": 7.9, "conv_bwd": 49.2,
-        "pointwise_bwd": 0.7, "optimizer": 0.5, "copy": 5.5,
-        "allreduce": 5.1, "cast": 0.0, "idle": 0.0,
-    },
-    ("tiramisu", "fp16"): {
-        "conv_fwd": 25.3, "pointwise_fwd": 12.2, "conv_bwd": 38.3,
-        "pointwise_bwd": 2.8, "optimizer": 0.7, "copy": 12.3,
-        "allreduce": 5.4, "cast": 0.1, "idle": 2.9,
-    },
-    ("deeplabv3+", "fp32"): {
-        "conv_fwd": 33.3, "pointwise_fwd": 3.2, "conv_bwd": 49.0,
-        "pointwise_bwd": 0.9, "optimizer": 0.3, "copy": 8.6,
-        "allreduce": 4.6, "cast": 0.0, "idle": 0.0,
-    },
-    ("deeplabv3+", "fp16"): {
-        "conv_fwd": 18.1, "pointwise_fwd": 6.4, "conv_bwd": 36.7,
-        "pointwise_bwd": 3.1, "optimizer": 0.5, "copy": 26.1,
-        "allreduce": 7.2, "cast": 0.2, "idle": 1.7,
-    },
-}
-
-#: Figures 8/9 absolute step totals: (network, precision) ->
-#: (time_ms, math_TF, mem_GB).  FP32 is batch 1, FP16 batch 2.
-PAPER_DETAIL = {
-    ("tiramisu", "fp32"): (549.9, 4.19, 308.5),
-    ("tiramisu", "fp16"): (417.3, 8.38, 262.1),
-    ("deeplabv3+", "fp32"): (1215.9, 14.41, 220.9),
-    ("deeplabv3+", "fp16"): (817.3, 28.82, 203.6),
-}
+__all__ = ["BreakdownTable", "kernel_breakdown"]
 
 
 @dataclass

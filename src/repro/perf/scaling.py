@@ -37,22 +37,11 @@ from ..hpc.specs import PIZ_DAINT, SUMMIT, SystemSpec
 from .singlegpu import single_gpu_performance
 
 __all__ = [
-    "PAPER_SCALING_ANCHORS",
     "ScalingPoint",
     "ScalingModel",
     "weak_scaling_curve",
     "step_time_model",
 ]
-
-#: Headline anchors from Section VII-B: configuration -> (gpus, efficiency %,
-#: sustained PF/s).
-PAPER_SCALING_ANCHORS = {
-    ("tiramisu_4ch", "piz_daint", "fp32"): (5300, 79.0, 21.0),
-    ("tiramisu", "summit", "fp32"): (24576, 90.0, 176.8),
-    ("tiramisu", "summit", "fp16"): (24576, 90.0, 492.2),
-    ("deeplabv3+", "summit", "fp32"): (27360, 90.7, 325.8),
-    ("deeplabv3+", "summit", "fp16"): (27360, 90.7, 999.0),
-}
 
 #: Tensors negotiated per step ("over a hundred", Section V-A3).
 TENSORS_PER_STEP = 110

@@ -14,16 +14,7 @@ from ..core.flops import paper_graph
 from ..hpc.specs import P100, V100, GpuSpec
 from .kernels import KernelTimeModel
 
-__all__ = ["PAPER_FIG2", "SingleGpuPoint", "single_gpu_performance", "figure2_table"]
-
-#: Figure 2 rows: (network, gpu, precision) -> (TF/sample, samples/s, TF/s, %peak)
-PAPER_FIG2 = {
-    ("deeplabv3+", "V100", "fp16"): (14.41, 2.67, 38.45, 31.0),
-    ("deeplabv3+", "V100", "fp32"): (14.41, 0.87, 12.53, 80.0),
-    ("tiramisu", "V100", "fp16"): (4.188, 5.00, 20.93, 17.0),
-    ("tiramisu", "V100", "fp32"): (4.188, 1.91, 8.00, 51.0),
-    ("tiramisu_4ch", "P100", "fp32"): (3.703, 1.20, 4.44, 48.0),
-}
+__all__ = ["SingleGpuPoint", "single_gpu_performance", "figure2_table"]
 
 
 @dataclass
@@ -38,7 +29,6 @@ class SingleGpuPoint:
     samples_per_second: float
     sustained_tf: float
     pct_peak: float
-    paper: tuple[float, float, float, float] | None = None
 
 
 def single_gpu_performance(
@@ -62,7 +52,6 @@ def single_gpu_performance(
         samples_per_second=rate,
         sustained_tf=sustained / 1e12,
         pct_peak=sustained / gpu.peak(precision) * 100.0,
-        paper=PAPER_FIG2.get((network, gpu.name, precision)),
     )
 
 

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 from ..hpc.specs import PIZ_DAINT
 from .scaling import ScalingModel, ScalingPoint
 
-__all__ = ["PAPER_FIG5_ANCHORS", "Figure5Point", "figure5_curves", "aggregate_demand"]
-
-#: Paper anchors at 2048 GPUs: efficiency % for local vs global input.
-PAPER_FIG5_ANCHORS = {"local": 83.4, "global": 75.8, "demand_gb_s": 110.0,
-                      "fs_limit_gb_s": 112.0}
+__all__ = ["Figure5Point", "figure5_curves", "aggregate_demand"]
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ThroughputStats", "sustained_throughput", "peak_throughput"]
+__all__ = ["ThroughputStats", "central68", "sustained_throughput", "peak_throughput"]
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,15 @@ class ThroughputStats:
     @property
     def err_plus(self) -> float:
         return self.hi - self.median
+
+
+def central68(values) -> ThroughputStats:
+    """Median and 0.16/0.84 quantiles of ``values``; all zero when empty."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        return ThroughputStats(median=0.0, lo=0.0, hi=0.0)
+    lo, med, hi = np.quantile(v, [0.16, 0.5, 0.84])
+    return ThroughputStats(median=float(med), lo=float(lo), hi=float(hi))
 
 
 def sustained_throughput(samples_per_step: np.ndarray,
@@ -52,9 +61,7 @@ def sustained_throughput(samples_per_step: np.ndarray,
     if (times <= 0).any():
         raise ValueError("step times must be positive")
     # Mean over ranks per step, times rank count -> global samples per step.
-    per_step_rate = samples.mean(axis=1) * samples.shape[1] / times
-    lo, med, hi = np.quantile(per_step_rate, [0.16, 0.5, 0.84])
-    return ThroughputStats(median=float(med), lo=float(lo), hi=float(hi))
+    return central68(samples.mean(axis=1) * samples.shape[1] / times)
 
 
 def peak_throughput(samples_per_step: np.ndarray, step_times: np.ndarray) -> float:

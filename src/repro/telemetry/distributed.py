@@ -26,8 +26,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .tracer import Span
 
 __all__ = ["MessageLink", "StepBreakdown", "CrossRankTrace",
@@ -243,20 +241,11 @@ class CrossRankTrace:
         Returns ``{phase: repro.perf.stats.ThroughputStats}``.  Imported
         lazily: ``repro.perf`` pulls in comm/hpc, which import telemetry.
         """
-        from ..perf.stats import ThroughputStats
+        from ..perf.stats import central68
 
         breakdowns = self.step_breakdowns()
-        out: dict[str, ThroughputStats] = {}
-        for phase in PHASES:
-            vals = np.asarray([b.phase_seconds()[phase] for b in breakdowns],
-                              dtype=np.float64)
-            if vals.size == 0:
-                out[phase] = ThroughputStats(median=0.0, lo=0.0, hi=0.0)
-                continue
-            lo, med, hi = np.quantile(vals, [0.16, 0.5, 0.84])
-            out[phase] = ThroughputStats(median=float(med), lo=float(lo),
-                                         hi=float(hi))
-        return out
+        return {phase: central68([b.phase_seconds()[phase] for b in breakdowns])
+                for phase in PHASES}
 
     def straggler_counts(self) -> dict[int, int]:
         """How many steps each rank was the straggler of."""

@@ -115,21 +115,6 @@ class Histogram:
             p84=float(p84), p99=float(p99),
         )
 
-    def central68(self):
-        """The paper's sustained statistic over this series' samples.
-
-        Returns :class:`repro.perf.stats.ThroughputStats` (median with
-        0.16/0.84-percentile bounds) so callers can format histogram data
-        exactly like the Figure 4 error bars.
-        """
-        from ..perf.stats import ThroughputStats
-
-        v = self.values()
-        if v.size == 0:
-            return ThroughputStats(median=0.0, lo=0.0, hi=0.0)
-        lo, med, hi = np.quantile(v, [0.16, 0.5, 0.84])
-        return ThroughputStats(median=float(med), lo=float(lo), hi=float(hi))
-
 
 class _NullInstrument:
     """Shared do-nothing counter/gauge/histogram for disabled registries."""

@@ -7,7 +7,7 @@ import pytest
 from repro.climate import ClimateDataset, Grid, class_frequencies
 from repro.core import CheckpointManager, TrainConfig, Trainer
 from repro.core.networks import Tiramisu, TiramisuConfig
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, CheckpointNonFinite
 
 GRID = Grid(16, 24)
 
@@ -281,3 +281,28 @@ class TestTornCheckpoints:
         assert mgr.latest() == first
         assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]
         mgr.load(make_trainer(seed=1))
+
+
+class TestNonFinite:
+    """A poisoned state is refused and never becomes the restart point."""
+
+    @pytest.mark.parametrize("poison", ["weight_nan", "velocity_inf"])
+    def test_save_refused_and_latest_unmoved(self, dataset, tmp_path, poison):
+        trainer = make_trainer(freqs=class_frequencies(dataset.labels))
+        steps(trainer, dataset, 1)
+        mgr = CheckpointManager(tmp_path)
+        first = mgr.save(trainer, step=1)
+        name, param = list(trainer.model.named_parameters())[3]
+        if poison == "weight_nan":
+            param.data.flat[5] = np.nan
+            expected = f"model.{name}"
+        else:
+            velocity = trainer.optimizer._velocity[id(param)]
+            velocity.flat[-1] = np.inf
+            expected = f"opt._velocity.{param.name}"
+        with pytest.raises(CheckpointNonFinite) as err:
+            mgr.save(trainer, step=2)
+        assert (err.value.step, err.value.array) == (2, expected)
+        assert "step 2" in str(err.value) and expected in str(err.value)
+        assert mgr.latest() == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]

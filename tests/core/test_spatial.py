@@ -78,6 +78,7 @@ class TestHaloExchange:
 class TestDistributedConv:
     @pytest.mark.parametrize("kernel,dilation,ranks", [
         (3, 1, 2), (3, 1, 4), (5, 1, 3), (3, 2, 2), (3, 4, 2), (1, 1, 3),
+        (3, 1, 6),
     ])
     def test_matches_single_device(self, kernel, dilation, ranks):
         x = RNG.normal(size=(2, 3, 24, 10))
@@ -89,6 +90,8 @@ class TestDistributedConv:
                                      dilation=dilation)
         got = np.concatenate(stripes, axis=2)
         np.testing.assert_allclose(got, expect, rtol=1e-10, atol=1e-10)
+        # One halo message each way per interior boundary; 1x1 needs none.
+        assert world.stats.total_messages == (2 * (ranks - 1) if kernel > 1 else 0)
 
     def test_partition_api_chain(self):
         x = RNG.normal(size=(1, 2, 16, 8))

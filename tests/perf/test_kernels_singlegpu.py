@@ -8,11 +8,16 @@ from repro.hpc import P100, V100
 from repro.perf import (
     EFFICIENCY_TABLE,
     KernelTimeModel,
-    PAPER_FIG2,
     figure2_table,
     single_gpu_performance,
 )
+from repro.perf.claims import paper_value
 from repro.perf.kernels import LAUNCH_OVERHEAD_S
+
+#: The five Figure 2 configurations: (network, gpu, precision).
+FIG2 = [("deeplabv3+", "V100", "fp16"), ("deeplabv3+", "V100", "fp32"),
+        ("tiramisu", "V100", "fp16"), ("tiramisu", "V100", "fp32"),
+        ("tiramisu_4ch", "P100", "fp32")]
 
 
 def analysis_of(records, batch=1, precision="fp32"):
@@ -84,19 +89,19 @@ class TestFigure2:
         return {(p.network, p.gpu, p.precision): p for p in figure2_table()}
 
     def test_all_five_rows(self, table):
-        assert set(table) == set(PAPER_FIG2)
+        assert set(table) == set(FIG2)
 
-    @pytest.mark.parametrize("key", list(PAPER_FIG2))
+    @pytest.mark.parametrize("key", FIG2)
     def test_rates_within_30pct_of_paper(self, table, key):
-        point = table[key]
-        paper_rate = PAPER_FIG2[key][1]
-        assert point.samples_per_second == pytest.approx(paper_rate, rel=0.30)
+        network, _, precision = key
+        paper_rate = paper_value(f"fig2.rate.{network}.{precision}")
+        assert table[key].samples_per_second == pytest.approx(paper_rate, rel=0.30)
 
-    @pytest.mark.parametrize("key", list(PAPER_FIG2))
+    @pytest.mark.parametrize("key", FIG2)
     def test_pct_peak_within_8_points(self, table, key):
-        point = table[key]
-        paper_pct = PAPER_FIG2[key][3]
-        assert abs(point.pct_peak - paper_pct) < 8.0
+        network, _, precision = key
+        paper_pct = paper_value(f"fig2.peak.{network}.{precision}")
+        assert abs(table[key].pct_peak - paper_pct) < 8.0
 
     def test_efficiency_ordering_matches_paper(self, table):
         # Paper: DeepLab FP32 (80%) > Tiramisu FP32 (51%) > DeepLab FP16

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.perf.stats import ThroughputStats
+from repro.perf.stats import ThroughputStats, central68
 from repro.telemetry import MetricsRegistry, series_key
 
 
@@ -58,7 +58,7 @@ class TestHistogram:
         h = MetricsRegistry().histogram("t")
         for v in values:
             h.observe(v)
-        stats = h.central68()
+        stats = central68(h.values())
         assert isinstance(stats, ThroughputStats)
         lo, med, hi = np.quantile(values, [0.16, 0.5, 0.84])
         assert stats.median == pytest.approx(med)
@@ -123,7 +123,7 @@ class TestHistogramEdgeCases:
         s = h.summary()
         assert s.count == 100
         assert s.p16 == s.median == s.p84 == 7.0
-        stats = h.central68()
+        stats = central68(h.values())
         assert stats.err_plus == 0.0 and stats.err_minus == 0.0
 
     def test_nan_sample_rejected(self):
@@ -135,5 +135,5 @@ class TestHistogramEdgeCases:
         assert np.isfinite(h.summary().median)
 
     def test_empty_histogram_central68_is_zero(self):
-        stats = MetricsRegistry().histogram("empty").central68()
+        stats = central68(MetricsRegistry().histogram("empty").values())
         assert (stats.median, stats.lo, stats.hi) == (0.0, 0.0, 0.0)

@@ -32,7 +32,7 @@ LEDGER = {
         0, "33325e8f15a1e4a8e4a0f64c0cdb9af7f1803d7b04a8f337205faba040ee32a0"),
     "report": (
         ["report"],
-        0, "f832bfe14e790e336576908ea94d33937b7f82f4dd81de53391bf75330e77faa"),
+        0, "9cc751feebf470ab97e7960dff957440b754d92425beb2f100f610b499abda7c"),
     # The four CI serve-smoke drills.
     "serve-low": (
         ["serve", "--requests", "48", "--rate", "100", "--service-ms", "0.2",
