@@ -4,9 +4,11 @@ Each drill runs on ``SimulatedClock`` with a pinned service time, so its
 ``--json`` report is a pure function of the arguments; ``report`` is the
 reproduction table itself (every cost model, no clock at all).  Each entry
 also pins the drill's exit code: the pool-loss drill fails every request
-still owed once its one replica dies, so it exits 1.  A refactor
-that moves a hash changed behaviour; an intentional behaviour change updates
-the hash in the same PR and says why (ROADMAP item 4a).
+still owed once its one replica dies, so it exits 1.  A drill that writes
+artifacts gets ``--out OUT``: the test points it at a fresh temporary
+directory and hashes the report with that path put back to ``OUT``.  A
+refactor that moves a hash changed behaviour; an intentional behaviour
+change updates the hash in the same PR and says why (ROADMAP item 4a).
 """
 
 import hashlib
@@ -15,6 +17,8 @@ import pytest
 
 from repro.cli import main
 from tests import test_cli
+
+OUT = "OUT"
 
 LEDGER = {
     "fleet": (
@@ -59,6 +63,14 @@ LEDGER = {
          "--replicas", "1", "--plan", "rank_fail@2:rank=0", "--channels", "2",
          "--seed", "0", "--json"],
         1, "12176ec9e8e675ccc8598a3a43247f6738360a57b9fe4e19cd789d92550fe988"),
+    # The resilience drill (elastic shrink, read retries, autoresume) and
+    # the health drill (streaming windows, alert rules, cross-rank trace).
+    "faults": (
+        ["faults", "--out", OUT],
+        0, "fae742a545c303c28a0a23426c2b9182cc505b4571539b81fe0323183a223fb7"),
+    "health": (
+        ["health", "--json", "--out", OUT],
+        0, "735bb4838eba6a0aef7c9297ccd7e10ea6a0aafa401e6919de0f168f37efb8b6"),
     # No age wait: every batch dispatches the instant a replica is free.
     "serve-zero-wait": (
         ["serve", "--requests", "64", "--rate", "3000", "--service-ms", "0.3",
@@ -69,8 +81,9 @@ LEDGER = {
 
 
 @pytest.mark.parametrize("drill", sorted(LEDGER))
-def test_report_hash_unchanged(drill, capsys):
+def test_report_hash_unchanged(drill, capsys, tmp_path):
     argv, exit_code, expected = LEDGER[drill]
-    assert main(argv) == exit_code
-    report = capsys.readouterr().out
+    out = str(tmp_path / "out")
+    assert main([out if a == OUT else a for a in argv]) == exit_code
+    report = capsys.readouterr().out.replace(out, OUT)
     assert hashlib.sha256(report.encode()).hexdigest() == expected
