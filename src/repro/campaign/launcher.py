@@ -81,9 +81,6 @@ class SiteLauncher:
     def busy_nodes(self) -> int:
         return sum(self._allocated.values())
 
-    def holding(self, job_id: str) -> int:
-        return self._allocated.get(job_id, 0)
-
     def allocate(self, job: Job, nodes: int) -> None:
         if job.job_id in self._allocated:
             raise CampaignError(f"{job.job_id} already holds an allocation")

@@ -16,7 +16,6 @@ from .labels import (
     CLASS_NAMES,
     CLASS_TC,
     NUM_CLASSES,
-    PAPER_CLASS_FREQUENCIES,
     class_frequencies,
     make_labels,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "CLASS_AR",
     "NUM_CLASSES",
     "CLASS_NAMES",
-    "PAPER_CLASS_FREQUENCIES",
     "make_labels",
     "class_frequencies",
     "ClimateDataset",

@@ -1,8 +1,10 @@
 """Three-class segmentation labels (BG / TC / AR) and class statistics.
 
 The paper's classes and their approximate frequencies (Section V-B1):
-background ~98.2%, atmospheric river ~1.7%, tropical cyclone <0.1%.  TC
-pixels take precedence over AR pixels where masks overlap.
+background ~98.2%, atmospheric river ~1.7%, tropical cyclone <0.1%
+(:data:`repro.perf.claims.PENALTY_FREQUENCIES` pins the TC value that
+gives the ~37x penalty).  TC pixels take precedence over AR pixels where
+masks overlap.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ __all__ = [
     "CLASS_AR",
     "NUM_CLASSES",
     "CLASS_NAMES",
-    "PAPER_CLASS_FREQUENCIES",
     "make_labels",
     "class_frequencies",
 ]
@@ -29,9 +30,6 @@ CLASS_TC = 1
 CLASS_AR = 2
 NUM_CLASSES = 3
 CLASS_NAMES = ("BG", "TC", "AR")
-
-#: Approximate pixel frequencies reported in Section V-B1.
-PAPER_CLASS_FREQUENCIES = {"BG": 0.982, "AR": 0.017, "TC": 0.001}
 
 
 def make_labels(snapshot: ClimateSnapshot) -> np.ndarray:

@@ -29,10 +29,6 @@ class DatasetFacts:
     def total_bytes(self) -> int:
         return self.num_samples * self.sample_bytes
 
-    @property
-    def total_tb(self) -> float:
-        return self.total_bytes / 1e12
-
     def replication_factor(self, nodes: int, files_per_node: int) -> float:
         """How many nodes read each file on average under naive staging.
 

@@ -5,8 +5,7 @@ the *object-level* question — did we find each storm? — scored with the
 standard contingency metrics:
 
 * **POD** (probability of detection) = hits / (hits + misses),
-* **FAR** (false-alarm ratio) = false alarms / (hits + false alarms),
-* **CSI** (critical success index) = hits / (hits + misses + false alarms).
+* **FAR** (false-alarm ratio) = false alarms / (hits + false alarms).
 
 Predicted and labeled masks are decomposed into connected components
 (periodic in longitude) and matched greedily by IoU overlap.
@@ -41,11 +40,6 @@ class MatchResult:
     def far(self) -> float:
         denom = self.hits + self.false_alarms
         return self.false_alarms / denom if denom else float("nan")
-
-    @property
-    def csi(self) -> float:
-        denom = self.hits + self.misses + self.false_alarms
-        return self.hits / denom if denom else float("nan")
 
 
 def _component_masks(mask: np.ndarray) -> list[np.ndarray]:

@@ -65,10 +65,6 @@ class _ErrorFeedbackCompressor:
     def __init__(self):
         self._residual: dict[str, np.ndarray] = {}
 
-    def residual_norm(self, name: str) -> float:
-        r = self._residual.get(name)
-        return float(np.linalg.norm(r)) if r is not None else 0.0
-
     def reset(self) -> None:
         self._residual.clear()
 

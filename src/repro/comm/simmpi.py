@@ -60,11 +60,6 @@ class TrafficStats:
     def total_bytes(self) -> int:
         return sum(self.sent_bytes.values())
 
-    def max_messages_per_rank(self) -> int:
-        counts = [self.sent_messages[r] + self.recv_messages[r]
-                  for r in set(self.sent_messages) | set(self.recv_messages)]
-        return max(counts, default=0)
-
     @property
     def total_dropped(self) -> int:
         return sum(self.dropped_messages.values())
@@ -163,8 +158,8 @@ class World:
 
         ``category="comm.msg"`` events carry ``msg_edge`` + ``msg_id`` args;
         the Chrome exporter matches send/recv pairs into flow arrows and the
-        critical-path analyzer (:mod:`repro.telemetry.distributed`) turns
-        them into causal edges of the cross-rank span DAG.
+        cross-rank analyzer (:mod:`repro.telemetry.distributed`) turns them
+        into :class:`~repro.telemetry.distributed.MessageLink` edges.
         """
         now = tracer.clock.now()
         tracer.emit(

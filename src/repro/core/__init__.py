@@ -1,7 +1,7 @@
 """The paper's contribution layer: networks, training algorithms, metrics."""
 from . import losses, metrics, networks, optim
 from .checkpoint import CheckpointManager
-from .convergence import ConvergenceCurve, loss_trajectory_summary, wall_clock_curve
+from .convergence import loss_trajectory_summary
 from .distributed import DistributedStepResult, DistributedTrainer
 from .inference import predict_tiled, sliding_window_logits, tile_positions
 from .flops import (
@@ -13,7 +13,6 @@ from .flops import (
 from .losses import (
     class_weights,
     pixel_weight_map,
-    segmentation_loss,
     tc_penalty_ratio,
 )
 from .metrics import SegmentationReport, confusion_matrix, iou_per_class, mean_iou
@@ -23,7 +22,6 @@ from .networks import (
     Tiramisu,
     TiramisuConfig,
     deeplab_modified,
-    deeplab_stock,
     tiramisu_modified,
     tiramisu_original,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "DeepLabV3Plus",
     "DeepLabConfig",
     "deeplab_modified",
-    "deeplab_stock",
     "TrainConfig",
     "Trainer",
     "StepResult",
@@ -60,7 +57,6 @@ __all__ = [
     "DistributedStepResult",
     "class_weights",
     "pixel_weight_map",
-    "segmentation_loss",
     "tc_penalty_ratio",
     "SegmentationReport",
     "confusion_matrix",
@@ -70,8 +66,6 @@ __all__ = [
     "network_flop_table",
     "paper_conv_example_flops",
     "NetworkFlops",
-    "ConvergenceCurve",
-    "wall_clock_curve",
     "loss_trajectory_summary",
     "losses",
     "metrics",

@@ -17,9 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..framework.losses import weighted_cross_entropy
-from ..framework.tensor import Tensor
-
 __all__ = [
     "uniform_class_weights",
     "inverse_frequency_weights",
@@ -27,7 +24,6 @@ __all__ = [
     "class_weights",
     "pixel_weight_map",
     "tc_penalty_ratio",
-    "segmentation_loss",
 ]
 
 _STRATEGIES = ("none", "inverse", "inverse_sqrt")
@@ -95,14 +91,3 @@ def tc_penalty_ratio(weights: np.ndarray) -> float:
     """
     return float(weights[TC_CLASS] / weights[BG_CLASS])
 
-
-def segmentation_loss(
-    logits: Tensor,
-    labels: np.ndarray,
-    frequencies: np.ndarray,
-) -> Tensor:
-    """The paper's loss: cross-entropy under inverse-sqrt class weights,
-    normalized by the total pixel weight."""
-    weights = inverse_sqrt_frequency_weights(frequencies)
-    return weighted_cross_entropy(logits, labels,
-                                  pixel_weight_map(labels, weights))

@@ -1,7 +1,7 @@
 """Segmentation network zoo: Tiramisu and DeepLabv3+ variants."""
 from .aspp import ASPP
 from .blocks import Bottleneck, ConvBNReLU, DenseBlock, DenseLayer, TransitionDown, TransitionUp
-from .deeplab import DeepLabConfig, DeepLabV3Plus, deeplab_modified, deeplab_stock
+from .deeplab import DeepLabConfig, DeepLabV3Plus, deeplab_modified
 from .resnet import ResNetConfig, ResNetEncoder
 from .tiramisu import Tiramisu, TiramisuConfig, tiramisu_modified, tiramisu_original
 
@@ -13,7 +13,6 @@ __all__ = [
     "DeepLabV3Plus",
     "DeepLabConfig",
     "deeplab_modified",
-    "deeplab_stock",
     "ResNetEncoder",
     "ResNetConfig",
     "ASPP",

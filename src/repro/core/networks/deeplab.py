@@ -4,14 +4,10 @@ Stock DeepLabv3+ decodes at one-quarter resolution to keep compute
 tractable; the paper replaces the decoder with learned 3x3/2
 deconvolutions all the way back to the native 1152x768 grid because "the
 irregular and fine-scale nature of our segmentation labels requires
-operating at the native resolution" (Section V-B5).  Both decoders are
-implemented so the trade can be measured:
-
-* ``decoder="fullres"`` (paper, Figure 1): deconv to 1/4, fuse the 48-channel
-  low-level skip, two 3x3x256 convs, deconv to 1/2, one 3x3x256 conv,
-  deconv to 1/1, 3x3 convs at 128/64, final 1x1 to the classes;
-* ``decoder="quarter"`` (stock): bilinear x2 to 1/4, fuse skip, two 3x3x256
-  convs, classify at 1/4, bilinear x4 back to full resolution.
+operating at the native resolution" (Section V-B5).  The decoder here is
+the paper's (Figure 1): deconv to 1/4, fuse the 48-channel low-level skip,
+two 3x3x256 convs, deconv to 1/2, one 3x3x256 conv, deconv to 1/1, 3x3
+convs at 256/256/128/64, final 1x1 to the classes.
 """
 from __future__ import annotations
 
@@ -20,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...framework import functional as F
-from ...framework.layers import BilinearUpsample2D, Conv2D, ConvTranspose2D, Module
+from ...framework.layers import Conv2D, ConvTranspose2D, Module
 from .aspp import ASPP
 from .blocks import ConvBNReLU
 from .resnet import ResNetConfig, ResNetEncoder
 
-__all__ = ["DeepLabConfig", "DeepLabV3Plus", "deeplab_modified", "deeplab_stock"]
+__all__ = ["DeepLabConfig", "DeepLabV3Plus", "deeplab_modified"]
 
 
 @dataclass(frozen=True)
@@ -34,13 +30,8 @@ class DeepLabConfig:
 
     in_channels: int = 16
     num_classes: int = 3
-    decoder: str = "fullres"
     aspp_dilations: tuple[int, ...] = (12, 24, 36)
     width: float = 1.0
-
-    def __post_init__(self):
-        if self.decoder not in ("fullres", "quarter"):
-            raise ValueError(f"unknown decoder {self.decoder!r}")
 
     def scaled(self, channels: int) -> int:
         return max(int(round(channels * self.width)), 4)
@@ -64,61 +55,43 @@ class DeepLabV3Plus(Module):
         c48 = cfg.scaled(48)
         self.skip_proj = ConvBNReLU(self.encoder.low_level_channels, c48, 1,
                                     rng=rng, name="skip_proj")
-        if cfg.decoder == "fullres":
-            self.up8to4 = ConvTranspose2D(c256, c256, 3, stride=2, padding=1,
-                                          output_padding=1, bias=False, rng=rng,
-                                          name="up8to4")
-            self.fuse1 = ConvBNReLU(c256 + c48, c256, 3, rng=rng, name="fuse1")
-            self.fuse2 = ConvBNReLU(c256, c256, 3, rng=rng, name="fuse2")
-            self.up4to2 = ConvTranspose2D(c256, c256, 3, stride=2, padding=1,
-                                          output_padding=1, bias=False, rng=rng,
-                                          name="up4to2")
-            self.refine2 = ConvBNReLU(c256, c256, 3, rng=rng, name="refine2")
-            self.up2to1 = ConvTranspose2D(c256, c256, 3, stride=2, padding=1,
-                                          output_padding=1, bias=False, rng=rng,
-                                          name="up2to1")
-            # Figure 1 keeps two 256-wide 3x3 convs at the native resolution
-            # before narrowing — the dominant cost of the full-res decoder.
-            self.refine1a = ConvBNReLU(c256, c256, 3, rng=rng, name="refine1a")
-            self.refine1b = ConvBNReLU(c256, c256, 3, rng=rng, name="refine1b")
-            self.narrow1 = ConvBNReLU(c256, cfg.scaled(128), 3, rng=rng,
-                                      name="narrow1")
-            self.narrow2 = ConvBNReLU(cfg.scaled(128), cfg.scaled(64), 3, rng=rng,
-                                      name="narrow2")
-            self.classifier = Conv2D(cfg.scaled(64), cfg.num_classes, 1, rng=rng,
-                                     name="classifier")
-        else:
-            self.up8to4 = BilinearUpsample2D(2)
-            self.fuse1 = ConvBNReLU(c256 + c48, c256, 3, rng=rng, name="fuse1")
-            self.fuse2 = ConvBNReLU(c256, c256, 3, rng=rng, name="fuse2")
-            self.classifier = Conv2D(c256, cfg.num_classes, 1, rng=rng,
-                                     name="classifier")
-            self.final_upsample = BilinearUpsample2D(4)
+        self.up8to4 = ConvTranspose2D(c256, c256, 3, stride=2, padding=1,
+                                      output_padding=1, bias=False, rng=rng,
+                                      name="up8to4")
+        self.fuse1 = ConvBNReLU(c256 + c48, c256, 3, rng=rng, name="fuse1")
+        self.fuse2 = ConvBNReLU(c256, c256, 3, rng=rng, name="fuse2")
+        self.up4to2 = ConvTranspose2D(c256, c256, 3, stride=2, padding=1,
+                                      output_padding=1, bias=False, rng=rng,
+                                      name="up4to2")
+        self.refine2 = ConvBNReLU(c256, c256, 3, rng=rng, name="refine2")
+        self.up2to1 = ConvTranspose2D(c256, c256, 3, stride=2, padding=1,
+                                      output_padding=1, bias=False, rng=rng,
+                                      name="up2to1")
+        # Figure 1 keeps two 256-wide 3x3 convs at the native resolution
+        # before narrowing — the dominant cost of the full-res decoder.
+        self.refine1a = ConvBNReLU(c256, c256, 3, rng=rng, name="refine1a")
+        self.refine1b = ConvBNReLU(c256, c256, 3, rng=rng, name="refine1b")
+        self.narrow1 = ConvBNReLU(c256, cfg.scaled(128), 3, rng=rng,
+                                  name="narrow1")
+        self.narrow2 = ConvBNReLU(cfg.scaled(128), cfg.scaled(64), 3, rng=rng,
+                                  name="narrow2")
+        self.classifier = Conv2D(cfg.scaled(64), cfg.num_classes, 1, rng=rng,
+                                 name="classifier")
 
     def forward(self, x):
-        """(N, C, H, W) -> (N, num_classes, H, W) logits (both decoders
-        return full-resolution logits; the stock decoder computes them at
-        1/4 and bilinearly upsamples)."""
+        """(N, C, H, W) -> (N, num_classes, H, W) full-resolution logits."""
         feats, low_level = self.encoder(x)
         feats = self.aspp(feats)
         skip = self.skip_proj(low_level)
         out = self.up8to4(feats)
         out = F.concat([out, skip], axis=1)
         out = self.fuse2(self.fuse1(out))
-        if self.config.decoder == "fullres":
-            out = self.refine2(self.up4to2(out))
-            out = self.refine1b(self.refine1a(self.up2to1(out)))
-            out = self.narrow2(self.narrow1(out))
-            return self.classifier(out)
-        return self.final_upsample(self.classifier(out))
+        out = self.refine2(self.up4to2(out))
+        out = self.refine1b(self.refine1a(self.up2to1(out)))
+        out = self.narrow2(self.narrow1(out))
+        return self.classifier(out)
 
 
 def deeplab_modified(in_channels: int = 16) -> DeepLabV3Plus:
     """The paper's network: full-resolution deconvolutional decoder."""
-    return DeepLabV3Plus(DeepLabConfig(in_channels=in_channels,
-                                       decoder="fullres"))
-
-
-def deeplab_stock() -> DeepLabV3Plus:
-    """Stock quarter-resolution decoder (the ablation baseline)."""
-    return DeepLabV3Plus(DeepLabConfig(decoder="quarter"))
+    return DeepLabV3Plus(DeepLabConfig(in_channels=in_channels))

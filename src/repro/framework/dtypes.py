@@ -15,9 +15,7 @@ __all__ = [
     "FP32",
     "FP64",
     "Precision",
-    "as_numpy_dtype",
     "bytes_per_element",
-    "compute_dtype",
 ]
 
 FP16 = np.dtype(np.float16)
@@ -26,7 +24,6 @@ FP64 = np.dtype(np.float64)
 
 _VALID = {"fp16", "fp32", "fp64"}
 
-_NP = {"fp16": FP16, "fp32": FP32, "fp64": FP64}
 _BYTES = {"fp16": 2, "fp32": 4, "fp64": 8}
 
 
@@ -44,10 +41,6 @@ class Precision:
         if name not in _VALID:
             raise ValueError(f"unknown precision {name!r}; expected one of {sorted(_VALID)}")
         self.name = name
-
-    @property
-    def np_dtype(self) -> np.dtype:
-        return _NP[self.name]
 
     @property
     def itemsize(self) -> int:
@@ -71,14 +64,6 @@ class Precision:
         return f"Precision({self.name!r})"
 
 
-def as_numpy_dtype(precision: str | Precision) -> np.dtype:
-    """Return the NumPy dtype used for *storage* in the given precision."""
-    name = precision.name if isinstance(precision, Precision) else precision
-    if name not in _NP:
-        raise ValueError(f"unknown precision {name!r}")
-    return _NP[name]
-
-
 def bytes_per_element(precision: str | Precision) -> int:
     """Storage bytes per element in the given precision."""
     name = precision.name if isinstance(precision, Precision) else precision
@@ -86,12 +71,3 @@ def bytes_per_element(precision: str | Precision) -> int:
         raise ValueError(f"unknown precision {name!r}")
     return _BYTES[name]
 
-
-def compute_dtype(precision: str | Precision) -> np.dtype:
-    """Return the dtype used for *accumulation* inside kernels.
-
-    Tensor Cores accumulate FP16 products into FP32; we mirror that so that
-    half-precision training has the same numerical character as the paper's.
-    """
-    name = precision.name if isinstance(precision, Precision) else precision
-    return FP32 if name in ("fp16", "fp32") else FP64

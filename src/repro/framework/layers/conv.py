@@ -6,9 +6,7 @@ Each layer supports two execution modes through the same ``forward``:
 * symbolic — kernel-record emission for the Section-VI FLOP analysis
   (inputs are :class:`ShapeProbe`).
 
-Atrous convolution is just ``dilation > 1``; :class:`AtrousConv2D` exists as
-a named alias because the DeepLabv3+ architecture diagrams speak in those
-terms.
+Atrous convolution is just :class:`Conv2D` with ``dilation > 1``.
 """
 from __future__ import annotations
 
@@ -29,7 +27,7 @@ from ..ops.plan import ConvPlan, get_conv_plan
 from ..parameter import Parameter
 from ..tensor import Tensor, is_grad_enabled, split_ranks, stacked_ranks
 
-__all__ = ["Conv2D", "AtrousConv2D", "ConvTranspose2D"]
+__all__ = ["Conv2D", "ConvTranspose2D"]
 
 #: Distinct input signatures a single layer keeps live plans for.  Layers
 #: normally see one shape per phase (training grid, serving tile); a small
@@ -205,14 +203,6 @@ class Conv2D(Module):
                 bias_elems = n * self.out_channels * oh * ow
                 tr.emit("bias_grad", "pointwise_bwd", bias_elems, out_bytes)
         return ShapeProbe(out_shape, tr)
-
-
-class AtrousConv2D(Conv2D):
-    """Dilated convolution, the DeepLabv3+ building block (Section III-A1)."""
-
-    def __init__(self, in_channels, out_channels, kernel, dilation):
-        super().__init__(in_channels, out_channels, kernel,
-                         dilation=dilation, name="atrous")
 
 
 class ConvTranspose2D(Module):

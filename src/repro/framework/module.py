@@ -6,7 +6,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .dtypes import FP16
 from .graph import GraphAnalysis, GraphTracer, ShapeProbe
 from .parameter import Parameter
 from .tensor import Tensor
@@ -164,17 +163,6 @@ class Module:
         if parts[-1] not in bufs:
             raise KeyError(f"no buffer {name!r}")
         bufs[parts[-1]][...] = value
-
-    # -- precision policy ------------------------------------------------------------
-
-    def cast_parameters(self, dtype) -> "Module":
-        """Cast working parameter copies (FP16 mode keeps FP32 masters)."""
-        dtype = np.dtype(dtype)
-        for p in self.parameters():
-            if dtype == FP16:
-                p.enable_master_copy()
-            p.cast_(dtype)
-        return self
 
     # -- analysis ----------------------------------------------------------------------
 

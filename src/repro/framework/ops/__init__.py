@@ -20,10 +20,6 @@ from .plan import (
     plan_cache_stats,
 )
 from .pool import maxpool2d_backward, maxpool2d_forward, maxpool2d_forward_notape
-from .shape import (
-    bilinear_upsample_backward,
-    bilinear_upsample_forward,
-)
 from .workspace import clear_workspace, workspace_stats
 
 __all__ = [
@@ -50,6 +46,4 @@ __all__ = [
     "maxpool2d_forward",
     "maxpool2d_forward_notape",
     "maxpool2d_backward",
-    "bilinear_upsample_forward",
-    "bilinear_upsample_backward",
 ]

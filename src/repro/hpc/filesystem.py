@@ -2,21 +2,15 @@
 
 The key behaviour (visible in the paper's Figure 5): a shared file system
 delivers each client its requested bandwidth until aggregate demand hits the
-system limit, after which clients are throttled proportionally and
-throughput develops heavy variability.
+system limit, after which the aggregate stays at the limit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .specs import FileSystemSpec
 
 __all__ = ["SharedFileSystem"]
-
-#: Samples :meth:`SharedFileSystem.throughput_variability` draws.
-VARIABILITY_SAMPLES = 100
 
 
 @dataclass
@@ -24,15 +18,6 @@ class SharedFileSystem:
     """Analytic contention model over a :class:`FileSystemSpec`."""
 
     spec: FileSystemSpec
-
-    def client_bandwidth(self, clients: int, per_client_demand: float) -> float:
-        """Per-client delivered bandwidth under fair-share throttling."""
-        if clients <= 0:
-            return 0.0
-        total = clients * per_client_demand
-        if total <= self.spec.effective_read_bandwidth:
-            return per_client_demand
-        return self.spec.effective_read_bandwidth / clients
 
     def saturation(self, clients: int, per_client_demand: float) -> float:
         """Demand / capacity; >= 1 means the file system is the bottleneck."""
@@ -50,15 +35,3 @@ class SharedFileSystem:
         if agg <= 0:
             raise ValueError("no read bandwidth available")
         return total_bytes / agg
-
-    def throughput_variability(self, saturation: float) -> np.ndarray:
-        """``VARIABILITY_SAMPLES`` relative delivered-bandwidth samples
-        (seed 0); variance grows as the FS saturates (the paper observed
-        "larger variability" near the limit)."""
-        rng = np.random.default_rng(0)
-        sat = min(max(saturation, 0.0), 4.0)
-        # Below saturation: a few percent jitter.  Beyond: long-tailed slowdowns.
-        sigma = 0.02 + 0.18 * max(sat - 0.8, 0.0)
-        draw = rng.lognormal(mean=0.0, sigma=sigma, size=VARIABILITY_SAMPLES)
-        cap = 1.0 / max(sat, 1.0)
-        return np.minimum(cap, cap / draw)

@@ -100,9 +100,6 @@ class SystemSpec:
     def total_gpus(self) -> int:
         return self.nodes * self.node.gpus
 
-    def peak_flops(self, precision: str) -> float:
-        return self.total_gpus * self.node.gpu.peak(precision)
-
 
 V100 = GpuSpec(
     name="V100",

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "paper_vs_measured"]
+__all__ = ["format_table"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:
@@ -32,9 +32,3 @@ def _fmt(value) -> str:
         return f"{value:.3f}".rstrip("0").rstrip(".")
     return str(value)
 
-
-def paper_vs_measured(name: str, paper: float, measured: float) -> str:
-    """One comparison line: paper value, reproduced value, ratio."""
-    ratio = measured / paper if paper else float("nan")
-    return (f"{name}: paper={paper:g}  measured={measured:g}  "
-            f"ratio={ratio:.2f}")

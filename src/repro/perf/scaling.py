@@ -46,9 +46,6 @@ __all__ = [
 #: Tensors negotiated per step ("over a hundred", Section V-A3).
 TENSORS_PER_STEP = 110
 
-#: Share of an epoch's samples the per-epoch validation pass reads.
-VALIDATION_FRACTION = 0.125
-
 
 @dataclass
 class ScalingPoint:
@@ -163,54 +160,6 @@ class ScalingModel:
             sustained_pflops=images * self.tf_per_sample / 1e3,
             efficiency=self.t_gpu / t,
             input_limited=limited,
-        )
-
-    def epoch_time(self, gpus: int,
-                   samples_per_gpu: int = 250) -> tuple[float, float]:
-        """(epoch seconds, validation overhead fraction) at a GPU count.
-
-        Section VI: a validation pass runs after every epoch; the staging
-        layout keeps per-GPU epoch sizes constant (250 samples per GPU, from
-        the 1500-per-node figure), so the overhead stays "negligible once
-        amortized over the steps".  Validation is forward-only, modeled at
-        one third of a training step.
-        """
-        if samples_per_gpu < self.batch:
-            raise ValueError("epoch smaller than one batch")
-        step_t, _ = self.step_time(gpus)
-        train_steps = samples_per_gpu // self.batch
-        t_train = train_steps * step_t
-        val_steps = max(
-            int(VALIDATION_FRACTION * samples_per_gpu) // self.batch, 1)
-        t_val = val_steps * step_t / 3.0
-        return t_train + t_val, t_val / (t_train + t_val)
-
-    def strong_scaling_point(self, gpus: int, global_batch: int) -> ScalingPoint:
-        """Constant global batch split across workers (Section III).
-
-        The paper notes strong scaling "is generally only of interest when
-        effective hyperparameters cannot be found for a larger global batch":
-        per-step compute shrinks with 1/gpus while the gradient exchange does
-        not, so efficiency decays much faster than in weak scaling — which
-        this model makes quantitative.
-        """
-        if global_batch < gpus:
-            raise ValueError(
-                f"global batch {global_batch} smaller than {gpus} workers"
-            )
-        local_batch = global_batch / gpus
-        t_compute = self.t_gpu * local_batch / self.batch
-        t_compute += self.straggler_time(gpus) * local_batch / self.batch
-        t = t_compute + self.exposed_comm_time(gpus) + self.control_time(gpus)
-        images = global_batch / t
-        t_ref = self.t_gpu * (global_batch / self.batch)  # 1 worker, full batch
-        return ScalingPoint(
-            gpus=gpus,
-            step_time_s=t,
-            images_per_second=images,
-            sustained_pflops=images * self.tf_per_sample / 1e3,
-            efficiency=t_ref / (gpus * t),
-            input_limited=False,
         )
 
 

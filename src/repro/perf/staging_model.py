@@ -25,11 +25,6 @@ class Figure5Point:
     local: ScalingPoint
     global_fs: ScalingPoint
 
-    @property
-    def efficiency_penalty(self) -> float:
-        """Efficiency lost by skipping staging (percentage points)."""
-        return (self.local.efficiency - self.global_fs.efficiency) * 100.0
-
 
 def figure5_curves(gpu_counts: list[int] | None = None) -> list[Figure5Point]:
     """The two Figure 5 series on Piz Daint (the 4-channel Tiramisu)."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ThroughputStats", "central68", "sustained_throughput", "peak_throughput"]
+__all__ = ["ThroughputStats", "central68", "sustained_throughput"]
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,3 @@ def sustained_throughput(samples_per_step: np.ndarray,
     # Mean over ranks per step, times rank count -> global samples per step.
     return central68(samples.mean(axis=1) * samples.shape[1] / times)
 
-
-def peak_throughput(samples_per_step: np.ndarray, step_times: np.ndarray) -> float:
-    """Best single-step global rate (the paper's 'peak' numbers)."""
-    samples = np.asarray(samples_per_step, dtype=np.float64)
-    times = np.asarray(step_times, dtype=np.float64)
-    rates = samples.sum(axis=1) / times
-    return float(rates.max())

@@ -179,10 +179,6 @@ class FaultInjector:
             tel.tracer.instant("fault_injected", category="resilience",
                                kind=kind, step=self.step, **args)
 
-    @property
-    def total_injected(self) -> int:
-        return sum(self.counts.values())
-
     # -- step driving ------------------------------------------------------
 
     def begin_step(self, step: int) -> list[int]:

@@ -121,9 +121,9 @@ class Autoscaler:
 
     # -- streaming input -----------------------------------------------------
 
-    def subscribe(self, streams: StreamingAggregator) -> int:
+    def subscribe(self, streams: StreamingAggregator) -> None:
         """Route every closed ``fleet.*`` window into :meth:`observe`."""
-        return streams.subscribe("fleet.*", self.observe)
+        streams.subscribe("fleet.*", self.observe)
 
     def _signals(self, cell: str) -> _CellSignals:
         sig = self._cells.get(cell)

@@ -23,7 +23,7 @@ class WallClock:
 class SimulatedClock:
     """Virtual time driven by a simulation loop.
 
-    The event simulators (:mod:`repro.perf.eventsim`, :mod:`repro.hpc.events`)
+    The virtual-time drills (``repro health``, ``fleet``, ``campaign``)
     advance this clock to their event times, so spans opened under it carry
     *simulated* timestamps and land in the same Chrome trace as wall-clock
     spans, on their own virtual timeline.

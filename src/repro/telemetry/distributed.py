@@ -10,8 +10,8 @@ interval.  This module is that analyzer for our merged traces:
   causal edge between the sender's and receiver's rank lanes.
 * :class:`CrossRankTrace` — groups spans into training steps (via their
   ``step`` arg or envelope containment), partitions each step's elapsed
-  time *exclusively* into compute / comm / io / stall, names the straggler
-  rank, and walks the span DAG for the critical path.
+  time *exclusively* into compute / comm / io / stall, and names the
+  straggler rank.
 * :meth:`CrossRankTrace.summarize` — §VI-style median + central-68%
   per-phase breakdowns over steps, as
   :class:`repro.perf.stats.ThroughputStats`.
@@ -137,7 +137,6 @@ class CrossRankTrace:
     def __init__(self, spans: list[Span]):
         self.spans = list(spans)
         self.links: dict[int, MessageLink] = {}
-        self._by_id = {s.span_id: s for s in self.spans}
         for s in self.spans:
             if s.category != "comm.msg":
                 continue
@@ -254,47 +253,3 @@ class CrossRankTrace:
             if b.straggler_rank is not None:
                 counts[b.straggler_rank] += 1
         return dict(counts)
-
-    # -- critical path -------------------------------------------------------
-
-    def _predecessor(self, span: Span, group: list[Span]) -> Span | None:
-        """Latest-finishing span that causally precedes ``span``.
-
-        Causal edges: same-lane program order, parent links, and matched
-        message links whose recv lands inside ``span``'s interval (the
-        cross-rank edges trace-context propagation bought us).
-        """
-        eps = 1e-3  # µs tolerance for back-to-back virtual spans
-        candidates: list[Span] = []
-        for p in group:
-            if p is span or p.end_us > span.start_us + eps:
-                continue
-            if p.lane == span.lane or p.span_id == span.parent_id:
-                candidates.append(p)
-        for link in self.matched():
-            recv, send = link.recv, link.send
-            if (recv.lane == span.lane
-                    and span.start_us - eps <= recv.start_us <= span.end_us + eps):
-                sender = self._by_id.get(send.parent_id)
-                if sender is not None and sender.end_us <= span.end_us + eps:
-                    candidates.append(sender)
-        if not candidates:
-            return None
-        return max(candidates, key=lambda p: p.end_us)
-
-    def critical_path(self, step: int) -> list[Span]:
-        """Greedy longest causal chain ending at the step's last span."""
-        group = [s for s in self.step_spans().get(step, [])
-                 if s.kind != "instant" and s.duration_us > 0]
-        if not group:
-            return []
-        path = [max(group, key=lambda s: s.end_us)]
-        seen = {path[0].span_id}
-        while True:
-            prev = self._predecessor(path[-1], group)
-            if prev is None or prev.span_id in seen:
-                break
-            seen.add(prev.span_id)
-            path.append(prev)
-        path.reverse()
-        return path

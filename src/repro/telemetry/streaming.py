@@ -39,9 +39,8 @@ __all__ = ["WindowSummary", "Ewma", "StreamingAggregator"]
 #: A closed window's quantiles: ``np.percentile``'s ``[16, 50, 84] / 100``.
 _QUANTILES = (0.16, 0.5, 0.84)
 
-#: Per-series EWMA half-life, in windows, and closed summaries kept.
+#: Per-series EWMA half-life, in windows.
 EWMA_HALFLIFE_WINDOWS = 8
-KEEP_WINDOWS = 256
 
 
 def _mixed_zero_signs(values) -> bool:
@@ -172,8 +171,7 @@ class StreamingAggregator:
         Tumbling window width in (virtual) seconds.
 
     Each series keeps an EWMA baseline with a half-life of
-    ``EWMA_HALFLIFE_WINDOWS`` windows and its last ``KEEP_WINDOWS`` closed
-    summaries (ring-buffer semantics).
+    ``EWMA_HALFLIFE_WINDOWS`` windows and its latest closed summary.
     """
 
     def __init__(self, clock=None, window_s: float = 1.0):
@@ -184,11 +182,10 @@ class StreamingAggregator:
         self.ewma_halflife_s = float(EWMA_HALFLIFE_WINDOWS * window_s)
         # series -> window index -> list of values (open buckets)
         self._open: dict[str, dict[int, list[float]]] = defaultdict(dict)
-        self._closed: dict[str, list[WindowSummary]] = defaultdict(list)
+        self._latest: dict[str, WindowSummary] = {}
         self._ewma: dict[str, Ewma] = {}
         self._log: list[WindowSummary] = []      # global closed-window log
-        self._subs: dict[int, tuple[str, object]] = {}
-        self._sub_seq = 0
+        self._subs: list[tuple[str, object]] = []
         # pull-sampling cursors into a MetricsRegistry
         self._counter_seen: dict[str, float] = {}
         self._hist_seen: dict[str, int] = {}
@@ -253,8 +250,8 @@ class StreamingAggregator:
     def advance(self, t: float | None = None) -> list[WindowSummary]:
         """Close every window strictly before ``floor(t / width)``.
 
-        Returns the newly closed summaries (also appended to per-series
-        history, folded into EWMAs, and delivered to subscribers), ordered
+        Returns the newly closed summaries (also kept as each series'
+        latest, folded into EWMAs, and delivered to subscribers), ordered
         by window start then series name.
         """
         t = self._now() if t is None else float(t)
@@ -280,16 +277,14 @@ class StreamingAggregator:
                 last=values[-1], rate=total / self.window_s,
                 median=med, p16=p16, p84=p84,
             )
-            history = self._closed[key]
-            history.append(summary)
-            del history[:-KEEP_WINDOWS]
+            self._latest[key] = summary
             ewma = self._ewma.get(key)
             if ewma is None:
                 ewma = self._ewma[key] = Ewma(self.ewma_halflife_s)
             ewma.update(summary.mean, summary.end)
             self._log.append(summary)
             out.append(summary)
-            for pattern, fn in list(self._subs.values()):
+            for pattern, fn in self._subs:
                 if fnmatch.fnmatchcase(key, pattern):
                     fn(summary)
         return out
@@ -297,14 +292,10 @@ class StreamingAggregator:
     # -- queries -------------------------------------------------------------
 
     def series_names(self) -> list[str]:
-        return sorted(set(self._closed) | set(self._open))
+        return sorted(set(self._latest) | set(self._open))
 
     def latest(self, series: str) -> WindowSummary | None:
-        history = self._closed.get(series)
-        return history[-1] if history else None
-
-    def summaries(self, series: str) -> list[WindowSummary]:
-        return list(self._closed.get(series, []))
+        return self._latest.get(series)
 
     def ewma(self, series: str) -> Ewma | None:
         return self._ewma.get(series)
@@ -332,16 +323,10 @@ class StreamingAggregator:
         self.sample(registry, t=t)
         return self.advance(t)
 
-    def subscribe(self, pattern: str, fn) -> int:
+    def subscribe(self, pattern: str, fn) -> None:
         """Call ``fn(summary)`` for every closed window matching ``pattern``.
 
         ``pattern`` is an ``fnmatch``-style glob over full series keys
-        (e.g. ``"serve.latency_s*"`` matches every lane label).  Returns a
-        subscription id for :meth:`unsubscribe`.
+        (e.g. ``"serve.latency_s*"`` matches every lane label).
         """
-        self._sub_seq += 1
-        self._subs[self._sub_seq] = (pattern, fn)
-        return self._sub_seq
-
-    def unsubscribe(self, sub_id: int) -> bool:
-        return self._subs.pop(sub_id, None) is not None
+        self._subs.append((pattern, fn))

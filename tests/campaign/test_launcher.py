@@ -33,9 +33,8 @@ class TestNodeAccounting:
         job = make_job()
         site.allocate(job, 4)
         assert site.free_nodes == 4 and site.busy_nodes == 4
-        assert site.holding(job.job_id) == 4
         assert site.release(job) == 4
-        assert site.free_nodes == 8 and site.holding(job.job_id) == 0
+        assert site.free_nodes == 8 and site.busy_nodes == 0
 
     def test_double_allocate_rejected(self, site):
         job = make_job()

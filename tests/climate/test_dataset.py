@@ -150,7 +150,7 @@ class TestPaperDatasetFacts:
 
     def test_total_is_about_3_5_tb(self):
         # "the climate data used in this study is currently 3.5 TB"
-        assert 3.3 < PAPER_DATASET.total_tb < 3.9
+        assert 3.3 < PAPER_DATASET.total_bytes / 1e12 < 3.9
 
     def test_naive_replication_factor_23x(self):
         # "each individual file ... read by 23 nodes on average" at 1024

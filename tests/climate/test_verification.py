@@ -1,4 +1,4 @@
-"""Object-based detection verification (POD/FAR/CSI)."""
+"""Object-based detection verification (POD/FAR)."""
 import numpy as np
 import pytest
 
@@ -17,7 +17,7 @@ class TestMatchObjects:
         truth = blob((20, 30), 10, 10)
         res = match_objects(truth, truth)
         assert res.hits == 1 and res.misses == 0 and res.false_alarms == 0
-        assert res.pod == 1.0 and res.far == 0.0 and res.csi == 1.0
+        assert res.pod == 1.0 and res.far == 0.0
         assert res.pairs[0][2] == pytest.approx(1.0)
 
     def test_miss(self):
@@ -107,8 +107,7 @@ class TestDetectionScores:
         with pytest.raises(ValueError):
             detection_scores(np.zeros(5), np.zeros(5), class_id=1)
 
-    def test_csi_combines_both_errors(self):
+    def test_pod_far_from_counts(self):
         r = MatchResult(hits=2, misses=1, false_alarms=1, pairs=())
-        assert r.csi == pytest.approx(0.5)
         assert r.pod == pytest.approx(2 / 3)
         assert r.far == pytest.approx(1 / 3)

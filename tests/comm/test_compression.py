@@ -33,7 +33,6 @@ class TestTopKCompressor:
         # Residual [0,1,1,1] is added to the next gradient.
         second = c.compress("w", np.zeros(4))
         assert second.densify().sum() == pytest.approx(1.0)
-        assert c.residual_norm("w") > 0
 
     def test_residual_conservation(self):
         # compressed + residual == gradient + previous residual, always.
@@ -57,7 +56,9 @@ class TestTopKCompressor:
         c = TopKCompressor(ratio=0.5)
         c.compress("a", np.array([1.0, 2.0]))
         c.compress("b", np.array([3.0, 4.0]))
-        assert c.residual_norm("a") != c.residual_norm("b")
+        # Each tensor's next step adds back only its own dropped entry.
+        np.testing.assert_allclose(c.compress("a", np.zeros(2)).densify(), [1, 0])
+        np.testing.assert_allclose(c.compress("b", np.zeros(2)).densify(), [3, 0])
 
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
@@ -69,7 +70,7 @@ class TestTopKCompressor:
         c = TopKCompressor(ratio=0.5)
         c.compress("w", np.array([1.0, 2.0]))
         c.reset()
-        assert c.residual_norm("w") == 0.0
+        np.testing.assert_allclose(c.compress("w", np.zeros(2)).densify(), 0.0)
 
     def test_compression_saves_bytes(self):
         c = TopKCompressor(ratio=0.01)

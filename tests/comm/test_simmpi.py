@@ -81,14 +81,6 @@ class TestTrafficStats:
         w.stats.reset()
         assert w.stats.total_messages == 0
 
-    def test_max_messages_per_rank(self):
-        w = World(3)
-        for _ in range(3):
-            w.send(1, 0, 1)
-        for _ in range(3):
-            w.recv(1, 0)
-        assert w.stats.max_messages_per_rank() == 3
-
 
 class TestErrorPaths:
     def test_send_rank_out_of_range(self):

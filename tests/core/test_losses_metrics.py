@@ -2,12 +2,12 @@
 import numpy as np
 import pytest
 
+from repro.core import TrainConfig, Trainer
 from repro.core.losses import (
     class_weights,
     inverse_frequency_weights,
     inverse_sqrt_frequency_weights,
     pixel_weight_map,
-    segmentation_loss,
     tc_penalty_ratio,
     uniform_class_weights,
 )
@@ -19,6 +19,7 @@ from repro.core.metrics import (
     pixel_accuracy,
 )
 from repro.framework import Tensor
+from repro.framework.layers import Conv2D
 from repro.framework.losses import weighted_cross_entropy
 
 #: The paper's class frequencies: BG 98.2%, TC <0.1%, AR 1.7%.
@@ -114,8 +115,12 @@ class TestSegmentationLoss:
         freqs = np.bincount(labels.ravel(), minlength=3) / labels.size
         losses = [weighted_loss(Tensor(logits), labels, freqs, s).item()
                   for s in ("none", "inverse", "inverse_sqrt")]
-        assert segmentation_loss(Tensor(logits), labels,
-                                 freqs).item() == losses[-1]
+        # The loss a default Trainer takes is the inverse-sqrt weighted mean.
+        trainer = Trainer(Conv2D(3, 3, 1), TrainConfig(), freqs)
+        images = logits.astype(np.float32)
+        direct = weighted_loss(trainer.model(Tensor(images)), labels, freqs,
+                               "inverse_sqrt")
+        assert trainer.compute_loss(images, labels).item() == direct.item()
         # weighted_mean keeps all strategies in the same ballpark.
         assert max(losses) / min(losses) < 5
 

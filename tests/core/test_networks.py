@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from repro.framework import Tensor
-from repro.framework.init import shape_only
-from repro.core.flops import PAPER_HW, paper_graph
+from repro.core.flops import paper_graph
 from repro.core.networks import (
     ASPP,
     DeepLabConfig,
@@ -13,7 +12,6 @@ from repro.core.networks import (
     ResNetEncoder,
     Tiramisu,
     TiramisuConfig,
-    deeplab_stock,
     tiramisu_modified,
     tiramisu_original,
 )
@@ -28,9 +26,8 @@ def tiny_tiramisu(**kw):
     return Tiramisu(TiramisuConfig(**defaults), rng=np.random.default_rng(1))
 
 
-def small_deeplab(decoder, seed):
-    return DeepLabV3Plus(DeepLabConfig(in_channels=4, decoder=decoder,
-                                       width=0.125),
+def small_deeplab(seed):
+    return DeepLabV3Plus(DeepLabConfig(in_channels=4, width=0.125),
                          rng=np.random.default_rng(seed))
 
 
@@ -150,21 +147,9 @@ class TestASPP:
 
 class TestDeepLab:
     def test_fullres_output_shape(self):
-        net = small_deeplab("fullres", 4)
+        net = small_deeplab(4)
         x = Tensor(RNG.normal(size=(1, 4, 16, 24)).astype(np.float32))
         assert net(x).shape == (1, 3, 16, 24)
-
-    def test_stock_output_shape_also_fullres_logits(self):
-        net = small_deeplab("quarter", 5)
-        x = Tensor(RNG.normal(size=(1, 4, 16, 24)).astype(np.float32))
-        assert net(x).shape == (1, 3, 16, 24)
-
-    def test_stock_cheaper_than_fullres(self):
-        # The paper paid for the full-res decoder; stock cuts decoder FLOPs.
-        full, _ = paper_graph("deeplabv3+", 1, "fp32")
-        with shape_only():
-            stock = deeplab_stock().analyze((16, *PAPER_HW))
-        assert stock.total_flops < full.total_flops
 
     def test_paper_flops_deeplab(self):
         # Figure 2: 14.41 TF/sample.
@@ -172,19 +157,15 @@ class TestDeepLab:
         assert a.flops_per_sample() / 1e12 == pytest.approx(14.41, rel=0.15)
 
     def test_gradients_flow_everywhere(self):
-        net = small_deeplab("fullres", 6)
+        net = small_deeplab(6)
         x = Tensor(RNG.normal(size=(1, 4, 8, 8)).astype(np.float32))
         net(x).sum().backward()
         missing = [n for n, p in net.named_parameters() if p.grad is None]
         assert missing == []
 
-    def test_invalid_decoder(self):
-        with pytest.raises(ValueError):
-            DeepLabConfig(decoder="octree")
-
     def test_deterministic_construction(self):
-        a = small_deeplab("fullres", 7)
-        b = small_deeplab("fullres", 7)
+        a = small_deeplab(7)
+        b = small_deeplab(7)
         for (na, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
 

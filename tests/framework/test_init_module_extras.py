@@ -52,13 +52,6 @@ class TestModuleExtras:
         assert "inner" in h._modules
         assert h(5) == 5
 
-    def test_cast_parameters_fp16_with_masters(self):
-        seq = Sequential(Conv2D(2, 3, 3, bias=False))
-        seq.cast_parameters(np.float16)
-        p = seq[0].weight
-        assert p.data.dtype == np.float16
-        assert p.master is not None
-
     def test_parameter_repr(self):
         p = Parameter(np.zeros((2, 3)), name="w")
         assert "w" in repr(p) and "(2, 3)" in repr(p)

@@ -5,9 +5,7 @@ import pytest
 from repro.framework import Tensor
 from repro.framework.graph import GraphTracer
 from repro.framework.layers import (
-    AtrousConv2D,
     BatchNorm2D,
-    BilinearUpsample2D,
     Conv2D,
     ConvTranspose2D,
     Dropout,
@@ -39,14 +37,13 @@ LAYER_CASES = [
     pytest.param(Conv2D(3, 8, 5), (3, 10, 10), id="Conv2D_2"),
     pytest.param(Conv2D(3, 8, 1), (3, 8, 8), id="Conv2D_3"),
     pytest.param(Conv2D(3, 8, 7, stride=2), (3, 16, 16), id="Conv2D_4"),
-    pytest.param(AtrousConv2D(4, 6, 3, dilation=4), (4, 16, 16), id="AtrousConv2D_5"),
+    pytest.param(Conv2D(4, 6, 3, dilation=4), (4, 16, 16), id="Conv2D_dilated_5"),
     pytest.param(ConvTranspose2D(6, 3, 3, stride=2), (6, 5, 7), id="ConvTranspose2D_6"),
     pytest.param(BatchNorm2D(5), (5, 6, 6), id="BatchNorm2D_7"),
     pytest.param(ReLU(), (2, 4, 4), id="ReLU_8"),
     pytest.param(MaxPool2D(2, 2), (3, 8, 8), id="MaxPool2D_11"),
     pytest.param(MaxPool2D(3, 2, padding=1), (3, 8, 8), id="MaxPool2D_12"),
     pytest.param(Dropout(0.3), (2, 6, 6), id="Dropout_15"),
-    pytest.param(BilinearUpsample2D(2), (2, 4, 4), id="BilinearUpsample2D_16"),
     pytest.param(Identity(), (2, 4, 4), id="Identity_17"),
     pytest.param(Sequential(Conv2D(3, 6, 3), ReLU(), MaxPool2D(2, 2)),
                  (3, 8, 8), id="Sequential_18"),

@@ -1,12 +1,8 @@
-"""Batch-norm and shape-op kernels."""
+"""Batch-norm kernels."""
 import numpy as np
 import pytest
 
 from repro.framework.ops.norm import batchnorm_backward, batchnorm_forward, batchnorm_infer
-from repro.framework.ops.shape import (
-    bilinear_upsample_backward,
-    bilinear_upsample_forward,
-)
 
 
 class TestBatchNorm:
@@ -66,33 +62,3 @@ class TestBatchNorm:
         out, _ = batchnorm_forward(x, np.ones(2, np.float32), np.zeros(2, np.float32))
         assert out.dtype == np.float16
 
-
-class TestBilinear:
-    def test_constant_field_preserved(self):
-        x = np.full((1, 2, 3, 4), 7.0)
-        out = bilinear_upsample_forward(x, 6, 8)
-        np.testing.assert_allclose(out, 7.0, rtol=1e-6)
-
-    def test_exact_2x_known_values(self):
-        x = np.array([[[[0.0, 1.0]]]])
-        out = bilinear_upsample_forward(x, 1, 4)
-        # Half-pixel centers: outputs sample at -0.25, 0.25, 0.75, 1.25.
-        np.testing.assert_allclose(out[0, 0, 0], [0, 0.25, 0.75, 1.0], atol=1e-6)
-
-    def test_adjoint_identity(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 2, 4, 5))
-        y = bilinear_upsample_forward(x, 8, 10)
-        g = rng.normal(size=y.shape)
-        dx = bilinear_upsample_backward(g, x.shape)
-        np.testing.assert_allclose((y * g).sum(), (x * dx).sum(), rtol=1e-5)
-
-    def test_mass_conserved_in_backward(self):
-        g = np.ones((1, 1, 8, 8))
-        dx = bilinear_upsample_backward(g, (1, 1, 4, 4))
-        np.testing.assert_allclose(dx.sum(), g.sum(), rtol=1e-6)
-
-    def test_downsample_also_works(self):
-        x = np.random.default_rng(2).normal(size=(1, 1, 8, 8))
-        out = bilinear_upsample_forward(x, 4, 4)
-        assert out.shape == (1, 1, 4, 4)

@@ -5,14 +5,13 @@ import pytest
 from repro.core import TrainConfig, Trainer
 from repro.framework import LossScaler, Tensor, apply_fp16_policy
 from repro.framework.precision import GROWTH_INTERVAL
-from repro.framework.dtypes import Precision, as_numpy_dtype, bytes_per_element, compute_dtype
+from repro.framework.dtypes import Precision, bytes_per_element
 from repro.framework.layers import BatchNorm2D, Conv2D, Sequential
 from repro.framework.parameter import Parameter
 
 
 class TestDtypes:
     def test_precision_lookup(self):
-        assert Precision("fp16").np_dtype == np.float16
         assert Precision("fp32").itemsize == 4
         assert Precision("fp16").is_half
 
@@ -20,11 +19,7 @@ class TestDtypes:
         with pytest.raises(ValueError):
             Precision("fp8")
 
-    def test_compute_dtype_is_fp32_for_half(self):
-        assert compute_dtype("fp16") == np.float32
-
     def test_helpers(self):
-        assert as_numpy_dtype("fp16") == np.float16
         assert bytes_per_element("fp64") == 8
 
     def test_equality_with_string(self):

@@ -10,6 +10,7 @@ from repro.core import CheckpointManager, TrainConfig, Trainer
 from repro.core.networks import Tiramisu, TiramisuConfig
 from repro.core.optim import SGD
 from repro.errors import ReproError
+from repro.framework import apply_fp16_policy
 from repro.framework import init as initializers
 from repro.framework.init import in_shape_only_scope, shape_only
 from repro.framework.layers import BatchNorm2D, Conv2D
@@ -116,7 +117,7 @@ class TestFailsLoudly:
             opt.step()
 
     def test_cast_parameters_then_write(self, placeholder_net):
-        placeholder_net.cast_parameters(np.float16)
+        apply_fp16_policy(placeholder_net)
         p = placeholder_net.parameters()[0]
         assert p.dtype == np.float16
         with pytest.raises(ReproError, match=p.name):

@@ -153,7 +153,8 @@ class TestGpuSpecs:
 
     def test_piz_daint_single_precision_peak(self):
         # "peak single-precision ... performance of the machine is 50.6 PF/s"
-        assert PIZ_DAINT.peak_flops("fp32") == pytest.approx(50.6e15, rel=0.01)
+        assert PIZ_DAINT.total_gpus * PIZ_DAINT.node.gpu.peak("fp32") == \
+            pytest.approx(50.6e15, rel=0.01)
 
     def test_unknown_precision_raises(self):
         with pytest.raises(ValueError):

@@ -14,13 +14,6 @@ from repro.hpc import (
 class TestSharedFileSystem:
     FS = SharedFileSystem(SUMMIT.filesystem)
 
-    def test_under_capacity_full_bandwidth(self):
-        assert self.FS.client_bandwidth(10, 1e9) == 1e9
-
-    def test_over_capacity_fair_share(self):
-        bw = self.FS.client_bandwidth(1000, 1e9)
-        assert bw == pytest.approx(self.FS.spec.effective_read_bandwidth / 1000)
-
     def test_saturation_metric(self):
         assert self.FS.saturation(100, 1e9) == pytest.approx(1.0)
 
@@ -35,12 +28,6 @@ class TestSharedFileSystem:
 
     def test_zero_bytes(self):
         assert self.FS.read_time(0, 10, 1e9) == 0.0
-
-    def test_variability_grows_with_saturation(self):
-        calm = self.FS.throughput_variability(0.3)
-        stressed = self.FS.throughput_variability(1.5)
-        assert stressed.std() > calm.std()
-        assert stressed.mean() < calm.mean()
 
 
 class TestStagingCapacity:

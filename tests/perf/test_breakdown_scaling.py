@@ -137,7 +137,8 @@ class TestFigure5:
         big = curves[-1]
         assert big.gpus == 2048
         assert big.global_fs.input_limited
-        assert big.efficiency_penalty > 5.0  # paper: ~9.5% relative loss
+        penalty = big.local.efficiency - big.global_fs.efficiency
+        assert penalty > 0.05  # paper: ~9.5% relative loss
 
     def test_local_never_input_limited(self, curves):
         assert not any(c.local.input_limited for c in curves)

@@ -1,4 +1,4 @@
-"""Cross-rank trace analyzer: links, attribution, stragglers, critical path.
+"""Cross-rank trace analyzer: links, attribution, stragglers.
 
 The attribution tests build spans with *known* intervals via
 ``Tracer.emit`` on a simulated clock, so every phase total is exact; the
@@ -142,28 +142,6 @@ class TestStepAttribution:
     def test_empty_trace_summarizes_to_zeros(self):
         summary = CrossRankTrace([]).summarize()
         assert summary["compute"].median == 0.0
-
-
-class TestCriticalPath:
-    def test_path_crosses_a_message_link(self):
-        # produce on rank lane 0 -> wire message -> consume on rank lane 1:
-        # the only causal route back to "produce" is the message edge.
-        tel = sim_tel()
-        tr = tel.tracer
-        pid = tr.emit("produce", 0.0, 1.0, category="trainer", lane=0,
-                      step=0)
-        tr.emit("send 0->1", 1.0, 0.0, category="comm.msg", lane=0,
-                parent_id=pid, step=0, msg_edge="send", msg_id=1,
-                src=0, dst=1, tag=0)
-        tr.emit("recv 0->1", 1.5, 0.0, category="comm.msg", lane=1,
-                step=0, msg_edge="recv", msg_id=1, src=0, dst=1, tag=0)
-        tr.emit("consume", 1.5, 2.0, category="trainer", lane=1, step=0)
-        cross = CrossRankTrace(tr.spans())
-        names = [s.name for s in cross.critical_path(0)]
-        assert names == ["produce", "consume"]
-
-    def test_unknown_step_gives_empty_path(self):
-        assert CrossRankTrace([]).critical_path(7) == []
 
 
 class TestBreakdownCrossValidation:

@@ -1,4 +1,4 @@
-"""Cross-layer integration: instrumented trainer/io/comm/sim hot paths."""
+"""Cross-layer integration: instrumented trainer/io/comm hot paths."""
 import numpy as np
 import pytest
 
@@ -7,8 +7,7 @@ from repro.comm import EngineConfig
 from repro.core import DistributedTrainer, TrainConfig, Trainer
 from repro.core.networks import Tiramisu, TiramisuConfig
 from repro.io.pipeline import PrefetchPipeline
-from repro.perf.eventsim import TrainingRunConfig, simulate_training_run
-from repro.telemetry import SimulatedClock, Telemetry, activate
+from repro.telemetry import Telemetry, activate
 
 GRID = Grid(16, 24)
 
@@ -105,49 +104,3 @@ class TestPipelineInstrumentation:
         assert len(read_spans) == 10
         assert all(s.category == "io" for s in read_spans)
 
-
-class TestEventsimVirtualTime:
-    def test_virtual_spans_cover_the_run(self):
-        tel = Telemetry(clock=SimulatedClock())
-        cfg = TrainingRunConfig(ranks=3, steps=4, compute_time_s=0.1,
-                                allreduce_time_s=0.02, overlap_fraction=0.5,
-                                seed=0)
-        result = simulate_training_run(cfg, telemetry=tel)
-        spans = tel.tracer.spans()
-        steps = [s for s in spans if s.name == "sim_step"]
-        computes = [s for s in spans if s.name == "compute"]
-        assert len(steps) == 4
-        assert len(computes) == 4 * 3
-        # Spans carry simulation time, not wall time: total virtual extent
-        # matches the result's total simulated seconds.
-        assert max(s.end_us for s in steps) == pytest.approx(
-            result.total_time_s * 1e6, rel=1e-6)
-        # Steps are serialized in virtual time.
-        ordered = sorted(steps, key=lambda s: s.start_us)
-        for a, b in zip(ordered, ordered[1:]):
-            assert b.start_us >= a.end_us - 1e-6
-
-    def test_compute_spans_parented_to_their_step(self):
-        tel = Telemetry(clock=SimulatedClock())
-        cfg = TrainingRunConfig(ranks=2, steps=2, compute_time_s=0.1, seed=0)
-        simulate_training_run(cfg, telemetry=tel)
-        spans = tel.tracer.spans()
-        step_ids = {s.span_id for s in spans if s.name == "sim_step"}
-        for c in (s for s in spans if s.name == "compute"):
-            assert c.parent_id in step_ids
-
-    def test_untraced_run_matches_traced_run(self):
-        cfg = TrainingRunConfig(ranks=3, steps=5, compute_time_s=0.1,
-                                compute_jitter=0.05, seed=3)
-        plain = simulate_training_run(cfg)
-        traced = simulate_training_run(cfg, telemetry=Telemetry(
-            clock=SimulatedClock()))
-        np.testing.assert_allclose(plain.step_times, traced.step_times)
-
-    def test_metrics_recorded(self):
-        tel = Telemetry(clock=SimulatedClock())
-        simulate_training_run(
-            TrainingRunConfig(ranks=2, steps=3, compute_time_s=0.1),
-            telemetry=tel)
-        assert tel.metrics.counter("sim.steps").value == 3
-        assert tel.metrics.histogram("sim.step_time_s").count == 3

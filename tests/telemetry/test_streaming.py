@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.telemetry import (Ewma, MetricsRegistry, SimulatedClock,
                              StreamingAggregator, WindowSummary)
-from repro.telemetry.streaming import KEEP_WINDOWS
 
 
 def make(window_s=1.0):
@@ -60,17 +59,6 @@ class TestTumblingWindows:
         with pytest.raises(ValueError):
             agg.observe("x", 1.0)
         agg.observe("x", 1.0, t=0.5)      # explicit t is fine
-
-    def test_keep_windows_bounds_history(self):
-        _, agg = make()
-        n = KEEP_WINDOWS + 3
-        for i in range(n):
-            agg.observe("x", float(i), t=i + 0.5)
-        agg.advance(float(n))
-        hist = agg.summaries("x")
-        assert len(hist) == KEEP_WINDOWS
-        assert [w.start for w in hist[:2]] == [3.0, 4.0]
-        assert hist[-1].start == n - 1.0
 
     def test_simulated_clock_drives_default_timestamps(self):
         clock, agg = make()
@@ -129,8 +117,7 @@ class TestRegistrySampling:
         agg.sample(reg, t=0.5)
         c.inc(2)
         agg.sample(reg, t=1.5)
-        agg.advance(2.0)
-        totals = [w.total for w in agg.summaries("steps")]
+        totals = [w.total for w in agg.advance(2.0)]
         assert totals == [pytest.approx(3.0), pytest.approx(2.0)]
 
     def test_unchanged_counter_contributes_nothing(self):
@@ -147,8 +134,7 @@ class TestRegistrySampling:
         agg.sample(reg, t=0.5)
         reg.gauge("world").set(7)
         agg.sample(reg, t=1.5)
-        agg.advance(2.0)
-        assert [w.last for w in agg.summaries("world")] == [8.0, 7.0]
+        assert [w.last for w in agg.advance(2.0)] == [8.0, 7.0]
 
     def test_histogram_samples_consumed_once(self):
         _, agg = make()
@@ -159,8 +145,7 @@ class TestRegistrySampling:
         agg.sample(reg, t=0.5)
         h.observe(0.4)
         agg.sample(reg, t=0.6)             # only the new sample lands
-        agg.advance(1.0)
-        (w,) = agg.summaries("lat")
+        (w,) = agg.advance(1.0)
         assert w.count == 3
         assert w.total == pytest.approx(0.7)
 
@@ -209,18 +194,6 @@ class TestSubscriptionsAndCursor:
         agg.observe("trainer.step_time_s", 1.0, t=0.5)
         agg.advance(1.0)
         assert [w.series for w in got] == ["serve.latency_s{lane=bulk}"]
-
-    def test_unsubscribe_stops_delivery(self):
-        _, agg = make()
-        got = []
-        sid = agg.subscribe("x", got.append)
-        agg.observe("x", 1.0, t=0.5)
-        agg.advance(1.0)
-        assert agg.unsubscribe(sid)
-        agg.observe("x", 1.0, t=1.5)
-        agg.advance(2.0)
-        assert len(got) == 1
-        assert not agg.unsubscribe(sid)    # second removal is a no-op
 
     def test_closed_since_cursor_sees_each_window_once(self):
         _, agg = make()
