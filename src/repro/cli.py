@@ -334,6 +334,7 @@ def _cmd_faults(args) -> int:
     from pathlib import Path
 
     from .core import TrainConfig
+    from .core.checkpoint import PREFIX as CKPT_PREFIX
     from .perf import format_table
     from .resilience import (FaultPlan, mean_eval_loss,
                              run_resilient_training)
@@ -353,12 +354,17 @@ def _cmd_faults(args) -> int:
         class_frequencies=freqs)
     base_loss = mean_eval_loss(baseline.trainer, eval_batches)
 
+    # The faulty run autoresumes from the latest checkpoint it finds, so a
+    # previous drill's checkpoints in the same --out would stand in for it.
+    ckpt_dir = out / "ckpts"
+    for stale in ckpt_dir.glob(f"{CKPT_PREFIX}-*.npz"):
+        stale.unlink()
     tel = Telemetry()
     with activate(tel):
         faulty = run_resilient_training(
             factory, config, args.ranks, provider, steps=args.steps,
             plan=plan, class_frequencies=freqs,
-            checkpoint_dir=out / "ckpts", checkpoint_every=args.ckpt_every,
+            checkpoint_dir=ckpt_dir, checkpoint_every=args.ckpt_every,
             lr_scaling=args.lr_scaling)
         faulty_loss = mean_eval_loss(faulty.trainer, eval_batches)
     trace_path = out / "trace.json"

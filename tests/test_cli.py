@@ -85,6 +85,15 @@ class TestCli:
         assert (out / "ckpts").exists()
         assert (out / "metrics.txt").exists()
 
+    def test_faults_drill_reruns_into_same_out(self, capsys, tmp_path):
+        # A second drill into the same --out must not resume the first
+        # one's final checkpoint and skip every step.
+        out = str(tmp_path / "faults_out")
+        for _ in range(2):
+            assert main(["faults", "--out", out]) == 0
+            printed = capsys.readouterr().out
+            assert "6/6" in printed and "recovery OK" in printed
+
     def test_campaign_drill_restarts_and_drains(self, capsys, tmp_path):
         import json
 
