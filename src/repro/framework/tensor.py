@@ -287,7 +287,9 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             self.accumulate_grad(g * mask)
 
-        return Tensor.from_op(self.data * mask, (self,), backward, "relu")
+        # ``maximum``, not ``data * mask``: -inf * 0 would be NaN.
+        return Tensor.from_op(np.maximum(self.data, 0), (self,), backward,
+                              "relu")
 
 
 def _split_backward(tensors: Sequence[Tensor], axis: int):

@@ -1,5 +1,6 @@
 """Autodiff core: add/mul, broadcasting, sum, reshape, relu, concatenate."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +129,19 @@ class TestNonlinearities:
         x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
         x.relu().sum().backward()
         np.testing.assert_allclose(x.grad, [0, 0, 1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_relu_non_finite(self, dtype):
+        # -inf clamps to 0 (not -inf * 0 = NaN); NaN stays NaN; the
+        # gradient passes only where the input is > 0.
+        values = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan],
+                          dtype=dtype)
+        x = Tensor(values, requires_grad=True)
+        y = x.relu()
+        assert y.dtype == dtype
+        np.testing.assert_array_equal(y.data, [0, 0, 0, 0, 1, np.inf, np.nan])
+        y.backward()                       # seeded with ones
+        np.testing.assert_array_equal(x.grad, [0, 0, 0, 0, 1, 1, 0])
 
 
 class TestNoGrad:
