@@ -18,6 +18,11 @@ from .synthesis import SnapshotSynthesizer
 
 __all__ = ["ChannelNormalizer", "ClimateDataset", "DatasetSplits"]
 
+#: The paper's train / validation shares; the test split takes the rest
+#: (80/10/10, Section III-A2).
+TRAIN_FRAC = 0.8
+VAL_FRAC = 0.1
+
 
 class ChannelNormalizer:
     """Per-channel standardization fit on the training split."""
@@ -48,13 +53,10 @@ class DatasetSplits:
     test: np.ndarray
 
     @staticmethod
-    def make(n: int, rng: np.random.Generator,
-             train_frac: float = 0.8, val_frac: float = 0.1) -> "DatasetSplits":
-        if not 0 < train_frac < 1 or not 0 < val_frac < 1 or train_frac + val_frac >= 1:
-            raise ValueError("fractions must be in (0,1) and sum below 1")
+    def make(n: int, rng: np.random.Generator) -> "DatasetSplits":
         perm = rng.permutation(n)
-        n_train = int(round(train_frac * n))
-        n_val = int(round(val_frac * n))
+        n_train = int(round(TRAIN_FRAC * n))
+        n_val = int(round(VAL_FRAC * n))
         return DatasetSplits(
             train=perm[:n_train],
             validation=perm[n_train : n_train + n_val],

@@ -11,7 +11,8 @@ from .base import Optimizer
 
 __all__ = ["Adam"]
 
-#: Kingma & Ba's second-moment decay rate and denominator epsilon.
+#: Kingma & Ba's moment decay rates and denominator epsilon.
+BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
@@ -20,11 +21,8 @@ class Adam(Optimizer):
     """Kingma & Ba (2014) with bias correction."""
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 beta1: float = 0.9, weight_decay: float = 0.0):
+                 weight_decay: float = 0.0):
         super().__init__(params, lr)
-        if not 0 <= beta1 < 1:
-            raise ValueError("beta1 must be in [0, 1)")
-        self.beta1 = float(beta1)
         self.weight_decay = float(weight_decay)
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
@@ -38,9 +36,9 @@ class Adam(Optimizer):
         self._t[key] = t
         m = self._m.get(key, np.zeros_like(grad))
         v = self._v.get(key, np.zeros_like(grad))
-        m = self.beta1 * m + (1 - self.beta1) * grad
+        m = BETA1 * m + (1 - BETA1) * grad
         v = BETA2 * v + (1 - BETA2) * grad * grad
         self._m[key], self._v[key] = m, v
-        mhat = m / (1 - self.beta1**t)
+        mhat = m / (1 - BETA1**t)
         vhat = v / (1 - BETA2**t)
         return -self.lr * mhat / (np.sqrt(vhat) + EPS)

@@ -24,7 +24,8 @@ from .sgd import SGD
 
 __all__ = ["LARS", "LARC"]
 
-#: Denominator epsilon of the local-rate norm ratio.
+#: The trust coefficient and denominator epsilon of the local-rate ratio.
+TRUST_COEFFICIENT = 0.02
 EPS = 1e-8
 
 
@@ -32,12 +33,8 @@ class _LayerAdaptive(SGD):
     """Shared machinery: momentum SGD with a per-layer rate adaptor."""
 
     def __init__(self, params: Iterable[Parameter], lr: float,
-                 momentum: float = 0.9, weight_decay: float = 0.0,
-                 trust_coefficient: float = 0.02):
+                 momentum: float = 0.9, weight_decay: float = 0.0):
         super().__init__(params, lr, momentum=momentum, weight_decay=weight_decay)
-        if trust_coefficient <= 0:
-            raise ValueError("trust coefficient must be positive")
-        self.trust = float(trust_coefficient)
         self.last_local_rates: dict[str, float] = {}
 
     def _local_rate(self, param: Parameter, grad: np.ndarray) -> float:
@@ -45,7 +42,7 @@ class _LayerAdaptive(SGD):
         g_norm = float(np.linalg.norm(grad))
         if w_norm == 0.0 or g_norm == 0.0:
             return self.lr
-        local = self.trust * w_norm / (g_norm + self.weight_decay * w_norm
+        local = TRUST_COEFFICIENT * w_norm / (g_norm + self.weight_decay * w_norm
                                        + EPS)
         return self._combine(local)
 

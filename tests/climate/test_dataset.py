@@ -32,11 +32,6 @@ class TestSplits:
         all_idx = np.concatenate([s.train, s.validation, s.test])
         assert len(set(all_idx.tolist())) == 97
 
-    def test_invalid_fractions(self):
-        with pytest.raises(ValueError):
-            DatasetSplits.make(10, np.random.default_rng(0), train_frac=0.9,
-                               val_frac=0.2)
-
 
 class TestNormalizer:
     def test_standardizes(self):

@@ -90,23 +90,18 @@ class TestAdam:
             opt.step()
         assert abs(p.data[0]) < 0.05
 
-    def test_beta_validation(self):
-        with pytest.raises(ValueError):
-            Adam([param([1.0])], beta1=1.0)
-
 
 class TestLARSLARC:
     def test_larc_clips_at_global_lr(self):
         # Huge weight norm -> local rate would exceed lr -> clipped.
         p = param(np.full(100, 10.0), grad=np.full(100, 1e-4))
-        opt = LARC([p], lr=0.1, momentum=0.0, trust_coefficient=0.02)
+        opt = LARC([p], lr=0.1, momentum=0.0)
         opt.step()
         assert opt.last_local_rates["p"] == pytest.approx(0.1)
 
     def test_larc_local_rate_when_small(self):
         p = param([1.0], grad=[100.0])
-        opt = LARC([p], lr=10.0, momentum=0.0, trust_coefficient=0.02,
-                   weight_decay=0.0)
+        opt = LARC([p], lr=10.0, momentum=0.0, weight_decay=0.0)
         opt.step()
         # local = 0.02 * 1 / 100 = 2e-4 < 10 -> used as-is.
         assert opt.last_local_rates["p"] == pytest.approx(2e-4, rel=1e-4)
@@ -146,10 +141,6 @@ class TestLARSLARC:
         opt = LARC([big, small], lr=1.0, momentum=0.0)
         opt.step()
         assert opt.last_local_rates["big"] > opt.last_local_rates["small"]
-
-    def test_trust_coefficient_validation(self):
-        with pytest.raises(ValueError):
-            LARC([param([1.0])], lr=0.1, trust_coefficient=0.0)
 
 
 class TestGradientLag:
