@@ -42,8 +42,8 @@ class _LayerAdaptive(SGD):
         g_norm = float(np.linalg.norm(grad))
         if w_norm == 0.0 or g_norm == 0.0:
             return self.lr
-        local = TRUST_COEFFICIENT * w_norm / (g_norm + self.weight_decay * w_norm
-                                       + EPS)
+        local = TRUST_COEFFICIENT * w_norm / (
+            g_norm + self.weight_decay * w_norm + EPS)
         return self._combine(local)
 
     def _combine(self, local: float) -> float:

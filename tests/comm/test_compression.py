@@ -57,8 +57,9 @@ class TestTopKCompressor:
         c.compress("a", np.array([1.0, 2.0]))
         c.compress("b", np.array([3.0, 4.0]))
         # Each tensor's next step adds back only its own dropped entry.
-        np.testing.assert_allclose(c.compress("a", np.zeros(2)).densify(), [1, 0])
-        np.testing.assert_allclose(c.compress("b", np.zeros(2)).densify(), [3, 0])
+        zeros = np.zeros(2)
+        np.testing.assert_allclose(c.compress("a", zeros).densify(), [1, 0])
+        np.testing.assert_allclose(c.compress("b", zeros).densify(), [3, 0])
 
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):

@@ -82,7 +82,8 @@ def names_read(paths) -> set[str]:
                 read.update(a.name.split(".")[-1] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and not reexports:
                 read.update(a.name for a in node.names)
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
                   and node.value.isidentifier()):
                 read.add(node.value)
     return read
@@ -100,7 +101,8 @@ def public_defs(package: Path):
                 yield f"{module}.{node.name}", node.name
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
-                    if isinstance(sub, defs[:2]) and not sub.name.startswith("_"):
+                    if (isinstance(sub, defs[:2])
+                            and not sub.name.startswith("_")):
                         yield f"{module}.{node.name}.{sub.name}", sub.name
 
 
