@@ -71,6 +71,10 @@ LEDGER = {
     "health": (
         ["health", "--json", "--out", OUT],
         0, "735bb4838eba6a0aef7c9297ccd7e10ea6a0aafa401e6919de0f168f37efb8b6"),
+    # Dense vs int8-compressed training through the exchange engine.
+    "comm-drill": (
+        ["comm-drill", "--json"],
+        0, "7c5ec9a35ef0701337a4736dc0976de6abc673312061fb741b9f4c863c5a42fe"),
     # No age wait: every batch dispatches the instant a replica is free.
     "serve-zero-wait": (
         ["serve", "--requests", "64", "--rate", "3000", "--service-ms", "0.3",
