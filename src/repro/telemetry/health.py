@@ -141,9 +141,10 @@ def _stat(summary: WindowSummary, stat: str) -> float:
 class HealthEngine:
     """Evaluates :class:`HealthRule` sets against closed streaming windows.
 
-    Pull-based: each :meth:`evaluate` call consumes every window closed
-    since the last call (via the aggregator's cursor API) and advances the
-    per-(rule, series) streak machines.  Deterministic under a simulated
+    The engine subscribes to every series of ``streams`` when it is built
+    and sees only the windows that close after that.  Each :meth:`evaluate`
+    call consumes the windows closed since the last call, advances the
+    per-(rule, series) streak machines and keeps none of them.  Deterministic under a simulated
     clock — same observations, same windows, same alert lifecycle.
 
     Alerts are mirrored into ``telemetry``, or into the active session
@@ -156,7 +157,8 @@ class HealthEngine:
         self.streams = streams
         self.telemetry = telemetry
         self.alerts: list[Alert] = []
-        self._cursor = 0
+        self._pending: list[WindowSummary] = []
+        streams.subscribe("*", self._pending.append)
         self._state: dict[tuple[str, str], _RuleState] = {}
 
     # -- lifecycle helpers ---------------------------------------------------
@@ -302,7 +304,9 @@ class HealthEngine:
         if t is not None:
             self.streams.advance(t)
         before = len(self.alerts)
-        self._cursor, batch = self.streams.closed_since(self._cursor)
+        # Clear in place: the subscription holds this list's ``append``.
+        batch = self._pending[:]
+        self._pending.clear()
         if not batch:
             return []
         for rule in self.rules:

@@ -184,7 +184,6 @@ class StreamingAggregator:
         self._open: dict[str, dict[int, list[float]]] = defaultdict(dict)
         self._latest: dict[str, WindowSummary] = {}
         self._ewma: dict[str, Ewma] = {}
-        self._log: list[WindowSummary] = []      # global closed-window log
         self._subs: list[tuple[str, object]] = []
         # pull-sampling cursors into a MetricsRegistry
         self._counter_seen: dict[str, float] = {}
@@ -282,7 +281,6 @@ class StreamingAggregator:
             if ewma is None:
                 ewma = self._ewma[key] = Ewma(self.ewma_halflife_s)
             ewma.update(summary.mean, summary.end)
-            self._log.append(summary)
             out.append(summary)
             for pattern, fn in self._subs:
                 if fnmatch.fnmatchcase(key, pattern):
@@ -299,15 +297,6 @@ class StreamingAggregator:
 
     def ewma(self, series: str) -> Ewma | None:
         return self._ewma.get(series)
-
-    def closed_since(self, cursor: int) -> tuple[int, list[WindowSummary]]:
-        """Closed windows appended after ``cursor``; returns (new cursor, batch).
-
-        The health engine's pull loop: keep the returned cursor, call again
-        to receive only what closed in between.
-        """
-        batch = self._log[cursor:]
-        return len(self._log), batch
 
     # -- subscriptions -------------------------------------------------------
 

@@ -195,6 +195,22 @@ class TestEngineIntegration:
         text = eng.render()
         assert "FIRING" in text and "hot" in text
 
+    def test_each_closed_window_evaluated_once_and_not_kept(self, monkeypatch):
+        rule = HealthRule(name="hot", series="q", value=10.0)
+        streams, eng = make_engine([rule])
+        seen = []
+        real = eng._eval_single
+        monkeypatch.setattr(eng, "_eval_single",
+                            lambda r, w: seen.append(w) or real(r, w))
+        feed(streams, "q", [5.0, 20.0])
+        eng.evaluate(t=2.0)
+        assert eng._pending == []
+        feed(streams, "q", [30.0], start=2.0)
+        eng.evaluate(t=3.0)
+        assert eng._pending == []
+        assert [(w.start, w.mean) for w in seen] == [
+            (0.0, 5.0), (1.0, 20.0), (2.0, 30.0)]
+
     def test_evaluate_without_new_windows_is_empty(self):
         rule = HealthRule(name="hot", series="q", value=10.0)
         _, eng = make_engine([rule])

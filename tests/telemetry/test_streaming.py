@@ -195,19 +195,6 @@ class TestSubscriptionsAndCursor:
         agg.advance(1.0)
         assert [w.series for w in got] == ["serve.latency_s{lane=bulk}"]
 
-    def test_closed_since_cursor_sees_each_window_once(self):
-        _, agg = make()
-        agg.observe("x", 1.0, t=0.5)
-        agg.advance(1.0)
-        cursor, batch = agg.closed_since(0)
-        assert len(batch) == 1
-        agg.observe("x", 2.0, t=1.5)
-        agg.advance(2.0)
-        cursor, batch = agg.closed_since(cursor)
-        assert [w.mean for w in batch] == [2.0]
-        cursor2, batch = agg.closed_since(cursor)
-        assert batch == [] and cursor2 == cursor
-
     def test_window_summary_serializes(self):
         _, agg = make()
         agg.observe("x", 1.0, t=0.5)
