@@ -171,10 +171,6 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        """Return the raw ndarray (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
 

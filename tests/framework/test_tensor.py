@@ -38,10 +38,6 @@ class TestBasics:
     def test_item_scalar(self):
         assert Tensor(3.5).item() == 3.5
 
-    def test_numpy_returns_payload(self):
-        data = np.arange(4.0)
-        assert Tensor(data).numpy() is data
-
 
 class TestArithmetic:
     def test_add_backward(self):

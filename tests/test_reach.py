@@ -14,8 +14,9 @@ the tests assert through); an ``ALLOWED`` entry that is reached, or whose
 def is gone, fails it too, so the list shrinks with the code.
 
 Known gap: the scan matches names, not bindings.  A def counts as reached
-when any read anywhere has its name: ``Tensor.numpy`` is reached by
-``import numpy``, each ``forward`` by every other ``forward``.  Module
+when any read anywhere has its name: each ``forward`` is reached by
+every other ``forward``, and a method named like a module by its
+``import``.  Module
 constants are not scanned.  Which defs a run actually executes (a profile
 hook unioned across CI jobs) is not checked here.
 """
