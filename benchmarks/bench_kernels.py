@@ -7,7 +7,7 @@ the legacy per-tap contraction on the paper's 16-channel 192x288 training
 tiles, with the weight/input gradients riding the same cached columns.
 
 ``collect(profile)`` feeds the machine-readable protocol
-(:mod:`runner` / ``repro bench``): speedup *ratios* are gated — they
+(``benchmarks/runner.py``): speedup *ratios* are gated — they
 transfer across machines — while absolute milliseconds are recorded
 ``gate=False`` as host-specific context.
 """

@@ -19,10 +19,11 @@ build when they move past their tolerance band in the bad direction
 because they are machine properties, while ratios (speedups) and
 deterministic cost-model outputs transfer across hosts.
 
-Standalone usage (the ``repro bench`` CLI wraps this)::
+This script is the one entry point; the CI perf gate runs::
 
-    python benchmarks/runner.py --suite kernels --tag head \
-        --against benchmarks/baseline.json
+    PYTHONPATH=src python benchmarks/runner.py \
+        --suite kernels,serving,allreduce,fleet --profile quick \
+        --tag head --against benchmarks/baseline.json
 """
 from __future__ import annotations
 
@@ -327,4 +328,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # Suites run ``from runner import Metric``; point that name at this
+    # module so it does not load a second copy with its own Metric class.
+    sys.modules.setdefault("runner", sys.modules[__name__])
     sys.exit(main())

@@ -207,3 +207,25 @@ class TestCLIGate:
             "--suite", "synth", "--tag", "head", "--out", str(tmp_path / "out"),
             "--against", str(base_path)])
         assert rc == 0
+
+
+class TestDirectRun:
+    def test_started_as_a_script_accepts_suite_metrics(self, tmp_path):
+        """``python runner.py``: a suite's ``from runner import Metric``
+        must name the running module's class, not a second copy's."""
+        import shutil
+        import subprocess
+
+        shutil.copy(_BENCH_DIR / "runner.py", tmp_path / "runner.py")
+        (tmp_path / "bench_tiny.py").write_text(
+            "def collect(profile):\n"
+            "    from runner import Metric\n"
+            "    return [Metric('tiny.speedup', 1.5, unit='x')]\n")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, str(tmp_path / "runner.py"), "--suite", "tiny",
+             "--out", str(out)],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((out / "BENCH_head.json").read_text())
+        assert report["metrics"]["tiny.speedup"]["value"] == 1.5
