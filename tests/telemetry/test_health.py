@@ -195,7 +195,7 @@ class TestEngineIntegration:
         text = eng.render()
         assert "FIRING" in text and "hot" in text
 
-    def test_each_closed_window_evaluated_once_and_not_kept(self, monkeypatch):
+    def test_each_window_evaluated_once_then_dropped(self, monkeypatch):
         rule = HealthRule(name="hot", series="q", value=10.0)
         streams, eng = make_engine([rule])
         seen = []
