@@ -2,10 +2,9 @@
 
 Usage::
 
-    python -m repro.cli fig2               # single-GPU performance table
+    python -m repro.cli report             # every paper number vs measured
     python -m repro.cli fig4 --system summit --network deeplabv3+ --precision fp16
     python -m repro.cli fig5
-    python -m repro.cli flops
     python -m repro.cli staging --nodes 1024
     python -m repro.cli control-plane --ranks 4096
     python -m repro.cli train --samples 16 --epochs 4
@@ -17,29 +16,65 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import pathlib
+import json
 import sys
+from pathlib import Path
 
 
-def _cmd_fig2(args) -> int:
-    from .perf import figure2_table, format_table
-    from .perf.claims import paper_value
+def _count(text: str) -> int:
+    """argparse type of a count flag: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return value
 
-    rows = []
-    for p in figure2_table():
-        run = f"{p.network}.{p.precision}"
-        flops = paper_value(f"fig2.flops.{p.network}")
-        rate = paper_value(f"fig2.rate.{run}")
-        peak = paper_value(f"fig2.peak.{run}")
-        rows.append([p.network, p.gpu, p.precision, p.batch,
-                     f"{p.tf_per_sample:.2f} ({flops:g})",
-                     f"{p.samples_per_second:.2f} ({rate:g})",
-                     f"{p.pct_peak:.1f} ({peak:g})"])
-    print(format_table(
-        ["network", "gpu", "prec", "batch", "TF/sample (paper)",
-         "samples/s (paper)", "% peak (paper)"],
-        rows, title="Figure 2 - single GPU performance"))
-    return 0
+
+def _training_args(p, *, ranks: int, steps: int, samples: int,
+                   lr: float) -> None:
+    """The flags of the tiny seeded training job the drills share."""
+    p.add_argument("--ranks", type=_count, default=ranks)
+    p.add_argument("--steps", type=_count, default=steps)
+    p.add_argument("--samples", type=_count, default=samples)
+    p.add_argument("--grid", type=int, default=16)
+    p.add_argument("--lr", type=float, default=lr)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _write_trace(out: Path, spans) -> Path:
+    """Write ``spans`` as ``<out>/trace.json``, creating ``out``."""
+    from .telemetry import write_chrome_trace
+
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "trace.json"
+    write_chrome_trace(path, spans)
+    return path
+
+
+def _print_json(doc) -> None:
+    print(json.dumps(doc, indent=1, sort_keys=True))
+
+
+def _relative(value: float, base: float) -> float:
+    """``|value - base| / |base|``; infinite when ``base`` is 0."""
+    return abs(value - base) / abs(base) if base else float("inf")
+
+
+def _outcome_rows(report) -> list[list[str]]:
+    """The request-outcome rows the serve and fleet tables share."""
+    sheds = ", ".join(f"{k}={v}"
+                      for k, v in sorted(report.shed_by_reason.items()))
+    return [
+        ["offered", str(report.offered)],
+        ["served", str(report.served)],
+        ["shed", f"{report.shed}" + (f" ({sheds})" if sheds else "")],
+        ["failed", str(report.failed)],
+        ["lost admitted", str(report.lost_admitted)],
+        ["throughput", f"{report.throughput_rps:,.1f} req/s"],
+    ]
 
 
 def _cmd_fig4(args) -> int:
@@ -66,21 +101,6 @@ def _cmd_fig5(args) -> int:
     print(format_table(
         ["GPUs", "img/s local", "img/s global", "eff% local", "eff% global"],
         rows, title="Figure 5 - staged vs global file system (Piz Daint)"))
-    return 0
-
-
-def _cmd_flops(args) -> int:
-    from .core import network_flop_table
-    from .perf import format_table
-    from .perf.claims import paper_value
-
-    rows = []
-    for r in network_flop_table():
-        paper = paper_value(f"fig2.flops.{r.name}")
-        rows.append([r.name, f"{r.tf_per_sample:.3f}", paper,
-                     f"{r.tf_per_sample / paper:.2f}", f"{r.parameters:,}"])
-    print(format_table(["network", "TF/sample", "paper", "ratio", "params"],
-                       rows, title="Operation counts (Section VI trace)"))
     return 0
 
 
@@ -204,24 +224,16 @@ def _cmd_trace(args) -> int:
     ``chrome://tracing`` or https://ui.perfetto.dev), alongside a JSONL
     structured log and a paper-style (median, central-68%) metrics report.
     """
-    from pathlib import Path
+    from collections import Counter
 
     import numpy as np
-
-    import json
 
     from .core import DistributedTrainer, TrainConfig
     from .io.pipeline import PrefetchPipeline
     from .perf.stats import sustained_throughput
     from .telemetry import (CrossRankTrace, Telemetry, activate,
-                            render_metrics_report, write_chrome_trace,
-                            write_jsonl)
+                            render_metrics_report, write_jsonl)
 
-    if args.steps < 1 or args.samples < 1 or args.ranks < 1 or args.batch < 1:
-        raise SystemExit("trace: --steps, --samples, --ranks, and --batch "
-                         "must all be >= 1")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tel = Telemetry()
     step_durations = []
     with activate(tel):
@@ -272,8 +284,8 @@ def _cmd_trace(args) -> int:
         np.asarray(step_durations))
 
     spans = tel.tracer.spans()
-    trace_path = out / "trace.json"
-    write_chrome_trace(trace_path, spans)
+    out = Path(args.out)
+    trace_path = _write_trace(out, spans)
     write_jsonl(out / "telemetry.jsonl", spans, tel.metrics)
     throughput_line = (
         f"per-step throughput: median {stats.median:.2f} samples/s "
@@ -285,12 +297,9 @@ def _cmd_trace(args) -> int:
     components = sorted({s.category for s in spans})
     if args.json:
         cross = CrossRankTrace(spans)
-        by_cat: dict[str, int] = {}
-        for s in spans:
-            by_cat[s.category] = by_cat.get(s.category, 0) + 1
         doc = {
             "spans": len(spans),
-            "components": by_cat,
+            "components": dict(Counter(s.category for s in spans)),
             "messages": {
                 "total": len(cross.links),
                 "matched": len(cross.matched()),
@@ -311,7 +320,7 @@ def _cmd_trace(args) -> int:
                 "jsonl": str(out / "telemetry.jsonl"),
             },
         }
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        _print_json(doc)
     else:
         print(f"wrote {trace_path} ({len(spans)} spans; "
               f"components: {', '.join(components)})")
@@ -331,23 +340,17 @@ def _cmd_faults(args) -> int:
     trace whose ``resilience`` lane shows each injected fault and its
     recovery span.  Exit code 1 when recovery fails the tolerance.
     """
-    from pathlib import Path
-
     from .core import TrainConfig
     from .core.checkpoint import PREFIX as CKPT_PREFIX
     from .perf import format_table
     from .resilience import (FaultPlan, mean_eval_loss,
                              run_resilient_training)
-    from .telemetry import (Telemetry, activate, render_metrics_report,
-                            write_chrome_trace)
+    from .telemetry import Telemetry, activate, render_metrics_report
 
-    if args.steps < 1 or args.ranks < 1 or args.samples < 1:
-        raise SystemExit("faults: --steps, --ranks, and --samples must be >= 1")
     plan = FaultPlan.parse(args.plan, seed=args.seed)
     _, freqs, factory, provider, eval_batches = _training_drill_fixture(args)
     config = TrainConfig(lr=args.lr, optimizer="larc")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     baseline = run_resilient_training(
         factory, config, args.ranks, provider, steps=args.steps,
@@ -367,13 +370,11 @@ def _cmd_faults(args) -> int:
             checkpoint_dir=ckpt_dir, checkpoint_every=args.ckpt_every,
             lr_scaling=args.lr_scaling)
         faulty_loss = mean_eval_loss(faulty.trainer, eval_batches)
-    trace_path = out / "trace.json"
-    write_chrome_trace(trace_path, tel.tracer.spans())
+    trace_path = _write_trace(out, tel.tracer.spans())
     (out / "metrics.txt").write_text(render_metrics_report(
         tel.metrics, title="repro faults metrics"))
 
-    rel = (abs(faulty_loss - base_loss) / abs(base_loss)
-           if base_loss else float("inf"))
+    rel = _relative(faulty_loss, base_loss)
     completed = faulty.steps_completed == args.steps
     recovered = completed and rel <= args.tolerance
     injected = ", ".join(f"{k}={v}" for k, v in sorted(faulty.injected.items()))
@@ -408,16 +409,13 @@ def _cmd_comm_drill(args) -> int:
     collectives, bytes, per-bucket algorithm choices, overlap).  Exit code 1
     when the compressed run misses ``--tolerance``.
     """
-    import json
-
     from .comm import EngineConfig
     from .core import TrainConfig
     from .perf import format_table
     from .resilience import mean_eval_loss, run_resilient_training
 
-    if args.steps < 1 or args.ranks < 2 or args.samples < 1:
-        raise SystemExit(
-            "comm-drill: needs --steps >= 1, --ranks >= 2, --samples >= 1")
+    if args.ranks < 2:
+        raise SystemExit("comm-drill: needs --ranks >= 2")
     _, freqs, factory, provider, eval_batches = _training_drill_fixture(args)
     config = TrainConfig(lr=args.lr, optimizer="larc")
     bucket_bytes = args.bucket_kb * 1024
@@ -438,8 +436,7 @@ def _cmd_comm_drill(args) -> int:
     comp_loss = mean_eval_loss(compressed.trainer, eval_batches)
     comp_report = compressed.trainer.engine.last_report
 
-    rel = (abs(comp_loss - dense_loss) / abs(dense_loss)
-           if dense_loss else float("inf"))
+    rel = _relative(comp_loss, dense_loss)
     converged = rel <= args.tolerance
     num_tensors = sum(len(g) for g in (dense_report.fusion.groups or []))
     doc = {
@@ -471,7 +468,7 @@ def _cmd_comm_drill(args) -> int:
         "converged": converged,
     }
     if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        _print_json(doc)
     else:
         algos = ", ".join(f"{k}:{v}"
                           for k, v in sorted(dense_report.decisions.items()))
@@ -513,16 +510,10 @@ def _cmd_health(args) -> int:
     straggler rank and the full alert lifecycle) and writes the merged
     cross-rank Chrome trace.
     """
-    import json
-    from pathlib import Path
-
     from .core import TrainConfig
     from .resilience import FaultPlan, run_resilient_training
-    from .telemetry import (CrossRankTrace, SimulatedClock, Telemetry,
-                            activate, write_chrome_trace)
+    from .telemetry import CrossRankTrace, SimulatedClock, Telemetry, activate
 
-    if args.steps < 1 or args.ranks < 1 or args.samples < 1:
-        raise SystemExit("health: --steps, --ranks, and --samples must be >= 1")
     plan = FaultPlan.parse(args.plan, seed=args.seed)
     _, freqs, factory, provider, _ = _training_drill_fixture(args)
 
@@ -568,20 +559,13 @@ def _cmd_health(args) -> int:
 
     spans = tel.tracer.spans()
     cross = CrossRankTrace(spans)
-    straggler = None
-    for a in tel.health.alerts:
-        if "straggler_rank" in a.context:
-            straggler = a.context["straggler_rank"]
-            break
+    straggler = next((a.context["straggler_rank"] for a in tel.health.alerts
+                      if "straggler_rank" in a.context), None)
     if straggler is None:
         counts = cross.straggler_counts()
         straggler = max(counts, key=counts.get) if counts else None
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / "trace.json"
-    write_chrome_trace(trace_path, spans)
-
+    trace_path = _write_trace(Path(args.out), spans)
     fired = len(tel.health.alerts)
     resolved = len(tel.health.resolved())
     if args.json:
@@ -602,7 +586,7 @@ def _cmd_health(args) -> int:
                          "unmatched": len(cross.unmatched())},
             "trace": str(trace_path),
         }
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        _print_json(doc)
     else:
         print(tel.health.render(
             title=f"Health drill - {args.ranks} ranks, seed {args.seed}"))
@@ -620,13 +604,10 @@ def _cmd_serve(args) -> int:
     replica pool + the tile cache + admission control, and prints the
     end-of-run report (served/shed/failed, per-lane p50/p99, cache hit
     rate).  ``--plan`` injects replica failures mid-run; ``--json`` emits
-    the machine-readable report the CI smoke job asserts on.  Exit code 1
+    the machine-readable report the behaviour ledger pins.  Exit code 1
     if any *admitted* request was lost (the resilience invariant) or any
     request failed, as in ``repro fleet``.
     """
-    import json
-    from pathlib import Path
-
     import numpy as np
 
     from .core.networks import Tiramisu, TiramisuConfig
@@ -635,11 +616,8 @@ def _cmd_serve(args) -> int:
     from .resilience import FaultPlan
     from .serve import (InferenceServer, ServeConfig, WorkloadConfig,
                         summarize, synth_workload)
-    from .telemetry import Telemetry, activate, write_chrome_trace
+    from .telemetry import Telemetry, activate
 
-    if args.requests < 1 or args.replicas < 1 or args.batch < 1:
-        raise SystemExit("serve: --requests, --replicas, and --batch "
-                         "must all be >= 1")
     slo_s = (("interactive", args.slo_ms / 1e3),) if args.slo_ms else ()
     config = ServeConfig(
         window_hw=(args.window, args.window),
@@ -677,35 +655,24 @@ def _cmd_serve(args) -> int:
             responses = server.serve(synth_workload(workload))
         except ReproError as exc:
             # The failure path must still leave a machine-readable trail:
-            # --json consumers (the CI smoke job) parse the report and
+            # --json consumers (the ledger pins) read the report and
             # exit code, never a traceback.
             error = repr(exc)
             responses = []
         report = summarize(responses, server)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        trace_path = out / "trace.json"
-        write_chrome_trace(trace_path, tel.tracer.spans())
+        trace_path = _write_trace(Path(args.out), tel.tracer.spans())
         if not args.json:
             print(f"wrote {trace_path}")
     if args.json:
         doc = report.as_dict()
         if error is not None:
             doc["error"] = error
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        _print_json(doc)
     elif error is not None:
         print(f"serve failed: {error}")
     else:
-        sheds = ", ".join(f"{k}={v}"
-                          for k, v in sorted(report.shed_by_reason.items()))
-        rows = [
-            ["offered", str(report.offered)],
-            ["served", str(report.served)],
-            ["shed", f"{report.shed}" + (f" ({sheds})" if sheds else "")],
-            ["failed", str(report.failed)],
-            ["lost admitted", str(report.lost_admitted)],
-            ["throughput", f"{report.throughput_rps:,.1f} req/s"],
+        rows = _outcome_rows(report) + [
             ["batches", f"{report.batches} "
                         f"(mean size {report.mean_batch_size:.2f})"],
             ["replicas alive", f"{len(report.alive_replicas)}/"
@@ -742,19 +709,13 @@ def _cmd_fleet(args) -> int:
     machine-readable report the CI smoke job asserts on.  Exit code 1 if
     any admitted request was lost or failed (the fleet invariant).
     """
-    import json
-    from pathlib import Path
-
     from .perf import format_table
     from .resilience import FaultPlan
     from .serve import (FleetConfig, FleetServer, ReplayConfig,
                         replay_workload, summarize_fleet)
     from .serve.fleet import AutoscalerConfig
-    from .telemetry import SimulatedClock, Telemetry, activate, \
-        write_chrome_trace
+    from .telemetry import SimulatedClock, Telemetry, activate
 
-    if args.requests < 1 or args.replicas < 1:
-        raise SystemExit("fleet: --requests and --replicas must be >= 1")
     cells = tuple(c.strip() for c in args.cells.split(",") if c.strip())
     if not cells:
         raise SystemExit("fleet: --cells must name at least one cell")
@@ -799,9 +760,7 @@ def _cmd_fleet(args) -> int:
         doc["health"] = tel.health.report()
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        trace_path = out / "trace.json"
-        write_chrome_trace(trace_path, tel.tracer.spans())
+        trace_path = _write_trace(out, tel.tracer.spans())
         report_path = out / "fleet_report.json"
         report_path.write_text(json.dumps(doc, indent=1, sort_keys=True))
         doc["trace"] = str(trace_path)
@@ -809,18 +768,11 @@ def _cmd_fleet(args) -> int:
             print(f"wrote {trace_path}")
             print(f"wrote {report_path}")
     if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        _print_json(doc)
     else:
-        sheds = ", ".join(f"{k}={v}"
-                          for k, v in sorted(report.shed_by_reason.items()))
-        rows = [
-            ["offered", str(report.offered)],
-            ["served", str(report.served)],
-            ["shed", f"{report.shed}" + (f" ({sheds})" if sheds else "")],
-            ["spilled", str(report.spilled)],
-            ["failed", str(report.failed)],
-            ["lost admitted", str(report.lost_admitted)],
-            ["throughput", f"{report.throughput_rps:,.1f} req/s"],
+        rows = _outcome_rows(report)
+        rows.insert(3, ["spilled", str(report.spilled)])
+        rows += [
             ["hit rate", f"{report.hit_rate * 100:.1f}%"],
             ["retries", str(report.retries)],
             ["scale events", f"{len(report.scale_events)} "
@@ -861,9 +813,6 @@ def _cmd_campaign(args) -> int:
     smoke job asserts on.  Exit code 1 when any job is lost or fails, or
     when the fair-share error exceeds ``--fair-bound``.
     """
-    import json
-    from pathlib import Path
-
     from .campaign import (CampaignConfig, CampaignService,
                            CheckpointedRuntime, FairShareScheduler, JobStore,
                            MemoryRuntime, SchedulerConfig, ServiceConfig,
@@ -871,12 +820,8 @@ def _cmd_campaign(args) -> int:
     from .hpc import PIZ_DAINT, SUMMIT
     from .perf import format_table
     from .resilience import FaultPlan
-    from .telemetry import (SimulatedClock, Telemetry, activate,
-                            write_chrome_trace)
+    from .telemetry import SimulatedClock, Telemetry, activate
 
-    if args.users < 1 or args.jobs < 1 or args.nodes < 1:
-        raise SystemExit("campaign: --users, --jobs, and --nodes "
-                         "must all be >= 1")
     system = SUMMIT if args.system == "summit" else PIZ_DAINT
     site = SiteLauncher(SiteConfig(system=system,
                                    nodes=min(args.nodes, system.nodes)))
@@ -886,7 +831,6 @@ def _cmd_campaign(args) -> int:
     plan = FaultPlan.parse(args.plan, seed=args.seed) if args.plan else None
     out = Path(args.out) if args.out else None
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         store = JobStore(out / "campaign.jsonl")
         runtime = CheckpointedRuntime(out / "jobs", seed=args.seed)
     else:
@@ -904,8 +848,7 @@ def _cmd_campaign(args) -> int:
         report = service.run()
     store.close()
     if out is not None:
-        trace_path = out / "trace.json"
-        write_chrome_trace(trace_path, tel.tracer.spans())
+        trace_path = _write_trace(out, tel.tracer.spans())
         report_path = out / "report.json"
         report_path.write_text(
             json.dumps(report.as_dict(), indent=1, sort_keys=True) + "\n")
@@ -914,7 +857,7 @@ def _cmd_campaign(args) -> int:
                   f"and {trace_path}")
     ok = report.all_done and report.fair_share_error <= args.fair_bound
     if args.json:
-        print(json.dumps(report.as_dict(), indent=1, sort_keys=True))
+        _print_json(report.as_dict())
         return 0 if ok else 1
     terminal = ", ".join(f"{k}={v}" for k, v in
                          sorted(report.by_terminal_state.items()))
@@ -947,44 +890,10 @@ def _cmd_campaign(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench(args) -> int:
-    """Run benchmark suites through the machine-readable protocol.
-
-    Wraps ``benchmarks/runner.py``: runs each suite's ``collect(profile)``,
-    writes ``BENCH_<tag>.json`` under ``--out``, and — with ``--against`` —
-    gates the result against a baseline report, exiting 1 when any gated
-    metric regresses past its tolerance band.  This is the CI perf gate.
-    """
-    import importlib.util
-    import pathlib
-
-    bench_dir = pathlib.Path(args.bench_dir).resolve()
-    runner_path = bench_dir / "runner.py"
-    if not runner_path.exists():
-        print(f"error: no benchmark runner at {runner_path}", file=sys.stderr)
-        return 2
-    spec = importlib.util.spec_from_file_location("runner", runner_path)
-    runner = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("runner", runner)
-    spec.loader.exec_module(runner)
-
-    argv = ["--suite", args.suite, "--profile", args.profile,
-            "--tag", args.tag, "--out", args.out or str(bench_dir / "out"),
-            "--tolerance", str(args.tolerance)]
-    if args.against:
-        argv += ["--against", args.against]
-    if args.json:
-        argv += ["--json"]
-    return runner.main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Regenerate experiments from the paper")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("fig2", help="single-GPU performance table").set_defaults(
-        fn=_cmd_fig2)
 
     p4 = sub.add_parser("fig4", help="weak scaling curves")
     p4.add_argument("--network", default="deeplabv3+",
@@ -996,7 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     p4.set_defaults(fn=_cmd_fig4)
 
     sub.add_parser("fig5", help="staging vs global FS").set_defaults(fn=_cmd_fig5)
-    sub.add_parser("flops", help="operation counts").set_defaults(fn=_cmd_flops)
 
     ps = sub.add_parser("staging", help="staging-time comparison")
     ps.add_argument("--nodes", type=int, default=1024)
@@ -1025,13 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser(
         "trace", help="instrumented tiny training run -> trace.json + metrics.txt")
-    pr.add_argument("--samples", type=int, default=8)
-    pr.add_argument("--steps", type=int, default=3)
-    pr.add_argument("--ranks", type=int, default=2)
-    pr.add_argument("--batch", type=int, default=1)
-    pr.add_argument("--grid", type=int, default=16)
-    pr.add_argument("--lr", type=float, default=0.05)
-    pr.add_argument("--seed", type=int, default=0)
+    _training_args(pr, ranks=2, steps=3, samples=8, lr=0.05)
+    pr.add_argument("--batch", type=_count, default=1)
     pr.add_argument("--out", default="trace_out")
     pr.add_argument("--serve-requests", type=int, default=0,
                     help="also run N requests through the inference server "
@@ -1048,15 +951,10 @@ def build_parser() -> argparse.ArgumentParser:
                     default="rank_fail@2:rank=1;read_fault@1;read_fault@4",
                     help="fault schedule, e.g. 'rank_fail@2:rank=1;"
                          "read_fault@1;drop_msg@3:count=2'")
-    pf.add_argument("--ranks", type=int, default=8)
-    pf.add_argument("--steps", type=int, default=6)
-    pf.add_argument("--samples", type=int, default=16)
-    pf.add_argument("--grid", type=int, default=16)
-    pf.add_argument("--lr", type=float, default=0.01)
+    _training_args(pf, ranks=8, steps=6, samples=16, lr=0.01)
     pf.add_argument("--lr-scaling", default="linear",
                     choices=["linear", "sqrt", "none"],
                     help="LR rescale rule after an elastic shrink")
-    pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--ckpt-every", type=int, default=2)
     pf.add_argument("--tolerance", type=float, default=0.05,
                     help="max relative final-loss difference vs fault-free")
@@ -1066,12 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
     pcd = sub.add_parser(
         "comm-drill",
         help="communication drill: compressed training must track dense")
-    pcd.add_argument("--ranks", type=int, default=4)
-    pcd.add_argument("--steps", type=int, default=12)
-    pcd.add_argument("--samples", type=int, default=16)
-    pcd.add_argument("--grid", type=int, default=16)
-    pcd.add_argument("--lr", type=float, default=0.01)
-    pcd.add_argument("--seed", type=int, default=0)
+    _training_args(pcd, ranks=4, steps=12, samples=16, lr=0.01)
     pcd.add_argument("--compression", default="int8",
                      choices=["topk", "int8"],
                      help="lossy codec for the compressed run")
@@ -1094,12 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "rank_fail@6:rank=3;read_fault@2",
                     help="fault schedule; the default stragglers rank 3 "
                          "then kills it")
-    ph.add_argument("--ranks", type=int, default=8)
-    ph.add_argument("--steps", type=int, default=10)
-    ph.add_argument("--samples", type=int, default=16)
-    ph.add_argument("--grid", type=int, default=16)
-    ph.add_argument("--lr", type=float, default=0.01)
-    ph.add_argument("--seed", type=int, default=0)
+    _training_args(ph, ranks=8, steps=10, samples=16, lr=0.01)
     ph.add_argument("--window", type=float, default=1.0,
                     help="tumbling-window width in virtual seconds "
                          "(one training step per window)")
@@ -1111,11 +999,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser(
         "serve",
         help="serving drill: synthetic load through the inference server")
-    pv.add_argument("--requests", type=int, default=64)
+    pv.add_argument("--requests", type=_count, default=64)
     pv.add_argument("--rate", type=float, default=500.0,
                     help="offered arrival rate, requests/s (Poisson)")
-    pv.add_argument("--replicas", type=int, default=2)
-    pv.add_argument("--batch", type=int, default=8,
+    pv.add_argument("--replicas", type=_count, default=2)
+    pv.add_argument("--batch", type=_count, default=8,
                     help="micro-batch size cap")
     pv.add_argument("--max-wait-ms", type=float, default=2.0,
                     help="max batching delay for the oldest request")
@@ -1143,7 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(rank = replica id)")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--json", action="store_true",
-                    help="emit the report as JSON (CI smoke job)")
+                    help="emit the report as JSON")
     pv.add_argument("--out", default="",
                     help="directory for the Chrome trace (optional)")
     pv.set_defaults(fn=_cmd_serve)
@@ -1152,13 +1040,13 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="fleet drill: diurnal+burst replay through the autoscaled, "
              "sharded serve fleet")
-    pf.add_argument("--requests", type=int, default=100_000,
+    pf.add_argument("--requests", type=_count, default=100_000,
                     help="virtual requests in the replay")
     pf.add_argument("--duration", type=float, default=300.0,
                     help="replay horizon in virtual seconds")
     pf.add_argument("--cells", default="east,west",
                     help="comma-separated cell names")
-    pf.add_argument("--replicas", type=int, default=2,
+    pf.add_argument("--replicas", type=_count, default=2,
                     help="initial replicas per cell")
     pf.add_argument("--min-replicas", type=int, default=1)
     pf.add_argument("--max-replicas", type=int, default=16)
@@ -1195,9 +1083,9 @@ def build_parser() -> argparse.ArgumentParser:
     pg = sub.add_parser(
         "campaign",
         help="campaign drill: multi-user jobs through the orchestrator")
-    pg.add_argument("--users", type=int, default=3)
-    pg.add_argument("--jobs", type=int, default=12)
-    pg.add_argument("--nodes", type=int, default=32,
+    pg.add_argument("--users", type=_count, default=3)
+    pg.add_argument("--jobs", type=_count, default=12)
+    pg.add_argument("--nodes", type=_count, default=32,
                     help="site size in nodes (capped at the machine)")
     pg.add_argument("--system", default="summit",
                     choices=["summit", "piz_daint"])
@@ -1218,28 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "report.json, and Chrome trace (optional)")
     pg.set_defaults(fn=_cmd_campaign)
 
-    pb = sub.add_parser(
-        "bench",
-        help="run benchmark suites, emit BENCH_<tag>.json, gate vs baseline")
-    pb.add_argument("--suite", default="kernels,serving,allreduce",
-                    help="comma-separated suite names (bench_<name>.py)")
-    pb.add_argument("--profile", default="quick",
-                    choices=["smoke", "quick", "full"])
-    pb.add_argument("--tag", default="head",
-                    help="report tag: output file is BENCH_<tag>.json")
-    pb.add_argument("--out", default=None,
-                    help="output directory (default: <bench-dir>/out)")
-    pb.add_argument("--against", default=None, metavar="BASELINE_JSON",
-                    help="gate against this baseline; exit 1 on regression")
-    pb.add_argument("--tolerance", type=float, default=0.15,
-                    help="default tolerance band for gated metrics")
-    pb.add_argument("--bench-dir",
-                    default=str(pathlib.Path(__file__).resolve().parents[2]
-                                / "benchmarks"),
-                    help="directory holding runner.py and bench_*.py")
-    pb.add_argument("--json", action="store_true",
-                    help="print the full report JSON to stdout")
-    pb.set_defaults(fn=_cmd_bench)
     return parser
 
 

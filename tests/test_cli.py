@@ -5,11 +5,6 @@ from repro.cli import build_parser, main
 
 
 class TestCli:
-    def test_fig2(self, capsys):
-        assert main(["fig2"]) == 0
-        out = capsys.readouterr().out
-        assert "deeplabv3+" in out and "tiramisu" in out
-
     def test_fig4_custom(self, capsys):
         assert main(["fig4", "--network", "tiramisu_4ch", "--system",
                      "piz_daint", "--precision", "fp32", "--lag", "0"]) == 0
@@ -20,10 +15,6 @@ class TestCli:
     def test_fig5(self, capsys):
         assert main(["fig5"]) == 0
         assert "global" in capsys.readouterr().out
-
-    def test_flops(self, capsys):
-        assert main(["flops"]) == 0
-        assert "TF/sample" in capsys.readouterr().out
 
     def test_staging(self, capsys):
         assert main(["staging", "--nodes", "256"]) == 0
@@ -206,6 +197,14 @@ class TestCli:
         assert "rules:" in printed
         assert "rank_imbalance" in printed
         assert "straggler" in printed
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--batch", "0"], ["faults", "--steps", "0"],
+        ["health", "--samples", "-1"], ["comm-drill", "--ranks", "1"],
+        ["campaign", "--nodes", "two"]])
+    def test_drills_reject_bad_counts(self, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

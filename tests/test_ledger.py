@@ -37,7 +37,7 @@ LEDGER = {
     "report": (
         ["report"],
         0, "9cc751feebf470ab97e7960dff957440b754d92425beb2f100f610b499abda7c"),
-    # The four CI serve-smoke drills.
+    # Low load, repeat snapshots, overload and a mid-run replica kill.
     "serve-low": (
         ["serve", "--requests", "48", "--rate", "100", "--service-ms", "0.2",
          "--replicas", "2", "--channels", "2", "--seed", "0", "--json"],
