@@ -771,7 +771,7 @@ def _cmd_fleet(args) -> int:
         _print_json(doc)
     else:
         rows = _outcome_rows(report)
-        rows.insert(3, ["spilled", str(report.spilled)])
+        rows.insert(3, ["spilled", str(report.spilled)])    # after "shed"
         rows += [
             ["hit rate", f"{report.hit_rate * 100:.1f}%"],
             ["retries", str(report.retries)],
@@ -1007,16 +1007,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="micro-batch size cap")
     pv.add_argument("--max-wait-ms", type=float, default=2.0,
                     help="max batching delay for the oldest request")
-    pv.add_argument("--forward-batch", type=int, default=32,
+    pv.add_argument("--forward-batch", type=_count, default=32,
                     help="windows stacked per model forward")
     pv.add_argument("--window", type=int, default=8)
     pv.add_argument("--stride", type=int, default=4)
     pv.add_argument("--image", type=int, default=16)
-    pv.add_argument("--channels", type=int, default=4)
+    pv.add_argument("--channels", type=_count, default=4)
     pv.add_argument("--repeat", type=float, default=0.25,
                     help="fraction of requests resubmitting an earlier "
                          "snapshot (cache redundancy)")
-    pv.add_argument("--max-depth", type=int, default=64,
+    pv.add_argument("--max-depth", type=_count, default=64,
                     help="per-lane queue cap before queue_full shedding")
     pv.add_argument("--slo-ms", type=float, default=0.0,
                     help="interactive-lane queueing SLO; 0 disables "
@@ -1048,14 +1048,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated cell names")
     pf.add_argument("--replicas", type=_count, default=2,
                     help="initial replicas per cell")
-    pf.add_argument("--min-replicas", type=int, default=1)
-    pf.add_argument("--max-replicas", type=int, default=16)
+    pf.add_argument("--min-replicas", type=_count, default=1)
+    pf.add_argument("--max-replicas", type=_count, default=16)
     pf.add_argument("--bursts", default="",
                     help="overload windows as start:duration:multiplier"
                          "[,...] in virtual seconds")
-    pf.add_argument("--pool", type=int, default=5000,
+    pf.add_argument("--pool", type=_count, default=5000,
                     help="distinct snapshot keys (Zipf-popular)")
-    pf.add_argument("--windows", type=int, default=4,
+    pf.add_argument("--windows", type=_count, default=4,
                     help="tile windows per request")
     pf.add_argument("--slo-ms", type=float, default=250.0,
                     help="interactive-lane estimated-wait budget; "

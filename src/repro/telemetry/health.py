@@ -144,8 +144,9 @@ class HealthEngine:
     The engine subscribes to every series of ``streams`` when it is built
     and sees only the windows that close after that.  Each :meth:`evaluate`
     call consumes the windows closed since the last call, advances the
-    per-(rule, series) streak machines and keeps none of them.  Deterministic under a simulated
-    clock — same observations, same windows, same alert lifecycle.
+    per-(rule, series) streak machines and keeps none of them.
+    Deterministic under a simulated clock — same observations, same
+    windows, same alert lifecycle.
 
     Alerts are mirrored into ``telemetry``, or into the active session
     when it is ``None``.  An engine made by ``Telemetry.attach_health``

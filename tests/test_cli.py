@@ -201,7 +201,8 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["trace", "--batch", "0"], ["faults", "--steps", "0"],
         ["health", "--samples", "-1"], ["comm-drill", "--ranks", "1"],
-        ["campaign", "--nodes", "two"]])
+        ["campaign", "--nodes", "two"], ["serve", "--forward-batch", "0"],
+        ["serve", "--channels", "0"], ["fleet", "--windows", "0"]])
     def test_drills_reject_bad_counts(self, argv):
         with pytest.raises(SystemExit):
             main(argv)
